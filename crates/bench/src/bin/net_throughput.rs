@@ -119,8 +119,9 @@ fn main() {
          {clients} sessions"
     );
 
-    // Query serving over a live session (each query refreshes and
-    // freezes a snapshot server-side).
+    // Query serving over a live session (each query refreshes
+    // server-side; with ingest finished only the first finds anything
+    // changed and freezes — the rest are handed the published snapshot).
     let mut session =
         LdpClient::connect(addr, Hello::plain::<ldp_ranges::HhReport>()).expect("connect");
     let queries = 10u32;

@@ -35,8 +35,15 @@ use ldp_transforms::FlatTree;
 /// low for the aggregator".
 pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
     let shape = tree.shape();
-    let b = shape.fanout() as f64;
+    let fanout = shape.fanout();
+    let b = fanout as f64;
     let h = shape.height();
+
+    // Both stages walk one depth and the depth below it as two adjacent
+    // slices (the tree is level-major), children grouped per parent by
+    // `chunks_exact(B)`. Each child sum adds left to right, so results
+    // are bit-identical to per-node `(depth, index)` addressing — the
+    // differential test below pins that.
 
     // Stage 1: bottom-up weighted averaging over internal, non-root nodes.
     for d in (1..h).rev() {
@@ -45,9 +52,9 @@ pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
         let bim1 = b.powi(subtree_levels - 1);
         let w_self = (bi - bim1) / (bi - 1.0);
         let w_children = (bim1 - 1.0) / (bi - 1.0);
-        for idx in 0..shape.nodes_at_depth(d) {
-            let child_sum: f64 = shape.children(d, idx).map(|c| *tree.get(d + 1, c)).sum();
-            let v = tree.get_mut(d, idx);
+        let (parents, children) = tree.adjacent_levels_mut(d);
+        for (v, group) in parents.iter_mut().zip(children.chunks_exact(fanout)) {
+            let child_sum: f64 = group.iter().sum();
             *v = w_self * *v + w_children * child_sum;
         }
     }
@@ -57,12 +64,12 @@ pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
 
     // Stage 2: top-down mean consistency.
     for d in 0..h {
-        for parent in 0..shape.nodes_at_depth(d) {
-            let parent_val = *tree.get(d, parent);
-            let child_sum: f64 = shape.children(d, parent).map(|c| *tree.get(d + 1, c)).sum();
+        let (parents, children) = tree.adjacent_levels_mut(d);
+        for (parent_val, group) in parents.iter().zip(children.chunks_exact_mut(fanout)) {
+            let child_sum: f64 = group.iter().sum();
             let adjust = (parent_val - child_sum) / b;
-            for c in shape.children(d, parent) {
-                *tree.get_mut(d + 1, c) += adjust;
+            for c in group {
+                *c += adjust;
             }
         }
     }
@@ -104,6 +111,68 @@ mod tests {
             }
         }
         tree
+    }
+
+    /// The scalar oracle: the textbook two-stage procedure addressed node
+    /// by node through `tree.get(d, idx)` / `shape.children(d, idx)`.
+    /// Kept only as the reference [`enforce_consistency`] is pinned to.
+    fn enforce_consistency_scalar(tree: &mut FlatTree<f64>) {
+        let shape = tree.shape();
+        let b = shape.fanout() as f64;
+        let h = shape.height();
+        for d in (1..h).rev() {
+            let subtree_levels = i32::try_from(h - d + 1).expect("height fits i32");
+            let bi = b.powi(subtree_levels);
+            let bim1 = b.powi(subtree_levels - 1);
+            let w_self = (bi - bim1) / (bi - 1.0);
+            let w_children = (bim1 - 1.0) / (bi - 1.0);
+            for idx in 0..shape.nodes_at_depth(d) {
+                let child_sum: f64 = shape.children(d, idx).map(|c| *tree.get(d + 1, c)).sum();
+                let v = tree.get_mut(d, idx);
+                *v = w_self * *v + w_children * child_sum;
+            }
+        }
+        *tree.get_mut(0, 0) = 1.0;
+        for d in 0..h {
+            for parent in 0..shape.nodes_at_depth(d) {
+                let parent_val = *tree.get(d, parent);
+                let child_sum: f64 = shape.children(d, parent).map(|c| *tree.get(d + 1, c)).sum();
+                let adjust = (parent_val - child_sum) / b;
+                for c in shape.children(d, parent) {
+                    *tree.get_mut(d + 1, c) += adjust;
+                }
+            }
+        }
+    }
+
+    /// The slice kernel ≡ the scalar oracle, bit for bit, for every
+    /// fanout the mechanisms use, every height up to 2^16 leaves
+    /// (including the degenerate one-level tree, `h = 1`), and several
+    /// noise seeds — the way `crates/transforms/tests/differential.rs`
+    /// pins FWHT/Haar.
+    #[test]
+    fn slice_kernel_matches_scalar_oracle_bit_for_bit() {
+        for fanout in [2usize, 3, 4, 5, 8, 16] {
+            let mut height = 1u32;
+            while fanout.pow(height) <= 1 << 16 {
+                let shape = CompleteTree::with_height(fanout, height);
+                for seed in [1u64, 42, 0xDEAD_BEEF] {
+                    let mut fast = noisy_tree(shape, seed ^ u64::from(height));
+                    let mut oracle = fast.clone();
+                    enforce_consistency(&mut fast);
+                    enforce_consistency_scalar(&mut oracle);
+                    for d in 0..=height {
+                        for (i, (a, b)) in fast.level(d).iter().zip(oracle.level(d)).enumerate() {
+                            assert!(
+                                a.to_bits() == b.to_bits(),
+                                "B={fanout} h={height} seed={seed}: node ({d}, {i}) {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+                height += 1;
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! message bodies are executed by a small worker pool against the shared
 //! backend — the worker count bounds CPU concurrency, not the session
 //! count, so a node holds as many sessions as it has file descriptors.
-//! Report batches land through the service's staged all-or-nothing batch
-//! paths, so a session is a pure transport: the state it leaves behind
+//! Report batches land through the service's all-or-nothing batch paths
+//! (absorbed in place, rolled back exactly if a frame is rejected), so a
+//! session is a pure transport: the state it leaves behind
 //! is bit-identical to calling [`LdpService::submit_frame`] in-process
 //! with the same frames.
 //!
@@ -130,9 +131,9 @@ where
 
     /// Absorbs a REPORT batch straight from borrowed envelope bytes — the
     /// zero-copy twin of [`Backend::absorb_batch`]. Frames are decoded one
-    /// at a time from subslices of `frames` and absorbed into a staged
-    /// shard clone, so a 256-frame batch costs no intermediate `Vec` of
-    /// reports and no copy of the frame bytes.
+    /// at a time from subslices of `frames` and absorbed into the shard
+    /// in place, so a 256-frame batch costs no intermediate `Vec` of
+    /// reports, no copy of the frame bytes and no copy of the shard.
     fn absorb_frames(
         &self,
         wire_version: u8,
@@ -173,14 +174,14 @@ where
                     .window_snapshot(usize::try_from(k).unwrap_or(usize::MAX))
                     .map_err(service_error)?;
                 let bounds = (w.first_epoch(), w.last_epoch());
-                (Arc::new(w.snapshot().clone()), Some(bounds))
+                (w.shared_snapshot(), Some(bounds))
             }
             (Self::Durable(d), Some(k)) => {
                 let w = d
                     .window_snapshot(usize::try_from(k).unwrap_or(usize::MAX))
                     .map_err(service_error)?;
                 let bounds = (w.first_epoch(), w.last_epoch());
-                (Arc::new(w.snapshot().clone()), Some(bounds))
+                (w.shared_snapshot(), Some(bounds))
             }
         };
         let result = answer(&snap, q.op)?;

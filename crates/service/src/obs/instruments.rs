@@ -38,6 +38,11 @@ pub mod names {
     /// Counter, shards: unchanged shards a delta refresh reused without
     /// cloning or merging.
     pub const SERVICE_REFRESH_SHARDS_REUSED: &str = "service.refresh_shards_reused";
+    /// Counter, refreshes: delta refreshes that found every shard
+    /// unchanged and returned the already-published snapshot without
+    /// estimating (a subset of [`SERVICE_REFRESHES_DELTA`]; over
+    /// [`SERVICE_REFRESHES`] it is the hit rate of unchanged queries).
+    pub const SERVICE_REFRESHES_CLEAN: &str = "service.refreshes_clean";
 
     /// Histogram, ns: wall time of one lockstep epoch seal across all
     /// shard rings.
@@ -158,6 +163,8 @@ pub struct ServiceInstruments {
     pub refreshes_full: Arc<Counter>,
     /// [`names::SERVICE_REFRESH_SHARDS_REUSED`].
     pub refresh_shards_reused: Arc<Counter>,
+    /// [`names::SERVICE_REFRESHES_CLEAN`].
+    pub refreshes_clean: Arc<Counter>,
 }
 
 impl ServiceInstruments {
@@ -171,6 +178,7 @@ impl ServiceInstruments {
             refreshes_delta: registry.counter(names::SERVICE_REFRESHES_DELTA),
             refreshes_full: registry.counter(names::SERVICE_REFRESHES_FULL),
             refresh_shards_reused: registry.counter(names::SERVICE_REFRESH_SHARDS_REUSED),
+            refreshes_clean: registry.counter(names::SERVICE_REFRESHES_CLEAN),
         }
     }
 }

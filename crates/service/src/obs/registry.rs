@@ -401,7 +401,7 @@ impl MetricsRegistry {
 
     // Registration mutations are single BTreeMap inserts, so a poisoned
     // mutex still guards a consistent map — recover like the service
-    // tier's staged-write locks instead of cascading a panic.
+    // tier's read-only shard peeks instead of cascading a panic.
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }

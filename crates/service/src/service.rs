@@ -6,7 +6,11 @@
 //! * **Ingestion** — each shard sits behind its own mutex; submitters
 //!   pick a shard round-robin, so writers contend only `1/num_shards` of
 //!   the time and the service can absorb traffic from many threads at
-//!   once.
+//!   once. Batches are **all-or-nothing** and absorbed *in place*: the
+//!   happy path touches only the counters its reports increment, and a
+//!   batch that fails at frame `k` is rolled back by subtracting the
+//!   absorbed prefix back out (`absorb_all_or_nothing`) — exact, because
+//!   every mechanism's state is integer sufficient statistics.
 //! * **Query serving** — readers never touch shard state. They clone an
 //!   `Arc` to the latest published [`RangeSnapshot`] and answer queries
 //!   lock-free against that immutable freeze.
@@ -19,12 +23,15 @@
 //!   freeze, swapping each one's previous contribution out by exact
 //!   subtraction — bit-identical to the from-scratch clone-and-merge
 //!   (integer sufficient statistics), at a cost proportional to the
-//!   shards that actually changed.
+//!   shards that actually changed. A refresh that finds *no* shard
+//!   changed re-estimates nothing: it returns the already-published
+//!   `Arc` and the version stays put.
 //!
 //! Queries therefore keep answering — at a bounded staleness — while
 //! ingestion continues, which is the contract industry aggregation
 //! pipelines provide.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
@@ -55,6 +62,23 @@ struct RefreshState<S> {
     seen: Vec<u64>,
 }
 
+/// What the refresh mutex guards: the retained delta-refresh state and,
+/// on a windowed service, the frozen trailing windows.
+struct Publication<S> {
+    /// `None` until the first refresh, and reset by structural changes
+    /// (epoch seals).
+    delta: Option<RefreshState<S>>,
+    /// Frozen trailing windows keyed by the number of sealed epochs they
+    /// cover — clamped to what the rings retain, so never more than
+    /// `window_len` entries whatever `k` a query names. Sealed epochs are
+    /// immutable, so an entry stays exact until the next seal, which
+    /// clears the map.
+    windows: BTreeMap<usize, WindowedSnapshot>,
+    /// Seals so far: a window extracted under one value is cached only
+    /// if no seal intervened before its freeze finished.
+    seals: u64,
+}
+
 /// A sharded LDP aggregation service with snapshot-isolated reads.
 pub struct LdpService<S: SnapshotSource> {
     shards: Vec<Mutex<S>>,
@@ -67,10 +91,9 @@ pub struct LdpService<S: SnapshotSource> {
     version: AtomicU64,
     /// Serializes refreshes end to end (clone → estimate → publish) so a
     /// slow refresher can never overwrite a newer snapshot with staler
-    /// data, and holds the retained delta-refresh state (`None` until the
-    /// first refresh, and reset by structural changes like epoch seals);
-    /// readers stay lock-free on `published`.
-    refresh: Mutex<Option<RefreshState<S>>>,
+    /// data, and holds the state refreshes and windowed queries carry
+    /// between calls; readers stay lock-free on `published`.
+    refresh: Mutex<Publication<S>>,
     /// Kill switch for the delta refresh path; disabled, every refresh
     /// falls back to the from-scratch clone-and-merge. Snapshots are
     /// bit-identical either way — the switch exists so CI can prove that
@@ -109,13 +132,52 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
 }
 
 /// Locks a mutex for a read-only peek, recovering from poisoning. Sound
-/// here because every committed mutation of shard state is staged (built
-/// against a clone, swapped in whole), so even a poisoned shard holds a
-/// consistent value — at worst one report absorbed directly via
-/// [`LdpService::submit`] is partially counted, which the racy-read
-/// contracts of these paths already tolerate.
+/// here because every mechanism's `absorb` validates its report before
+/// it mutates anything, so a shard poisoned by a panic mid-batch still
+/// holds a sum of *whole* reports — a consistent value for the racy
+/// reads these paths serve. What the panic costs is that one batch's
+/// all-or-nothing (its absorbed prefix stays in), and every later writer
+/// and refresh of that shard gets [`ServiceError::LockPoisoned`] from
+/// [`lock`] instead of building on it.
 fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs a batch against `shard` **in place**, all-or-nothing: `run`
+/// absorbs the batch's reports in order and stops at the first malformed
+/// or rejected frame. On `Ok` nothing else happens — the happy path does
+/// no O(state) work. On `Err` the absorbed prefix is rolled back by exact
+/// subtraction: an aligned zero (`shard − shard`, which keeps an
+/// [`EpochRing`]'s epoch layout) replays the batch — failing at the same
+/// frame, since decoding and every `absorb` check depend on the bytes and
+/// the configuration, never on the counts — and is subtracted back out of
+/// the shard. Integer sufficient statistics make that the bit-identical
+/// inverse, so the shard is left exactly as it was found and `run`'s
+/// error is returned.
+///
+/// The caller holds whatever lock guards `shard` across the call, so no
+/// reader observes the prefix.
+///
+/// # Errors
+///
+/// `run`'s own error after a successful rollback. A failing rollback
+/// subtraction is returned instead; it is impossible for shards whose
+/// layout `run` cannot change (everything the service constructors and
+/// recovery build: plain servers and manually sealed rings).
+pub(crate) fn absorb_all_or_nothing<S: SubtractableServer, T>(
+    shard: &mut S,
+    mut run: impl FnMut(&mut S) -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
+    let rejected = match run(shard) {
+        Ok(done) => return Ok(done),
+        Err(e) => e,
+    };
+    let mut prefix = shard.clone();
+    prefix.subtract(shard)?;
+    // The replay's outcome is the rejection already in hand.
+    let _ = run(&mut prefix);
+    shard.subtract(&prefix)?;
+    Err(rejected)
 }
 
 impl<S: SnapshotSource> LdpService<S> {
@@ -170,7 +232,11 @@ impl<S: SnapshotSource> LdpService<S> {
             next_shard: AtomicUsize::new(0),
             published: RwLock::new(initial),
             version: AtomicU64::new(0),
-            refresh: Mutex::new(None),
+            refresh: Mutex::new(Publication {
+                delta: None,
+                windows: BTreeMap::new(),
+                seals: 0,
+            }),
             delta_refresh: AtomicBool::new(delta_refresh_from_env()),
             obs: OnceLock::new(),
             window_obs: OnceLock::new(),
@@ -254,15 +320,17 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// Absorbs a batch of decoded reports into one round-robin shard,
-    /// **all-or-nothing**: the batch is staged against a clone of the
-    /// shard and committed only if every report absorbs, so a rejected
-    /// batch can be retried or discarded without double-counting. This is
-    /// the transactional unit the network front end
+    /// **all-or-nothing**: the reports are absorbed into the locked
+    /// shard in place, and if one is rejected the absorbed prefix is
+    /// subtracted back out before the lock drops, so a rejected batch can
+    /// be retried or discarded without double-counting. This is the
+    /// transactional unit the network front end
     /// ([`crate::net::LdpServer`]) acks per REPORT message.
     ///
-    /// Because every mechanism's state is an integer sum, the staged
-    /// clone-and-swap leaves state bit-identical to absorbing the same
-    /// reports through [`LdpService::submit`] one at a time.
+    /// Because every mechanism's state is an integer sum, an accepted
+    /// batch leaves state bit-identical to absorbing the same reports
+    /// through [`LdpService::submit`] one at a time, and a rejected one
+    /// leaves it bit-identical to never having been submitted.
     ///
     /// # Errors
     ///
@@ -273,41 +341,60 @@ impl<S: SnapshotSource> LdpService<S> {
             return Ok(());
         }
         let started = self.obs.get().map(|_| Instant::now());
-        let result = self.submit_batch_inner(reports);
-        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
-            obs.shard.absorb_ns.record_elapsed(started);
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.add(reports.len() as u64),
-                Err(_) => obs.shard.frames_rejected.add(reports.len() as u64),
+        let result = self.with_next_shard(|shard| {
+            for (i, report) in reports.iter().enumerate() {
+                shard.absorb(report).map_err(|e| ServiceError::BadFrame {
+                    index: i,
+                    report_type: crate::error::report_type_name::<S::Report>(),
+                    source: Box::new(e.into()),
+                })?;
             }
-        }
+            Ok(())
+        });
+        self.observe_batch(&result, reports.len(), started);
         result
     }
 
-    fn submit_batch_inner(&self, reports: &[S::Report]) -> Result<(), ServiceError> {
+    /// Locks the next round-robin shard and runs one batch against it
+    /// all-or-nothing ([`absorb_all_or_nothing`]); a committed batch
+    /// marks the shard dirty, a rolled-back one does not (the shard is
+    /// bit-identical to what the last refresh saw).
+    fn with_next_shard<T>(
+        &self,
+        run: impl FnMut(&mut S) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut shard = lock(&self.shards[k], "shard")?;
-        let mut staged = shard.clone();
-        for (i, report) in reports.iter().enumerate() {
-            staged.absorb(report).map_err(|e| ServiceError::BadFrame {
-                index: i,
-                report_type: crate::error::report_type_name::<S::Report>(),
-                source: Box::new(e.into()),
-            })?;
-        }
-        *shard = staged;
+        let done = absorb_all_or_nothing(&mut *shard, run)?;
         self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(done)
+    }
+
+    /// Shard-tier accounting for the decoded-batch paths: all-or-nothing,
+    /// `len` frames accepted or `len` rejected.
+    fn observe_batch(
+        &self,
+        result: &Result<(), ServiceError>,
+        len: usize,
+        started: Option<Instant>,
+    ) {
+        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
+            obs.shard.absorb_ns.record_elapsed(started);
+            match result {
+                Ok(()) => obs.shard.frames_accepted.add(len as u64),
+                Err(_) => obs.shard.frames_rejected.add(len as u64),
+            }
+        }
     }
 
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
     /// round-robin shard, **all-or-nothing** like
     /// [`LdpService::submit_batch`], without materializing the decoded
     /// batch: each frame is decoded from its borrowed subslice of
-    /// `frames` and absorbed into the staged clone immediately, so the
-    /// batch machinery does O(1) allocations however many frames the
-    /// message carries. Epoch tags (v2 frames) are ignored, exactly as
-    /// the collecting network path ignored them for unwindowed backends.
+    /// `frames` and absorbed into the shard immediately, so the batch
+    /// machinery does O(1) allocations however many frames the message
+    /// carries. Epoch tags (v2 frames) are ignored, exactly as the
+    /// collecting network path ignored them for unwindowed backends.
     ///
     /// Returns the number of frames absorbed (always `count` on success).
     ///
@@ -329,18 +416,11 @@ impl<S: SnapshotSource> LdpService<S> {
             return Ok(0);
         }
         let started = self.obs.get().map(|_| Instant::now());
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let result = (|| {
-            let mut shard = lock(&self.shards[k], "shard")?;
-            let mut staged = shard.clone();
-            let absorbed =
-                crate::wire::for_each_frame(wire_version, count, frames, |_epoch, report| {
-                    staged.absorb(&report).map_err(Into::into)
-                })?;
-            *shard = staged;
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-            Ok(absorbed)
-        })();
+        let result = self.with_next_shard(|shard| {
+            crate::wire::for_each_frame(wire_version, count, frames, |_epoch, report| {
+                shard.absorb(&report).map_err(Into::into)
+            })
+        });
         self.observe_wire_batch(&result, count, frames.len(), started);
         result
     }
@@ -392,9 +472,9 @@ impl<S: SnapshotSource> LdpService<S> {
         )
     }
 
-    /// Merges current shard state and publishes a fresh snapshot,
-    /// returning it. Shards are locked one at a time only long enough to
-    /// clone (or, on the delta path, to read one counter); estimation
+    /// Brings the published snapshot up to date with current shard state
+    /// and returns it. Shards are locked one at a time only long enough
+    /// to clone (or, on the delta path, to read one counter); estimation
     /// runs with no shard lock held.
     ///
     /// Refreshes after the first take the **delta path** whenever
@@ -409,6 +489,18 @@ impl<S: SnapshotSource> LdpService<S> {
     /// Structural changes (epoch seals) reset the retained state, forcing
     /// the next refresh through the full rebuild.
     ///
+    /// **Version contract.** The version increases iff the published
+    /// content changed. A *clean* refresh — the delta pass found every
+    /// shard unchanged since the freeze already published — estimates
+    /// nothing, publishes nothing, and returns that same `Arc`
+    /// (`Arc::ptr_eq` with the previous return), so a query that finds
+    /// nothing new costs a few counter loads. Every refresh that
+    /// re-merged anything (a dirty shard, or the full rebuild that the
+    /// first refresh, the refresh after a seal, and every refresh with
+    /// the delta path disabled take) freezes and publishes under the
+    /// next version. Rejected batches roll back without dirtying their
+    /// shard, so they never cost a re-estimate either.
+    ///
     /// # Errors
     ///
     /// Propagates merge failures (impossible for shards built by
@@ -419,28 +511,40 @@ impl<S: SnapshotSource> LdpService<S> {
         // could publish after — and overwrite — a fresher snapshot.
         let mut guard = lock(&self.refresh, "refresh")?;
         let started = self.obs.get().map(|_| Instant::now());
-        let reused = self.refresh_merged(&mut guard)?;
-        let Some(state) = guard.as_ref() else {
+        let reused = self.refresh_merged(&mut guard.delta)?;
+        let Some(state) = guard.delta.as_ref() else {
             return Err(ServiceError::NoShards);
         };
-        let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = Arc::new(RangeSnapshot::freeze(&state.merged, version));
-        *self
-            .published
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&snap);
+        // Retained state exists only once its freeze has been published
+        // (below, under this guard), so "every shard reused" means the
+        // published snapshot already is the freeze of `state.merged`.
+        let clean = reused == Some(self.shards.len());
+        let snap = if clean {
+            self.snapshot()
+        } else {
+            let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
+            let snap = Arc::new(RangeSnapshot::freeze(&state.merged, version));
+            *self
+                .published
+                .write()
+                .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&snap);
+            snap
+        };
         if let Some(obs) = self.obs.get() {
             if let Some(started) = started {
                 obs.service.refresh_ns.record_elapsed(started);
             }
             obs.service.refreshes.incr();
-            obs.service.snapshot_version.set(version);
+            obs.service.snapshot_version.set(snap.version());
             match reused {
                 Some(n) => {
                     obs.service.refreshes_delta.incr();
                     obs.service.refresh_shards_reused.add(n as u64);
                 }
                 None => obs.service.refreshes_full.incr(),
+            }
+            if clean {
+                obs.service.refreshes_clean.incr();
             }
         }
         Ok(snap)
@@ -616,16 +720,21 @@ where
     pub fn seal_epoch(&self) -> Result<u64, ServiceError> {
         let mut guard = lock(&self.refresh, "refresh")?;
         let started = self.window_obs.get().map(|_| Instant::now());
+        // Sealing restructures every shard ring (new open epoch, rotated
+        // retention), so the retained delta-refresh clones no longer
+        // align — the next refresh rebuilds from scratch — and every
+        // trailing window gains an epoch (and may lose one), so the
+        // frozen windows go too. Invalidated up front: a sweep that
+        // fails half way must not leave either behind.
+        guard.delta = None;
+        guard.windows.clear();
+        guard.seals += 1;
         let mut sealed = None;
         for shard in &self.shards {
             let id = lock(shard, "shard")?.seal_epoch()?;
             debug_assert!(sealed.is_none_or(|s| s == id), "shards sealed out of step");
             sealed = Some(id);
         }
-        // Sealing restructures every shard ring (new open epoch, rotated
-        // retention), so the retained delta-refresh clones no longer
-        // align; drop them and let the next refresh rebuild from scratch.
-        *guard = None;
         if let (Some(obs), Some(started)) = (self.window_obs.get(), started) {
             obs.seal_ns.record_elapsed(started);
             obs.epochs_sealed.incr();
@@ -670,9 +779,9 @@ where
     /// Absorbs a batch of epoch-tagged reports (`None` = untagged v1
     /// frame) into one round-robin shard, **all-or-nothing** like
     /// [`LdpService::submit_batch`]: tags are checked against the open
-    /// epoch and the whole batch is staged before committing, so a stale
-    /// straggler anywhere in the batch rejects it without any partial
-    /// absorb.
+    /// epoch as each report is absorbed, so a stale straggler anywhere in
+    /// the batch rejects it and the absorbed prefix is subtracted back
+    /// out.
     ///
     /// # Errors
     ///
@@ -687,36 +796,19 @@ where
             return Ok(());
         }
         let started = self.obs.get().map(|_| Instant::now());
-        let result = self.submit_epoch_batch_inner(reports);
-        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
-            obs.shard.absorb_ns.record_elapsed(started);
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.add(reports.len() as u64),
-                Err(_) => obs.shard.frames_rejected.add(reports.len() as u64),
+        let result = self.with_next_shard(|ring| {
+            for (i, (epoch, report)) in reports.iter().enumerate() {
+                ring.absorb_tagged(*epoch, report)
+                    .map_err(|e| ServiceError::BadFrame {
+                        index: i,
+                        report_type: crate::error::report_type_name::<S::Report>(),
+                        source: Box::new(e),
+                    })?;
             }
-        }
+            Ok(())
+        });
+        self.observe_batch(&result, reports.len(), started);
         result
-    }
-
-    fn submit_epoch_batch_inner(
-        &self,
-        reports: &[(Option<u64>, S::Report)],
-    ) -> Result<(), ServiceError> {
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let mut staged = shard.clone();
-        for (i, (epoch, report)) in reports.iter().enumerate() {
-            staged
-                .absorb_tagged(*epoch, report)
-                .map_err(|e| ServiceError::BadFrame {
-                    index: i,
-                    report_type: crate::error::report_type_name::<S::Report>(),
-                    source: Box::new(e),
-                })?;
-        }
-        *shard = staged;
-        self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
@@ -725,7 +817,7 @@ where
     /// decoded batch — the windowed twin of
     /// [`LdpService::submit_wire_batch`]. Epoch tags are checked against
     /// the open epoch as each frame is decoded from its borrowed subslice
-    /// of `frames` and absorbed into the staged clone.
+    /// of `frames` and absorbed into the shard.
     ///
     /// Returns the number of frames absorbed (always `count` on success).
     ///
@@ -748,18 +840,11 @@ where
             return Ok(0);
         }
         let started = self.obs.get().map(|_| Instant::now());
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let result = (|| {
-            let mut shard = lock(&self.shards[k], "shard")?;
-            let mut staged = shard.clone();
-            let absorbed =
-                crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-                    staged.absorb_tagged(epoch, &report)
-                })?;
-            *shard = staged;
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-            Ok(absorbed)
-        })();
+        let result = self.with_next_shard(|ring| {
+            crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
+                ring.absorb_tagged(epoch, &report)
+            })
+        });
         self.observe_wire_batch(&result, count, frames.len(), started);
         result
     }
@@ -768,6 +853,13 @@ where
     /// epochs into an immutable windowed query handle. Serialized with
     /// sealing (see [`LdpService::seal_epoch`]); queries on the returned
     /// snapshot are lock-free.
+    ///
+    /// Sealed epochs are immutable, so a trailing window changes only at
+    /// a seal: each distinct window is merged and estimated once, kept
+    /// (behind an `Arc`) until the next seal, and handed out again to
+    /// every query in between. `epochs` is clamped to what the rings
+    /// retain before it keys that cache, so it holds at most `window_len`
+    /// entries however large a `k` callers name.
     ///
     /// # Errors
     ///
@@ -780,20 +872,25 @@ where
         // extraction straddling an epoch boundary. Merging and the
         // expensive estimation run after the guard drops — sealing and
         // snapshot refreshes never wait on estimation.
-        let (servers, bounds) = {
-            let _guard = lock(&self.refresh, "refresh")?;
-            let mut servers = Vec::with_capacity(self.shards.len());
-            let mut bounds = None;
-            for shard in &self.shards {
-                let ring = lock(shard, "shard")?;
-                servers.push(ring.window_server(epochs)?);
-                if bounds.is_none() {
-                    // Shards seal in lockstep (under this same guard), so
-                    // every shard reports identical bounds.
-                    bounds = ring.window_bounds(epochs);
-                }
+        let (servers, bounds, covered, seals) = {
+            let guard = lock(&self.refresh, "refresh")?;
+            // Shards seal in lockstep (under this same guard), so every
+            // shard retains the same epochs and reports identical bounds.
+            let (covered, bounds) = {
+                let ring = lock(&self.shards[0], "shard")?;
+                (
+                    epochs.min(ring.epochs_retained()),
+                    ring.window_bounds(epochs),
+                )
+            };
+            if let Some(frozen) = guard.windows.get(&covered) {
+                return Ok(frozen.clone());
             }
-            (servers, bounds)
+            let mut servers = Vec::with_capacity(self.shards.len());
+            for shard in &self.shards {
+                servers.push(lock(shard, "shard")?.window_server(epochs)?);
+            }
+            (servers, bounds, covered, guard.seals)
         };
         let (first, last) = bounds.ok_or(ServiceError::EmptyWindow)?;
         let mut servers = servers.into_iter();
@@ -801,11 +898,26 @@ where
         for server in servers {
             merged.merge(&server)?;
         }
-        Ok(WindowedSnapshot::from_parts(
-            RangeSnapshot::freeze(&merged, last),
+        let frozen = WindowedSnapshot::from_parts(
+            Arc::new(RangeSnapshot::freeze(&merged, last)),
             first,
             last,
-        ))
+        );
+        let mut guard = lock(&self.refresh, "refresh")?;
+        // A seal since the extraction means this window is already
+        // history: answer with it, but do not keep it.
+        if guard.seals == seals {
+            guard.windows.insert(covered, frozen.clone());
+        }
+        Ok(frozen)
+    }
+
+    /// Number of frozen trailing windows currently kept for
+    /// [`LdpService::window_snapshot`] — never more than `window_len`,
+    /// and 0 right after a seal.
+    #[must_use]
+    pub fn windows_cached(&self) -> usize {
+        lock_infallible(&self.refresh).windows.len()
     }
 }
 
@@ -855,14 +967,33 @@ mod tests {
         });
 
         assert_eq!(service.num_reports(), writers * per_writer);
+        // Pin the delta path whatever `LDP_DELTA_REFRESH` says: the clean
+        // refresh below exists only on it.
+        service.set_delta_refresh(true);
+        let racing_version = service.snapshot().version();
         let final_snap = service.refresh_snapshot().unwrap();
         assert_eq!(final_snap.num_reports(), writers * per_writer);
-        assert!(final_snap.version() >= 20);
+        // The version counts publications, not refresh calls: 20 racing
+        // refreshes published at most 20 times, and at least once.
+        assert!((1..=20).contains(&racing_version));
+        assert!(final_snap.version() >= racing_version);
         assert!((final_snap.range(16, 47) - 1.0).abs() < 0.1);
-        // Old handles keep answering after newer publications.
-        let old = service.snapshot();
-        service.refresh_snapshot().unwrap();
-        assert!(old.version() < service.snapshot().version());
-        let _ = old.range(0, 63);
+        // Nothing changed since `final_snap`: a clean refresh returns the
+        // same `Arc` and the version stays put.
+        let clean = service.refresh_snapshot().unwrap();
+        assert!(Arc::ptr_eq(&clean, &final_snap));
+        assert!(Arc::ptr_eq(&service.snapshot(), &final_snap));
+        assert_eq!(clean.version(), final_snap.version());
+        // One more report changes the content, so the version moves —
+        // and old handles keep answering after newer publications.
+        let mut rng = StdRng::seed_from_u64(899);
+        service
+            .submit(&client.report(20, &mut rng).unwrap())
+            .unwrap();
+        let newer = service.refresh_snapshot().unwrap();
+        assert_eq!(newer.version(), final_snap.version() + 1);
+        assert_eq!(newer.num_reports(), writers * per_writer + 1);
+        assert_eq!(final_snap.num_reports(), writers * per_writer);
+        let _ = final_snap.range(0, 63);
     }
 }

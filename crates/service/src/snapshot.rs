@@ -126,7 +126,13 @@ impl RangeSnapshot {
         self.num_reports
     }
 
-    /// Monotone publication version (0 = the empty initial snapshot).
+    /// Monotone publication version (0 = the initial snapshot a service
+    /// is built with). On a service-published snapshot the version
+    /// increases iff the published content changed: a refresh that finds
+    /// every shard unchanged returns the same `Arc` under the same
+    /// version instead of publishing a copy (see
+    /// [`crate::LdpService::refresh_snapshot`]). A windowed snapshot's
+    /// version is the newest epoch id it covers.
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version

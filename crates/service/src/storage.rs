@@ -12,7 +12,7 @@
 //! windowed and unwindowed.
 //!
 //! ```text
-//!   ingest batch ──► decode ──► absorb (staged, all-or-nothing)
+//!   ingest batch ──► decode ──► absorb (in place, all-or-nothing)
 //!                                  │ ok
 //!                                  ▼
 //!                     WAL append (CRC-framed record,      wal-00000000.log

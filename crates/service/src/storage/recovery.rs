@@ -37,6 +37,7 @@ use std::path::Path;
 use ldp_ranges::{PersistableServer, StateReader, SubtractableServer};
 
 use crate::error::ServiceError;
+use crate::service::absorb_all_or_nothing;
 use crate::snapshot::SnapshotSource;
 use crate::storage::{checkpoint, wal};
 use crate::window::EpochRing;
@@ -278,19 +279,29 @@ fn load_checkpoint(dir: &Path) -> Result<Option<checkpoint::Checkpoint>, Service
     }
 }
 
-/// Decodes one FRAMES payload through the *same* batch decoder live
-/// ingestion uses ([`crate::storage::store::decode_batch`]), so replay
-/// accepts and rejects exactly what the live service would. The caller
-/// applies the decoded reports to a staged clone and commits only if
-/// every frame absorbs — the same all-or-nothing record semantics the
-/// live `submit_batch` paths have, so a rejected record leaves no
-/// partial absorption behind.
-fn decode_frames_record<R: WireReport>(
+/// Applies one FRAMES payload to `state` all-or-nothing, through the
+/// *same* frame walker ([`crate::wire::for_each_frame`]) and the same
+/// in-place absorb with exact-subtract rollback
+/// ([`absorb_all_or_nothing`]) the live `submit_*wire_batch` paths use —
+/// so replay accepts and rejects exactly what the live service would, a
+/// rejected record leaves no partial absorption behind, and an accepted
+/// one costs no copy of the state.
+fn replay_frames_record<S: SubtractableServer>(
+    state: &mut S,
     wire_version: u8,
     count: u64,
     frames: &[u8],
-) -> Result<Vec<(Option<u64>, R)>, String> {
-    crate::storage::store::decode_batch::<R>(wire_version, count, frames).map_err(|e| e.to_string())
+    mut absorb: impl FnMut(&mut S, Option<u64>, &S::Report) -> Result<(), ServiceError>,
+) -> ApplyResult
+where
+    S::Report: WireReport,
+{
+    absorb_all_or_nothing(state, |state| {
+        crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
+            absorb(state, epoch, &report)
+        })
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Recovers a *plain* (all-time) server from `dir`: newest valid
@@ -331,15 +342,9 @@ where
             if *wire_version != crate::wire::VERSION {
                 return Err("epoch-tagged FRAMES record in an unwindowed log".to_string());
             }
-            let reports = decode_frames_record::<S::Report>(*wire_version, *count, frames)?;
-            let mut staged = state.clone();
-            for (i, (_, report)) in reports.iter().enumerate() {
-                staged
-                    .absorb(report)
-                    .map_err(|e| format!("frame {i} rejected: {e}"))?;
-            }
-            state = staged;
-            Ok(reports.len() as u64)
+            replay_frames_record(&mut state, *wire_version, *count, frames, |s, _, report| {
+                s.absorb(report).map_err(Into::into)
+            })
         }
         wal::WalRecord::Seal { .. } => Err("SEAL record in an unwindowed log".to_string()),
         wal::WalRecord::Checkpoint { .. } => Ok(0),
@@ -395,17 +400,13 @@ where
             wire_version,
             count,
             frames,
-        } => {
-            let reports = decode_frames_record::<S::Report>(*wire_version, *count, frames)?;
-            let mut staged = ring.clone();
-            for (i, (epoch, report)) in reports.iter().enumerate() {
-                staged
-                    .absorb_tagged(*epoch, report)
-                    .map_err(|e| format!("frame {i} rejected: {e}"))?;
-            }
-            ring = staged;
-            Ok(reports.len() as u64)
-        }
+        } => replay_frames_record(
+            &mut ring,
+            *wire_version,
+            *count,
+            frames,
+            |r, epoch, report| r.absorb_tagged(epoch, report),
+        ),
         wal::WalRecord::Seal { epoch } => {
             let sealed = ring.seal_epoch().map_err(|e| e.to_string())?;
             if sealed != *epoch {

@@ -763,8 +763,9 @@ where
 
     /// Applies a *run* of replicated WAL records under **one** WAL lock —
     /// the follower's group-commit path. Adjacent FRAMES records absorb
-    /// through a single staged-clone commit (one shard clone for the whole
-    /// run instead of one per record), then each record is appended with
+    /// as one all-or-nothing batch (in place, through the same
+    /// `submit_batch` / `submit_epoch_batch` the leader's ingest uses —
+    /// no copy of the shard), then each record is appended with
     /// its original framing so the follower's log still mirrors the
     /// leader's record for record; SEAL records seal and log at their
     /// original positions between the runs, and a CHECKPOINT record is

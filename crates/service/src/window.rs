@@ -359,11 +359,11 @@ impl<S: SubtractableServer> EpochRing<S> {
         let (first, last) = self
             .window_bounds(epochs)
             .ok_or(ServiceError::EmptyWindow)?;
-        Ok(WindowedSnapshot {
-            snapshot: RangeSnapshot::freeze(&server, last),
-            first_epoch: first,
-            last_epoch: last,
-        })
+        Ok(WindowedSnapshot::from_parts(
+            Arc::new(RangeSnapshot::freeze(&server, last)),
+            first,
+            last,
+        ))
     }
 }
 
@@ -511,12 +511,14 @@ impl<S: SubtractableServer + SnapshotSource> SnapshotSource for EpochRing<S> {
 
 /// An immutable freeze of a trailing window of sealed epochs.
 ///
-/// Wraps a [`RangeSnapshot`] (whose version is the newest epoch id
+/// Wraps a shared [`RangeSnapshot`] (whose version is the newest epoch id
 /// covered) plus the inclusive epoch interval it reflects, so readers can
-/// reason about *which* slice of time they are querying.
+/// reason about *which* slice of time they are querying. Cloning is an
+/// `Arc` bump: the service hands the same freeze to every query of an
+/// unchanged window.
 #[derive(Debug, Clone)]
 pub struct WindowedSnapshot {
-    snapshot: RangeSnapshot,
+    snapshot: Arc<RangeSnapshot>,
     first_epoch: u64,
     last_epoch: u64,
 }
@@ -525,7 +527,11 @@ impl WindowedSnapshot {
     /// Assembles a windowed handle from a frozen snapshot and the epoch
     /// interval it covers (the sharded service builds one from per-shard
     /// window servers).
-    pub(crate) fn from_parts(snapshot: RangeSnapshot, first_epoch: u64, last_epoch: u64) -> Self {
+    pub(crate) fn from_parts(
+        snapshot: Arc<RangeSnapshot>,
+        first_epoch: u64,
+        last_epoch: u64,
+    ) -> Self {
         Self {
             snapshot,
             first_epoch,
@@ -593,6 +599,13 @@ impl WindowedSnapshot {
     #[must_use]
     pub fn snapshot(&self) -> &RangeSnapshot {
         &self.snapshot
+    }
+
+    /// The underlying frozen snapshot as a shared handle — no copy of
+    /// the estimate.
+    #[must_use]
+    pub fn shared_snapshot(&self) -> Arc<RangeSnapshot> {
+        Arc::clone(&self.snapshot)
     }
 }
 

@@ -1,0 +1,591 @@
+//! All-or-nothing batches are absorbed in place and rolled back by exact
+//! subtraction; these tests pin that the rollback is *exact*.
+//!
+//! For all six mechanisms, plain and windowed: a batch that fails at an
+//! arbitrary frame `k` — truncated bytes, a well-formed report of the
+//! wrong shape, a stale or future epoch tag — through each of
+//! `submit_batch`, `submit_wire_batch`, `submit_epoch_batch`,
+//! `submit_epoch_wire_batch` and `DurableService::ingest_batch` must
+//!
+//! * report `BadFrame { index: k, .. }`,
+//! * leave the merged shard state's `persist_state` bytes identical,
+//! * leave the shard clean (the next refresh returns the same `Arc`),
+//! * and, on a durable backend, leave the WAL untouched.
+//!
+//! The rollback rests on per-report atomicity — a rejected `absorb`
+//! mutates nothing — which the unit tests at the bottom pin for every
+//! mechanism and for `EpochRing::absorb_tagged`.
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use ldp_freq_oracle::{AnyReport, Epsilon};
+use ldp_ranges::{
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
+    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
+    HhSplitReport, HhSplitServer, MergeableServer, PersistableServer, SubtractableServer,
+};
+use ldp_service::net::{WIRE_EPOCH, WIRE_V1};
+use ldp_service::storage::{scratch_dir, wal, DurableConfig, DurableService, FsyncPolicy};
+use ldp_service::{
+    EncodedStream, EpochRing, LdpService, RangeSnapshot, ServiceError, SnapshotSource, WireReport,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Reports per generated batch; failure indices range over `0..=BATCH`.
+const BATCH: usize = 12;
+const WINDOW: usize = 3;
+
+/// One mechanism under test: its empty server, a pool of reports it
+/// accepts, and one report that is well-formed on the wire but that this
+/// server's `absorb` rejects.
+struct Mech<S: MergeableServer> {
+    prototype: S,
+    good: Vec<S::Report>,
+    bad: S::Report,
+}
+
+impl<S: MergeableServer> Mech<S> {
+    /// `good` drawn from `ours`; `bad` is the first `theirs` report (a
+    /// client of a different configuration) the prototype refuses.
+    fn new(
+        prototype: S,
+        rng: &mut StdRng,
+        mut ours: impl FnMut(usize, &mut StdRng) -> S::Report,
+        mut theirs: impl FnMut(usize, &mut StdRng) -> S::Report,
+    ) -> Self {
+        let good = (0..2 * BATCH).map(|i| ours(i, rng)).collect();
+        let bad = (0..1_000)
+            .map(|i| theirs(i, rng))
+            .find(|r| prototype.clone().absorb(r).is_err())
+            .expect("a foreign configuration yields a rejected report");
+        Self {
+            prototype,
+            good,
+            bad,
+        }
+    }
+}
+
+fn eps() -> Epsilon {
+    Epsilon::new(1.1)
+}
+
+fn flat(seed: u64) -> Mech<FlatServer> {
+    let config = FlatConfig::new(32, eps()).unwrap();
+    let client = FlatClient::new(&config).unwrap();
+    let foreign = FlatClient::new(&FlatConfig::new(64, eps()).unwrap()).unwrap();
+    Mech::new(
+        FlatServer::new(&config).unwrap(),
+        &mut StdRng::seed_from_u64(seed),
+        |i, rng| client.report(i % 32, rng).unwrap(),
+        |i, rng| foreign.report(i % 64, rng).unwrap(),
+    )
+}
+
+fn hh(seed: u64) -> Mech<HhServer> {
+    let config = HhConfig::new(64, 4, eps()).unwrap();
+    let client = HhClient::new(config.clone()).unwrap();
+    let foreign = HhClient::new(HhConfig::new(128, 2, eps()).unwrap()).unwrap();
+    Mech::new(
+        HhServer::new(config).unwrap(),
+        &mut StdRng::seed_from_u64(seed),
+        |i, rng| client.report((i * 7) % 64, rng).unwrap(),
+        |i, rng| foreign.report(i % 128, rng).unwrap(),
+    )
+}
+
+/// The split mechanism's rejected report is *partially* valid — every
+/// layer but the last matches the server — so it exercises the
+/// validate-all-layers-before-mutating order, not just a length check.
+fn hh_split(seed: u64) -> Mech<HhSplitServer> {
+    let config = HhConfig::new(64, 2, eps()).unwrap();
+    let client = HhSplitClient::new(config.clone()).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut layers: Vec<AnyReport> = client.report(9, &mut rng).unwrap().layers().to_vec();
+    let last = layers.len() - 1;
+    layers[last] = layers[0].clone();
+    let bad = HhSplitReport::from_layers(layers);
+    Mech::new(
+        HhSplitServer::new(config).unwrap(),
+        &mut rng,
+        |i, rng| client.report((i * 5) % 64, rng).unwrap(),
+        |_, _| bad.clone(),
+    )
+}
+
+fn haar_hrr(seed: u64) -> Mech<HaarHrrServer> {
+    let config = HaarConfig::new(64, eps()).unwrap();
+    let client = HaarHrrClient::new(config.clone()).unwrap();
+    let foreign = HaarHrrClient::new(HaarConfig::new(1024, eps()).unwrap()).unwrap();
+    Mech::new(
+        HaarHrrServer::new(config).unwrap(),
+        &mut StdRng::seed_from_u64(seed),
+        |i, rng| client.report((i * 11) % 64, rng).unwrap(),
+        |i, rng| foreign.report(i % 1024, rng).unwrap(),
+    )
+}
+
+fn haar_oue(seed: u64) -> Mech<HaarOueServer> {
+    let config = HaarConfig::new(64, eps()).unwrap();
+    let client = HaarOueClient::new(config.clone()).unwrap();
+    let foreign = HaarOueClient::new(HaarConfig::new(1024, eps()).unwrap()).unwrap();
+    Mech::new(
+        HaarOueServer::new(config).unwrap(),
+        &mut StdRng::seed_from_u64(seed),
+        |i, rng| client.report((i * 3) % 64, rng).unwrap(),
+        |i, rng| foreign.report(i % 1024, rng).unwrap(),
+    )
+}
+
+fn hh2d(seed: u64) -> Mech<Hh2dServer> {
+    let config = Hh2dConfig::new(16, 2, eps()).unwrap();
+    let client = Hh2dClient::new(config.clone()).unwrap();
+    let foreign = Hh2dClient::new(Hh2dConfig::new(64, 2, eps()).unwrap()).unwrap();
+    Mech::new(
+        Hh2dServer::new(config).unwrap(),
+        &mut StdRng::seed_from_u64(seed),
+        |i, rng| client.report(i % 16, (i * 3) % 16, rng).unwrap(),
+        |i, rng| foreign.report(i % 64, (i * 5) % 64, rng).unwrap(),
+    )
+}
+
+fn state_bytes<S: PersistableServer>(state: &S) -> Vec<u8> {
+    let mut out = Vec::new();
+    state.persist_state(&mut out);
+    out
+}
+
+fn assert_bad_frame<T: std::fmt::Debug>(result: Result<T, ServiceError>, k: usize, what: &str) {
+    match result {
+        Err(ServiceError::BadFrame { index, .. }) => {
+            assert_eq!(index, k, "{what}: wrong frame index");
+        }
+        other => panic!("{what}: expected BadFrame at {k}, got {other:?}"),
+    }
+}
+
+/// How frame `k` of a wire batch goes wrong.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// The payload ends inside frame `k`.
+    Truncated,
+    /// Frame `k` is a well-formed report this server rejects.
+    WrongShape,
+    /// Frame `k` is tagged with `open epoch + delta` (windowed only).
+    Tag(i64),
+}
+
+/// A decoded batch of `BATCH + 1` reports whose entry `k` is faulty.
+/// `open` is the open epoch every other report is tagged with.
+fn faulty_reports<S: MergeableServer>(
+    mech: &Mech<S>,
+    k: usize,
+    fault: Fault,
+    open: u64,
+) -> Vec<(Option<u64>, S::Report)> {
+    let mut reports: Vec<_> = mech.good[..BATCH]
+        .iter()
+        .map(|r| (Some(open), r.clone()))
+        .collect();
+    let entry = match fault {
+        Fault::WrongShape => (Some(open), mech.bad.clone()),
+        Fault::Tag(delta) => (
+            Some(open.checked_add_signed(delta).unwrap()),
+            mech.good[BATCH].clone(),
+        ),
+        Fault::Truncated => unreachable!("decoded batches cannot be truncated"),
+    };
+    reports.insert(k, entry);
+    reports
+}
+
+/// The same batch as raw frames (`version` 1 drops the tags). Returns
+/// the declared count and the payload; a truncated batch ends one byte
+/// short of frame `k`'s end.
+fn faulty_frames<S>(
+    mech: &Mech<S>,
+    k: usize,
+    fault: Fault,
+    open: u64,
+    version: u8,
+) -> (u64, Vec<u8>)
+where
+    S: MergeableServer,
+    S::Report: WireReport,
+{
+    let shaped = if fault == Fault::Truncated {
+        Fault::WrongShape
+    } else {
+        fault
+    };
+    let mut stream = EncodedStream::new();
+    for (epoch, report) in faulty_reports(mech, k, shaped, open) {
+        match (version, epoch) {
+            (WIRE_EPOCH, Some(e)) => stream.push_epoch(&report, e),
+            _ => stream.push(&report),
+        }
+    }
+    if fault == Fault::Truncated {
+        let cut = stream.frame_span(0, k + 1);
+        (k as u64 + 1, cut[..cut.len() - 1].to_vec())
+    } else {
+        (stream.len() as u64, stream.as_bytes().to_vec())
+    }
+}
+
+/// Asserts a service is exactly as it was when `state`/`snap` were taken:
+/// same state bytes, and — the dirty counters untouched — a clean refresh.
+fn assert_untouched<S>(service: &LdpService<S>, state: &[u8], snap: &Arc<RangeSnapshot>, what: &str)
+where
+    S: SnapshotSource + PersistableServer,
+{
+    assert_eq!(
+        state_bytes(&service.merged_state().unwrap()),
+        state,
+        "{what}: shard state changed"
+    );
+    assert!(
+        Arc::ptr_eq(&service.refresh_snapshot().unwrap(), snap),
+        "{what}: rejected batch dirtied its shard"
+    );
+}
+
+/// Plain service, both shards: every fault through `submit_batch` and
+/// `submit_wire_batch`.
+fn check_plain<S>(mech: &Mech<S>, k: usize)
+where
+    S: SnapshotSource + PersistableServer,
+    S::Report: WireReport,
+{
+    let service = LdpService::new(&mech.prototype, 2).unwrap();
+    service.set_delta_refresh(true);
+    service.submit_batch(&mech.good[..BATCH]).unwrap();
+    service.submit_batch(&mech.good[BATCH..]).unwrap();
+    let snap = service.refresh_snapshot().unwrap();
+    let state = state_bytes(&service.merged_state().unwrap());
+
+    // Twice each, so the round-robin puts every fault on both shards.
+    for round in 0..2 {
+        let what = format!("plain k={k} round={round}");
+        let decoded: Vec<_> = faulty_reports(mech, k, Fault::WrongShape, 0)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        assert_bad_frame(service.submit_batch(&decoded), k, &what);
+        assert_untouched(&service, &state, &snap, &what);
+        for fault in [Fault::WrongShape, Fault::Truncated] {
+            let (count, frames) = faulty_frames(mech, k, fault, 0, WIRE_V1);
+            let what = format!("{what} {fault:?}");
+            assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
+            assert_untouched(&service, &state, &snap, &what);
+        }
+    }
+    // The shards still take the clean batch afterwards.
+    service.submit_batch(&mech.good[..BATCH]).unwrap();
+    assert_eq!(service.num_reports(), 3 * BATCH as u64);
+}
+
+/// Windowed service with sealed history and a part-filled open epoch:
+/// every fault through all four batch paths.
+fn check_windowed<S>(mech: &Mech<S>, k: usize)
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S::Report: WireReport,
+{
+    let service = LdpService::<EpochRing<S>>::windowed(&mech.prototype, 2, WINDOW).unwrap();
+    service.set_delta_refresh(true);
+    for epoch in 0..2 {
+        service.submit_batch(&mech.good[..BATCH]).unwrap();
+        service.submit_batch(&mech.good[BATCH..]).unwrap();
+        assert_eq!(service.seal_epoch().unwrap(), epoch);
+    }
+    service.submit_batch(&mech.good[..BATCH]).unwrap();
+    service.submit_batch(&mech.good[..BATCH / 2]).unwrap();
+    let open = service.current_epoch();
+    let snap = service.refresh_snapshot().unwrap();
+    let state = state_bytes(&service.merged_state().unwrap());
+    let reports_before = service.num_reports();
+
+    for round in 0..2 {
+        let what = format!("windowed k={k} round={round}");
+        // The untagged paths work on rings too.
+        let decoded: Vec<_> = faulty_reports(mech, k, Fault::WrongShape, open)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        assert_bad_frame(service.submit_batch(&decoded), k, &what);
+        assert_untouched(&service, &state, &snap, &what);
+        let (count, frames) = faulty_frames(mech, k, Fault::Truncated, open, WIRE_V1);
+        assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
+        assert_untouched(&service, &state, &snap, &what);
+
+        for fault in [Fault::WrongShape, Fault::Tag(-1), Fault::Tag(1)] {
+            let what = format!("{what} {fault:?}");
+            let tagged = faulty_reports(mech, k, fault, open);
+            assert_bad_frame(service.submit_epoch_batch(&tagged), k, &what);
+            assert_untouched(&service, &state, &snap, &what);
+        }
+        for fault in [
+            Fault::WrongShape,
+            Fault::Truncated,
+            Fault::Tag(-1),
+            Fault::Tag(1),
+        ] {
+            let what = format!("{what} wire {fault:?}");
+            let (count, frames) = faulty_frames(mech, k, fault, open, WIRE_EPOCH);
+            assert_bad_frame(
+                service.submit_epoch_wire_batch(WIRE_EPOCH, count, &frames),
+                k,
+                &what,
+            );
+            assert_untouched(&service, &state, &snap, &what);
+        }
+    }
+    assert_eq!(service.current_epoch(), open);
+    assert_eq!(service.num_reports(), reports_before);
+    // Sealing and the trailing window are unharmed by the rollbacks.
+    assert_eq!(service.seal_epoch().unwrap(), open);
+    assert_eq!(service.window_snapshot(WINDOW).unwrap().epochs(), 3);
+}
+
+fn durable_config() -> DurableConfig {
+    DurableConfig {
+        num_shards: 2,
+        fsync: FsyncPolicy::Never,
+        checkpoint_every_records: 0,
+        ..DurableConfig::default()
+    }
+}
+
+fn wal_len(dir: &std::path::Path) -> u64 {
+    wal::list_segments(dir)
+        .unwrap()
+        .iter()
+        .map(|(_, p)| std::fs::metadata(p).unwrap().len())
+        .sum()
+}
+
+/// `DurableService::ingest_batch`, plain and windowed: a rejected batch
+/// changes neither state nor log, and the service keeps ingesting.
+fn check_durable<S>(mech: &Mech<S>, k: usize, tag: &str)
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    let mut good = EncodedStream::new();
+    let mut good_tagged = EncodedStream::new();
+    for r in &mech.good[..BATCH] {
+        good.push(r);
+        good_tagged.push_epoch(r, 1);
+    }
+
+    for windowed in [false, true] {
+        let dir = scratch_dir(&format!("rollback-{tag}-{windowed}")).unwrap();
+        let durable = if windowed {
+            DurableService::open_windowed(&dir, &mech.prototype, WINDOW, durable_config())
+        } else {
+            DurableService::open(&dir, &mech.prototype, durable_config())
+        }
+        .unwrap()
+        .0;
+        let merged = || match (durable.plain(), durable.windowed()) {
+            (Some(s), _) => state_bytes(&s.merged_state().unwrap()),
+            (_, Some(s)) => state_bytes(&s.merged_state().unwrap()),
+            _ => unreachable!(),
+        };
+        durable
+            .ingest_batch(WIRE_V1, BATCH as u64, good.as_bytes())
+            .unwrap();
+        let (version, open, faults): (u8, u64, &[Fault]) = if windowed {
+            durable.seal_epoch().unwrap();
+            durable
+                .ingest_batch(WIRE_EPOCH, BATCH as u64, good_tagged.as_bytes())
+                .unwrap();
+            (
+                WIRE_EPOCH,
+                1,
+                &[
+                    Fault::WrongShape,
+                    Fault::Truncated,
+                    Fault::Tag(-1),
+                    Fault::Tag(1),
+                ],
+            )
+        } else {
+            (WIRE_V1, 0, &[Fault::WrongShape, Fault::Truncated])
+        };
+        durable.sync().unwrap();
+        let snap = durable.refresh_snapshot().unwrap();
+        let state = merged();
+        let status = durable.status().unwrap();
+        let log_bytes = wal_len(&dir);
+
+        for round in 0..2 {
+            for &fault in faults {
+                let what = format!("durable {tag} windowed={windowed} k={k} r={round} {fault:?}");
+                let (count, frames) = faulty_frames(mech, k, fault, open, version);
+                assert_bad_frame(durable.ingest_batch(version, count, &frames), k, &what);
+                assert_eq!(merged(), state, "{what}: state changed");
+                assert!(
+                    Arc::ptr_eq(&durable.refresh_snapshot().unwrap(), &snap),
+                    "{what}: rejected batch dirtied its shard"
+                );
+                durable.sync().unwrap();
+                let now = durable.status().unwrap();
+                assert_eq!(now.wal_records, status.wal_records, "{what}: WAL records");
+                assert_eq!(now.wal_frames, status.wal_frames, "{what}: WAL frames");
+                assert!(!now.wedged, "{what}: wedged");
+                assert_eq!(wal_len(&dir), log_bytes, "{what}: WAL bytes");
+            }
+        }
+        durable
+            .ingest_batch(WIRE_V1, BATCH as u64, good.as_bytes())
+            .unwrap();
+        assert_eq!(
+            durable.status().unwrap().wal_records,
+            status.wal_records + 1
+        );
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+proptest! {
+    #[test]
+    fn flat_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = flat(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    #[test]
+    fn hh_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = hh(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    #[test]
+    fn hh_split_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = hh_split(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    #[test]
+    fn haar_hrr_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = haar_hrr(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    #[test]
+    fn haar_oue_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = haar_oue(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    #[test]
+    fn hh2d_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
+        let mech = hh2d(seed);
+        check_plain(&mech, k);
+        check_windowed(&mech, k);
+    }
+
+    /// One mechanism per case through the durable path (a case opens two
+    /// storage directories, so the six share one property's budget).
+    #[test]
+    fn durable_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH, which in 0usize..6) {
+        match which {
+            0 => check_durable(&flat(seed), k, "flat"),
+            1 => check_durable(&hh(seed), k, "hh"),
+            2 => check_durable(&hh_split(seed), k, "hhsplit"),
+            3 => check_durable(&haar_hrr(seed), k, "haarhrr"),
+            4 => check_durable(&haar_oue(seed), k, "haaroue"),
+            _ => check_durable(&hh2d(seed), k, "hh2d"),
+        }
+    }
+}
+
+/// Per-report atomicity: a single rejected `absorb` mutates nothing, on
+/// a server that already holds state.
+fn assert_rejected_absorb_is_a_no_op<S>(mech: &Mech<S>, what: &str)
+where
+    S: SubtractableServer + PersistableServer,
+{
+    let mut server = mech.prototype.clone();
+    for r in &mech.good {
+        server.absorb(r).unwrap();
+    }
+    let before = state_bytes(&server);
+    assert!(
+        server.absorb(&mech.bad).is_err(),
+        "{what}: bad report accepted"
+    );
+    assert_eq!(
+        state_bytes(&server),
+        before,
+        "{what}: rejected absorb mutated"
+    );
+    assert_eq!(server.num_reports(), mech.good.len() as u64);
+
+    // The same through a ring, plus the tag check of `absorb_tagged`.
+    let mut ring = EpochRing::new(&mech.prototype, WINDOW).unwrap();
+    for r in &mech.good[..BATCH] {
+        ring.absorb(r).unwrap();
+    }
+    ring.seal_epoch().unwrap();
+    ring.absorb_tagged(Some(1), &mech.good[0]).unwrap();
+    let before = state_bytes(&ring);
+    assert!(
+        ring.absorb_tagged(Some(1), &mech.bad).is_err(),
+        "{what}: ring"
+    );
+    assert!(ring.absorb_tagged(None, &mech.bad).is_err(), "{what}: ring");
+    for stale_or_future in [0, 2, u64::MAX] {
+        assert!(matches!(
+            ring.absorb_tagged(Some(stale_or_future), &mech.good[1]),
+            Err(ServiceError::EpochMismatch { current: 1, .. })
+        ));
+    }
+    assert_eq!(
+        state_bytes(&ring),
+        before,
+        "{what}: rejected tagged absorb mutated"
+    );
+    assert_eq!(ring.current_epoch(), 1);
+}
+
+#[test]
+fn flat_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&flat(1), "flat");
+}
+
+#[test]
+fn hh_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&hh(2), "hh");
+}
+
+#[test]
+fn hh_split_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&hh_split(3), "hhsplit");
+}
+
+#[test]
+fn haar_hrr_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&haar_hrr(4), "haarhrr");
+}
+
+#[test]
+fn haar_oue_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&haar_oue(5), "haaroue");
+}
+
+#[test]
+fn hh2d_rejected_absorb_mutates_nothing() {
+    assert_rejected_absorb_is_a_no_op(&hh2d(6), "hh2d");
+}

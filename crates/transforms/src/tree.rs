@@ -189,6 +189,25 @@ impl<T> FlatTree<T> {
         &mut self.data[start..start + n]
     }
 
+    /// Depths `depth` and `depth + 1` as two disjoint mutable slices —
+    /// `(parents, children)`, where the children of `parents[i]` are
+    /// `children[i * B..(i + 1) * B]`. The level-major layout makes the
+    /// two levels adjacent in the backing storage, so whole-level passes
+    /// (constrained inference) can walk `parents` zipped with
+    /// `children.chunks_exact(B)` with no per-node index arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is the leaf depth (leaves have no children).
+    #[inline]
+    pub fn adjacent_levels_mut(&mut self, depth: u32) -> (&mut [T], &mut [T]) {
+        assert!(depth < self.shape.height, "leaves have no children");
+        let start = self.shape.depth_offset(depth);
+        let parents = self.shape.nodes_at_depth(depth);
+        let (upper, lower) = self.data[start..].split_at_mut(parents);
+        (upper, &mut lower[..parents * self.shape.fanout])
+    }
+
     /// The leaf level (depth `h`).
     #[inline]
     pub fn leaves(&self) -> &[T] {
@@ -291,6 +310,56 @@ mod tests {
         assert_eq!(tree.level(1), &[2, 3]);
         assert_eq!(tree.leaves(), &[0, 0, 0, 9]);
         assert_eq!(tree.into_raw(), vec![1, 2, 3, 0, 0, 0, 9]);
+    }
+
+    #[test]
+    fn adjacent_levels_are_disjoint_and_cover_both_depths() {
+        for (fanout, domain) in [(2usize, 16usize), (3, 27), (4, 4), (5, 125), (16, 256)] {
+            let shape = CompleteTree::new(fanout, domain);
+            let mut tree: FlatTree<usize> = FlatTree::new(shape);
+            // Every slot holds its own breadth-first position.
+            let mut slot = 0;
+            for d in 0..=shape.height() {
+                for v in tree.level_mut(d) {
+                    *v = slot;
+                    slot += 1;
+                }
+            }
+            // Root depth through the last internal depth (leaf edge).
+            for d in 0..shape.height() {
+                let (expect_parents, expect_children) =
+                    (tree.level(d).to_vec(), tree.level(d + 1).to_vec());
+                let (parents, children) = tree.adjacent_levels_mut(d);
+                assert_eq!(parents.len(), shape.nodes_at_depth(d));
+                assert_eq!(children.len(), shape.nodes_at_depth(d + 1));
+                assert_eq!(children.len(), parents.len() * fanout);
+                assert_eq!(parents, expect_parents);
+                assert_eq!(children, expect_children);
+                // Disjoint and adjacent: the children start right where
+                // the parents end.
+                assert_eq!(parents.as_ptr_range().end, children.as_ptr_range().start);
+                // Chunk `i` of the children is `shape.children(d, i)`.
+                for (i, chunk) in children.chunks_exact(fanout).enumerate() {
+                    let first = shape.depth_offset(d + 1) + shape.children(d, i).start;
+                    assert_eq!(chunk[0], first, "B={fanout} d={d} parent {i}");
+                }
+                // Writes through both halves land in the right levels.
+                parents[0] = usize::MAX;
+                *children.last_mut().unwrap() = usize::MAX - 1;
+                assert_eq!(*tree.get(d, 0), usize::MAX);
+                let last = shape.nodes_at_depth(d + 1) - 1;
+                assert_eq!(*tree.get(d + 1, last), usize::MAX - 1);
+                *tree.get_mut(d, 0) = expect_parents[0];
+                *tree.get_mut(d + 1, last) = *expect_children.last().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves have no children")]
+    fn adjacent_levels_reject_the_leaf_depth() {
+        let mut tree: FlatTree<u32> = FlatTree::new(CompleteTree::new(2, 4));
+        let _ = tree.adjacent_levels_mut(2);
     }
 
     #[test]
