@@ -5,8 +5,10 @@
 //! regressions alike were invisible to CI. This module gives them a
 //! second output: a flat JSON object mapping metric names to numbers,
 //! written to the path in `LDP_BENCH_JSON` (merging with whatever an
-//! earlier binary already wrote there, so `service_throughput` and
-//! `window_throughput` share one `BENCH_results.json`).
+//! earlier binary already wrote there, so several binaries can share one
+//! `BENCH_results.json`). `net_concurrency` is the one binary emitting
+//! through it today; ingest, recovery and replication throughput are
+//! measured by the `ldpbench` crate at the repository root.
 //!
 //! The gate ([`gate`], driven by the `bench_gate` binary) compares a
 //! fresh results file against a committed baseline. Metric direction is

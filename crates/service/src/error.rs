@@ -57,8 +57,6 @@ pub enum ServiceError {
     Range(RangeError),
     /// The service was configured with zero shards.
     NoShards,
-    /// A worker thread panicked while ingesting.
-    WorkerPanicked,
     /// One frame of an all-or-nothing batch was rejected. Carries the
     /// offending frame's position in the batch and the report type being
     /// ingested, so a producer can locate the bad frame in its own buffer
@@ -100,7 +98,6 @@ impl fmt::Display for ServiceError {
             Self::Wire(e) => write!(f, "wire error: {e}"),
             Self::Range(e) => write!(f, "mechanism error: {e}"),
             Self::NoShards => write!(f, "aggregator needs at least one shard"),
-            Self::WorkerPanicked => write!(f, "ingestion worker panicked"),
             Self::BadFrame {
                 index,
                 report_type,

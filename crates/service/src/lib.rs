@@ -3,50 +3,55 @@
 //! The mechanism crates ([`ldp_ranges`], [`ldp_freq_oracle`]) implement
 //! the SIGMOD'19 range-query mechanisms as single-threaded accumulators.
 //! This crate turns them into a service shape able to absorb traffic from
-//! millions of reporting users: a compact wire protocol, parallel
-//! shard-local aggregation, and snapshot-isolated query serving.
+//! millions of reporting users: a compact wire protocol, mutex-sharded
+//! in-place aggregation, and snapshot-isolated query serving.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!   clients                      service                       queries
 //!   ───────                      ───────                       ───────
-//!   value ──► mechanism client ──► wire frame ("LQ" v1)
+//!   value ──► mechanism client ──► wire frame ("LQ" v1/v2)
 //!                                    │
-//!                                    ▼ (batches)
-//!                     ┌─────────────────────────────┐
-//!                     │ ShardedAggregator / LdpService │
-//!                     │  shard 0   shard 1  …  shard k │   workers decode
-//!                     │  (absorb)  (absorb)    (absorb)│   + absorb in
-//!                     └─────────────┬───────────────┘   parallel
-//!                                   │ merge (exact: integer
-//!                                   ▼        sufficient statistics)
-//!                            merged server
-//!                                   │ freeze (CI / pyramid collapse,
-//!                                   ▼         prefix sums)
-//!                            RangeSnapshot (Arc, versioned)
-//!                                   │
-//!                                   ▼
-//!                     range / prefix / point / quantile — lock-free
+//!                                    ▼ (batches of raw frame bytes)
+//!                     ┌──────────────────────────────┐
+//!                     │          LdpService          │   submitters stream
+//!                     │ shard 0   shard 1  …  shard k│   bytes into the next
+//!                     │ (absorb)  (absorb)    (absorb)│   shard, in place,
+//!                     └──────────────┬───────────────┘   all-or-nothing
+//!                                    │ merge (exact: integer
+//!                                    ▼        sufficient statistics)
+//!                             merged server
+//!                                    │ freeze (CI / pyramid collapse,
+//!                                    ▼         prefix sums)
+//!                             RangeSnapshot (Arc, versioned)
+//!                                    │
+//!                                    ▼
+//!                      range / prefix / point / quantile — lock-free
 //! ```
+//!
+//! Every mechanism's server state is an integer sum
+//! ([`ldp_ranges::MergeableServer`]), so *any* route by which a report
+//! reaches *any* shard yields the same merged state bit for bit. The
+//! crate therefore has exactly one such route:
+//! [`LdpService::submit_wire_batch`] streams a batch's wire bytes into a
+//! shard, and the socket front end, the durable store, a replication
+//! follower and crash recovery all go through the function under it.
 //!
 //! * [`wire`] — the versioned binary frame format for every report type
 //!   (flat one-hots through any oracle, `HH_B` level reports, budget-split
 //!   reports, both Haar variants, 2-D grids). Total decoding: malformed
 //!   bytes produce [`error::WireError`], never a panic or an unbounded
 //!   allocation.
-//! * [`shard`] — [`ShardedAggregator`]: a pool of per-shard accumulators
-//!   fed in parallel batches from worker threads. Merging relies on
-//!   [`ldp_ranges::MergeableServer`]: every mechanism's state is an
-//!   integer sum, so shard-merge equals sequential absorption *exactly*
-//!   (bit-for-bit), making sharding a pure throughput change.
 //! * [`snapshot`] — [`RangeSnapshot`]: merged state frozen into an
 //!   immutable, prefix-summed estimate answering range/prefix/point/
 //!   quantile queries in `O(1)`/`O(log D)`, shared by `Arc`, versioned
 //!   for staleness reasoning.
 //! * [`service`] — [`LdpService`]: the live front combining round-robin
 //!   mutex-sharded ingestion with atomic snapshot publication, so queries
-//!   keep answering while reports stream in.
+//!   keep answering while reports stream in. Sharding is a pure
+//!   throughput change: shard-merge equals sequential absorption
+//!   *exactly* (bit-for-bit).
 //! * [`window`] — [`EpochRing`]: time-windowed streaming aggregation.
 //!   Per-epoch accumulators in a ring, rotation that retires the oldest
 //!   epoch by *exact subtraction* ([`SubtractableServer`]) instead of a
@@ -56,11 +61,12 @@
 //!   stragglers are rejected, not folded into the wrong window.
 //! * [`loadgen`] — replay of [`ldp_workloads::Dataset`] populations as
 //!   deterministic encoded report streams ([`EncodedStream`]), powering
-//!   the `service_throughput` benchmark and the integration tests; the
+//!   the examples and the integration tests; the
 //!   drifting variant ([`generate_drifting_epochs`]) replays a population
 //!   that shifts across epochs, the workload windowed queries exist for.
-//! * [`net`] — the network tier: a std-only threaded TCP front end
-//!   ([`LdpServer`] acceptor + bounded-queue worker pool, [`LdpClient`]
+//! * [`net`] — the network tier: a std-only reactor-driven TCP front end
+//!   ([`LdpServer`]: one readiness-loop thread owning every socket plus a
+//!   small worker pool executing complete messages; [`LdpClient`]
 //!   blocking sessions) speaking a length-prefixed session protocol
 //!   layered on the wire frames. Because every mechanism's state is an
 //!   exact integer sufficient statistic, bytes-over-socket produce
@@ -78,7 +84,7 @@
 //! * [`repl`] — WAL-shipping replication: a durable leader streams its
 //!   acked WAL records over the session protocol to followers
 //!   ([`FollowerService`]) that re-apply them through the same
-//!   decode/absorb paths into their own logs — hot standbys promotable
+//!   ingest path into their own logs — hot standbys promotable
 //!   to leaders ([`FollowerService::promote`]) and read replicas
 //!   serving queries from their own snapshots, bit-identical to the
 //!   leader's at the same replication position.
@@ -98,7 +104,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ldp_service::{LdpService, ShardedAggregator, loadgen};
+//! use ldp_service::{loadgen, wire, LdpService};
 //! use ldp_ranges::{HhClient, HhConfig, HhServer, Epsilon};
 //! use ldp_workloads::Dataset;
 //!
@@ -106,23 +112,28 @@
 //! let client = HhClient::new(config.clone()).unwrap();
 //! let prototype = HhServer::new(config).unwrap();
 //!
-//! // 1. Clients encode; the load generator replays a population.
+//! // 1. Clients encode; the load generator replays a population as
+//! //    back-to-back wire frames.
 //! let population = Dataset::from_counts(vec![100; 256]);
 //! let stream = loadgen::generate_stream(&population, 20_000, 7, |value, rng| {
 //!     client.report(value, rng).unwrap()
 //! });
 //!
-//! // 2. Shards decode + absorb in parallel, then merge exactly.
-//! let mut pool = ShardedAggregator::new(&prototype, 4).unwrap();
-//! pool.ingest_encoded(&stream).unwrap();
-//! assert_eq!(pool.num_reports(), 20_000);
-//!
-//! // 3. Freeze a snapshot and serve queries from it.
+//! // 2. Batches of raw frame bytes stream into the shards (round-robin),
+//! //    each batch absorbed in place, all-or-nothing.
 //! let service = LdpService::new(&prototype, 4).unwrap();
-//! let snap = ldp_service::RangeSnapshot::freeze(&pool.merged().unwrap(), 1);
+//! for lo in (0..stream.len()).step_by(256) {
+//!     let hi = (lo + 256).min(stream.len());
+//!     let frames = stream.frame_span(lo, hi);
+//!     service.submit_wire_batch(wire::VERSION, (hi - lo) as u64, frames).unwrap();
+//! }
+//! assert_eq!(service.num_reports(), 20_000);
+//!
+//! // 3. Publish a snapshot (exact shard merge, then estimation) and
+//! //    serve queries from it, lock-free.
+//! let snap = service.refresh_snapshot().unwrap();
 //! assert!((snap.range(0, 255) - 1.0).abs() < 0.1);
-//! let median = snap.quantile(0.5);
-//! assert!(median < 256 && service.num_shards() == 4);
+//! assert!(snap.quantile(0.5) < 256 && snap.version() == 1);
 //! ```
 
 pub mod error;
@@ -131,7 +142,6 @@ pub mod net;
 pub mod obs;
 pub mod repl;
 pub mod service;
-pub mod shard;
 pub mod snapshot;
 pub mod storage;
 pub mod window;
@@ -148,7 +158,6 @@ pub use obs::{
 };
 pub use repl::{FollowerService, ReplFeed};
 pub use service::LdpService;
-pub use shard::ShardedAggregator;
 pub use snapshot::{RangeSnapshot, SnapshotSource};
 pub use storage::{
     DurableConfig, DurableService, DurableStatus, FsyncPolicy, RecoveryReport, TailStatus,

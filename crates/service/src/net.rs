@@ -16,8 +16,8 @@
 //!    REPORT×n,           │  per-session read/write buffers + framing
 //!    QUERY,              ▼
 //!    SEAL, BYE)      job queue ──► worker pool ──► completions
-//!                    (decoded        │ decode +        │ replies
-//!                     batches)       ▼ submit_batch    ▼ (vectored
+//!                    (message        │ submit_        │ replies
+//!                     bodies)        ▼ wire_batch     ▼ (vectored
 //!                        LdpService / EpochRing     reactor  writes)
 //!                                    │ freeze
 //!                                    ▼
@@ -47,12 +47,13 @@
 //!   thread.
 //! * [`client`] — [`LdpClient`]: the blocking client used by the tests,
 //!   `examples/net_pipeline.rs`, the socket replay path over
-//!   [`crate::EncodedStream`], and the `net_throughput` benchmark.
+//!   [`crate::EncodedStream`], and the `ldpbench` load generator.
 //!
 //! ## Transport is a pure function
 //!
-//! A REPORT batch is absorbed via [`crate::LdpService::submit_batch`]
-//! (staged, all-or-nothing), which commits exactly the state a direct
+//! A REPORT batch is absorbed via
+//! [`crate::LdpService::submit_wire_batch`] (in place, all-or-nothing),
+//! which commits exactly the state a direct
 //! [`crate::LdpService::submit_frame`] loop would produce. Merging is
 //! exact and order-independent, so *any* interleaving of sessions across
 //! worker threads and shards yields the same merged state — the socket

@@ -4,7 +4,7 @@
 //! any mix of batched report submission, queries, and (on windowed
 //! sessions) epoch seals, finished by a clean BYE. Used by the
 //! differential tests, `examples/net_pipeline.rs`, the socket replay
-//! path over [`EncodedStream`], and the `net_throughput` benchmark.
+//! path over [`EncodedStream`], and the `ldpbench` load generator.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

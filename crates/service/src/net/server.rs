@@ -7,11 +7,11 @@
 //! message bodies are executed by a small worker pool against the shared
 //! backend — the worker count bounds CPU concurrency, not the session
 //! count, so a node holds as many sessions as it has file descriptors.
-//! Report batches land through the service's all-or-nothing batch paths
-//! (absorbed in place, rolled back exactly if a frame is rejected), so a
-//! session is a pure transport: the state it leaves behind
-//! is bit-identical to calling [`LdpService::submit_frame`] in-process
-//! with the same frames.
+//! Report batches land through the service's one all-or-nothing batch
+//! path ([`LdpService::submit_wire_batch`]: absorbed in place, rolled
+//! back exactly if a frame is rejected), so a session is a pure
+//! transport: the state it leaves behind is bit-identical to calling
+//! [`LdpService::submit_frame`] in-process with the same frames.
 //!
 //! Shutdown is graceful and total: accepting stops, in-flight messages
 //! are executed and their replies flushed, half-received messages get
@@ -38,9 +38,9 @@ use crate::net::ops::OpsListener;
 use crate::net::poll::Poller;
 use crate::net::proto::{
     decode_report_frames, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query, QueryOp,
-    QueryReply, QueryResult, RemoteError, ReportBatch, ReportFrames, ServerMsg, StatusReply,
-    MSG_HEALTH, MSG_METRICS, MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL,
-    MSG_STATUS, WIRE_EPOCH, WIRE_V1,
+    QueryReply, QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_HEALTH,
+    MSG_METRICS, MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL, MSG_STATUS,
+    WIRE_EPOCH, WIRE_V1,
 };
 use crate::net::reactor::{
     Job, JobDone, JobQueue, PushSource, Reactor, ReactorKnobs, ReactorShared,
@@ -56,7 +56,6 @@ use crate::obs::{
 use crate::repl::cursor::ReplCursor;
 use crate::service::LdpService;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
-use crate::storage::store::decode_batch;
 use crate::storage::DurableService;
 use crate::window::EpochRing;
 use crate::wire::WireReport;
@@ -104,36 +103,12 @@ where
         }
     }
 
-    /// Decodes a batch under the negotiated wire version and absorbs it
-    /// all-or-nothing (through the WAL on durable backends). Returns the
-    /// number of frames absorbed.
-    fn absorb_batch(&self, wire_version: u8, batch: &ReportBatch) -> Result<u64, RemoteError> {
-        match self {
-            Self::Durable(d) => d
-                .ingest_batch(wire_version, batch.count, &batch.frames)
-                .map_err(service_error),
-            Self::Plain(s) => {
-                let tagged = decode_batch::<S::Report>(wire_version, batch.count, &batch.frames)
-                    .map_err(service_error)?;
-                let reports: Vec<S::Report> = tagged.into_iter().map(|(_, r)| r).collect();
-                s.submit_batch(&reports).map_err(service_error)?;
-                Ok(reports.len() as u64)
-            }
-            Self::Windowed(s) => {
-                let tagged = decode_batch::<S::Report>(wire_version, batch.count, &batch.frames)
-                    .map_err(service_error)?;
-                let n = tagged.len() as u64;
-                s.submit_epoch_batch(&tagged).map_err(service_error)?;
-                Ok(n)
-            }
-        }
-    }
-
-    /// Absorbs a REPORT batch straight from borrowed envelope bytes — the
-    /// zero-copy twin of [`Backend::absorb_batch`]. Frames are decoded one
-    /// at a time from subslices of `frames` and absorbed into the shard
-    /// in place, so a 256-frame batch costs no intermediate `Vec` of
-    /// reports, no copy of the frame bytes and no copy of the shard.
+    /// Absorbs a REPORT batch straight from borrowed envelope bytes,
+    /// all-or-nothing (through the WAL on durable backends): frames are
+    /// decoded one at a time from subslices of `frames` and absorbed into
+    /// the shard in place, so a 256-frame batch costs no intermediate
+    /// `Vec` of reports, no copy of the frame bytes and no copy of the
+    /// shard. Returns the number of frames absorbed.
     fn absorb_frames(
         &self,
         wire_version: u8,
@@ -141,16 +116,11 @@ where
         frames: &[u8],
     ) -> Result<u64, RemoteError> {
         match self {
-            Self::Durable(d) => d
-                .ingest_batch(wire_version, count, frames)
-                .map_err(service_error),
-            Self::Plain(s) => s
-                .submit_wire_batch(wire_version, count, frames)
-                .map_err(service_error),
-            Self::Windowed(s) => s
-                .submit_epoch_wire_batch(wire_version, count, frames)
-                .map_err(service_error),
+            Self::Durable(d) => d.ingest_batch(wire_version, count, frames),
+            Self::Plain(s) => s.submit_wire_batch(wire_version, count, frames),
+            Self::Windowed(s) => s.submit_wire_batch(wire_version, count, frames),
         }
+        .map_err(service_error)
     }
 
     /// Answers one query from a snapshot — never from live shard state,
@@ -705,6 +675,9 @@ where
     }
 }
 
+/// What a replication stream answers to anything but REPL_ACK and BYE.
+const STREAM_ONLY: &str = "session is a replication stream: only REPL_ACK and BYE are accepted";
+
 fn error_body(code: ErrorCode, detail: impl Into<String>) -> Vec<u8> {
     ServerMsg::Error(RemoteError::new(code, None, detail)).encode()
 }
@@ -745,12 +718,12 @@ where
             break;
         }
         let started = Instant::now();
-        // Zero-copy fast path: REPORT bodies on ingest sessions decode as
-        // borrowed frames straight out of the envelope buffer instead of
-        // through `ClientMsg::decode`'s owning `ReportBatch`, so the frame
-        // bytes are never copied between the socket and the shard absorb.
-        // Replication sessions fall through to the generic decode so the
-        // stream state machine below still rejects them identically.
+        // The one REPORT handler. REPORT bodies on ingest sessions decode
+        // as borrowed frames straight out of the envelope buffer instead
+        // of through `ClientMsg::decode`'s owning `ReportBatch`, so the
+        // frame bytes are never copied between the socket and the shard
+        // absorb. Replication sessions fall through to the generic decode
+        // so the stream guard below refuses them like any other message.
         if !repl && body[0] == MSG_REPORT {
             let ReportFrames { count, frames } = match decode_report_frames(body) {
                 Ok(rf) => rf,
@@ -829,10 +802,7 @@ where
                     break;
                 }
                 _ => {
-                    replies.push(error_body(
-                        ErrorCode::BadState,
-                        "session is a replication stream: only REPL_ACK and BYE are accepted",
-                    ));
+                    replies.push(error_body(ErrorCode::BadState, STREAM_ONLY));
                     close = true;
                     break;
                 }
@@ -860,37 +830,14 @@ where
                 );
                 hello = Some(h);
             }
-            ClientMsg::Report(batch) => {
-                let Some(h) = hello else {
-                    replies.push(error_body(ErrorCode::BadState, "REPORT before HELLO"));
-                    close = true;
-                    break;
-                };
-                if shared.replica {
-                    replies.push(error_body(
-                        ErrorCode::BadState,
-                        "replica is read-only: its log is a copy of its leader's",
-                    ));
-                    observe(shared, span, job.session, MSG_REPORT, false, started);
-                    continue;
-                }
-                match shared.backend.absorb_batch(h.wire_version, &batch) {
-                    Ok(accepted) => {
-                        obs.frames_absorbed.add(accepted);
-                        replies.push(ServerMsg::ReportOk { accepted }.encode());
-                        observe(shared, span, job.session, MSG_REPORT, true, started);
-                    }
-                    Err(e) => {
-                        // Count what the payload could physically hold
-                        // (the smallest frame is 5 bytes), never the
-                        // attacker-declared count — a lying count must
-                        // not corrupt an operator-visible counter.
-                        let plausible = batch.count.min(batch.frames.len() as u64 / 5);
-                        obs.frames_rejected.add(plausible);
-                        replies.push(ServerMsg::Error(e).encode());
-                        observe(shared, span, job.session, MSG_REPORT, false, started);
-                    }
-                }
+            // Never reached: the handler above takes every REPORT on an
+            // ingest session and the stream guard closes every REPORT on
+            // a replication one. Exhaustiveness wants an arm; it answers
+            // what the guard would.
+            ClientMsg::Report(_) => {
+                replies.push(error_body(ErrorCode::BadState, STREAM_ONLY));
+                close = true;
+                break;
             }
             ClientMsg::Query(query) => {
                 if hello.is_none() {

@@ -124,8 +124,7 @@ pub mod names {
     pub const OPS_TS_SAMPLES: &str = "ops.ts_samples";
 }
 
-/// Shard-tier instruments (`crate::ShardedAggregator` and the service's
-/// per-shard absorb paths).
+/// Shard-tier instruments (the service's per-shard absorb path).
 #[derive(Debug, Clone)]
 pub struct ShardInstruments {
     /// [`names::SHARD_ABSORB_NS`].

@@ -10,7 +10,11 @@
 //!   happy path touches only the counters its reports increment, and a
 //!   batch that fails at frame `k` is rolled back by subtracting the
 //!   absorbed prefix back out (`absorb_all_or_nothing`) — exact, because
-//!   every mechanism's state is integer sufficient statistics.
+//!   every mechanism's state is integer sufficient statistics. This
+//!   module is the only one that knows how frames become state: wire
+//!   bytes stream into a shard through `absorb_frames`, and every
+//!   backend — in-memory, durable, follower, recovery replay — goes
+//!   through it.
 //! * **Query serving** — readers never touch shard state. They clone an
 //!   `Arc` to the latest published [`RangeSnapshot`] and answer queries
 //!   lock-free against that immutable freeze.
@@ -32,7 +36,7 @@
 //! pipelines provide.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -94,11 +98,6 @@ pub struct LdpService<S: SnapshotSource> {
     /// data, and holds the state refreshes and windowed queries carry
     /// between calls; readers stay lock-free on `published`.
     refresh: Mutex<Publication<S>>,
-    /// Kill switch for the delta refresh path; disabled, every refresh
-    /// falls back to the from-scratch clone-and-merge. Snapshots are
-    /// bit-identical either way — the switch exists so CI can prove that
-    /// equivalence (see [`LdpService::set_delta_refresh`]).
-    delta_refresh: AtomicBool,
     /// Telemetry handles, attached at most once
     /// ([`LdpService::attach_metrics`]); unattached, every hot path pays
     /// one `OnceLock` load and nothing else.
@@ -106,23 +105,6 @@ pub struct LdpService<S: SnapshotSource> {
     /// Window-tier handles for the lockstep seal sweep
     /// (`attach_window_metrics`; meaningful only for windowed backends).
     window_obs: OnceLock<Arc<WindowInstruments>>,
-}
-
-/// Environment override for the delta refresh path: set
-/// `LDP_DELTA_REFRESH` to `0`, `off`, `false`, or `no` to force every
-/// refresh through the from-scratch clone-and-merge. CI uses this as a
-/// negative control proving delta and full refreshes publish identical
-/// snapshots.
-pub const DELTA_REFRESH_ENV: &str = "LDP_DELTA_REFRESH";
-
-fn delta_refresh_from_env() -> bool {
-    match std::env::var(DELTA_REFRESH_ENV) {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
 }
 
 /// Locks a mutex, surfacing poisoning as a typed error instead of a
@@ -155,16 +137,21 @@ fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// inverse, so the shard is left exactly as it was found and `run`'s
 /// error is returned.
 ///
+/// The rollback always pays its two O(state) copies, even when the batch
+/// failed at frame 0 and nothing was absorbed: rolling back an empty
+/// prefix is exact, and only the offending client pays for it, so there
+/// is deliberately no second exit for that case.
+///
 /// The caller holds whatever lock guards `shard` across the call, so no
 /// reader observes the prefix.
 ///
 /// # Errors
 ///
 /// `run`'s own error after a successful rollback. A failing rollback
-/// subtraction is returned instead; it is impossible for shards whose
-/// layout `run` cannot change (everything the service constructors and
-/// recovery build: plain servers and manually sealed rings).
-pub(crate) fn absorb_all_or_nothing<S: SubtractableServer, T>(
+/// subtraction is returned instead; it is impossible here, because
+/// [`SnapshotSource::absorb_tagged`] never changes a shard's layout (it
+/// does not auto-seal a ring).
+fn absorb_all_or_nothing<S: SubtractableServer, T>(
     shard: &mut S,
     mut run: impl FnMut(&mut S) -> Result<T, ServiceError>,
 ) -> Result<T, ServiceError> {
@@ -178,6 +165,43 @@ pub(crate) fn absorb_all_or_nothing<S: SubtractableServer, T>(
     let _ = run(&mut prefix);
     shard.subtract(&prefix)?;
     Err(rejected)
+}
+
+/// How frames become state — the **only** place a FRAMES payload
+/// (back-to-back raw wire frames, declared `count`) is turned into shard
+/// contents. Each frame is decoded from its borrowed subslice of `frames`
+/// ([`crate::wire::for_each_frame`]) and absorbed into `shard` at once
+/// ([`SnapshotSource::absorb_tagged`]: an epoch ring checks a v2 tag
+/// against its open epoch, an all-time server ignores it), so the batch
+/// is never materialized, and the whole payload lands all-or-nothing
+/// ([`absorb_all_or_nothing`]). Live ingest
+/// ([`LdpService::submit_wire_batch`], and through it the durable store
+/// and a follower's re-apply) and both recovery replays call this one
+/// function, so they accept and reject exactly the same bytes.
+///
+/// Returns the number of frames absorbed (always `count` on success).
+///
+/// # Errors
+///
+/// A malformed or rejected frame, or a count/payload mismatch, surfaces
+/// as [`ServiceError::BadFrame`] with the offending index (with
+/// [`ServiceError::EpochMismatch`] as the source for a stale or future
+/// tag); `shard` is unchanged on error.
+pub(crate) fn absorb_frames<S>(
+    shard: &mut S,
+    wire_version: u8,
+    count: u64,
+    frames: &[u8],
+) -> Result<u64, ServiceError>
+where
+    S: SnapshotSource,
+    S::Report: WireReport,
+{
+    absorb_all_or_nothing(shard, |shard| {
+        crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
+            shard.absorb_tagged(epoch, &report)
+        })
+    })
 }
 
 impl<S: SnapshotSource> LdpService<S> {
@@ -237,27 +261,9 @@ impl<S: SnapshotSource> LdpService<S> {
                 windows: BTreeMap::new(),
                 seals: 0,
             }),
-            delta_refresh: AtomicBool::new(delta_refresh_from_env()),
             obs: OnceLock::new(),
             window_obs: OnceLock::new(),
         })
-    }
-
-    /// Whether snapshot refreshes may take the delta path (re-clone and
-    /// re-merge only shards that absorbed since the last freeze).
-    #[must_use]
-    pub fn delta_refresh_enabled(&self) -> bool {
-        self.delta_refresh.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the delta refresh path. The initial value
-    /// comes from the [`DELTA_REFRESH_ENV`] environment variable
-    /// (enabled unless set to `0`/`off`/`false`/`no`). Published
-    /// snapshots are bit-identical on either path; disabling only costs
-    /// refresh latency, which is why the negative control in CI can flip
-    /// it without touching correctness.
-    pub fn set_delta_refresh(&self, enabled: bool) {
-        self.delta_refresh.store(enabled, Ordering::Relaxed);
     }
 
     /// Number of shards.
@@ -286,19 +292,7 @@ impl<S: SnapshotSource> LdpService<S> {
     ///
     /// Propagates shape mismatches from the mechanism.
     pub fn submit(&self, report: &S::Report) -> Result<(), ServiceError> {
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let result = shard.absorb(report);
-        if result.is_ok() {
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(obs) = self.obs.get() {
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.incr(),
-                Err(_) => obs.shard.frames_rejected.incr(),
-            }
-        }
-        result.map_err(Into::into)
+        self.submit_tagged(None, report)
     }
 
     /// Decodes one wire frame and absorbs it. The buffer must hold
@@ -319,90 +313,60 @@ impl<S: SnapshotSource> LdpService<S> {
         self.submit(&report)
     }
 
-    /// Absorbs a batch of decoded reports into one round-robin shard,
-    /// **all-or-nothing**: the reports are absorbed into the locked
-    /// shard in place, and if one is rejected the absorbed prefix is
-    /// subtracted back out before the lock drops, so a rejected batch can
-    /// be retried or discarded without double-counting. This is the
-    /// transactional unit the network front end
-    /// ([`crate::net::LdpServer`]) acks per REPORT message.
-    ///
-    /// Because every mechanism's state is an integer sum, an accepted
-    /// batch leaves state bit-identical to absorbing the same reports
-    /// through [`LdpService::submit`] one at a time, and a rejected one
-    /// leaves it bit-identical to never having been submitted.
-    ///
-    /// # Errors
-    ///
-    /// A rejected report surfaces as [`ServiceError::BadFrame`] carrying
-    /// its batch index and report type; state is unchanged on error.
-    pub fn submit_batch(&self, reports: &[S::Report]) -> Result<(), ServiceError> {
-        if reports.is_empty() {
-            return Ok(());
-        }
-        let started = self.obs.get().map(|_| Instant::now());
-        let result = self.with_next_shard(|shard| {
-            for (i, report) in reports.iter().enumerate() {
-                shard.absorb(report).map_err(|e| ServiceError::BadFrame {
-                    index: i,
-                    report_type: crate::error::report_type_name::<S::Report>(),
-                    source: Box::new(e.into()),
-                })?;
+    /// The shared tail of the single-report submits: absorbs one report,
+    /// with its optional epoch tag, into the next round-robin shard.
+    fn submit_tagged(&self, epoch: Option<u64>, report: &S::Report) -> Result<(), ServiceError> {
+        let result = self.on_next_shard(|shard| shard.absorb_tagged(epoch, report));
+        if let Some(obs) = self.obs.get() {
+            match &result {
+                Ok(()) => obs.shard.frames_accepted.incr(),
+                Err(_) => obs.shard.frames_rejected.incr(),
             }
-            Ok(())
-        });
-        self.observe_batch(&result, reports.len(), started);
+        }
         result
     }
 
-    /// Locks the next round-robin shard and runs one batch against it
-    /// all-or-nothing ([`absorb_all_or_nothing`]); a committed batch
-    /// marks the shard dirty, a rolled-back one does not (the shard is
-    /// bit-identical to what the last refresh saw).
-    fn with_next_shard<T>(
+    /// Locks the next round-robin shard and runs one state change against
+    /// it; a committed change marks the shard dirty, a refused one does
+    /// not (the shard is bit-identical to what the last refresh saw).
+    fn on_next_shard<T>(
         &self,
-        run: impl FnMut(&mut S) -> Result<T, ServiceError>,
+        change: impl FnOnce(&mut S) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
         let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut shard = lock(&self.shards[k], "shard")?;
-        let done = absorb_all_or_nothing(&mut *shard, run)?;
+        let done = change(&mut shard)?;
         self.dirty[k].fetch_add(1, Ordering::Relaxed);
         Ok(done)
     }
 
-    /// Shard-tier accounting for the decoded-batch paths: all-or-nothing,
-    /// `len` frames accepted or `len` rejected.
-    fn observe_batch(
-        &self,
-        result: &Result<(), ServiceError>,
-        len: usize,
-        started: Option<Instant>,
-    ) {
-        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
-            obs.shard.absorb_ns.record_elapsed(started);
-            match result {
-                Ok(()) => obs.shard.frames_accepted.add(len as u64),
-                Err(_) => obs.shard.frames_rejected.add(len as u64),
-            }
-        }
-    }
-
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
-    /// round-robin shard, **all-or-nothing** like
-    /// [`LdpService::submit_batch`], without materializing the decoded
-    /// batch: each frame is decoded from its borrowed subslice of
-    /// `frames` and absorbed into the shard immediately, so the batch
-    /// machinery does O(1) allocations however many frames the message
-    /// carries. Epoch tags (v2 frames) are ignored, exactly as the
-    /// collecting network path ignored them for unwindowed backends.
+    /// round-robin shard, **all-or-nothing** (`absorb_frames`): the
+    /// frames are absorbed into the locked shard in place, and if one is
+    /// malformed or rejected the absorbed prefix is subtracted back out
+    /// before the lock drops, so a rejected batch can be retried or
+    /// discarded without double-counting. This is the transactional unit
+    /// the network front end ([`crate::net::LdpServer`]) acks per REPORT
+    /// message, and the one ingest path of every backend: the durable
+    /// store and a replication follower call it under their WAL lock.
+    ///
+    /// Epoch tags (v2 frames) are checked against the open epoch on a
+    /// windowed service — a stale straggler anywhere in the batch rejects
+    /// it — and ignored on an all-time one.
+    ///
+    /// Because every mechanism's state is an integer sum, an accepted
+    /// batch leaves state bit-identical to absorbing the same frames
+    /// through [`LdpService::submit_frame`] one at a time, and a rejected
+    /// one leaves it bit-identical to never having been submitted.
     ///
     /// Returns the number of frames absorbed (always `count` on success).
     ///
     /// # Errors
     ///
     /// A malformed or rejected frame surfaces as
-    /// [`ServiceError::BadFrame`] with its batch index; state is
-    /// unchanged on error.
+    /// [`ServiceError::BadFrame`] with its batch index (with
+    /// [`ServiceError::EpochMismatch`] as the source for stale or future
+    /// tags); state is unchanged on error.
     pub fn submit_wire_batch(
         &self,
         wire_version: u8,
@@ -416,37 +380,21 @@ impl<S: SnapshotSource> LdpService<S> {
             return Ok(0);
         }
         let started = self.obs.get().map(|_| Instant::now());
-        let result = self.with_next_shard(|shard| {
-            crate::wire::for_each_frame(wire_version, count, frames, |_epoch, report| {
-                shard.absorb(&report).map_err(Into::into)
-            })
-        });
-        self.observe_wire_batch(&result, count, frames.len(), started);
-        result
-    }
-
-    /// Shard-tier accounting for the streaming batch paths, mirroring
-    /// [`LdpService::submit_batch`]: all-or-nothing, with the rejected
-    /// count bounded by what the payload could physically hold (the
-    /// smallest frame is 5 bytes) so a lying count cannot inflate an
-    /// operator-visible counter.
-    fn observe_wire_batch(
-        &self,
-        result: &Result<u64, ServiceError>,
-        count: u64,
-        payload_len: usize,
-        started: Option<Instant>,
-    ) {
+        let result = self.on_next_shard(|shard| absorb_frames(shard, wire_version, count, frames));
         if let (Some(obs), Some(started)) = (self.obs.get(), started) {
             obs.shard.absorb_ns.record_elapsed(started);
-            match result {
+            match &result {
                 Ok(absorbed) => obs.shard.frames_accepted.add(*absorbed),
+                // Bounded by what the payload could physically hold (the
+                // smallest frame is 5 bytes), so a lying count cannot
+                // inflate an operator-visible counter.
                 Err(_) => obs
                     .shard
                     .frames_rejected
-                    .add(count.min(payload_len as u64 / 5)),
+                    .add(count.min(frames.len() as u64 / 5)),
             }
         }
+        result
     }
 
     /// Total reports across all shards right now (racy by nature while
@@ -477,15 +425,16 @@ impl<S: SnapshotSource> LdpService<S> {
     /// to clone (or, on the delta path, to read one counter); estimation
     /// runs with no shard lock held.
     ///
-    /// Refreshes after the first take the **delta path** whenever
-    /// enabled (see [`LdpService::set_delta_refresh`]): the previous
+    /// Refreshes after the first take the **delta path**: the previous
     /// refresh's merged accumulator is retained, and only shards whose
     /// dirty counter moved since their last clone are re-cloned — each
     /// one's previous contribution is subtracted out and the fresh clone
     /// merged in. Integer sufficient statistics make subtract the exact
     /// inverse of merge and both order-insensitive, so the published
     /// snapshot is bit-identical to a from-scratch clone-and-merge (the
-    /// `delta_refresh` proptest pins this for all six mechanisms).
+    /// `delta_refresh` proptest pins this for all six mechanisms against
+    /// [`LdpService::merged_state`], which shares no state with the
+    /// retained accumulator).
     /// Structural changes (epoch seals) reset the retained state, forcing
     /// the next refresh through the full rebuild.
     ///
@@ -496,10 +445,10 @@ impl<S: SnapshotSource> LdpService<S> {
     /// (`Arc::ptr_eq` with the previous return), so a query that finds
     /// nothing new costs a few counter loads. Every refresh that
     /// re-merged anything (a dirty shard, or the full rebuild that the
-    /// first refresh, the refresh after a seal, and every refresh with
-    /// the delta path disabled take) freezes and publishes under the
-    /// next version. Rejected batches roll back without dirtying their
-    /// shard, so they never cost a re-estimate either.
+    /// first refresh and the refresh after a seal take) freezes and
+    /// publishes under the next version. Rejected batches roll back
+    /// without dirtying their shard, so they never cost a re-estimate
+    /// either.
     ///
     /// # Errors
     ///
@@ -551,32 +500,22 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// Brings the retained refresh state up to date with current shard
-    /// contents: the delta path when state is retained and the switch is
-    /// on, the from-scratch rebuild otherwise. On `Ok` the guard always
-    /// holds a state whose `merged` equals a from-scratch clone-and-merge
-    /// of every shard, bit for bit. Returns the number of unchanged
-    /// shards the delta path reused (`None` when the full rebuild ran).
+    /// contents: the delta path when state is retained, the from-scratch
+    /// rebuild otherwise. On `Ok` the guard always holds a state whose
+    /// `merged` equals a from-scratch clone-and-merge of every shard, bit
+    /// for bit. Returns the number of unchanged shards the delta path
+    /// reused (`None` when the full rebuild ran).
     fn refresh_merged(
         &self,
         state: &mut Option<RefreshState<S>>,
     ) -> Result<Option<usize>, ServiceError> {
-        if self.delta_refresh.load(Ordering::Relaxed) {
-            let applied = match state.as_mut() {
-                // An error mid-delta (impossible for shards built by the
-                // constructors) may leave `merged` half-updated: drop the
-                // state below and rebuild instead of propagating.
-                Some(s) => self.apply_shard_deltas(s).ok(),
-                None => None,
-            };
-            if let Some(reused) = applied {
-                return Ok(Some(reused));
-            }
-            *state = None;
-        } else {
-            // While the switch is off the retained clones go stale; drop
-            // them so a later re-enable cannot delta against them.
-            *state = None;
+        // An error mid-delta (impossible for shards built by the
+        // constructors) may leave `merged` half-updated: drop the state
+        // and rebuild instead of propagating.
+        if let Some(reused) = state.as_mut().and_then(|s| self.apply_shard_deltas(s).ok()) {
+            return Ok(Some(reused));
         }
+        *state = None;
         let mut retained = Vec::with_capacity(self.shards.len());
         let mut seen = Vec::with_capacity(self.shards.len());
         for (shard, dirty) in self.shards.iter().zip(&self.dirty) {
@@ -636,11 +575,6 @@ impl<S: SnapshotSource> LdpService<S> {
     /// [`ServiceError::LockPoisoned`].
     pub fn merged_state(&self) -> Result<S, ServiceError> {
         let _guard = lock(&self.refresh, "refresh")?;
-        self.merge_shards()
-    }
-
-    /// Clone + merge of all shards; callers must hold the refresh guard.
-    fn merge_shards(&self) -> Result<S, ServiceError> {
         let mut merged: Option<S> = None;
         for shard in &self.shards {
             let copy = lock(shard, "shard")?.clone();
@@ -761,72 +695,16 @@ where
         if used != frame.len() {
             return Err(crate::error::WireError::Malformed("trailing bytes after frame").into());
         }
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let result = shard.absorb_tagged(epoch, &report);
-        if result.is_ok() {
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(obs) = self.obs.get() {
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.incr(),
-                Err(_) => obs.shard.frames_rejected.incr(),
-            }
-        }
-        result
+        self.submit_tagged(epoch, &report)
     }
 
-    /// Absorbs a batch of epoch-tagged reports (`None` = untagged v1
-    /// frame) into one round-robin shard, **all-or-nothing** like
-    /// [`LdpService::submit_batch`]: tags are checked against the open
-    /// epoch as each report is absorbed, so a stale straggler anywhere in
-    /// the batch rejects it and the absorbed prefix is subtracted back
-    /// out.
+    /// Alias of [`LdpService::submit_wire_batch`], which already checks
+    /// epoch tags on a windowed service; kept for callers that name the
+    /// windowed path (the `ldpbench` harness).
     ///
     /// # Errors
     ///
-    /// A rejected report surfaces as [`ServiceError::BadFrame`] carrying
-    /// its batch index (with [`ServiceError::EpochMismatch`] as the
-    /// source for stale or future tags); state is unchanged on error.
-    pub fn submit_epoch_batch(
-        &self,
-        reports: &[(Option<u64>, S::Report)],
-    ) -> Result<(), ServiceError> {
-        if reports.is_empty() {
-            return Ok(());
-        }
-        let started = self.obs.get().map(|_| Instant::now());
-        let result = self.with_next_shard(|ring| {
-            for (i, (epoch, report)) in reports.iter().enumerate() {
-                ring.absorb_tagged(*epoch, report)
-                    .map_err(|e| ServiceError::BadFrame {
-                        index: i,
-                        report_type: crate::error::report_type_name::<S::Report>(),
-                        source: Box::new(e),
-                    })?;
-            }
-            Ok(())
-        });
-        self.observe_batch(&result, reports.len(), started);
-        result
-    }
-
-    /// Absorbs a REPORT batch straight from its raw wire bytes into one
-    /// round-robin shard, **all-or-nothing** like
-    /// [`LdpService::submit_epoch_batch`], without materializing the
-    /// decoded batch — the windowed twin of
-    /// [`LdpService::submit_wire_batch`]. Epoch tags are checked against
-    /// the open epoch as each frame is decoded from its borrowed subslice
-    /// of `frames` and absorbed into the shard.
-    ///
-    /// Returns the number of frames absorbed (always `count` on success).
-    ///
-    /// # Errors
-    ///
-    /// A malformed or rejected frame surfaces as
-    /// [`ServiceError::BadFrame`] with its batch index (with
-    /// [`ServiceError::EpochMismatch`] as the source for stale or future
-    /// tags); state is unchanged on error.
+    /// As [`LdpService::submit_wire_batch`].
     pub fn submit_epoch_wire_batch(
         &self,
         wire_version: u8,
@@ -836,17 +714,7 @@ where
     where
         S::Report: WireReport,
     {
-        if count == 0 && frames.is_empty() {
-            return Ok(0);
-        }
-        let started = self.obs.get().map(|_| Instant::now());
-        let result = self.with_next_shard(|ring| {
-            crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-                ring.absorb_tagged(epoch, &report)
-            })
-        });
-        self.observe_wire_batch(&result, count, frames.len(), started);
-        result
+        self.submit_wire_batch(wire_version, count, frames)
     }
 
     /// Merges the shard rings and freezes the trailing `epochs` sealed
@@ -967,9 +835,6 @@ mod tests {
         });
 
         assert_eq!(service.num_reports(), writers * per_writer);
-        // Pin the delta path whatever `LDP_DELTA_REFRESH` says: the clean
-        // refresh below exists only on it.
-        service.set_delta_refresh(true);
         let racing_version = service.snapshot().version();
         let final_snap = service.refresh_snapshot().unwrap();
         assert_eq!(final_snap.num_reports(), writers * per_writer);

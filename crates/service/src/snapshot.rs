@@ -12,6 +12,7 @@
 //! version plus the report count they reflect, so readers can reason
 //! about staleness.
 
+use crate::error::ServiceError;
 use ldp_ranges::{
     quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HaarOueServer, Hh2dServer, HhServer,
     HhSplitServer, RangeEstimate, SubtractableServer,
@@ -33,6 +34,25 @@ use ldp_ranges::{
 pub trait SnapshotSource: SubtractableServer {
     /// Materializes the per-item frequency estimate of the current state.
     fn frequency_estimate(&self) -> FrequencyEstimate;
+
+    /// Absorbs one report that arrived with an optional epoch tag (`Some`
+    /// from a v2 wire frame, `None` from a v1 one). An all-time server
+    /// has no epochs to check the tag against and ignores it — the
+    /// default; [`crate::EpochRing`] overrides this to reject a tag that
+    /// does not name its open epoch. This is the one absorb every ingest
+    /// path of the service goes through.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape mismatches from the mechanism.
+    fn absorb_tagged(
+        &mut self,
+        epoch: Option<u64>,
+        report: &Self::Report,
+    ) -> Result<(), ServiceError> {
+        let _ = epoch;
+        self.absorb(report).map_err(Into::into)
+    }
 }
 
 impl SnapshotSource for FlatServer {

@@ -12,8 +12,8 @@
 //! windowed and unwindowed.
 //!
 //! ```text
-//!   ingest batch ──► decode ──► absorb (in place, all-or-nothing)
-//!                                  │ ok
+//!   ingest batch ──► submit_wire_batch (decode + absorb in place,
+//!                                  │ ok           all-or-nothing)
 //!                                  ▼
 //!                     WAL append (CRC-framed record,      wal-00000000.log
 //!                     raw v1/v2 wire frames + SEAL)       wal-00000001.log …

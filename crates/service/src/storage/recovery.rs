@@ -13,9 +13,12 @@
 //!    nowhere else, and replaying the surviving tail onto an empty
 //!    state would silently drop them, so recovery refuses the open.
 //! 2. **Replay** — scan WAL segments from the checkpoint's
-//!    `replay_from_seq` in order, re-absorbing every FRAMES record and
-//!    re-sealing every SEAL record through the *same* code paths live
-//!    ingestion uses.
+//!    `replay_from_seq` in order, re-absorbing every FRAMES record
+//!    through the one function live ingestion absorbs with
+//!    (`service::absorb_frames`: same frame walker, same tag rule, same
+//!    all-or-nothing rollback — so replay accepts and rejects exactly
+//!    what the live service would, and a rejected record leaves no
+//!    partial absorption behind) and re-sealing every SEAL record.
 //! 3. **Torn-tail rule** — the first record that fails to parse, fails
 //!    its CRC, or is rejected by the state machine ends replay *cleanly*:
 //!    everything before it is kept, everything from it on is ignored. A
@@ -37,7 +40,7 @@ use std::path::Path;
 use ldp_ranges::{PersistableServer, StateReader, SubtractableServer};
 
 use crate::error::ServiceError;
-use crate::service::absorb_all_or_nothing;
+use crate::service::absorb_frames;
 use crate::snapshot::SnapshotSource;
 use crate::storage::{checkpoint, wal};
 use crate::window::EpochRing;
@@ -111,23 +114,16 @@ pub struct RecoveryReport {
 /// replay must stop here (the record is logically corrupt).
 type ApplyResult = Result<u64, String>;
 
-struct ReplayOutcome {
-    segments_scanned: u64,
-    records_replayed: u64,
-    frames_replayed: u64,
-    tail: TailStatus,
-    resume: ResumePoint,
-    safe_to_resume: bool,
-}
-
 /// Scans segments `>= from_seq` in order, applying each record. Stops at
 /// the first torn/corrupt/rejected record or the first gap in the
 /// segment sequence (segments after a gap are unreachable history).
+/// The report comes back with `checkpoint_id` unset — replay knows
+/// nothing of checkpoints.
 fn replay_segments<F>(
     dir: &Path,
     from_seq: u64,
     mut apply: F,
-) -> Result<ReplayOutcome, ServiceError>
+) -> Result<RecoveryReport, ServiceError>
 where
     F: FnMut(&wal::WalRecord) -> ApplyResult,
 {
@@ -140,7 +136,8 @@ where
     // after it. Damage anywhere earlier is corruption, not a tear, and
     // truncating there would destroy acknowledged records.
     let last_seq = segments.last().map(|(seq, _)| *seq);
-    let mut outcome = ReplayOutcome {
+    let mut outcome = RecoveryReport {
+        checkpoint_id: None,
         segments_scanned: 0,
         records_replayed: 0,
         frames_replayed: 0,
@@ -279,29 +276,46 @@ fn load_checkpoint(dir: &Path) -> Result<Option<checkpoint::Checkpoint>, Service
     }
 }
 
-/// Applies one FRAMES payload to `state` all-or-nothing, through the
-/// *same* frame walker ([`crate::wire::for_each_frame`]) and the same
-/// in-place absorb with exact-subtract rollback
-/// ([`absorb_all_or_nothing`]) the live `submit_*wire_batch` paths use —
-/// so replay accepts and rejects exactly what the live service would, a
-/// rejected record leaves no partial absorption behind, and an accepted
-/// one costs no copy of the state.
-fn replay_frames_record<S: SubtractableServer>(
-    state: &mut S,
-    wire_version: u8,
-    count: u64,
-    frames: &[u8],
-    mut absorb: impl FnMut(&mut S, Option<u64>, &S::Report) -> Result<(), ServiceError>,
-) -> ApplyResult
+/// The recovery both backends share: restore the newest valid checkpoint
+/// into `state`, then replay the WAL tail — FRAMES through
+/// [`absorb_frames`] (tags checked by a ring, refused outright when
+/// `windowed` is false), SEAL through `seal`.
+fn recover<S>(
+    dir: &Path,
+    mut state: S,
+    windowed: bool,
+    mut seal: impl FnMut(&mut S, u64) -> ApplyResult,
+) -> Result<(S, RecoveryReport), ServiceError>
 where
+    S: SnapshotSource + PersistableServer,
     S::Report: WireReport,
 {
-    absorb_all_or_nothing(state, |state| {
-        crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-            absorb(state, epoch, &report)
-        })
-    })
-    .map_err(|e| e.to_string())
+    let (from_seq, checkpoint_id) = match load_checkpoint(dir)? {
+        Some(c) => {
+            restore_checkpoint_state(&mut state, &c.state)?;
+            (c.replay_from_seq, Some(c.id))
+        }
+        None => (
+            wal::list_segments(dir)?.first().map_or(0, |(seq, _)| *seq),
+            None,
+        ),
+    };
+    let mut report = replay_segments(dir, from_seq, |record| match record {
+        wal::WalRecord::Frames {
+            wire_version,
+            count,
+            frames,
+        } => {
+            if !windowed && *wire_version != crate::wire::VERSION {
+                return Err("epoch-tagged FRAMES record in an unwindowed log".to_string());
+            }
+            absorb_frames(&mut state, *wire_version, *count, frames).map_err(|e| e.to_string())
+        }
+        wal::WalRecord::Seal { epoch } => seal(&mut state, *epoch),
+        wal::WalRecord::Checkpoint { .. } => Ok(0),
+    })?;
+    report.checkpoint_id = checkpoint_id;
+    Ok((state, report))
 }
 
 /// Recovers a *plain* (all-time) server from `dir`: newest valid
@@ -321,46 +335,9 @@ where
     S: SnapshotSource + PersistableServer,
     S::Report: WireReport,
 {
-    let ckpt = load_checkpoint(dir)?;
-    let mut state = prototype.clone();
-    let (from_seq, checkpoint_id) = match &ckpt {
-        Some(c) => {
-            restore_checkpoint_state(&mut state, &c.state)?;
-            (c.replay_from_seq, Some(c.id))
-        }
-        None => (
-            wal::list_segments(dir)?.first().map_or(0, |(seq, _)| *seq),
-            None,
-        ),
-    };
-    let outcome = replay_segments(dir, from_seq, |record| match record {
-        wal::WalRecord::Frames {
-            wire_version,
-            count,
-            frames,
-        } => {
-            if *wire_version != crate::wire::VERSION {
-                return Err("epoch-tagged FRAMES record in an unwindowed log".to_string());
-            }
-            replay_frames_record(&mut state, *wire_version, *count, frames, |s, _, report| {
-                s.absorb(report).map_err(Into::into)
-            })
-        }
-        wal::WalRecord::Seal { .. } => Err("SEAL record in an unwindowed log".to_string()),
-        wal::WalRecord::Checkpoint { .. } => Ok(0),
-    })?;
-    Ok((
-        state,
-        RecoveryReport {
-            checkpoint_id,
-            segments_scanned: outcome.segments_scanned,
-            records_replayed: outcome.records_replayed,
-            frames_replayed: outcome.frames_replayed,
-            tail: outcome.tail,
-            resume: outcome.resume,
-            safe_to_resume: outcome.safe_to_resume,
-        },
-    ))
+    recover(dir, prototype.clone(), false, |_, _| {
+        Err("SEAL record in an unwindowed log".to_string())
+    })
 }
 
 /// Recovers a *windowed* (epoch-ring) server from `dir`. The ring is
@@ -383,51 +360,14 @@ where
     S: SnapshotSource + SubtractableServer + PersistableServer,
     S::Report: WireReport,
 {
-    let ckpt = load_checkpoint(dir)?;
-    let mut ring = EpochRing::new(prototype, window_len)?;
-    let (from_seq, checkpoint_id) = match &ckpt {
-        Some(c) => {
-            restore_checkpoint_state(&mut ring, &c.state)?;
-            (c.replay_from_seq, Some(c.id))
+    let ring = EpochRing::new(prototype, window_len)?;
+    recover(dir, ring, true, |ring, epoch| {
+        let sealed = ring.seal_epoch().map_err(|e| e.to_string())?;
+        if sealed != epoch {
+            return Err(format!(
+                "SEAL record names epoch {epoch}, ring sealed {sealed}"
+            ));
         }
-        None => (
-            wal::list_segments(dir)?.first().map_or(0, |(seq, _)| *seq),
-            None,
-        ),
-    };
-    let outcome = replay_segments(dir, from_seq, |record| match record {
-        wal::WalRecord::Frames {
-            wire_version,
-            count,
-            frames,
-        } => replay_frames_record(
-            &mut ring,
-            *wire_version,
-            *count,
-            frames,
-            |r, epoch, report| r.absorb_tagged(epoch, report),
-        ),
-        wal::WalRecord::Seal { epoch } => {
-            let sealed = ring.seal_epoch().map_err(|e| e.to_string())?;
-            if sealed != *epoch {
-                return Err(format!(
-                    "SEAL record names epoch {epoch}, ring sealed {sealed}"
-                ));
-            }
-            Ok(0)
-        }
-        wal::WalRecord::Checkpoint { .. } => Ok(0),
-    })?;
-    Ok((
-        ring,
-        RecoveryReport {
-            checkpoint_id,
-            segments_scanned: outcome.segments_scanned,
-            records_replayed: outcome.records_replayed,
-            frames_replayed: outcome.frames_replayed,
-            tail: outcome.tail,
-            resume: outcome.resume,
-            safe_to_resume: outcome.safe_to_resume,
-        },
-    ))
+        Ok(0)
+    })
 }

@@ -34,11 +34,6 @@ use crate::storage::{checkpoint, wal};
 use crate::window::{EpochRing, WindowedSnapshot};
 use crate::wire::{WireReport, VERSION_EPOCH};
 
-/// Reports decoded ahead of the WAL lock from one replicated FRAMES
-/// record — each paired with its optional epoch tag — or `None` when the
-/// record is not FRAMES (SEAL/CHECKPOINT decode nothing).
-type DecodedRun<R> = Option<Vec<(Option<u64>, R)>>;
-
 /// Sentinel for "no checkpoint taken yet" in the atomic id cell.
 const NO_CHECKPOINT: u64 = u64::MAX;
 
@@ -240,33 +235,6 @@ fn acquire_lock(dir: &Path) -> Result<(), ServiceError> {
 struct WalInner {
     writer: WalWriter,
     records_since_checkpoint: u64,
-}
-
-/// Decodes a REPORT-style batch (back-to-back raw wire frames) under a
-/// negotiated wire version, validating the declared count. Shared by the
-/// durable ingest path and the network front end so both reject hostile
-/// batches identically.
-///
-/// # Errors
-///
-/// A malformed frame or a count/payload mismatch surfaces as
-/// [`ServiceError::BadFrame`] with the offending index.
-pub(crate) fn decode_batch<R: WireReport>(
-    wire_version: u8,
-    count: u64,
-    frames: &[u8],
-) -> Result<Vec<(Option<u64>, R)>, ServiceError> {
-    // Capacity is bounded by what the payload can physically hold (the
-    // smallest well-formed frame is 5 bytes), never by the declared count
-    // alone — a lying count must not buy a huge allocation before the
-    // first decode failure rejects the batch.
-    let plausible = (frames.len() / 5).min(count as usize);
-    let mut reports: Vec<(Option<u64>, R)> = Vec::with_capacity(plausible);
-    crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-        reports.push((epoch, report));
-        Ok(())
-    })?;
-    Ok(reports)
 }
 
 impl<S> DurableService<S>
@@ -492,11 +460,16 @@ where
         }
     }
 
-    /// Decodes one batch of raw wire frames, absorbs it all-or-nothing,
-    /// logs it as one WAL record, applies the fsync policy, and returns
-    /// the number of frames absorbed — the durable analogue of one
-    /// REPORT message. Nothing is logged for a rejected batch, so replay
-    /// never faces a frame the live service refused.
+    /// Absorbs one batch of raw wire frames all-or-nothing
+    /// ([`LdpService::submit_wire_batch`] — the same call an in-memory
+    /// backend makes), logs it as one WAL record, applies the fsync
+    /// policy, and returns the number of frames absorbed — the durable
+    /// analogue of one REPORT message. Nothing is logged for a rejected
+    /// batch, so replay never faces a frame the live service refused.
+    ///
+    /// Decode, absorb and append all run under the WAL lock, so a
+    /// rejected batch pays its two O(D) rollback copies under that lock —
+    /// exactly as an in-memory backend pays them under the shard lock.
     ///
     /// # Errors
     ///
@@ -514,35 +487,41 @@ where
         count: u64,
         frames: &[u8],
     ) -> Result<u64, ServiceError> {
+        let mut wal = self.lock_wal()?;
+        self.check_wedged()?;
+        let n = self.apply_frames_locked(&mut wal, wire_version, count, frames)?;
+        self.maybe_auto_checkpoint(&mut wal);
+        Ok(n)
+    }
+
+    /// Absorbs one FRAMES payload and appends it as one record — the
+    /// step the leader's ingest and a follower's re-apply share. The
+    /// caller holds the WAL lock and has checked the wedge.
+    fn apply_frames_locked(
+        &self,
+        wal: &mut WalInner,
+        wire_version: u8,
+        count: u64,
+        frames: &[u8],
+    ) -> Result<u64, ServiceError> {
         if wire_version == VERSION_EPOCH && !self.is_windowed() {
             return Err(crate::error::WireError::UnsupportedVersion(wire_version).into());
         }
-        let reports = decode_batch::<S::Report>(wire_version, count, frames)?;
-        let n = reports.len() as u64;
-        let mut wal = self.lock_wal()?;
-        self.check_wedged()?;
-        match &self.backend {
-            DurableBackend::Plain(s) => {
-                let plain: Vec<S::Report> = reports.into_iter().map(|(_, r)| r).collect();
-                s.submit_batch(&plain)?;
-            }
-            DurableBackend::Windowed(s) => s.submit_epoch_batch(&reports)?,
-        }
+        let n = match &self.backend {
+            DurableBackend::Plain(s) => s.submit_wire_batch(wire_version, count, frames)?,
+            DurableBackend::Windowed(s) => s.submit_wire_batch(wire_version, count, frames)?,
+        };
         // Zero-copy append: the raw frame bytes go straight from the
         // request buffer to the log.
         let started = Instant::now();
-        if let Err(e) = wal.writer.append_frames(wire_version, n, frames) {
-            self.obs.wedged.set(1);
-            return Err(e.into());
-        }
+        self.wedge_on_err(wal.writer.append_frames(wire_version, n, frames))?;
         self.obs.append_ns.record_elapsed(started);
         self.trace_append(started);
         self.obs.batch_frames.record(n);
         self.obs.wal_records.incr();
         self.obs.wal_frames.add(n);
         wal.records_since_checkpoint += 1;
-        self.notify_repl(&mut wal);
-        self.maybe_auto_checkpoint(&mut wal);
+        self.notify_repl(wal);
         Ok(n)
     }
 
@@ -561,18 +540,22 @@ where
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
         let epoch = s.seal_epoch()?;
+        self.append_seal_locked(&mut wal, epoch)?;
+        self.maybe_auto_checkpoint(&mut wal);
+        Ok(epoch)
+    }
+
+    /// Appends the SEAL record of an epoch the backend just sealed. The
+    /// caller holds the WAL lock.
+    fn append_seal_locked(&self, wal: &mut WalInner, epoch: u64) -> Result<(), ServiceError> {
         let started = Instant::now();
-        if let Err(e) = wal.writer.append(&WalRecord::Seal { epoch }) {
-            self.obs.wedged.set(1);
-            return Err(e.into());
-        }
+        self.wedge_on_err(wal.writer.append(&WalRecord::Seal { epoch }))?;
         self.obs.append_ns.record_elapsed(started);
         self.trace_append(started);
         self.obs.wal_records.incr();
         wal.records_since_checkpoint += 1;
-        self.notify_repl(&mut wal);
-        self.maybe_auto_checkpoint(&mut wal);
-        Ok(epoch)
+        self.notify_repl(wal);
+        Ok(())
     }
 
     /// Takes a checkpoint now: serializes the merged state, appends a
@@ -614,13 +597,9 @@ where
     /// I/O and lock failures.
     pub fn sync(&self) -> Result<(), ServiceError> {
         let mut wal = self.lock_wal()?;
-        if let Err(e) = wal.writer.sync() {
-            // A failed flush can leave a partial record on disk; writing
-            // anything after it would bury acked records behind garbage.
-            self.obs.wedged.set(1);
-            return Err(e.into());
-        }
-        Ok(())
+        // A failed flush can leave a partial record on disk; writing
+        // anything after it would bury acked records behind garbage.
+        self.wedge_on_err(wal.writer.sync())
     }
 
     /// Durability progress counters.
@@ -730,12 +709,9 @@ where
     }
 
     fn scan_log_locked(&self, wal: &mut WalInner) -> Result<(u64, bool), ServiceError> {
-        if let Err(e) = wal.writer.flush_buffer() {
-            // A failed flush can leave a partial record on disk; writing
-            // past it would bury acked records behind garbage.
-            self.obs.wedged.set(1);
-            return Err(e.into());
-        }
+        // A failed flush can leave a partial record on disk; writing
+        // past it would bury acked records behind garbage.
+        self.wedge_on_err(wal.writer.flush_buffer())?;
         let origin = wal::list_segments(&self.dir)?
             .first()
             .is_some_and(|(seq, _)| *seq == 0);
@@ -761,21 +737,20 @@ where
         hub.record_appended();
     }
 
-    /// Applies a *run* of replicated WAL records under **one** WAL lock —
-    /// the follower's group-commit path. Adjacent FRAMES records absorb
-    /// as one all-or-nothing batch (in place, through the same
-    /// `submit_batch` / `submit_epoch_batch` the leader's ingest uses —
-    /// no copy of the shard), then each record is appended with
-    /// its original framing so the follower's log still mirrors the
-    /// leader's record for record; SEAL records seal and log at their
-    /// original positions between the runs, and a CHECKPOINT record is
-    /// appended as a marker only (the follower checkpoints on its own
-    /// schedule, which for a live follower is never). Each element pairs
-    /// the leader-assigned record position with the record so per-record
-    /// `WalAppend` trace spans stay correct.
+    /// Applies a batch of replicated WAL records under **one** WAL lock —
+    /// the follower's group-commit path. Each FRAMES record absorbs
+    /// all-or-nothing and is appended with its original framing through
+    /// the very step the leader's ingest runs (`apply_frames_locked`), so
+    /// the follower's log mirrors the leader's record for record; SEAL
+    /// records seal and log at their original positions, and a
+    /// CHECKPOINT record is appended as a marker only (the follower
+    /// checkpoints on its own schedule, which for a live follower is
+    /// never). Each element pairs the leader-assigned record position
+    /// with the record so per-record `WalAppend` trace spans stay
+    /// correct.
     ///
-    /// All-or-nothing per run: if a run is rejected, none of its records
-    /// reached state or log, and records *before* it in `records` are
+    /// All-or-nothing per record: if one is rejected, it reached neither
+    /// state nor log, and the records *before* it in `records` are
     /// already applied and appended — the caller's position (its own log
     /// length) stays truthful either way.
     ///
@@ -788,75 +763,22 @@ where
         &self,
         records: &[(u64, WalRecord)],
     ) -> Result<(), ServiceError> {
-        // Decode every FRAMES payload before taking the lock.
-        let mut decoded: Vec<DecodedRun<S::Report>> = Vec::with_capacity(records.len());
-        for (_, record) in records {
-            decoded.push(match record {
+        let mut wal = self.lock_wal()?;
+        self.check_wedged()?;
+        for (position, record) in records {
+            set_current_span(Some(*position));
+            match record {
                 WalRecord::Frames {
                     wire_version,
                     count,
                     frames,
                 } => {
-                    if *wire_version == VERSION_EPOCH && !self.is_windowed() {
-                        return Err(
-                            crate::error::WireError::UnsupportedVersion(*wire_version).into()
-                        );
-                    }
-                    Some(decode_batch::<S::Report>(*wire_version, *count, frames)?)
-                }
-                _ => None,
-            });
-        }
-        let mut wal = self.lock_wal()?;
-        self.check_wedged()?;
-        let mut i = 0;
-        while i < records.len() {
-            match &records[i].1 {
-                WalRecord::Frames { .. } => {
-                    let start = i;
-                    let mut reports = Vec::new();
-                    while i < records.len() && decoded[i].is_some() {
-                        reports.append(decoded[i].as_mut().expect("run holds decoded frames"));
-                        i += 1;
-                    }
-                    set_current_span(Some(records[start].0));
-                    match &self.backend {
-                        DurableBackend::Plain(s) => {
-                            let plain: Vec<S::Report> =
-                                reports.into_iter().map(|(_, r)| r).collect();
-                            s.submit_batch(&plain)?;
-                        }
-                        DurableBackend::Windowed(s) => s.submit_epoch_batch(&reports)?,
-                    }
-                    for (position, record) in &records[start..i] {
-                        let WalRecord::Frames {
-                            wire_version,
-                            count,
-                            frames,
-                        } = record
-                        else {
-                            unreachable!("run holds only FRAMES records");
-                        };
-                        set_current_span(Some(*position));
-                        let started = Instant::now();
-                        if let Err(e) = wal.writer.append_frames(*wire_version, *count, frames) {
-                            self.obs.wedged.set(1);
-                            return Err(e.into());
-                        }
-                        self.obs.append_ns.record_elapsed(started);
-                        self.trace_append(started);
-                        self.obs.batch_frames.record(*count);
-                        self.obs.wal_records.incr();
-                        self.obs.wal_frames.add(*count);
-                        wal.records_since_checkpoint += 1;
-                        self.notify_repl(&mut wal);
-                    }
+                    self.apply_frames_locked(&mut wal, *wire_version, *count, frames)?;
                 }
                 WalRecord::Seal { epoch } => {
                     let DurableBackend::Windowed(s) = &self.backend else {
                         return Err(ServiceError::NotWindowed);
                     };
-                    set_current_span(Some(records[i].0));
                     let sealed = s.seal_epoch()?;
                     if sealed != *epoch {
                         return Err(ServiceError::Range(ldp_ranges::RangeError::CorruptState(
@@ -864,27 +786,12 @@ where
                              — the logs have diverged",
                         )));
                     }
-                    let started = Instant::now();
-                    if let Err(e) = wal.writer.append(&WalRecord::Seal { epoch: *epoch }) {
-                        self.obs.wedged.set(1);
-                        return Err(e.into());
-                    }
-                    self.obs.append_ns.record_elapsed(started);
-                    self.trace_append(started);
-                    self.obs.wal_records.incr();
-                    wal.records_since_checkpoint += 1;
-                    self.notify_repl(&mut wal);
-                    i += 1;
+                    self.append_seal_locked(&mut wal, sealed)?;
                 }
                 WalRecord::Checkpoint { id } => {
-                    set_current_span(Some(records[i].0));
-                    if let Err(e) = wal.writer.append(&WalRecord::Checkpoint { id: *id }) {
-                        self.obs.wedged.set(1);
-                        return Err(e.into());
-                    }
+                    self.wedge_on_err(wal.writer.append(&WalRecord::Checkpoint { id: *id }))?;
                     self.obs.wal_records.incr();
                     self.notify_repl(&mut wal);
-                    i += 1;
                 }
             }
         }
@@ -896,6 +803,16 @@ where
         self.wal
             .lock()
             .map_err(|_| ServiceError::LockPoisoned("wal"))
+    }
+
+    /// Fail-stops (*wedges*) the service when a log write failed: state
+    /// may now be ahead of the log, or a partial record on disk, and
+    /// nothing may be written past either.
+    fn wedge_on_err<T>(&self, result: std::io::Result<T>) -> Result<T, ServiceError> {
+        result.map_err(|e| {
+            self.obs.wedged.set(1);
+            e.into()
+        })
     }
 
     /// Refuses mutating operations after a WAL append failure left
@@ -948,19 +865,10 @@ where
         // A failure *after* rotation (checkpoint file, truncation) does
         // not wedge: the log itself is intact and the previous
         // checkpoint still covers it.
-        if let Err(e) = wal.writer.append(&WalRecord::Checkpoint { id }) {
-            self.obs.wedged.set(1);
-            return Err(e.into());
-        }
+        self.wedge_on_err(wal.writer.append(&WalRecord::Checkpoint { id }))?;
         self.obs.wal_records.incr();
         self.notify_repl(wal);
-        let replay_from_seq = match wal.writer.rotate() {
-            Ok(seq) => seq,
-            Err(e) => {
-                self.obs.wedged.set(1);
-                return Err(e.into());
-            }
-        };
+        let replay_from_seq = self.wedge_on_err(wal.writer.rotate())?;
         checkpoint::write_checkpoint(
             &self.dir,
             &checkpoint::Checkpoint {
@@ -997,5 +905,118 @@ where
         self.obs.checkpoint_ns.record_elapsed(started);
         self.obs.checkpoints.incr();
         Ok(id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::EncodedStream;
+    use crate::storage::scratch_dir;
+    use ldp_freq_oracle::Epsilon;
+    use ldp_ranges::{HhClient, HhConfig, HhServer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn log_of(dir: &Path) -> Vec<WalRecord> {
+        wal::WalReader::open_start(dir)
+            .unwrap()
+            .next_batch(usize::MAX)
+            .unwrap()
+    }
+
+    /// A follower handed a mixed run — FRAMES, FRAMES, SEAL, FRAMES,
+    /// CHECKPOINT — in **one** `apply_replicated_batch` call ends with a
+    /// log equal to the leader's record for record and a bit-identical
+    /// snapshot.
+    #[test]
+    fn one_replicated_batch_of_mixed_records_mirrors_the_leader() {
+        let hh = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+        let client = HhClient::new(hh.clone()).unwrap();
+        let prototype = HhServer::new(hh).unwrap();
+        let config = DurableConfig {
+            num_shards: 3,
+            fsync: FsyncPolicy::Never,
+            retain_history: true,
+            ..DurableConfig::default()
+        };
+        let open = |tag: &str| {
+            let dir = scratch_dir(tag).unwrap();
+            let (service, _) =
+                DurableService::open_windowed(&dir, &prototype, 2, config.clone()).unwrap();
+            (dir, service)
+        };
+        let (leader_dir, leader) = open("repl-mixed-leader");
+        let (follower_dir, follower) = open("repl-mixed-follower");
+
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut batch = |epoch: Option<u64>| {
+            let mut stream = EncodedStream::new();
+            for i in 0..24 {
+                let report = client.report((i * 7) % 64, &mut rng).unwrap();
+                match epoch {
+                    Some(e) => stream.push_epoch(&report, e),
+                    None => stream.push(&report),
+                }
+            }
+            stream
+        };
+        let ingest = |version: u8, stream: EncodedStream| {
+            leader
+                .ingest_batch(version, stream.len() as u64, stream.as_bytes())
+                .unwrap();
+        };
+        ingest(crate::wire::VERSION, batch(None));
+        ingest(VERSION_EPOCH, batch(Some(0)));
+        assert_eq!(leader.seal_epoch().unwrap(), 0);
+        ingest(VERSION_EPOCH, batch(Some(1)));
+        leader.checkpoint().unwrap();
+        leader.sync().unwrap();
+
+        let leader_log = log_of(&leader_dir);
+        let kind = |r: &WalRecord| match r {
+            WalRecord::Frames { .. } => 'F',
+            WalRecord::Seal { .. } => 'S',
+            WalRecord::Checkpoint { .. } => 'C',
+        };
+        assert_eq!(leader_log.iter().map(kind).collect::<String>(), "FFSFC");
+        let run: Vec<(u64, WalRecord)> = (0u64..).zip(leader_log.iter().cloned()).collect();
+        follower.apply_replicated_batch(&run).unwrap();
+        follower.sync().unwrap();
+
+        assert_eq!(log_of(&follower_dir), leader_log);
+        let (ours, theirs) = (
+            follower.refresh_snapshot().unwrap(),
+            leader.refresh_snapshot().unwrap(),
+        );
+        assert_eq!(ours.num_reports(), theirs.num_reports());
+        let bits = |s: &RangeSnapshot| -> Vec<u64> {
+            let freqs = s.estimate().frequencies();
+            freqs.iter().map(|f| f.to_bits()).collect()
+        };
+        assert_eq!(bits(&ours), bits(&theirs));
+
+        // A stale tag mid-run stops the run at that record: the records
+        // before it are applied and logged, it and the rest are not.
+        let stale = WalRecord::Frames {
+            wire_version: VERSION_EPOCH,
+            count: 24,
+            frames: batch(Some(0)).as_bytes().to_vec(),
+        };
+        let good = run[3].1.clone();
+        let run = [(5, good.clone()), (6, stale), (7, good.clone())];
+        assert!(matches!(
+            follower.apply_replicated_batch(&run),
+            Err(ServiceError::BadFrame { index: 0, .. })
+        ));
+        follower.sync().unwrap();
+        let mut expected = leader_log;
+        expected.push(good);
+        assert_eq!(log_of(&follower_dir), expected);
+        assert_eq!(follower.num_reports(), 4 * 24);
+
+        drop((leader, follower));
+        std::fs::remove_dir_all(&leader_dir).unwrap();
+        std::fs::remove_dir_all(&follower_dir).unwrap();
     }
 }

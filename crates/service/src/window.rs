@@ -224,15 +224,19 @@ impl<S: SubtractableServer> EpochRing<S> {
         epoch: Option<u64>,
         report: &S::Report,
     ) -> Result<(), ServiceError> {
-        if let Some(tag) = epoch {
-            if tag != self.current_id {
-                return Err(ServiceError::EpochMismatch {
-                    frame: tag,
-                    current: self.current_id,
-                });
-            }
-        }
+        self.check_tag(epoch)?;
         self.absorb(report)
+    }
+
+    /// The tag rule: a tag, when present, must name the open epoch.
+    fn check_tag(&self, epoch: Option<u64>) -> Result<(), ServiceError> {
+        match epoch {
+            Some(tag) if tag != self.current_id => Err(ServiceError::EpochMismatch {
+                frame: tag,
+                current: self.current_id,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Closes the open epoch (even an empty one — idle periods are real
@@ -368,11 +372,11 @@ impl<S: SubtractableServer> EpochRing<S> {
 }
 
 // The ring is itself a mergeable accumulator, so the whole sharding and
-// service stack (`ShardedAggregator<EpochRing<S>>`,
-// `LdpService<EpochRing<S>>`) applies to windowed state unchanged.
-// Merging requires epoch-aligned rings — same window configuration, same
-// open epoch, same retained ids — which shard pools cloned from one
-// prototype and sealed in lockstep satisfy by construction.
+// service stack (`LdpService<EpochRing<S>>`) applies to windowed state
+// unchanged. Merging requires epoch-aligned rings — same window
+// configuration, same open epoch, same retained ids — which shard pools
+// cloned from one prototype and sealed in lockstep satisfy by
+// construction.
 impl<S: SubtractableServer> MergeableServer for EpochRing<S> {
     type Report = S::Report;
 
@@ -496,6 +500,19 @@ where
 }
 
 impl<S: SubtractableServer + SnapshotSource> SnapshotSource for EpochRing<S> {
+    /// The shard-side tagged absorb: [`EpochRing::absorb_tagged`]'s tag
+    /// check in front of the [`MergeableServer::absorb`] shards use, which
+    /// never auto-seals — so a batch cannot change a shard ring's layout
+    /// under its own rollback.
+    fn absorb_tagged(
+        &mut self,
+        epoch: Option<u64>,
+        report: &Self::Report,
+    ) -> Result<(), ServiceError> {
+        self.check_tag(epoch)?;
+        MergeableServer::absorb(self, report).map_err(Into::into)
+    }
+
     /// The live windowed estimate: every retained sealed epoch plus the
     /// open epoch. This is what `LdpService::refresh_snapshot` publishes
     /// for a windowed service — the trailing-window view, not the

@@ -511,10 +511,9 @@ pub fn decode_all<T: WireReport>(mut buf: &[u8]) -> Result<Vec<T>, WireError> {
 /// `count`) under a negotiated wire version, handing each decoded report
 /// — with its optional epoch tag — to `sink` as it is produced. Every
 /// frame is decoded straight from its borrowed subslice of `frames`, so
-/// a consumer that absorbs in place never materializes the batch: this
-/// is the zero-copy spine under both the network REPORT path and the
-/// collecting [`crate::storage`] decoder, which therefore reject hostile
-/// batches identically.
+/// a consumer that absorbs in place never materializes the batch. Its
+/// one absorbing caller is `service::absorb_frames`, so every backend
+/// rejects hostile batches identically.
 ///
 /// Returns the number of frames decoded (equal to `count` on success).
 ///

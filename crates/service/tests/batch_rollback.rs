@@ -4,8 +4,8 @@
 //! For all six mechanisms, plain and windowed: a batch that fails at an
 //! arbitrary frame `k` — truncated bytes, a well-formed report of the
 //! wrong shape, a stale or future epoch tag — through each of
-//! `submit_batch`, `submit_wire_batch`, `submit_epoch_batch`,
-//! `submit_epoch_wire_batch` and `DurableService::ingest_batch` must
+//! `submit_wire_batch`, its windowed alias `submit_epoch_wire_batch` and
+//! `DurableService::ingest_batch` must
 //!
 //! * report `BadFrame { index: k, .. }`,
 //! * leave the merged shard state's `persist_state` bytes identical,
@@ -236,6 +236,22 @@ where
     }
 }
 
+/// Seeds a good prefix: `reports` as one untagged wire batch.
+fn submit_good<S>(service: &LdpService<S>, reports: &[S::Report])
+where
+    S: SnapshotSource,
+    S::Report: WireReport,
+{
+    let mut stream = EncodedStream::new();
+    for r in reports {
+        stream.push(r);
+    }
+    let accepted = service
+        .submit_wire_batch(WIRE_V1, stream.len() as u64, stream.as_bytes())
+        .unwrap();
+    assert_eq!(accepted, reports.len() as u64);
+}
+
 /// Asserts a service is exactly as it was when `state`/`snap` were taken:
 /// same state bytes, and — the dirty counters untouched — a clean refresh.
 fn assert_untouched<S>(service: &LdpService<S>, state: &[u8], snap: &Arc<RangeSnapshot>, what: &str)
@@ -253,57 +269,47 @@ where
     );
 }
 
-/// Plain service, both shards: every fault through `submit_batch` and
-/// `submit_wire_batch`.
+/// Plain service, both shards: every fault through `submit_wire_batch`.
 fn check_plain<S>(mech: &Mech<S>, k: usize)
 where
     S: SnapshotSource + PersistableServer,
     S::Report: WireReport,
 {
     let service = LdpService::new(&mech.prototype, 2).unwrap();
-    service.set_delta_refresh(true);
-    service.submit_batch(&mech.good[..BATCH]).unwrap();
-    service.submit_batch(&mech.good[BATCH..]).unwrap();
+    submit_good(&service, &mech.good[..BATCH]);
+    submit_good(&service, &mech.good[BATCH..]);
     let snap = service.refresh_snapshot().unwrap();
     let state = state_bytes(&service.merged_state().unwrap());
 
     // Twice each, so the round-robin puts every fault on both shards.
     for round in 0..2 {
-        let what = format!("plain k={k} round={round}");
-        let decoded: Vec<_> = faulty_reports(mech, k, Fault::WrongShape, 0)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_bad_frame(service.submit_batch(&decoded), k, &what);
-        assert_untouched(&service, &state, &snap, &what);
         for fault in [Fault::WrongShape, Fault::Truncated] {
+            let what = format!("plain k={k} round={round} {fault:?}");
             let (count, frames) = faulty_frames(mech, k, fault, 0, WIRE_V1);
-            let what = format!("{what} {fault:?}");
             assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
             assert_untouched(&service, &state, &snap, &what);
         }
     }
     // The shards still take the clean batch afterwards.
-    service.submit_batch(&mech.good[..BATCH]).unwrap();
+    submit_good(&service, &mech.good[..BATCH]);
     assert_eq!(service.num_reports(), 3 * BATCH as u64);
 }
 
 /// Windowed service with sealed history and a part-filled open epoch:
-/// every fault through all four batch paths.
+/// every fault through the wire-batch path, untagged and tagged.
 fn check_windowed<S>(mech: &Mech<S>, k: usize)
 where
     S: SnapshotSource + SubtractableServer + PersistableServer,
     S::Report: WireReport,
 {
     let service = LdpService::<EpochRing<S>>::windowed(&mech.prototype, 2, WINDOW).unwrap();
-    service.set_delta_refresh(true);
     for epoch in 0..2 {
-        service.submit_batch(&mech.good[..BATCH]).unwrap();
-        service.submit_batch(&mech.good[BATCH..]).unwrap();
+        submit_good(&service, &mech.good[..BATCH]);
+        submit_good(&service, &mech.good[BATCH..]);
         assert_eq!(service.seal_epoch().unwrap(), epoch);
     }
-    service.submit_batch(&mech.good[..BATCH]).unwrap();
-    service.submit_batch(&mech.good[..BATCH / 2]).unwrap();
+    submit_good(&service, &mech.good[..BATCH]);
+    submit_good(&service, &mech.good[..BATCH / 2]);
     let open = service.current_epoch();
     let snap = service.refresh_snapshot().unwrap();
     let state = state_bytes(&service.merged_state().unwrap());
@@ -311,21 +317,11 @@ where
 
     for round in 0..2 {
         let what = format!("windowed k={k} round={round}");
-        // The untagged paths work on rings too.
-        let decoded: Vec<_> = faulty_reports(mech, k, Fault::WrongShape, open)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_bad_frame(service.submit_batch(&decoded), k, &what);
-        assert_untouched(&service, &state, &snap, &what);
-        let (count, frames) = faulty_frames(mech, k, Fault::Truncated, open, WIRE_V1);
-        assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
-        assert_untouched(&service, &state, &snap, &what);
-
-        for fault in [Fault::WrongShape, Fault::Tag(-1), Fault::Tag(1)] {
-            let what = format!("{what} {fault:?}");
-            let tagged = faulty_reports(mech, k, fault, open);
-            assert_bad_frame(service.submit_epoch_batch(&tagged), k, &what);
+        // Untagged (v1) batches work on rings too.
+        for fault in [Fault::WrongShape, Fault::Truncated] {
+            let what = format!("{what} v1 {fault:?}");
+            let (count, frames) = faulty_frames(mech, k, fault, open, WIRE_V1);
+            assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
             assert_untouched(&service, &state, &snap, &what);
         }
         for fault in [
@@ -343,6 +339,22 @@ where
             );
             assert_untouched(&service, &state, &snap, &what);
         }
+        // The one ingest path checks tags under its own name too: a stale
+        // tag at frame `k` of a v2 batch through `submit_wire_batch`
+        // rejects the batch on a windowed service.
+        let (count, frames) = faulty_frames(mech, k, Fault::Tag(-1), open, WIRE_EPOCH);
+        match service.submit_wire_batch(WIRE_EPOCH, count, &frames) {
+            Err(ServiceError::BadFrame { index, source, .. }) => {
+                assert_eq!(index, k, "{what}: stale tag index");
+                assert!(
+                    matches!(*source, ServiceError::EpochMismatch { frame, current }
+                        if frame + 1 == open && current == open),
+                    "{what}: stale tag source {source:?}"
+                );
+            }
+            other => panic!("{what}: expected a stale-tag BadFrame at {k}, got {other:?}"),
+        }
+        assert_untouched(&service, &state, &snap, &what);
     }
     assert_eq!(service.current_epoch(), open);
     assert_eq!(service.num_reports(), reports_before);

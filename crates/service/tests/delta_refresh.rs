@@ -217,56 +217,6 @@ proptest! {
     }
 }
 
-/// The runtime kill switch: with delta refresh off every refresh is a
-/// full rebuild (and stays exact); re-enabling resumes the delta path
-/// without ever delta-ing against the stale retained clones. Counters
-/// `service.refreshes_delta` / `service.refreshes_full` partition the
-/// refresh count between the two paths.
-#[test]
-fn kill_switch_forces_full_rebuilds_and_reenables_cleanly() {
-    let config = HhConfig::new(64, 4, Epsilon::from_exp(3.0)).unwrap();
-    let client = HhClient::new(config.clone()).unwrap();
-    let prototype = HhServer::new(config).unwrap();
-    let service = LdpService::new(&prototype, 4).unwrap();
-    let registry = MetricsRegistry::new();
-    assert!(service.attach_metrics(&registry));
-    let delta = registry.counter(names::SERVICE_REFRESHES_DELTA);
-    let full = registry.counter(names::SERVICE_REFRESHES_FULL);
-
-    let mut rng = StdRng::seed_from_u64(99);
-    let mut submit_some = |n: usize| {
-        for i in 0..n {
-            let r = client.report((i * 13) % 64, &mut rng).unwrap();
-            service.submit(&r).unwrap();
-        }
-    };
-
-    // First refresh is always a full rebuild; the second can delta.
-    submit_some(20);
-    assert_refresh_exact(&service);
-    submit_some(7);
-    assert_refresh_exact(&service);
-    assert_eq!((full.get(), delta.get()), (1, 1));
-
-    // Switch off: every refresh is a full rebuild, still exact.
-    service.set_delta_refresh(false);
-    assert!(!service.delta_refresh_enabled());
-    submit_some(5);
-    assert_refresh_exact(&service);
-    assert_refresh_exact(&service);
-    assert_eq!((full.get(), delta.get()), (3, 1));
-
-    // Every off-mode rebuild re-retains fresh clones (and their dirty
-    // counters), so nothing retained is ever stale: mutating while off
-    // and re-enabling deltas immediately — and stays exact.
-    submit_some(9);
-    service.set_delta_refresh(true);
-    assert!(service.delta_refresh_enabled());
-    assert_refresh_exact(&service);
-    assert_refresh_exact(&service);
-    assert_eq!((full.get(), delta.get()), (3, 3));
-}
-
 /// An epoch seal invalidates the retained accumulator: the refresh after
 /// a seal is a full rebuild (counter-visible), and subsequent refreshes
 /// delta again — all bit-exact, which the windowed proptests above pin.

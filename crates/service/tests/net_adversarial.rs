@@ -469,3 +469,80 @@ fn hostile_followers_cannot_wedge_the_leader() {
     drop(leader);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A REPORT sent *on* a replication stream: the stream guard answers it
+/// with the stream-session `BadState` error and closes — it never reaches
+/// the REPORT handler, so nothing is absorbed, logged, or counted as a
+/// rejected frame — and the leader keeps serving report sessions.
+#[test]
+fn report_on_a_replication_stream_is_refused_and_closes() {
+    use std::io::Read;
+    use std::time::Duration;
+
+    use ldp_service::storage::{scratch_dir, DurableConfig, DurableService, FsyncPolicy};
+
+    let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+    let client = HhClient::new(config.clone()).unwrap();
+    let prototype = HhServer::new(config).unwrap();
+    let dir = scratch_dir("repl-report-on-stream").unwrap();
+    let (leader, _) = DurableService::open(
+        &dir,
+        &prototype,
+        DurableConfig {
+            num_shards: 2,
+            fsync: FsyncPolicy::Always,
+            ..DurableConfig::default()
+        },
+    )
+    .unwrap();
+    let leader = Arc::new(leader);
+    let server =
+        LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&leader), NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut stream = EncodedStream::new();
+    for i in 0..8 {
+        stream.push(&client.report(i % 64, &mut rng).unwrap());
+    }
+    let mut session = LdpClient::connect(addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
+    assert_eq!(session.send_batch(8, stream.as_bytes()).unwrap(), 8);
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_message(&mut raw, &ClientMsg::Replicate { start: 0 }.encode()).unwrap();
+    let body = read_message(&mut raw).unwrap();
+    assert!(matches!(
+        ServerMsg::decode(&body).unwrap(),
+        ServerMsg::ReplOk {
+            start: 0,
+            leader_records: 1,
+        }
+    ));
+    let body = read_message(&mut raw).unwrap();
+    assert!(matches!(
+        ServerMsg::decode(&body).unwrap(),
+        ServerMsg::ReplRecord { position: 0, .. }
+    ));
+    // A perfectly well-formed batch the leader would ack on a report
+    // session.
+    let report = ClientMsg::Report(ReportBatch {
+        count: 8,
+        frames: stream.as_bytes().to_vec(),
+    });
+    write_message(&mut raw, &report.encode()).unwrap();
+    let e = read_error(&mut raw);
+    assert_eq!(e.code, ErrorCode::BadState);
+    assert!(e.detail.contains("replication stream"), "{}", e.detail);
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "stream stayed open after the refusal");
+
+    assert_eq!(leader.num_reports(), 8, "stream REPORT reached the shards");
+    assert_eq!(leader.status().unwrap().wal_records, 1);
+    assert_eq!(session.send_batch(8, stream.as_bytes()).unwrap(), 8);
+    session.bye().unwrap();
+    let stats = server.shutdown();
+    assert_eq!((stats.frames_absorbed, stats.frames_rejected), (16, 0));
+    drop(leader);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,12 +1,16 @@
-//! End-to-end service pipeline tests: encode → shard-ingest → merge →
-//! snapshot → query, checked against the single-threaded reference path.
+//! End-to-end service pipeline tests: encode → concurrent wire-batch
+//! ingest → merge → snapshot → query, checked against the
+//! single-threaded reference path.
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{
     FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
     HhConfig, HhServer, MergeableServer, RangeEstimate,
 };
-use ldp_service::{decode_all, generate_stream, LdpService, RangeSnapshot, ShardedAggregator};
+use ldp_service::wire::{WireReport, VERSION};
+use ldp_service::{
+    decode_all, generate_stream, EncodedStream, LdpService, ServiceError, SnapshotSource,
+};
 use ldp_workloads::{CauchyParams, DistributionKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +23,34 @@ fn cauchy_dataset(domain: usize, users: u64, seed: u64) -> ldp_workloads::Datase
         users,
         &mut rng,
     )
+}
+
+/// Feeds `stream` to `service` from 4 scoped threads, each streaming its
+/// contiguous quarter through `submit_wire_batch` in 256-frame batches —
+/// so which shard a report lands in depends on thread scheduling, and the
+/// merged state must not.
+fn ingest_from_four_threads<S>(service: &LdpService<S>, stream: &EncodedStream)
+where
+    S: SnapshotSource + Send,
+    S::Report: WireReport,
+{
+    let per_thread = stream.len().div_ceil(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            scope.spawn(move || {
+                let end = ((t + 1) * per_thread).min(stream.len());
+                let mut lo = t * per_thread;
+                while lo < end {
+                    let hi = (lo + 256).min(end);
+                    let accepted = service
+                        .submit_wire_batch(VERSION, (hi - lo) as u64, stream.frame_span(lo, hi))
+                        .unwrap();
+                    assert_eq!(accepted, (hi - lo) as u64);
+                    lo = hi;
+                }
+            });
+        }
+    });
 }
 
 /// The acceptance-criterion test: with a fixed seed, a 4-shard merged
@@ -42,10 +74,15 @@ fn four_shard_merge_equals_single_thread_exactly() {
         MergeableServer::absorb(&mut reference, &report).unwrap();
     }
 
-    // Service path: 4 shards decoding + absorbing in parallel.
-    let mut pool = ShardedAggregator::new(&prototype, 4).unwrap();
-    pool.ingest_encoded(&stream).unwrap();
-    let merged = pool.merged().unwrap();
+    // Service path: 4 threads streaming wire batches into 4 shards (a
+    // service needs at least one).
+    assert!(matches!(
+        LdpService::new(&prototype, 0),
+        Err(ServiceError::NoShards)
+    ));
+    let service = LdpService::new(&prototype, 4).unwrap();
+    ingest_from_four_threads(&service, &stream);
+    let merged = service.merged_state().unwrap();
 
     assert_eq!(reference.num_reports(), 30_000);
     assert_eq!(merged.num_reports(), 30_000);
@@ -91,9 +128,9 @@ fn sharded_pipeline_is_accurate_against_ground_truth() {
     let stream = generate_stream(&dataset, users, 904, |v, rng| {
         client.report(v, rng).unwrap()
     });
-    let mut pool = ShardedAggregator::new(&prototype, 4).unwrap();
-    pool.ingest_encoded(&stream).unwrap();
-    let snap = RangeSnapshot::freeze(&pool.merged().unwrap(), 1);
+    let service = LdpService::new(&prototype, 4).unwrap();
+    ingest_from_four_threads(&service, &stream);
+    let snap = service.refresh_snapshot().unwrap();
 
     assert_eq!(snap.num_reports(), users);
     for (a, b) in [(0, domain - 1), (32, 95), (0, 63), (100, 120)] {

@@ -2,16 +2,16 @@
 //! ingest → merge → snapshot → query.
 //!
 //! A synthetic population reports through the hierarchical-histogram
-//! mechanism; reports travel as wire frames, a sharded aggregator decodes
-//! and absorbs them in parallel, and a frozen snapshot serves range,
-//! prefix and quantile queries while ingestion could keep running.
+//! mechanism; reports travel as wire frames, concurrent submitters stream
+//! them in batches into the sharded service, and a frozen snapshot serves
+//! range, prefix and quantile queries while ingestion keeps running.
 //!
 //! ```text
 //! cargo run --release --example service_pipeline
 //! ```
 
 use ldp_range_queries::prelude::*;
-use ldp_range_queries::service::{LdpService, RangeSnapshot, ShardedAggregator};
+use ldp_range_queries::service::{wire, LdpService};
 use ldp_range_queries::workloads::DistributionKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,20 +45,39 @@ fn main() {
         stream.mean_frame_bytes(),
     );
 
-    // 2. A shard pool decodes + absorbs the stream in parallel, then
-    //    merges — exactly equal to single-threaded absorption.
-    let mut pool = ShardedAggregator::new(&prototype, shards).expect("shards > 0");
+    // 2. One submitter per shard streams its slice of the wire bytes
+    //    into the service in 256-frame batches, each absorbed in place and
+    //    all-or-nothing. Merging is exact, so the result equals
+    //    single-threaded absorption whichever shard a batch lands in.
+    let service = LdpService::new(&prototype, shards).expect("shards > 0");
     let started = std::time::Instant::now();
-    pool.ingest_encoded(&stream).expect("well-formed stream");
-    let merged = pool.merged().expect("merge");
+    let per_submitter = stream.len().div_ceil(shards);
+    std::thread::scope(|scope| {
+        for w in 0..shards {
+            let (service, stream) = (&service, &stream);
+            scope.spawn(move || {
+                let end = ((w + 1) * per_submitter).min(stream.len());
+                for lo in (w * per_submitter..end).step_by(256) {
+                    let hi = (lo + 256).min(end);
+                    service
+                        .submit_wire_batch(
+                            wire::VERSION,
+                            (hi - lo) as u64,
+                            stream.frame_span(lo, hi),
+                        )
+                        .expect("well-formed batch");
+                }
+            });
+        }
+    });
     println!(
         "ingested across {shards} shards in {:.2?} ({:.0} reports/sec)",
         started.elapsed(),
         stream.len() as f64 / started.elapsed().as_secs_f64(),
     );
 
-    // 3. Freeze a snapshot and answer queries against ground truth.
-    let snap = RangeSnapshot::freeze(&merged, 1);
+    // 3. Publish a snapshot and answer queries against ground truth.
+    let snap = service.refresh_snapshot().expect("refresh");
     println!(
         "\n{:>22}  {:>10}  {:>10}  {:>8}",
         "query", "estimate", "truth", "error"
@@ -82,9 +101,8 @@ fn main() {
         );
     }
 
-    // 4. The same machinery behind the live service front: concurrent
-    //    submitters + snapshot refresh.
-    let service = LdpService::new(&prototype, shards).expect("shards > 0");
+    // 4. The service stays live: single reports keep arriving from
+    //    concurrent clients, and the next refresh folds them in.
     std::thread::scope(|scope| {
         for w in 0..shards {
             let service = &service;
