@@ -26,6 +26,7 @@ use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::haar::{coefficient_of, HaarEstimate};
+use crate::mergeable::subtract_levels;
 
 /// One user's `HaarOUE` report: sampled depth plus the perturbed unsigned
 /// `2M`-cell vector.
@@ -146,8 +147,10 @@ impl HaarOueServer {
     }
 
     /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HaarOueServer::merge`]. Staged against a copy so
-    /// an underflow at any level leaves this server untouched.
+    /// exact inverse of [`HaarOueServer::merge`]. Subtracts in place,
+    /// level by level; an underflow at any level re-merges the levels
+    /// already subtracted, so a refused subtraction leaves this server
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -157,12 +160,7 @@ impl HaarOueServer {
         if other.config.domain != self.config.domain {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let mut staged = self.levels.clone();
-        for (a, b) in staged.iter_mut().zip(&other.levels) {
-            a.subtract(b)?;
-        }
-        self.levels = staged;
-        Ok(())
+        subtract_levels(&mut self.levels, &other.levels, Oue::subtract, Oue::merge)
     }
 
     /// Accumulates one user report.
@@ -171,10 +169,21 @@ impl HaarOueServer {
     ///
     /// Rejects out-of-range depths.
     pub fn absorb(&mut self, report: &HaarOueReport) -> Result<(), RangeError> {
+        Ok(self.level_of(report)?.absorb(&report.inner)?)
+    }
+
+    /// [`HaarOueServer::absorb`], leaving the report pending in its level
+    /// oracle (`MergeableServer::absorb_deferred`).
+    pub(crate) fn absorb_deferred(&mut self, report: &HaarOueReport) -> Result<(), RangeError> {
+        Ok(self.level_of(report)?.absorb_deferred(&report.inner)?)
+    }
+
+    /// The level oracle a report's depth names.
+    fn level_of(&mut self, report: &HaarOueReport) -> Result<&mut Oue, RangeError> {
         if report.depth >= self.config.height {
             return Err(RangeError::ReportShapeMismatch);
         }
-        Ok(self.levels[report.depth as usize].absorb(&report.inner)?)
+        Ok(&mut self.levels[report.depth as usize])
     }
 
     /// Absorbs a whole cohort (population-scale simulation; OUE noise is

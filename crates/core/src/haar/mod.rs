@@ -29,6 +29,7 @@ use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::estimate::{FrequencyEstimate, RangeEstimate};
+use crate::mergeable::subtract_levels;
 
 /// One user's `HaarHRR` report: the sampled detail level (as a node depth)
 /// and the HRR-perturbed coefficient.
@@ -168,8 +169,10 @@ impl HaarHrrServer {
     }
 
     /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HaarHrrServer::merge`]. Staged against a copy so
-    /// an underflow at any level leaves this server untouched.
+    /// exact inverse of [`HaarHrrServer::merge`]. Subtracts in place,
+    /// level by level; an underflow at any level re-merges the levels
+    /// already subtracted, so a refused subtraction leaves this server
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -179,12 +182,7 @@ impl HaarHrrServer {
         if other.config.domain != self.config.domain {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let mut staged = self.levels.clone();
-        for (a, b) in staged.iter_mut().zip(&other.levels) {
-            a.subtract(b)?;
-        }
-        self.levels = staged;
-        Ok(())
+        subtract_levels(&mut self.levels, &other.levels, Hrr::subtract, Hrr::merge)
     }
 
     /// Accumulates one user report at its sampled level.

@@ -26,6 +26,7 @@ use crate::binomial_support::{scatter_item_over_levels, scatter_item_over_weight
 use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::estimate::{FrequencyEstimate, RangeEstimate};
+use crate::mergeable::subtract_levels;
 
 /// Validates and normalizes per-level sampling weights (length `h`, all
 /// positive).
@@ -241,8 +242,9 @@ impl HhServer {
     }
 
     /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HhServer::merge`]. Staged against a copy so an
-    /// underflow at any level leaves this server untouched.
+    /// exact inverse of [`HhServer::merge`]. Subtracts in place, level by
+    /// level; an underflow at any level re-merges the levels already
+    /// subtracted, so a refused subtraction leaves this server untouched.
     ///
     /// # Errors
     ///
@@ -252,12 +254,12 @@ impl HhServer {
         if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let mut staged = self.levels.clone();
-        for (a, b) in staged.iter_mut().zip(&other.levels) {
-            a.subtract(b)?;
-        }
-        self.levels = staged;
-        Ok(())
+        subtract_levels(
+            &mut self.levels,
+            &other.levels,
+            AnyOracle::subtract,
+            AnyOracle::merge,
+        )
     }
 
     /// Accumulates one user report at its sampled level.
@@ -266,10 +268,21 @@ impl HhServer {
     ///
     /// Rejects reports whose depth or inner shape does not match.
     pub fn absorb(&mut self, report: &HhReport) -> Result<(), RangeError> {
+        Ok(self.level_of(report)?.absorb(&report.inner)?)
+    }
+
+    /// [`HhServer::absorb`], leaving the report pending in its level
+    /// oracle (`MergeableServer::absorb_deferred`).
+    pub(crate) fn absorb_deferred(&mut self, report: &HhReport) -> Result<(), RangeError> {
+        Ok(self.level_of(report)?.absorb_deferred(&report.inner)?)
+    }
+
+    /// The level oracle a report's depth names.
+    fn level_of(&mut self, report: &HhReport) -> Result<&mut AnyOracle, RangeError> {
         if report.depth == 0 || report.depth > self.config.height {
             return Err(RangeError::ReportShapeMismatch);
         }
-        Ok(self.levels[report.depth as usize - 1].absorb(&report.inner)?)
+        Ok(&mut self.levels[report.depth as usize - 1])
     }
 
     /// Absorbs a whole cohort from its true histogram: every user samples

@@ -17,12 +17,13 @@
 
 use rand::RngCore;
 
-use ldp_freq_oracle::{AnyOracle, AnyReport, PointOracle};
+use ldp_freq_oracle::{AnyOracle, AnyReport, OracleError, PointOracle};
 use ldp_transforms::{CompleteTree, FlatTree};
 
 use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::hh::{consistency, HhEstimate};
+use crate::mergeable::subtract_levels;
 
 /// One user's split-budget report: a perturbed node vector for *every*
 /// level of the tree.
@@ -163,8 +164,10 @@ impl HhSplitServer {
     }
 
     /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HhSplitServer::merge`]. Staged against a copy so
-    /// an underflow at any level leaves this server untouched.
+    /// exact inverse of [`HhSplitServer::merge`]. Subtracts in place,
+    /// level by level; an underflow at any level re-merges the levels
+    /// already subtracted, so a refused subtraction leaves this server
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -174,12 +177,12 @@ impl HhSplitServer {
         if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let mut staged = self.levels.clone();
-        for (a, b) in staged.iter_mut().zip(&other.levels) {
-            a.subtract(b)?;
-        }
-        self.levels = staged;
-        Ok(())
+        subtract_levels(
+            &mut self.levels,
+            &other.levels,
+            AnyOracle::subtract,
+            AnyOracle::merge,
+        )
     }
 
     /// Accumulates one user's multi-level report.
@@ -192,6 +195,21 @@ impl HhSplitServer {
     /// (a report counted at some levels but not others would corrupt the
     /// per-level normalization and break exact shard merging).
     pub fn absorb(&mut self, report: &HhSplitReport) -> Result<(), RangeError> {
+        self.absorb_layers(report, AnyOracle::absorb)
+    }
+
+    /// [`HhSplitServer::absorb`], leaving the layers pending in their
+    /// level oracles (`MergeableServer::absorb_deferred`).
+    pub(crate) fn absorb_deferred(&mut self, report: &HhSplitReport) -> Result<(), RangeError> {
+        self.absorb_layers(report, AnyOracle::absorb_deferred)
+    }
+
+    /// Validates every layer, then feeds each to its level oracle.
+    fn absorb_layers(
+        &mut self,
+        report: &HhSplitReport,
+        absorb: fn(&mut AnyOracle, &AnyReport) -> Result<(), OracleError>,
+    ) -> Result<(), RangeError> {
         if report.layers.len() != self.config.height as usize {
             return Err(RangeError::ReportShapeMismatch);
         }
@@ -199,7 +217,7 @@ impl HhSplitServer {
             oracle.validate(layer)?;
         }
         for (oracle, layer) in self.levels.iter_mut().zip(&report.layers) {
-            oracle.absorb(layer)?;
+            absorb(oracle, layer)?;
         }
         Ok(())
     }

@@ -23,7 +23,7 @@ use crate::haar::{HaarHrrReport, HaarHrrServer};
 use crate::hh::split::{HhSplitReport, HhSplitServer};
 use crate::hh::{HhReport, HhServer};
 use crate::multidim::{Hh2dReport, Hh2dServer};
-use ldp_freq_oracle::AnyReport;
+use ldp_freq_oracle::{AnyReport, OracleError, PointOracle};
 
 /// An aggregator whose state from disjoint user cohorts can be combined
 /// exactly.
@@ -52,6 +52,32 @@ pub trait MergeableServer: Clone + Send {
     ///
     /// Rejects reports whose shape does not match this server.
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError>;
+
+    /// Accumulates one user report like [`MergeableServer::absorb`] —
+    /// validated identically, and a rejected report mutates nothing — but
+    /// its contribution may stay pending in the oracles
+    /// ([`PointOracle::absorb_deferred`]) until
+    /// [`MergeableServer::settle`]. A pending report counts in
+    /// [`MergeableServer::num_reports`] at once; every other reader of the
+    /// state (`merge`, `subtract`, estimates, persistence) requires settled
+    /// state, and debug builds assert it. Whoever absorbs deferred owns the
+    /// settle: a batch absorbs each report deferred and settles once at its
+    /// end, before anyone else can see the server.
+    ///
+    /// The default is [`MergeableServer::absorb`]: nothing is ever pending.
+    ///
+    /// # Errors
+    ///
+    /// As [`MergeableServer::absorb`].
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        self.absorb(report)
+    }
+
+    /// Folds every pending report into the state, leaving it exactly as
+    /// absorbing each report with [`MergeableServer::absorb`] would.
+    /// Idempotent; the default, for servers whose oracles never defer,
+    /// does nothing.
+    fn settle(&mut self) {}
 
     /// Adds another shard's accumulated state into this one.
     ///
@@ -97,11 +123,45 @@ pub trait SubtractableServer: MergeableServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError>;
 }
 
+/// Subtracts `theirs` from `mine` level by level, in place and
+/// all-or-nothing. Each oracle's `subtract` checks before it mutates, so
+/// when level `k` refuses, re-merging levels `..k` — the exact inverse of
+/// what was just subtracted, in integer sufficient statistics — restores
+/// every level bit for bit, without staging a copy of the state.
+pub(crate) fn subtract_levels<O>(
+    mine: &mut [O],
+    theirs: &[O],
+    subtract: fn(&mut O, &O) -> Result<(), OracleError>,
+    merge: fn(&mut O, &O) -> Result<(), OracleError>,
+) -> Result<(), RangeError> {
+    for k in 0..mine.len().min(theirs.len()) {
+        if let Err(refused) = subtract(&mut mine[k], &theirs[k]) {
+            for (a, b) in mine[..k].iter_mut().zip(theirs) {
+                merge(a, b)?;
+            }
+            return Err(refused.into());
+        }
+    }
+    Ok(())
+}
+
+fn settle_all<O: PointOracle>(oracles: &mut [O]) {
+    oracles.iter_mut().for_each(PointOracle::settle);
+}
+
 impl MergeableServer for FlatServer {
     type Report = AnyReport;
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         FlatServer::absorb(self, report)
+    }
+
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        Ok(self.oracle_mut().absorb_deferred(report)?)
+    }
+
+    fn settle(&mut self) {
+        self.oracle_mut().settle();
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -120,6 +180,14 @@ impl MergeableServer for HhServer {
         HhServer::absorb(self, report)
     }
 
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HhServer::absorb_deferred(self, report)
+    }
+
+    fn settle(&mut self) {
+        settle_all(self.oracles_mut());
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         HhServer::merge(self, other)
     }
@@ -134,6 +202,14 @@ impl MergeableServer for HhSplitServer {
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         HhSplitServer::absorb(self, report)
+    }
+
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HhSplitServer::absorb_deferred(self, report)
+    }
+
+    fn settle(&mut self) {
+        settle_all(self.oracles_mut());
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -168,6 +244,14 @@ impl MergeableServer for HaarOueServer {
         HaarOueServer::absorb(self, report)
     }
 
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HaarOueServer::absorb_deferred(self, report)
+    }
+
+    fn settle(&mut self) {
+        settle_all(self.oracles_mut());
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         HaarOueServer::merge(self, other)
     }
@@ -182,6 +266,14 @@ impl MergeableServer for Hh2dServer {
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         Hh2dServer::absorb(self, report)
+    }
+
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        Hh2dServer::absorb_deferred(self, report)
+    }
+
+    fn settle(&mut self) {
+        settle_all(self.oracles_mut());
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -235,8 +327,12 @@ mod tests {
     use crate::config::{FlatConfig, HaarConfig, HhConfig};
     use crate::estimate::RangeEstimate;
     use crate::flat::FlatClient;
+    use crate::haar::calibration::HaarOueClient;
     use crate::haar::HaarHrrClient;
+    use crate::hh::split::HhSplitClient;
     use crate::hh::HhClient;
+    use crate::multidim::{Hh2dClient, Hh2dConfig};
+    use crate::persist::PersistableServer;
     use ldp_freq_oracle::Epsilon;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -394,6 +490,106 @@ mod tests {
             &reports,
             |s: &HaarHrrServer| s.estimate().to_frequency_estimate().cdf(),
         );
+    }
+
+    /// A subtrahend equal to `server` on every level but the last, where
+    /// it holds one report more: the in-place subtraction runs through
+    /// every earlier level before it refuses, and must leave them all
+    /// exactly as they were.
+    fn assert_last_level_underflow_restores<S>(server: &S, bump_last: impl FnOnce(&mut S))
+    where
+        S: SubtractableServer + PersistableServer,
+    {
+        let bytes = |s: &S| {
+            let mut out = Vec::new();
+            s.persist_state(&mut out);
+            out
+        };
+        let mut other = server.clone();
+        bump_last(&mut other);
+        let mut refused = server.clone();
+        assert_eq!(
+            refused.subtract(&other),
+            Err(RangeError::Oracle(OracleError::SubtractUnderflow))
+        );
+        assert_eq!(bytes(&refused), bytes(server), "refused subtract mutated");
+        assert_eq!(refused.num_reports(), server.num_reports());
+    }
+
+    /// Absorbs one fresh report into the last of `oracles`.
+    fn bump_last<O: PointOracle>(oracles: &mut [O], rng: &mut StdRng) {
+        let last = oracles.last_mut().unwrap();
+        let report = last.encode(0, rng).unwrap();
+        last.absorb(&report).unwrap();
+    }
+
+    #[test]
+    fn hh_last_level_underflow_leaves_state() {
+        let mut rng = StdRng::seed_from_u64(321);
+        let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+        let client = HhClient::new(config.clone()).unwrap();
+        let mut server = HhServer::new(config).unwrap();
+        for i in 0..300 {
+            server
+                .absorb(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+    }
+
+    #[test]
+    fn hh_split_last_level_underflow_leaves_state() {
+        let mut rng = StdRng::seed_from_u64(322);
+        let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+        let client = HhSplitClient::new(config.clone()).unwrap();
+        let mut server = HhSplitServer::new(config).unwrap();
+        for i in 0..100 {
+            server
+                .absorb(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+    }
+
+    #[test]
+    fn haar_hrr_last_level_underflow_leaves_state() {
+        let mut rng = StdRng::seed_from_u64(323);
+        let config = HaarConfig::new(64, Epsilon::new(1.1)).unwrap();
+        let client = HaarHrrClient::new(config.clone()).unwrap();
+        let mut server = HaarHrrServer::new(config).unwrap();
+        for i in 0..300 {
+            server
+                .absorb(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+    }
+
+    #[test]
+    fn haar_oue_last_level_underflow_leaves_state() {
+        let mut rng = StdRng::seed_from_u64(324);
+        let config = HaarConfig::new(64, Epsilon::new(1.1)).unwrap();
+        let client = HaarOueClient::new(config.clone()).unwrap();
+        let mut server = HaarOueServer::new(config).unwrap();
+        for i in 0..300 {
+            server
+                .absorb(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+    }
+
+    #[test]
+    fn hh2d_last_grid_underflow_leaves_state() {
+        let mut rng = StdRng::seed_from_u64(325);
+        let config = Hh2dConfig::new(16, 2, Epsilon::new(1.1)).unwrap();
+        let client = Hh2dClient::new(config.clone()).unwrap();
+        let mut server = Hh2dServer::new(config).unwrap();
+        for i in 0..600 {
+            let report = client.report(i % 16, (i * 7) % 16, &mut rng).unwrap();
+            server.absorb(&report).unwrap();
+        }
+        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
     }
 
     #[test]

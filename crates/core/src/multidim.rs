@@ -22,6 +22,7 @@ use ldp_transforms::{decompose_range, CompleteTree};
 
 use crate::binomial_support::scatter_item_over_levels;
 use crate::error::RangeError;
+use crate::mergeable::subtract_levels;
 
 /// Configuration of the 2-D hierarchical mechanism over `[side]²`.
 #[derive(Debug, Clone)]
@@ -249,8 +250,9 @@ impl Hh2dServer {
     }
 
     /// Removes a previously merged shard's per-grid accumulators — the
-    /// exact inverse of [`Hh2dServer::merge`]. Staged against a copy so an
-    /// underflow at any grid leaves this server untouched.
+    /// exact inverse of [`Hh2dServer::merge`]. Subtracts in place, grid by
+    /// grid; an underflow at any grid re-merges the grids already
+    /// subtracted, so a refused subtraction leaves this server untouched.
     ///
     /// # Errors
     ///
@@ -260,12 +262,12 @@ impl Hh2dServer {
         if other.config.side != self.config.side || other.config.fanout != self.config.fanout {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let mut staged = self.grids.clone();
-        for (a, b) in staged.iter_mut().zip(&other.grids) {
-            a.subtract(b)?;
-        }
-        self.grids = staged;
-        Ok(())
+        subtract_levels(
+            &mut self.grids,
+            &other.grids,
+            AnyOracle::subtract,
+            AnyOracle::merge,
+        )
     }
 
     /// Accumulates one report.
@@ -274,14 +276,24 @@ impl Hh2dServer {
     ///
     /// Rejects mismatched depth pairs.
     pub fn absorb(&mut self, report: &Hh2dReport) -> Result<(), RangeError> {
+        Ok(self.grid_of(report)?.absorb(&report.inner)?)
+    }
+
+    /// [`Hh2dServer::absorb`], leaving the report pending in its grid
+    /// oracle (`MergeableServer::absorb_deferred`).
+    pub(crate) fn absorb_deferred(&mut self, report: &Hh2dReport) -> Result<(), RangeError> {
+        Ok(self.grid_of(report)?.absorb_deferred(&report.inner)?)
+    }
+
+    /// The grid oracle a report's depth pair names.
+    fn grid_of(&mut self, report: &Hh2dReport) -> Result<&mut AnyOracle, RangeError> {
         if report.dx > self.config.height
             || report.dy > self.config.height
             || (report.dx, report.dy) == (0, 0)
         {
             return Err(RangeError::ReportShapeMismatch);
         }
-        let idx = self.config.pair_index(report.dx, report.dy);
-        Ok(self.grids[idx].absorb(&report.inner)?)
+        Ok(&mut self.grids[self.config.pair_index(report.dx, report.dy)])
     }
 
     /// Absorbs a cohort from its true 2-D histogram, flattened row-major

@@ -24,6 +24,17 @@ pub enum OracleError {
         /// Domain the server expects.
         server: usize,
     },
+    /// Merged or subtracted state was built under a different privacy
+    /// budget than this accumulator. The shapes agree — ε does not change
+    /// a report's shape — but the unbiasing constants derive from ε, so
+    /// combining the two would bias every estimate. Both budgets are
+    /// carried as `f64::to_bits`, which keeps the error `Eq`.
+    EpsilonMismatch {
+        /// ε of the state being merged or subtracted, as `f64` bits.
+        other: u64,
+        /// ε of this accumulator, as `f64` bits.
+        server: u64,
+    },
     /// A subtraction would drive an accumulator negative — the subtrahend
     /// was never merged into this state, so removing it is meaningless.
     SubtractUnderflow,
@@ -49,6 +60,12 @@ impl fmt::Display for OracleError {
                     "report encoded for domain {report}, server expects {server}"
                 )
             }
+            Self::EpsilonMismatch { other, server } => write!(
+                f,
+                "state built for epsilon {}, accumulator holds epsilon {}",
+                f64::from_bits(*other),
+                f64::from_bits(*server)
+            ),
             Self::SubtractUnderflow => {
                 write!(f, "subtrahend state was never merged into this accumulator")
             }
@@ -81,6 +98,12 @@ mod tests {
             server: 8,
         };
         assert!(e.to_string().contains("4"));
+        let e = OracleError::EpsilonMismatch {
+            other: 2.5f64.to_bits(),
+            server: 1.25f64.to_bits(),
+        };
+        assert!(e.to_string().contains("epsilon 2.5"));
+        assert!(e.to_string().contains("epsilon 1.25"));
         assert!(OracleError::SubtractUnderflow
             .to_string()
             .contains("never merged"));

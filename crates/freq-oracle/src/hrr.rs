@@ -19,7 +19,7 @@ use rand::{Rng, RngCore};
 use ldp_transforms::{fwht, hadamard_entry};
 
 use crate::binomial::{sample_binomial, sample_uniform_multinomial};
-use crate::oracle::PointOracle;
+use crate::oracle::{ensure_same_config, PointOracle};
 use crate::params::binary_rr_keep_prob;
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, OracleError};
@@ -139,14 +139,10 @@ impl Hrr {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch.
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
+        ensure_same_config(self, other)?;
         for (a, b) in self.sums.iter_mut().zip(&other.sums) {
             *a += b;
         }
@@ -161,16 +157,12 @@ impl Hrr {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch,
+    /// [`OracleError::EpsilonMismatch`] on a different ε, and
     /// [`OracleError::SubtractUnderflow`] when `other` reflects more
     /// reports than this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
+        ensure_same_config(self, other)?;
         if self.reports < other.reports {
             return Err(OracleError::SubtractUnderflow);
         }

@@ -8,14 +8,18 @@
 //!
 //! | Mechanism | Module | Communication | Aggregation | Variance |
 //! |-----------|--------|---------------|-------------|----------|
-//! | Optimized Unary Encoding | [`oue`] | `D` bits | `O(N·D)` bits, trivially parallel | `4e^ε/(N(e^ε−1)²)` |
-//! | Optimal Local Hashing | [`olh`]| `O(log D)` bits | `O(N·D)` hash evals (slow) | same |
+//! | Optimized Unary Encoding | [`oue`] | `D` bits | `O(N·D)` bits, trivially parallel; a batch ripples into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
+//! | Optimal Local Hashing | [`olh`]| `O(log D)` bits | `O(N·D)` incremental hash steps (slow) | same |
 //! | Hadamard Randomized Response | [`hrr`] | `log2 D + 1` bits | `O(N + D log D)` | same |
 //!
 //! Supporting modules: [`grr`] (k-ary randomized response, used inside
 //! OLH), [`hash`] (a universal hash family), [`binomial`] (population-scale
 //! samplers powering the paper's statistically-equivalent simulations) and
-//! [`variance`] (the shared theoretical `VF`).
+//! [`variance`] (the shared theoretical `VF`). OUE and its symmetric
+//! baseline [`sue`] share one private accumulator: a batch of reports
+//! ([`PointOracle::absorb_deferred`]) adds into bit-sliced counters, word
+//! by word, and [`PointOracle::settle`] spills them into the per-item
+//! counts once per batch.
 //!
 //! # Example
 //!
@@ -46,6 +50,7 @@ pub mod oracle;
 pub mod oue;
 pub mod params;
 pub mod sue;
+mod unary;
 pub mod variance;
 
 pub use error::OracleError;
@@ -111,7 +116,7 @@ impl AnyOracle {
     /// # Errors
     ///
     /// Returns [`OracleError::ReportDomainMismatch`] when kinds or shapes
-    /// differ.
+    /// differ and [`OracleError::EpsilonMismatch`] when only ε does.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
         match (self, other) {
             (Self::Oue(a), Self::Oue(b)) => a.merge(b),
@@ -133,8 +138,9 @@ impl AnyOracle {
     /// # Errors
     ///
     /// Returns [`OracleError::ReportDomainMismatch`] when kinds or shapes
-    /// differ and [`OracleError::SubtractUnderflow`] when `other` was
-    /// never merged into this state.
+    /// differ, [`OracleError::EpsilonMismatch`] when only ε does, and
+    /// [`OracleError::SubtractUnderflow`] when `other` was never merged
+    /// into this state.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
         match (self, other) {
             (Self::Oue(a), Self::Oue(b)) => a.subtract(b),
@@ -232,6 +238,23 @@ impl PointOracle for AnyOracle {
         }
     }
 
+    /// Deferred for the unary encodings; OLH and HRR absorb at once.
+    fn absorb_deferred(&mut self, report: &AnyReport) -> Result<(), OracleError> {
+        match (self, report) {
+            (Self::Oue(o), AnyReport::Oue(r)) => o.absorb_deferred(r),
+            (Self::Sue(o), AnyReport::Sue(r)) => o.absorb_deferred(r),
+            (s, r) => s.absorb(r),
+        }
+    }
+
+    fn settle(&mut self) {
+        match self {
+            Self::Oue(o) => o.settle(),
+            Self::Sue(o) => o.settle(),
+            Self::Olh(_) | Self::Hrr(_) => {}
+        }
+    }
+
     fn absorb_population(
         &mut self,
         true_counts: &[u64],
@@ -309,6 +332,37 @@ mod tests {
         let mut hrr = AnyOracle::new(FrequencyOracle::Hrr, 8, eps).unwrap();
         let r = oue.encode(0, &mut rng).unwrap();
         assert!(hrr.absorb(&r).is_err());
+    }
+
+    /// Same shape, different ε: merge and subtract name the budgets, not
+    /// two equal domains, and leave the accumulator untouched.
+    #[test]
+    fn epsilon_mismatch_is_reported_as_such() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let (low, high) = (Epsilon::from_exp(3.0), Epsilon::from_exp(9.0));
+        for kind in [
+            FrequencyOracle::Oue,
+            FrequencyOracle::Olh,
+            FrequencyOracle::Hrr,
+            FrequencyOracle::Sue,
+        ] {
+            let other = AnyOracle::new(kind, 16, low).unwrap();
+            let mut server = AnyOracle::new(kind, 16, high).unwrap();
+            for v in 0..40 {
+                let r = server.encode(v % 16, &mut rng).unwrap();
+                server.absorb(&r).unwrap();
+            }
+            let before: Vec<u64> = server.estimate().iter().map(|x| x.to_bits()).collect();
+            let expected = OracleError::EpsilonMismatch {
+                other: low.value().to_bits(),
+                server: high.value().to_bits(),
+            };
+            assert_eq!(server.merge(&other), Err(expected.clone()), "{kind}");
+            assert_eq!(server.subtract(&other), Err(expected), "{kind}");
+            let after: Vec<u64> = server.estimate().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(before, after, "{kind}: state changed");
+            assert_eq!(server.num_reports(), 40, "{kind}");
+        }
     }
 
     #[test]

@@ -13,11 +13,31 @@
 use rand::RngCore;
 
 use crate::grr::Grr;
-use crate::hash::UniversalHash;
-use crate::oracle::PointOracle;
+use crate::hash::{UniversalHash, MERSENNE_P};
+use crate::oracle::{ensure_same_config, PointOracle};
 use crate::params::olh_hash_range;
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, OracleError};
+
+/// Counts one report's support: `support[j] += 1` for every item `j` with
+/// `H(j) = y`. This O(D) scan per report is the decode cost the paper
+/// highlights as OLH's drawback, so it walks the hash incrementally:
+/// `a·(j+1) + b ≡ (a·j + b) + a (mod P)`, and with `a, b < P` the running
+/// residue stays below `P`, so one conditional subtraction replaces
+/// [`UniversalHash::eval`]'s 128-bit remainder — the same residues, hence
+/// the same support, bit for bit.
+fn add_support(support: &mut [u64], hash: UniversalHash, y: usize) {
+    let (a, b) = hash.parts();
+    let (g, y) = (hash.range() as u64, y as u64);
+    let mut v = b;
+    for s in support {
+        *s += u64::from(v % g == y);
+        v += a;
+        if v >= MERSENNE_P {
+            v -= MERSENNE_P;
+        }
+    }
+}
 
 /// One user's OLH report: her sampled hash function and perturbed hash
 /// value — `O(log D)` bits in practice.
@@ -128,14 +148,10 @@ impl Olh {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch.
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
+        ensure_same_config(self, other)?;
         for (a, b) in self.support.iter_mut().zip(&other.support) {
             *a += b;
         }
@@ -148,16 +164,12 @@ impl Olh {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch,
+    /// [`OracleError::EpsilonMismatch`] on a different ε, and
     /// [`OracleError::SubtractUnderflow`] if `other` was never merged into
     /// this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
+        ensure_same_config(self, other)?;
         if self.reports < other.reports
             || self.support.iter().zip(&other.support).any(|(a, b)| a < b)
         {
@@ -204,13 +216,7 @@ impl PointOracle for Olh {
                 server: self.g,
             });
         }
-        // The O(D) support scan per report: this is the decode cost the
-        // paper highlights as OLH's drawback.
-        for (j, s) in self.support.iter_mut().enumerate() {
-            if report.hash.eval(j) == report.value {
-                *s += 1;
-            }
-        }
+        add_support(&mut self.support, report.hash, report.value);
         self.reports += 1;
         Ok(())
     }
@@ -267,6 +273,35 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The incremental walk ≡ the `eval` loop it replaced, bit for bit,
+    /// for every reported value: random coefficients and ranges, plus the
+    /// extremes where the running residue wraps on every step or lands
+    /// exactly on `P`.
+    #[test]
+    fn incremental_walk_matches_eval() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(35);
+        let top = MERSENNE_P - 1;
+        for domain in [1, 2, 63, 1_000, 4_096] {
+            let mut hashes: Vec<UniversalHash> = (0..24)
+                .map(|_| UniversalHash::sample(rng.random_range(2..40), &mut rng))
+                .collect();
+            hashes.extend(
+                [(1, 0), (top, top), (top, 0), (1, top)]
+                    .map(|(a, b)| UniversalHash::from_parts(a, b, rng.random_range(2..40))),
+            );
+            for hash in hashes {
+                for y in 0..hash.range() {
+                    let mut walked = vec![0u64; domain];
+                    add_support(&mut walked, hash, y);
+                    let evaluated: Vec<u64> =
+                        (0..domain).map(|j| u64::from(hash.eval(j) == y)).collect();
+                    assert_eq!(walked, evaluated, "D={domain} {hash:?} y={y}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn hash_range_follows_epsilon() {

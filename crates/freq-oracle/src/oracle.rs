@@ -46,6 +46,31 @@ pub trait PointOracle {
     /// does not match this oracle's domain.
     fn absorb(&mut self, report: &Self::Report) -> Result<(), OracleError>;
 
+    /// Accumulates one report like [`PointOracle::absorb`] — validated
+    /// identically, rejected with the same error and nothing mutated — but
+    /// its contribution may stay *pending* until [`PointOracle::settle`].
+    /// A pending report already counts in [`PointOracle::num_reports`];
+    /// everything that reads the accumulated statistics (estimates,
+    /// merge, subtract, persisted state) requires settled state. A batch
+    /// absorbs each report deferred and settles once at its end, which
+    /// lets an oracle amortize per-report work across the batch (the
+    /// unary encodings ripple reports into bit planes).
+    ///
+    /// The default is [`PointOracle::absorb`]: nothing is ever pending.
+    ///
+    /// # Errors
+    ///
+    /// As [`PointOracle::absorb`].
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), OracleError> {
+        self.absorb(report)
+    }
+
+    /// Folds every pending report into the accumulated statistics,
+    /// leaving them exactly as absorbing each report with
+    /// [`PointOracle::absorb`] would. Idempotent; the default, for oracles
+    /// that never defer, does nothing.
+    fn settle(&mut self) {}
+
     /// Absorbs an entire cohort at once: `true_counts[z]` users hold value
     /// `z`. Statistically equivalent to encoding and absorbing each user
     /// individually, but orders of magnitude faster.
@@ -71,6 +96,24 @@ pub trait PointOracle {
     /// number of absorbed reports (paper §3.2: `≈ 4e^ε / (N (e^ε − 1)^2)`
     /// for all three mechanisms).
     fn theoretical_variance(&self) -> f64;
+}
+
+/// The check every oracle's `merge` and `subtract` run before touching
+/// state: `other` must cover the same domain under the same ε.
+pub(crate) fn ensure_same_config<O: PointOracle>(server: &O, other: &O) -> Result<(), OracleError> {
+    if other.domain() != server.domain() {
+        return Err(OracleError::ReportDomainMismatch {
+            report: other.domain(),
+            server: server.domain(),
+        });
+    }
+    if other.epsilon() != server.epsilon() {
+        return Err(OracleError::EpsilonMismatch {
+            other: other.epsilon().value().to_bits(),
+            server: server.epsilon().value().to_bits(),
+        });
+    }
+    Ok(())
 }
 
 /// Which frequency-oracle primitive to instantiate — the `F` parameter of

@@ -14,9 +14,9 @@
 
 use rand::{Rng, RngCore};
 
-use crate::binomial::sample_binomial;
-use crate::oracle::PointOracle;
+use crate::oracle::{ensure_same_config, PointOracle};
 use crate::params::oue_probs;
+use crate::unary::UnaryCounts;
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, OracleError};
 
@@ -116,9 +116,8 @@ pub struct Oue {
     eps: Epsilon,
     p: f64,
     q: f64,
-    /// Noisy 1-counts per item.
-    counts: Vec<u64>,
-    reports: u64,
+    /// Noisy 1-counts per item and the report total.
+    state: UnaryCounts,
 }
 
 impl Oue {
@@ -137,8 +136,7 @@ impl Oue {
             eps,
             p,
             q,
-            counts: vec![0; domain],
-            reports: 0,
+            state: UnaryCounts::new(domain),
         })
     }
 
@@ -154,7 +152,7 @@ impl Oue {
     /// durable-storage checkpoints serialize.
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.state.counts()
     }
 
     /// Replaces the accumulator state with previously persisted counts —
@@ -169,15 +167,7 @@ impl Oue {
     /// report sequence can set a bit more than once per report). State is
     /// unchanged on error.
     pub fn load_state(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        if counts.len() != self.domain {
-            return Err(OracleError::InvalidState("count vector length != domain"));
-        }
-        if counts.iter().any(|&c| c > reports) {
-            return Err(OracleError::InvalidState("item count above report total"));
-        }
-        self.counts = counts;
-        self.reports = reports;
-        Ok(())
+        self.state.load(counts, reports)
     }
 
     /// Merges another shard's accumulator into this one (distributed
@@ -187,18 +177,11 @@ impl Oue {
     /// # Errors
     ///
     /// Returns [`OracleError::ReportDomainMismatch`] unless both shards
-    /// share the same domain (and therefore parameters).
+    /// share the same domain, and [`OracleError::EpsilonMismatch`] unless
+    /// they share the same ε (and therefore parameters).
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.reports += other.reports;
+        ensure_same_config(self, other)?;
+        self.state.merge(&other.state);
         Ok(())
     }
 
@@ -209,26 +192,14 @@ impl Oue {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch,
+    /// [`OracleError::EpsilonMismatch`] on a different ε, and
     /// [`OracleError::SubtractUnderflow`] if `other` holds counts this
     /// state does not contain (it was never merged in). The accumulator is
     /// unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
-        if self.reports < other.reports || self.counts.iter().zip(&other.counts).any(|(a, b)| a < b)
-        {
-            return Err(OracleError::SubtractUnderflow);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a -= b;
-        }
-        self.reports -= other.reports;
-        Ok(())
+        ensure_same_config(self, other)?;
+        self.state.subtract(&other.state)
     }
 }
 
@@ -268,27 +239,31 @@ impl PointOracle for Oue {
         })
     }
 
+    /// [`PointOracle::absorb_deferred`] then [`PointOracle::settle`], so
+    /// the per-report path and a batch settle through the same kernel.
     fn absorb(&mut self, report: &OueReport) -> Result<(), OracleError> {
+        self.absorb_deferred(report)?;
+        self.settle();
+        Ok(())
+    }
+
+    /// Ripples the report's packed words into the pending bit planes
+    /// (`crate::unary`): a batch costs word-wide adds per report plus one
+    /// spill at [`PointOracle::settle`], instead of one scattered
+    /// increment per set bit.
+    fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
         if report.domain != self.domain {
             return Err(OracleError::ReportDomainMismatch {
                 report: report.domain,
                 server: self.domain,
             });
         }
-        // Walk set bits word-wise: with q = 1/(1+e^ε) most bits are clear,
-        // so iterating `popcount` set positions beats testing all D bits.
-        // The increments are the same as the per-bit loop, so the
-        // accumulator state is bit-identical.
-        for (wi, &word) in report.bits.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let j = wi * 64 + w.trailing_zeros() as usize;
-                self.counts[j] += 1;
-                w &= w - 1;
-            }
-        }
-        self.reports += 1;
+        self.state.add_deferred(&report.bits);
         Ok(())
+    }
+
+    fn settle(&mut self) {
+        self.state.settle();
     }
 
     fn absorb_population(
@@ -296,44 +271,20 @@ impl PointOracle for Oue {
         true_counts: &[u64],
         rng: &mut dyn RngCore,
     ) -> Result<(), OracleError> {
-        if true_counts.len() != self.domain {
-            return Err(OracleError::ReportDomainMismatch {
-                report: true_counts.len(),
-                server: self.domain,
-            });
-        }
-        let n: u64 = true_counts.iter().sum();
-        for (j, &c) in true_counts.iter().enumerate() {
-            // Bits are flipped independently per user and per item, so the
-            // aggregate count decomposes into two independent binomials —
-            // this is exact, not an approximation (given the regimes of the
-            // binomial sampler).
-            let kept = sample_binomial(rng, c, self.p);
-            let flipped = sample_binomial(rng, n - c, self.q);
-            self.counts[j] += kept + flipped;
-        }
-        self.reports += n;
-        Ok(())
+        self.state
+            .absorb_population(true_counts, (self.p, self.q), rng)
     }
 
     fn num_reports(&self) -> u64 {
-        self.reports
+        self.state.reports()
     }
 
     fn estimate(&self) -> Vec<f64> {
-        if self.reports == 0 {
-            return vec![0.0; self.domain];
-        }
-        let n = self.reports as f64;
-        let denom = self.p - self.q;
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 / n - self.q) / denom)
-            .collect()
+        self.state.estimate((self.p, self.q))
     }
 
     fn theoretical_variance(&self) -> f64 {
-        frequency_oracle_variance(self.eps, self.reports)
+        frequency_oracle_variance(self.eps, self.state.reports())
     }
 }
 

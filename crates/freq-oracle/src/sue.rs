@@ -17,9 +17,9 @@
 
 use rand::{Rng, RngCore};
 
-use crate::binomial::sample_binomial;
-use crate::oracle::PointOracle;
+use crate::oracle::{ensure_same_config, PointOracle};
 use crate::oue::OueReport;
+use crate::unary::UnaryCounts;
 use crate::{Epsilon, OracleError};
 
 /// SUE bit-retention probabilities `(p, q)` with `p + q = 1` and
@@ -51,8 +51,7 @@ pub struct Sue {
     eps: Epsilon,
     p: f64,
     q: f64,
-    counts: Vec<u64>,
-    reports: u64,
+    state: UnaryCounts,
 }
 
 impl Sue {
@@ -71,8 +70,7 @@ impl Sue {
             eps,
             p,
             q,
-            counts: vec![0; domain],
-            reports: 0,
+            state: UnaryCounts::new(domain),
         })
     }
 
@@ -86,7 +84,7 @@ impl Sue {
     /// mutable state (see [`crate::Oue::counts`]).
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.state.counts()
     }
 
     /// Replaces the accumulator state with previously persisted counts —
@@ -97,33 +95,18 @@ impl Sue {
     /// Returns [`OracleError::InvalidState`] on a length mismatch or a
     /// per-item count above `reports`. State is unchanged on error.
     pub fn load_state(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        if counts.len() != self.domain {
-            return Err(OracleError::InvalidState("count vector length != domain"));
-        }
-        if counts.iter().any(|&c| c > reports) {
-            return Err(OracleError::InvalidState("item count above report total"));
-        }
-        self.counts = counts;
-        self.reports = reports;
-        Ok(())
+        self.state.load(counts, reports)
     }
 
     /// Merges another shard's accumulator into this one.
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch.
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.reports += other.reports;
+        ensure_same_config(self, other)?;
+        self.state.merge(&other.state);
         Ok(())
     }
 
@@ -132,25 +115,13 @@ impl Sue {
     ///
     /// # Errors
     ///
-    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
+    /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch,
+    /// [`OracleError::EpsilonMismatch`] on a different ε, and
     /// [`OracleError::SubtractUnderflow`] if `other` was never merged into
     /// this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        if other.domain != self.domain || other.eps != self.eps {
-            return Err(OracleError::ReportDomainMismatch {
-                report: other.domain,
-                server: self.domain,
-            });
-        }
-        if self.reports < other.reports || self.counts.iter().zip(&other.counts).any(|(a, b)| a < b)
-        {
-            return Err(OracleError::SubtractUnderflow);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a -= b;
-        }
-        self.reports -= other.reports;
-        Ok(())
+        ensure_same_config(self, other)?;
+        self.state.subtract(&other.state)
     }
 }
 
@@ -180,25 +151,28 @@ impl PointOracle for Sue {
         Ok(OueReport::from_bits(self.domain, &bits))
     }
 
+    /// [`PointOracle::absorb_deferred`] then [`PointOracle::settle`].
     fn absorb(&mut self, report: &OueReport) -> Result<(), OracleError> {
+        self.absorb_deferred(report)?;
+        self.settle();
+        Ok(())
+    }
+
+    /// The same bit-plane ripple as [`crate::Oue`]'s: the two encodings
+    /// share one accumulator (`crate::unary`) and differ only in `(p, q)`.
+    fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
         if report.domain() != self.domain {
             return Err(OracleError::ReportDomainMismatch {
                 report: report.domain(),
                 server: self.domain,
             });
         }
-        // Word-wise set-bit walk, exactly as [`crate::Oue::absorb`]: the
-        // same increments as the per-bit loop, so state is bit-identical.
-        for (wi, &word) in report.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let j = wi * 64 + w.trailing_zeros() as usize;
-                self.counts[j] += 1;
-                w &= w - 1;
-            }
-        }
-        self.reports += 1;
+        self.state.add_deferred(report.words());
         Ok(())
+    }
+
+    fn settle(&mut self) {
+        self.state.settle();
     }
 
     fn absorb_population(
@@ -206,40 +180,20 @@ impl PointOracle for Sue {
         true_counts: &[u64],
         rng: &mut dyn RngCore,
     ) -> Result<(), OracleError> {
-        if true_counts.len() != self.domain {
-            return Err(OracleError::ReportDomainMismatch {
-                report: true_counts.len(),
-                server: self.domain,
-            });
-        }
-        let n: u64 = true_counts.iter().sum();
-        for (j, &c) in true_counts.iter().enumerate() {
-            let kept = sample_binomial(rng, c, self.p);
-            let flipped = sample_binomial(rng, n - c, self.q);
-            self.counts[j] += kept + flipped;
-        }
-        self.reports += n;
-        Ok(())
+        self.state
+            .absorb_population(true_counts, (self.p, self.q), rng)
     }
 
     fn num_reports(&self) -> u64 {
-        self.reports
+        self.state.reports()
     }
 
     fn estimate(&self) -> Vec<f64> {
-        if self.reports == 0 {
-            return vec![0.0; self.domain];
-        }
-        let n = self.reports as f64;
-        let denom = self.p - self.q;
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 / n - self.q) / denom)
-            .collect()
+        self.state.estimate((self.p, self.q))
     }
 
     fn theoretical_variance(&self) -> f64 {
-        sue_variance(self.eps, self.reports)
+        sue_variance(self.eps, self.state.reports())
     }
 }
 

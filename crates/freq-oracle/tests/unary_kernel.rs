@@ -1,0 +1,242 @@
+//! The bit-sliced unary absorb ≡ the scalar per-bit oracle, bit for bit.
+//!
+//! `Oue` and `Sue` absorb a batch by rippling each report into bit planes
+//! (`absorb_deferred`) and spilling the planes into their counts once
+//! (`settle`, or by themselves after 255 pending reports). These tests
+//! drive runs of deferred absorbs — across word edges, across the
+//! auto-settle, at every density from all-clear to all-set — with
+//! `settle`, `clone`, `merge` and `subtract` interleaved at arbitrary
+//! points, and hold the settled counts to a model that adds each report
+//! one bit at a time.
+
+use proptest::prelude::*;
+
+use ldp_freq_oracle::{Epsilon, OracleError, Oue, OueReport, PointOracle, Sue};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const DOMAINS: [usize; 8] = [1, 2, 63, 64, 65, 1_000, 4_096, 65_536];
+const RUNS: [usize; 7] = [1, 2, 254, 255, 256, 511, 1_000];
+
+/// The two unary oracles behind one interface.
+trait Unary: PointOracle<Report = OueReport> + Clone {
+    fn build(domain: usize) -> Self;
+    fn counts(&self) -> &[u64];
+    fn merge(&mut self, other: &Self) -> Result<(), OracleError>;
+    fn subtract(&mut self, other: &Self) -> Result<(), OracleError>;
+}
+
+impl Unary for Oue {
+    fn build(domain: usize) -> Self {
+        Oue::new(domain, Epsilon::from_exp(3.0)).unwrap()
+    }
+    fn counts(&self) -> &[u64] {
+        Oue::counts(self)
+    }
+    fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
+        Oue::merge(self, other)
+    }
+    fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
+        Oue::subtract(self, other)
+    }
+}
+
+impl Unary for Sue {
+    fn build(domain: usize) -> Self {
+        Sue::new(domain, Epsilon::from_exp(3.0)).unwrap()
+    }
+    fn counts(&self) -> &[u64] {
+        Sue::counts(self)
+    }
+    fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
+        Sue::merge(self, other)
+    }
+    fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
+        Sue::subtract(self, other)
+    }
+}
+
+/// Report bit densities: all-clear, all-set, and OUE's `q = 1/4` at
+/// e^ε = 3 (two random words ANDed).
+#[derive(Debug, Clone, Copy)]
+enum Density {
+    Zero,
+    Ones,
+    Q,
+}
+
+fn report(domain: usize, density: Density, rng: &mut StdRng) -> OueReport {
+    let mut words: Vec<u64> = (0..domain.div_ceil(64))
+        .map(|_| match density {
+            Density::Zero => 0,
+            Density::Ones => !0,
+            Density::Q => rng.random::<u64>() & rng.random::<u64>(),
+        })
+        .collect();
+    if !domain.is_multiple_of(64) {
+        *words.last_mut().unwrap() &= (1u64 << (domain % 64)) - 1;
+    }
+    OueReport::from_words(domain, words)
+}
+
+/// The scalar per-bit oracle: adds one report, one item at a time.
+fn add_per_bit(model: &mut [u64], report: &OueReport) {
+    for (j, count) in model.iter_mut().enumerate() {
+        *count += u64::from(report.bit(j));
+    }
+}
+
+/// An oracle and the model of its counts.
+struct Tracked<O> {
+    oracle: O,
+    model: Vec<u64>,
+    reports: u64,
+}
+
+impl<O: Unary> Tracked<O> {
+    fn new(domain: usize) -> Self {
+        Self {
+            oracle: O::build(domain),
+            model: vec![0; domain],
+            reports: 0,
+        }
+    }
+
+    fn absorb_deferred(&mut self, report: &OueReport) {
+        self.oracle.absorb_deferred(report).unwrap();
+        add_per_bit(&mut self.model, report);
+        self.reports += 1;
+        assert_eq!(self.oracle.num_reports(), self.reports);
+    }
+
+    fn settle_and_check(&mut self, what: &str) {
+        self.oracle.settle();
+        assert_eq!(self.oracle.counts(), &self.model[..], "{what}");
+        assert_eq!(self.oracle.num_reports(), self.reports, "{what}");
+    }
+}
+
+/// One run of `len` deferred absorbs at `density` into a `domain`-item
+/// oracle, with the interleavings `schedule` picks: at its chosen points
+/// the run settles, forks a clone (both halves keep absorbing the same
+/// reports), merges in a side oracle, or subtracts a previously merged
+/// one back out.
+fn check_run<O: Unary>(domain: usize, len: usize, density: Density, schedule: u64) {
+    let what = format!("D={domain} len={len} {density:?} schedule={schedule:#x}");
+    let mut rng = StdRng::seed_from_u64(schedule);
+    let mut main = Tracked::<O>::new(domain);
+    let mut fork: Option<Tracked<O>> = None;
+    let mut merged: Vec<Tracked<O>> = Vec::new();
+    for i in 0..len {
+        let r = report(domain, density, &mut rng);
+        main.absorb_deferred(&r);
+        if let Some(fork) = &mut fork {
+            fork.absorb_deferred(&r);
+        }
+        match rng.random_range(0..64u32) {
+            0 => main.settle_and_check(&format!("{what}: settle at {i}")),
+            1 if fork.is_none() => {
+                fork = Some(Tracked {
+                    oracle: main.oracle.clone(),
+                    model: main.model.clone(),
+                    reports: main.reports,
+                });
+            }
+            2 => {
+                let mut side = Tracked::<O>::new(domain);
+                for _ in 0..rng.random_range(1..40usize) {
+                    side.absorb_deferred(&report(domain, density, &mut rng));
+                }
+                side.settle_and_check(&format!("{what}: side at {i}"));
+                main.oracle.settle();
+                main.oracle.merge(&side.oracle).unwrap();
+                for (m, s) in main.model.iter_mut().zip(&side.model) {
+                    *m += s;
+                }
+                main.reports += side.reports;
+                merged.push(side);
+            }
+            3 if !merged.is_empty() => {
+                let side = merged.swap_remove(rng.random_range(0..merged.len()));
+                main.oracle.settle();
+                main.oracle.subtract(&side.oracle).unwrap();
+                for (m, s) in main.model.iter_mut().zip(&side.model) {
+                    *m -= s;
+                }
+                main.reports -= side.reports;
+            }
+            _ => {}
+        }
+    }
+    main.settle_and_check(&format!("{what}: end"));
+    if let Some(mut fork) = fork {
+        fork.settle_and_check(&format!("{what}: fork"));
+    }
+}
+
+proptest! {
+    #[test]
+    fn oue_planes_match_per_bit_oracle(
+        d in 0usize..DOMAINS.len(),
+        n in 0usize..RUNS.len(),
+        density in 0usize..3,
+        schedule in 0u64..u64::MAX,
+    ) {
+        let density = [Density::Zero, Density::Ones, Density::Q][density];
+        check_run::<Oue>(DOMAINS[d], RUNS[n], density, schedule);
+    }
+
+    #[test]
+    fn sue_planes_match_per_bit_oracle(
+        d in 0usize..DOMAINS.len(),
+        n in 0usize..RUNS.len(),
+        density in 0usize..3,
+        schedule in 0u64..u64::MAX,
+    ) {
+        let density = [Density::Zero, Density::Ones, Density::Q][density];
+        check_run::<Sue>(DOMAINS[d], RUNS[n], density, schedule);
+    }
+}
+
+/// Every domain × run length with all bits set — the densest carries,
+/// where every item's pending count climbs to the auto-settle threshold
+/// — and no interleaving: the counts must read exactly the run length.
+#[test]
+fn all_set_runs_count_exactly_across_the_auto_settle() {
+    for domain in DOMAINS {
+        let r = report(domain, Density::Ones, &mut StdRng::seed_from_u64(0));
+        for len in RUNS {
+            let mut oue = Oue::build(domain);
+            let mut sue = Sue::build(domain);
+            for _ in 0..len {
+                oue.absorb_deferred(&r).unwrap();
+                sue.absorb_deferred(&r).unwrap();
+            }
+            oue.settle();
+            sue.settle();
+            let expected = vec![len as u64; domain];
+            assert_eq!(oue.counts(), &expected[..], "OUE D={domain} len={len}");
+            assert_eq!(sue.counts(), &expected[..], "SUE D={domain} len={len}");
+        }
+    }
+}
+
+/// The per-report `absorb` is `absorb_deferred` + `settle`: a run of
+/// single absorbs and one deferred batch land on the same counts.
+#[test]
+fn per_report_absorb_equals_one_settled_batch() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for domain in [65, 4_096] {
+        let mut one_by_one = Oue::build(domain);
+        let mut batched = Oue::build(domain);
+        for _ in 0..600 {
+            let r = report(domain, Density::Q, &mut rng);
+            one_by_one.absorb(&r).unwrap();
+            batched.absorb_deferred(&r).unwrap();
+        }
+        batched.settle();
+        assert_eq!(one_by_one.counts(), batched.counts(), "D={domain}");
+        let bits = |o: &Oue| o.estimate().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one_by_one), bits(&batched), "D={domain}");
+    }
+}

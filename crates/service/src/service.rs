@@ -113,29 +113,38 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
     mutex.lock().map_err(|_| ServiceError::LockPoisoned(what))
 }
 
-/// Locks a mutex for a read-only peek, recovering from poisoning. Sound
-/// here because every mechanism's `absorb` validates its report before
-/// it mutates anything, so a shard poisoned by a panic mid-batch still
-/// holds a sum of *whole* reports — a consistent value for the racy
-/// reads these paths serve. What the panic costs is that one batch's
-/// all-or-nothing (its absorbed prefix stays in), and every later writer
-/// and refresh of that shard gets [`ServiceError::LockPoisoned`] from
-/// [`lock`] instead of building on it.
+/// Locks a mutex for a read-only peek, recovering from poisoning. Every
+/// mechanism's `absorb_deferred` validates its report before it mutates
+/// anything, so a shard poisoned by a panic mid-batch holds *whole*
+/// reports — but some of them may still be pending in an oracle's bit
+/// planes, never settled into its counts. That is why the shard peeks
+/// through here read only [`LdpService::num_reports`] (which counts
+/// pending reports whole) and [`LdpService::current_epoch`] — never
+/// counts, estimates or persisted state — plus the telemetry attach,
+/// which writes only instrument handles. What the panic costs is that one
+/// batch's all-or-nothing (its absorbed prefix stays in), and every other
+/// path to that shard — writers, refreshes, merged state, checkpoints —
+/// gets [`ServiceError::LockPoisoned`] from [`lock`] instead of building
+/// on it.
 fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs a batch against `shard` **in place**, all-or-nothing: `run`
 /// absorbs the batch's reports in order and stops at the first malformed
-/// or rejected frame. On `Ok` nothing else happens — the happy path does
-/// no O(state) work. On `Err` the absorbed prefix is rolled back by exact
-/// subtraction: an aligned zero (`shard − shard`, which keeps an
-/// [`EpochRing`]'s epoch layout) replays the batch — failing at the same
-/// frame, since decoding and every `absorb` check depend on the bytes and
-/// the configuration, never on the counts — and is subtracted back out of
-/// the shard. Integer sufficient statistics make that the bit-identical
-/// inverse, so the shard is left exactly as it was found and `run`'s
-/// error is returned.
+/// or rejected frame, and it must leave `shard` settled
+/// ([`ldp_ranges::MergeableServer::settle`]) on both outcomes. On `Ok`
+/// nothing else happens — the happy path does no O(state) work. On `Err`
+/// the absorbed prefix is rolled back by exact subtraction: an aligned
+/// zero
+/// (`shard − shard`, which keeps an [`EpochRing`]'s epoch layout)
+/// replays the batch — failing at the same frame, since decoding and
+/// every `absorb` check depend on the bytes and the configuration, never
+/// on the counts — and is subtracted back out of the shard. Because
+/// `run` settles before it returns, the rollback's clone, replay and
+/// subtractions all see settled state. Integer sufficient statistics make
+/// that the bit-identical inverse, so the shard is left exactly as it was
+/// found and `run`'s error is returned.
 ///
 /// The rollback always pays its two O(state) copies, even when the batch
 /// failed at frame 0 and nothing was absorbed: rolling back an empty
@@ -174,10 +183,13 @@ fn absorb_all_or_nothing<S: SubtractableServer, T>(
 /// ([`SnapshotSource::absorb_tagged`]: an epoch ring checks a v2 tag
 /// against its open epoch, an all-time server ignores it), so the batch
 /// is never materialized, and the whole payload lands all-or-nothing
-/// ([`absorb_all_or_nothing`]). Live ingest
-/// ([`LdpService::submit_wire_batch`], and through it the durable store
-/// and a follower's re-apply) and both recovery replays call this one
-/// function, so they accept and reject exactly the same bytes.
+/// ([`absorb_all_or_nothing`]). Frames are absorbed deferred, and the
+/// shard is settled once, after the last frame or the rejected one —
+/// inside the all-or-nothing `run`, so the rollback works on settled
+/// state and the shard is settled when the caller's lock drops. Live
+/// ingest ([`LdpService::submit_wire_batch`], and through it the durable
+/// store and a follower's re-apply) and both recovery replays call this
+/// one function, so they accept and reject exactly the same bytes.
 ///
 /// Returns the number of frames absorbed (always `count` on success).
 ///
@@ -198,9 +210,11 @@ where
     S::Report: WireReport,
 {
     absorb_all_or_nothing(shard, |shard| {
-        crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
+        let absorbed = crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
             shard.absorb_tagged(epoch, &report)
-        })
+        });
+        shard.settle();
+        absorbed
     })
 }
 
@@ -314,9 +328,14 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// The shared tail of the single-report submits: absorbs one report,
-    /// with its optional epoch tag, into the next round-robin shard.
+    /// with its optional epoch tag, into the next round-robin shard, and
+    /// settles it before the lock drops.
     fn submit_tagged(&self, epoch: Option<u64>, report: &S::Report) -> Result<(), ServiceError> {
-        let result = self.on_next_shard(|shard| shard.absorb_tagged(epoch, report));
+        let result = self.on_next_shard(|shard| {
+            let absorbed = shard.absorb_tagged(epoch, report);
+            shard.settle();
+            absorbed
+        });
         if let Some(obs) = self.obs.get() {
             match &result {
                 Ok(()) => obs.shard.frames_accepted.incr(),

@@ -42,6 +42,15 @@ pub trait SnapshotSource: SubtractableServer {
     /// does not name its open epoch. This is the one absorb every ingest
     /// path of the service goes through.
     ///
+    /// **Deferred.** The report is absorbed with
+    /// [`ldp_ranges::MergeableServer::absorb_deferred`], so it may stay
+    /// pending in the server's oracles: the caller must call
+    /// [`ldp_ranges::MergeableServer::settle`] before it releases the
+    /// server — after a whole batch, whether the batch was accepted or
+    /// not. The service's two callers (`absorb_frames`, and the
+    /// single-report submits) settle before the shard lock drops, so a
+    /// shard is settled whenever its lock is free.
+    ///
     /// # Errors
     ///
     /// Propagates shape mismatches from the mechanism.
@@ -51,7 +60,7 @@ pub trait SnapshotSource: SubtractableServer {
         report: &Self::Report,
     ) -> Result<(), ServiceError> {
         let _ = epoch;
-        self.absorb(report).map_err(Into::into)
+        self.absorb_deferred(report).map_err(Into::into)
     }
 }
 

@@ -388,6 +388,16 @@ impl<S: SubtractableServer> MergeableServer for EpochRing<S> {
         Ok(())
     }
 
+    /// Deferred into the open epoch — the only epoch that ever absorbs,
+    /// so the only one that can hold pending reports.
+    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        self.current.absorb_deferred(report)
+    }
+
+    fn settle(&mut self) {
+        self.current.settle();
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         let aligned = other.window_len == self.window_len
             && other.epoch_width == self.epoch_width
@@ -501,16 +511,17 @@ where
 
 impl<S: SubtractableServer + SnapshotSource> SnapshotSource for EpochRing<S> {
     /// The shard-side tagged absorb: [`EpochRing::absorb_tagged`]'s tag
-    /// check in front of the [`MergeableServer::absorb`] shards use, which
-    /// never auto-seals — so a batch cannot change a shard ring's layout
-    /// under its own rollback.
+    /// check in front of the [`MergeableServer::absorb_deferred`] shards
+    /// use, which never auto-seals — so a batch cannot change a shard
+    /// ring's layout under its own rollback. Deferred like the default:
+    /// the caller settles.
     fn absorb_tagged(
         &mut self,
         epoch: Option<u64>,
         report: &Self::Report,
     ) -> Result<(), ServiceError> {
         self.check_tag(epoch)?;
-        MergeableServer::absorb(self, report).map_err(Into::into)
+        MergeableServer::absorb_deferred(self, report).map_err(Into::into)
     }
 
     /// The live windowed estimate: every retained sealed epoch plus the

@@ -48,15 +48,27 @@ struct Mech<S: MergeableServer> {
 }
 
 impl<S: MergeableServer> Mech<S> {
-    /// `good` drawn from `ours`; `bad` is the first `theirs` report (a
-    /// client of a different configuration) the prototype refuses.
+    /// `2 · BATCH` good reports drawn from `ours`; `bad` is the first
+    /// `theirs` report (a client of a different configuration) the
+    /// prototype refuses.
     fn new(
+        prototype: S,
+        rng: &mut StdRng,
+        ours: impl FnMut(usize, &mut StdRng) -> S::Report,
+        theirs: impl FnMut(usize, &mut StdRng) -> S::Report,
+    ) -> Self {
+        Self::with_pool(2 * BATCH, prototype, rng, ours, theirs)
+    }
+
+    /// [`Mech::new`] with `pool` good reports.
+    fn with_pool(
+        pool: usize,
         prototype: S,
         rng: &mut StdRng,
         mut ours: impl FnMut(usize, &mut StdRng) -> S::Report,
         mut theirs: impl FnMut(usize, &mut StdRng) -> S::Report,
     ) -> Self {
-        let good = (0..2 * BATCH).map(|i| ours(i, rng)).collect();
+        let good = (0..pool).map(|i| ours(i, rng)).collect();
         let bad = (0..1_000)
             .map(|i| theirs(i, rng))
             .find(|r| prototype.clone().absorb(r).is_err())
@@ -74,10 +86,16 @@ fn eps() -> Epsilon {
 }
 
 fn flat(seed: u64) -> Mech<FlatServer> {
+    flat_with_pool(seed, 2 * BATCH)
+}
+
+/// Flat OUE with `pool` good reports.
+fn flat_with_pool(seed: u64, pool: usize) -> Mech<FlatServer> {
     let config = FlatConfig::new(32, eps()).unwrap();
     let client = FlatClient::new(&config).unwrap();
     let foreign = FlatClient::new(&FlatConfig::new(64, eps()).unwrap()).unwrap();
-    Mech::new(
+    Mech::with_pool(
+        pool,
         FlatServer::new(&config).unwrap(),
         &mut StdRng::seed_from_u64(seed),
         |i, rng| client.report(i % 32, rng).unwrap(),
@@ -86,10 +104,16 @@ fn flat(seed: u64) -> Mech<FlatServer> {
 }
 
 fn hh(seed: u64) -> Mech<HhServer> {
-    let config = HhConfig::new(64, 4, eps()).unwrap();
+    hh_with_pool(seed, 2 * BATCH, 4)
+}
+
+/// HH_B/OUE over 64 items with `pool` good reports.
+fn hh_with_pool(seed: u64, pool: usize, fanout: usize) -> Mech<HhServer> {
+    let config = HhConfig::new(64, fanout, eps()).unwrap();
     let client = HhClient::new(config.clone()).unwrap();
     let foreign = HhClient::new(HhConfig::new(128, 2, eps()).unwrap()).unwrap();
-    Mech::new(
+    Mech::with_pool(
+        pool,
         HhServer::new(config).unwrap(),
         &mut StdRng::seed_from_u64(seed),
         |i, rng| client.report((i * 7) % 64, rng).unwrap(),
@@ -521,6 +545,198 @@ proptest! {
             _ => check_durable(&hh2d(seed), k, "hh2d"),
         }
     }
+}
+
+/// Frames in one long batch: more than twice the 255 pending reports
+/// after which a unary oracle's bit planes settle by themselves.
+const LONG: usize = 600;
+/// The frame at which the rejected long batch goes wrong.
+const LONG_FAULT: usize = 300;
+
+/// `mech`'s first `LONG` good reports as one v1 batch, with its bad
+/// report in place of frame `LONG_FAULT` when `faulty`.
+fn long_batch<S>(mech: &Mech<S>, faulty: bool) -> EncodedStream
+where
+    S: MergeableServer,
+    S::Report: WireReport,
+{
+    let mut stream = EncodedStream::new();
+    for (i, report) in mech.good[..LONG].iter().enumerate() {
+        if faulty && i == LONG_FAULT {
+            stream.push(&mech.bad);
+        } else {
+            stream.push(report);
+        }
+    }
+    stream
+}
+
+fn frequency_bits(snap: &RangeSnapshot) -> Vec<u64> {
+    snap.estimate()
+        .frequencies()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// What `reference` (seeded like the service under test) holds after the
+/// clean long batch arrives as `LONG` single-frame submits: its merged
+/// state bytes and its published frequencies' bits.
+fn single_submits<T>(reference: &LdpService<T>, clean: &EncodedStream) -> (Vec<u8>, Vec<u64>)
+where
+    T: SnapshotSource + PersistableServer,
+    T::Report: WireReport,
+{
+    for i in 0..LONG {
+        reference.submit_frame(clean.frame_span(i, i + 1)).unwrap();
+    }
+    (
+        state_bytes(&reference.merged_state().unwrap()),
+        frequency_bits(&reference.refresh_snapshot().unwrap()),
+    )
+}
+
+/// The long batches against one seeded backend: the faulty one is
+/// refused at `LONG_FAULT` and leaves state bytes and the published `Arc`
+/// as they were; the clean one lands bit-identical to `expected`.
+fn check_long_batches(
+    faulty: &EncodedStream,
+    clean: &EncodedStream,
+    ingest: impl Fn(&[u8]) -> Result<u64, ServiceError>,
+    state: impl Fn() -> Vec<u8>,
+    refresh: impl Fn() -> Arc<RangeSnapshot>,
+    expected: &(Vec<u8>, Vec<u64>),
+    what: &str,
+) {
+    let snap = refresh();
+    let before = state();
+    assert_bad_frame(ingest(faulty.as_bytes()), LONG_FAULT, what);
+    assert_eq!(state(), before, "{what}: rejected long batch changed state");
+    assert!(
+        Arc::ptr_eq(&refresh(), &snap),
+        "{what}: rejected long batch dirtied its shard"
+    );
+    assert_eq!(ingest(clean.as_bytes()).unwrap(), LONG as u64, "{what}");
+    assert_eq!(state(), expected.0, "{what}: batch state ≠ single submits");
+    assert_eq!(
+        frequency_bits(&refresh()),
+        expected.1,
+        "{what}: batch snapshot ≠ single submits"
+    );
+}
+
+/// Batches long enough to cross the unary oracles' auto-settle, plain,
+/// windowed and durable (plus a restart that replays the long record).
+fn check_long<S>(mech: &Mech<S>, tag: &str)
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    let (faulty, clean) = (long_batch(mech, true), long_batch(mech, false));
+    let seed = &mech.good[LONG..LONG + BATCH];
+    let mut seed_stream = EncodedStream::new();
+    for r in seed {
+        seed_stream.push(r);
+    }
+
+    let plain = || {
+        let service = LdpService::new(&mech.prototype, 2).unwrap();
+        submit_good(&service, seed);
+        service
+    };
+    let windowed = || {
+        let service = LdpService::<EpochRing<S>>::windowed(&mech.prototype, 2, WINDOW).unwrap();
+        submit_good(&service, seed);
+        service.seal_epoch().unwrap();
+        submit_good(&service, seed);
+        service
+    };
+    let expected_plain = single_submits(&plain(), &clean);
+    let expected_windowed = single_submits(&windowed(), &clean);
+
+    let service = plain();
+    check_long_batches(
+        &faulty,
+        &clean,
+        |f| service.submit_wire_batch(WIRE_V1, LONG as u64, f),
+        || state_bytes(&service.merged_state().unwrap()),
+        || service.refresh_snapshot().unwrap(),
+        &expected_plain,
+        &format!("{tag} plain"),
+    );
+    let service = windowed();
+    check_long_batches(
+        &faulty,
+        &clean,
+        |f| service.submit_wire_batch(WIRE_V1, LONG as u64, f),
+        || state_bytes(&service.merged_state().unwrap()),
+        || service.refresh_snapshot().unwrap(),
+        &expected_windowed,
+        &format!("{tag} windowed"),
+    );
+
+    for ringed in [false, true] {
+        let what = format!("{tag} durable windowed={ringed}");
+        let dir = scratch_dir(&format!("long-batch-{tag}-{ringed}")).unwrap();
+        let open = || {
+            if ringed {
+                DurableService::open_windowed(&dir, &mech.prototype, WINDOW, durable_config())
+            } else {
+                DurableService::open(&dir, &mech.prototype, durable_config())
+            }
+            .unwrap()
+            .0
+        };
+        let merged = |d: &DurableService<S>| match (d.plain(), d.windowed()) {
+            (Some(s), _) => state_bytes(&s.merged_state().unwrap()),
+            (_, Some(s)) => state_bytes(&s.merged_state().unwrap()),
+            _ => unreachable!(),
+        };
+        let durable = open();
+        durable
+            .ingest_batch(WIRE_V1, BATCH as u64, seed_stream.as_bytes())
+            .unwrap();
+        if ringed {
+            durable.seal_epoch().unwrap();
+            durable
+                .ingest_batch(WIRE_V1, BATCH as u64, seed_stream.as_bytes())
+                .unwrap();
+        }
+        let expected = if ringed {
+            &expected_windowed
+        } else {
+            &expected_plain
+        };
+        check_long_batches(
+            &faulty,
+            &clean,
+            |f| durable.ingest_batch(WIRE_V1, LONG as u64, f),
+            || merged(&durable),
+            || durable.refresh_snapshot().unwrap(),
+            expected,
+            &what,
+        );
+        durable.sync().unwrap();
+        drop(durable);
+        assert_eq!(
+            merged(&open()),
+            expected.0,
+            "{what}: recovery replay of the long record"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Flat OUE and HH₈/OUE (two levels, so each level's oracle also sees
+/// more than 255 reports of the clean batch): a `LONG`-frame batch
+/// rejected at frame `LONG_FAULT` reports `BadFrame { index: LONG_FAULT }`
+/// and leaves state bytes and the published `Arc` untouched; accepted,
+/// it is bit-identical to `LONG` single-frame submits — plain, windowed
+/// and durable, and after the durable restart.
+#[test]
+fn long_unary_batches_cross_the_auto_settle_exactly() {
+    check_long(&flat_with_pool(7, LONG + BATCH), "flat");
+    check_long(&hh_with_pool(8, LONG + BATCH, 8), "hh8");
 }
 
 /// Per-report atomicity: a single rejected `absorb` mutates nothing, on
