@@ -43,8 +43,8 @@
 //!   pipelined clients are served without a round trip per message.
 //!   Queries answer from snapshots and never block ingestion; graceful
 //!   shutdown drains in-flight work with bounded patience for stalled
-//!   peers, seals the open epoch on windowed backends, and joins every
-//!   thread.
+//!   peers, seals the open epoch on windowed backends, checkpoints
+//!   durable ones (a read replica does neither), and joins every thread.
 //! * [`client`] — [`LdpClient`]: the blocking client used by the tests,
 //!   `examples/net_pipeline.rs`, the socket replay path over
 //!   [`crate::EncodedStream`], and the `ldpbench` load generator.

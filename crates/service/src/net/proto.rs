@@ -102,6 +102,7 @@ use std::io::{Read, Write};
 use crate::error::WireError;
 use crate::net::NetError;
 use crate::obs::{HealthReport, MetricsRange, RegistrySnapshot};
+use crate::storage::DurableStatus;
 use crate::wire::{put_varint, Reader};
 
 /// Handshake magic inside HELLO ("LN" = LQ-over-Network), distinguishing
@@ -312,24 +313,9 @@ impl QueryReply {
 
 // --- status ------------------------------------------------------------
 
-/// Durability progress inside a [`StatusReply`] (durable servers only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DurableProgress {
-    /// Id of the newest completed checkpoint, if any.
-    pub last_checkpoint: Option<u64>,
-    /// WAL segment currently being appended to.
-    pub wal_segment_seq: u64,
-    /// WAL records appended since the server opened its log.
-    pub wal_records: u64,
-    /// Report frames appended since the server opened its log.
-    pub wal_frames: u64,
-    /// Automatic checkpoints that failed (retried on later appends).
-    pub checkpoint_failures: u64,
-    /// Whether the durable layer has fail-stopped after a WAL append
-    /// failure — the first thing an operator probe must see, since a
-    /// wedged server refuses all further ingest.
-    pub wedged: bool,
-}
+/// Durability progress inside a [`StatusReply`] (durable servers only):
+/// the store's own [`DurableStatus`], shipped as is.
+pub type DurableProgress = DurableStatus;
 
 /// The server's answer to a STATUS probe: `ServerStats`-style counters
 /// plus snapshot provenance and — on durable servers — checkpoint/WAL

@@ -13,17 +13,24 @@
 //! transport: the state it leaves behind is bit-identical to calling
 //! [`LdpService::submit_frame`] in-process with the same frames.
 //!
+//! Every `bind*` constructor serves the same node: a service of either
+//! shape (all-time or windowed) that reads go to, an optional durable
+//! log that writes go through, and a read-only flag for replicas.
+//!
 //! Shutdown is graceful and total: accepting stops, in-flight messages
 //! are executed and their replies flushed, half-received messages get
 //! bounded patience (a stalled peer cannot hold the drain hostage),
 //! every thread is joined (nothing leaks), the open epoch of a windowed
-//! backend is sealed, and a final snapshot is published. On a plain
-//! backend `num_reports` after shutdown equals exactly the number of
-//! frames the server acked — the drain contract the concurrency tests
-//! pin down. A windowed backend keeps its *retention* semantics through
-//! the drain: the final seal can rotate the oldest epoch out of the
-//! window, so `num_reports` counts the retained window (every acked
-//! frame is still accounted for in [`ServerStats::frames_absorbed`]).
+//! backend is sealed, a durable backend checkpoints, and a final
+//! snapshot is published. A read replica's shutdown neither seals nor
+//! checkpoints — its log is its leader's copy, so it only publishes the
+//! final snapshot. On a plain backend `num_reports` after shutdown
+//! equals exactly the number of frames the server acked — the drain
+//! contract the concurrency tests pin down. A windowed backend keeps its
+//! *retention* semantics through the drain: the final seal can rotate
+//! the oldest epoch out of the window, so `num_reports` counts the
+//! retained window (every acked frame is still accounted for in
+//! [`ServerStats::frames_absorbed`]).
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,10 +44,10 @@ use crate::error::ServiceError;
 use crate::net::ops::OpsListener;
 use crate::net::poll::Poller;
 use crate::net::proto::{
-    decode_report_frames, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query, QueryOp,
-    QueryReply, QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_HEALTH,
-    MSG_METRICS, MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL, MSG_STATUS,
-    WIRE_EPOCH, WIRE_V1,
+    decode_report_frames, ClientMsg, ErrorCode, Hello, HelloOk, Query, QueryOp, QueryReply,
+    QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_HEALTH, MSG_METRICS,
+    MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL, MSG_STATUS, WIRE_EPOCH,
+    WIRE_V1,
 };
 use crate::net::reactor::{
     Job, JobDone, JobQueue, PushSource, Reactor, ReactorKnobs, ReactorShared,
@@ -54,71 +61,74 @@ use crate::obs::{
     TraceRing, TraceStage,
 };
 use crate::repl::cursor::ReplCursor;
-use crate::service::LdpService;
+use crate::service::{AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::storage::DurableService;
 use crate::window::EpochRing;
 use crate::wire::WireReport;
 
-/// The aggregation backend a server fronts: a plain all-time service, a
-/// windowed (epoch-ring) one, or a durable service wrapping either with
-/// a write-ahead log. All are `Arc`-shared, so the owner keeps querying
-/// (and, for durable backends, checkpointing) while the server ingests.
-enum Backend<S>
+/// The node a server fronts. Reads (snapshots, windows, the open epoch,
+/// the report count) go to `service`; writes (REPORT, SEAL) go through
+/// `log` when the node is durable, so they reach the write-ahead log
+/// before the ack. Everything is `Arc`-shared, so the owner keeps
+/// querying (and, when durable, checkpointing) while the server ingests.
+struct Backend<S>
 where
     S: SnapshotSource + SubtractableServer + PersistableServer,
     S::Report: WireReport,
 {
-    Plain(Arc<LdpService<S>>),
-    Windowed(Arc<LdpService<EpochRing<S>>>),
-    Durable(Arc<DurableService<S>>),
+    service: AnyService<S>,
+    log: Option<Arc<DurableService<S>>>,
+    /// A read replica over a replication follower: REPORT and SEAL are
+    /// refused and shutdown writes nothing, because the follower's log
+    /// must stay a pure copy of its leader's.
+    read_only: bool,
 }
+
+/// What a read replica answers to REPORT and SEAL.
+const READ_ONLY: &str = "replica is read-only: its log is a copy of its leader's";
 
 impl<S> Backend<S>
 where
     S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
     S::Report: WireReport,
 {
-    fn windowed(&self) -> bool {
-        match self {
-            Self::Plain(_) => false,
-            Self::Windowed(_) => true,
-            Self::Durable(d) => d.is_windowed(),
+    fn memory(service: AnyService<S>) -> Self {
+        Self {
+            service,
+            log: None,
+            read_only: false,
         }
     }
 
-    fn domain(&self) -> u64 {
-        match self {
-            Self::Plain(s) => s.snapshot().domain() as u64,
-            Self::Windowed(s) => s.snapshot().domain() as u64,
-            Self::Durable(d) => d.snapshot().domain() as u64,
+    fn durable(log: Arc<DurableService<S>>, read_only: bool) -> Self {
+        Self {
+            service: log.service().clone(),
+            log: Some(log),
+            read_only,
         }
     }
 
-    fn num_reports(&self) -> u64 {
-        match self {
-            Self::Plain(s) => s.num_reports(),
-            Self::Windowed(s) => s.num_reports(),
-            Self::Durable(d) => d.num_reports(),
+    fn refuse_if_read_only(&self) -> Result<(), RemoteError> {
+        if self.read_only {
+            return Err(RemoteError::new(ErrorCode::BadState, None, READ_ONLY));
         }
+        Ok(())
     }
 
-    /// Absorbs a REPORT batch straight from borrowed envelope bytes,
-    /// all-or-nothing (through the WAL on durable backends): frames are
-    /// decoded one at a time from subslices of `frames` and absorbed into
-    /// the shard in place, so a 256-frame batch costs no intermediate
-    /// `Vec` of reports, no copy of the frame bytes and no copy of the
-    /// shard. Returns the number of frames absorbed.
+    /// Absorbs a REPORT batch straight from its borrowed envelope bytes,
+    /// all-or-nothing (through the WAL on durable backends), and returns
+    /// the number of frames absorbed.
     fn absorb_frames(
         &self,
         wire_version: u8,
         count: u64,
         frames: &[u8],
     ) -> Result<u64, RemoteError> {
-        match self {
-            Self::Durable(d) => d.ingest_batch(wire_version, count, frames),
-            Self::Plain(s) => s.submit_wire_batch(wire_version, count, frames),
-            Self::Windowed(s) => s.submit_wire_batch(wire_version, count, frames),
+        self.refuse_if_read_only()?;
+        match &self.log {
+            Some(log) => log.ingest_batch(wire_version, count, frames),
+            None => self.service.submit_wire_batch(wire_version, count, frames),
         }
         .map_err(service_error)
     }
@@ -126,28 +136,14 @@ where
     /// Answers one query from a snapshot — never from live shard state,
     /// so ingestion is never blocked on estimation.
     fn query(&self, q: &Query) -> Result<QueryReply, RemoteError> {
-        let windowed_err = || {
-            RemoteError::new(
-                ErrorCode::BadState,
+        let (snap, window) = match q.window {
+            None => (
+                self.service.refresh_snapshot().map_err(service_error)?,
                 None,
-                "windowed query against an unwindowed service",
-            )
-        };
-        let (snap, window) = match (self, q.window) {
-            (Self::Plain(_), Some(_)) => return Err(windowed_err()),
-            (Self::Durable(d), Some(_)) if !d.is_windowed() => return Err(windowed_err()),
-            (Self::Plain(s), None) => (s.refresh_snapshot().map_err(service_error)?, None),
-            (Self::Windowed(s), None) => (s.refresh_snapshot().map_err(service_error)?, None),
-            (Self::Durable(d), None) => (d.refresh_snapshot().map_err(service_error)?, None),
-            (Self::Windowed(s), Some(k)) => {
-                let w = s
-                    .window_snapshot(usize::try_from(k).unwrap_or(usize::MAX))
-                    .map_err(service_error)?;
-                let bounds = (w.first_epoch(), w.last_epoch());
-                (w.shared_snapshot(), Some(bounds))
-            }
-            (Self::Durable(d), Some(k)) => {
-                let w = d
+            ),
+            Some(k) => {
+                let w = self
+                    .service
                     .window_snapshot(usize::try_from(k).unwrap_or(usize::MAX))
                     .map_err(service_error)?;
                 let bounds = (w.first_epoch(), w.last_epoch());
@@ -164,73 +160,30 @@ where
     }
 
     fn seal(&self) -> Result<u64, RemoteError> {
-        match self {
-            Self::Plain(_) => Err(RemoteError::new(
-                ErrorCode::BadState,
-                None,
-                "seal against an unwindowed service",
-            )),
-            Self::Windowed(s) => s.seal_epoch().map_err(service_error),
-            Self::Durable(d) => d.seal_epoch().map_err(service_error),
+        self.refuse_if_read_only()?;
+        match &self.log {
+            Some(log) => log.seal_epoch(),
+            None => self.service.seal_epoch(),
         }
-    }
-
-    /// The open epoch id (windowed backends only).
-    fn current_epoch(&self) -> Option<u64> {
-        match self {
-            Self::Plain(_) => None,
-            Self::Windowed(s) => Some(s.current_epoch()),
-            Self::Durable(d) => d.windowed().map(|s| s.current_epoch()),
-        }
-    }
-
-    /// Durability progress (durable backends only). A fault in the
-    /// durable layer (poisoned WAL lock) is surfaced as an error — a
-    /// durable server must never masquerade as a non-durable one to the
-    /// very probe built to watch its durability.
-    fn durable_progress(&self) -> Result<Option<DurableProgress>, RemoteError> {
-        let Self::Durable(d) = self else {
-            return Ok(None);
-        };
-        let status = d.status().map_err(service_error)?;
-        Ok(Some(DurableProgress {
-            last_checkpoint: status.last_checkpoint,
-            wal_segment_seq: status.wal_segment_seq,
-            wal_records: status.wal_records,
-            wal_frames: status.wal_frames,
-            checkpoint_failures: status.checkpoint_failures,
-            wedged: status.wedged,
-        }))
+        .map_err(service_error)
     }
 
     /// The shutdown epilogue: seal the open epoch (windowed backends),
     /// checkpoint (durable backends — the drained state is durable on
     /// disk before the server reports itself stopped), and publish one
-    /// final snapshot. On a plain backend the snapshot covers everything
-    /// absorbed; on a windowed backend it covers the trailing retention
-    /// window after the final seal (the window semantics the backend was
-    /// built for — the seal can rotate the oldest epoch out).
+    /// final snapshot. A read replica only publishes: sealing or
+    /// checkpointing would write into the follower's log.
     fn finalize(&self) -> (Option<u64>, Option<u64>, Arc<RangeSnapshot>) {
-        let sealed = match self {
-            Self::Plain(_) => None,
-            Self::Windowed(s) => s.seal_epoch().ok(),
-            Self::Durable(d) if d.is_windowed() => d.seal_epoch().ok(),
-            Self::Durable(_) => None,
-        };
-        let checkpoint = match self {
-            Self::Durable(d) => d.finalize().ok(),
+        // `seal` refuses on a plain or read-only backend.
+        let sealed = self.seal().ok();
+        let checkpoint = match &self.log {
+            Some(log) if !self.read_only => log.finalize().ok(),
             _ => None,
         };
-        let snap = match self {
-            Self::Plain(s) => s.refresh_snapshot(),
-            Self::Windowed(s) => s.refresh_snapshot(),
-            Self::Durable(d) => d.refresh_snapshot(),
-        };
-        let snap = snap.unwrap_or_else(|_| match self {
-            Self::Plain(s) => s.snapshot(),
-            Self::Windowed(s) => s.snapshot(),
-            Self::Durable(d) => d.snapshot(),
-        });
+        let snap = self
+            .service
+            .refresh_snapshot()
+            .unwrap_or_else(|_| self.service.snapshot());
         (sealed, checkpoint, snap)
     }
 }
@@ -287,10 +240,6 @@ where
     S::Report: WireReport,
 {
     backend: Backend<S>,
-    /// The server fronts a replication follower: QUERY/STATUS/METRICS
-    /// only — REPORT and SEAL are refused, because the follower's log
-    /// must stay a pure copy of its leader's.
-    replica: bool,
     /// The one registry every tier behind this server reports into.
     registry: Arc<MetricsRegistry>,
     /// Net-tier instruments: the *single* accounting path — drain totals
@@ -321,9 +270,11 @@ pub struct ServerStats {
     /// than [`ServerStats::frames_absorbed`].
     pub num_reports: u64,
     /// For windowed backends: the id of the epoch sealed by the drain.
+    /// Always `None` for a read replica, whose shutdown never seals.
     pub sealed_epoch: Option<u64>,
     /// For durable backends: the id of the checkpoint the drain took —
-    /// the drained state is on disk before shutdown returns.
+    /// the drained state is on disk before shutdown returns. Always
+    /// `None` for a read replica, whose shutdown never checkpoints.
     pub final_checkpoint: Option<u64>,
     /// The final snapshot published after the drain.
     pub final_snapshot: Arc<RangeSnapshot>,
@@ -366,7 +317,7 @@ where
         service: Arc<LdpService<S>>,
         config: NetConfig,
     ) -> Result<Self, NetError> {
-        Self::start(addr, Backend::Plain(service), config, false)
+        Self::start(addr, Backend::memory(AnyService::Plain(service)), config)
     }
 
     /// Binds a server over a windowed (epoch-ring) service.
@@ -379,7 +330,7 @@ where
         service: Arc<LdpService<EpochRing<S>>>,
         config: NetConfig,
     ) -> Result<Self, NetError> {
-        Self::start(addr, Backend::Windowed(service), config, false)
+        Self::start(addr, Backend::memory(AnyService::Windowed(service)), config)
     }
 
     /// Binds a server in durable mode over a [`DurableService`] (plain
@@ -396,15 +347,17 @@ where
         service: Arc<DurableService<S>>,
         config: NetConfig,
     ) -> Result<Self, NetError> {
-        Self::start(addr, Backend::Durable(service), config, false)
+        Self::start(addr, Backend::durable(service, false), config)
     }
 
     /// Binds a *read replica* server over a replication follower's
     /// durable service (see [`crate::repl::FollowerService::service`]):
     /// QUERY, STATUS, and METRICS are served from the follower's own
     /// snapshots, but REPORT and SEAL are refused — the follower's log
-    /// must stay a pure copy of its leader's. The replica also serves
-    /// REPLICATE, so followers can chain.
+    /// must stay a pure copy of its leader's. For the same reason the
+    /// replica's shutdown neither seals nor checkpoints; it only
+    /// publishes a final snapshot. The replica also serves REPLICATE, so
+    /// followers can chain.
     ///
     /// # Errors
     ///
@@ -414,14 +367,13 @@ where
         service: Arc<DurableService<S>>,
         config: NetConfig,
     ) -> Result<Self, NetError> {
-        Self::start(addr, Backend::Durable(service), config, true)
+        Self::start(addr, Backend::durable(service, true), config)
     }
 
     fn start(
         addr: impl ToSocketAddrs,
         backend: Backend<S>,
         config: NetConfig,
-        replica: bool,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -433,22 +385,14 @@ where
         // the wrapped service) registered into, so sharing it is what
         // makes a single METRICS probe see WAL, shard, and session
         // metrics together; an explicit `config.registry` wins.
-        let registry = match (&config.registry, &backend) {
+        let registry = match (&config.registry, &backend.log) {
             (Some(r), _) => Arc::clone(r),
-            (None, Backend::Durable(d)) => Arc::clone(d.registry()),
-            (None, _) => Arc::new(MetricsRegistry::new()),
+            (None, Some(log)) => Arc::clone(log.registry()),
+            (None, None) => Arc::new(MetricsRegistry::new()),
         };
-        match &backend {
-            Backend::Plain(s) => {
-                s.attach_metrics(&registry);
-            }
-            Backend::Windowed(s) => {
-                s.attach_metrics(&registry);
-                s.attach_window_metrics(&registry);
-            }
-            // Durable backends attach at open; re-attaching here would
-            // be a no-op (first attach wins).
-            Backend::Durable(_) => {}
+        // A durable service attached its metrics at open.
+        if backend.log.is_none() {
+            backend.service.attach_metrics(&registry);
         }
         let obs = NetInstruments::register(&registry);
         // Trace adoption mirrors registry adoption: an explicit
@@ -456,10 +400,10 @@ where
         // (from [`crate::storage::DurableConfig::trace`]) is shared, so
         // session-tier span events land in the same ring the storage
         // tier's WAL-append events do.
-        let trace = match (&config.trace, &backend) {
+        let trace = match (&config.trace, &backend.log) {
             (Some(t), _) => Some(Arc::clone(t)),
-            (None, Backend::Durable(d)) => d.trace().cloned(),
-            (None, _) => None,
+            (None, Some(log)) => log.trace().cloned(),
+            (None, None) => None,
         };
         let ring = Arc::new(TimeSeriesRing::new(
             config.ring_capacity,
@@ -468,7 +412,6 @@ where
         let ops_obs = OpsInstruments::register(&registry);
         let shared = Arc::new(Shared {
             backend,
-            replica,
             registry,
             obs: obs.clone(),
             trace: trace.clone(),
@@ -509,8 +452,8 @@ where
         // appended record so push streams pump promptly. A store that
         // cannot state its log (wedged) simply leaves the hub unset and
         // REPLICATE answered with REPL_UNAVAILABLE.
-        if let Backend::Durable(d) = &shared.backend {
-            if let Ok(hub) = d.ensure_repl_hub() {
+        if let Some(log) = &shared.backend.log {
+            if let Ok(hub) = log.ensure_repl_hub() {
                 let doorbell = Arc::clone(&rshared);
                 hub.add_waker(Box::new(move || doorbell.poller.wake()));
             }
@@ -604,8 +547,9 @@ where
     /// Drains and stops the server: no new connections are accepted,
     /// in-flight messages are executed and their replies flushed (with
     /// bounded patience for stalled peers), every thread is joined, a
-    /// windowed backend's open epoch is sealed, and a final snapshot is
-    /// published.
+    /// windowed backend's open epoch is sealed, a durable backend
+    /// checkpoints, and a final snapshot is published. A read replica
+    /// neither seals nor checkpoints.
     #[must_use]
     pub fn shutdown(mut self) -> ServerStats {
         self.rshared.shutdown.store(true, Ordering::SeqCst);
@@ -634,7 +578,7 @@ where
             sessions: self.shared.obs.sessions_closed.get(),
             frames_absorbed: self.shared.obs.frames_absorbed.get(),
             frames_rejected: self.shared.obs.frames_rejected.get(),
-            num_reports: self.shared.backend.num_reports(),
+            num_reports: self.shared.backend.service.num_reports(),
             sealed_epoch,
             final_checkpoint,
             final_snapshot,
@@ -741,14 +685,6 @@ where
                 close = true;
                 break;
             };
-            if shared.replica {
-                replies.push(error_body(
-                    ErrorCode::BadState,
-                    "replica is read-only: its log is a copy of its leader's",
-                ));
-                observe(shared, span, job.session, MSG_REPORT, false, started);
-                continue;
-            }
             match shared.backend.absorb_frames(h.wire_version, count, frames) {
                 Ok(accepted) => {
                     obs.frames_absorbed.add(accepted);
@@ -789,10 +725,8 @@ where
                 ClientMsg::ReplAck { acked } => {
                     // Lag accounting only — a hostile position is clamped
                     // by the hub and can never corrupt leader state.
-                    if let Backend::Durable(d) = &shared.backend {
-                        if let Some(hub) = d.repl_hub() {
-                            hub.ack(job.session, acked);
-                        }
+                    if let Some(hub) = shared.backend.log.as_ref().and_then(|log| log.repl_hub()) {
+                        hub.ack(job.session, acked);
                     }
                     continue; // acks carry no reply
                 }
@@ -814,7 +748,9 @@ where
                     replies.push(error_body(ErrorCode::Protocol, "duplicate HELLO"));
                     continue;
                 }
-                if let Err((code, detail)) = validate_hello::<S>(&h, &shared.backend) {
+                if let Err((code, detail)) =
+                    validate_hello::<S>(&h, shared.backend.service.is_windowed())
+                {
                     replies.push(error_body(code, detail));
                     close = true;
                     break;
@@ -824,7 +760,7 @@ where
                         kind: h.kind,
                         wire_version: h.wire_version,
                         windowed: h.windowed,
-                        domain: shared.backend.domain(),
+                        domain: shared.backend.service.snapshot().domain() as u64,
                     })
                     .encode(),
                 );
@@ -857,14 +793,6 @@ where
                     replies.push(error_body(ErrorCode::BadState, "SEAL before HELLO"));
                     close = true;
                     break;
-                }
-                if shared.replica {
-                    replies.push(error_body(
-                        ErrorCode::BadState,
-                        "replica is read-only: its log is a copy of its leader's",
-                    ));
-                    observe(shared, span, job.session, MSG_SEAL, false, started);
-                    continue;
                 }
                 let (reply, ok) = match shared.backend.seal() {
                     Ok(epoch) => (ServerMsg::SealOk { epoch }, true),
@@ -975,13 +903,13 @@ where
     S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
     S::Report: WireReport,
 {
-    let Backend::Durable(d) = &shared.backend else {
+    let Some(log) = &shared.backend.log else {
         return Err((
             ErrorCode::ReplUnavailable,
             "replication requires a durable backend (no write-ahead log to stream)".to_string(),
         ));
     };
-    let Some(hub) = d.repl_hub() else {
+    let Some(hub) = log.repl_hub() else {
         return Err((
             ErrorCode::ReplUnavailable,
             "replication hub unavailable: the store could not state its log".to_string(),
@@ -989,7 +917,7 @@ where
     };
     hub.subscribe(session, start)
         .map_err(|detail| (ErrorCode::ReplUnavailable, detail))?;
-    match ReplCursor::new(Arc::clone(hub), session, d.dir(), start) {
+    match ReplCursor::new(Arc::clone(hub), session, log.dir(), start) {
         Ok(cursor) => {
             let reply = ServerMsg::ReplOk {
                 start,
@@ -1027,14 +955,19 @@ where
         sessions: shared.obs.sessions_closed.get(),
         frames_absorbed: shared.obs.frames_absorbed.get(),
         frames_rejected: shared.obs.frames_rejected.get(),
-        num_reports: shared.backend.num_reports(),
-        snapshot_version: match &shared.backend {
-            Backend::Plain(s) => s.snapshot().version(),
-            Backend::Windowed(s) => s.snapshot().version(),
-            Backend::Durable(d) => d.snapshot().version(),
-        },
-        current_epoch: shared.backend.current_epoch(),
-        durable: shared.backend.durable_progress()?,
+        num_reports: shared.backend.service.num_reports(),
+        snapshot_version: shared.backend.service.snapshot().version(),
+        current_epoch: shared.backend.service.current_epoch().ok(),
+        // A durable server whose store cannot state its progress (a
+        // poisoned WAL lock) answers with an error: it must never pass
+        // for a non-durable one to the probe built to watch durability.
+        durable: shared
+            .backend
+            .log
+            .as_ref()
+            .map(|log| log.status())
+            .transpose()
+            .map_err(service_error)?,
         // The metrics and health sections ride along only on request, so
         // the plain probe's bytes stay identical to the legacy protocol.
         // Health is judged on the same frozen snapshot that is shipped,
@@ -1044,11 +977,12 @@ where
     })
 }
 
-fn validate_hello<S>(hello: &Hello, backend: &Backend<S>) -> Result<(), (ErrorCode, String)>
+fn validate_hello<S>(hello: &Hello, windowed: bool) -> Result<(), (ErrorCode, String)>
 where
     S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
     S::Report: WireReport,
 {
+    let mode = |windowed: bool| if windowed { "windowed" } else { "unwindowed" };
     if hello.kind != S::Report::KIND {
         return Err((
             ErrorCode::KindMismatch,
@@ -1059,25 +993,17 @@ where
             ),
         ));
     }
-    if hello.windowed != backend.windowed() {
+    if hello.windowed != windowed {
         return Err((
             ErrorCode::EpochModeMismatch,
             format!(
                 "server is {}, client proposed {}",
-                if backend.windowed() {
-                    "windowed"
-                } else {
-                    "unwindowed"
-                },
-                if hello.windowed {
-                    "windowed"
-                } else {
-                    "unwindowed"
-                },
+                mode(windowed),
+                mode(hello.windowed)
             ),
         ));
     }
-    if hello.wire_version == WIRE_EPOCH && !backend.windowed() {
+    if hello.wire_version == WIRE_EPOCH && !windowed {
         return Err((
             ErrorCode::WireVersionMismatch,
             "epoch-tagged frames (wire v2) against an unwindowed service".to_string(),

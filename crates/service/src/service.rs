@@ -40,14 +40,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use ldp_ranges::SubtractableServer;
+use ldp_ranges::{PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
 use crate::obs::MetricsRegistry;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::window::{EpochRing, WindowedSnapshot};
-use crate::wire::{decode_frame, WireReport};
+use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
 
 // The service's resolved instrument handles (shard tier: the per-shard
 // absorb paths run inside this type; service tier: snapshot publication).
@@ -805,6 +805,130 @@ where
     #[must_use]
     pub fn windows_cached(&self) -> usize {
         lock_infallible(&self.refresh).windows.len()
+    }
+}
+
+/// A service of either shape behind one handle: an all-time
+/// `LdpService<S>` or a windowed `LdpService<EpochRing<S>>`. Every node
+/// kind — in-memory, durable, follower, read replica — serves the same
+/// snapshot algebra over one of these, so this is the only code in the
+/// crate that matches on shape. The epoch operations answer
+/// [`ServiceError::NotWindowed`] on an all-time service.
+#[derive(Clone)]
+pub(crate) enum AnyService<S>
+where
+    S: SnapshotSource + SubtractableServer,
+{
+    Plain(Arc<LdpService<S>>),
+    Windowed(Arc<LdpService<EpochRing<S>>>),
+}
+
+impl<S> AnyService<S>
+where
+    S: SnapshotSource + SubtractableServer,
+{
+    pub(crate) fn is_windowed(&self) -> bool {
+        self.windowed().is_some()
+    }
+
+    pub(crate) fn plain(&self) -> Option<&Arc<LdpService<S>>> {
+        match self {
+            Self::Plain(s) => Some(s),
+            Self::Windowed(_) => None,
+        }
+    }
+
+    pub(crate) fn windowed(&self) -> Option<&Arc<LdpService<EpochRing<S>>>> {
+        match self {
+            Self::Windowed(s) => Some(s),
+            Self::Plain(_) => None,
+        }
+    }
+
+    /// Attaches service-tier telemetry and, on a windowed service, the
+    /// window tier's too. First attachment wins.
+    pub(crate) fn attach_metrics(&self, registry: &MetricsRegistry) {
+        match self {
+            Self::Plain(s) => {
+                s.attach_metrics(registry);
+            }
+            Self::Windowed(s) => {
+                s.attach_metrics(registry);
+                s.attach_window_metrics(registry);
+            }
+        }
+    }
+
+    /// [`LdpService::submit_wire_batch`]. An all-time service refuses
+    /// epoch-tagged (v2) frames: it has no open epoch to check them by.
+    pub(crate) fn submit_wire_batch(
+        &self,
+        wire_version: u8,
+        count: u64,
+        frames: &[u8],
+    ) -> Result<u64, ServiceError>
+    where
+        S::Report: WireReport,
+    {
+        match self {
+            Self::Plain(_) if wire_version == VERSION_EPOCH => {
+                Err(crate::error::WireError::UnsupportedVersion(wire_version).into())
+            }
+            Self::Plain(s) => s.submit_wire_batch(wire_version, count, frames),
+            Self::Windowed(s) => s.submit_wire_batch(wire_version, count, frames),
+        }
+    }
+
+    pub(crate) fn num_reports(&self) -> u64 {
+        match self {
+            Self::Plain(s) => s.num_reports(),
+            Self::Windowed(s) => s.num_reports(),
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> Arc<RangeSnapshot> {
+        match self {
+            Self::Plain(s) => s.snapshot(),
+            Self::Windowed(s) => s.snapshot(),
+        }
+    }
+
+    pub(crate) fn refresh_snapshot(&self) -> Result<Arc<RangeSnapshot>, ServiceError> {
+        match self {
+            Self::Plain(s) => s.refresh_snapshot(),
+            Self::Windowed(s) => s.refresh_snapshot(),
+        }
+    }
+
+    /// The merged state ([`LdpService::merged_state`]) serialized — what
+    /// a durable checkpoint writes.
+    pub(crate) fn persist_merged(&self) -> Result<Vec<u8>, ServiceError>
+    where
+        S: PersistableServer,
+    {
+        let mut bytes = Vec::new();
+        match self {
+            Self::Plain(s) => s.merged_state()?.persist_state(&mut bytes),
+            Self::Windowed(s) => s.merged_state()?.persist_state(&mut bytes),
+        }
+        Ok(bytes)
+    }
+
+    pub(crate) fn seal_epoch(&self) -> Result<u64, ServiceError> {
+        self.windowed()
+            .ok_or(ServiceError::NotWindowed)?
+            .seal_epoch()
+    }
+
+    pub(crate) fn window_snapshot(&self, epochs: usize) -> Result<WindowedSnapshot, ServiceError> {
+        self.windowed()
+            .ok_or(ServiceError::NotWindowed)?
+            .window_snapshot(epochs)
+    }
+
+    pub(crate) fn current_epoch(&self) -> Result<u64, ServiceError> {
+        let ring = self.windowed().ok_or(ServiceError::NotWindowed)?;
+        Ok(ring.current_epoch())
     }
 }
 

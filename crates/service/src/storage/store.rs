@@ -26,13 +26,13 @@ use crate::obs::instruments::{ReplInstruments, StorageInstruments};
 use crate::obs::trace::{current_span, set_current_span};
 use crate::obs::{MetricsRegistry, TraceEvent, TraceOutcome, TraceRing, TraceStage};
 use crate::repl::hub::ReplHub;
-use crate::service::LdpService;
+use crate::service::{AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::storage::recovery::{self, RecoveryReport, ResumePoint};
 use crate::storage::wal::{FsyncPolicy, WalRecord, WalWriter};
 use crate::storage::{checkpoint, wal};
 use crate::window::{EpochRing, WindowedSnapshot};
-use crate::wire::{WireReport, VERSION_EPOCH};
+use crate::wire::WireReport;
 
 /// Sentinel for "no checkpoint taken yet" in the atomic id cell.
 const NO_CHECKPOINT: u64 = u64::MAX;
@@ -82,7 +82,8 @@ impl Default for DurableConfig {
     }
 }
 
-/// Durability progress counters (served over the socket as STATUS).
+/// Durability progress counters — also what a durable server's STATUS
+/// reply carries (as [`crate::net::proto::DurableProgress`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableStatus {
     /// Id of the newest completed checkpoint, if any.
@@ -99,16 +100,9 @@ pub struct DurableStatus {
     pub checkpoint_failures: u64,
     /// Whether the service has fail-stopped after a WAL append failure
     /// (see [`DurableService::ingest_batch`]); a wedged service rejects
-    /// all further ingest, seals, and checkpoints until restarted.
+    /// all further ingest, seals, and checkpoints until restarted — the
+    /// first thing an operator probe must see.
     pub wedged: bool,
-}
-
-enum DurableBackend<S>
-where
-    S: SnapshotSource + SubtractableServer,
-{
-    Plain(Arc<LdpService<S>>),
-    Windowed(Arc<LdpService<EpochRing<S>>>),
 }
 
 /// A durable LDP aggregation service: [`LdpService`] + WAL + checkpoints.
@@ -117,7 +111,7 @@ where
     S: SnapshotSource + SubtractableServer + PersistableServer,
     S::Report: WireReport,
 {
-    backend: DurableBackend<S>,
+    service: AnyService<S>,
     /// Serializes absorb + append, seal + append, and checkpointing. The
     /// WAL is inherently serial; holding one lock across the state change
     /// and its log record is what makes log order an absorption order.
@@ -151,6 +145,15 @@ where
     S::Report: WireReport,
 {
     fn drop(&mut self) {
+        // Under a lazy fsync policy an acked record can still sit in the
+        // writer's staging buffer; hand it to the OS so a clean drop
+        // loses nothing. A wedged store writes nothing more: a partial
+        // record may already be on disk.
+        if self.obs.wedged.get() == 0 {
+            if let Ok(wal) = self.wal.get_mut() {
+                let _ = wal.writer.flush_buffer();
+            }
+        }
         // Release the single-writer lock. After a real crash the stale
         // lock file remains; the next open reclaims it once the owning
         // pid is gone.
@@ -255,23 +258,11 @@ where
         prototype: &S,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let dir = dir.as_ref().to_path_buf();
-        create_dir_durable(&dir)?;
-        acquire_lock(&dir)?;
-        let result = (|| {
-            let (state, report) = recovery::recover_plain(&dir, prototype)?;
-            let service = LdpService::with_recovered(state, prototype, config.num_shards)?;
-            Self::finish_open(
-                dir.clone(),
-                DurableBackend::Plain(Arc::new(service)),
-                config,
-                report,
-            )
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(lock_path(&dir));
-        }
-        result
+        Self::open_with(dir.as_ref(), config, |dir, shards| {
+            let (state, report) = recovery::recover_plain(dir, prototype)?;
+            let service = LdpService::with_recovered(state, prototype, shards)?;
+            Ok((AnyService::Plain(Arc::new(service)), report))
+        })
     }
 
     /// Opens (or creates) a durable *windowed* service in `dir`; the ring
@@ -287,29 +278,36 @@ where
         window_len: usize,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let dir = dir.as_ref().to_path_buf();
-        create_dir_durable(&dir)?;
-        acquire_lock(&dir)?;
-        let result = (|| {
-            let (ring, report) = recovery::recover_windowed(&dir, prototype, window_len)?;
+        Self::open_with(dir.as_ref(), config, |dir, shards| {
+            let (ring, report) = recovery::recover_windowed(dir, prototype, window_len)?;
             let empty = ring.aligned_empty();
-            let service = LdpService::with_recovered(ring, &empty, config.num_shards)?;
-            Self::finish_open(
-                dir.clone(),
-                DurableBackend::Windowed(Arc::new(service)),
-                config,
-                report,
-            )
-        })();
+            let service = LdpService::with_recovered(ring, &empty, shards)?;
+            Ok((AnyService::Windowed(Arc::new(service)), report))
+        })
+    }
+
+    /// The open path of both shapes: lock the directory, `recover` the
+    /// shape's state into a service with `config.num_shards` shards, and
+    /// resume the log. The lock is released again if any step fails.
+    fn open_with(
+        dir: &Path,
+        config: DurableConfig,
+        recover: impl FnOnce(&Path, usize) -> Result<(AnyService<S>, RecoveryReport), ServiceError>,
+    ) -> Result<(Self, RecoveryReport), ServiceError> {
+        create_dir_durable(dir)?;
+        acquire_lock(dir)?;
+        let result = recover(dir, config.num_shards).and_then(|(service, report)| {
+            Self::finish_open(dir.to_path_buf(), service, config, report)
+        });
         if result.is_err() {
-            let _ = std::fs::remove_file(lock_path(&dir));
+            let _ = std::fs::remove_file(lock_path(dir));
         }
         result
     }
 
     fn finish_open(
         dir: PathBuf,
-        backend: DurableBackend<S>,
+        service: AnyService<S>,
         config: DurableConfig,
         report: RecoveryReport,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
@@ -364,19 +362,11 @@ where
         let obs = StorageInstruments::register(&registry);
         obs.replay_records.add(report.records_replayed);
         obs.replay_frames.add(report.frames_replayed);
-        match &backend {
-            DurableBackend::Plain(s) => {
-                s.attach_metrics(&registry);
-            }
-            DurableBackend::Windowed(s) => {
-                s.attach_metrics(&registry);
-                s.attach_window_metrics(&registry);
-            }
-        }
+        service.attach_metrics(&registry);
         let trace = config.trace.clone();
         Ok((
             Self {
-                backend,
+                service,
                 wal: Mutex::new(WalInner {
                     writer,
                     records_since_checkpoint: 0,
@@ -431,7 +421,7 @@ where
     /// Whether the backend is windowed.
     #[must_use]
     pub fn is_windowed(&self) -> bool {
-        matches!(self.backend, DurableBackend::Windowed(_))
+        self.service.is_windowed()
     }
 
     /// The storage directory.
@@ -445,19 +435,19 @@ where
     /// writers use [`DurableService::ingest_batch`].
     #[must_use]
     pub fn plain(&self) -> Option<&Arc<LdpService<S>>> {
-        match &self.backend {
-            DurableBackend::Plain(s) => Some(s),
-            DurableBackend::Windowed(_) => None,
-        }
+        self.service.plain()
     }
 
     /// The wrapped windowed service, for queries (`None` when plain).
     #[must_use]
     pub fn windowed(&self) -> Option<&Arc<LdpService<EpochRing<S>>>> {
-        match &self.backend {
-            DurableBackend::Windowed(s) => Some(s),
-            DurableBackend::Plain(_) => None,
-        }
+        self.service.windowed()
+    }
+
+    /// The wrapped service of either shape — what a socket front end
+    /// reads from.
+    pub(crate) fn service(&self) -> &AnyService<S> {
+        &self.service
     }
 
     /// Absorbs one batch of raw wire frames all-or-nothing
@@ -504,13 +494,9 @@ where
         count: u64,
         frames: &[u8],
     ) -> Result<u64, ServiceError> {
-        if wire_version == VERSION_EPOCH && !self.is_windowed() {
-            return Err(crate::error::WireError::UnsupportedVersion(wire_version).into());
-        }
-        let n = match &self.backend {
-            DurableBackend::Plain(s) => s.submit_wire_batch(wire_version, count, frames)?,
-            DurableBackend::Windowed(s) => s.submit_wire_batch(wire_version, count, frames)?,
-        };
+        let n = self
+            .service
+            .submit_wire_batch(wire_version, count, frames)?;
         // Zero-copy append: the raw frame bytes go straight from the
         // request buffer to the log.
         let started = Instant::now();
@@ -534,12 +520,9 @@ where
     /// [`DurableService::ingest_batch`] (an append failure wedges the
     /// service).
     pub fn seal_epoch(&self) -> Result<u64, ServiceError> {
-        let DurableBackend::Windowed(s) = &self.backend else {
-            return Err(ServiceError::NotWindowed);
-        };
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
-        let epoch = s.seal_epoch()?;
+        let epoch = self.service.seal_epoch()?;
         self.append_seal_locked(&mut wal, epoch)?;
         self.maybe_auto_checkpoint(&mut wal);
         Ok(epoch)
@@ -625,19 +608,13 @@ where
     /// for windowed backends).
     #[must_use]
     pub fn num_reports(&self) -> u64 {
-        match &self.backend {
-            DurableBackend::Plain(s) => s.num_reports(),
-            DurableBackend::Windowed(s) => s.num_reports(),
-        }
+        self.service.num_reports()
     }
 
     /// The most recently published snapshot of the backend.
     #[must_use]
     pub fn snapshot(&self) -> Arc<RangeSnapshot> {
-        match &self.backend {
-            DurableBackend::Plain(s) => s.snapshot(),
-            DurableBackend::Windowed(s) => s.snapshot(),
-        }
+        self.service.snapshot()
     }
 
     /// Merges current state and publishes a fresh snapshot.
@@ -646,10 +623,7 @@ where
     ///
     /// As [`LdpService::refresh_snapshot`].
     pub fn refresh_snapshot(&self) -> Result<Arc<RangeSnapshot>, ServiceError> {
-        match &self.backend {
-            DurableBackend::Plain(s) => s.refresh_snapshot(),
-            DurableBackend::Windowed(s) => s.refresh_snapshot(),
-        }
+        self.service.refresh_snapshot()
     }
 
     /// Freezes the trailing `epochs` sealed epochs (windowed backends).
@@ -659,10 +633,7 @@ where
     /// [`ServiceError::NotWindowed`] on a plain backend; otherwise as
     /// [`LdpService::window_snapshot`].
     pub fn window_snapshot(&self, epochs: usize) -> Result<WindowedSnapshot, ServiceError> {
-        match &self.backend {
-            DurableBackend::Windowed(s) => s.window_snapshot(epochs),
-            DurableBackend::Plain(_) => Err(ServiceError::NotWindowed),
-        }
+        self.service.window_snapshot(epochs)
     }
 
     /// The attached replication hub, if this store has ever served as a
@@ -776,10 +747,7 @@ where
                     self.apply_frames_locked(&mut wal, *wire_version, *count, frames)?;
                 }
                 WalRecord::Seal { epoch } => {
-                    let DurableBackend::Windowed(s) = &self.backend else {
-                        return Err(ServiceError::NotWindowed);
-                    };
-                    let sealed = s.seal_epoch()?;
+                    let sealed = self.service.seal_epoch()?;
                     if sealed != *epoch {
                         return Err(ServiceError::Range(ldp_ranges::RangeError::CorruptState(
                             "replicated SEAL names a different epoch than the follower sealed \
@@ -846,20 +814,7 @@ where
         let started = Instant::now();
         let last = self.last_checkpoint.load(Ordering::Relaxed);
         let id = if last == NO_CHECKPOINT { 0 } else { last + 1 };
-        let state = match &self.backend {
-            DurableBackend::Plain(s) => {
-                let merged = s.merged_state()?;
-                let mut bytes = Vec::new();
-                merged.persist_state(&mut bytes);
-                bytes
-            }
-            DurableBackend::Windowed(s) => {
-                let merged = s.merged_state()?;
-                let mut bytes = Vec::new();
-                merged.persist_state(&mut bytes);
-                bytes
-            }
-        };
+        let state = self.service.persist_merged()?;
         // Log failures here wedge like any other append failure — a
         // partial marker or unflushed rotation must not be written past.
         // A failure *after* rotation (checkpoint file, truncation) does
@@ -913,6 +868,7 @@ mod tests {
     use super::*;
     use crate::loadgen::EncodedStream;
     use crate::storage::scratch_dir;
+    use crate::wire::VERSION_EPOCH;
     use ldp_freq_oracle::Epsilon;
     use ldp_ranges::{HhClient, HhConfig, HhServer};
     use rand::rngs::StdRng;

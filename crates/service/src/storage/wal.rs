@@ -297,8 +297,11 @@ pub enum FsyncPolicy {
     /// fraction of the fsync cost.
     EveryBytes(u64),
     /// Never sync on append; only rotation, checkpoints, and shutdown
-    /// sync. Survives a process crash (the OS flushes page cache), not a
-    /// host crash.
+    /// sync. Records under 8 KiB wait in the writer's in-process buffer
+    /// until 256 KiB accumulate (or a sync, rotation, checkpoint, follower
+    /// flush or clean drop hands them to the OS), so a process crash such
+    /// as `kill -9` can lose up to the last 256 KiB of acked records, and
+    /// a host crash anything not yet synced.
     Never,
 }
 

@@ -321,6 +321,133 @@ fn hostile_queries_and_epoch_mismatches_are_typed() {
     let _ = server.shutdown();
 }
 
+fn is_bad_state<T: std::fmt::Debug>(result: Result<T, NetError>) -> bool {
+    matches!(result, Err(NetError::Remote(ref e)) if e.code == ErrorCode::BadState)
+}
+
+/// One row of the refusal table: on an all-time node SEAL and windowed
+/// QUERY are `BAD_STATE`; on a read replica REPORT and SEAL are too. A
+/// refusal writes nothing — `store`'s `wal_records` stays put, and on a
+/// replica it stays put through the server's shutdown as well.
+fn check_refusals(
+    row: &str,
+    server: LdpServer<HhServer>,
+    store: Option<&ldp_service::DurableService<HhServer>>,
+    windowed: bool,
+    read_only: bool,
+) {
+    let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+    let client = HhClient::new(config).unwrap();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut batch = EncodedStream::new();
+    for i in 0..8 {
+        let report = client.report(i % 64, &mut rng).unwrap();
+        if windowed {
+            batch.push_epoch(&report, 0);
+        } else {
+            batch.push(&report);
+        }
+    }
+    let hello = if windowed {
+        Hello::windowed::<ldp_ranges::HhReport>()
+    } else {
+        Hello::plain::<ldp_ranges::HhReport>()
+    };
+    let wal_records = || store.map(|s| s.status().unwrap().wal_records);
+    let logged = wal_records();
+    let mut session = LdpClient::connect(server.local_addr(), hello).unwrap();
+    let reports = session.range(0, 63).unwrap().num_reports;
+
+    if !windowed || read_only {
+        assert!(is_bad_state(session.seal_epoch()), "{row}: SEAL");
+    }
+    if !windowed {
+        let windowed_query = session.query(Query {
+            op: QueryOp::Point { z: 0 },
+            window: Some(1),
+        });
+        assert!(is_bad_state(windowed_query), "{row}: windowed QUERY");
+    }
+    if read_only {
+        let report = session.send_batch(batch.len() as u64, batch.as_bytes());
+        assert!(is_bad_state(report), "{row}: REPORT");
+    }
+    assert_eq!(wal_records(), logged, "{row}: a refusal reached the log");
+    assert_eq!(session.range(0, 63).unwrap().num_reports, reports, "{row}");
+    session.bye().unwrap();
+
+    let stats = server.shutdown();
+    if read_only {
+        assert_eq!(wal_records(), logged, "{row}: shutdown wrote the log");
+        assert_eq!(stats.sealed_epoch, None, "{row}");
+        assert_eq!(stats.final_checkpoint, None, "{row}");
+    }
+}
+
+#[test]
+fn every_backend_refuses_what_it_cannot_do() {
+    use ldp_service::storage::{scratch_dir, DurableConfig, DurableService, FsyncPolicy};
+    use ldp_service::FollowerService;
+
+    let config = DurableConfig {
+        num_shards: 2,
+        fsync: FsyncPolicy::Never,
+        ..DurableConfig::default()
+    };
+    let prototype = HhServer::new(HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap()).unwrap();
+
+    let (_, _, server) = hh_fixture();
+    check_refusals("in-memory plain", server, None, false, false);
+
+    let dir = scratch_dir("refusals-durable").unwrap();
+    let (store, _) = DurableService::open(&dir, &prototype, config.clone()).unwrap();
+    let store = Arc::new(store);
+    let server =
+        LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&store), NetConfig::default()).unwrap();
+    check_refusals("durable plain", server, Some(&store), false, false);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    for windowed in [false, true] {
+        let row = if windowed {
+            "windowed replica"
+        } else {
+            "plain replica"
+        };
+        let leader_dir = scratch_dir("refusals-leader").unwrap();
+        let follower_dir = scratch_dir("refusals-follower").unwrap();
+        let (leader, _) = if windowed {
+            DurableService::open_windowed(&leader_dir, &prototype, 2, config.clone())
+        } else {
+            DurableService::open(&leader_dir, &prototype, config.clone())
+        }
+        .unwrap();
+        let leader = Arc::new(leader);
+        let leader_server =
+            LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&leader), NetConfig::default())
+                .unwrap();
+        let addr = leader_server.local_addr().to_string();
+        let (follower, _) = if windowed {
+            FollowerService::open_windowed(&follower_dir, &prototype, 2, &addr, config.clone())
+        } else {
+            FollowerService::open(&follower_dir, &prototype, &addr, config.clone())
+        }
+        .unwrap();
+        let replica = LdpServer::bind_replica(
+            "127.0.0.1:0",
+            Arc::clone(follower.service()),
+            NetConfig::default(),
+        )
+        .unwrap();
+        check_refusals(row, replica, Some(follower.service()), windowed, true);
+        drop(follower);
+        let _ = leader_server.shutdown();
+        drop(leader);
+        std::fs::remove_dir_all(&leader_dir).unwrap();
+        std::fs::remove_dir_all(&follower_dir).unwrap();
+    }
+}
+
 /// Hostile replication clients: bogus start positions, garbage acks,
 /// non-ack messages on the stream, and mid-record disconnects. The
 /// leader must stay live for its report sessions throughout, the lag

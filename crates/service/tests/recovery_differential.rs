@@ -879,3 +879,39 @@ fn corrupt_sole_checkpoint_refuses_open_unless_full_log_survives() {
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Under `FsyncPolicy::Never`, small acked records wait in the
+/// writer's staging buffer; a clean drop must still hand them to the
+/// OS, so the next open replays every acked batch.
+#[test]
+fn a_clean_drop_keeps_acked_batches_under_lazy_fsync() {
+    let hh = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+    let client = HhClient::new(hh.clone()).unwrap();
+    let prototype = HhServer::new(hh).unwrap();
+    let config = DurableConfig {
+        num_shards: 2,
+        fsync: FsyncPolicy::Never,
+        ..DurableConfig::default()
+    };
+    let dir = scratch_dir("drop-flushes").unwrap();
+    let (store, _) = DurableService::open(&dir, &prototype, config.clone()).unwrap();
+    let mut rng = StdRng::seed_from_u64(21);
+    for _ in 0..3 {
+        let mut stream = EncodedStream::new();
+        for i in 0..32 {
+            stream.push(&client.report(i % 64, &mut rng).unwrap());
+        }
+        let acked = store.ingest_batch(WIRE_V1, 32, stream.as_bytes()).unwrap();
+        assert_eq!(acked, 32);
+    }
+    let before = store.refresh_snapshot().unwrap();
+    drop(store);
+
+    let (store, report) = DurableService::open(&dir, &prototype, config).unwrap();
+    assert_eq!(report.records_replayed, 3);
+    assert_eq!(report.frames_replayed, 96);
+    let after = store.refresh_snapshot().unwrap();
+    assert_snapshots_identical(&after, &before, "reopened after a clean drop");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

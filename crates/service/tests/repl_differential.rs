@@ -492,6 +492,113 @@ fn windowed_replication_is_bit_identical_for_all_six_mechanisms() {
     );
 }
 
+/// Shutting a read replica down writes nothing into its follower's log —
+/// no seal, no checkpoint — so the follower keeps applying the leader's
+/// records, reaches the leader's position with a clean stream, and
+/// reopens from its own tail. Plain and windowed.
+#[test]
+fn replica_shutdown_leaves_the_follower_log_alone() {
+    const WINDOW: usize = 3;
+    let hh_config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+    let client = HhClient::new(hh_config.clone()).unwrap();
+    let prototype = HhServer::new(hh_config).unwrap();
+    let encode = |i: usize, rng: &mut StdRng| client.report((i * 7) % 64, rng).unwrap();
+
+    for windowed in [false, true] {
+        let tag = if windowed {
+            "replica-stop-w"
+        } else {
+            "replica-stop"
+        };
+        let batches = if windowed {
+            epoch_streams(2, 30, 4301, encode)
+        } else {
+            plain_batches(2, 30, 4301, encode)
+        };
+        let leader_dir = scratch_dir(&format!("{tag}-leader")).unwrap();
+        let follower_dir = scratch_dir(&format!("{tag}-follower")).unwrap();
+        let (leader, _) = if windowed {
+            DurableService::open_windowed(&leader_dir, &prototype, WINDOW, config())
+        } else {
+            DurableService::open(&leader_dir, &prototype, config())
+        }
+        .unwrap();
+        let leader = Arc::new(leader);
+        let server =
+            LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&leader), NetConfig::default())
+                .unwrap();
+        let addr = format!("{}", server.local_addr());
+        let open_follower = || {
+            if windowed {
+                FollowerService::open_windowed(&follower_dir, &prototype, WINDOW, &addr, config())
+            } else {
+                FollowerService::open(&follower_dir, &prototype, &addr, config())
+            }
+            .unwrap()
+        };
+        let hello = if windowed {
+            Hello::windowed::<ldp_ranges::HhReport>()
+        } else {
+            Hello::plain::<ldp_ranges::HhReport>()
+        };
+        let mut session = LdpClient::connect(&addr, hello).unwrap();
+        // One FRAMES record per round, plus its SEAL when windowed.
+        let per_round = if windowed { 2 } else { 1 };
+        let mut round = |batch: &EncodedStream| {
+            session
+                .send_batch(batch.len() as u64, batch.as_bytes())
+                .unwrap();
+            if windowed {
+                session.seal_epoch().unwrap();
+            }
+        };
+
+        let (follower, _) = open_follower();
+        round(&batches[0]);
+        await_position(&follower, per_round, tag);
+        let replica = LdpServer::bind_replica(
+            "127.0.0.1:0",
+            Arc::clone(follower.service()),
+            NetConfig::default(),
+        )
+        .unwrap();
+        let stats = replica.shutdown();
+        assert_eq!(stats.sealed_epoch, None, "{tag}: replica shutdown sealed");
+        assert_eq!(
+            stats.final_checkpoint, None,
+            "{tag}: replica shutdown checkpointed"
+        );
+
+        // The leader moves on; the follower keeps up, stream intact.
+        round(&batches[1]);
+        await_position(&follower, 2 * per_round, tag);
+        assert_eq!(follower.last_error(), None, "{tag}");
+        assert_snapshots_identical(
+            &follower.service().refresh_snapshot().unwrap(),
+            &leader.refresh_snapshot().unwrap(),
+            tag,
+        );
+
+        // Its log is still a pure copy: it reopens from its own tail.
+        drop(follower);
+        let (follower, report) = open_follower();
+        assert_eq!(report.records_replayed, 2 * per_round, "{tag}: local tail");
+        assert_eq!(follower.position(), 2 * per_round, "{tag}");
+        assert_snapshots_identical(
+            &follower.service().refresh_snapshot().unwrap(),
+            &leader.refresh_snapshot().unwrap(),
+            &format!("{tag} reopened"),
+        );
+
+        drop(follower);
+        session.bye().unwrap();
+        let _ = server.shutdown();
+        drop(leader);
+        std::fs::remove_dir_all(&leader_dir).unwrap();
+        std::fs::remove_dir_all(&follower_dir).unwrap();
+    }
+}
+
 /// A follower that was streaming while the leader checkpoints: the
 /// pushed CHECKPOINT marker lands in the follower's log as a no-op
 /// marker, the follower's position counts it, and a *new* subscription
