@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ldp_freq_oracle::{Epsilon, Hrr, Olh, Oue, PointOracle};
+use ldp_freq_oracle::{Epsilon, Hrr, Olh, Oue, PointOracle, Sue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,6 +26,30 @@ fn bench_encode(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("HRR", domain), &domain, |b, _| {
             b.iter(|| black_box(hrr.encode(black_box(5), &mut rng).unwrap()))
+        });
+    }
+    group.finish();
+}
+
+/// The unary client encode at D = 2^16, where it is most of a client's
+/// cost: OUE at e^ε ∈ {1.5, 3, 9} (q = 0.4, 1/4, 0.1) and SUE at
+/// e^ε ∈ {1.5, 3}. Only q = 1/4 is a power of two (2 random words per 64
+/// bits); the others have long binary expansions, and 64 lanes take ≈ 8
+/// words to decide. Divide by 65 536 for ns/bit.
+fn bench_unary_encode(c: &mut Criterion) {
+    let domain = 1usize << 16;
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut group = c.benchmark_group("unary_encode_d65536");
+    for exp_eps in [1.5, 3.0, 9.0] {
+        let oue = Oue::new(domain, Epsilon::from_exp(exp_eps)).unwrap();
+        group.bench_with_input(BenchmarkId::new("OUE", exp_eps), &exp_eps, |b, _| {
+            b.iter(|| black_box(oue.encode(black_box(5), &mut rng).unwrap()))
+        });
+    }
+    for exp_eps in [1.5, 3.0] {
+        let sue = Sue::new(domain, Epsilon::from_exp(exp_eps)).unwrap();
+        group.bench_with_input(BenchmarkId::new("SUE", exp_eps), &exp_eps, |b, _| {
+            b.iter(|| black_box(sue.encode(black_box(5), &mut rng).unwrap()))
         });
     }
     group.finish();
@@ -116,6 +140,7 @@ fn bench_estimate(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_encode,
+    bench_unary_encode,
     bench_absorb,
     bench_population_simulation,
     bench_estimate

@@ -6,20 +6,24 @@
 //! builds its range-query mechanisms on, behind the common
 //! [`PointOracle`] trait:
 //!
-//! | Mechanism | Module | Communication | Aggregation | Variance |
-//! |-----------|--------|---------------|-------------|----------|
-//! | Optimized Unary Encoding | [`oue`] | `D` bits | `O(N·D)` bits, trivially parallel; a batch ripples into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
-//! | Optimal Local Hashing | [`olh`]| `O(log D)` bits | `O(N·D)` incremental hash steps (slow) | same |
-//! | Hadamard Randomized Response | [`hrr`] | `log2 D + 1` bits | `O(N + D log D)` | same |
+//! | Mechanism | Module | Client encode | Communication | Aggregation | Variance |
+//! |-----------|--------|---------------|---------------|-------------|----------|
+//! | Optimized Unary Encoding | [`oue`] | `O(D)`: 64 exact Bernoulli lanes per random word, ≈ 8 words per 64 bits | `D` bits | `O(N·D)` bits, trivially parallel; a batch ripples into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
+//! | Optimal Local Hashing | [`olh`]| `O(1)` | `O(log D)` bits | `O(N·D)` incremental hash steps (slow) | same |
+//! | Hadamard Randomized Response | [`hrr`] | `O(1)` | `log2 D + 1` bits | `O(N + D log D)` | same |
 //!
 //! Supporting modules: [`grr`] (k-ary randomized response, used inside
 //! OLH), [`hash`] (a universal hash family), [`binomial`] (population-scale
 //! samplers powering the paper's statistically-equivalent simulations) and
 //! [`variance`] (the shared theoretical `VF`). OUE and its symmetric
-//! baseline [`sue`] share one private accumulator: a batch of reports
-//! ([`PointOracle::absorb_deferred`]) adds into bit-sliced counters, word
-//! by word, and [`PointOracle::settle`] spills them into the per-item
-//! counts once per batch.
+//! baseline [`sue`] share one private module for both halves. A client
+//! fills its `D` bits with Bernoulli(`q`) lanes decided against `q`'s
+//! exact binary expansion, 64 per random word, then draws the value's bit
+//! from `p` ([`Oue`]'s `encode` documents why the bits are independent).
+//! The aggregator adds a batch of reports
+//! ([`PointOracle::absorb_deferred`]) into bit-sliced counters, word by
+//! word, and [`PointOracle::settle`] spills them into the per-item counts
+//! once per batch.
 //!
 //! # Example
 //!

@@ -12,15 +12,16 @@
 //! `Bino(c_j, 1/2) + Bino(N − c_j, 1/(1+e^ε))` (§5, "Histogram estimation
 //! primitives").
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::oracle::{ensure_same_config, PointOracle};
 use crate::params::oue_probs;
-use crate::unary::UnaryCounts;
+use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, OracleError};
 
-/// One user's OUE report: the perturbed bit vector, bit-packed.
+/// One user's OUE report: the perturbed bit vector, bit-packed. SUE
+/// reports share the type (the same wire format, different `(p, q)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OueReport {
     domain: usize,
@@ -28,27 +29,6 @@ pub struct OueReport {
 }
 
 impl OueReport {
-    /// Bit-packs a perturbed unary encoding (shared by OUE and SUE, which
-    /// transmit the same wire format with different flip probabilities).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bits.len() == domain`.
-    #[must_use]
-    pub fn from_bits(domain: usize, bits: &[bool]) -> Self {
-        assert_eq!(bits.len(), domain);
-        let mut packed = vec![0u64; domain.div_ceil(64)];
-        for (j, &b) in bits.iter().enumerate() {
-            if b {
-                packed[j / 64] |= 1 << (j % 64);
-            }
-        }
-        Self {
-            domain,
-            bits: packed,
-        }
-    }
-
     /// Whether bit `j` is set.
     #[inline]
     #[must_use]
@@ -116,6 +96,8 @@ pub struct Oue {
     eps: Epsilon,
     p: f64,
     q: f64,
+    /// Exact lane samplers for `p` and `q`.
+    encoder: UnaryEncoder,
     /// Noisy 1-counts per item and the report total.
     state: UnaryCounts,
 }
@@ -136,6 +118,7 @@ impl Oue {
             eps,
             p,
             q,
+            encoder: UnaryEncoder::new((p, q)),
             state: UnaryCounts::new(domain),
         })
     }
@@ -214,6 +197,16 @@ impl PointOracle for Oue {
         self.eps
     }
 
+    /// Fills every bit with an independent Bernoulli(`q`) lane, 64 lanes
+    /// per random word, then overwrites the value's bit with one
+    /// Bernoulli(`p`) draw (`crate::unary`).
+    ///
+    /// Each lane compares its own bits of successive random words against
+    /// `q`'s exact binary expansion (computed once in [`Oue::new`]), so
+    /// `P(bit = 1)` is `q` exactly and no two lanes share a random bit:
+    /// the bits are independent, as the ε-LDP ratio requires. The value
+    /// only picks which bit the `p` draw overwrites, so the random words
+    /// consumed — and the report's length — never depend on it.
     fn encode(&self, value: usize, rng: &mut dyn RngCore) -> Result<OueReport, OracleError> {
         if value >= self.domain {
             return Err(OracleError::ValueOutOfDomain {
@@ -221,22 +214,7 @@ impl PointOracle for Oue {
                 domain: self.domain,
             });
         }
-        let words = self.domain.div_ceil(64);
-        let mut bits = vec![0u64; words];
-        for j in 0..self.domain {
-            let one = if j == value {
-                rng.random::<f64>() < self.p
-            } else {
-                rng.random::<f64>() < self.q
-            };
-            if one {
-                bits[j / 64] |= 1 << (j % 64);
-            }
-        }
-        Ok(OueReport {
-            domain: self.domain,
-            bits,
-        })
+        Ok(self.encoder.encode(self.domain, value, rng))
     }
 
     /// [`PointOracle::absorb_deferred`] then [`PointOracle::settle`], so

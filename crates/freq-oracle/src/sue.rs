@@ -15,11 +15,11 @@
 //! LDP system); the `oracle_suite` ablation compares it against OUE
 //! empirically.
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::oracle::{ensure_same_config, PointOracle};
 use crate::oue::OueReport;
-use crate::unary::UnaryCounts;
+use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::{Epsilon, OracleError};
 
 /// SUE bit-retention probabilities `(p, q)` with `p + q = 1` and
@@ -51,6 +51,7 @@ pub struct Sue {
     eps: Epsilon,
     p: f64,
     q: f64,
+    encoder: UnaryEncoder,
     state: UnaryCounts,
 }
 
@@ -70,6 +71,7 @@ impl Sue {
             eps,
             p,
             q,
+            encoder: UnaryEncoder::new((p, q)),
             state: UnaryCounts::new(domain),
         })
     }
@@ -136,6 +138,11 @@ impl PointOracle for Sue {
         self.eps
     }
 
+    /// The same word-parallel sampler as [`crate::Oue`]'s encode, with the
+    /// symmetric `(p, q)` expanded once in [`Sue::new`]: every bit an
+    /// exact, independent Bernoulli(`q`) lane, then the value's bit
+    /// overwritten by one exact Bernoulli(`p`) draw. The random words
+    /// consumed and the report's length never depend on the value.
     fn encode(&self, value: usize, rng: &mut dyn RngCore) -> Result<OueReport, OracleError> {
         if value >= self.domain {
             return Err(OracleError::ValueOutOfDomain {
@@ -143,12 +150,7 @@ impl PointOracle for Sue {
                 domain: self.domain,
             });
         }
-        let mut bits = vec![false; self.domain];
-        for (j, bit) in bits.iter_mut().enumerate() {
-            let keep = if j == value { self.p } else { self.q };
-            *bit = rng.random::<f64>() < keep;
-        }
-        Ok(OueReport::from_bits(self.domain, &bits))
+        Ok(self.encoder.encode(self.domain, value, rng))
     }
 
     /// [`PointOracle::absorb_deferred`] then [`PointOracle::settle`].

@@ -1,7 +1,22 @@
-//! The aggregator state shared by the two unary encodings ([`crate::Oue`]
-//! and [`crate::Sue`]): one noisy 1-count per item, plus a bit-sliced
-//! buffer that absorbs a batch of `D`-bit reports without paying one
-//! scattered increment per set bit.
+//! The two halves shared by the unary encodings ([`crate::Oue`] and
+//! [`crate::Sue`]): a client encoder that draws 64 exact Bernoulli lanes
+//! per random word, and an aggregator state — one noisy 1-count per item,
+//! plus a bit-sliced buffer that absorbs a batch of `D`-bit reports
+//! without paying one scattered increment per set bit.
+//!
+//! # Encoding
+//!
+//! [`Lanes`] holds the exact binary expansion `0.b₁b₂…` of a probability
+//! and decides a lane as `1` iff `U < q`, where `U = 0.u₁u₂…` takes its
+//! digit `uₖ` from that lane's bit of the `k`-th random word. Comparing
+//! MSB first, the first digit where `U` and `q` differ decides: where
+//! `bₖ = 1` a lane with `uₖ = 0` is decided 1, where `bₖ = 0` a lane with
+//! `uₖ = 1` is decided 0. A word is finished once every lane is decided
+//! or the expansion ends (an undecided lane then has `U ≥ q`, so it is 0).
+//! So `P(lane = 1) = q` exactly — no 2⁻⁵³ rounding — for ≈ 8 words per 64
+//! lanes at a general `q` and 2 at `q = 1/4`, against one draw per bit.
+//!
+//! # Aggregation
 //!
 //! A report is `⌈D/64⌉` packed words. Absorbing it *deferred*
 //! ripple-carry adds those words into **bit planes**: plane `k` holds bit
@@ -25,7 +40,7 @@
 use rand::RngCore;
 
 use crate::binomial::sample_binomial;
-use crate::OracleError;
+use crate::{OracleError, OueReport};
 
 /// Pending reports at which the planes settle by themselves: 255 keeps a
 /// pending count in one byte (the spill's lane width) and the planes at
@@ -51,6 +66,104 @@ const BYTE_LANES: [u64; 256] = {
     }
     table
 };
+
+/// A Bernoulli(`prob`) sampler that decides 64 independent lanes per
+/// random word from `prob`'s exact binary expansion (see the
+/// [module docs](self)).
+#[derive(Debug, Clone)]
+pub(crate) struct Lanes {
+    /// `prob == 1`: every lane is 1 without a draw.
+    certain: bool,
+    /// The fractional binary digits of `prob`, most significant first,
+    /// ending at its last 1 — trailing zeros can only decide lanes 0, as
+    /// running out of digits does.
+    digits: Vec<bool>,
+}
+
+impl Lanes {
+    /// Expands `prob ∈ [0, 1]` by exact doubling: doubling a binary float
+    /// below 1 and subtracting 1 from one in `[1, 2)` are both exact, and a
+    /// finite `f64` has at most 1074 fractional digits, so the loop ends
+    /// with `Σ digitₖ·2⁻ᵏ == prob`.
+    pub(crate) fn new(prob: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&prob), "probability {prob}");
+        let certain = prob >= 1.0;
+        let mut digits = Vec::new();
+        let mut rest = if certain { 0.0 } else { prob };
+        while rest > 0.0 {
+            rest *= 2.0;
+            let digit = rest >= 1.0;
+            if digit {
+                rest -= 1.0;
+            }
+            digits.push(digit);
+        }
+        Self { certain, digits }
+    }
+
+    /// A word whose lanes in `mask` are independent Bernoulli(`prob`)
+    /// draws and whose other lanes are 0. Each lane is a function of its
+    /// own bit of each word drawn, so lanes share no randomness; how many
+    /// words are drawn depends on `mask` and on their bits alone.
+    #[inline]
+    pub(crate) fn draw(&self, mask: u64, rng: &mut dyn RngCore) -> u64 {
+        if self.certain {
+            return mask;
+        }
+        let mut ones = 0;
+        let mut open = mask;
+        for &digit in &self.digits {
+            if open == 0 {
+                break;
+            }
+            let random = rng.next_u64();
+            // `at_one` is all-ones under a 1 digit, where open lanes
+            // drawing 0 fall below `prob` (decided 1); under a 0 digit, open
+            // lanes drawing 1 rise above it (decided 0). Lanes drawing the
+            // digit itself stay open.
+            let at_one = 0u64.wrapping_sub(u64::from(digit));
+            ones |= open & !random & at_one;
+            open &= !(random ^ at_one);
+        }
+        ones
+    }
+}
+
+/// The client half of a unary encoding: exact lane samplers for `p` (the
+/// value's bit) and `q` (every other bit).
+#[derive(Debug, Clone)]
+pub(crate) struct UnaryEncoder {
+    p: Lanes,
+    q: Lanes,
+}
+
+impl UnaryEncoder {
+    pub(crate) fn new((p, q): (f64, f64)) -> Self {
+        Self {
+            p: Lanes::new(p),
+            q: Lanes::new(q),
+        }
+    }
+
+    /// One report over `domain` items: every bit an independent
+    /// Bernoulli(`q`) lane — bits past `domain` are never opened — then
+    /// the value's bit overwritten by one Bernoulli(`p`) draw. The words
+    /// drawn never depend on `value`, only on `domain` and the random bits.
+    pub(crate) fn encode(&self, domain: usize, value: usize, rng: &mut dyn RngCore) -> OueReport {
+        debug_assert!(value < domain);
+        let width = domain.div_ceil(64);
+        let mut words = Vec::with_capacity(width);
+        words.extend((1..width).map(|_| self.q.draw(!0, rng)));
+        let tail = match domain % 64 {
+            0 => !0,
+            bits => (1u64 << bits) - 1,
+        };
+        words.push(self.q.draw(tail, rng));
+        let (word, bit) = (value / 64, value % 64);
+        words[word] = (words[word] & !(1 << bit)) | (self.p.draw(1, rng) << bit);
+        OueReport::from_words(domain, words)
+    }
+}
 
 /// Per-item noisy 1-counts of a unary encoding, with bit-sliced deferred
 /// absorption (see the [module docs](self)).
@@ -277,6 +390,7 @@ impl UnaryCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -343,5 +457,199 @@ mod tests {
         acc.settle();
         assert!(acc.planes.is_empty());
         assert_eq!(acc.clone().planes.capacity(), 0);
+    }
+
+    /// The lane sampler and the encoders built on it.
+    mod encode {
+        use super::*;
+
+        /// A generator that replays a fixed word sequence and panics past
+        /// its end, so a sampler that draws more words than the script
+        /// holds fails.
+        struct Script<'a>(std::slice::Iter<'a, u64>);
+
+        impl RngCore for Script<'_> {
+            fn next_u64(&mut self) -> u64 {
+                *self.0.next().expect("sampler drew past the scripted words")
+            }
+        }
+
+        /// A generator of all-zero words: every lane takes `q`'s first 1
+        /// digit, the densest report the sampler can emit.
+        struct Zeros;
+
+        impl RngCore for Zeros {
+            fn next_u64(&mut self) -> u64 {
+                0
+            }
+        }
+
+        const EXP_EPS: [f64; 3] = [1.5, 3.0, 9.0];
+
+        /// Both unary oracles at every e^ε of [`EXP_EPS`].
+        fn unary_oracles(domain: usize) -> Vec<crate::AnyOracle> {
+            use crate::FrequencyOracle::{Oue, Sue};
+            EXP_EPS
+                .into_iter()
+                .flat_map(|e| {
+                    [Oue, Sue].map(|kind| {
+                        crate::AnyOracle::new(kind, domain, crate::Epsilon::from_exp(e)).unwrap()
+                    })
+                })
+                .collect()
+        }
+
+        fn words_of(report: &crate::AnyReport) -> &[u64] {
+            match report {
+                crate::AnyReport::Oue(r) | crate::AnyReport::Sue(r) => r.words(),
+                other => panic!("not a unary report: {other:?}"),
+            }
+        }
+
+        /// The stored expansion is `prob`'s, digit for digit: summed back
+        /// it reproduces `prob`'s bits exactly, and it ends at its last 1.
+        #[test]
+        fn expansion_sums_back_to_the_probability_bit_for_bit() {
+            let mut probs: Vec<f64> = EXP_EPS
+                .into_iter()
+                .flat_map(|e| {
+                    let eps = crate::Epsilon::from_exp(e);
+                    let ((p, q), (sp, sq)) = (crate::oue_probs(eps), crate::sue_probs(eps));
+                    [p, q, sp, sq]
+                })
+                .collect();
+            probs.extend([
+                0.5,
+                0.0,
+                1.0,
+                1.0 - f64::EPSILON / 2.0,
+                f64::MIN_POSITIVE,
+                f64::from_bits(1),
+                f64::from_bits(0x000f_0000_0000_1234),
+            ]);
+            for prob in probs {
+                let lanes = Lanes::new(prob);
+                assert_eq!(lanes.certain, prob == 1.0, "{prob:e}");
+                assert!(lanes.digits.len() <= 1074, "{prob:e}");
+                assert_ne!(lanes.digits.last(), Some(&false), "{prob:e}");
+                // Every partial sum is a prefix of `prob`'s digits, so each
+                // addition below is exact.
+                let (mut sum, mut weight) = (f64::from(u8::from(lanes.certain)), 1.0);
+                for &digit in &lanes.digits {
+                    weight /= 2.0;
+                    if digit {
+                        sum += weight;
+                    }
+                }
+                assert_eq!(sum.to_bits(), prob.to_bits(), "{prob:e}");
+            }
+        }
+
+        /// For `q = k/2^m`, scripted over all `2^m` word sequences — lane
+        /// `ℓ` of sequence `s` reading `U = ((s + ℓ) mod 2^m)/2^m`, so every
+        /// lane sees every pattern once and neighbouring lanes see
+        /// different ones — each lane is exactly `[U < q]`: 1 in exactly
+        /// `k` sequences, decided by its own bits alone, and never after
+        /// more than `m` words.
+        #[test]
+        fn dyadic_probabilities_are_exact_over_every_word_sequence() {
+            for m in 0..=8u32 {
+                let patterns = 1usize << m;
+                // scripts[s][i], lane ℓ: digit i+1 (MSB first) of (s+ℓ) mod 2^m.
+                let scripts: Vec<Vec<u64>> = (0..patterns)
+                    .map(|s| {
+                        (0..m)
+                            .map(|i| {
+                                (0..64).fold(0u64, |word, lane| {
+                                    let u = ((s + lane) % patterns) as u64;
+                                    word | ((u >> (m - 1 - i)) & 1) << lane
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for k in 0..=patterns {
+                    let lanes = Lanes::new(k as f64 / patterns as f64);
+                    let mut ones = [0usize; 64];
+                    for (s, script) in scripts.iter().enumerate() {
+                        let word = lanes.draw(!0, &mut Script(script.iter()));
+                        for (lane, count) in ones.iter_mut().enumerate() {
+                            let one = (word >> lane) & 1 == 1;
+                            assert_eq!(
+                                one,
+                                (s + lane) % patterns < k,
+                                "q={k}/2^{m} s={s} lane {lane}"
+                            );
+                            *count += usize::from(one);
+                        }
+                    }
+                    assert_eq!(ones, [k; 64], "q = {k}/2^{m}");
+                }
+            }
+        }
+
+        /// No bit at or past `D` is ever set — not by the densest possible
+        /// draw, not at `q = 1`, and not by a seeded generator.
+        #[test]
+        fn bits_past_the_domain_are_zero() {
+            for domain in [1, 63, 64, 65, 1_000] {
+                let tail = match domain % 64 {
+                    0 => !0,
+                    bits => (1u64 << bits) - 1,
+                };
+                let mut rng = StdRng::seed_from_u64(domain as u64);
+                for oracle in unary_oracles(domain) {
+                    let dense = oracle.encode(domain - 1, &mut Zeros).unwrap();
+                    let set: u32 = words_of(&dense).iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(set as usize, domain, "{} D={domain}", oracle.kind());
+                    for value in [0, domain / 2, domain - 1] {
+                        let report = oracle.encode(value, &mut rng).unwrap();
+                        let words = words_of(&report);
+                        assert_eq!(words.len(), domain.div_ceil(64));
+                        assert_eq!(words[words.len() - 1] & !tail, 0, "D={domain}");
+                    }
+                }
+                let certain = UnaryEncoder::new((1.0, 1.0)).encode(domain, 0, &mut Zeros);
+                assert_eq!(certain.count_ones() as usize, domain, "D={domain}");
+                assert_eq!(certain.words()[certain.words().len() - 1] & !tail, 0);
+            }
+        }
+
+        /// The input only picks which bit the `p` draw overwrites: two
+        /// encodes of different values from one seed differ at most at
+        /// those two bits and leave the generator in the same state — the
+        /// work done and the frame length do not depend on the input.
+        #[test]
+        fn inputs_change_only_their_own_bits_and_never_the_draws() {
+            for domain in [2, 63, 64, 65, 130, 1_000] {
+                for oracle in unary_oracles(domain) {
+                    for seed in 0..20u64 {
+                        let mut pick = StdRng::seed_from_u64(!seed);
+                        let a = pick.random_range(0..domain);
+                        let b = (a + pick.random_range(1..domain)) % domain;
+                        let mut rng_a = StdRng::seed_from_u64(seed);
+                        let mut rng_b = rng_a.clone();
+                        let ra = oracle.encode(a, &mut rng_a).unwrap();
+                        let rb = oracle.encode(b, &mut rng_b).unwrap();
+                        let (wa, wb) = (words_of(&ra), words_of(&rb));
+                        assert_eq!(wa.len(), wb.len());
+                        for (i, (x, y)) in wa.iter().zip(wb).enumerate() {
+                            let own = [a, b]
+                                .into_iter()
+                                .filter(|v| v / 64 == i)
+                                .fold(0u64, |m, v| m | 1 << (v % 64));
+                            assert_eq!((x ^ y) & !own, 0, "D={domain} a={a} b={b} word {i}");
+                        }
+                        for _ in 0..4 {
+                            assert_eq!(
+                                rng_a.next_u64(),
+                                rng_b.next_u64(),
+                                "D={domain} a={a} b={b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

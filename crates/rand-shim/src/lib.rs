@@ -16,6 +16,18 @@
 //!   from upstream `StdRng` (ChaCha12) — upstream makes no cross-version
 //!   stream guarantee either, and every test seeds explicitly.
 //!
+//! `StdRng` is deterministic and **not cryptographically secure**: its
+//! whole future follows from 256 bits of state, and a few outputs reveal
+//! it. It suits seeded tests, simulations and benchmarks; the privacy of a
+//! deployed LDP client additionally rests on its randomness being
+//! unpredictable to the aggregator, which this generator does not provide.
+//!
+//! Every bit of every [`RngCore::next_u64`] word is used as a fair coin:
+//! the unary encoders' lane sampler decides 64 Bernoulli lanes from the
+//! 64 bits of each word. xoshiro256++ supports that — all its output bits
+//! pass the statistical batteries — whereas xoshiro256+ (whose lowest
+//! bits are linear and fail them) would not.
+//!
 //! Integer ranges are sampled with Lemire's unbiased multiply-shift
 //! rejection method; floats with the standard 53-bit mantissa trick.
 
@@ -238,6 +250,7 @@ pub mod rngs {
     use super::{splitmix64, RngCore, SeedableRng};
 
     /// The workspace's standard deterministic generator: xoshiro256++.
+    /// Not cryptographically secure (see the [crate docs](crate)).
     #[derive(Debug, Clone)]
     pub struct StdRng {
         s: [u64; 4],
