@@ -91,15 +91,15 @@
 //! * [`obs`] — the telemetry layer: a shared lock-free
 //!   [`MetricsRegistry`] of counters, gauges, and log-bucketed latency
 //!   histograms threaded through every tier above, with frozen snapshots
-//!   that merge/subtract exactly like the mechanism servers and are
-//!   queryable live over the socket (METRICS / verbose STATUS), plus a
+//!   that merge/subtract exactly like the mechanism servers, plus a
 //!   [`TraceRing`] of structured per-message span events for
-//!   postmortems. The ops plane builds on it: a background sampler
-//!   freezes snapshots into a [`TimeSeriesRing`] (METRICS_RANGE /
-//!   `GET /metrics/range`), a component-health model judges registry
-//!   signals into a [`HealthReport`] (HEALTH / verbose STATUS /
-//!   `GET /health`), and [`NetConfig::ops_addr`] serves it all over a
-//!   std-only HTTP scrape endpoint (Prometheus text on `GET /metrics`).
+//!   postmortems. [`NetConfig::ops_addr`] is the one surface on which it
+//!   leaves the process: a std-only HTTP endpoint serving Prometheus text
+//!   on `GET /metrics`, a [`HealthReport`] judged from registry signals
+//!   on `GET /health`, and a [`TimeSeriesRing`] that a background sampler
+//!   (started with the endpoint) fills, on `GET /metrics/range`.
+//!   In-process callers read [`LdpServer::registry`]; the session
+//!   protocol keeps only its STATUS counters.
 //!
 //! ## Quick start
 //!

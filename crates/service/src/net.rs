@@ -45,6 +45,8 @@
 //!   shutdown drains in-flight work with bounded patience for stalled
 //!   peers, seals the open epoch on windowed backends, checkpoints
 //!   durable ones (a read replica does neither), and joins every thread.
+//!   With [`NetConfig::ops_addr`] set it also serves the plain-HTTP ops
+//!   endpoint (`GET /metrics`, `/health`, `/metrics/range`).
 //! * [`client`] — [`LdpClient`]: the blocking client used by the tests,
 //!   `examples/net_pipeline.rs`, the socket replay path over
 //!   [`crate::EncodedStream`], and the `ldpbench` load generator.
@@ -74,7 +76,7 @@ pub use client::LdpClient;
 pub use poll::raise_nofile_limit;
 pub use proto::{
     DurableProgress, ErrorCode, Hello, Query, QueryOp, QueryReply, QueryResult, RemoteError,
-    StatusReply, HEALTH_VERSION, METRICS_VERSION, WIRE_EPOCH, WIRE_V1,
+    StatusReply, WIRE_EPOCH, WIRE_V1,
 };
 pub use server::{LdpServer, ServerStats};
 
@@ -113,7 +115,8 @@ pub struct NetConfig {
     /// Metrics registry the server instruments itself into. `None` (the
     /// default) creates a private registry — except for durable backends,
     /// which share the registry their storage layer already registered
-    /// into, so one METRICS probe sees every tier.
+    /// into, so one `GET /metrics` scrape (or one
+    /// [`LdpServer::registry`] snapshot) sees every tier.
     pub registry: Option<Arc<MetricsRegistry>>,
     /// Structured-event trace ring for session postmortems. `None` (the
     /// default) disables tracing entirely; recording also honors the
@@ -122,19 +125,21 @@ pub struct NetConfig {
     /// adopted when this is `None`, the same way the registry is.
     pub trace: Option<Arc<TraceRing>>,
     /// Bind address of the plain-HTTP ops endpoint (`GET /metrics`,
-    /// `/health`, `/metrics/range`) — e.g. `"127.0.0.1:0"`. `None` (the
-    /// default) serves no HTTP; the session-protocol introspection
-    /// messages work either way.
+    /// `/health`, `/metrics/range`) — e.g. `"127.0.0.1:0"` — the only
+    /// surface on which metrics, health and the time-series ring leave
+    /// the process. `None` (the default) serves no HTTP and starts no
+    /// sampler; in-process callers still read [`LdpServer::registry`],
+    /// and the session protocol keeps its STATUS counters.
     pub ops_addr: Option<String>,
-    /// Interval of the background time-series sampler that freezes
-    /// registry snapshots into the ring served by `METRICS_RANGE` and
-    /// `GET /metrics/range`.
+    /// Interval of the time-series sampler that freezes registry
+    /// snapshots into the ring served by `GET /metrics/range`. The
+    /// sampler runs only alongside [`NetConfig::ops_addr`].
     pub sample_interval: Duration,
     /// Samples the time-series ring retains (clamped to at least 2, so
     /// a per-interval delta always has a pair).
     pub ring_capacity: usize,
     /// Thresholds the component-health model judges registry signals
-    /// against (HEALTH message, verbose STATUS, `GET /health`).
+    /// against for `GET /health`.
     pub health: HealthThresholds,
 }
 

@@ -15,7 +15,6 @@ use crate::net::proto::{
     QueryReply, ServerMsg, StatusReply,
 };
 use crate::net::NetError;
-use crate::obs::{HealthReport, MetricsRange, RegistrySnapshot};
 
 /// A blocking client for one negotiated session.
 #[derive(Debug)]
@@ -168,91 +167,18 @@ impl LdpClient {
     }
 
     /// Probes the server's counters and durability progress. Works on
-    /// any session (the request names no report kind). Sends the legacy
-    /// plain probe, so it works against pre-metrics servers too; the
-    /// reply's `metrics` is always `None` — use
-    /// [`LdpClient::status_full`] for the verbose form.
+    /// any session (the request names no report kind). Metrics and
+    /// health are not on the session protocol: scrape the server's
+    /// [`crate::net::NetConfig::ops_addr`] endpoint for those.
     ///
     /// # Errors
     ///
     /// Transport failures or a typed server rejection.
     pub fn status(&mut self) -> Result<StatusReply, NetError> {
-        self.status_inner(false)
-    }
-
-    /// Probes the server verbosely: the reply additionally carries a
-    /// full metrics-registry snapshot in [`StatusReply::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a typed server rejection.
-    pub fn status_full(&mut self) -> Result<StatusReply, NetError> {
-        self.status_inner(true)
-    }
-
-    fn status_inner(&mut self, verbose: bool) -> Result<StatusReply, NetError> {
-        match self.roundtrip(&ClientMsg::Status { verbose })? {
+        match self.roundtrip(&ClientMsg::Status)? {
             ServerMsg::StatusOk(status) => Ok(status),
             ServerMsg::Error(e) => Err(NetError::Remote(e)),
             _ => Err(NetError::UnexpectedReply("STATUS answered with non-status")),
-        }
-    }
-
-    /// Fetches a full metrics-registry snapshot. Works on any session
-    /// (the request names no report kind, so it is allowed before
-    /// HELLO).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a typed server rejection, or
-    /// [`crate::WireError::UnsupportedVersion`] (as
-    /// [`NetError::Proto`]) when the server speaks a metrics exposition
-    /// version this client does not.
-    pub fn metrics(&mut self) -> Result<RegistrySnapshot, NetError> {
-        match self.roundtrip(&ClientMsg::Metrics)? {
-            ServerMsg::MetricsOk(snapshot) => Ok(snapshot),
-            ServerMsg::Error(e) => Err(NetError::Remote(e)),
-            _ => Err(NetError::UnexpectedReply(
-                "METRICS answered with non-metrics",
-            )),
-        }
-    }
-
-    /// Fetches the last `max` time-series samples from the server's
-    /// metrics ring (newest last), each a frozen registry snapshot —
-    /// diff adjacent samples with [`MetricsRange::deltas`] for exact
-    /// per-interval rates. Works on any session (allowed before HELLO).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a typed server rejection, or
-    /// [`crate::WireError::UnsupportedVersion`] (as [`NetError::Proto`])
-    /// when the server's exposition version is unknown to this client.
-    pub fn metrics_range(&mut self, max: u64) -> Result<MetricsRange, NetError> {
-        match self.roundtrip(&ClientMsg::MetricsRange { max })? {
-            ServerMsg::MetricsRangeOk(range) => Ok(range),
-            ServerMsg::Error(e) => Err(NetError::Remote(e)),
-            _ => Err(NetError::UnexpectedReply(
-                "METRICS_RANGE answered with non-range",
-            )),
-        }
-    }
-
-    /// Fetches the server's component-health report — per-component
-    /// verdicts judged from live registry signals, rolled up by
-    /// [`HealthReport::verdict`]. Works on any session (allowed before
-    /// HELLO), so an external prober needs no negotiated report kind.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a typed server rejection, or
-    /// [`crate::WireError::UnsupportedVersion`] (as [`NetError::Proto`])
-    /// when the server's health exposition version is unknown.
-    pub fn health(&mut self) -> Result<HealthReport, NetError> {
-        match self.roundtrip(&ClientMsg::Health)? {
-            ServerMsg::HealthOk(report) => Ok(report),
-            ServerMsg::Error(e) => Err(NetError::Remote(e)),
-            _ => Err(NetError::UnexpectedReply("HEALTH answered with non-health")),
         }
     }
 

@@ -1,4 +1,5 @@
-//! The plain-HTTP ops endpoint ([`crate::net::NetConfig::ops_addr`]).
+//! The plain-HTTP ops endpoint ([`crate::net::NetConfig::ops_addr`]) —
+//! the one surface on which telemetry leaves the process.
 //!
 //! A deliberately minimal, dependency-free HTTP/1.1 listener on its own
 //! thread, serving three GET routes straight from the shared telemetry:
@@ -11,6 +12,9 @@
 //!   so a load balancer needs nothing but the code,
 //! - `GET /metrics/range` — the time-series ring as JSON
 //!   ([`crate::obs::MetricsRange::render_json`]).
+//!
+//! The listener owns the time-series ring and the [`Sampler`] thread that
+//! fills it, so a server without an ops endpoint samples nothing.
 //!
 //! The parser is total in the same sense as the session protocol's:
 //! arbitrary bytes produce a typed status code (400/404/405), never a
@@ -28,10 +32,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::net::NetConfig;
 use crate::obs::health::evaluate;
 use crate::obs::instruments::OpsInstruments;
 use crate::obs::{
-    HealthState, HealthThresholds, MetricsRegistry, TimeSeriesRing, MAX_RANGE_SAMPLES,
+    HealthState, HealthThresholds, MetricsRegistry, Sampler, TimeSeriesRing, MAX_RANGE_SAMPLES,
 };
 
 /// How often the accept loop re-checks the shutdown flag while idle.
@@ -52,39 +57,51 @@ struct OpsShared {
     obs: OpsInstruments,
 }
 
-/// The running ops listener: a bound address and a joinable thread.
-/// Dropping stops and joins it.
+/// The running ops listener: a bound address, a joinable accept thread,
+/// and the sampler filling the ring it serves. Dropping stops and joins
+/// both threads.
 pub(crate) struct OpsListener {
     addr: SocketAddr,
+    ring: Arc<TimeSeriesRing>,
+    sampler: Sampler,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl OpsListener {
-    /// Binds the ops endpoint and starts its accept thread.
+    /// Binds the ops endpoint at `addr`, starts the time-series sampler
+    /// (`config.sample_interval` / `config.ring_capacity`), then the
+    /// accept thread, which judges health against `config.health`.
     pub(crate) fn start(
         addr: &str,
         registry: Arc<MetricsRegistry>,
-        ring: Arc<TimeSeriesRing>,
-        thresholds: HealthThresholds,
-        obs: OpsInstruments,
+        config: &NetConfig,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let obs = OpsInstruments::register(&registry);
+        let ring = Arc::new(TimeSeriesRing::new(
+            config.ring_capacity,
+            config.sample_interval,
+        ));
+        let sampler = Sampler::start(Arc::clone(&registry), Arc::clone(&ring), obs.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let shared = OpsShared {
             registry,
-            ring,
-            thresholds,
+            ring: Arc::clone(&ring),
+            thresholds: config.health.clone(),
             obs,
         };
+        // A failed spawn drops `sampler`, which stops and joins it.
         let handle = std::thread::Builder::new()
             .name("ldp-ops-http".into())
             .spawn(move || accept_loop(&listener, &flag, &shared))?;
         Ok(Self {
             addr,
+            ring,
+            sampler,
             stop,
             handle: Some(handle),
         })
@@ -95,12 +112,19 @@ impl OpsListener {
         self.addr
     }
 
-    /// Stops accepting and joins the listener thread.
+    /// The ring the sampler fills and `GET /metrics/range` serves.
+    pub(crate) fn timeseries(&self) -> &Arc<TimeSeriesRing> {
+        &self.ring
+    }
+
+    /// Stops accepting, joins the listener thread, then stops the
+    /// sampler.
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+        self.sampler.stop();
     }
 }
 

@@ -14,16 +14,14 @@
 //!   0x03 QUERY    payload := windowed(1B: 0|1) [k:varint]  op
 //!   0x04 SEAL     payload := (empty)
 //!   0x05 BYE      payload := (empty)
-//!   0x06 STATUS   payload := (empty) | verbose(1B = 1)   (allowed before HELLO;
-//!                            the verbose flag requests the metrics section)
-//!   0x07 METRICS  payload := (empty)   (allowed before HELLO)
+//!   0x06 STATUS   payload := (empty)   (allowed before HELLO)
+//!   0x07     retired — was METRICS; never reuse
 //!   0x08 REPLICATE payload := magic(2B = "LN") proto(1B = 1) start:varint
 //!                             (allowed before HELLO; durable leaders only —
 //!                             flips the session into a WAL push stream)
 //!   0x09 REPL_ACK payload := acked:varint   (follower → leader progress)
-//!   0x0A METRICS_RANGE payload := max:varint   (allowed before HELLO;
-//!                             the newest ≤ max time-series samples)
-//!   0x0B HEALTH   payload := (empty)   (allowed before HELLO)
+//!   0x0A     retired — was METRICS_RANGE; never reuse
+//!   0x0B     retired — was HEALTH; never reuse
 //!
 //! op       := 0 RANGE a:varint b:varint
 //!           | 1 PREFIX b:varint
@@ -45,26 +43,15 @@
 //!                             durable(1B: 0|1) [has_ckpt(1B: 0|1) [id:varint]
 //!                             wal_seq:varint wal_records:varint wal_frames:varint
 //!                             checkpoint_failures:varint wedged(1B: 0|1)]
-//!                             [section(1B = 1) registry_snapshot]
-//!                             [section(1B = 2) health_report]
-//!   0x87 METRICS_OK payload := obs_version(1B = METRICS_VERSION)
-//!                              registry_snapshot
+//!   0x87      retired — was METRICS_OK; never reuse
 //!   0x88 REPL_OK   payload := start:varint leader_records:varint
 //!   0x89 REPL_REC  payload := position:varint record_body(≥ 1 byte)
 //!                             (leader push; record_body is a WAL record
 //!                             body — type byte + payload, see
 //!                             `crate::storage::wal` — re-framed and
 //!                             CRC'd by the follower's own log)
-//!   0x8A METRICS_RANGE_OK payload := obs_version(1B = METRICS_VERSION)
-//!                             interval_ms:varint n:varint
-//!                             (seq:varint at_unix_ms:varint
-//!                              registry_snapshot) × n
-//!                             (n ≤ MAX_RANGE_SAMPLES, see
-//!                             `crate::obs::timeseries`)
-//!   0x8B HEALTH_OK payload := health_version(1B = HEALTH_VERSION)
-//!                             health_report
-//!                             (health_report is the codec in
-//!                             `crate::obs::health`)
+//!   0x8A      retired — was METRICS_RANGE_OK; never reuse
+//!   0x8B      retired — was HEALTH_OK; never reuse
 //!   0x7F ERROR     payload := code(1B) has_index(1B: 0|1) [index:varint]
 //!                             detail_len:varint detail(UTF-8)
 //! ```
@@ -76,16 +63,14 @@
 //! is rejected explicitly ([`WireError::UnsupportedVersion`]) rather than
 //! silently streamed to.
 //!
-//! Version gating of the telemetry surfaces: a STATUS_OK carries its
-//! trailing sections (metrics, health) *only when the client asked for
-//! them* (the verbose STATUS flag), each led by an ascending section
-//! tag, so the legacy STATUS_OK bytes are unchanged and pre-telemetry
-//! clients — whose decoders reject trailing bytes — never see the
-//! extensions. A METRICS_OK / METRICS_RANGE_OK leads with an exposition
-//! format version byte ([`METRICS_VERSION`]) and a HEALTH_OK with
-//! [`HEALTH_VERSION`]; decoders reject versions they do not know instead
-//! of misparsing the payload (`registry_snapshot` is the
-//! [`RegistrySnapshot`] codec, see [`crate::obs::expose`]).
+//! Telemetry does not travel on this protocol: metrics, health and the
+//! time-series ring leave the process only over the plain-HTTP ops
+//! endpoint ([`crate::net::NetConfig::ops_addr`]), and in-process callers
+//! read [`super::LdpServer::registry`]. STATUS is the one probe left, and
+//! its request and reply bytes are those of the first protocol version.
+//! The retired type bytes decode as unknown types (a typed `Protocol`
+//! error from the server) and must never be reused: a client built
+//! against the old table would misparse a new meaning.
 //!
 //! The payload of a REPORT message is raw [`crate::wire`] frames — the
 //! session layer frames *messages*, the wire layer frames *reports*, and
@@ -101,7 +86,6 @@ use std::io::{Read, Write};
 
 use crate::error::WireError;
 use crate::net::NetError;
-use crate::obs::{HealthReport, MetricsRange, RegistrySnapshot};
 use crate::storage::DurableStatus;
 use crate::wire::{put_varint, Reader};
 
@@ -122,29 +106,19 @@ pub const WIRE_V1: u8 = crate::wire::VERSION;
 /// Wire version 2: epoch-tagged frames accepted (v1 frames still pass,
 /// untagged).
 pub const WIRE_EPOCH: u8 = crate::wire::VERSION_EPOCH;
-/// Version of the metrics exposition format carried by METRICS_OK and
-/// METRICS_RANGE_OK. Bumped on any incompatible change to the snapshot
-/// codec; decoders reject versions they do not know
-/// ([`WireError::UnsupportedVersion`]).
-pub const METRICS_VERSION: u8 = 1;
-/// Version of the health-report format carried by HEALTH_OK and the
-/// verbose STATUS health section; same rejection discipline as
-/// [`METRICS_VERSION`].
-pub const HEALTH_VERSION: u8 = 1;
 
 // The client-message type bytes are crate-visible so the server can
 // stamp them into trace events without re-deriving them from the enum.
+// 0x07, 0x0A and 0x0B (and the replies 0x87, 0x8A, 0x8B) are retired:
+// see the module docs before assigning a new type byte.
 pub(crate) const MSG_HELLO: u8 = 0x01;
 pub(crate) const MSG_REPORT: u8 = 0x02;
 pub(crate) const MSG_QUERY: u8 = 0x03;
 pub(crate) const MSG_SEAL: u8 = 0x04;
 pub(crate) const MSG_BYE: u8 = 0x05;
 pub(crate) const MSG_STATUS: u8 = 0x06;
-pub(crate) const MSG_METRICS: u8 = 0x07;
 pub(crate) const MSG_REPLICATE: u8 = 0x08;
 pub(crate) const MSG_REPL_ACK: u8 = 0x09;
-pub(crate) const MSG_METRICS_RANGE: u8 = 0x0A;
-pub(crate) const MSG_HEALTH: u8 = 0x0B;
 
 const MSG_HELLO_OK: u8 = 0x81;
 const MSG_REPORT_OK: u8 = 0x82;
@@ -152,11 +126,8 @@ const MSG_QUERY_OK: u8 = 0x83;
 const MSG_SEAL_OK: u8 = 0x84;
 const MSG_BYE_OK: u8 = 0x85;
 const MSG_STATUS_OK: u8 = 0x86;
-const MSG_METRICS_OK: u8 = 0x87;
 const MSG_REPL_OK: u8 = 0x88;
 const MSG_REPL_REC: u8 = 0x89;
-const MSG_METRICS_RANGE_OK: u8 = 0x8A;
-const MSG_HEALTH_OK: u8 = 0x8B;
 const MSG_ERROR: u8 = 0x7F;
 
 const OP_RANGE: u8 = 0;
@@ -338,15 +309,6 @@ pub struct StatusReply {
     pub current_epoch: Option<u64>,
     /// Durability progress (durable backends only).
     pub durable: Option<DurableProgress>,
-    /// Full metrics snapshot — present only when the client asked for a
-    /// verbose STATUS ([`ClientMsg::Status`] with `verbose: true`), so
-    /// the legacy reply bytes are unchanged for old clients.
-    pub metrics: Option<RegistrySnapshot>,
-    /// Component health report — present only on verbose STATUS from
-    /// servers that compute health. Carried as trailing section tag `2`
-    /// (after the metrics section's tag `1`), so legacy replies and
-    /// metrics-only replies are byte-identical to their old encodings.
-    pub health: Option<HealthReport>,
 }
 
 // --- errors ------------------------------------------------------------
@@ -513,15 +475,7 @@ pub enum ClientMsg {
     Bye,
     /// Probe the server's counters and durability progress (allowed
     /// before HELLO — it names no report kind).
-    Status {
-        /// Ask for the full metrics section in the reply. Encoded as a
-        /// trailing flag byte only when set, so a legacy `STATUS` body
-        /// is byte-identical to this variant with `verbose: false`.
-        verbose: bool,
-    },
-    /// Fetch a full metrics-registry snapshot (allowed before HELLO —
-    /// it names no report kind).
-    Metrics,
+    Status,
     /// Become a follower: ask a durable leader to stream its acked WAL
     /// records from absolute record position `start` (allowed before
     /// HELLO — it names no report kind; the records carry their own wire
@@ -538,18 +492,6 @@ pub enum ClientMsg {
         /// Absolute record position the follower has durably applied.
         acked: u64,
     },
-    /// Fetch the newest samples from the server's metrics time-series
-    /// ring (allowed before HELLO — it names no report kind).
-    MetricsRange {
-        /// Maximum number of samples wanted, newest last; the server
-        /// clamps to its ring contents and [`MAX_RANGE_SAMPLES`].
-        ///
-        /// [`MAX_RANGE_SAMPLES`]: crate::obs::MAX_RANGE_SAMPLES
-        max: u64,
-    },
-    /// Probe the server's derived component-health verdicts (allowed
-    /// before HELLO — it names no report kind).
-    Health,
 }
 
 /// Every message a server can send.
@@ -573,9 +515,6 @@ pub enum ServerMsg {
     ByeOk,
     /// Counters and durability progress.
     StatusOk(StatusReply),
-    /// A full metrics-registry snapshot, led by the exposition version
-    /// byte ([`METRICS_VERSION`]).
-    MetricsOk(RegistrySnapshot),
     /// Replication accepted: streaming begins at `start`.
     ReplOk {
         /// The start position the stream honors (echo of the request).
@@ -593,13 +532,6 @@ pub enum ServerMsg {
         /// re-frames it). Never empty.
         body: Vec<u8>,
     },
-    /// The newest time-series ring samples, led by the exposition
-    /// version byte ([`METRICS_VERSION`] — samples are registry
-    /// snapshots, so they share the metrics exposition version).
-    MetricsRangeOk(MetricsRange),
-    /// The derived component-health report, led by its own exposition
-    /// version byte ([`HEALTH_VERSION`]).
-    HealthOk(HealthReport),
     /// Request rejected.
     Error(RemoteError),
 }
@@ -650,13 +582,7 @@ impl ClientMsg {
             }
             Self::Seal => out.push(MSG_SEAL),
             Self::Bye => out.push(MSG_BYE),
-            Self::Status { verbose } => {
-                out.push(MSG_STATUS);
-                if *verbose {
-                    out.push(1);
-                }
-            }
-            Self::Metrics => out.push(MSG_METRICS),
+            Self::Status => out.push(MSG_STATUS),
             Self::Replicate { start } => {
                 out.push(MSG_REPLICATE);
                 out.extend_from_slice(&HELLO_MAGIC);
@@ -667,11 +593,6 @@ impl ClientMsg {
                 out.push(MSG_REPL_ACK);
                 put_varint(&mut out, *acked);
             }
-            Self::MetricsRange { max } => {
-                out.push(MSG_METRICS_RANGE);
-                put_varint(&mut out, *max);
-            }
-            Self::Health => out.push(MSG_HEALTH),
         }
         out
     }
@@ -754,21 +675,7 @@ impl ClientMsg {
             }
             MSG_SEAL => Self::Seal,
             MSG_BYE => Self::Bye,
-            MSG_STATUS => {
-                // Empty payload is the legacy plain probe; the only
-                // accepted extension is a single `1` flag byte. A `0`
-                // byte is rejected (no encoder emits it), keeping the
-                // encoding canonical.
-                let verbose = if r.remaining() == 0 {
-                    false
-                } else if r.u8()? == 1 {
-                    true
-                } else {
-                    return Err(WireError::Malformed("status verbose flag not 1"));
-                };
-                Self::Status { verbose }
-            }
-            MSG_METRICS => Self::Metrics,
+            MSG_STATUS => Self::Status,
             MSG_REPLICATE => {
                 let magic = [r.u8()?, r.u8()?];
                 if magic != HELLO_MAGIC {
@@ -781,8 +688,6 @@ impl ClientMsg {
                 Self::Replicate { start: r.varint()? }
             }
             MSG_REPL_ACK => Self::ReplAck { acked: r.varint()? },
-            MSG_METRICS_RANGE => Self::MetricsRange { max: r.varint()? },
-            MSG_HEALTH => Self::Health,
             t => return Err(WireError::UnknownKind(t)),
         };
         expect_consumed(&r, body.len())?;
@@ -867,23 +772,6 @@ impl ServerMsg {
                     }
                     None => out.push(0),
                 }
-                // Trailing sections are appended in ascending tag order
-                // only when present, so a reply without them is
-                // byte-identical to the legacy encoding and old decoders
-                // stop cleanly at the end.
-                if let Some(m) = &s.metrics {
-                    out.push(1);
-                    m.encode_into(&mut out);
-                }
-                if let Some(h) = &s.health {
-                    out.push(2);
-                    h.encode_into(&mut out);
-                }
-            }
-            Self::MetricsOk(snapshot) => {
-                out.push(MSG_METRICS_OK);
-                out.push(METRICS_VERSION);
-                snapshot.encode_into(&mut out);
             }
             Self::ReplOk {
                 start,
@@ -897,16 +785,6 @@ impl ServerMsg {
                 out.push(MSG_REPL_REC);
                 put_varint(&mut out, *position);
                 out.extend_from_slice(body);
-            }
-            Self::MetricsRangeOk(range) => {
-                out.push(MSG_METRICS_RANGE_OK);
-                out.push(METRICS_VERSION);
-                range.encode_into(&mut out);
-            }
-            Self::HealthOk(report) => {
-                out.push(MSG_HEALTH_OK);
-                out.push(HEALTH_VERSION);
-                report.encode_into(&mut out);
             }
             Self::Error(e) => {
                 out.push(MSG_ERROR);
@@ -1001,21 +879,6 @@ impl ServerMsg {
                 } else {
                     None
                 };
-                // Trailing sections: ascending tag order, each at most
-                // once. A legacy reply simply has no section bytes.
-                let mut metrics = None;
-                let mut health = None;
-                while r.remaining() > 0 {
-                    match r.u8()? {
-                        1 if metrics.is_none() && health.is_none() => {
-                            metrics = Some(RegistrySnapshot::decode_from(&mut r)?);
-                        }
-                        2 if health.is_none() => {
-                            health = Some(HealthReport::decode_from(&mut r)?);
-                        }
-                        _ => return Err(WireError::Malformed("bad status section tag")),
-                    }
-                }
                 Self::StatusOk(StatusReply {
                     sessions,
                     frames_absorbed,
@@ -1024,16 +887,7 @@ impl ServerMsg {
                     snapshot_version,
                     current_epoch,
                     durable,
-                    metrics,
-                    health,
                 })
-            }
-            MSG_METRICS_OK => {
-                let version = r.u8()?;
-                if version != METRICS_VERSION {
-                    return Err(WireError::UnsupportedVersion(version));
-                }
-                Self::MetricsOk(RegistrySnapshot::decode_from(&mut r)?)
             }
             MSG_REPL_OK => Self::ReplOk {
                 start: r.varint()?,
@@ -1046,20 +900,6 @@ impl ServerMsg {
                 }
                 let body = r.bytes(r.remaining())?.to_vec();
                 Self::ReplRecord { position, body }
-            }
-            MSG_METRICS_RANGE_OK => {
-                let version = r.u8()?;
-                if version != METRICS_VERSION {
-                    return Err(WireError::UnsupportedVersion(version));
-                }
-                Self::MetricsRangeOk(MetricsRange::decode_from(&mut r)?)
-            }
-            MSG_HEALTH_OK => {
-                let version = r.u8()?;
-                if version != HEALTH_VERSION {
-                    return Err(WireError::UnsupportedVersion(version));
-                }
-                Self::HealthOk(HealthReport::decode_from(&mut r)?)
             }
             MSG_ERROR => {
                 let code = ErrorCode::from_u8(r.u8()?)?;
@@ -1220,63 +1060,28 @@ pub fn read_message(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::expose::{MetricEntry, MetricValue};
-    use crate::obs::{ComponentHealth, HealthState, Histo, TimeSample};
 
-    fn sample_health() -> HealthReport {
-        HealthReport {
-            components: vec![
-                ComponentHealth {
-                    component: "storage".into(),
-                    state: HealthState::Healthy,
-                    detail: "wal append p99 below threshold".into(),
-                },
-                ComponentHealth {
-                    component: "repl".into(),
-                    state: HealthState::Degraded,
-                    detail: "follower lag 5000 >= 4096".into(),
-                },
-            ],
+    /// Type bytes of the retired METRICS, METRICS_RANGE and HEALTH
+    /// requests and their replies (see the module docs).
+    const RETIRED: [u8; 6] = [0x07, 0x0A, 0x0B, 0x87, 0x8A, 0x8B];
+
+    fn durable_status() -> StatusReply {
+        StatusReply {
+            sessions: 3,
+            frames_absorbed: 40_000,
+            frames_rejected: 12,
+            num_reports: 39_988,
+            snapshot_version: 17,
+            current_epoch: Some(6),
+            durable: Some(DurableProgress {
+                last_checkpoint: Some(2),
+                wal_segment_seq: 5,
+                wal_records: 190,
+                wal_frames: 40_000,
+                checkpoint_failures: 1,
+                wedged: true,
+            }),
         }
-    }
-
-    fn sample_range() -> MetricsRange {
-        MetricsRange {
-            interval_ms: 250,
-            samples: vec![
-                TimeSample {
-                    seq: 6,
-                    at_unix_ms: 1_000,
-                    snapshot: RegistrySnapshot::default(),
-                },
-                TimeSample {
-                    seq: 7,
-                    at_unix_ms: 1_250,
-                    snapshot: sample_snapshot(),
-                },
-            ],
-        }
-    }
-
-    fn sample_snapshot() -> RegistrySnapshot {
-        let histo = Histo::new();
-        histo.record(0);
-        histo.record(900);
-        histo.record(u64::MAX);
-        RegistrySnapshot::from_entries(vec![
-            MetricEntry {
-                name: "net.bytes_in".into(),
-                value: MetricValue::Counter(123_456),
-            },
-            MetricEntry {
-                name: "net.queue_depth_hw".into(),
-                value: MetricValue::Gauge(7),
-            },
-            MetricEntry {
-                name: "net.report_ns".into(),
-                value: MetricValue::Histo(Box::new(histo.snapshot())),
-            },
-        ])
     }
 
     #[test]
@@ -1301,18 +1106,14 @@ mod tests {
             }),
             ClientMsg::Seal,
             ClientMsg::Bye,
-            ClientMsg::Status { verbose: false },
-            ClientMsg::Status { verbose: true },
-            ClientMsg::Metrics,
+            ClientMsg::Status,
             ClientMsg::Replicate { start: 0 },
             ClientMsg::Replicate { start: u64::MAX },
             ClientMsg::ReplAck { acked: 12_345 },
-            ClientMsg::MetricsRange { max: 0 },
-            ClientMsg::MetricsRange { max: 64 },
-            ClientMsg::Health,
         ];
         for msg in msgs {
             let body = msg.encode();
+            assert!(!RETIRED.contains(&body[0]), "{msg:?} reuses a retired type");
             let decoded = ClientMsg::decode(&body).expect("decode own encoding");
             assert_eq!(decoded, msg);
             assert_eq!(decoded.encode(), body);
@@ -1340,24 +1141,7 @@ mod tests {
             }),
             ServerMsg::SealOk { epoch: 9 },
             ServerMsg::ByeOk,
-            ServerMsg::StatusOk(StatusReply {
-                sessions: 3,
-                frames_absorbed: 40_000,
-                frames_rejected: 12,
-                num_reports: 39_988,
-                snapshot_version: 17,
-                current_epoch: Some(6),
-                durable: Some(DurableProgress {
-                    last_checkpoint: Some(2),
-                    wal_segment_seq: 5,
-                    wal_records: 190,
-                    wal_frames: 40_000,
-                    checkpoint_failures: 1,
-                    wedged: true,
-                }),
-                metrics: None,
-                health: None,
-            }),
+            ServerMsg::StatusOk(durable_status()),
             ServerMsg::StatusOk(StatusReply {
                 sessions: 0,
                 frames_absorbed: 0,
@@ -1366,33 +1150,7 @@ mod tests {
                 snapshot_version: 0,
                 current_epoch: None,
                 durable: None,
-                metrics: Some(sample_snapshot()),
-                health: None,
             }),
-            ServerMsg::StatusOk(StatusReply {
-                sessions: 9,
-                frames_absorbed: 90,
-                frames_rejected: 0,
-                num_reports: 90,
-                snapshot_version: 4,
-                current_epoch: None,
-                durable: None,
-                metrics: Some(sample_snapshot()),
-                health: Some(sample_health()),
-            }),
-            ServerMsg::StatusOk(StatusReply {
-                sessions: 9,
-                frames_absorbed: 90,
-                frames_rejected: 0,
-                num_reports: 90,
-                snapshot_version: 4,
-                current_epoch: None,
-                durable: None,
-                metrics: None,
-                health: Some(sample_health()),
-            }),
-            ServerMsg::MetricsOk(RegistrySnapshot::default()),
-            ServerMsg::MetricsOk(sample_snapshot()),
             ServerMsg::ReplOk {
                 start: 17,
                 leader_records: 40_000,
@@ -1401,15 +1159,6 @@ mod tests {
                 position: 190,
                 body: vec![0x01, 0x02, 0xAA, 0xBB],
             },
-            ServerMsg::MetricsRangeOk(MetricsRange {
-                interval_ms: 1_000,
-                samples: Vec::new(),
-            }),
-            ServerMsg::MetricsRangeOk(sample_range()),
-            ServerMsg::HealthOk(HealthReport {
-                components: Vec::new(),
-            }),
-            ServerMsg::HealthOk(sample_health()),
             ServerMsg::Error(RemoteError::new(
                 ErrorCode::BadFrame,
                 Some(17),
@@ -1423,6 +1172,7 @@ mod tests {
         ];
         for msg in replies {
             let body = msg.encode();
+            assert!(!RETIRED.contains(&body[0]), "{msg:?} reuses a retired type");
             let decoded = ServerMsg::decode(&body).expect("decode own encoding");
             assert_eq!(decoded, msg);
             assert_eq!(decoded.encode(), body);
@@ -1476,16 +1226,13 @@ mod tests {
         assert!(matches!(empty_rec, Err(WireError::Malformed(_))));
     }
 
-    /// A plain STATUS probe and its reply must encode to exactly the
-    /// pre-metrics bytes, so old clients and servers interoperate with
-    /// new ones unchanged.
+    /// A STATUS probe and its reply encode to exactly the bytes of the
+    /// first protocol version, so old clients and servers interoperate
+    /// with new ones unchanged.
     #[test]
     fn status_without_metrics_is_legacy_byte_identical() {
-        // Legacy probe: bare type byte, no flag.
-        assert_eq!(
-            ClientMsg::Status { verbose: false }.encode(),
-            vec![MSG_STATUS]
-        );
+        // Legacy probe: bare type byte.
+        assert_eq!(ClientMsg::Status.encode(), vec![MSG_STATUS]);
 
         // Legacy reply: counters + option flags, nothing after `durable`.
         let reply = StatusReply {
@@ -1496,181 +1243,54 @@ mod tests {
             snapshot_version: 5,
             current_epoch: None,
             durable: None,
-            metrics: None,
-            health: None,
         };
         let body = ServerMsg::StatusOk(reply).encode();
         let legacy = vec![MSG_STATUS_OK, 3, 40, 2, 38, 5, 0, 0];
         assert_eq!(body, legacy);
     }
 
+    /// STATUS carries no payload any more: the flag byte that once asked
+    /// for the metrics section, or any other trailing byte, is a malformed
+    /// body, and so is a STATUS_OK with a section after its durable block.
     #[test]
     fn hostile_metrics_payloads_are_rejected_not_panicked() {
-        // STATUS with a flag byte other than 1 (0 is non-canonical).
-        assert!(ClientMsg::decode(&[MSG_STATUS, 0]).is_err());
-        assert!(ClientMsg::decode(&[MSG_STATUS, 2]).is_err());
-        // STATUS with trailing garbage after the flag.
-        assert!(ClientMsg::decode(&[MSG_STATUS, 1, 1]).is_err());
-
-        // Truncate a verbose STATUS_OK at every prefix: typed errors
-        // only — except the one boundary right before the metrics flag,
-        // which is by construction a complete legacy reply (that
-        // self-delimiting prefix is exactly what keeps old decoders
-        // working against new servers).
-        let reply = StatusReply {
-            sessions: 1,
-            frames_absorbed: 10,
-            frames_rejected: 0,
-            num_reports: 10,
-            snapshot_version: 2,
-            current_epoch: Some(3),
-            durable: None,
-            metrics: Some(sample_snapshot()),
-            health: None,
-        };
-        let legacy_len = ServerMsg::StatusOk(StatusReply {
-            metrics: None,
-            ..reply.clone()
-        })
-        .encode()
-        .len();
-        let full = ServerMsg::StatusOk(reply).encode();
-        for cut in 0..full.len() {
-            if cut == legacy_len {
-                assert!(
-                    matches!(
-                        ServerMsg::decode(&full[..cut]),
-                        Ok(ServerMsg::StatusOk(s)) if s.metrics.is_none()
-                    ),
-                    "legacy boundary must decode as a metrics-free reply"
-                );
-                continue;
-            }
-            assert!(ServerMsg::decode(&full[..cut]).is_err(), "prefix {cut}");
-        }
-        // ... and the full body round-trips.
-        assert!(ServerMsg::decode(&full).is_ok());
-        // A bad metrics flag byte is rejected.
-        let mut bad_flag = full.clone();
-        let flag_at = full.len() - {
-            let mut probe = Vec::new();
-            sample_snapshot().encode_into(&mut probe);
-            probe.len() + 1
-        };
-        bad_flag[flag_at] = 2;
-        assert!(ServerMsg::decode(&bad_flag).is_err());
-        // Trailing garbage after the metrics section is rejected.
-        let mut trailing = full;
-        trailing.push(0);
-        assert!(ServerMsg::decode(&trailing).is_err());
-
-        // METRICS_OK: truncations, unknown exposition version, garbage.
-        let ok = ServerMsg::MetricsOk(sample_snapshot()).encode();
-        for cut in 0..ok.len() {
-            assert!(ServerMsg::decode(&ok[..cut]).is_err(), "prefix {cut}");
-        }
-        let mut wrong_version = ok.clone();
-        wrong_version[1] = METRICS_VERSION + 1;
-        assert!(matches!(
-            ServerMsg::decode(&wrong_version),
-            Err(WireError::UnsupportedVersion(v)) if v == METRICS_VERSION + 1
-        ));
-        let mut garbage = ok;
-        let len = garbage.len();
-        for b in &mut garbage[2..len] {
-            *b ^= 0xA5;
-        }
-        assert!(ServerMsg::decode(&garbage).is_err());
-    }
-
-    /// The ops-plane messages (METRICS_RANGE/HEALTH and their replies)
-    /// obey the same total-decoding discipline as the rest of the
-    /// protocol: every truncation is a typed error, every wrong version
-    /// byte is [`WireError::UnsupportedVersion`], and flipped payload
-    /// bytes never panic.
-    #[test]
-    fn hostile_ops_plane_payloads_are_rejected_not_panicked() {
-        // Client side: trailing bytes after the bare HEALTH probe, and a
-        // truncated METRICS_RANGE varint.
-        assert!(ClientMsg::decode(&[MSG_HEALTH, 0]).is_err());
-        assert!(ClientMsg::decode(&[MSG_METRICS_RANGE]).is_err());
-        assert!(ClientMsg::decode(&[MSG_METRICS_RANGE, 0x80]).is_err());
-
-        // Server side: truncate both replies at every prefix.
-        let range_ok = ServerMsg::MetricsRangeOk(sample_range()).encode();
-        for cut in 0..range_ok.len() {
-            assert!(ServerMsg::decode(&range_ok[..cut]).is_err(), "prefix {cut}");
-        }
-        let health_ok = ServerMsg::HealthOk(sample_health()).encode();
-        for cut in 0..health_ok.len() {
+        for body in [
+            &[MSG_STATUS, 0][..],
+            &[MSG_STATUS, 1],
+            &[MSG_STATUS, 2],
+            &[MSG_STATUS, 1, 1],
+        ] {
             assert!(
-                ServerMsg::decode(&health_ok[..cut]).is_err(),
-                "prefix {cut}"
+                matches!(ClientMsg::decode(body), Err(WireError::Malformed(_))),
+                "STATUS body {body:?} accepted"
             );
         }
 
-        // Unknown exposition versions are typed errors.
-        let mut wrong = range_ok.clone();
-        wrong[1] = METRICS_VERSION + 1;
-        assert!(matches!(
-            ServerMsg::decode(&wrong),
-            Err(WireError::UnsupportedVersion(v)) if v == METRICS_VERSION + 1
-        ));
-        let mut wrong = health_ok.clone();
-        wrong[1] = HEALTH_VERSION + 1;
-        assert!(matches!(
-            ServerMsg::decode(&wrong),
-            Err(WireError::UnsupportedVersion(v)) if v == HEALTH_VERSION + 1
-        ));
+        let full = ServerMsg::StatusOk(durable_status()).encode();
+        for cut in 0..full.len() {
+            assert!(ServerMsg::decode(&full[..cut]).is_err(), "prefix {cut}");
+        }
+        for section in [1u8, 2] {
+            let mut trailing = full.clone();
+            trailing.extend_from_slice(&[section, 0]);
+            assert!(
+                matches!(ServerMsg::decode(&trailing), Err(WireError::Malformed(_))),
+                "STATUS_OK section {section} accepted"
+            );
+        }
+    }
 
-        // Flipped payload bytes: an error or a (different) valid decode,
-        // never a panic; trailing garbage after a valid body is rejected.
-        for body in [range_ok, health_ok] {
-            let mut garbage = body.clone();
-            let len = garbage.len();
-            for b in &mut garbage[2..len] {
-                *b ^= 0xA5;
+    /// The retired METRICS, METRICS_RANGE and HEALTH type bytes decode as
+    /// unknown types on both sides: bare, with the payloads they used to
+    /// carry, and behind their old version byte.
+    #[test]
+    fn hostile_ops_plane_payloads_are_rejected_not_panicked() {
+        for t in RETIRED {
+            for body in [vec![t], vec![t, 0xFF], vec![t, 1, 0], vec![t, 0x80]] {
+                assert_eq!(ClientMsg::decode(&body), Err(WireError::UnknownKind(t)));
+                assert_eq!(ServerMsg::decode(&body), Err(WireError::UnknownKind(t)));
             }
-            let _ = ServerMsg::decode(&garbage);
-            let mut trailing = body;
-            trailing.push(0);
-            assert!(ServerMsg::decode(&trailing).is_err());
         }
-
-        // STATUS_OK section tags: out-of-order (2 before 1) and repeated
-        // sections are rejected.
-        let base = StatusReply {
-            sessions: 1,
-            frames_absorbed: 0,
-            frames_rejected: 0,
-            num_reports: 0,
-            snapshot_version: 0,
-            current_epoch: None,
-            durable: None,
-            metrics: None,
-            health: None,
-        };
-        let legacy = ServerMsg::StatusOk(base.clone()).encode();
-        let mut out_of_order = legacy.clone();
-        out_of_order.push(2);
-        sample_health().encode_into(&mut out_of_order);
-        out_of_order.push(1);
-        sample_snapshot().encode_into(&mut out_of_order);
-        assert!(ServerMsg::decode(&out_of_order).is_err());
-        let mut repeated = legacy;
-        for _ in 0..2 {
-            repeated.push(2);
-            sample_health().encode_into(&mut repeated);
-        }
-        assert!(ServerMsg::decode(&repeated).is_err());
-
-        // ... and the well-formed both-sections reply round-trips.
-        let both = ServerMsg::StatusOk(StatusReply {
-            metrics: Some(sample_snapshot()),
-            health: Some(sample_health()),
-            ..base
-        });
-        assert_eq!(ServerMsg::decode(&both.encode()).unwrap(), both);
     }
 
     #[test]

@@ -45,20 +45,17 @@ use crate::net::ops::OpsListener;
 use crate::net::poll::Poller;
 use crate::net::proto::{
     decode_report_frames, ClientMsg, ErrorCode, Hello, HelloOk, Query, QueryOp, QueryReply,
-    QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_HEALTH, MSG_METRICS,
-    MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL, MSG_STATUS, WIRE_EPOCH,
-    WIRE_V1,
+    QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_QUERY, MSG_REPLICATE,
+    MSG_REPORT, MSG_SEAL, MSG_STATUS, WIRE_EPOCH, WIRE_V1,
 };
 use crate::net::reactor::{
     Job, JobDone, JobQueue, PushSource, Reactor, ReactorKnobs, ReactorShared,
 };
 use crate::net::{NetConfig, NetError};
-use crate::obs::health::evaluate;
-use crate::obs::instruments::{NetInstruments, OpsInstruments};
+use crate::obs::instruments::NetInstruments;
 use crate::obs::trace::set_current_span;
 use crate::obs::{
-    HealthThresholds, MetricsRegistry, Sampler, TimeSeriesRing, TraceEvent, TraceOutcome,
-    TraceRing, TraceStage,
+    MetricsRegistry, TimeSeriesRing, TraceEvent, TraceOutcome, TraceRing, TraceStage,
 };
 use crate::repl::cursor::ReplCursor;
 use crate::service::{AnyService, LdpService};
@@ -246,14 +243,11 @@ where
     /// ([`ServerStats`]) and STATUS replies both read these counters.
     obs: NetInstruments,
     trace: Option<Arc<TraceRing>>,
-    /// The metrics time-series ring the background sampler fills —
-    /// served by METRICS_RANGE and `GET /metrics/range`.
-    ring: Arc<TimeSeriesRing>,
-    /// Thresholds the health model judges registry signals against.
-    health: HealthThresholds,
 }
 
-/// What a drained server reports back from [`LdpServer::shutdown`].
+/// What a drained server reports back from [`LdpServer::shutdown`]. The
+/// counters are read out of the server's registry ([`LdpServer::registry`],
+/// the one `GET /metrics` serves), so they and a scrape always agree.
 #[derive(Debug, Clone)]
 pub struct ServerStats {
     /// Sessions served to completion.
@@ -296,9 +290,8 @@ where
     addr: SocketAddr,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// The background snapshot sampler feeding the time-series ring.
-    sampler: Option<Sampler>,
-    /// The plain-HTTP ops endpoint, when `ops_addr` asked for one.
+    /// The plain-HTTP ops endpoint and its time-series sampler, when
+    /// `ops_addr` asked for one.
     ops: Option<OpsListener>,
 }
 
@@ -352,8 +345,9 @@ where
 
     /// Binds a *read replica* server over a replication follower's
     /// durable service (see [`crate::repl::FollowerService::service`]):
-    /// QUERY, STATUS, and METRICS are served from the follower's own
-    /// snapshots, but REPORT and SEAL are refused — the follower's log
+    /// QUERY and STATUS are served from the follower's own snapshots (and,
+    /// with [`NetConfig::ops_addr`], `/metrics` and `/health` from the
+    /// follower's registry), but REPORT and SEAL are refused — the follower's log
     /// must stay a pure copy of its leader's. For the same reason the
     /// replica's shutdown neither seals nor checkpoints; it only
     /// publishes a final snapshot. The replica also serves REPLICATE, so
@@ -383,8 +377,8 @@ where
         // One registry for every tier behind this server. A durable
         // backend already carries the registry its storage layer (and
         // the wrapped service) registered into, so sharing it is what
-        // makes a single METRICS probe see WAL, shard, and session
-        // metrics together; an explicit `config.registry` wins.
+        // makes a single scrape see WAL, shard, and session metrics
+        // together; an explicit `config.registry` wins.
         let registry = match (&config.registry, &backend.log) {
             (Some(r), _) => Arc::clone(r),
             (None, Some(log)) => Arc::clone(log.registry()),
@@ -405,35 +399,16 @@ where
             (None, Some(log)) => log.trace().cloned(),
             (None, None) => None,
         };
-        let ring = Arc::new(TimeSeriesRing::new(
-            config.ring_capacity,
-            config.sample_interval,
-        ));
-        let ops_obs = OpsInstruments::register(&registry);
         let shared = Arc::new(Shared {
             backend,
             registry,
             obs: obs.clone(),
             trace: trace.clone(),
-            ring: Arc::clone(&ring),
-            health: config.health.clone(),
         });
-        let sampler = Sampler::start(
-            Arc::clone(&shared.registry),
-            Arc::clone(&ring),
-            ops_obs.clone(),
-        )
-        .map_err(NetError::Io)?;
         let ops = match &config.ops_addr {
             Some(ops_addr) => Some(
-                OpsListener::start(
-                    ops_addr,
-                    Arc::clone(&shared.registry),
-                    ring,
-                    config.health.clone(),
-                    ops_obs,
-                )
-                .map_err(NetError::Io)?,
+                OpsListener::start(ops_addr, Arc::clone(&shared.registry), &config)
+                    .map_err(NetError::Io)?,
             ),
             None => None,
         };
@@ -509,7 +484,6 @@ where
             addr,
             reactor: Some(reactor_handle),
             workers,
-            sampler: Some(sampler),
             ops,
         })
     }
@@ -521,8 +495,8 @@ where
     }
 
     /// The metrics registry this server (and every tier behind it)
-    /// reports into — the same snapshot the METRICS session message
-    /// serves, for in-process scraping and rendering.
+    /// reports into: the in-process view of what `GET /metrics` and
+    /// `GET /health` serve when [`NetConfig::ops_addr`] is set.
     #[must_use]
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.shared.registry
@@ -536,12 +510,12 @@ where
         self.ops.as_ref().map(OpsListener::local_addr)
     }
 
-    /// The metrics time-series ring the background sampler fills — the
-    /// same samples the METRICS_RANGE message and `GET /metrics/range`
-    /// serve, for in-process dumps.
+    /// The metrics time-series ring `GET /metrics/range` serves. Only a
+    /// server with [`NetConfig::ops_addr`] runs the sampler that fills
+    /// it; without one this is `None`.
     #[must_use]
-    pub fn timeseries(&self) -> &Arc<TimeSeriesRing> {
-        &self.shared.ring
+    pub fn timeseries(&self) -> Option<&Arc<TimeSeriesRing>> {
+        self.ops.as_ref().map(OpsListener::timeseries)
     }
 
     /// Drains and stops the server: no new connections are accepted,
@@ -554,8 +528,8 @@ where
     pub fn shutdown(mut self) -> ServerStats {
         self.rshared.shutdown.store(true, Ordering::SeqCst);
         self.rshared.poller.wake();
-        // Scraping stops first: the ops endpoint must not observe a
-        // half-finalized backend.
+        // Scraping and sampling stop first: the ops endpoint must not
+        // observe a half-finalized backend.
         if let Some(mut ops) = self.ops.take() {
             ops.stop();
         }
@@ -567,13 +541,10 @@ where
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        if let Some(mut sampler) = self.sampler.take() {
-            sampler.stop();
-        }
         let (sealed_epoch, final_checkpoint, final_snapshot) = self.shared.backend.finalize();
         // Drain totals read straight from the registry counters — the
         // registry *is* the accounting path, so an operator scraping
-        // METRICS and a caller holding these stats can never disagree.
+        // `/metrics` and a caller holding these stats can never disagree.
         ServerStats {
             sessions: self.shared.obs.sessions_closed.get(),
             frames_absorbed: self.shared.obs.frames_absorbed.get(),
@@ -599,7 +570,7 @@ where
         MSG_REPORT => &shared.obs.report_ns,
         MSG_QUERY => &shared.obs.query_ns,
         MSG_SEAL => &shared.obs.seal_ns,
-        // STATUS and METRICS share one introspection-latency histogram.
+        // STATUS and REPLICATE share one introspection-latency histogram.
         _ => &shared.obs.status_ns,
     };
     histo.record(ns);
@@ -801,36 +772,15 @@ where
                 replies.push(reply.encode());
                 observe(shared, span, job.session, MSG_SEAL, ok, started);
             }
-            ClientMsg::Status { verbose } => {
+            ClientMsg::Status => {
                 // No handshake required: STATUS names no report kind, so
                 // an operator tool can probe any server blind.
-                let (reply, ok) = match build_status(shared, verbose) {
+                let (reply, ok) = match build_status(shared) {
                     Ok(status) => (ServerMsg::StatusOk(status), true),
                     Err(e) => (ServerMsg::Error(e), false),
                 };
                 replies.push(reply.encode());
                 observe(shared, span, job.session, MSG_STATUS, ok, started);
-            }
-            ClientMsg::Metrics => {
-                // Also allowed before HELLO: introspection names no
-                // report kind either.
-                replies.push(ServerMsg::MetricsOk(shared.registry.snapshot()).encode());
-                observe(shared, span, job.session, MSG_METRICS, true, started);
-            }
-            ClientMsg::MetricsRange { max } => {
-                // Also allowed before HELLO, like METRICS.
-                let range = shared
-                    .ring
-                    .range(usize::try_from(max).unwrap_or(usize::MAX));
-                replies.push(ServerMsg::MetricsRangeOk(range).encode());
-                observe(shared, span, job.session, MSG_METRICS_RANGE, true, started);
-            }
-            ClientMsg::Health => {
-                // Also allowed before HELLO: an operator probing a sick
-                // node must not need a handshake.
-                let report = evaluate(&shared.registry.snapshot(), &shared.health);
-                replies.push(ServerMsg::HealthOk(report).encode());
-                observe(shared, span, job.session, MSG_HEALTH, true, started);
             }
             ClientMsg::Replicate { start } => {
                 // Allowed before HELLO only (like STATUS it names no
@@ -939,18 +889,11 @@ where
 /// Assembles the STATUS reply from the server counters, the backend's
 /// published snapshot (no refresh — probing must stay cheap), and the
 /// durable layer's progress.
-fn build_status<S>(shared: &Shared<S>, verbose: bool) -> Result<StatusReply, RemoteError>
+fn build_status<S>(shared: &Shared<S>) -> Result<StatusReply, RemoteError>
 where
     S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
     S::Report: WireReport,
 {
-    let (metrics, health) = if verbose {
-        let snap = shared.registry.snapshot();
-        let report = evaluate(&snap, &shared.health);
-        (Some(snap), Some(report))
-    } else {
-        (None, None)
-    };
     Ok(StatusReply {
         sessions: shared.obs.sessions_closed.get(),
         frames_absorbed: shared.obs.frames_absorbed.get(),
@@ -968,12 +911,6 @@ where
             .map(|log| log.status())
             .transpose()
             .map_err(service_error)?,
-        // The metrics and health sections ride along only on request, so
-        // the plain probe's bytes stay identical to the legacy protocol.
-        // Health is judged on the same frozen snapshot that is shipped,
-        // so the verdict and its evidence can never disagree.
-        metrics,
-        health,
     })
 }
 

@@ -1,37 +1,33 @@
 //! The unified telemetry layer: a mergeable metrics registry, per-stage
-//! latency histograms, wire-exposed runtime introspection, and the ops
-//! plane built on top of them — time-series sampling, derived component
-//! health, and cross-tier span tracing.
+//! latency histograms, and the ops plane built on top of them —
+//! time-series sampling, derived component health, and cross-tier span
+//! tracing.
 //!
 //! Every tier of the service — shard absorb, snapshot publication, epoch
 //! windowing, the session server, and the durable storage layer —
 //! registers its instruments in one shared [`MetricsRegistry`] and
 //! updates them lock-free on its hot paths. The frozen views
 //! ([`RegistrySnapshot`], [`HistoSnapshot`]) obey the same exact
-//! merge/subtract algebra as the mechanism servers, and are exposed on
-//! five surfaces:
+//! merge/subtract algebra as the mechanism servers.
 //!
-//! 1. the version-gated METRICS session message
-//!    ([`crate::net::proto::ClientMsg::Metrics`]),
-//! 2. the verbose STATUS_OK payload
-//!    ([`crate::net::proto::StatusReply::metrics`]),
-//! 3. local text/JSON dumps ([`MetricsRegistry::render`] /
-//!    [`MetricsRegistry::render_json`]) used by
-//!    `examples/observability.rs` and the bench bins,
-//! 4. the Prometheus text exposition
-//!    ([`RegistrySnapshot::render_prom`]) served by the plain-HTTP ops
-//!    endpoint (`NetConfig::ops_addr`, `GET /metrics`),
-//! 5. the time-series ring ([`TimeSeriesRing`]): a background
-//!    [`Sampler`] freezes whole snapshots on a fixed interval, and the
-//!    exact subtract algebra turns any two samples into a lossless
-//!    per-interval delta — served by the `METRICS_RANGE` session
-//!    message and `GET /metrics/range`.
+//! Telemetry has one remote surface, the plain-HTTP ops endpoint
+//! (`NetConfig::ops_addr`), and one in-process one, the registry itself
+//! (`LdpServer::registry`):
 //!
-//! Health ([`health::evaluate`]) is a pure function over a frozen
-//! snapshot: per-component `Healthy`/`Degraded`/`Unhealthy` verdicts
-//! derived from signals the registry already carries, rolled into one
-//! node verdict — served by the `HEALTH` session message, the verbose
-//! STATUS, and `GET /health`.
+//! - `GET /metrics` — the Prometheus text exposition
+//!   ([`RegistrySnapshot::render_prom`]) of a fresh snapshot;
+//! - `GET /metrics/range` — the time-series ring ([`TimeSeriesRing`]): a
+//!   background [`Sampler`], running only alongside the endpoint, freezes
+//!   whole snapshots on a fixed interval, and the exact subtract algebra
+//!   turns any two samples into a lossless per-interval delta
+//!   ([`MetricsRange::deltas`]);
+//! - `GET /health` — the derived component health ([`health::evaluate`]):
+//!   a pure function over a frozen snapshot giving per-component
+//!   `Healthy`/`Degraded`/`Unhealthy` verdicts rolled into one node
+//!   verdict.
+//!
+//! The session protocol carries none of this; its STATUS probe answers
+//! with counters and durability progress only.
 //!
 //! A [`TraceRing`] rides along for postmortem debugging of the
 //! adversarial session paths: a fixed-size lock-free ring of structured
@@ -51,7 +47,7 @@ pub mod registry;
 pub mod timeseries;
 pub mod trace;
 
-pub use expose::{MetricEntry, MetricValue, RegistrySnapshot, MAX_METRICS, MAX_NAME_BYTES};
+pub use expose::{MetricEntry, MetricValue, RegistrySnapshot};
 pub use health::{evaluate, ComponentHealth, HealthReport, HealthState, HealthThresholds};
 pub use registry::{
     Counter, Gauge, Histo, HistoSnapshot, Metric, MetricsRegistry, ObsError, HISTO_BUCKETS,

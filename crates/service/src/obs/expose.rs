@@ -1,42 +1,10 @@
 //! Exposition: frozen registry snapshots, their exact merge/subtract
-//! algebra, the wire codec behind the METRICS session message and the
-//! verbose STATUS_OK section, and the text/JSON renderers used by
-//! `examples/observability.rs` and the bench bins.
-//!
-//! The wire encoding reuses the report codec's primitives
-//! ([`crate::wire::Reader`] / [`crate::wire::put_varint`]) and inherits
-//! its contracts: decoding is **total** (malformed bytes yield a
-//! [`WireError`], never a panic), declared sizes are capped
-//! ([`MAX_METRICS`], [`MAX_NAME_BYTES`]) before any allocation, and
-//! encoding is canonical — `decode(encode(s)) == s` and re-encoding
-//! reproduces the bytes:
-//!
-//! ```text
-//! snapshot := n:varint  entry × n                      (n ≤ MAX_METRICS)
-//! entry    := name_len:varint  name  kind(1B)  payload
-//!             (names UTF-8, ≤ MAX_NAME_BYTES, strictly ascending)
-//! kind 0 counter  payload := value:varint
-//! kind 1 gauge    payload := value:varint
-//! kind 2 histo    payload := count:varint  sum:varint  k:varint
-//!                            (bucket(1B)  count:varint) × k
-//!             (k ≤ 65, bucket indexes strictly ascending < 65,
-//!              only nonzero buckets encoded)
-//! ```
+//! algebra, and the two bodies the ops endpoint serves from them — the
+//! Prometheus text of `GET /metrics` ([`RegistrySnapshot::render_prom`])
+//! and the flat JSON each `GET /metrics/range` sample embeds
+//! ([`RegistrySnapshot::render_json`]).
 
-use crate::error::WireError;
-use crate::obs::registry::{Histo, HistoSnapshot, ObsError, HISTO_BUCKETS};
-use crate::wire::{put_varint, Reader};
-
-/// Cap on the number of metrics in one snapshot — far above what the
-/// service registers, low enough that a hostile header cannot balloon
-/// memory.
-pub const MAX_METRICS: usize = 4096;
-/// Cap on one metric name's byte length.
-pub const MAX_NAME_BYTES: usize = 200;
-
-const KIND_COUNTER: u8 = 0;
-const KIND_GAUGE: u8 = 1;
-const KIND_HISTO: u8 = 2;
+use crate::obs::registry::{Histo, HistoSnapshot, ObsError};
 
 /// A frozen metric value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +27,8 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-/// A frozen view of a whole [`crate::obs::MetricsRegistry`]: the payload
-/// of the METRICS session message and the verbose STATUS_OK section.
+/// A frozen view of a whole [`crate::obs::MetricsRegistry`]: what
+/// `GET /metrics` renders and each time-series sample holds.
 ///
 /// Snapshots obey the same exact algebra as the mechanism servers:
 /// [`RegistrySnapshot::merge`] folds counters by addition, gauges by max,
@@ -76,7 +44,8 @@ pub struct RegistrySnapshot {
 impl RegistrySnapshot {
     /// Builds a snapshot from entries, sorting by name; of duplicate
     /// names the first (in sorted input order) wins, so the entry list is
-    /// always strictly ascending — the canonical form the codec encodes.
+    /// always strictly ascending — the canonical form lookups and the
+    /// merge/subtract algebra binary-search.
     #[must_use]
     pub fn from_entries(mut entries: Vec<MetricEntry>) -> Self {
         entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -202,186 +171,7 @@ impl RegistrySnapshot {
         Ok(())
     }
 
-    // --- wire codec ----------------------------------------------------
-
-    /// Appends the canonical wire encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.entries.len() as u64);
-        for entry in &self.entries {
-            let name = entry.name.as_bytes();
-            put_varint(out, name.len() as u64);
-            out.extend_from_slice(name);
-            match &entry.value {
-                MetricValue::Counter(v) => {
-                    out.push(KIND_COUNTER);
-                    put_varint(out, *v);
-                }
-                MetricValue::Gauge(v) => {
-                    out.push(KIND_GAUGE);
-                    put_varint(out, *v);
-                }
-                MetricValue::Histo(h) => {
-                    out.push(KIND_HISTO);
-                    put_varint(out, h.count());
-                    put_varint(out, h.sum());
-                    let nonzero: Vec<(usize, u64)> = h
-                        .buckets()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c != 0)
-                        .map(|(i, &c)| (i, c))
-                        .collect();
-                    put_varint(out, nonzero.len() as u64);
-                    for (i, c) in nonzero {
-                        out.push(i as u8);
-                        put_varint(out, c);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Encodes into a fresh buffer.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * 24);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decodes one snapshot from the reader's position, leaving the
-    /// reader past it (the STATUS_OK decoder reads it mid-payload).
-    ///
-    /// Total: every malformed input — truncation, over-cap counts, names
-    /// that are not UTF-8 or not strictly ascending, unknown kind bytes,
-    /// out-of-range or unordered bucket indexes — is a typed error, never
-    /// a panic. Declared counts are validated against the bytes actually
-    /// present before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.varint()?;
-        if n > MAX_METRICS as u64 {
-            return Err(WireError::SizeOverCap(n));
-        }
-        let n = n as usize;
-        // Each entry costs ≥ 3 bytes (empty-name length, kind, one
-        // value byte are already impossible below, but 3 is a safe
-        // floor) — bound the Vec reservation by what the buffer can hold.
-        if r.remaining() < n.saturating_mul(3) {
-            return Err(WireError::Truncated);
-        }
-        let mut entries = Vec::with_capacity(n);
-        let mut prev_name: Option<String> = None;
-        for _ in 0..n {
-            let name_len = r.varint()?;
-            if name_len > MAX_NAME_BYTES as u64 {
-                return Err(WireError::SizeOverCap(name_len));
-            }
-            let name = std::str::from_utf8(r.bytes(name_len as usize)?)
-                .map_err(|_| WireError::Malformed("metric name not UTF-8"))?
-                .to_string();
-            if name.is_empty() {
-                return Err(WireError::Malformed("empty metric name"));
-            }
-            if let Some(prev) = &prev_name {
-                if *prev >= name {
-                    return Err(WireError::Malformed("metric names not strictly ascending"));
-                }
-            }
-            let value = match r.u8()? {
-                KIND_COUNTER => MetricValue::Counter(r.varint()?),
-                KIND_GAUGE => MetricValue::Gauge(r.varint()?),
-                KIND_HISTO => {
-                    let count = r.varint()?;
-                    let sum = r.varint()?;
-                    let k = r.varint()?;
-                    if k > HISTO_BUCKETS as u64 {
-                        return Err(WireError::SizeOverCap(k));
-                    }
-                    let mut buckets = [0u64; HISTO_BUCKETS];
-                    let mut prev_bucket: Option<u8> = None;
-                    for _ in 0..k {
-                        let i = r.u8()?;
-                        if i as usize >= HISTO_BUCKETS {
-                            return Err(WireError::Malformed("histogram bucket index ≥ 65"));
-                        }
-                        if prev_bucket.is_some_and(|p| p >= i) {
-                            return Err(WireError::Malformed(
-                                "histogram buckets not strictly ascending",
-                            ));
-                        }
-                        prev_bucket = Some(i);
-                        let c = r.varint()?;
-                        if c == 0 {
-                            return Err(WireError::Malformed("zero bucket encoded"));
-                        }
-                        buckets[i as usize] = c;
-                    }
-                    MetricValue::Histo(Box::new(HistoSnapshot::from_parts(buckets, count, sum)))
-                }
-                _ => return Err(WireError::Malformed("unknown metric kind byte")),
-            };
-            prev_name = Some(name.clone());
-            entries.push(MetricEntry { name, value });
-        }
-        Ok(Self { entries })
-    }
-
-    /// Decodes a standalone buffer; trailing bytes are an error.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input or trailing bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let snapshot = Self::decode_from(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes after snapshot"));
-        }
-        Ok(snapshot)
-    }
-
     // --- renderers ------------------------------------------------------
-
-    /// Human-readable text dump, one line per metric; histograms show
-    /// count, sum, integer mean, and p50/p99/max bucket upper bounds.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for entry in &self.entries {
-            match &entry.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "counter {} {v}", entry.name);
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "gauge   {} {v}", entry.name);
-                }
-                MetricValue::Histo(h) => {
-                    let mean = if h.count() == 0 {
-                        0
-                    } else {
-                        h.sum() / h.count()
-                    };
-                    let _ = writeln!(
-                        out,
-                        "histo   {} count={} sum={} mean={} p50<={} p99<={} max<={}",
-                        entry.name,
-                        h.count(),
-                        h.sum(),
-                        mean,
-                        h.quantile_bound(0.50),
-                        h.quantile_bound(0.99),
-                        h.quantile_bound(1.0),
-                    );
-                }
-            }
-        }
-        out
-    }
 
     /// Prometheus text exposition (format version 0.0.4), the body of
     /// the ops endpoint's `GET /metrics`: dotted names sanitized to
@@ -433,9 +223,10 @@ impl RegistrySnapshot {
         out
     }
 
-    /// Flat-JSON dump in the same shape as the bench emitter: one
-    /// top-level numeric field per scalar, histograms flattened to
-    /// `name.count` / `name.sum` / `name.p50` / `name.p99` / `name.max`.
+    /// Flat JSON, the `metrics` object of each `GET /metrics/range`
+    /// sample: one top-level numeric field per scalar, histograms
+    /// flattened to `name.count` / `name.sum` / `name.p50` / `name.p99` /
+    /// `name.max`.
     #[must_use]
     pub fn render_json(&self) -> String {
         use std::fmt::Write as _;
@@ -509,27 +300,22 @@ mod tests {
         ])
     }
 
+    /// Entry order and duplicates never change a snapshot: any
+    /// permutation of the same entries builds an equal snapshot (first of
+    /// a duplicate name wins) and renders byte-identical Prometheus text.
     #[test]
     fn roundtrip_is_canonical() {
         let s = sample();
-        let bytes = s.encode();
-        let decoded = RegistrySnapshot::decode(&bytes).expect("decode own encoding");
-        assert_eq!(decoded, s);
-        assert_eq!(decoded.encode(), bytes, "re-encode differs");
-    }
-
-    #[test]
-    fn truncation_is_an_error_at_every_boundary() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                RegistrySnapshot::decode(&bytes[..cut]).is_err(),
-                "prefix {cut} decoded"
-            );
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(RegistrySnapshot::decode(&trailing).is_err());
+        let mut shuffled = s.entries().to_vec();
+        shuffled.reverse();
+        shuffled.push(MetricEntry {
+            name: "a.counter".into(),
+            value: MetricValue::Counter(0),
+        });
+        let rebuilt = RegistrySnapshot::from_entries(shuffled);
+        assert_eq!(rebuilt, s);
+        assert_eq!(rebuilt.render_prom(), s.render_prom());
+        assert!(s.entries().windows(2).all(|w| w[0].name < w[1].name));
     }
 
     #[test]
@@ -574,12 +360,13 @@ mod tests {
     #[test]
     fn renderers_cover_every_kind() {
         let s = sample();
-        let text = s.render();
-        assert!(text.contains("counter a.counter 42"));
-        assert!(text.contains("gauge   b.gauge 7"));
-        assert!(text.contains("histo   c.histo count=6"));
+        let prom = s.render_prom();
+        for family in ["a_counter counter", "b_gauge gauge", "c_histo histogram"] {
+            assert!(prom.contains(&format!("# TYPE {family}\n")), "{family}");
+        }
         let json = s.render_json();
         assert!(json.contains("\"a.counter\": 42"));
+        assert!(json.contains("\"b.gauge\": 7"));
         assert!(json.contains("\"c.histo.count\": 6"));
     }
 }

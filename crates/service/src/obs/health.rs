@@ -4,30 +4,16 @@
 //! Health is *derived*, never stored: every signal it reads — the
 //! [`names::STORAGE_WEDGED`] gauge, the WAL append-latency percentiles,
 //! the reactor's queue high-water mark, the open-session count, the
-//! replication lag gauge — already lives in the registry, so the verdict
-//! a remote `HEALTH` probe sees, the verbose STATUS embeds, and the ops
-//! endpoint's `GET /health` serves are all the same computation over the
-//! same snapshot. A component only appears in the report when its tier's
+//! replication lag gauge — already lives in the registry, so the ops
+//! endpoint's `GET /health` and an in-process [`evaluate`] over
+//! `LdpServer::registry()` are the same computation over the same
+//! snapshot. A component only appears in the report when its tier's
 //! signals are present in the snapshot (a plain in-memory server has no
 //! storage component), so the report's shape tracks the node's actual
 //! composition.
-//!
-//! The wire codec follows the crate's codec discipline: total decoding
-//! (malformed bytes are a typed [`WireError`], never a panic), declared
-//! sizes capped before allocation, canonical re-encoding.
 
-use crate::error::WireError;
 use crate::obs::expose::RegistrySnapshot;
 use crate::obs::instruments::names;
-use crate::wire::{put_varint, Reader};
-
-/// Cap on components in one wire report (the service defines three;
-/// the cap just bounds hostile headers).
-pub const MAX_HEALTH_COMPONENTS: usize = 64;
-/// Cap on one component name's byte length.
-pub const MAX_COMPONENT_BYTES: usize = 64;
-/// Cap on one detail string's byte length.
-pub const MAX_HEALTH_DETAIL_BYTES: usize = 256;
 
 /// A component's (or the node's) health verdict, worst-wins ordered:
 /// `Healthy < Degraded < Unhealthy`.
@@ -43,23 +29,6 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    fn to_u8(self) -> u8 {
-        match self {
-            Self::Healthy => 0,
-            Self::Degraded => 1,
-            Self::Unhealthy => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        match v {
-            0 => Ok(Self::Healthy),
-            1 => Ok(Self::Degraded),
-            2 => Ok(Self::Unhealthy),
-            _ => Err(WireError::Malformed("unknown health state byte")),
-        }
-    }
-
     /// The state's canonical name (`Healthy` / `Degraded` / `Unhealthy`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -143,83 +112,6 @@ impl HealthReport {
     #[must_use]
     pub fn component(&self, name: &str) -> Option<&ComponentHealth> {
         self.components.iter().find(|c| c.component == name)
-    }
-
-    // --- wire codec ----------------------------------------------------
-
-    /// Appends the canonical wire encoding to `out`:
-    /// `n:varint (name_len name state(1B) detail_len detail) × n`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.components.len() as u64);
-        for c in &self.components {
-            let name = c.component.as_bytes();
-            put_varint(out, name.len() as u64);
-            out.extend_from_slice(name);
-            out.push(c.state.to_u8());
-            let detail = c.detail.as_bytes();
-            put_varint(out, detail.len().min(MAX_HEALTH_DETAIL_BYTES) as u64);
-            out.extend_from_slice(&detail[..detail.len().min(MAX_HEALTH_DETAIL_BYTES)]);
-        }
-    }
-
-    /// Decodes one report from the reader's position, leaving the reader
-    /// past it (the STATUS_OK decoder reads it mid-payload). Total:
-    /// malformed input is a typed error, never a panic; declared sizes
-    /// are capped before allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.varint()?;
-        if n > MAX_HEALTH_COMPONENTS as u64 {
-            return Err(WireError::SizeOverCap(n));
-        }
-        let n = n as usize;
-        if r.remaining() < n.saturating_mul(3) {
-            return Err(WireError::Truncated);
-        }
-        let mut components = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name_len = r.varint()?;
-            if name_len > MAX_COMPONENT_BYTES as u64 {
-                return Err(WireError::SizeOverCap(name_len));
-            }
-            let component = std::str::from_utf8(r.bytes(name_len as usize)?)
-                .map_err(|_| WireError::Malformed("component name not UTF-8"))?
-                .to_string();
-            if component.is_empty() {
-                return Err(WireError::Malformed("empty component name"));
-            }
-            let state = HealthState::from_u8(r.u8()?)?;
-            let detail_len = r.varint()?;
-            if detail_len > MAX_HEALTH_DETAIL_BYTES as u64 {
-                return Err(WireError::SizeOverCap(detail_len));
-            }
-            let detail = std::str::from_utf8(r.bytes(detail_len as usize)?)
-                .map_err(|_| WireError::Malformed("health detail not UTF-8"))?
-                .to_string();
-            components.push(ComponentHealth {
-                component,
-                state,
-                detail,
-            });
-        }
-        Ok(Self { components })
-    }
-
-    /// Decodes a standalone buffer; trailing bytes are an error.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input or trailing bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let report = Self::decode_from(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes after health report"));
-        }
-        Ok(report)
     }
 
     /// The `GET /health` body: the verdict and each component as JSON.
@@ -456,29 +348,6 @@ mod tests {
             report.component("net").unwrap().state,
             HealthState::Degraded
         );
-    }
-
-    #[test]
-    fn codec_roundtrips_canonically_and_rejects_soup() {
-        let snapshot = snapshot_with(|r| {
-            r.gauge(names::STORAGE_WEDGED).set(1);
-            r.gauge(names::NET_SESSIONS_OPEN).set(2);
-            r.gauge(names::REPL_FOLLOWER_LAG_RECORDS).set(3);
-        });
-        let report = evaluate(&snapshot, &HealthThresholds::default());
-        let mut bytes = Vec::new();
-        report.encode_into(&mut bytes);
-        let decoded = HealthReport::decode(&bytes).unwrap();
-        assert_eq!(decoded, report);
-        let mut re = Vec::new();
-        decoded.encode_into(&mut re);
-        assert_eq!(re, bytes, "re-encode differs");
-        for cut in 0..bytes.len() {
-            assert!(HealthReport::decode(&bytes[..cut]).is_err(), "prefix {cut}");
-        }
-        // Unknown state byte and over-cap counts are typed errors.
-        assert!(HealthReport::decode(&[1, 1, b'x', 9, 0]).is_err());
-        assert!(HealthReport::decode(&[0xFF, 0xFF, 0x7F]).is_err());
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod names {
     pub const NET_QUERY_NS: &str = "net.query_ns";
     /// Histogram, ns: SEAL handling latency.
     pub const NET_SEAL_NS: &str = "net.seal_ns";
-    /// Histogram, ns: STATUS / METRICS handling latency.
+    /// Histogram, ns: STATUS / REPLICATE handling latency.
     pub const NET_STATUS_NS: &str = "net.status_ns";
 
     /// Histogram, ns: one WAL group-commit append including fsync.

@@ -246,17 +246,6 @@ impl HistoSnapshot {
         Self::default()
     }
 
-    /// Rebuilds a snapshot from raw parts (the exposition codec's
-    /// constructor).
-    #[must_use]
-    pub fn from_parts(buckets: [u64; HISTO_BUCKETS], count: u64, sum: u64) -> Self {
-        Self {
-            buckets,
-            count,
-            sum,
-        }
-    }
-
     /// Total observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -379,8 +368,8 @@ pub enum Metric {
 /// mutex — a cold path run once per component at construction. Updates go
 /// through the returned `Arc`s and never touch the registry, so the hot
 /// paths stay lock-free. [`MetricsRegistry::snapshot`] freezes every
-/// instrument into a [`RegistrySnapshot`] for exposition (the METRICS
-/// session message, `render`, the bench dumps).
+/// instrument into a [`RegistrySnapshot`] for exposition (`GET /metrics`,
+/// the time-series ring, in-process reads).
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -483,18 +472,6 @@ impl MetricsRegistry {
             })
             .collect();
         RegistrySnapshot::from_entries(entries)
-    }
-
-    /// Human-readable text dump (see [`RegistrySnapshot::render`]).
-    #[must_use]
-    pub fn render(&self) -> String {
-        self.snapshot().render()
-    }
-
-    /// Flat-JSON dump (see [`RegistrySnapshot::render_json`]).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
     }
 }
 

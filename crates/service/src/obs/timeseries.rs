@@ -5,11 +5,10 @@
 //! was the ingest rate over the last minute" is integer arithmetic over
 //! frozen integer statistics, not an approximation.
 //!
-//! The ring is the backing store for the `METRICS_RANGE` session message
-//! and the ops endpoint's `GET /metrics/range`; both serve
-//! [`MetricsRange`] — the newest N samples plus the sampling interval —
-//! through the same total, never-panic codec discipline as every other
-//! wire surface in the crate.
+//! The ring and its sampler belong to the ops endpoint
+//! (`NetConfig::ops_addr`), which serves [`MetricsRange`] — the newest
+//! samples plus the sampling interval — as the JSON body of
+//! `GET /metrics/range`. A server without an ops endpoint runs neither.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,14 +16,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::error::WireError;
 use crate::obs::expose::RegistrySnapshot;
 use crate::obs::instruments::OpsInstruments;
 use crate::obs::registry::MetricsRegistry;
-use crate::wire::{put_varint, Reader};
 
-/// Cap on samples in one wire [`MetricsRange`] — bounds hostile headers
-/// and the reply size (each sample embeds a full snapshot).
+/// Cap on samples in one [`MetricsRange`] — bounds the `GET /metrics/range`
+/// body (each sample embeds a full snapshot).
 pub const MAX_RANGE_SAMPLES: usize = 1024;
 
 /// One frozen sample: a whole registry snapshot stamped with its
@@ -40,35 +37,8 @@ pub struct TimeSample {
     pub snapshot: RegistrySnapshot,
 }
 
-impl TimeSample {
-    /// Appends the canonical wire encoding
-    /// (`seq:varint at_unix_ms:varint snapshot`) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.seq);
-        put_varint(out, self.at_unix_ms);
-        self.snapshot.encode_into(out);
-    }
-
-    /// Decodes one sample from the reader's position, leaving the reader
-    /// past it. Total: malformed input is a typed error, never a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let seq = r.varint()?;
-        let at_unix_ms = r.varint()?;
-        let snapshot = RegistrySnapshot::decode_from(r)?;
-        Ok(Self {
-            seq,
-            at_unix_ms,
-            snapshot,
-        })
-    }
-}
-
-/// The newest N samples plus the ring's sampling interval — the payload
-/// of `METRICS_RANGE_OK` and `GET /metrics/range`.
+/// The newest N samples plus the ring's sampling interval — what
+/// `GET /metrics/range` renders.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsRange {
     /// The sampler's fixed interval in milliseconds.
@@ -78,43 +48,6 @@ pub struct MetricsRange {
 }
 
 impl MetricsRange {
-    /// Appends the canonical wire encoding
-    /// (`interval_ms:varint n:varint sample × n`) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.interval_ms);
-        put_varint(out, self.samples.len().min(MAX_RANGE_SAMPLES) as u64);
-        for sample in self.samples.iter().take(MAX_RANGE_SAMPLES) {
-            sample.encode_into(out);
-        }
-    }
-
-    /// Decodes one range from the reader's position. Total: the sample
-    /// count is capped before allocation and every nested snapshot
-    /// decode is itself total.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformed input.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let interval_ms = r.varint()?;
-        let n = r.varint()?;
-        if n > MAX_RANGE_SAMPLES as u64 {
-            return Err(WireError::SizeOverCap(n));
-        }
-        let n = n as usize;
-        if r.remaining() < n.saturating_mul(3) {
-            return Err(WireError::Truncated);
-        }
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(TimeSample::decode_from(r)?);
-        }
-        Ok(Self {
-            interval_ms,
-            samples,
-        })
-    }
-
     /// Exact per-interval deltas between adjacent samples: element `i`
     /// is `samples[i+1] − samples[i]` (counters and histograms subtract
     /// exactly; gauges are levels and pass through at the newer sample's
@@ -253,9 +186,8 @@ impl TimeSeriesRing {
         seq
     }
 
-    /// The newest `max` samples (oldest → newest) plus the interval —
-    /// the `METRICS_RANGE` reply. `max` is clamped to
-    /// [`MAX_RANGE_SAMPLES`].
+    /// The newest `max` samples (oldest → newest) plus the interval.
+    /// `max` is clamped to [`MAX_RANGE_SAMPLES`].
     #[must_use]
     pub fn range(&self, max: usize) -> MetricsRange {
         let max = max.min(MAX_RANGE_SAMPLES);
@@ -378,43 +310,6 @@ mod tests {
                 Some(newer * (newer + 1) * 5 * 10)
             );
         }
-    }
-
-    #[test]
-    fn range_codec_roundtrips_and_rejects_soup() {
-        let ring = TimeSeriesRing::new(4, Duration::from_millis(250));
-        for i in 0..3u64 {
-            ring.push_at(registry_at(i * 7), 500 + i * 250);
-        }
-        let range = ring.range(MAX_RANGE_SAMPLES);
-        let mut bytes = Vec::new();
-        range.encode_into(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        let decoded = MetricsRange::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(decoded, range);
-        let mut re = Vec::new();
-        decoded.encode_into(&mut re);
-        assert_eq!(re, bytes, "re-encode differs");
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            match MetricsRange::decode_from(&mut r) {
-                Err(_) => {}
-                // A cut can land on a whole-sample boundary; the outer
-                // message decoder rejects the truncation by its own
-                // expect_consumed. Here totality (no panic) is the claim.
-                Ok(prefix) => assert!(prefix.samples.len() <= range.samples.len()),
-            }
-        }
-        // Over-cap sample count is refused before allocation.
-        let mut hostile = Vec::new();
-        put_varint(&mut hostile, 1000);
-        put_varint(&mut hostile, u64::MAX);
-        let mut r = Reader::new(&hostile);
-        assert!(matches!(
-            MetricsRange::decode_from(&mut r),
-            Err(WireError::SizeOverCap(_))
-        ));
     }
 
     #[test]

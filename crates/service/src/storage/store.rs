@@ -128,7 +128,7 @@ where
     /// leaving in-memory state ahead of the log; every mutating path
     /// refuses while it reads 1, queries keep answering) and the
     /// auto-checkpoint failure count in `obs.checkpoint_failures`, with
-    /// no shadow copies — [`DurableService::status`] and the METRICS
+    /// no shadow copies — [`DurableService::status`] and the metrics
     /// exposition cannot disagree.
     obs: StorageInstruments,
     /// Trace ring for WAL-append span events ([`DurableConfig::trace`]).
@@ -386,7 +386,7 @@ where
     /// The metrics registry this store (and the service it wraps)
     /// reports into — share it with [`crate::net::NetConfig::registry`]
     /// (done automatically by `bind_durable` when that is `None`) so one
-    /// METRICS probe covers every tier.
+    /// `GET /metrics` scrape covers every tier.
     #[must_use]
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry

@@ -200,7 +200,7 @@ fn status_probe_works_before_hello_and_without_durability() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_message(&mut stream, &ClientMsg::Status { verbose: false }.encode()).unwrap();
+    write_message(&mut stream, &ClientMsg::Status.encode()).unwrap();
     let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
     let ServerMsg::StatusOk(status) = reply else {
         panic!("STATUS answered with {reply:?}");

@@ -86,11 +86,37 @@ fn hostile_bytes_yield_typed_errors_and_the_server_survives() {
     assert_eq!(e.code, ErrorCode::Protocol);
     drop(raw);
 
-    // 5. An unknown message type before HELLO.
-    let mut raw = TcpStream::connect(addr).unwrap();
-    write_message(&mut raw, &[0x66, 1, 2, 3]).unwrap();
-    let e = read_error(&mut raw);
-    assert_eq!(e.code, ErrorCode::Protocol);
+    // 5. Unknown message types, the retired METRICS / METRICS_RANGE /
+    //    HEALTH bytes, and the retired verbose STATUS flag: a typed
+    //    protocol error before HELLO (then the server closes) and after
+    //    it (then the session carries on).
+    let unknown: [&[u8]; 5] = [
+        &[0x66, 1, 2, 3],
+        &[0x07],
+        &[0x0A, 2],
+        &[0x0B],
+        &[0x06, 0x01],
+    ];
+    for body in unknown {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        write_message(&mut raw, body).unwrap();
+        let e = read_error(&mut raw);
+        assert_eq!(e.code, ErrorCode::Protocol, "pre-HELLO {body:?}");
+        drop(raw);
+    }
+    let session = LdpClient::connect(addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
+    let mut raw = session.into_stream();
+    for body in unknown {
+        write_message(&mut raw, body).unwrap();
+        let e = read_error(&mut raw);
+        assert_eq!(e.code, ErrorCode::Protocol, "post-HELLO {body:?}");
+    }
+    write_message(&mut raw, &ClientMsg::Status.encode()).unwrap();
+    let body = read_message(&mut raw).unwrap();
+    assert!(matches!(
+        ServerMsg::decode(&body).unwrap(),
+        ServerMsg::StatusOk(_)
+    ));
     drop(raw);
 
     // 6. REPORT before HELLO: a state error, not a decode attempt.

@@ -181,7 +181,7 @@ fn idle_sessions_are_evicted_with_a_typed_error() {
 }
 
 /// Regression: a session whose replies are still being flushed is not
-/// "idle". The client pipelines megabytes of METRICS requests and then
+/// "idle". The client pipelines 16 MiB worth of STATUS replies and then
 /// goes quiet for twice the idle timeout *without reading* — the
 /// server's outbound buffer (and the kernel's) are full of its replies
 /// the whole time, so evicting it would drop acked work. Every reply
@@ -197,46 +197,52 @@ fn pending_replies_shield_a_session_from_idle_eviction() {
     });
     let addr = server.local_addr();
 
-    // Size one METRICS reply (allowed before HELLO), then pipeline
-    // enough of them that their replies cannot fit in kernel socket
-    // buffers even with autotuning — the server must hold the overflow
-    // across the quiet period.
+    // Size one STATUS reply (allowed before HELLO), then pipeline enough
+    // of them that their replies cannot fit in kernel socket buffers
+    // even with autotuning — the server must hold the overflow across
+    // the quiet period.
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     stream.set_nodelay(true).unwrap();
-    let request = ldp_service::net::proto::ClientMsg::Metrics.encode();
+    let mut replies = std::io::BufReader::new(stream.try_clone().unwrap());
+    let request = ldp_service::net::proto::ClientMsg::Status.encode();
     write_message(&mut stream, &request).unwrap();
-    let reply_len = read_message(&mut stream).unwrap().len() + 4;
+    let reply_len = read_message(&mut replies).unwrap().len() + 4;
     let n = (16 << 20) / reply_len + 1;
-    let mut burst = Vec::new();
+    let mut burst = Vec::with_capacity(n * (request.len() + 4));
     for _ in 0..n {
         burst.extend_from_slice(&(u32::try_from(request.len()).unwrap()).to_le_bytes());
         burst.extend_from_slice(&request);
     }
-    stream.write_all(&burst).unwrap();
+    // The requests are megabytes too: once the server sheds read
+    // interest behind its full output queue, the rest of the burst waits
+    // in the kernel, so it is written from its own thread.
+    let mut writer = stream.try_clone().unwrap();
+    let burst = std::thread::spawn(move || writer.write_all(&burst));
 
     // Dead quiet for 2× the idle timeout, replies pending throughout.
     std::thread::sleep(Duration::from_millis(600));
 
     for k in 0..n {
-        let body = read_message(&mut stream)
+        let body = read_message(&mut replies)
             .unwrap_or_else(|e| panic!("reply {k} of {n} lost after the idle sleep: {e}"));
         match ServerMsg::decode(&body).unwrap() {
-            ServerMsg::MetricsOk(_) => {}
-            other => panic!("reply {k} of {n}: expected METRICS_OK, got {other:?}"),
+            ServerMsg::StatusOk(_) => {}
+            other => panic!("reply {k} of {n}: expected STATUS_OK, got {other:?}"),
         }
     }
+    burst.join().unwrap().unwrap();
 
     // The drain itself refreshed the eviction clock: the session still
     // answers, then closes cleanly.
     write_message(
         &mut stream,
-        &ldp_service::net::proto::ClientMsg::Status { verbose: false }.encode(),
+        &ldp_service::net::proto::ClientMsg::Status.encode(),
     )
     .unwrap();
-    let body = read_message(&mut stream).unwrap();
+    let body = read_message(&mut replies).unwrap();
     assert!(matches!(
         ServerMsg::decode(&body).unwrap(),
         ServerMsg::StatusOk(_)
@@ -246,7 +252,7 @@ fn pending_replies_shield_a_session_from_idle_eviction() {
         &ldp_service::net::proto::ClientMsg::Bye.encode(),
     )
     .unwrap();
-    let body = read_message(&mut stream).unwrap();
+    let body = read_message(&mut replies).unwrap();
     assert!(matches!(
         ServerMsg::decode(&body).unwrap(),
         ServerMsg::ByeOk

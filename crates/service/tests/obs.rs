@@ -2,28 +2,64 @@
 //!
 //! The registry's frozen views obey the same exact integer algebra as
 //! the mechanism servers: per-shard histograms merge bit-identically to
-//! a single writer, merge − subtract round-trips exactly, the wire
-//! exposition decodes its own encoding byte-for-byte and rejects
-//! arbitrary byte soup with typed errors, and over a real socket the
-//! drain totals, the STATUS counters, and the METRICS snapshot are one
-//! accounting path that can never disagree.
+//! a single writer, merge − subtract round-trips exactly, and the
+//! Prometheus exposition carries every scalar of a snapshot exactly.
+//! Over a real socket the drain totals, the STATUS counters, and a
+//! `GET /metrics` scrape are one accounting path that can never disagree,
+//! and the session protocol answers the retired telemetry type bytes
+//! with typed errors.
 
+use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HhClient, HhConfig, HhServer};
-use ldp_service::net::proto::{read_message, write_message, ClientMsg, ServerMsg};
+use ldp_service::net::proto::{ClientMsg, ServerMsg};
 use ldp_service::net::{Hello, NetConfig};
 use ldp_service::obs::instruments::names;
-use ldp_service::obs::{Histo, TraceOutcome, TraceStage};
+use ldp_service::obs::{Histo, MetricValue, TraceOutcome, TraceStage};
 use ldp_service::storage::{scratch_dir, DurableConfig, DurableService, FsyncPolicy};
 use ldp_service::{
     EncodedStream, LdpClient, LdpServer, LdpService, MetricsRegistry, RegistrySnapshot, TraceRing,
+    WireError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The scalar samples of a Prometheus text body — every `name value`
+/// line without labels (counters, gauges, histogram `_sum` / `_count`).
+fn prom_scalars(body: &str) -> BTreeMap<String, u64> {
+    body.lines()
+        .filter(|line| !line.starts_with('#') && !line.contains('{') && !line.is_empty())
+        .map(|line| {
+            let (name, value) = line.rsplit_once(' ').expect("sample has a value");
+            (name.to_string(), value.parse().expect("integer sample"))
+        })
+        .collect()
+}
+
+/// The scalars a snapshot's exposition must carry, under their
+/// Prometheus names.
+fn snapshot_scalars(snapshot: &RegistrySnapshot) -> BTreeMap<String, u64> {
+    let mut out = BTreeMap::new();
+    for entry in snapshot.entries() {
+        let name = entry.name.replace('.', "_");
+        match &entry.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                out.insert(name, *v);
+            }
+            MetricValue::Histo(h) => {
+                out.insert(format!("{name}_sum"), h.sum());
+                out.insert(format!("{name}_count"), h.count());
+            }
+        }
+    }
+    out
+}
 
 // --- exact histogram algebra -------------------------------------------
 
@@ -165,8 +201,9 @@ proptest! {
         prop_assert_eq!(rebuilt, s2);
     }
 
-    /// The exposition codec decodes its own encoding to an equal
-    /// snapshot and re-encodes to identical bytes.
+    /// The Prometheus exposition carries every scalar of a snapshot
+    /// exactly: counters, gauges, and each histogram's sum and count read
+    /// back from the text equal the frozen values.
     #[test]
     fn exposition_roundtrips_canonically(
         counts in proptest::collection::vec(0u64..u64::MAX, 0..8),
@@ -182,35 +219,23 @@ proptest! {
             histo.record(v);
         }
         let snapshot = registry.snapshot();
-        let bytes = snapshot.encode();
-        let decoded = RegistrySnapshot::decode(&bytes).unwrap();
-        prop_assert_eq!(&decoded, &snapshot);
-        prop_assert_eq!(decoded.encode(), bytes, "re-encode differs");
+        prop_assert_eq!(prom_scalars(&snapshot.render_prom()), snapshot_scalars(&snapshot));
     }
 
-    /// Arbitrary byte soup never panics the snapshot decoder — every
-    /// outcome is `Ok` or a typed `WireError`.
+    /// Arbitrary byte soup never panics the session decoders, and a body
+    /// led by a retired telemetry type byte is always an unknown type.
     #[test]
     fn arbitrary_bytes_never_panic_decoder(
         bytes in proptest::collection::vec(0u64..256, 0..256),
     ) {
         let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
-        let _ = RegistrySnapshot::decode(&bytes);
-        // The enclosing protocol messages are total too.
         let _ = ServerMsg::decode(&bytes);
         let _ = ClientMsg::decode(&bytes);
-        let mut framed = vec![0x87];
-        framed.extend_from_slice(&bytes);
-        let _ = ServerMsg::decode(&framed);
-        // The ops-plane replies (METRICS_RANGE_OK, HEALTH_OK) are total
-        // against byte soup too, with and without a valid version byte.
-        for type_byte in [0x8Au8, 0x8B] {
+        for type_byte in [0x07u8, 0x0A, 0x0B, 0x87, 0x8A, 0x8B] {
             let mut framed = vec![type_byte];
             framed.extend_from_slice(&bytes);
-            let _ = ServerMsg::decode(&framed);
-            let mut versioned = vec![type_byte, 1];
-            versioned.extend_from_slice(&bytes);
-            let _ = ServerMsg::decode(&versioned);
+            prop_assert_eq!(ClientMsg::decode(&framed), Err(WireError::UnknownKind(type_byte)));
+            prop_assert_eq!(ServerMsg::decode(&framed), Err(WireError::UnknownKind(type_byte)));
         }
     }
 }
@@ -288,10 +313,26 @@ fn four_writer_socket_ingest_totals_are_exact() {
     assert!(snapshot.counter(names::NET_BYTES_OUT).unwrap() > 0);
 }
 
+/// One HTTP GET over a fresh connection; the ops endpoint closes after
+/// every response, so read-to-EOF frames the reply.
+fn scrape(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let status = raw.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap();
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
+    (status, body.unwrap_or_default())
+}
+
 /// The acceptance gate: a durable *windowed* server exercised over the
 /// socket shows live instruments from every tier — shard, service,
-/// window, net, and storage — in one METRICS snapshot, and the verbose
-/// STATUS carries the same section while the plain probe stays legacy.
+/// window, net, and storage — in one `GET /metrics` scrape, every scraped
+/// scalar equals the in-process registry snapshot taken right after, and
+/// the STATUS probe reports the same counters.
 #[test]
 fn metrics_probe_sees_every_tier_live() {
     let (client, prototype) = hh_parts();
@@ -311,10 +352,16 @@ fn metrics_probe_sees_every_tier_live() {
     .unwrap();
     let durable = Arc::new(durable);
     // NetConfig.registry is None: bind_durable must share the storage
-    // tier's registry on its own.
-    let server =
-        LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&durable), NetConfig::default()).unwrap();
+    // tier's registry on its own. The sampler's one-minute interval keeps
+    // its counter still between the scrape and the snapshot below.
+    let config = NetConfig {
+        ops_addr: Some("127.0.0.1:0".to_string()),
+        sample_interval: Duration::from_secs(60),
+        ..NetConfig::default()
+    };
+    let server = LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&durable), config).unwrap();
     assert!(Arc::ptr_eq(server.registry(), &registry));
+    let ops = server.ops_local_addr().expect("ops endpoint bound");
 
     let mut session = LdpClient::connect(
         server.local_addr(),
@@ -332,81 +379,51 @@ fn metrics_probe_sees_every_tier_live() {
     }
     let _ = session.quantile(0.5).unwrap();
 
-    // The plain probe stays legacy: no metrics section.
+    // The STATUS probe carries the counters and durability progress.
     let status = session.status().unwrap();
-    assert_eq!(status.metrics, None);
-    // The verbose probe and the dedicated METRICS message agree.
-    let verbose = session.status_full().unwrap();
-    let via_status = verbose.metrics.expect("verbose STATUS carries metrics");
-    let live = session.metrics().unwrap();
+    assert_eq!(status.frames_absorbed, 240);
+    assert_eq!(status.durable.map(|d| d.wal_records), Some(8));
 
-    for snapshot in [&via_status, &live] {
-        // Shard tier.
-        assert_eq!(snapshot.counter(names::SHARD_FRAMES_ACCEPTED), Some(240));
-        assert!(snapshot.histo(names::SHARD_ABSORB_NS).unwrap().count() > 0);
-        // Service tier (the query refreshed a snapshot).
-        assert!(snapshot.counter(names::SERVICE_REFRESHES).unwrap() >= 1);
-        assert!(snapshot.histo(names::SERVICE_REFRESH_NS).unwrap().count() >= 1);
-        // Window tier.
-        assert_eq!(snapshot.counter(names::WINDOW_EPOCHS_SEALED), Some(2));
-        assert_eq!(snapshot.histo(names::WINDOW_SEAL_NS).unwrap().count(), 2);
-        // Net tier.
-        assert_eq!(snapshot.counter(names::NET_FRAMES_ABSORBED), Some(240));
-        assert!(snapshot.histo(names::NET_REPORT_NS).unwrap().count() >= 6);
-        // Storage tier: one WAL record per batch + one per seal.
-        assert_eq!(snapshot.counter(names::WAL_FRAMES), Some(240));
-        assert_eq!(snapshot.counter(names::WAL_RECORDS), Some(8));
-        assert!(snapshot.histo(names::WAL_APPEND_NS).unwrap().count() >= 8);
-        assert_eq!(snapshot.gauge(names::STORAGE_WEDGED), Some(0));
+    let before = server.registry().snapshot();
+    let (code, body) = scrape(ops, "/metrics");
+    assert_eq!(code, 200);
+    let scraped = prom_scalars(&body);
+    let after = server.registry().snapshot();
+
+    // Shard tier.
+    assert_eq!(scraped["shard_frames_accepted"], 240);
+    assert!(scraped["shard_absorb_ns_count"] > 0);
+    // Service tier (the query refreshed a snapshot).
+    assert!(scraped["service_refreshes"] >= 1);
+    assert!(scraped["service_refresh_ns_count"] >= 1);
+    // Window tier.
+    assert_eq!(scraped["window_epochs_sealed"], 2);
+    assert_eq!(scraped["window_seal_ns_count"], 2);
+    // Net tier.
+    assert_eq!(scraped["net_frames_absorbed"], 240);
+    assert!(scraped["net_report_ns_count"] >= 6);
+    // Storage tier: one WAL record per batch + one per seal.
+    assert_eq!(scraped["wal_frames"], 240);
+    assert_eq!(scraped["wal_records"], 8);
+    assert!(scraped["wal_append_ns_count"] >= 8);
+    assert_eq!(scraped["storage_wedged"], 0);
+
+    // Every scalar of the in-process snapshot taken right after the
+    // scrape is in the scrape, with the same value.
+    for (name, value) in snapshot_scalars(&after) {
+        assert_eq!(scraped.get(&name), Some(&value), "{name}");
     }
-    // The live snapshot was taken after the verbose STATUS, so it can
-    // only have moved forward: subtracting the earlier one must succeed
-    // (counters and histograms are monotone).
-    let mut delta = live.clone();
+    // The later snapshot can only have moved forward: subtracting the
+    // earlier one must succeed (counters and histograms are monotone).
+    let mut delta = after.clone();
     delta
-        .subtract(&via_status)
+        .subtract(&before)
         .expect("later snapshot subtracts the earlier one exactly");
 
     session.bye().unwrap();
     let stats = server.shutdown();
     assert_eq!(stats.frames_absorbed, 240);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// METRICS needs no handshake, and hostile METRICS payloads get a typed
-/// error reply — the session survives none the worse after HELLO, and
-/// pre-HELLO garbage closes cleanly without a panic.
-#[test]
-fn metrics_probe_works_before_hello_and_rejects_garbage() {
-    use std::net::TcpStream;
-    use std::time::Duration;
-
-    let (_, prototype) = hh_parts();
-    let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
-    let server =
-        LdpServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default()).unwrap();
-
-    // METRICS as the very first message — no HELLO.
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_message(&mut stream, &ClientMsg::Metrics.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
-    let ServerMsg::MetricsOk(snapshot) = reply else {
-        panic!("METRICS answered with {reply:?}");
-    };
-    assert_eq!(snapshot.counter(names::NET_FRAMES_ABSORBED), Some(0));
-
-    // A METRICS request with trailing garbage is a protocol error.
-    write_message(&mut stream, &[0x07, 0xFF]).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
-    assert!(
-        matches!(reply, ServerMsg::Error(_)),
-        "garbage METRICS answered with {reply:?}"
-    );
-    drop(stream);
-    let _ = server.shutdown();
 }
 
 /// With a trace ring configured and enabled, sessions leave structured

@@ -1,14 +1,15 @@
 //! The ops plane, end to end over real sockets.
 //!
-//! The HTTP scrape endpoint serves valid Prometheus text, health JSON
-//! whose status code tracks the node verdict, and the time-series ring;
-//! hostile HTTP bytes get typed status codes, never a hang or a panic.
-//! The session-protocol introspection messages (METRICS, STATUS,
-//! METRICS_RANGE, HEALTH) answer before any HELLO — including against a
-//! follower actively catching up — and the per-message span ids
-//! assigned at reactor decode reappear on the worker's Execute events
-//! and the storage tier's WalAppend events, correlating one REPORT's
-//! decode → absorb → fsync timeline across tiers.
+//! The HTTP scrape endpoint — the one surface on which telemetry leaves
+//! the process — serves valid Prometheus text, health JSON whose status
+//! code tracks the node verdict, and the time-series ring; hostile HTTP
+//! bytes get typed status codes, never a hang or a panic. It answers
+//! against a follower actively catching up, while the session protocol
+//! keeps its pre-HELLO STATUS probe. A server without an ops endpoint
+//! runs no sampler. The per-message span ids assigned at reactor decode
+//! reappear on the worker's Execute events and the storage tier's
+//! WalAppend events, correlating one REPORT's decode → absorb → fsync
+//! timeline across tiers.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -20,7 +21,7 @@ use ldp_ranges::{HhClient, HhConfig, HhServer};
 use ldp_service::net::proto::{read_message, write_message, ClientMsg, ServerMsg};
 use ldp_service::net::{Hello, NetConfig};
 use ldp_service::obs::instruments::names;
-use ldp_service::obs::{HealthState, TraceStage};
+use ldp_service::obs::{evaluate, HealthState, TraceStage};
 use ldp_service::storage::{scratch_dir, DurableConfig, DurableService, FsyncPolicy};
 use ldp_service::{
     EncodedStream, FollowerService, HealthThresholds, LdpClient, LdpServer, LdpService,
@@ -82,6 +83,23 @@ fn http_request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
     http_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
+}
+
+/// The state `GET /health` reports for `component`, if it was judged.
+fn component_state(health_json: &str, component: &str) -> Option<String> {
+    let key = format!("\"component\": \"{component}\", \"state\": \"");
+    let (_, rest) = health_json.split_once(&key)?;
+    rest.split('"').next().map(str::to_string)
+}
+
+/// Blocks until the server's sampler has pushed `n` samples.
+fn await_samples(server: &LdpServer<HhServer>, n: usize) {
+    let ring = server.timeseries().expect("ops endpoint runs a sampler");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ring.len() < n {
+        assert!(Instant::now() < deadline, "sampler produced no samples");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn assert_valid_prom_name(name: &str) {
@@ -183,11 +201,7 @@ fn http_endpoint_serves_scrapes_and_rejects_hostile_requests() {
 
     // The sampler (10ms interval) fills the ring; wait for two samples
     // so the range carries a delta-able pair.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.timeseries().len() < 2 {
-        assert!(Instant::now() < deadline, "sampler produced no samples");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    await_samples(&server, 2);
     let (status, body) = http_get(ops, "/metrics/range");
     assert_eq!(status, 200);
     assert!(body.contains("\"interval_ms\": 10"));
@@ -219,144 +233,130 @@ fn http_endpoint_serves_scrapes_and_rejects_hostile_requests() {
 }
 
 /// Injected replication lag flips the health verdict to Degraded and
-/// then Unhealthy — over the session protocol and over HTTP, where
-/// Unhealthy (and only Unhealthy) becomes a 503.
+/// then Unhealthy over both surfaces — the in-process [`evaluate`] of the
+/// server's registry and `GET /health`, whose JSON names each
+/// component's state and whose status code turns 503 on Unhealthy (and
+/// only on Unhealthy).
 #[test]
 fn injected_follower_lag_flips_health_over_both_surfaces() {
     let (_, prototype) = hh_parts();
     let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
     let registry = Arc::new(MetricsRegistry::new());
+    let thresholds = HealthThresholds {
+        follower_lag_degraded: 10,
+        follower_lag_unhealthy: 1_000,
+        ..HealthThresholds::default()
+    };
     let config = NetConfig {
         registry: Some(Arc::clone(&registry)),
         ops_addr: Some("127.0.0.1:0".to_string()),
-        health: HealthThresholds {
-            follower_lag_degraded: 10,
-            follower_lag_unhealthy: 1_000,
-            ..HealthThresholds::default()
-        },
+        health: thresholds.clone(),
         ..NetConfig::default()
     };
     let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
     let ops = server.ops_local_addr().unwrap();
-    let mut session =
-        LdpClient::connect(server.local_addr(), Hello::plain::<ldp_ranges::HhReport>()).unwrap();
 
     let lag = registry.gauge(names::REPL_FOLLOWER_LAG_RECORDS);
+    for (level, want, code) in [
+        (0, HealthState::Healthy, 200),
+        // Degraded still scrapes 200 — the node is operable.
+        (50, HealthState::Degraded, 200),
+        (5_000, HealthState::Unhealthy, 503),
+    ] {
+        lag.set(level);
+        let report = evaluate(&server.registry().snapshot(), &thresholds);
+        assert_eq!(report.verdict(), want, "lag {level}: {report:?}");
+        assert_eq!(report.component("repl").map(|c| c.state), Some(want));
 
-    lag.set(0);
-    let report = session.health().unwrap();
-    assert_eq!(report.verdict(), HealthState::Healthy);
-    assert_eq!(
-        report.component("repl").unwrap().state,
-        HealthState::Healthy
-    );
+        let (status, body) = http_get(ops, "/health");
+        assert_eq!(status, code, "lag {level}: {body}");
+        assert!(
+            body.contains(&format!("\"verdict\": \"{}\"", want.as_str())),
+            "lag {level}: {body}"
+        );
+        assert_eq!(
+            component_state(&body, "repl").as_deref(),
+            Some(want.as_str())
+        );
+        assert_eq!(
+            component_state(&body, "net").as_deref(),
+            Some("Healthy"),
+            "{body}"
+        );
+    }
 
-    lag.set(50);
-    let report = session.health().unwrap();
-    assert_eq!(report.verdict(), HealthState::Degraded, "{report:?}");
-    assert_eq!(
-        report.component("repl").unwrap().state,
-        HealthState::Degraded
-    );
-    // Degraded still scrapes 200 — the node is operable.
-    let (status, body) = http_get(ops, "/health");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"verdict\": \"Degraded\""));
-
-    lag.set(5_000);
-    let report = session.health().unwrap();
-    assert_eq!(report.verdict(), HealthState::Unhealthy);
-    let (status, body) = http_get(ops, "/health");
-    assert_eq!(status, 503, "Unhealthy must 503: {body}");
-    assert!(body.contains("\"verdict\": \"Unhealthy\""));
-
-    // The verbose STATUS embeds the same verdict.
-    let status = session.status_full().unwrap();
-    assert_eq!(
-        status
-            .health
-            .as_ref()
-            .map(ldp_service::HealthReport::verdict),
-        Some(HealthState::Unhealthy)
-    );
-    assert!(status.metrics.is_some(), "verbose STATUS carries metrics");
-
-    session.bye().unwrap();
     let _ = server.shutdown();
 }
 
-// --- the session-protocol surfaces --------------------------------------
-
-/// METRICS_RANGE and HEALTH answer before any HELLO — an external
-/// prober needs no negotiated report kind — and the ranged reply's
-/// samples are seq-ordered at the configured interval.
+/// `GET /metrics/range` serves the live ring oldest → newest at the
+/// configured interval, capped at the ring's capacity; a clamped read of
+/// the same ring keeps the newest samples, and adjacent samples of one
+/// live registry subtract exactly.
 #[test]
-fn metrics_range_and_health_answer_pre_hello() {
+fn metrics_range_scrape_is_ordered_clamped_and_exact() {
     let (_, prototype) = hh_parts();
     let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
     let config = NetConfig {
+        ops_addr: Some("127.0.0.1:0".to_string()),
         sample_interval: Duration::from_millis(10),
         ring_capacity: 16,
         ..NetConfig::default()
     };
     let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
+    let ops = server.ops_local_addr().unwrap();
+    await_samples(&server, 3);
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.timeseries().len() < 3 {
-        assert!(Instant::now() < deadline, "sampler produced no samples");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // Raw socket, no HELLO.
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_message(&mut stream, &ClientMsg::MetricsRange { max: 2 }.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
-    let ServerMsg::MetricsRangeOk(range) = reply else {
-        panic!("METRICS_RANGE answered with {reply:?}");
-    };
-    assert_eq!(range.interval_ms, 10);
-    assert_eq!(range.samples.len(), 2, "max clamps the reply");
+    let (status, body) = http_get(ops, "/metrics/range");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"interval_ms\": 10"), "{body}");
+    let seqs: Vec<u64> = body
+        .split("\"seq\": ")
+        .skip(1)
+        .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
+        .collect();
+    assert!(seqs.len() >= 3 && seqs.len() <= 16, "{seqs:?}");
     assert!(
-        range.samples.windows(2).all(|w| w[0].seq < w[1].seq),
-        "samples out of order"
+        seqs.windows(2).all(|w| w[1] == w[0] + 1),
+        "samples out of order: {seqs:?}"
     );
-    // Adjacent samples of one live registry always subtract exactly.
-    assert_eq!(range.deltas().len(), range.samples.len() - 1);
 
-    write_message(&mut stream, &ClientMsg::Health.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
-    let ServerMsg::HealthOk(report) = reply else {
-        panic!("HEALTH answered with {reply:?}");
-    };
-    assert!(report.component("net").is_some(), "{report:?}");
-    assert_eq!(report.verdict(), HealthState::Healthy);
+    let range = server.timeseries().unwrap().range(2);
+    assert_eq!(range.interval_ms, 10);
+    assert_eq!(range.samples.len(), 2, "max clamps the read");
+    assert!(range.samples[0].seq < range.samples[1].seq);
+    assert!(range.samples[1].seq >= *seqs.last().unwrap());
+    assert_eq!(range.deltas().len(), 1, "adjacent samples subtract exactly");
 
-    // Trailing garbage on either probe is a typed protocol error (the
-    // server then closes the session, so each probe gets its own).
-    for probe in [&[0x0Au8, 1, 0xFF][..], &[0x0Bu8, 0xFF][..]] {
-        let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
-        hostile
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        write_message(&mut hostile, probe).unwrap();
-        let reply = ServerMsg::decode(&read_message(&mut hostile).unwrap()).unwrap();
-        assert!(
-            matches!(reply, ServerMsg::Error(_)),
-            "garbage probe answered with {reply:?}"
-        );
-    }
-
-    drop(stream);
+    let (status, body) = http_get(ops, "/health");
+    assert_eq!(status, 200);
+    assert_eq!(component_state(&body, "net").as_deref(), Some("Healthy"));
     let _ = server.shutdown();
 }
 
-/// Satellite: pre-HELLO STATUS / METRICS / HEALTH probes answer against
-/// a follower's replica socket while it is actively catching up, and
-/// the follower publishes its own lag gauge, which settles to zero once
-/// caught up.
+/// Without `ops_addr` no sampler runs: the ring is absent and, after
+/// idling for several sample intervals, no sample was ever counted.
+#[test]
+fn no_ops_addr_runs_no_sampler() {
+    let (_, prototype) = hh_parts();
+    let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
+    let interval = Duration::from_millis(10);
+    let config = NetConfig {
+        sample_interval: interval,
+        ..NetConfig::default()
+    };
+    let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
+    std::thread::sleep(interval * 5);
+    assert!(server.timeseries().is_none());
+    assert!(server.ops_local_addr().is_none());
+    let samples = server.registry().snapshot().counter(names::OPS_TS_SAMPLES);
+    assert!(matches!(samples, None | Some(0)), "{samples:?}");
+    let _ = server.shutdown();
+}
+
+/// A pre-HELLO STATUS probe answers on a follower's replica
+/// socket while it is actively catching up, the replica's `/health`
+/// shows the follower's storage and repl components, and the follower
+/// publishes its own lag gauge, which settles to zero once caught up.
 #[test]
 fn follower_replica_answers_probes_during_catch_up() {
     let (client, prototype) = hh_parts();
@@ -382,38 +382,35 @@ fn follower_replica_answers_probes_during_catch_up() {
     let replica = LdpServer::bind_replica(
         "127.0.0.1:0",
         Arc::clone(follower.service()),
-        NetConfig::default(),
+        NetConfig {
+            ops_addr: Some("127.0.0.1:0".to_string()),
+            ..NetConfig::default()
+        },
     )
     .unwrap();
+    let ops = replica.ops_local_addr().unwrap();
 
-    // Probe the replica socket immediately — catch-up is (very likely)
-    // still in flight; correctness does not depend on winning that
-    // race, only that the probes answer either way.
+    // Probe the replica immediately — catch-up is (very likely) still in
+    // flight; correctness does not depend on winning that race, only
+    // that the probes answer either way.
     let mut probe = TcpStream::connect(replica.local_addr()).unwrap();
     probe
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_message(&mut probe, &ClientMsg::Status { verbose: false }.encode()).unwrap();
+    write_message(&mut probe, &ClientMsg::Status.encode()).unwrap();
     let reply = ServerMsg::decode(&read_message(&mut probe).unwrap()).unwrap();
     assert!(
         matches!(reply, ServerMsg::StatusOk(_)),
         "pre-HELLO STATUS answered with {reply:?}"
     );
-    write_message(&mut probe, &ClientMsg::Metrics.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut probe).unwrap()).unwrap();
-    assert!(
-        matches!(reply, ServerMsg::MetricsOk(_)),
-        "pre-HELLO METRICS answered with {reply:?}"
-    );
-    write_message(&mut probe, &ClientMsg::Health.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut probe).unwrap()).unwrap();
-    let ServerMsg::HealthOk(report) = reply else {
-        panic!("pre-HELLO HEALTH answered with {reply:?}");
-    };
+    let (status, body) = http_get(ops, "/metrics");
+    assert_eq!(status, 200);
+    assert_prometheus_text_valid(&body);
     // The replica shares the follower's registry, so the storage
     // component (and once the pump publishes lag, the repl component)
-    // is visible through the replica socket.
-    assert!(report.component("storage").is_some(), "{report:?}");
+    // is visible through the replica's endpoint.
+    let (_, body) = http_get(ops, "/health");
+    assert!(component_state(&body, "storage").is_some(), "{body}");
 
     // Wait for catch-up, then for the published lag gauge to settle at
     // zero (the gauge is stored just after the position, so poll it).
@@ -442,15 +439,17 @@ fn follower_replica_answers_probes_during_catch_up() {
     assert_eq!(lag, 0);
 
     // Now the health report judges the repl component from the gauge.
-    write_message(&mut probe, &ClientMsg::Health.encode()).unwrap();
-    let reply = ServerMsg::decode(&read_message(&mut probe).unwrap()).unwrap();
-    let ServerMsg::HealthOk(report) = reply else {
-        panic!("HEALTH answered with {reply:?}");
-    };
+    let (status, body) = http_get(ops, "/health");
+    assert_eq!(status, 200, "{body}");
     assert_eq!(
-        report.component("repl").map(|c| c.state),
-        Some(HealthState::Healthy),
-        "{report:?}"
+        component_state(&body, "repl").as_deref(),
+        Some("Healthy"),
+        "{body}"
+    );
+    assert_eq!(
+        component_state(&body, "storage").as_deref(),
+        Some("Healthy"),
+        "{body}"
     );
 
     drop(probe);

@@ -1,8 +1,13 @@
-//! The ops-plane smoke: a durable windowed `LdpServer` with the HTTP
-//! scrape endpoint enabled scrapes *itself* over plain std sockets — no
-//! curl, no fixed port — asserting that `GET /metrics` parses as
-//! Prometheus text, `GET /health` answers 200 with a `Healthy` verdict,
-//! and `GET /metrics/range` serves the background sampler's time-series
+//! The ops plane on one page: a durable windowed `LdpServer` runs with one
+//! shared `MetricsRegistry` spanning every tier — shard absorb, snapshot
+//! refresh, epoch sealing, socket sessions, and the write-ahead log —
+//! plus a `TraceRing` of per-message span events, and the HTTP scrape
+//! endpoint enabled. In process it prints exact per-epoch deltas
+//! (`server.registry()` snapshots and `subtract`) and the trace-ring
+//! tail. Over plain std sockets — no curl, no fixed port — it scrapes
+//! *itself*, asserting that `GET /metrics` parses as Prometheus text,
+//! `GET /health` answers 200 with a `Healthy` verdict, and
+//! `GET /metrics/range` serves the background sampler's time-series
 //! ring, whose JSON dump is written to `OPS_ring_dump.json` (the CI
 //! artifact).
 //!
@@ -17,10 +22,11 @@ use std::time::{Duration, Instant};
 
 use ldp_range_queries::prelude::*;
 use ldp_range_queries::service::net::{Hello, NetConfig};
+use ldp_range_queries::service::obs::instruments::names;
 use ldp_range_queries::service::storage::{
     scratch_dir, DurableConfig, DurableService, FsyncPolicy,
 };
-use ldp_range_queries::service::{EncodedStream, HealthState, LdpClient, LdpServer};
+use ldp_range_queries::service::{EncodedStream, LdpClient, LdpServer, MetricsRegistry, TraceRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,10 +95,18 @@ fn assert_prometheus_parses(body: &str) -> usize {
 
 fn main() {
     let domain = 256usize;
+    let epochs = 3u64;
+    let users_per_epoch = 2_000u64;
     let config = HhConfig::new(domain, 4, Epsilon::from_exp(3.0)).expect("valid config");
     let client = HhClient::new(config.clone()).expect("client");
     let prototype = HhServer::new(config).expect("server");
 
+    // One registry for the whole stack: handed to the storage tier, which
+    // shares it with the wrapped service, window, and shard tiers; the
+    // socket front end adopts it at bind. The trace ring records span
+    // events for every session message.
+    let registry = Arc::new(MetricsRegistry::new());
+    let trace = Arc::new(TraceRing::enabled_with(256));
     let dir = scratch_dir("ops-plane-example").expect("scratch dir");
     let (durable, _) = DurableService::open_windowed(
         &dir,
@@ -101,6 +115,7 @@ fn main() {
         DurableConfig {
             num_shards: 2,
             fsync: FsyncPolicy::EveryBytes(1 << 20),
+            registry: Some(Arc::clone(&registry)),
             ..DurableConfig::default()
         },
     )
@@ -109,6 +124,7 @@ fn main() {
         "127.0.0.1:0",
         Arc::new(durable),
         NetConfig {
+            trace: Some(Arc::clone(&trace)),
             ops_addr: Some("127.0.0.1:0".to_string()),
             sample_interval: Duration::from_millis(50),
             ring_capacity: 64,
@@ -116,62 +132,96 @@ fn main() {
         },
     )
     .expect("bind loopback");
+    assert!(Arc::ptr_eq(server.registry(), &registry));
     let ops = server.ops_local_addr().expect("ops endpoint bound");
     println!(
-        "# ops_plane: sessions on {}, scrape endpoint on {ops}",
+        "# ops_plane: sessions on {}, scrape endpoint on {ops}\n",
         server.local_addr()
     );
 
-    // Real traffic so the scrape carries every tier's instruments.
+    // Ingest a few epochs, watching the registry between them. Snapshots
+    // are integer statistics, so (after − before) is an *exact* per-epoch
+    // delta.
     let mut session = LdpClient::connect(
         server.local_addr(),
         Hello::windowed::<ldp_range_queries::ranges::HhReport>(),
     )
     .expect("connect");
     let mut rng = StdRng::seed_from_u64(7);
-    for epoch in 0..2u64 {
+    let mut before = server.registry().snapshot();
+    println!(
+        "{:>6}  {:>8}  {:>12}  {:>14}  {:>12}",
+        "epoch", "frames", "wal records", "absorb p99 ns", "report ns"
+    );
+    for epoch in 0..epochs {
         let mut stream = EncodedStream::new();
-        for _ in 0..2_000 {
+        for _ in 0..users_per_epoch {
             let value = rng.random_range(0..domain);
             stream.push_epoch(&client.report(value, &mut rng).expect("report"), epoch);
         }
-        assert_eq!(session.send_stream(&stream, 256).expect("stream"), 2_000);
+        let acked = session.send_stream(&stream, 256).expect("stream");
+        assert_eq!(acked, users_per_epoch);
         session.seal_epoch().expect("seal");
+
+        let after = server.registry().snapshot();
+        let mut delta = after.clone();
+        delta
+            .subtract(&before)
+            .expect("later snapshot minus earlier is exact");
+        println!(
+            "{epoch:>6}  {:>8}  {:>12}  {:>14}  {:>12.0}",
+            delta.counter(names::NET_FRAMES_ABSORBED).unwrap_or(0),
+            delta.counter(names::WAL_RECORDS).unwrap_or(0),
+            delta
+                .histo(names::SHARD_ABSORB_NS)
+                .map_or(0, |h| h.quantile_bound(0.99)),
+            delta.histo(names::NET_REPORT_NS).map_or(0.0, |h| h.mean()),
+        );
+        before = after;
     }
+    let total = epochs * users_per_epoch;
+    let median = session.quantile(0.5).expect("quantile");
+    let status = session.status().expect("status");
+    assert_eq!(status.frames_absorbed, total);
+    println!(
+        "\n# median after {epochs} epochs: {}; STATUS: {} frames, {} WAL records",
+        median.index(),
+        status.frames_absorbed,
+        status.durable.map_or(0, |d| d.wal_records)
+    );
 
     // Let the 50ms sampler take a handful of samples.
+    let ring = server
+        .timeseries()
+        .expect("the ops endpoint runs a sampler");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.timeseries().len() < 4 {
+    while ring.len() < 4 {
         assert!(Instant::now() < deadline, "sampler never sampled");
         std::thread::sleep(Duration::from_millis(10));
     }
 
     // GET /metrics: valid Prometheus text with the ingested frames.
-    let (status, body) = http_get(ops, "/metrics");
-    assert_eq!(status, 200, "/metrics status");
+    let (code, body) = http_get(ops, "/metrics");
+    assert_eq!(code, 200, "/metrics status");
     let samples = assert_prometheus_parses(&body);
     assert!(
-        body.contains("net_frames_absorbed 4000"),
+        body.contains(&format!("net_frames_absorbed {total}\n")),
         "scrape missed the traffic"
     );
     println!("# GET /metrics: 200, {samples} samples, Prometheus text parses");
 
     // GET /health: 200 and a Healthy verdict on this idle, intact node.
-    let (status, body) = http_get(ops, "/health");
-    assert_eq!(status, 200, "/health status: {body}");
+    let (code, body) = http_get(ops, "/health");
+    assert_eq!(code, 200, "/health status: {body}");
     assert!(
         body.contains("\"verdict\": \"Healthy\""),
         "unexpected verdict: {body}"
     );
     println!("# GET /health: 200, verdict Healthy");
 
-    // The wire verdict agrees with the scraped one.
-    let report = session.health().expect("HEALTH over the wire");
-    assert_eq!(report.verdict(), HealthState::Healthy);
-
-    // GET /metrics/range: the ring dump — also the CI bench artifact.
-    let (status, dump) = http_get(ops, "/metrics/range");
-    assert_eq!(status, 200, "/metrics/range status");
+    // GET /metrics/range: the ring dump — also the CI artifact.
+    let (code, dump) = http_get(ops, "/metrics/range");
+    assert_eq!(code, 200, "/metrics/range status");
     assert!(dump.contains("\"samples\""), "no samples in range dump");
     std::fs::write("OPS_ring_dump.json", &dump).expect("write ring dump");
     println!(
@@ -181,7 +231,20 @@ fn main() {
 
     session.bye().expect("clean close");
     let stats = server.shutdown();
-    assert_eq!(stats.frames_absorbed, 4_000);
+    assert_eq!(stats.frames_absorbed, total);
+
+    // The trace ring: the last few structured span events.
+    println!(
+        "\n# trace ring: {} events recorded, tail:",
+        trace.recorded()
+    );
+    for (ticket, event) in trace.events().iter().rev().take(5).rev() {
+        println!(
+            "#   [{ticket:>4}] span {} session {} {:?} msg 0x{:02x} {:?} {} ns",
+            event.span, event.session, event.stage, event.msg_type, event.outcome, event.ns
+        );
+    }
+
     std::fs::remove_dir_all(&dir).expect("cleanup");
     println!("# ops_plane: OK");
 }
