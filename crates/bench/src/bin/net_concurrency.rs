@@ -1,11 +1,11 @@
-//! Session-concurrency benchmark for the reactor network front end.
+//! Session-concurrency benchmark for the event-loop network front end.
 //!
 //! The throughput benchmarks measure a handful of busy sessions; this one
-//! measures the opposite regime — the one the reactor redesign exists
+//! measures the opposite regime — the one the event loops exist
 //! for: many thousands of *open* sessions, almost all idle, with a small
 //! Zipf-weighted active subset doing REPORT/QUERY rounds. A
 //! thread-per-session engine cannot enter this regime at all (10,000
-//! sessions would be 10,000 OS threads); under the reactor an idle
+//! sessions would be 10,000 OS threads); under the event loops an idle
 //! session costs one file descriptor and ~one slab slot.
 //!
 //! Emits two gated metrics:

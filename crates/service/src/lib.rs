@@ -64,9 +64,9 @@
 //!   the examples and the integration tests; the
 //!   drifting variant ([`generate_drifting_epochs`]) replays a population
 //!   that shifts across epochs, the workload windowed queries exist for.
-//! * [`net`] — the network tier: a std-only reactor-driven TCP front end
-//!   ([`LdpServer`]: one readiness-loop thread owning every socket plus a
-//!   small worker pool executing complete messages; [`LdpClient`]
+//! * [`net`] — the network tier: a std-only event-loop TCP front end
+//!   ([`LdpServer`]: a few identical readiness loops, each reading,
+//!   executing and answering its own sessions inline; [`LdpClient`]
 //!   blocking sessions) speaking a length-prefixed session protocol
 //!   layered on the wire frames. Because every mechanism's state is an
 //!   exact integer sufficient statistic, bytes-over-socket produce

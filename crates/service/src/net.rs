@@ -3,7 +3,7 @@
 //! Everything below the service layer is in-process; a production
 //! aggregator absorbing reports from millions of users has to do the same
 //! work across an actual network boundary. This module adds that boundary
-//! as a std-only threaded TCP stack — no async runtime, no external
+//! as a std-only event-loop TCP stack — no async runtime, no external
 //! crates, consistent with the offline shim-crate build — and keeps it
 //! *fully testable by bit-identity*: every mechanism's state is an exact
 //! integer sufficient statistic, so bytes-over-socket must produce
@@ -11,17 +11,19 @@
 //! differential tests in `tests/net_differential.rs` hold it to that.
 //!
 //! ```text
-//!   LdpClient ── TCP ──► reactor thread (epoll / portable poller)
-//!   (HELLO,              │  non-blocking accept
-//!    REPORT×n,           │  per-session read/write buffers + framing
-//!    QUERY,              ▼
-//!    SEAL, BYE)      job queue ──► worker pool ──► completions
-//!                    (message        │ submit_        │ replies
-//!                     bodies)        ▼ wire_batch     ▼ (vectored
-//!                        LdpService / EpochRing     reactor  writes)
-//!                                    │ freeze
-//!                                    ▼
-//!                 RangeSnapshot / WindowedSnapshot
+//!   LdpClient ── TCP ──► loop 0: accept ──► round-robin hand-off
+//!   (HELLO,                                 (mailbox + wake)
+//!    REPORT×n,                                     │
+//!    QUERY,              ┌─────────────────────────┘
+//!    SEAL, BYE)          ▼
+//!              event loop k (one per `workers`, epoll / portable poller)
+//!                read ─► frame ─► execute inline ─► vectored reply write
+//!                                      │ submit_wire_batch
+//!                                      ▼
+//!                          LdpService / EpochRing
+//!                                      │ freeze
+//!                                      ▼
+//!                   RangeSnapshot / WindowedSnapshot
 //! ```
 //!
 //! * [`proto`] — the length-prefixed session protocol layered on the
@@ -33,14 +35,16 @@
 //!   sealed epochs), and SEAL/BYE control. Decoding is total: hostile
 //!   bytes produce typed errors, never a panic, and declared lengths are
 //!   capped before any allocation.
-//! * [`server`] — [`LdpServer`]: one reactor thread owns every socket
-//!   through a readiness poller (a thin std-only `epoll` wrapper on
-//!   Linux, a portable tick-based fallback elsewhere), keeps per-session
-//!   partial-read/partial-write buffers over the framing, and hands
-//!   batches of complete messages to a small worker pool that executes
-//!   them against a shared [`crate::LdpService`] (plain or windowed) —
-//!   so a session costs a file descriptor, not an OS thread, and
-//!   pipelined clients are served without a round trip per message.
+//! * [`server`] — [`LdpServer`]: [`NetConfig::workers`] identical event
+//!   loops, each with its own readiness poller (a thin std-only `epoll`
+//!   wrapper on Linux, a portable tick-based fallback elsewhere) and its
+//!   own sessions. Loop 0 accepts and deals streams out round-robin. A
+//!   loop keeps per-session partial-read/partial-write buffers over the
+//!   framing, executes each complete message inline against a shared
+//!   [`crate::LdpService`] (plain or windowed) on the thread that read
+//!   it, and flushes the replies itself — so a session costs a file
+//!   descriptor, not an OS thread, a message crosses no thread hand-off,
+//!   and pipelined clients are served without a round trip per message.
 //!   Queries answer from snapshots and never block ingestion; graceful
 //!   shutdown drains in-flight work with bounded patience for stalled
 //!   peers, seals the open epoch on windowed backends, checkpoints
@@ -58,8 +62,11 @@
 //! which commits exactly the state a direct
 //! [`crate::LdpService::submit_frame`] loop would produce. Merging is
 //! exact and order-independent, so *any* interleaving of sessions across
-//! worker threads and shards yields the same merged state — the socket
-//! path adds transport, not semantics.
+//! event loops and shards yields the same merged state — the socket
+//! path adds transport, not semantics. The durable store relies on the
+//! same algebra: batches from different loops may reach its log in a
+//! different order than they reached the shards, and replay still lands
+//! on the same state bit for bit.
 
 pub mod client;
 pub(crate) mod ops;
@@ -84,18 +91,18 @@ use crate::error::{ServiceError, WireError};
 use crate::obs::{HealthThresholds, MetricsRegistry, TraceRing};
 
 /// Tuning knobs of [`LdpServer`]. `Default` is sized for tests and
-/// laptop-scale benchmarks; a deployment raises `workers`/`queue_depth`.
+/// laptop-scale benchmarks; a deployment raises `workers`.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Execution worker threads — the bound on *concurrently executing*
-    /// messages, not on open sessions (the reactor holds as many
-    /// sessions as the process has file descriptors).
+    /// Event loops (threads), at least one. Each loop reads, executes and
+    /// answers the sessions it was dealt, so this bounds *concurrently
+    /// executing* messages, not open sessions (the loops hold as many
+    /// sessions as the process has file descriptors). One per core is
+    /// the natural setting. A message that runs long — a fresh O(D)
+    /// estimate, a WAL fsync — delays the other sessions on its loop
+    /// until it finishes.
     pub workers: usize,
-    /// Bound on message batches in flight between the reactor and the
-    /// worker pool; sessions beyond it keep their messages queued
-    /// (backpressure) instead of fanning in unboundedly.
-    pub queue_depth: usize,
-    /// Reactor poll tick — bounds how stale the shutdown flag and the
+    /// Event-loop poll tick — bounds how stale the shutdown flag and the
     /// idle/drain clocks can get.
     pub idle_poll: Duration,
     /// Ticks of `idle_poll` tolerated without a byte of progress
@@ -147,7 +154,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            queue_depth: 64,
             idle_poll: Duration::from_millis(20),
             drain_patience: 50,
             idle_timeout: None,

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use crate::loadgen::EncodedStream;
 use crate::net::proto::{
-    encode_report_body, read_message, write_message, ClientMsg, Hello, HelloOk, Query, QueryOp,
+    read_message, write_message, write_report, ClientMsg, Hello, HelloOk, Query, QueryOp,
     QueryReply, ServerMsg, StatusReply,
 };
 use crate::net::NetError;
@@ -96,9 +96,10 @@ impl LdpClient {
     /// rejects the batch (nothing from it was absorbed; the error names
     /// the offending frame index).
     pub fn send_batch(&mut self, count: u64, frames: &[u8]) -> Result<u64, NetError> {
-        // Encode straight from the borrowed span — no intermediate
-        // owned batch on the hot replay path.
-        match self.roundtrip_body(&encode_report_body(count, frames))? {
+        // Straight from the borrowed span: prefix, header and frames
+        // leave in one vectored write, and the frames are never copied.
+        write_report(&mut self.stream, count, frames)?;
+        match self.reply()? {
             ServerMsg::ReportOk { accepted } => Ok(accepted),
             ServerMsg::Error(e) => Err(NetError::Remote(e)),
             _ => Err(NetError::UnexpectedReply("REPORT answered with non-ACK")),
@@ -226,11 +227,11 @@ impl LdpClient {
     }
 
     fn roundtrip(&mut self, msg: &ClientMsg) -> Result<ServerMsg, NetError> {
-        self.roundtrip_body(&msg.encode())
+        write_message(&mut self.stream, &msg.encode())?;
+        self.reply()
     }
 
-    fn roundtrip_body(&mut self, body: &[u8]) -> Result<ServerMsg, NetError> {
-        write_message(&mut self.stream, body)?;
+    fn reply(&mut self) -> Result<ServerMsg, NetError> {
         let reply = read_message(&mut self.stream)?;
         Ok(ServerMsg::decode(&reply)?)
     }

@@ -175,8 +175,8 @@ impl Poller {
 }
 
 /// Raises this process's soft open-file limit to its hard limit (Linux
-/// only), returning the resulting soft limit. The reactor converts the
-/// session ceiling from worker-pool width to file-descriptor count, so
+/// only), returning the resulting soft limit. The event loops make the
+/// session ceiling the file-descriptor count, not a thread count, so
 /// high-concurrency harnesses (the `net_concurrency` benchmark) call this
 /// first; elsewhere it returns `None` and changes nothing.
 #[must_use]
@@ -450,9 +450,9 @@ pub(crate) mod portable {
 
         pub(crate) fn wake(&self) {
             self.lock().woken = true;
-            // notify_all, not notify_one: today only the reactor thread
+            // notify_all, not notify_one: today only the loop's thread
             // waits, but a single lost notification here would stall a
-            // non-Linux reactor for a full tick — broadcast is free and
+            // non-Linux event loop for a full tick — broadcast is free and
             // immune to a second waiter ever being added.
             self.cv.notify_all();
         }

@@ -82,7 +82,7 @@
 //! ([`Reader`], [`put_varint`]) so there is exactly one varint in the
 //! codebase.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use crate::error::WireError;
 use crate::net::NetError;
@@ -1000,7 +1000,9 @@ fn expect_consumed(r: &Reader<'_>, _len: usize) -> Result<(), WireError> {
 
 // --- envelope I/O ------------------------------------------------------
 
-/// Writes one enveloped message (length prefix + body).
+/// Writes one enveloped message (length prefix + body) in one vectored
+/// write, so a `TCP_NODELAY` socket does not send the prefix as a
+/// segment of its own.
 ///
 /// # Errors
 ///
@@ -1008,13 +1010,48 @@ fn expect_consumed(r: &Reader<'_>, _len: usize) -> Result<(), WireError> {
 /// well-behaved caller produces — batches are split by the client) is
 /// rejected as [`NetError::TooLarge`].
 pub fn write_message(w: &mut impl Write, body: &[u8]) -> Result<(), NetError> {
-    if body.is_empty() || body.len() > MAX_MESSAGE_BYTES {
+    write_envelope(w, &[body])
+}
+
+/// Writes one REPORT message straight from borrowed frame bytes: the
+/// length prefix, the REPORT header and `frames` leave in one vectored
+/// write, and the frames are never copied into an owned body. The bytes
+/// are exactly those of `write_message(w, &encode_report_body(count,
+/// frames))`.
+///
+/// # Errors
+///
+/// As [`write_message`].
+pub fn write_report(w: &mut impl Write, count: u64, frames: &[u8]) -> Result<(), NetError> {
+    let mut header = Vec::with_capacity(11);
+    header.push(MSG_REPORT);
+    put_varint(&mut header, count);
+    write_envelope(w, &[&header, frames])
+}
+
+/// Writes the length prefix, then `parts` back to back as one body,
+/// looping on partial vectored writes.
+fn write_envelope(w: &mut impl Write, parts: &[&[u8]]) -> Result<(), NetError> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    if len == 0 || len > MAX_MESSAGE_BYTES {
         return Err(NetError::TooLarge {
-            declared: body.len() as u64,
+            declared: len as u64,
         });
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = (len as u32).to_le_bytes();
+    let mut iov: Vec<IoSlice<'_>> = std::iter::once(&prefix[..])
+        .chain(parts.iter().copied())
+        .map(IoSlice::new)
+        .collect();
+    let mut rest = &mut iov[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(NetError::Io(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }

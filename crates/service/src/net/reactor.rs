@@ -1,34 +1,41 @@
-//! The readiness-driven session engine behind [`crate::net::LdpServer`].
+//! The run-to-completion event loops behind [`crate::net::LdpServer`].
 //!
-//! One reactor thread owns every socket: it accepts non-blocking
-//! connections, accumulates partial reads into per-session buffers,
-//! slices complete length-prefixed envelopes out of them, and hands
-//! *batches* of decoded message bodies to a small worker pool (the
-//! [`JobQueue`]) that executes them against the shared backend. Workers
-//! never touch sockets: each finished [`Job`] comes back as a [`JobDone`]
-//! carrying encoded replies, which the reactor flushes with vectored
-//! writes through per-session output queues. A session therefore costs
-//! one file descriptor and a few buffers — not an OS thread — which is
-//! what moves the node's session ceiling from worker-pool width to the
-//! file-descriptor limit.
+//! The server runs `NetConfig::workers` identical [`EventLoop`]s. Each
+//! owns a readiness poller and the sessions assigned to it: it reads
+//! non-blocking sockets into per-session buffers, slices complete
+//! length-prefixed envelopes out of them, executes them inline against
+//! the backend (the server's session state machine, behind [`Execute`]),
+//! and flushes the encoded replies with vectored writes through
+//! per-session output queues. A message is read, executed and answered
+//! on one thread, so it crosses no thread hand-off. A session costs one
+//! file descriptor and a few buffers, not an OS thread, so the node's
+//! session ceiling is the file-descriptor limit.
 //!
-//! Ordering: at most one job per session is in flight at a time, and a
-//! job carries the session's queued messages in arrival order, so replies
-//! are generated and flushed in exactly the order a blocking
-//! request-reply loop would have produced — pipelined clients just stop
-//! paying a round trip per message.
+//! Loop 0 also owns the listener. It hands each accepted stream to the
+//! next loop round-robin, through that loop's mailbox plus its poller's
+//! wake. The loops share only the shutdown flag, one span-id counter and
+//! one session-id counter (so ids stay unique server-wide), and the
+//! registry instruments (so `net.sessions_open` is one count).
 //!
-//! Backpressure: a session whose inbox (parsed-but-undispatched
-//! messages) or output queue grows past its cap has read interest
-//! dropped until the backlog drains, and the number of in-flight jobs is
-//! bounded by the configured queue depth — fan-in is bounded at every
-//! stage, never unbounded.
+//! Ordering: a session's messages execute on its one loop in arrival
+//! order, and their replies are queued in that order, so a pipelined
+//! client sees exactly the replies a blocking request-reply loop would
+//! have produced, without paying a round trip per message.
+//!
+//! Run to completion: after executing, a loop keeps parsing and
+//! executing until none of its sessions holds a complete message, and
+//! only then waits again. A pipelined burst larger than the inbox cap is
+//! therefore served back to back, never one poll tick per slice.
+//!
+//! Backpressure: a session whose inbox (parsed-but-unexecuted messages)
+//! or output queue grows past its cap has read interest dropped until
+//! the backlog drains, so fan-in is bounded per session.
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::net::poll::{Event, Interest, Poller, TOKEN_LISTENER};
@@ -36,7 +43,7 @@ use crate::net::proto::{ErrorCode, Hello, RemoteError, ServerMsg, MAX_MESSAGE_BY
 use crate::obs::instruments::NetInstruments;
 use crate::obs::{TraceEvent, TraceOutcome, TraceRing, TraceStage};
 
-/// Parsed-but-undispatched messages a session may hold before its read
+/// Parsed-but-unexecuted messages a session may hold before its read
 /// interest is shed (per-session pipelining bound).
 const INBOX_CAP: usize = 32;
 /// Output-queue bytes a session may hold before its read interest is
@@ -61,46 +68,48 @@ pub(crate) fn envelope(body: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// A batch of complete message bodies from one session, executed by a
-/// worker against the backend. An empty body is the hostile-envelope
-/// sentinel (declared length zero or over the cap): the executor answers
-/// it with a typed protocol error and closes, mirroring the blocking
-/// engine's behavior byte for byte.
+/// A batch of complete message bodies from one session, executed inline
+/// by its loop. An empty body is the hostile-envelope sentinel (declared
+/// length zero or over the cap): the executor answers it with a typed
+/// protocol error and closes, mirroring the blocking engine's behavior
+/// byte for byte.
 pub(crate) struct Job {
-    /// Slab token of the originating session.
-    pub token: u64,
     /// Trace-facing session id.
     pub session: u64,
-    /// Negotiated handshake state at dispatch time.
+    /// Negotiated handshake state before the batch.
     pub hello: Option<Hello>,
     /// The session entered replication mode (REPLICATE accepted).
     pub repl: bool,
     /// Message bodies in arrival order, each paired with the span id the
-    /// reactor assigned at envelope decode. The span follows the message
-    /// through worker execute and the storage tiers, so one trace tail
+    /// loop assigned at envelope decode. The span follows the message
+    /// through execute and the storage tiers, so one trace tail
     /// reconstructs a single message's cross-tier timeline.
     pub bodies: Vec<(u64, Vec<u8>)>,
 }
 
-/// What a worker hands back after executing a [`Job`].
+/// What executing a [`Job`] produced.
 pub(crate) struct JobDone {
-    /// Slab token of the originating session.
-    pub token: u64,
     /// Handshake state after the batch (a HELLO inside the batch
     /// upgrades it).
     pub hello: Option<Hello>,
-    /// Encoded reply bodies in order; the reactor envelopes and flushes
+    /// Encoded reply bodies in order; the loop envelopes and flushes
     /// them.
     pub replies: Vec<Vec<u8>>,
     /// The session entered replication mode during this job.
     pub repl: bool,
     /// A server-push source to install on the session (a REPLICATE
-    /// stream). The reactor pumps it whenever the output queue has
+    /// stream). The loop pumps it whenever the output queue has
     /// headroom.
     pub push: Option<Box<dyn PushSource>>,
     /// Close the session once the replies are flushed (BYE, fatal
     /// protocol error, failed handshake).
     pub close: bool,
+}
+
+/// The session state machine a loop runs inline: the server implements
+/// it over its backend, so the loops stay free of the report type.
+pub(crate) trait Execute: Send + Sync {
+    fn execute(&self, job: Job) -> JobDone;
 }
 
 /// What one [`PushSource::pull`] produced.
@@ -116,13 +125,13 @@ pub(crate) enum Pull {
 }
 
 /// A server-push byte source owned by one session — the long-lived
-/// half of a replication stream. The reactor pulls whenever the
-/// session's output queue is below [`OUT_SOFT_CAP`], so the cap *is*
-/// the bounded per-follower send buffer: a slow or stalled follower
-/// stops costing memory at the cap, not at the log size. `max_bytes`
-/// is the remaining headroom; a pull may return less, never much more
-/// than one record over. Dropping the source (session teardown) must
-/// release anything it registered.
+/// half of a replication stream. The loop pulls whenever the session's
+/// output queue is below [`OUT_SOFT_CAP`], so the cap *is* the bounded
+/// per-follower send buffer: a slow or stalled follower stops costing
+/// memory at the cap, not at the log size. `max_bytes` is the remaining
+/// headroom; a pull may return less, never much more than one record
+/// over. Dropping the source (session teardown) must release anything
+/// it registered.
 pub(crate) trait PushSource: Send {
     fn pull(&mut self, max_bytes: usize) -> Pull;
 }
@@ -131,71 +140,82 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Blocking MPMC handoff from the reactor to the worker pool. `pop`
-/// blocks until a job arrives or the queue closes; closing drains
-/// nothing (the reactor only closes after in-flight work hit zero).
-pub(crate) struct JobQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    ready: Condvar,
+/// One loop's doorbell and mailbox, reachable from every thread.
+struct LoopHandle {
+    /// The loop's readiness source; `wake` is its doorbell.
+    poller: Poller,
+    /// Streams loop 0 accepted for this loop, not yet admitted.
+    mailbox: Mutex<Vec<TcpStream>>,
 }
 
-impl JobQueue {
-    pub(crate) fn new() -> Self {
-        Self {
-            state: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn push(&self, job: Job) {
-        lock(&self.state).0.push_back(job);
-        self.ready.notify_one();
-    }
-
-    pub(crate) fn pop(&self) -> Option<Job> {
-        let mut s = lock(&self.state);
-        loop {
-            if let Some(job) = s.0.pop_front() {
-                return Some(job);
-            }
-            if s.1 {
-                return None;
-            }
-            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        lock(&self.state).1 = true;
-        self.ready.notify_all();
-    }
-}
-
-/// State shared between the reactor thread, the worker pool, and the
-/// server handle: the job handoff, the completion mailbox, the poller
-/// (whose `wake` is the completion doorbell), and the shutdown flag.
+/// What the loops and the server handle share: each loop's poller and
+/// mailbox, the shutdown flag, and the server-wide id counters.
 pub(crate) struct ReactorShared {
-    /// Reactor → workers.
-    pub jobs: JobQueue,
-    /// Workers → reactor; unbounded so a worker can never deadlock
-    /// against a full completion channel while the reactor is blocked.
-    pub completions: Mutex<Vec<JobDone>>,
-    /// The readiness source; also the reactor's doorbell.
-    pub poller: Poller,
-    /// Set by [`crate::net::LdpServer::shutdown`]; flips the reactor
-    /// into its drain loop.
-    pub shutdown: AtomicBool,
+    loops: Vec<LoopHandle>,
+    /// Set by [`ReactorShared::request_shutdown`]; flips every loop into
+    /// its drain.
+    shutdown: AtomicBool,
+    /// Next span id. Starts at 1 — span 0 is the "no span" sentinel used
+    /// by events not tied to a decoded message.
+    next_span: AtomicU64,
+    /// Next session id (accept order across the whole server).
+    next_session: AtomicU64,
 }
 
 impl ReactorShared {
-    /// Delivers a finished job back to the reactor and rings it.
-    pub(crate) fn complete(&self, done: JobDone) {
-        lock(&self.completions).push(done);
-        self.poller.wake();
+    /// `loops` pollers (at least one), each with an empty mailbox.
+    pub(crate) fn new(loops: usize, portable_poller: bool, tick: Duration) -> Self {
+        Self {
+            loops: (0..loops.max(1))
+                .map(|_| LoopHandle {
+                    poller: Poller::new(portable_poller, tick),
+                    mailbox: Mutex::new(Vec::new()),
+                })
+                .collect(),
+            shutdown: AtomicBool::new(false),
+            next_span: AtomicU64::new(1),
+            next_session: AtomicU64::new(0),
+        }
+    }
+
+    /// How many loops there are.
+    pub(crate) fn loops(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// Rings every loop's doorbell.
+    pub(crate) fn wake_all(&self) {
+        for l in &self.loops {
+            l.poller.wake();
+        }
+    }
+
+    /// Flips every loop into its drain.
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Accounts for the streams still waiting in a mailbox once every
+    /// loop has exited (accepted just as the drain began): each is
+    /// admitted and closed, so `sessions_opened == sessions_closed`.
+    pub(crate) fn close_unadmitted(&self, obs: &NetInstruments) {
+        for l in &self.loops {
+            // Taking the streams out drops (closes) them.
+            let stragglers = std::mem::take(&mut *lock(&l.mailbox)).len() as u64;
+            obs.sessions_opened.add(stragglers);
+            obs.sessions_closed.add(stragglers);
+        }
+    }
+
+    fn hand_off(&self, to: usize, stream: TcpStream) {
+        lock(&self.loops[to].mailbox).push(stream);
+        self.loops[to].poller.wake();
     }
 }
 
-/// Reactor tuning derived from [`crate::net::NetConfig`].
+/// Loop tuning derived from [`crate::net::NetConfig`].
+#[derive(Clone, Copy)]
 pub(crate) struct ReactorKnobs {
     /// Poll tick — bounds how stale the shutdown flag and idle clocks
     /// can get.
@@ -204,17 +224,15 @@ pub(crate) struct ReactorKnobs {
     pub drain_patience: u32,
     /// Evict sessions quiescent for longer than this (off when `None`).
     pub idle_timeout: Option<Duration>,
-    /// Max jobs in flight across all sessions.
-    pub inflight_cap: usize,
 }
 
 struct Session {
     stream: TcpStream,
-    /// Trace-facing id (monotonic accept order).
+    /// Trace-facing id (server-wide accept order).
     id: u64,
     /// Partial-read accumulator: raw bytes, possibly mid-envelope.
     inbuf: Vec<u8>,
-    /// Complete message bodies awaiting dispatch, each with its
+    /// Complete message bodies awaiting execution, each with its
     /// decode-assigned span id.
     inbox: VecDeque<(u64, Vec<u8>)>,
     /// Enveloped replies awaiting flush.
@@ -230,8 +248,6 @@ struct Session {
     /// Installed push stream (replication records), pumped while the
     /// output queue has headroom.
     push: Option<Box<dyn PushSource>>,
-    /// A job for this session is in flight.
-    busy: bool,
     /// Close once `outq` flushes (BYE, fatal error, idle eviction).
     closing: bool,
     /// Read side saw EOF, a read error, or a hostile envelope.
@@ -248,11 +264,7 @@ struct Session {
 
 impl Session {
     fn quiescent(&self) -> bool {
-        !self.busy
-            && self.inbox.is_empty()
-            && self.inbuf.is_empty()
-            && self.outq.is_empty()
-            && !self.closing
+        self.inbox.is_empty() && self.inbuf.is_empty() && self.outq.is_empty() && !self.closing
     }
 }
 
@@ -265,80 +277,85 @@ fn token_of(gen: u32, idx: usize) -> u64 {
     (u64::from(gen) << 32) | idx as u64
 }
 
-/// The reactor thread's state. Constructed by the server, consumed by
-/// [`Reactor::run`] on a dedicated thread.
-pub(crate) struct Reactor {
-    listener: TcpListener,
+/// One event loop's state. Constructed by the server, consumed by
+/// [`EventLoop::run`] on a dedicated thread.
+pub(crate) struct EventLoop {
+    /// This loop's position in [`ReactorShared`]'s loops.
+    index: usize,
+    /// The accept listener (loop 0 only).
+    listener: Option<TcpListener>,
     shared: Arc<ReactorShared>,
+    exec: Arc<dyn Execute>,
     knobs: ReactorKnobs,
     obs: NetInstruments,
     trace: Option<Arc<TraceRing>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
+    /// Sessions this loop holds (the drain's exit condition).
     open: usize,
-    inflight: usize,
-    next_id: u64,
-    /// Next span id; spans are per-server monotone so ids from different
-    /// sessions never collide. Starts at 1 — span 0 is the "no span"
-    /// sentinel used by events not tied to a decoded message.
-    next_span: u64,
+    /// Loop the next accepted stream goes to (loop 0 only).
+    next_target: usize,
     /// `Some(deadline)` while accepting is paused after a hard accept
     /// error; the listener is re-registered once the deadline passes.
     accept_paused_until: Option<Instant>,
     listener_registered: bool,
 }
 
-impl Reactor {
-    /// Wires a reactor over an already-bound non-blocking listener and
-    /// registers it with the poller.
+impl EventLoop {
+    /// Wires loop `index`. Loop 0 takes the already-bound non-blocking
+    /// listener and registers it with its poller.
     pub(crate) fn new(
-        listener: TcpListener,
+        index: usize,
+        listener: Option<TcpListener>,
         shared: Arc<ReactorShared>,
+        exec: Arc<dyn Execute>,
         knobs: ReactorKnobs,
         obs: NetInstruments,
         trace: Option<Arc<TraceRing>>,
     ) -> std::io::Result<Self> {
-        shared
-            .poller
-            .register(&listener, TOKEN_LISTENER, Interest::READ)?;
+        if let Some(l) = &listener {
+            shared.loops[index]
+                .poller
+                .register(l, TOKEN_LISTENER, Interest::READ)?;
+        }
         Ok(Self {
+            index,
+            listener_registered: listener.is_some(),
             listener,
             shared,
+            exec,
             knobs,
             obs,
             trace,
             slots: Vec::new(),
             free: Vec::new(),
             open: 0,
-            inflight: 0,
-            next_id: 0,
-            next_span: 1,
+            next_target: 0,
             accept_paused_until: None,
-            listener_registered: true,
         })
     }
 
+    fn poller(&self) -> &Poller {
+        &self.shared.loops[self.index].poller
+    }
+
     /// The event loop. Runs until shutdown has been requested *and*
-    /// every session is torn down with no job in flight, then closes the
-    /// job queue so the workers exit.
+    /// every session it holds is torn down.
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let draining = self
-                .shared
-                .shutdown
-                .load(std::sync::atomic::Ordering::SeqCst);
-            if draining {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
                 self.unregister_listener();
             } else {
                 self.maybe_resume_accepting();
             }
-            self.shared
-                .poller
-                .wait(&mut events, Some(self.knobs.idle_poll));
-            let done = std::mem::take(&mut *lock(&self.shared.completions));
-            for d in done {
-                self.apply(d);
+            self.poller().wait(&mut events, Some(self.knobs.idle_poll));
+            // Read after the wait: the shutdown wake must start the drain
+            // now, not a poll tick later.
+            let draining = self.shared.shutdown.load(Ordering::SeqCst);
+            let handed = std::mem::take(&mut *lock(&self.shared.loops[self.index].mailbox));
+            for stream in handed {
+                self.admit(stream);
             }
             for &ev in &events {
                 if ev.token == TOKEN_LISTENER {
@@ -349,10 +366,10 @@ impl Reactor {
                     self.session_event(ev);
                 }
             }
-            self.dispatch_ready();
+            self.run_to_completion();
             if draining {
                 self.drain_tick();
-                if self.open == 0 && self.inflight == 0 {
+                if self.open == 0 {
                     break;
                 }
             } else {
@@ -362,46 +379,57 @@ impl Reactor {
                 }
             }
         }
-        self.shared.jobs.close();
     }
 
     fn unregister_listener(&mut self) {
-        if self.listener_registered {
-            self.shared
+        if let (Some(l), true) = (&self.listener, self.listener_registered) {
+            self.shared.loops[self.index]
                 .poller
-                .deregister(&self.listener, TOKEN_LISTENER);
+                .deregister(l, TOKEN_LISTENER);
             self.listener_registered = false;
         }
     }
 
     fn maybe_resume_accepting(&mut self) {
-        if let Some(deadline) = self.accept_paused_until {
-            if Instant::now() >= deadline {
-                match self
-                    .shared
-                    .poller
-                    .register(&self.listener, TOKEN_LISTENER, Interest::READ)
-                {
-                    Ok(()) => {
-                        self.accept_paused_until = None;
-                        self.listener_registered = true;
-                    }
-                    Err(_) => {
-                        self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
-                    }
+        let (Some(l), Some(deadline)) = (&self.listener, self.accept_paused_until) else {
+            return;
+        };
+        if Instant::now() >= deadline {
+            match self.shared.loops[self.index]
+                .poller
+                .register(l, TOKEN_LISTENER, Interest::READ)
+            {
+                Ok(()) => {
+                    self.accept_paused_until = None;
+                    self.listener_registered = true;
+                }
+                Err(_) => {
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
                 }
             }
         }
     }
 
-    /// Accepts until the listener would block. A hard failure (EMFILE
-    /// under fd pressure being the realistic one) pauses accepting for
+    /// Accepts until the listener would block, dealing streams out
+    /// round-robin across the loops. A hard failure (EMFILE under fd
+    /// pressure being the realistic one) pauses accepting for
     /// [`ACCEPT_PAUSE`] instead of spinning on a level-triggered
     /// readiness that cannot be consumed.
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.admit(stream),
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let to = self.next_target;
+                    self.next_target = (to + 1) % self.shared.loops();
+                    if to == self.index {
+                        self.admit(stream);
+                    } else {
+                        self.shared.hand_off(to, stream);
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -430,8 +458,7 @@ impl Reactor {
         let token = token_of(gen, idx);
         debug_assert!(token < TOKEN_WAKE_GUARD, "slab token hit a reserved value");
         if self
-            .shared
-            .poller
+            .poller()
             .register(&stream, token, Interest::READ)
             .is_err()
         {
@@ -441,8 +468,7 @@ impl Reactor {
             return;
         }
         let now = Instant::now();
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
         self.slots[idx].sess = Some(Session {
             stream,
             id,
@@ -454,7 +480,6 @@ impl Reactor {
             hello: None,
             repl: false,
             push: None,
-            busy: false,
             closing: false,
             read_gone: false,
             write_dead: false,
@@ -464,7 +489,7 @@ impl Reactor {
         });
         self.open += 1;
         self.obs.sessions_opened.incr();
-        self.obs.sessions_open.set(self.open as u64);
+        self.obs.sessions_open.incr();
     }
 
     fn resolve(&self, token: u64) -> Option<usize> {
@@ -553,42 +578,37 @@ impl Reactor {
                     break;
                 }
                 let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-                if len == 0 || len > MAX_MESSAGE_BYTES {
-                    let span = self.next_span;
-                    self.next_span += 1;
-                    if let Some(trace) = &self.trace {
-                        trace.record(TraceEvent {
-                            span,
-                            session: s.id,
-                            stage: TraceStage::Decode,
-                            msg_type: 0,
-                            outcome: TraceOutcome::Error,
-                            ns: 0,
-                        });
-                    }
-                    s.inbox.push_back((span, Vec::new()));
-                    s.read_gone = true;
-                    s.inbuf.clear();
-                    off = 0;
+                let hostile = len == 0 || len > MAX_MESSAGE_BYTES;
+                if !hostile && rest.len() < 4 + len {
                     break;
                 }
-                if rest.len() < 4 + len {
-                    break;
-                }
-                let body = rest[4..4 + len].to_vec();
-                let span = self.next_span;
-                self.next_span += 1;
+                let span = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
+                let body = if hostile {
+                    Vec::new()
+                } else {
+                    rest[4..4 + len].to_vec()
+                };
                 if let Some(trace) = &self.trace {
                     trace.record(TraceEvent {
                         span,
                         session: s.id,
                         stage: TraceStage::Decode,
                         msg_type: body.first().copied().unwrap_or(0),
-                        outcome: TraceOutcome::Ok,
+                        outcome: if hostile {
+                            TraceOutcome::Error
+                        } else {
+                            TraceOutcome::Ok
+                        },
                         ns: 0,
                     });
                 }
                 s.inbox.push_back((span, body));
+                if hostile {
+                    s.read_gone = true;
+                    s.inbuf.clear();
+                    off = 0;
+                    break;
+                }
                 // Envelope + body, counted once decoded off the socket —
                 // same accounting point as the blocking engine.
                 in_bytes += 4 + len as u64;
@@ -666,7 +686,10 @@ impl Reactor {
         if want == s.registered {
             return;
         }
-        match self.shared.poller.reregister(&s.stream, token, want) {
+        match self.shared.loops[self.index]
+            .poller
+            .reregister(&s.stream, token, want)
+        {
             Ok(()) => s.registered = want,
             Err(_) => {
                 // The fd is unusable; mark both sides dead so the next
@@ -677,45 +700,36 @@ impl Reactor {
         }
     }
 
-    /// Hands a ready session's queued messages to the worker pool — the
-    /// whole inbox as one job, one job in flight per session.
-    fn dispatch_ready(&mut self) {
-        for idx in 0..self.slots.len() {
-            if self.inflight >= self.knobs.inflight_cap {
-                break;
+    /// Executes every session's queued messages, re-parsing what its
+    /// buffer already holds after each batch, until no session on this
+    /// loop has a complete message left.
+    fn run_to_completion(&mut self) {
+        let mut ran = true;
+        while ran {
+            ran = false;
+            for idx in 0..self.slots.len() {
+                ran |= self.execute_ready(idx);
             }
-            let gen = self.slots[idx].gen;
-            let Some(s) = self.slots[idx].sess.as_mut() else {
-                continue;
-            };
-            if s.busy || s.closing || s.write_dead || s.inbox.is_empty() {
-                continue;
-            }
-            let bodies: Vec<(u64, Vec<u8>)> = s.inbox.drain(..).collect();
-            s.busy = true;
-            let job = Job {
-                token: token_of(gen, idx),
-                session: s.id,
-                hello: s.hello,
-                repl: s.repl,
-                bodies,
-            };
-            self.inflight += 1;
-            self.shared.jobs.push(job);
         }
     }
 
-    /// Applies one finished job: reply enqueue, handshake upgrade,
-    /// close-after-flush, then an immediate flush attempt and a fresh
-    /// look at the inbox (bytes may have queued behind the cap).
-    fn apply(&mut self, done: JobDone) {
-        self.inflight -= 1;
-        let Some(idx) = self.resolve(done.token) else {
-            return;
+    /// Executes a ready session's whole inbox as one batch, then queues
+    /// the replies, applies the handshake upgrade and close-after-flush,
+    /// re-parses buffered bytes that queued behind the inbox cap, and
+    /// flushes. Returns whether anything ran.
+    fn execute_ready(&mut self, idx: usize) -> bool {
+        let job = match self.slots[idx].sess.as_mut() {
+            Some(s) if !s.closing && !s.write_dead && !s.inbox.is_empty() => Job {
+                session: s.id,
+                hello: s.hello,
+                repl: s.repl,
+                bodies: s.inbox.drain(..).collect(),
+            },
+            _ => return false,
         };
+        let done = self.exec.execute(job);
         {
             let s = self.slots[idx].sess.as_mut().expect("resolved session");
-            s.busy = false;
             s.hello = done.hello;
             s.repl |= done.repl;
             if done.push.is_some() {
@@ -733,10 +747,11 @@ impl Reactor {
         self.do_flush(idx);
         self.update_interest(idx);
         self.maybe_teardown(idx);
+        true
     }
 
     /// Pulls from every session's installed push stream (one sweep per
-    /// event-loop iteration — the hub's append waker rings the poller,
+    /// event-loop iteration — the hub's append waker rings every loop,
     /// so a fresh record is pumped on the very next iteration).
     fn pump_push_all(&mut self) {
         for idx in 0..self.slots.len() {
@@ -804,9 +819,6 @@ impl Reactor {
         let Some(s) = self.slots[idx].sess.as_ref() else {
             return;
         };
-        if s.busy {
-            return;
-        }
         let flushed = s.outq.is_empty();
         let done = s.write_dead
             || (s.closing && flushed)
@@ -821,7 +833,9 @@ impl Reactor {
         let s = slot.sess.take().expect("teardown of a live session");
         let token = token_of(slot.gen, idx);
         slot.gen = slot.gen.wrapping_add(1);
-        self.shared.poller.deregister(&s.stream, token);
+        self.shared.loops[self.index]
+            .poller
+            .deregister(&s.stream, token);
         // A peer-initiated end (EOF or read error, not a BYE/ERROR close
         // we decided on) is the Disconnect trace event.
         if s.read_gone && !s.closing {
@@ -840,15 +854,15 @@ impl Reactor {
         self.free.push(idx);
         self.open -= 1;
         self.obs.sessions_closed.incr();
-        self.obs.sessions_open.set(self.open as u64);
+        self.obs.sessions_open.decr();
     }
 
-    /// One drain sweep: quiescent sessions close immediately (the
-    /// blocking engine closed them at their next idle tick); sessions
-    /// with a half-received message or unflushed replies get bounded
-    /// patience — `drain_patience` ticks without a byte of progress and
-    /// they are abandoned, so a stalled peer cannot hold shutdown
-    /// hostage.
+    /// One drain sweep, run after the loop has executed everything
+    /// executable: quiescent sessions close immediately (the blocking
+    /// engine closed them at their next idle tick); sessions with a
+    /// half-received message or unflushed replies get bounded patience —
+    /// `drain_patience` ticks without a byte of progress and they are
+    /// abandoned, so a stalled peer cannot hold shutdown hostage.
     fn drain_tick(&mut self) {
         let patience = self
             .knobs
@@ -858,11 +872,7 @@ impl Reactor {
             let Some(s) = self.slots[idx].sess.as_ref() else {
                 continue;
             };
-            if s.busy || !s.inbox.is_empty() {
-                continue;
-            }
-            let quiescent = s.outq.is_empty() && s.inbuf.is_empty() && !s.closing;
-            if quiescent || s.progress_at.elapsed() > patience {
+            if s.quiescent() || s.progress_at.elapsed() > patience {
                 self.teardown(idx);
             }
         }
@@ -871,14 +881,13 @@ impl Reactor {
     /// Evicts sessions that have been fully quiescent past the idle
     /// timeout: a typed `IdleTimeout` error is queued, the session
     /// closes once it flushes, and the eviction never races a request —
-    /// busy or backlogged sessions (an in-flight job, parsed-but-
-    /// undispatched messages, or unflushed replies) are by definition
-    /// not idle, and neither is a session whose *write* side moved bytes
-    /// recently: a slow reader that just drained its reply backlog gets
-    /// a full timeout of quiet before eviction, not an instant cut the
-    /// moment its queue empties (`progress_at` stamps both directions,
-    /// `last_rx` only reads). Replication sessions are never idle — the
-    /// push stream is the work.
+    /// backlogged sessions (parsed-but-unexecuted messages or unflushed
+    /// replies) are by definition not idle, and neither is a session
+    /// whose *write* side moved bytes recently: a slow reader that just
+    /// drained its reply backlog gets a full timeout of quiet before
+    /// eviction, not an instant cut the moment its queue empties
+    /// (`progress_at` stamps both directions, `last_rx` only reads).
+    /// Replication sessions are never idle — the push stream is the work.
     fn evict_idle(&mut self) {
         let Some(timeout) = self.knobs.idle_timeout else {
             return;
@@ -928,33 +937,6 @@ mod tests {
     fn envelope_prefixes_length_little_endian() {
         let env = envelope(&[0xAA, 0xBB, 0xCC]);
         assert_eq!(env, vec![3, 0, 0, 0, 0xAA, 0xBB, 0xCC]);
-    }
-
-    #[test]
-    fn job_queue_pops_in_order_and_drains_after_close() {
-        let q = JobQueue::new();
-        for k in 0..3u64 {
-            q.push(Job {
-                token: k,
-                session: k,
-                hello: None,
-                repl: false,
-                bodies: Vec::new(),
-            });
-        }
-        q.close();
-        assert_eq!(q.pop().map(|j| j.token), Some(0));
-        assert_eq!(q.pop().map(|j| j.token), Some(1));
-        assert_eq!(q.pop().map(|j| j.token), Some(2));
-        assert!(q.pop().is_none());
-
-        // A closed queue unblocks waiting poppers.
-        let q = std::sync::Arc::new(JobQueue::new());
-        let q2 = std::sync::Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop().is_none());
-        std::thread::sleep(Duration::from_millis(10));
-        q.close();
-        assert!(h.join().unwrap());
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! [`LdpServer`] — the reactor-driven TCP front end serving the session
+//! [`LdpServer`] — the event-loop TCP front end serving the session
 //! protocol against a shared [`LdpService`].
 //!
-//! One reactor thread (the `net::reactor` module) owns every socket:
-//! non-blocking accept, per-session partial-read/partial-write buffers
-//! over the length-prefixed framing, and vectored reply writes. Complete
-//! message bodies are executed by a small worker pool against the shared
-//! backend — the worker count bounds CPU concurrency, not the session
-//! count, so a node holds as many sessions as it has file descriptors.
+//! [`NetConfig::workers`] identical event loops (the `net::reactor`
+//! module) serve the sockets: loop 0 accepts and deals streams out
+//! round-robin, and each loop keeps its sessions' partial-read and
+//! partial-write buffers over the length-prefixed framing, executes every
+//! complete message inline against the shared backend on the thread that
+//! read it, and flushes the replies with vectored writes. The loop count
+//! bounds CPU concurrency, not the session count, so a node holds as many
+//! sessions as it has file descriptors.
 //! Report batches land through the service's one all-or-nothing batch
 //! path ([`LdpService::submit_wire_batch`]: absorbed in place, rolled
 //! back exactly if a frame is rejected), so a session is a pure
@@ -33,8 +35,7 @@
 //! [`ServerStats::frames_absorbed`]).
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,14 +43,13 @@ use ldp_ranges::{PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::net::ops::OpsListener;
-use crate::net::poll::Poller;
 use crate::net::proto::{
     decode_report_frames, ClientMsg, ErrorCode, Hello, HelloOk, Query, QueryOp, QueryReply,
     QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_QUERY, MSG_REPLICATE,
     MSG_REPORT, MSG_SEAL, MSG_STATUS, WIRE_EPOCH, WIRE_V1,
 };
 use crate::net::reactor::{
-    Job, JobDone, JobQueue, PushSource, Reactor, ReactorKnobs, ReactorShared,
+    EventLoop, Execute, Job, JobDone, PushSource, ReactorKnobs, ReactorShared,
 };
 use crate::net::{NetConfig, NetError};
 use crate::obs::instruments::NetInstruments;
@@ -288,8 +288,7 @@ where
     shared: Arc<Shared<S>>,
     rshared: Arc<ReactorShared>,
     addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
     /// The plain-HTTP ops endpoint and its time-series sampler, when
     /// `ops_addr` asked for one.
     ops: Option<OpsListener>,
@@ -371,8 +370,8 @@ where
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // The reactor owns the listener non-blocking; readiness comes
-        // from the poller, not accept timeouts.
+        // Loop 0 owns the listener non-blocking; readiness comes from
+        // its poller, not accept timeouts.
         listener.set_nonblocking(true)?;
         // One registry for every tier behind this server. A durable
         // backend already carries the registry its storage layer (and
@@ -416,64 +415,53 @@ where
         // tick instead; keep that tick well under the idle poll so
         // request latency stays in the low milliseconds.
         let tick = config.idle_poll.min(Duration::from_millis(1));
-        let rshared = Arc::new(ReactorShared {
-            jobs: JobQueue::new(),
-            completions: Mutex::new(Vec::new()),
-            poller: Poller::new(config.portable_poller, tick),
-            shutdown: AtomicBool::new(false),
-        });
+        let rshared = Arc::new(ReactorShared::new(
+            config.workers,
+            config.portable_poller,
+            tick,
+        ));
         // A durable backend serves REPLICATE: seed the hub (counting the
-        // retained log once) and ring the reactor's doorbell on every
-        // appended record so push streams pump promptly. A store that
-        // cannot state its log (wedged) simply leaves the hub unset and
-        // REPLICATE answered with REPL_UNAVAILABLE.
+        // retained log once) and ring every loop's doorbell on each
+        // appended record, so push streams pump promptly on whichever
+        // loop holds them. A store that cannot state its log (wedged)
+        // simply leaves the hub unset and REPLICATE answered with
+        // REPL_UNAVAILABLE.
         if let Some(log) = &shared.backend.log {
             if let Ok(hub) = log.ensure_repl_hub() {
                 let doorbell = Arc::clone(&rshared);
-                hub.add_waker(Box::new(move || doorbell.poller.wake()));
+                hub.add_waker(Box::new(move || doorbell.wake_all()));
             }
         }
         let knobs = ReactorKnobs {
             idle_poll: config.idle_poll,
             drain_patience: config.drain_patience,
             idle_timeout: config.idle_timeout,
-            inflight_cap: config.queue_depth.max(1),
         };
-        let reactor = Reactor::new(listener, Arc::clone(&rshared), knobs, obs, trace)
-            .map_err(NetError::Io)?;
-        let reactor_handle = std::thread::Builder::new()
-            .name("ldp-net-reactor".into())
-            .spawn(move || reactor.run())
-            .map_err(NetError::Io)?;
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for k in 0..config.workers.max(1) {
-            let worker = {
-                let shared = Arc::clone(&shared);
-                let rshared = Arc::clone(&rshared);
+        let exec: Arc<dyn Execute> = shared.clone();
+        let mut listener = Some(listener);
+        let mut loops = Vec::with_capacity(rshared.loops());
+        for k in 0..rshared.loops() {
+            let spawned = EventLoop::new(
+                k,
+                listener.take(),
+                Arc::clone(&rshared),
+                Arc::clone(&exec),
+                knobs,
+                obs.clone(),
+                trace.clone(),
+            )
+            .and_then(|ev| {
                 std::thread::Builder::new()
-                    .name(format!("ldp-net-worker-{k}"))
-                    .spawn(move || {
-                        while let Some(job) = rshared.jobs.pop() {
-                            let done = execute_job(&shared, job);
-                            rshared.complete(done);
-                        }
-                    })
-            };
-            match worker {
-                Ok(handle) => workers.push(handle),
+                    .name(format!("ldp-net-loop-{k}"))
+                    .spawn(move || ev.run())
+            });
+            match spawned {
+                Ok(handle) => loops.push(handle),
                 Err(e) => {
-                    // A partial pool must not outlive the failed bind:
-                    // stop the reactor (it closes the job queue on
-                    // exit), then join everything already running before
-                    // reporting the error — otherwise orphaned threads
-                    // keep serving a port the caller believes never
-                    // opened.
-                    rshared.shutdown.store(true, Ordering::SeqCst);
-                    rshared.poller.wake();
-                    let _ = reactor_handle.join();
-                    for handle in workers {
-                        let _ = handle.join();
-                    }
+                    // Loops already running must not outlive the failed
+                    // bind and keep serving a port the caller believes
+                    // never opened.
+                    stop_loops(&rshared, loops, &obs);
                     return Err(NetError::Io(e));
                 }
             }
@@ -482,8 +470,7 @@ where
             shared,
             rshared,
             addr,
-            reactor: Some(reactor_handle),
-            workers,
+            loops,
             ops,
         })
     }
@@ -526,21 +513,16 @@ where
     /// neither seals nor checkpoints.
     #[must_use]
     pub fn shutdown(mut self) -> ServerStats {
-        self.rshared.shutdown.store(true, Ordering::SeqCst);
-        self.rshared.poller.wake();
         // Scraping and sampling stop first: the ops endpoint must not
         // observe a half-finalized backend.
         if let Some(mut ops) = self.ops.take() {
             ops.stop();
         }
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        // The reactor closed the job queue on exit, so the workers fall
-        // through their pop loops.
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        stop_loops(
+            &self.rshared,
+            std::mem::take(&mut self.loops),
+            &self.shared.obs,
+        );
         let (sealed_epoch, final_checkpoint, final_snapshot) = self.shared.backend.finalize();
         // Drain totals read straight from the registry counters — the
         // registry *is* the accounting path, so an operator scraping
@@ -555,6 +537,17 @@ where
             final_snapshot,
         }
     }
+}
+
+/// Drains and joins every event loop, then accounts for the streams
+/// still waiting in a mailbox (admitted and closed), so
+/// `sessions_opened == sessions_closed` once this returns.
+fn stop_loops(rshared: &ReactorShared, loops: Vec<JoinHandle<()>>, obs: &NetInstruments) {
+    rshared.request_shutdown();
+    for handle in loops {
+        let _ = handle.join();
+    }
+    rshared.close_unadmitted(obs);
 }
 
 /// Records one handled request into the per-message-type latency
@@ -597,11 +590,21 @@ fn error_body(code: ErrorCode, detail: impl Into<String>) -> Vec<u8> {
     ServerMsg::Error(RemoteError::new(code, None, detail)).encode()
 }
 
+impl<S> Execute for Shared<S>
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    fn execute(&self, job: Job) -> JobDone {
+        execute_job(self, job)
+    }
+}
+
 /// Executes one session's queued messages against the backend and
-/// returns the encoded replies. This is the session state machine the
-/// blocking engine ran inline — every hostile input (garbage bytes,
-/// absurd lengths, mismatched handshakes, malformed batches) lands in a
-/// typed error reply or a close decision, nothing panics the worker, and
+/// returns the encoded replies — the session state machine every event
+/// loop runs inline. Every hostile input (garbage bytes, absurd lengths,
+/// mismatched handshakes, malformed batches) lands in a typed error
+/// reply or a close decision, nothing panics the loop, and
 /// rejected batches leave the backend untouched. Messages after a
 /// close-triggering one are dropped unprocessed, exactly as a blocking
 /// loop that returned would have left them unread.
@@ -619,7 +622,7 @@ where
     for (span, body) in &job.bodies {
         let span = *span;
         // The decode-assigned span follows the message into the storage
-        // tiers through the worker's thread-local, so a WAL group-commit
+        // tiers through the loop's thread-local, so a WAL group-commit
         // can stamp its event with the span that caused it.
         set_current_span(Some(span));
         if body.is_empty() {
@@ -826,11 +829,9 @@ where
             }
         }
     }
-    // Worker threads are reused across sessions; never leak a span into
-    // the next job.
+    // A loop runs many sessions; never leak a span into the next job.
     set_current_span(None);
     JobDone {
-        token: job.token,
         hello,
         replies,
         repl,

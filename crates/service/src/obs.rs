@@ -32,7 +32,7 @@
 //! A [`TraceRing`] rides along for postmortem debugging of the
 //! adversarial session paths: a fixed-size lock-free ring of structured
 //! events behind a runtime flag. Events are **spans**: each message gets
-//! an id at reactor decode that follows it through worker execute, WAL
+//! an id at event-loop decode that follows it through execute, WAL
 //! group-commit, and follower re-apply ([`TraceStage`]), so one ring
 //! tail reconstructs the decode→absorb→fsync→ack timeline of a single
 //! REPORT.

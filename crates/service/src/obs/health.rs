@@ -3,7 +3,7 @@
 //!
 //! Health is *derived*, never stored: every signal it reads — the
 //! [`names::STORAGE_WEDGED`] gauge, the WAL append-latency percentiles,
-//! the reactor's queue high-water mark, the open-session count, the
+//! the event loops' queue high-water mark, the open-session count, the
 //! replication lag gauge — already lives in the registry, so the ops
 //! endpoint's `GET /health` and an in-process [`evaluate`] over
 //! `LdpServer::registry()` are the same computation over the same
@@ -65,8 +65,8 @@ impl Default for HealthThresholds {
             // One WAL group commit slower than 250ms at p99 means the
             // disk is in trouble, not just busy.
             wal_append_p99_ns: 250_000_000,
-            // The reactor's per-session inbox holds 32 parsed messages;
-            // sustained high-water near it means workers are behind.
+            // A loop's per-session inbox holds 32 parsed messages;
+            // sustained high-water near it means the loops are behind.
             queue_depth_hw: 24,
             // Far above the tested 10k-session concurrency gate.
             sessions_open: 50_000,

@@ -59,7 +59,7 @@ pub mod names {
     pub const NET_SESSIONS_OPENED: &str = "net.sessions_opened";
     /// Counter, sessions: sessions fully torn down.
     pub const NET_SESSIONS_CLOSED: &str = "net.sessions_closed";
-    /// Gauge, sessions: sessions currently open (held by the reactor).
+    /// Gauge, sessions: sessions currently open (held by any event loop).
     pub const NET_SESSIONS_OPEN: &str = "net.sessions_open";
     /// Counter, frames: frames absorbed into the backend over the socket.
     pub const NET_FRAMES_ABSORBED: &str = "net.frames_absorbed";

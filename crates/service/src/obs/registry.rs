@@ -133,6 +133,21 @@ impl Gauge {
         self.value.fetch_max(v, Ordering::SeqCst);
     }
 
+    /// Raises the level by one — with [`Gauge::decr`], a level that
+    /// several threads move at once (open sessions across event loops).
+    pub fn incr(&self) {
+        self.value.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Lowers the level by one, saturating at zero.
+    pub fn decr(&self) {
+        let _ = self
+            .value
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
     /// Current level.
     #[must_use]
     pub fn get(&self) -> u64 {

@@ -16,10 +16,11 @@
 //!
 //! ## Spans
 //!
-//! Every message the reactor decodes is assigned a span id, and each
-//! tier that touches the message records its own event under that id:
-//! [`TraceStage::Decode`] when the reactor slices the envelope off the
-//! socket, [`TraceStage::Execute`] when a worker finishes handling it,
+//! Every message an event loop decodes is assigned a span id (from one
+//! counter shared by all loops), and each tier that touches the message
+//! records its own event under that id: [`TraceStage::Decode`] when the
+//! loop slices the envelope off the socket, [`TraceStage::Execute`] when
+//! the same loop finishes handling it,
 //! [`TraceStage::WalAppend`] when the durable store fsyncs the batch it
 //! carried, and [`TraceStage::ReplApply`] when a follower re-applies the
 //! shipped record (there the span id *is* the leader-assigned record
@@ -28,7 +29,7 @@
 //! decode→absorb→fsync→ack timeline of a single REPORT.
 //!
 //! The span id crosses tier boundaries without threading a parameter
-//! through every backend signature: the executing worker parks it in a
+//! through every backend signature: the executing loop parks it in a
 //! thread-local ([`set_current_span`]) and the storage tier reads it
 //! back ([`current_span`]) — the absorb/append path runs on the same
 //! thread that decoded the job.
@@ -73,11 +74,11 @@ impl TraceOutcome {
 /// Which pipeline stage recorded the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStage {
-    /// The reactor sliced the message's envelope off the socket and
+    /// An event loop sliced the message's envelope off the socket and
     /// assigned the span id (`ns` is 0 — an arrival marker, not a
     /// duration).
     Decode,
-    /// A worker finished handling the message (`ns` covers decode of the
+    /// The loop finished handling the message (`ns` covers decode of the
     /// body through reply construction, including any storage work the
     /// nested stages break out).
     Execute,
@@ -114,7 +115,7 @@ impl TraceStage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Correlates the stages of one message's journey: assigned by the
-    /// reactor at decode (monotone per server), or the leader-assigned
+    /// event loop at decode (unique per server), or the leader-assigned
     /// record position for [`TraceStage::ReplApply`] spans. 0 for events
     /// with no message context (e.g. a session teardown).
     pub span: u64,
@@ -134,7 +135,7 @@ pub struct TraceEvent {
 
 thread_local! {
     /// The span id of the message the current thread is executing, if
-    /// any — parked by the worker, read by the storage tier.
+    /// any — parked by the executing loop, read by the storage tier.
     static CURRENT_SPAN: Cell<Option<u64>> = const { Cell::new(None) };
 }
 

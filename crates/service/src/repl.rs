@@ -22,7 +22,7 @@
 //! from its local tail — the recovery torn-tail rule discards a record
 //! half-received at disconnect, and the stream re-sends from there.
 //!
-//! The leader pushes records through the reactor's bounded per-session
+//! The leader pushes records through its event loops' bounded per-session
 //! output queue, so a slow follower costs at most the cap, never the
 //! log; follower acknowledgements feed the `repl.followers` and
 //! `repl.follower_lag_records` gauges. [`FollowerService::promote`]

@@ -9,7 +9,7 @@ use crate::net::reactor::{Pull, PushSource};
 use crate::repl::hub::ReplHub;
 use crate::storage::wal::WalReader;
 
-/// One follower's view into the leader's log. The reactor owns it via
+/// One follower's view into the leader's log. An event loop owns it via
 /// the session's push slot and pulls whenever the output queue has
 /// headroom; dropping it (session teardown, however it happens)
 /// unsubscribes the follower from the hub.

@@ -101,7 +101,7 @@ impl ReplFeed {
     /// record the socket reads buffered alongside it — a busy leader
     /// pushes records back to back, so one kernel round trip often
     /// carries dozens of envelopes, and handing them to the caller as
-    /// one run lets the follower apply them under one WAL lock instead
+    /// one run lets the follower apply them under one order lock instead
     /// of one per record. Never blocks once the first record is in
     /// hand; returns an empty run when the initial read timed out.
     ///

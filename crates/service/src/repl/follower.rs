@@ -253,7 +253,7 @@ where
 }
 
 /// The pump: drain a run of records off the feed, apply + log the run
-/// under one WAL lock, ack at batch and commit boundaries. Returns the
+/// under one exclusive order lock, ack at batch and commit boundaries. Returns the
 /// stream's cause of death as a string (a stopped pump via the stop
 /// flag returns `Ok`).
 fn pump_loop<S>(

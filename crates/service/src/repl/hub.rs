@@ -1,5 +1,5 @@
 //! The leader-side replication hub: follower registry, absolute record
-//! count, lag gauges, and the reactor wake channel.
+//! count, lag gauges, and the event loops' wake channel.
 //!
 //! One hub hangs off a [`crate::storage::DurableService`] once it first
 //! serves as a leader. Append paths call [`ReplHub::record_appended`]
@@ -27,7 +27,7 @@ pub(crate) struct ReplHub {
     follower_count: AtomicUsize,
     /// Session id → highest acknowledged position.
     followers: Mutex<HashMap<u64, u64>>,
-    /// Reactor doorbells, rung on every append so streams pump promptly.
+    /// Event-loop doorbells, rung on every append so streams pump promptly.
     wakers: Mutex<Vec<Waker>>,
     obs: ReplInstruments,
 }
@@ -65,7 +65,7 @@ impl ReplHub {
         self.follower_count.load(Ordering::SeqCst) > 0
     }
 
-    /// Registers a reactor doorbell, rung on every appended record.
+    /// Registers an event-loop doorbell, rung on every appended record.
     pub(crate) fn add_waker(&self, waker: Waker) {
         lock(&self.wakers).push(waker);
     }

@@ -367,7 +367,7 @@ impl<S: SnapshotSource> LdpService<S> {
     /// discarded without double-counting. This is the transactional unit
     /// the network front end ([`crate::net::LdpServer`]) acks per REPORT
     /// message, and the one ingest path of every backend: the durable
-    /// store and a replication follower call it under their WAL lock.
+    /// store and a replication follower call it under their order lock.
     ///
     /// Epoch tags (v2 frames) are checked against the open epoch on a
     /// windowed service — a stale straggler anywhere in the batch rejects

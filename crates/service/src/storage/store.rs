@@ -8,15 +8,23 @@
 //! forced to disk; [`DurableService::checkpoint`] serializes the merged
 //! state, rotates the log, and truncates segments the checkpoint covers.
 //!
-//! One mutex serializes absorb + append (and seal + append): WAL order
-//! therefore *is* an absorption order, which is what makes replay exact —
-//! in particular a frame absorbed into epoch `N` always precedes the
-//! `SEAL N` record. Ingestion through the wrapped service directly would
-//! bypass the log; a durable deployment ingests only through this type.
+//! Two locks order the log against the state. An *order lock* (a
+//! reader-writer lock) is held shared by every ingest across its absorb
+//! and its append, and exclusively by every state change that must see
+//! each absorbed batch already logged: SEAL, CHECKPOINT, finalize and a
+//! follower's re-apply. The WAL mutex is held only for the append
+//! itself. Concurrent batches may therefore reach the log in a different
+//! order than they reached the shards, but every batch lands between the
+//! same SEAL / CHECKPOINT markers it was absorbed between — in
+//! particular a frame absorbed into epoch `N` always precedes the
+//! `SEAL N` record. Batches commute (state is integer sums), so replay,
+//! recovery and a follower's re-apply all produce the live state bit for
+//! bit. Ingestion through the wrapped service directly would bypass the
+//! log; a durable deployment ingests only through this type.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use ldp_ranges::{PersistableServer, SubtractableServer};
@@ -112,9 +120,14 @@ where
     S::Report: WireReport,
 {
     service: AnyService<S>,
-    /// Serializes absorb + append, seal + append, and checkpointing. The
-    /// WAL is inherently serial; holding one lock across the state change
-    /// and its log record is what makes log order an absorption order.
+    /// Orders ingest against the state changes that must see every
+    /// absorbed batch logged. Ingest holds it shared across absorb and
+    /// append; seal, checkpoint, finalize and a follower's re-apply hold
+    /// it exclusively. Always taken before `wal`.
+    order: RwLock<()>,
+    /// The log writer. Held only to append (plus the wedge check just
+    /// before it) and to read or flush the writer — never across an
+    /// absorb, so one slow batch does not stall the others.
     wal: Mutex<WalInner>,
     dir: PathBuf,
     config: DurableConfig,
@@ -367,6 +380,7 @@ where
         Ok((
             Self {
                 service,
+                order: RwLock::new(()),
                 wal: Mutex::new(WalInner {
                     writer,
                     records_since_checkpoint: 0,
@@ -401,7 +415,7 @@ where
         self.trace.as_ref()
     }
 
-    /// Records one WAL-append span event: the span the worker's
+    /// Records one WAL-append span event: the span the calling thread's
     /// thread-local carries (a live REPORT/SEAL span on the leader, the
     /// leader-assigned record position on a follower re-apply), session
     /// 0 — the storage tier serves every session.
@@ -457,9 +471,13 @@ where
     /// analogue of one REPORT message. Nothing is logged for a rejected
     /// batch, so replay never faces a frame the live service refused.
     ///
-    /// Decode, absorb and append all run under the WAL lock, so a
-    /// rejected batch pays its two O(D) rollback copies under that lock —
-    /// exactly as an in-memory backend pays them under the shard lock.
+    /// Decode and absorb run under the shared order lock only, so
+    /// batches from different sessions absorb concurrently (each into
+    /// its own shard) and a rejected batch pays its rollback under its
+    /// shard lock alone. The WAL mutex is held just for the wedge check
+    /// and the append. Seals and checkpoints take the order lock
+    /// exclusively, so each batch is logged between the same markers it
+    /// was absorbed between.
     ///
     /// # Errors
     ///
@@ -470,33 +488,46 @@ where
     /// ingest/seal/checkpoint is refused until a restart re-establishes
     /// `log == state` via recovery. Without the wedge a retry would
     /// double-count and a later checkpoint would silently persist the
-    /// unlogged batch.
+    /// unlogged batch. Batches absorbing concurrently with the failed
+    /// append (at most one per calling thread — one per event loop
+    /// behind a server) find the wedge at their own append and are
+    /// refused there: absorbed but never logged, and never acked, which
+    /// the restart's recovery discards like the failed batch itself.
     pub fn ingest_batch(
         &self,
         wire_version: u8,
         count: u64,
         frames: &[u8],
     ) -> Result<u64, ServiceError> {
-        let mut wal = self.lock_wal()?;
-        self.check_wedged()?;
-        let n = self.apply_frames_locked(&mut wal, wire_version, count, frames)?;
-        self.maybe_auto_checkpoint(&mut wal);
+        let (n, checkpoint_due) = {
+            let _order = self.share_order()?;
+            self.check_wedged()?;
+            self.apply_frames(wire_version, count, frames)?
+        };
+        if checkpoint_due {
+            let _order = self.exclude_order()?;
+            let mut wal = self.lock_wal()?;
+            self.maybe_auto_checkpoint(&mut wal);
+        }
         Ok(n)
     }
 
-    /// Absorbs one FRAMES payload and appends it as one record — the
-    /// step the leader's ingest and a follower's re-apply share. The
-    /// caller holds the WAL lock and has checked the wedge.
-    fn apply_frames_locked(
+    /// Absorbs one FRAMES payload, then appends it as one record under
+    /// the WAL mutex (re-checking the wedge first) — the step the
+    /// leader's ingest and a follower's re-apply share. The caller holds
+    /// the order lock, shared or exclusive. Returns the frames absorbed
+    /// and whether an automatic checkpoint is due.
+    fn apply_frames(
         &self,
-        wal: &mut WalInner,
         wire_version: u8,
         count: u64,
         frames: &[u8],
-    ) -> Result<u64, ServiceError> {
+    ) -> Result<(u64, bool), ServiceError> {
         let n = self
             .service
             .submit_wire_batch(wire_version, count, frames)?;
+        let mut wal = self.lock_wal()?;
+        self.check_wedged()?;
         // Zero-copy append: the raw frame bytes go straight from the
         // request buffer to the log.
         let started = Instant::now();
@@ -507,8 +538,8 @@ where
         self.obs.wal_records.incr();
         self.obs.wal_frames.add(n);
         wal.records_since_checkpoint += 1;
-        self.notify_repl(wal);
-        Ok(n)
+        self.notify_repl(&mut wal);
+        Ok((n, self.checkpoint_due(&wal)))
     }
 
     /// Seals the open epoch on a windowed backend and logs the SEAL
@@ -520,6 +551,7 @@ where
     /// [`DurableService::ingest_batch`] (an append failure wedges the
     /// service).
     pub fn seal_epoch(&self) -> Result<u64, ServiceError> {
+        let _order = self.exclude_order()?;
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
         let epoch = self.service.seal_epoch()?;
@@ -552,6 +584,7 @@ where
     /// I/O and lock failures; on error the previous checkpoint and the
     /// full log remain intact.
     pub fn checkpoint(&self) -> Result<u64, ServiceError> {
+        let _order = self.exclude_order()?;
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
         self.checkpoint_locked(&mut wal)
@@ -565,6 +598,7 @@ where
     ///
     /// As [`DurableService::checkpoint`].
     pub fn finalize(&self) -> Result<u64, ServiceError> {
+        let _order = self.exclude_order()?;
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
         let id = self.checkpoint_locked(&mut wal)?;
@@ -708,10 +742,10 @@ where
         hub.record_appended();
     }
 
-    /// Applies a batch of replicated WAL records under **one** WAL lock —
-    /// the follower's group-commit path. Each FRAMES record absorbs
-    /// all-or-nothing and is appended with its original framing through
-    /// the very step the leader's ingest runs (`apply_frames_locked`), so
+    /// Applies a batch of replicated WAL records under **one** exclusive
+    /// order lock — the follower's group-commit path. Each FRAMES record
+    /// absorbs all-or-nothing and is appended with its original framing
+    /// through the very step the leader's ingest runs (`apply_frames`), so
     /// the follower's log mirrors the leader's record for record; SEAL
     /// records seal and log at their original positions, and a
     /// CHECKPOINT record is appended as a marker only (the follower
@@ -734,7 +768,7 @@ where
         &self,
         records: &[(u64, WalRecord)],
     ) -> Result<(), ServiceError> {
-        let mut wal = self.lock_wal()?;
+        let _order = self.exclude_order()?;
         self.check_wedged()?;
         for (position, record) in records {
             set_current_span(Some(*position));
@@ -744,9 +778,10 @@ where
                     count,
                     frames,
                 } => {
-                    self.apply_frames_locked(&mut wal, *wire_version, *count, frames)?;
+                    self.apply_frames(*wire_version, *count, frames)?;
                 }
                 WalRecord::Seal { epoch } => {
+                    let mut wal = self.lock_wal()?;
                     let sealed = self.service.seal_epoch()?;
                     if sealed != *epoch {
                         return Err(ServiceError::Range(ldp_ranges::RangeError::CorruptState(
@@ -757,13 +792,14 @@ where
                     self.append_seal_locked(&mut wal, sealed)?;
                 }
                 WalRecord::Checkpoint { id } => {
+                    let mut wal = self.lock_wal()?;
                     self.wedge_on_err(wal.writer.append(&WalRecord::Checkpoint { id: *id }))?;
                     self.obs.wal_records.incr();
                     self.notify_repl(&mut wal);
                 }
             }
         }
-        self.maybe_auto_checkpoint(&mut wal);
+        self.maybe_auto_checkpoint(&mut *self.lock_wal()?);
         Ok(())
     }
 
@@ -771,6 +807,21 @@ where
         self.wal
             .lock()
             .map_err(|_| ServiceError::LockPoisoned("wal"))
+    }
+
+    /// The order lock, shared: ingest's absorb + append.
+    fn share_order(&self) -> Result<RwLockReadGuard<'_, ()>, ServiceError> {
+        self.order
+            .read()
+            .map_err(|_| ServiceError::LockPoisoned("order"))
+    }
+
+    /// The order lock, exclusive: no batch is between its absorb and
+    /// its append while the guard lives.
+    fn exclude_order(&self) -> Result<RwLockWriteGuard<'_, ()>, ServiceError> {
+        self.order
+            .write()
+            .map_err(|_| ServiceError::LockPoisoned("order"))
     }
 
     /// Fail-stops (*wedges*) the service when a log write failed: state
@@ -795,15 +846,22 @@ where
         Ok(())
     }
 
-    /// Runs an automatic checkpoint when the record threshold is
-    /// reached. A failure here must *not* be attributed to the batch
-    /// that triggered it — that batch is already absorbed and durably
-    /// logged — so it is counted (visible in [`DurableService::status`])
-    /// and retried on the next append; the previous checkpoint and the
-    /// full log stay intact either way.
-    fn maybe_auto_checkpoint(&self, wal: &mut WalInner) {
-        if self.config.checkpoint_every_records > 0
+    /// Whether the record threshold for an automatic checkpoint is met.
+    fn checkpoint_due(&self, wal: &WalInner) -> bool {
+        self.config.checkpoint_every_records > 0
             && wal.records_since_checkpoint >= self.config.checkpoint_every_records
+    }
+
+    /// Runs an automatic checkpoint when the record threshold is
+    /// reached; the caller holds the order lock exclusively. A wedged
+    /// store writes nothing. A failure here must *not* be attributed to
+    /// the batch that triggered it — that batch is already absorbed and
+    /// durably logged — so it is counted (visible in
+    /// [`DurableService::status`]) and retried on the next append; the
+    /// previous checkpoint and the full log stay intact either way.
+    fn maybe_auto_checkpoint(&self, wal: &mut WalInner) {
+        if self.checkpoint_due(wal)
+            && self.obs.wedged.get() == 0
             && self.checkpoint_locked(wal).is_err()
         {
             self.obs.checkpoint_failures.incr();

@@ -430,7 +430,6 @@ fn bounded_queue_serves_more_sessions_than_workers() {
         Arc::clone(&service),
         NetConfig {
             workers: 2,
-            queue_depth: 4,
             ..NetConfig::default()
         },
     )

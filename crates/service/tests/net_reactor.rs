@@ -1,10 +1,12 @@
-//! Reactor-engine behaviors the blocking engine could not provide:
-//! slow or stalled clients must not impede other sessions (one worker
-//! serves many sockets because readiness, not a thread, owns each
-//! connection), pipelined requests are answered in order without a
-//! round trip per message, idle sessions are evicted with a typed
-//! error, the portable fallback poller serves the identical protocol,
-//! and shutdown stays bounded even with a peer frozen mid-frame.
+//! Event-loop behaviors the blocking engine could not provide: slow or
+//! stalled clients must not impede other sessions (one loop serves many
+//! sockets because readiness, not a thread, owns each connection),
+//! pipelined requests are answered in order without a round trip per
+//! message — and without waiting a poll tick per inbox-cap slice — idle
+//! sessions are evicted with a typed error, the portable fallback poller
+//! serves the identical protocol, sessions and span ids are accounted
+//! once across loops, and shutdown stays bounded even with a peer frozen
+//! mid-frame.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -12,8 +14,12 @@ use std::time::{Duration, Instant};
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HhClient, HhConfig, HhReport, HhServer};
-use ldp_service::net::proto::{encode_report_body, read_message, write_message, ServerMsg};
+use ldp_service::net::proto::{
+    encode_report_body, read_message, write_message, write_report, ServerMsg,
+};
 use ldp_service::net::{ErrorCode, Hello, NetConfig};
+use ldp_service::obs::instruments::names;
+use ldp_service::obs::{TraceRing, TraceStage};
 use ldp_service::{EncodedStream, LdpClient, LdpServer, LdpService};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,9 +45,9 @@ fn frames(client: &HhClient, n: usize, seed: u64) -> EncodedStream {
 }
 
 /// A slow-loris peer dribbling one byte every 10 ms must not delay a
-/// well-behaved session — even with a single worker, because sessions
-/// occupy a worker only while a *complete* message executes. (The
-/// blocking engine parked its one worker on the loris forever.)
+/// well-behaved session — even with a single event loop, because a
+/// session occupies its loop only while a *complete* message executes.
+/// (The blocking engine parked its one worker on the loris forever.)
 #[test]
 fn slow_loris_does_not_stall_other_sessions() {
     let (client, _service, server) = hh_fixture(NetConfig {
@@ -211,11 +217,15 @@ fn pending_replies_shield_a_session_from_idle_eviction() {
     write_message(&mut stream, &request).unwrap();
     let reply_len = read_message(&mut replies).unwrap().len() + 4;
     let n = (16 << 20) / reply_len + 1;
-    let mut burst = Vec::with_capacity(n * (request.len() + 4));
-    for _ in 0..n {
-        burst.extend_from_slice(&(u32::try_from(request.len()).unwrap()).to_le_bytes());
-        burst.extend_from_slice(&request);
-    }
+    // Built by doubling, not message by message: a per-message loop takes
+    // about the 300 ms idle timeout in a debug build, and the session,
+    // quiet since its first reply, was sometimes evicted before the
+    // burst left.
+    let mut one = (u32::try_from(request.len()).unwrap())
+        .to_le_bytes()
+        .to_vec();
+    one.extend_from_slice(&request);
+    let burst = one.repeat(n);
     // The requests are megabytes too: once the server sheds read
     // interest behind its full output queue, the rest of the burst waits
     // in the kernel, so it is written from its own thread.
@@ -293,23 +303,29 @@ fn portable_poller_serves_identical_sessions() {
     assert_eq!(stats.sessions, 1);
 }
 
-/// Pipelining: a client that fires HELLO-less batches back-to-back
-/// without reading gets every reply, in order — the reactor executes a
-/// session's queued messages as one job and flushes replies in arrival
-/// order.
+/// Pipelining: a client that fires batches back-to-back without reading
+/// gets every reply, in order — the loop executes a session's queued
+/// messages in arrival order and flushes replies in that order. The
+/// burst is three times the per-session inbox cap (32 messages), and
+/// the poll tick is 10 s: the loop must keep parsing and executing the
+/// bytes it already holds instead of waiting a tick per slice.
 #[test]
 fn pipelined_reports_are_acked_in_order() {
-    let (client, _service, server) = hh_fixture(NetConfig::default());
+    const BATCHES: usize = 100;
+    let (client, _service, server) = hh_fixture(NetConfig {
+        idle_poll: Duration::from_secs(10),
+        ..NetConfig::default()
+    });
     let addr = server.local_addr();
 
     let session = LdpClient::connect(addr, Hello::plain::<HhReport>()).unwrap();
     let mut stream = session.into_stream();
 
-    // Ten REPORT batches of 5 frames each, written as one burst with no
+    // REPORT batches of 5 frames each, written as one burst with no
     // interleaved reads, then a BYE.
-    let all = frames(&client, 50, 23);
+    let all = frames(&client, 5 * BATCHES, 23);
     let mut burst = Vec::new();
-    for k in 0..10 {
+    for k in 0..BATCHES {
         let body = encode_report_body(5, all.frame_span(k * 5, k * 5 + 5));
         burst.extend_from_slice(&(u32::try_from(body.len()).unwrap()).to_le_bytes());
         burst.extend_from_slice(&body);
@@ -317,13 +333,14 @@ fn pipelined_reports_are_acked_in_order() {
     let bye = ldp_service::net::proto::ClientMsg::Bye.encode();
     burst.extend_from_slice(&(u32::try_from(bye.len()).unwrap()).to_le_bytes());
     burst.extend_from_slice(&bye);
+    let started = Instant::now();
     stream.write_all(&burst).unwrap();
 
-    for _ in 0..10 {
+    for k in 0..BATCHES {
         let body = read_message(&mut stream).unwrap();
         match ServerMsg::decode(&body).unwrap() {
             ServerMsg::ReportOk { accepted } => assert_eq!(accepted, 5),
-            other => panic!("pipelined REPORT answered out of order: {other:?}"),
+            other => panic!("pipelined REPORT {k} answered out of order: {other:?}"),
         }
     }
     let body = read_message(&mut stream).unwrap();
@@ -331,21 +348,101 @@ fn pipelined_reports_are_acked_in_order() {
         ServerMsg::decode(&body).unwrap(),
         ServerMsg::ByeOk
     ));
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a {BATCHES}-message burst took {elapsed:?}: slices past the inbox cap waited for a tick"
+    );
 
     let stats = server.shutdown();
-    assert_eq!(stats.frames_absorbed, 50);
-    assert_eq!(stats.num_reports, 50);
+    assert_eq!(stats.frames_absorbed, 5 * BATCHES as u64);
+    assert_eq!(stats.num_reports, 5 * BATCHES as u64);
     assert_eq!(stats.sessions, 1);
 }
 
-/// `write_message` framing helper sanity for this file's raw bursts: the
-/// helper and the hand-rolled envelope agree byte for byte.
+/// `write_message` / `write_report` framing sanity for this file's raw
+/// bursts: the helpers and the hand-rolled envelopes agree byte for
+/// byte, so the client's one-write, copy-free REPORT send changes no
+/// wire byte.
 #[test]
 fn raw_envelope_matches_write_message() {
+    let by_hand = |body: &[u8]| {
+        let mut env = (u32::try_from(body.len()).unwrap()).to_le_bytes().to_vec();
+        env.extend_from_slice(body);
+        env
+    };
     let body = ldp_service::net::proto::ClientMsg::Bye.encode();
-    let mut by_hand = (u32::try_from(body.len()).unwrap()).to_le_bytes().to_vec();
-    by_hand.extend_from_slice(&body);
     let mut by_helper = Vec::new();
     write_message(&mut by_helper, &body).unwrap();
-    assert_eq!(by_hand, by_helper);
+    assert_eq!(by_hand(&body), by_helper);
+
+    let hh = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+    let batch = frames(&HhClient::new(hh).unwrap(), 300, 5);
+    for (count, span) in [(300, batch.as_bytes()), (1, batch.frame_span(0, 1))] {
+        let mut by_helper = Vec::new();
+        write_report(&mut by_helper, count, span).unwrap();
+        assert_eq!(by_hand(&encode_report_body(count, span)), by_helper);
+    }
+}
+
+/// Sessions dealt across three loops are accounted once: the shared
+/// `net.sessions_open` gauge reads every open session while they are
+/// open and zero after their BYEs, opened equals closed, and span ids
+/// (one server-wide counter) never repeat across loops.
+#[test]
+fn sessions_and_spans_are_counted_once_across_loops() {
+    const SESSIONS: usize = 10;
+    let trace = Arc::new(TraceRing::enabled_with(1024));
+    let (client, _service, server) = hh_fixture(NetConfig {
+        workers: 3,
+        trace: Some(Arc::clone(&trace)),
+        ..NetConfig::default()
+    });
+    let addr = server.local_addr();
+    let gauge = |name: &str| server.registry().snapshot().gauge(name).unwrap_or(0);
+    let counter = |name: &str| server.registry().snapshot().counter(name).unwrap_or(0);
+
+    let mut sessions: Vec<LdpClient> = (0..SESSIONS)
+        .map(|_| LdpClient::connect(addr, Hello::plain::<HhReport>()).unwrap())
+        .collect();
+    for (k, session) in sessions.iter_mut().enumerate() {
+        let batch = frames(&client, 8, 40 + k as u64);
+        assert_eq!(session.send_stream(&batch, 4).unwrap(), 8);
+        session.range(0, 63).unwrap();
+    }
+    assert_eq!(gauge(names::NET_SESSIONS_OPEN), SESSIONS as u64);
+
+    for session in sessions {
+        session.bye().unwrap();
+    }
+    // The ByeOk leaves before its loop tears the session down.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gauge(names::NET_SESSIONS_OPEN) != 0 {
+        assert!(Instant::now() < deadline, "sessions_open stuck above 0");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counter(names::NET_SESSIONS_OPENED), SESSIONS as u64);
+    assert_eq!(counter(names::NET_SESSIONS_CLOSED), SESSIONS as u64);
+
+    // HELLO, two REPORTs, a QUERY and a BYE per session, each with its
+    // own span, and one session id per session.
+    let decodes: Vec<_> = trace
+        .events()
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| e.stage == TraceStage::Decode)
+        .collect();
+    assert_eq!(decodes.len(), 5 * SESSIONS);
+    let spans: std::collections::BTreeSet<u64> = decodes.iter().map(|e| e.span).collect();
+    assert_eq!(
+        spans.len(),
+        decodes.len(),
+        "a span id was reused across loops"
+    );
+    let ids: std::collections::BTreeSet<u64> = decodes.iter().map(|e| e.session).collect();
+    assert_eq!(ids.len(), SESSIONS, "a session id was reused across loops");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.sessions, SESSIONS as u64);
+    assert_eq!(stats.frames_absorbed, 8 * SESSIONS as u64);
 }

@@ -10,26 +10,32 @@
 //! was acknowledged. Separately: recovery from checkpoint + WAL tail must
 //! equal a full-log replay bit for bit, a graceful shutdown must reopen
 //! with zero replay, and a corrupt byte mid-log must stop replay cleanly
-//! at the damaged record.
+//! at the damaged record. Finally, four threads ingesting into one store
+//! while a fifth seals and checkpoints must leave a log whose replay —
+//! and a follower's re-apply — lands on the live state bit for bit.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use ldp_freq_oracle::{AnyReport, Epsilon};
+use ldp_freq_oracle::{AnyReport, Epsilon, FrequencyOracle};
 use ldp_ranges::{
     FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
     HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
     HhSplitServer, PersistableServer, SubtractableServer,
 };
-use ldp_service::net::{WIRE_EPOCH, WIRE_V1};
+use ldp_service::net::{NetConfig, WIRE_EPOCH, WIRE_V1};
 use ldp_service::storage::wal::{self, WalRecord};
 use ldp_service::storage::{
     checkpoint, scratch_dir, DurableConfig, DurableService, FsyncPolicy, TailStatus,
 };
 use ldp_service::{
-    EncodedStream, EpochRing, LdpService, RangeSnapshot, SnapshotSource, WireReport,
+    EncodedStream, EpochRing, FollowerService, LdpServer, LdpService, RangeSnapshot,
+    SnapshotSource, WireReport,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn config() -> DurableConfig {
     DurableConfig {
@@ -914,4 +920,224 @@ fn a_clean_drop_keeps_acked_batches_under_lazy_fsync() {
     assert_snapshots_identical(&after, &before, "reopened after a clean drop");
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The merged state's `persist_state` bytes — for a windowed store the
+/// whole epoch ring, so every epoch and the open one are compared.
+fn state_bytes<S>(store: &DurableService<S>) -> Vec<u8>
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    let mut out = Vec::new();
+    match (store.plain(), store.windowed()) {
+        (Some(plain), _) => plain.merged_state().unwrap().persist_state(&mut out),
+        (_, Some(ring)) => ring.merged_state().unwrap().persist_state(&mut out),
+        (None, None) => unreachable!("a store is plain or windowed"),
+    }
+    out
+}
+
+/// State bytes plus every trailing window (`1..=window` epochs).
+type Observed = (Vec<u8>, Vec<(u64, u64, RangeSnapshot)>);
+
+fn observe<S>(store: &DurableService<S>, window: Option<usize>) -> Observed
+where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    let windows = (1..=window.unwrap_or(0))
+        .map(|k| {
+            let w = store.window_snapshot(k).unwrap();
+            (w.first_epoch(), w.last_epoch(), w.snapshot().clone())
+        })
+        .collect();
+    (state_bytes(store), windows)
+}
+
+fn assert_observed_identical(ours: &Observed, theirs: &Observed, what: &str) {
+    assert!(ours.0 == theirs.0, "{what}: persisted state bytes differ");
+    assert_eq!(ours.1.len(), theirs.1.len(), "{what}: window count");
+    for (k, (a, b)) in ours.1.iter().zip(&theirs.1).enumerate() {
+        assert_eq!((a.0, a.1), (b.0, b.1), "{what}: window {} bounds", k + 1);
+        assert_snapshots_identical(&a.2, &b.2, &format!("{what}: window {}", k + 1));
+    }
+}
+
+/// Four threads call `ingest_batch` on one store while a fifth seals
+/// (windowed) and checkpoints at seeded points of the ingest progress,
+/// and a follower tails the leader over the socket. Batches may reach
+/// the log in a different order than they reached the shards, but each
+/// must land between the markers it was absorbed between. So the
+/// promoted follower equals the live leader, and after the drain a
+/// reopen from a mid-run checkpoint + tail and a full-log replay both
+/// equal the drained state — persisted bytes and every trailing window.
+fn check_concurrent_ingest<S>(
+    prototype: &S,
+    threads: Vec<Vec<EncodedStream>>,
+    window: Option<usize>,
+    seed: u64,
+    tag: &str,
+) where
+    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S::Report: WireReport,
+{
+    let retain = DurableConfig {
+        retain_history: true,
+        ..config()
+    };
+    let open = |dir: &Path| match window {
+        Some(w) => DurableService::open_windowed(dir, prototype, w, retain.clone()).unwrap(),
+        None => DurableService::open(dir, prototype, retain.clone()).unwrap(),
+    };
+    let leader_dir = scratch_dir(&format!("conc-{tag}-leader")).unwrap();
+    let follower_dir = scratch_dir(&format!("conc-{tag}-follower")).unwrap();
+    let leader = Arc::new(open(&leader_dir).0);
+    let server =
+        LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&leader), NetConfig::default()).unwrap();
+    let addr = format!("{}", server.local_addr());
+    let (follower, _) = match window {
+        Some(w) => {
+            FollowerService::open_windowed(&follower_dir, prototype, w, &addr, retain.clone())
+        }
+        None => FollowerService::open(&follower_dir, prototype, &addr, retain.clone()),
+    }
+    .unwrap();
+
+    // Seeded points of the ingest progress; each seals (windowed) and,
+    // at random — or always when plain — checkpoints.
+    let total: usize = threads.iter().map(Vec::len).sum();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut points: Vec<(usize, bool)> = (0..8)
+        .map(|_| (rng.random_range(1..total), rng.random_bool(0.5)))
+        .collect();
+    points.sort_unstable();
+    let progress = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for batches in &threads {
+            let (leader, progress) = (&leader, &progress);
+            scope.spawn(move || {
+                for batch in batches {
+                    let n = leader
+                        .ingest_batch(WIRE_V1, batch.len() as u64, batch.as_bytes())
+                        .unwrap();
+                    assert_eq!(n, batch.len() as u64);
+                    progress.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        for &(at, checkpoint) in &points {
+            while progress.load(Ordering::SeqCst) < at {
+                std::thread::yield_now();
+            }
+            if window.is_some() {
+                leader.seal_epoch().unwrap();
+            }
+            if checkpoint || window.is_none() {
+                leader.checkpoint().unwrap();
+            }
+        }
+    });
+    let live = observe(&leader, window);
+
+    // The follower tailed the whole run: at the leader's position,
+    // promoted, it is the live leader bit for bit.
+    let position = leader.status().unwrap().wal_records;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while follower.position() < position {
+        assert!(
+            Instant::now() < deadline,
+            "{tag}: follower stuck at {} of {position} ({:?})",
+            follower.position(),
+            follower.last_error()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let promoted = follower.promote().unwrap();
+    assert_observed_identical(
+        &observe(&promoted, window),
+        &live,
+        &format!("{tag} promoted"),
+    );
+    drop(promoted);
+
+    // The drain seals (windowed) and checkpoints; then the store goes.
+    let _ = server.shutdown();
+    let drained = observe(&leader, window);
+    if window.is_none() {
+        assert_observed_identical(&drained, &live, &format!("{tag} drained"));
+    }
+    drop(leader);
+
+    // Without the drain's checkpoint: a mid-run checkpoint + tail.
+    let checkpoints = checkpoint::list_checkpoints(&leader_dir).unwrap();
+    assert!(checkpoints.len() >= 2, "{tag}: no mid-run checkpoint");
+    let newest = checkpoints.iter().max_by_key(|(id, _)| *id).unwrap();
+    std::fs::remove_file(&newest.1).unwrap();
+    let (reopened, report) = open(&leader_dir);
+    assert!(report.records_replayed > 0, "{tag}: nothing replayed");
+    assert_observed_identical(
+        &observe(&reopened, window),
+        &drained,
+        &format!("{tag} checkpoint + tail"),
+    );
+    drop(reopened);
+
+    // Without any checkpoint: the whole log, replayed from segment 0.
+    for (_, path) in checkpoint::list_checkpoints(&leader_dir).unwrap() {
+        std::fs::remove_file(path).unwrap();
+    }
+    let (replayed, report) = open(&leader_dir);
+    assert_eq!(report.checkpoint_id, None);
+    assert_observed_identical(
+        &observe(&replayed, window),
+        &drained,
+        &format!("{tag} full-log replay"),
+    );
+    drop(replayed);
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
+
+/// Concurrent durable ingest against seal and checkpoint, plain and
+/// windowed, for HH/OUE and HaarHRR: the order lock keeps every batch
+/// between the markers it was absorbed between.
+#[test]
+fn concurrent_ingest_with_seals_and_checkpoints_replays_bit_identically() {
+    const THREADS: usize = 4;
+    const BATCHES: usize = 30;
+    const PER_BATCH: usize = 12;
+    let eps = Epsilon::new(1.1);
+
+    let hh_config = HhConfig::with_oracle(64, 4, eps, FrequencyOracle::Oue).unwrap();
+    let hh_client = HhClient::new(hh_config.clone()).unwrap();
+    let hh = HhServer::new(hh_config).unwrap();
+    let hh_threads = |seed: u64| {
+        (0..THREADS as u64)
+            .map(|t| {
+                plain_batches(BATCHES, PER_BATCH, seed + t, |i, rng| {
+                    hh_client.report((i * 7) % 64, rng).unwrap()
+                })
+            })
+            .collect()
+    };
+    for (window, tag) in [(None, "hh-oue"), (Some(2), "hh-oue-win")] {
+        check_concurrent_ingest(&hh, hh_threads(3601), window, 3611, tag);
+    }
+
+    let haar_config = HaarConfig::new(64, eps).unwrap();
+    let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
+    let haar = HaarHrrServer::new(haar_config).unwrap();
+    let haar_threads = |seed: u64| {
+        (0..THREADS as u64)
+            .map(|t| {
+                plain_batches(BATCHES, PER_BATCH, seed + t, |i, rng| {
+                    haar_client.report((i * 11) % 64, rng).unwrap()
+                })
+            })
+            .collect()
+    };
+    for (window, tag) in [(None, "haarhrr"), (Some(2), "haarhrr-win")] {
+        check_concurrent_ingest(&haar, haar_threads(3701), window, 3711, tag);
+    }
 }
