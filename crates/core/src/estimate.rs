@@ -55,12 +55,14 @@ impl FrequencyEstimate {
     #[must_use]
     pub fn new(freqs: Vec<f64>) -> Self {
         assert!(!freqs.is_empty(), "estimate needs at least one item");
-        let mut prefix = Vec::with_capacity(freqs.len() + 1);
+        // Filled by index into a pre-sized buffer, adding left to right:
+        // `prefix[i + 1]` is the sequential sum of `freqs[..=i]`, to the
+        // bit, which the freeze differential holds the snapshots to.
+        let mut prefix = vec![0.0; freqs.len() + 1];
         let mut acc = 0.0;
-        prefix.push(0.0);
-        for &f in &freqs {
+        for (i, &f) in freqs.iter().enumerate() {
             acc += f;
-            prefix.push(acc);
+            prefix[i + 1] = acc;
         }
         Self { freqs, prefix }
     }

@@ -128,6 +128,12 @@ impl FlatServer {
     pub fn estimate(&self) -> FrequencyEstimate {
         FrequencyEstimate::new(self.oracle.estimate())
     }
+
+    /// The per-item estimate a snapshot publishes: [`FlatServer::estimate`].
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate()
+    }
 }
 
 #[cfg(test)]

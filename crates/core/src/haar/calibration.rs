@@ -25,6 +25,7 @@ use ldp_transforms::HaarPyramid;
 use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
+use crate::estimate::FrequencyEstimate;
 use crate::haar::{coefficient_of, HaarEstimate};
 use crate::mergeable::subtract_levels;
 
@@ -221,20 +222,31 @@ impl HaarOueServer {
 
     /// Reconstructs the estimate as a Haar pyramid:
     /// `d̂_t = θ̂[2t] − θ̂[2t+1]` per node, scaling coefficient pinned to 1.
+    /// Every level's cell estimates go through one scratch buffer sized
+    /// for the deepest level; the differences land in the pyramid.
     #[must_use]
     pub fn estimate(&self) -> HaarEstimate {
-        let diffs: Vec<Vec<f64>> = self
-            .levels
-            .iter()
-            .map(|oracle| {
-                let cells = oracle.estimate();
-                cells
-                    .chunks_exact(2)
-                    .map(|pair| pair[0] - pair[1])
-                    .collect()
-            })
-            .collect();
-        HaarEstimate::from_pyramid(HaarPyramid::from_parts(self.config.height, 1.0, diffs))
+        let mut pyramid = HaarPyramid::new(self.config.height, 1.0);
+        let mut cells = vec![0.0; self.config.domain];
+        for (depth, oracle) in (0..).zip(&self.levels) {
+            let cells = &mut cells[..oracle.domain()];
+            oracle.estimate_into(cells);
+            for (diff, pair) in pyramid
+                .diffs_mut(depth)
+                .iter_mut()
+                .zip(cells.chunks_exact(2))
+            {
+                *diff = pair[0] - pair[1];
+            }
+        }
+        HaarEstimate::from_pyramid(pyramid)
+    }
+
+    /// The per-item estimate a snapshot publishes: the collapsed pyramid,
+    /// with prefix sums.
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate().to_frequency_estimate()
     }
 }
 

@@ -236,15 +236,23 @@ impl HaarHrrServer {
         self.levels.iter().map(PointOracle::num_reports).sum()
     }
 
-    /// Reconstructs the estimate: unbiased per-node fraction differences
-    /// assembled into a Haar pyramid with the scaling coefficient pinned to
-    /// the exact total of 1.
+    /// Reconstructs the estimate: unbiased per-node fraction differences,
+    /// each level oracle writing straight into its depth of a Haar pyramid
+    /// whose scaling coefficient is pinned to the exact total of 1.
     #[must_use]
     pub fn estimate(&self) -> HaarEstimate {
-        let diffs: Vec<Vec<f64>> = self.levels.iter().map(PointOracle::estimate).collect();
-        HaarEstimate {
-            pyramid: HaarPyramid::from_parts(self.config.height, 1.0, diffs),
+        let mut pyramid = HaarPyramid::new(self.config.height, 1.0);
+        for (depth, oracle) in (0..).zip(&self.levels) {
+            oracle.estimate_into(pyramid.diffs_mut(depth));
         }
+        HaarEstimate { pyramid }
+    }
+
+    /// The per-item estimate a snapshot publishes: the collapsed pyramid,
+    /// with prefix sums.
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate().to_frequency_estimate()
     }
 }
 

@@ -32,10 +32,28 @@ use ldp_transforms::FlatTree;
 ///
 /// Expects per-level fraction estimates (each level summing to ≈ 1). Runs
 /// in `O(total nodes)` — "the cost of this post-processing is relatively
-/// low for the aggregator".
+/// low for the aggregator". The fanouts the mechanisms use (2, 4, 8, 16)
+/// each run their own instantiation of the kernel, where the sibling
+/// group is a compile-time length; any other fanout runs the same body
+/// with the group length read from the tree.
 pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
+    match tree.shape().fanout() {
+        2 => consistency_kernel::<2>(tree),
+        4 => consistency_kernel::<4>(tree),
+        8 => consistency_kernel::<8>(tree),
+        16 => consistency_kernel::<16>(tree),
+        _ => consistency_kernel::<0>(tree),
+    }
+}
+
+/// The one body of [`enforce_consistency`]: `B` is the tree's fanout, or
+/// 0 to read it at run time. A constant `B` lets the compiler unroll each
+/// sibling group's sum; the additions stay in the same left-to-right
+/// order, so every instantiation gives the same bits.
+fn consistency_kernel<const B: usize>(tree: &mut FlatTree<f64>) {
     let shape = tree.shape();
-    let fanout = shape.fanout();
+    let fanout = if B == 0 { shape.fanout() } else { B };
+    debug_assert_eq!(fanout, shape.fanout());
     let b = fanout as f64;
     let h = shape.height();
 

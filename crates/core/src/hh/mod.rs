@@ -341,26 +341,21 @@ impl HhServer {
     /// fraction histograms, root pinned at 1.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        let mut tree = FlatTree::new(self.shape);
-        *tree.get_mut(0, 0) = 1.0;
-        for (i, oracle) in self.levels.iter().enumerate() {
-            let depth = i as u32 + 1;
-            tree.level_mut(depth).copy_from_slice(&oracle.estimate());
-        }
-        HhEstimate {
-            tree,
-            consistent: false,
-        }
+        HhEstimate::from_levels(self.shape, &self.levels)
     }
 
     /// Reconstructs the estimate tree and applies constrained inference
     /// (§4.5) — the paper's `CI` suffix.
     #[must_use]
     pub fn estimate_consistent(&self) -> HhEstimate {
-        let mut est = self.estimate();
-        consistency::enforce_consistency(&mut est.tree);
-        est.consistent = true;
-        est
+        self.estimate().into_consistent()
+    }
+
+    /// The per-item estimate a snapshot publishes: the leaves of the
+    /// constrained-inference tree, with prefix sums.
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate_consistent().to_frequency_estimate()
     }
 }
 
@@ -372,6 +367,28 @@ pub struct HhEstimate {
 }
 
 impl HhEstimate {
+    /// The raw tree of one oracle per depth `1..=h`: each level oracle
+    /// writes its fraction histogram straight into its level of the tree,
+    /// and the root is pinned at 1.
+    fn from_levels(shape: CompleteTree, levels: &[AnyOracle]) -> Self {
+        let mut tree = FlatTree::new(shape);
+        *tree.get_mut(0, 0) = 1.0;
+        for (depth, oracle) in (1..).zip(levels) {
+            oracle.estimate_into(tree.level_mut(depth));
+        }
+        Self {
+            tree,
+            consistent: false,
+        }
+    }
+
+    /// Applies constrained inference (§4.5) in place.
+    fn into_consistent(mut self) -> Self {
+        consistency::enforce_consistency(&mut self.tree);
+        self.consistent = true;
+        self
+    }
+
     /// Whether constrained inference has been applied.
     #[must_use]
     pub fn is_consistent(&self) -> bool {

@@ -18,11 +18,12 @@
 use rand::RngCore;
 
 use ldp_freq_oracle::{AnyOracle, AnyReport, OracleError, PointOracle};
-use ldp_transforms::{CompleteTree, FlatTree};
+use ldp_transforms::CompleteTree;
 
 use crate::config::HhConfig;
 use crate::error::RangeError;
-use crate::hh::{consistency, HhEstimate};
+use crate::estimate::FrequencyEstimate;
+use crate::hh::HhEstimate;
 use crate::mergeable::subtract_levels;
 
 /// One user's split-budget report: a perturbed node vector for *every*
@@ -256,25 +257,20 @@ impl HhSplitServer {
     /// Reconstructs the (inconsistent) estimate tree.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        let mut tree = FlatTree::new(self.shape);
-        *tree.get_mut(0, 0) = 1.0;
-        for (i, oracle) in self.levels.iter().enumerate() {
-            tree.level_mut(i as u32 + 1)
-                .copy_from_slice(&oracle.estimate());
-        }
-        HhEstimate {
-            tree,
-            consistent: false,
-        }
+        HhEstimate::from_levels(self.shape, &self.levels)
     }
 
     /// Reconstructs the estimate tree with constrained inference.
     #[must_use]
     pub fn estimate_consistent(&self) -> HhEstimate {
-        let mut est = self.estimate();
-        consistency::enforce_consistency(&mut est.tree);
-        est.consistent = true;
-        est
+        self.estimate().into_consistent()
+    }
+
+    /// The per-item estimate a snapshot publishes: the leaves of the
+    /// constrained-inference tree, with prefix sums.
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate_consistent().to_frequency_estimate()
     }
 }
 

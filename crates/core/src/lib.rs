@@ -30,6 +30,8 @@ pub mod config;
 pub mod error;
 pub mod estimate;
 pub mod flat;
+#[cfg(test)]
+mod freeze_differential;
 pub mod haar;
 pub mod hh;
 pub mod mergeable;

@@ -22,6 +22,7 @@ use ldp_transforms::{decompose_range, CompleteTree};
 
 use crate::binomial_support::scatter_item_over_levels;
 use crate::error::RangeError;
+use crate::estimate::FrequencyEstimate;
 use crate::mergeable::subtract_levels;
 
 /// Configuration of the 2-D hierarchical mechanism over `[side]²`.
@@ -337,23 +338,45 @@ impl Hh2dServer {
         self.grids.iter().map(PointOracle::num_reports).sum()
     }
 
-    /// Reconstructs the per-grid estimates for rectangle evaluation.
+    /// Reconstructs the per-grid estimates for rectangle evaluation: each
+    /// grid oracle writes its fraction histogram straight into its span of
+    /// one buffer.
     #[must_use]
     pub fn estimate(&self) -> Hh2dEstimate {
+        let mut offsets = Vec::with_capacity(self.grids.len() + 1);
+        offsets.push(0);
+        for grid in &self.grids {
+            offsets.push(offsets[offsets.len() - 1] + grid.domain());
+        }
+        let mut cells = vec![0.0; offsets[self.grids.len()]];
+        for (grid, span) in self.grids.iter().zip(offsets.windows(2)) {
+            grid.estimate_into(&mut cells[span[0]..span[1]]);
+        }
         Hh2dEstimate {
             config: self.config.clone(),
             shape: self.shape,
-            grids: self.grids.iter().map(PointOracle::estimate).collect(),
+            cells,
+            offsets,
         }
+    }
+
+    /// The per-item estimate a snapshot publishes: the grid linearized
+    /// row-major, cell `(x, y)` as item `x · side + y`
+    /// ([`Hh2dEstimate::to_frequency_estimate`]).
+    #[must_use]
+    pub fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.estimate().to_frequency_estimate()
     }
 }
 
-/// Reconstructed 2-D estimates: one fraction histogram per sampled grid.
+/// Reconstructed 2-D estimates: one fraction histogram per sampled grid,
+/// grid `i` at `cells[offsets[i]..offsets[i + 1]]`.
 #[derive(Debug, Clone)]
 pub struct Hh2dEstimate {
     config: Hh2dConfig,
     shape: CompleteTree,
-    grids: Vec<Vec<f64>>,
+    cells: Vec<f64>,
+    offsets: Vec<usize>,
 }
 
 impl Hh2dEstimate {
@@ -380,11 +403,27 @@ impl Hh2dEstimate {
         for nx in &xs {
             for ny in &ys {
                 let cols = self.shape.nodes_at_depth(ny.depth);
-                let grid = &self.grids[self.config.pair_index(nx.depth, ny.depth)];
-                total += grid[nx.index * cols + ny.index];
+                let start = self.offsets[self.config.pair_index(nx.depth, ny.depth)];
+                total += self.cells[start + nx.index * cols + ny.index];
             }
         }
         total
+    }
+
+    /// Collapses to a 1-D frequency vector over the row-major cell order:
+    /// cell `(x, y)` becomes item `x · side + y` with the estimate
+    /// [`Hh2dEstimate::rectangle`] gives the single cell. Range and prefix
+    /// queries over it are rectangles only when they span whole rows.
+    #[must_use]
+    pub fn to_frequency_estimate(&self) -> FrequencyEstimate {
+        let side = self.side();
+        let mut freqs = Vec::with_capacity(side * side);
+        for x in 0..side {
+            for y in 0..side {
+                freqs.push(self.rectangle(x, x, y, y));
+            }
+        }
+        FrequencyEstimate::new(freqs)
     }
 }
 

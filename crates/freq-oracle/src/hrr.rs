@@ -263,17 +263,6 @@ impl Hrr {
         self.reports += total;
         Ok(())
     }
-
-    /// Estimated Hadamard coefficients `m̂_j ≈ Σ_z θ_z (−1)^{⟨z,j⟩}` of the
-    /// (possibly signed) frequency vector, before inversion.
-    #[must_use]
-    pub fn coefficient_estimates(&self) -> Vec<f64> {
-        if self.reports == 0 {
-            return vec![0.0; self.domain];
-        }
-        let scale = self.domain as f64 / (self.reports as f64 * (2.0 * self.p - 1.0));
-        self.sums.iter().map(|&s| s as f64 * scale).collect()
-    }
 }
 
 impl PointOracle for Hrr {
@@ -317,11 +306,21 @@ impl PointOracle for Hrr {
         self.reports
     }
 
-    fn estimate(&self) -> Vec<f64> {
-        let mut m = self.coefficient_estimates();
-        // θ = (1/D)·φ·m : invert the (unnormalized) Hadamard transform.
-        ldp_transforms::fwht_inverse(&mut m);
-        m
+    /// Scales each index's ±1 sum into the unbiased Hadamard coefficient
+    /// estimate `m̂_j ≈ Σ_z θ_z (−1)^{⟨z,j⟩}` of the (possibly signed)
+    /// frequency vector, written straight into `out`, then inverts the
+    /// transform there: `θ = (1/D)·φ·m`.
+    fn estimate_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.domain, "estimate buffer != domain");
+        if self.reports == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let scale = self.domain as f64 / (self.reports as f64 * (2.0 * self.p - 1.0));
+        for (o, &s) in out.iter_mut().zip(&self.sums) {
+            *o = s as f64 * scale;
+        }
+        ldp_transforms::fwht_inverse(out);
     }
 
     fn theoretical_variance(&self) -> f64 {

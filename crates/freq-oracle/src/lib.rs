@@ -281,12 +281,12 @@ impl PointOracle for AnyOracle {
         }
     }
 
-    fn estimate(&self) -> Vec<f64> {
+    fn estimate_into(&self, out: &mut [f64]) {
         match self {
-            Self::Oue(o) => o.estimate(),
-            Self::Olh(o) => o.estimate(),
-            Self::Hrr(o) => o.estimate(),
-            Self::Sue(o) => o.estimate(),
+            Self::Oue(o) => o.estimate_into(out),
+            Self::Olh(o) => o.estimate_into(out),
+            Self::Hrr(o) => o.estimate_into(out),
+            Self::Sue(o) => o.estimate_into(out),
         }
     }
 

@@ -250,17 +250,18 @@ impl PointOracle for Olh {
         self.reports
     }
 
-    fn estimate(&self) -> Vec<f64> {
+    fn estimate_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.domain, "estimate buffer != domain");
         if self.reports == 0 {
-            return vec![0.0; self.domain];
+            out.fill(0.0);
+            return;
         }
         let n = self.reports as f64;
         let inv_g = 1.0 / self.g as f64;
         let denom = self.grr.keep_prob() - inv_g;
-        self.support
-            .iter()
-            .map(|&s| (s as f64 / n - inv_g) / denom)
-            .collect()
+        for (o, &s) in out.iter_mut().zip(&self.support) {
+            *o = (s as f64 / n - inv_g) / denom;
+        }
     }
 
     fn theoretical_variance(&self) -> f64 {

@@ -14,8 +14,8 @@ use crate::{Epsilon, OracleError};
 ///   report. Nothing about other users is consulted, so calling it is
 ///   exactly what an end-user device would do.
 /// * **aggregator side** — [`PointOracle::absorb`] accumulates reports and
-///   [`PointOracle::estimate`] applies the mechanism's bias correction to
-///   produce unbiased frequency estimates `θ̂`.
+///   [`PointOracle::estimate_into`] applies the mechanism's bias correction
+///   to produce unbiased frequency estimates `θ̂`.
 ///
 /// For population-scale experiments, [`PointOracle::absorb_population`]
 /// draws the *aggregate* the server would have received from a cohort with
@@ -88,9 +88,24 @@ pub trait PointOracle {
     /// Number of reports absorbed so far.
     fn num_reports(&self) -> u64;
 
-    /// Unbiased estimates `θ̂[z]` of the fraction of users holding each
-    /// value. All-zero if no reports have been absorbed.
-    fn estimate(&self) -> Vec<f64>;
+    /// Writes the unbiased estimates `θ̂[z]` of the fraction of users
+    /// holding each value into `out[z]` — all-zero if no reports have been
+    /// absorbed. This is each oracle's one estimator body: it overwrites
+    /// every slot whatever `out` held before, so a caller may hand it a
+    /// level of a larger buffer (a tree, a pyramid, a grid) and skip both
+    /// the per-level allocation and the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == D`.
+    fn estimate_into(&self, out: &mut [f64]);
+
+    /// [`PointOracle::estimate_into`] into a freshly allocated vector.
+    fn estimate(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.domain()];
+        self.estimate_into(&mut out);
+        out
+    }
 
     /// The theoretical per-item estimator variance `VF` for the current
     /// number of absorbed reports (paper §3.2: `≈ 4e^ε / (N (e^ε − 1)^2)`

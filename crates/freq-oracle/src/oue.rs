@@ -257,8 +257,8 @@ impl PointOracle for Oue {
         self.state.reports()
     }
 
-    fn estimate(&self) -> Vec<f64> {
-        self.state.estimate((self.p, self.q))
+    fn estimate_into(&self, out: &mut [f64]) {
+        self.state.estimate_into((self.p, self.q), out);
     }
 
     fn theoretical_variance(&self) -> f64 {

@@ -372,18 +372,19 @@ impl UnaryCounts {
         Ok(())
     }
 
-    /// Unbiased frequency estimates `(c_j/N − q)/(p − q)`; all-zero before
-    /// any report.
-    pub(crate) fn estimate(&self, (p, q): (f64, f64)) -> Vec<f64> {
+    /// Writes the unbiased frequency estimates `(c_j/N − q)/(p − q)` into
+    /// `out`; all-zero before any report.
+    pub(crate) fn estimate_into(&self, (p, q): (f64, f64), out: &mut [f64]) {
         self.assert_settled();
+        assert_eq!(out.len(), self.counts.len(), "estimate buffer != domain");
         if self.reports == 0 {
-            return vec![0.0; self.counts.len()];
+            out.fill(0.0);
+            return;
         }
         let n = self.reports as f64;
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 / n - q) / (p - q))
-            .collect()
+        for (o, &c) in out.iter_mut().zip(&self.counts) {
+            *o = (c as f64 / n - q) / (p - q);
+        }
     }
 }
 

@@ -23,6 +23,11 @@ pub mod names {
     /// Histogram, ns: wall time of one published-snapshot refresh
     /// (merge + freeze + swap).
     pub const SERVICE_REFRESH_NS: &str = "service.refresh_ns";
+    /// Histogram, ns: wall time of one snapshot freeze (estimate,
+    /// constrained inference or pyramid collapse, prefix sums), recorded
+    /// only by refreshes that publish a new version — a clean refresh
+    /// freezes nothing and adds no sample.
+    pub const SERVICE_FREEZE_NS: &str = "service.freeze_ns";
     /// Counter, refreshes: snapshot refreshes completed.
     pub const SERVICE_REFRESHES: &str = "service.refreshes";
     /// Gauge, version: version stamp of the currently published snapshot.
@@ -152,6 +157,8 @@ impl ShardInstruments {
 pub struct ServiceInstruments {
     /// [`names::SERVICE_REFRESH_NS`].
     pub refresh_ns: Arc<Histo>,
+    /// [`names::SERVICE_FREEZE_NS`].
+    pub freeze_ns: Arc<Histo>,
     /// [`names::SERVICE_REFRESHES`].
     pub refreshes: Arc<Counter>,
     /// [`names::SERVICE_SNAPSHOT_VERSION`].
@@ -172,6 +179,7 @@ impl ServiceInstruments {
     pub fn register(registry: &MetricsRegistry) -> Self {
         Self {
             refresh_ns: registry.histo(names::SERVICE_REFRESH_NS),
+            freeze_ns: registry.histo(names::SERVICE_FREEZE_NS),
             refreshes: registry.counter(names::SERVICE_REFRESHES),
             snapshot_version: registry.gauge(names::SERVICE_SNAPSHOT_VERSION),
             refreshes_delta: registry.counter(names::SERVICE_REFRESHES_DELTA),

@@ -491,7 +491,11 @@ impl<S: SnapshotSource> LdpService<S> {
             self.snapshot()
         } else {
             let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
+            let frozen = self.obs.get().map(|obs| (obs, Instant::now()));
             let snap = Arc::new(RangeSnapshot::freeze(&state.merged, version));
+            if let Some((obs, frozen)) = frozen {
+                obs.service.freeze_ns.record_elapsed(frozen);
+            }
             *self
                 .published
                 .write()

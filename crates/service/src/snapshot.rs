@@ -11,6 +11,14 @@
 //! are cheap to share (`Arc`) and carry a monotonically increasing
 //! version plus the report count they reflect, so readers can reason
 //! about staleness.
+//!
+//! A freeze writes each stage's output once, in place: every level oracle
+//! estimates straight into its level of the tree, pyramid or grid
+//! (`PointOracle::estimate_into`), constrained inference runs a kernel
+//! instantiated for the tree's fanout, and the prefix sums fill a
+//! pre-sized buffer by index. `ldp_ranges`' freeze differential holds the
+//! result bit-identical to a reference that copies a fresh `Vec` per
+//! level, reads the fanout at run time and builds the prefix by `push`.
 
 use crate::error::ServiceError;
 use ldp_ranges::{
@@ -64,55 +72,33 @@ pub trait SnapshotSource: SubtractableServer {
     }
 }
 
-impl SnapshotSource for FlatServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate()
-    }
-}
-
-impl SnapshotSource for HhServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate_consistent().to_frequency_estimate()
-    }
-}
-
-impl SnapshotSource for HhSplitServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate_consistent().to_frequency_estimate()
-    }
-}
-
-impl SnapshotSource for HaarHrrServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate().to_frequency_estimate()
-    }
-}
-
-impl SnapshotSource for HaarOueServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate().to_frequency_estimate()
-    }
-}
-
-/// The 2-D mechanism linearized: cell `(x, y)` of the `side × side` grid
-/// becomes flattened item `x · side + y` (x-major), so the snapshot's
-/// range/prefix queries run over the row-major cell order. Native
-/// axis-aligned rectangle queries stay on [`Hh2dServer::estimate`]; this
-/// impl is what lets the 2-D mechanism ride the generic service and
-/// network stack (`LdpService`, `LdpServer`) beside the 1-D mechanisms.
-impl SnapshotSource for Hh2dServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        let est = self.estimate();
-        let side = est.side();
-        let mut freqs = Vec::with_capacity(side * side);
-        for x in 0..side {
-            for y in 0..side {
-                freqs.push(est.rectangle(x, x, y, y));
+/// Each mechanism publishes what its server names as its best estimate
+/// (`frequency_estimate` in `ldp_ranges`): the leaves of the
+/// constrained-inference tree for the hierarchical families, the collapsed
+/// pyramid for Haar, the oracle's own estimate for the flat mechanism, and
+/// for the 2-D mechanism the grid linearized row-major — cell `(x, y)`
+/// becomes item `x · side + y`, so range/prefix queries run over the
+/// row-major cell order. Native axis-aligned rectangle queries stay on
+/// [`Hh2dServer::estimate`]; the 2-D impl is what lets that mechanism ride
+/// the generic service and network stack beside the 1-D ones.
+macro_rules! snapshot_sources {
+    ($($server:ty),+) => {$(
+        impl SnapshotSource for $server {
+            fn frequency_estimate(&self) -> FrequencyEstimate {
+                <$server>::frequency_estimate(self)
             }
         }
-        FrequencyEstimate::new(freqs)
-    }
+    )+};
 }
+
+snapshot_sources!(
+    FlatServer,
+    HhServer,
+    HhSplitServer,
+    HaarHrrServer,
+    HaarOueServer,
+    Hh2dServer
+);
 
 /// An immutable, query-ready freeze of merged aggregator state.
 #[derive(Debug, Clone)]

@@ -259,6 +259,50 @@ fn stream_of(client: &HhClient, seed: u64, frames: usize) -> EncodedStream {
     stream
 }
 
+/// `service.freeze_ns` counts freezes, not refreshes: a refresh that
+/// publishes a new version adds exactly one sample, and a clean refresh
+/// (nothing absorbed since) adds none while `service.refresh_ns` still
+/// counts it.
+#[test]
+fn freeze_histogram_samples_only_publishing_refreshes() {
+    let (client, prototype) = hh_parts();
+    let service = LdpService::new(&prototype, 2).unwrap();
+    let registry = MetricsRegistry::new();
+    assert!(service.attach_metrics(&registry));
+    let counts = || {
+        let snapshot = registry.snapshot();
+        let count = |name| snapshot.histo(name).map_or(0, |h| h.count());
+        (
+            count(names::SERVICE_FREEZE_NS),
+            count(names::SERVICE_REFRESH_NS),
+        )
+    };
+    let mut rng = StdRng::seed_from_u64(9050);
+
+    let mut version = service.snapshot().version();
+    for round in 1..=3u64 {
+        for i in 0..20 {
+            service
+                .submit(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+        let dirty = service.refresh_snapshot().unwrap();
+        assert!(
+            dirty.version() > version,
+            "round {round}: dirty refresh publishes"
+        );
+        version = dirty.version();
+        assert_eq!(counts(), (round, 2 * round - 1), "round {round}: dirty");
+
+        let clean = service.refresh_snapshot().unwrap();
+        assert!(
+            Arc::ptr_eq(&dirty, &clean),
+            "round {round}: clean refresh republished"
+        );
+        assert_eq!(counts(), (round, 2 * round), "round {round}: clean");
+    }
+}
+
 /// Four concurrent socket writers: the drained stats, the registry's
 /// net/shard counters, and the backend's report count all agree exactly
 /// on the acked total — one accounting path, no lost updates.

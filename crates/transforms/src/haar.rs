@@ -167,19 +167,32 @@ pub fn haar_inverse_scalar(c: &[f64]) -> Vec<f64> {
 
 /// Unnormalized Haar sum/difference pyramid over a power-of-two domain.
 ///
-/// `diffs[d][t]` holds `d_u = Σ(left subtree) − Σ(right subtree)` for the
-/// internal node at depth `d ∈ [0, h)` and index `t ∈ [0, 2^d)`; `total`
-/// holds `Σ x`. This is the natural state of the `HaarHRR` aggregator: the
-/// LDP protocol produces one unbiased `d_u` estimate per node, and the
-/// hardcoded 0-th coefficient provides `total`.
+/// For the internal node at depth `d ∈ [0, h)` and index `t ∈ [0, 2^d)`
+/// it holds `d_u = Σ(left subtree) − Σ(right subtree)`, and `total` holds
+/// `Σ x`. This is the natural state of the `HaarHRR` aggregator: the LDP
+/// protocol produces one unbiased `d_u` estimate per node, and the
+/// hardcoded 0-th coefficient provides `total`. The differences live in
+/// one depth-major buffer of `D − 1` slots (depth `d` at offset `2^d − 1`,
+/// as [`crate::FlatTree`] lays out its levels), so an aggregator fills
+/// each depth in place through [`HaarPyramid::diffs_mut`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HaarPyramid {
     height: u32,
     total: f64,
-    diffs: Vec<Vec<f64>>,
+    diffs: Vec<f64>,
 }
 
 impl HaarPyramid {
+    /// A pyramid of height `h` with the given total and every difference
+    /// zero, ready to be filled depth by depth.
+    pub fn new(height: u32, total: f64) -> Self {
+        Self {
+            height,
+            total,
+            diffs: vec![0.0; (1usize << height) - 1],
+        }
+    }
+
     /// Builds the exact pyramid of a length-`2^h` leaf vector in `O(D)`.
     ///
     /// # Panics
@@ -191,20 +204,19 @@ impl HaarPyramid {
             n.is_power_of_two(),
             "HaarPyramid requires a power-of-two length, got {n}"
         );
-        let height = n.trailing_zeros();
-        let mut diffs: Vec<Vec<f64>> = (0..height).map(|d| vec![0.0; 1 << d]).collect();
+        let mut pyramid = Self::new(n.trailing_zeros(), 0.0);
         // Ping-pong buffers (see [`haar_forward`]): each level reads
         // disjoint pairs and writes straight-line sum/diff streams, which
         // vectorizes; the arithmetic per node is unchanged, so the
         // pyramid is bit-identical to [`HaarPyramid::from_leaves_scalar`].
         let mut cur = x.to_vec();
         let mut next = vec![0.0; n / 2];
-        for d in (0..height).rev() {
+        for d in (0..pyramid.height).rev() {
             let width = 1usize << d;
             for ((pair, sum), diff) in cur[..2 * width]
                 .chunks_exact(2)
                 .zip(next[..width].iter_mut())
-                .zip(diffs[d as usize].iter_mut())
+                .zip(pyramid.diffs_mut(d).iter_mut())
             {
                 let (l, r) = (pair[0], pair[1]);
                 *diff = l - r;
@@ -212,11 +224,8 @@ impl HaarPyramid {
             }
             std::mem::swap(&mut cur, &mut next);
         }
-        Self {
-            height,
-            total: cur[0],
-            diffs,
-        }
+        pyramid.total = cur[0];
+        pyramid
     }
 
     /// The in-place reference implementation of
@@ -232,28 +241,23 @@ impl HaarPyramid {
             n.is_power_of_two(),
             "HaarPyramid requires a power-of-two length, got {n}"
         );
-        let height = n.trailing_zeros();
-        let mut diffs: Vec<Vec<f64>> = (0..height).map(|d| vec![0.0; 1 << d]).collect();
+        let mut pyramid = Self::new(n.trailing_zeros(), 0.0);
         let mut sums = x.to_vec();
-        for d in (0..height).rev() {
+        for d in (0..pyramid.height).rev() {
             let width = 1usize << d;
             for t in 0..width {
                 let l = sums[2 * t];
                 let r = sums[2 * t + 1];
-                diffs[d as usize][t] = l - r;
+                *pyramid.diff_mut(d, t) = l - r;
                 sums[t] = l + r;
             }
         }
-        Self {
-            height,
-            total: sums[0],
-            diffs,
-        }
+        pyramid.total = sums[0];
+        pyramid
     }
 
-    /// Assembles a pyramid from externally estimated parts (the aggregator
-    /// path: `total` from the hardcoded coefficient, `diffs` from noisy
-    /// reports).
+    /// Assembles a pyramid from externally estimated parts (`total` from
+    /// the hardcoded coefficient, `diffs[d]` the depth-`d` differences).
     ///
     /// # Panics
     ///
@@ -264,14 +268,27 @@ impl HaarPyramid {
             height as usize,
             "need one diff level per tree depth"
         );
-        for (d, level) in diffs.iter().enumerate() {
+        let mut pyramid = Self::new(height, total);
+        for (d, level) in (0..height).zip(&diffs) {
             assert_eq!(level.len(), 1 << d, "level {d} must have 2^{d} nodes");
+            pyramid.diffs_mut(d).copy_from_slice(level);
         }
-        Self {
-            height,
-            total,
-            diffs,
-        }
+        pyramid
+    }
+
+    /// The differences of every internal node at one depth, left to right.
+    #[inline]
+    pub fn diffs(&self, depth: u32) -> &[f64] {
+        let width = 1usize << depth;
+        &self.diffs[width - 1..2 * width - 1]
+    }
+
+    /// Mutable view of one depth's differences, for the aggregator to
+    /// write its estimates into.
+    #[inline]
+    pub fn diffs_mut(&mut self, depth: u32) -> &mut [f64] {
+        let width = 1usize << depth;
+        &mut self.diffs[width - 1..2 * width - 1]
     }
 
     /// Domain size `D = 2^h`.
@@ -301,13 +318,13 @@ impl HaarPyramid {
     /// Difference value of the internal node at `depth` and index `t`.
     #[inline]
     pub fn diff(&self, depth: u32, t: usize) -> f64 {
-        self.diffs[depth as usize][t]
+        self.diffs(depth)[t]
     }
 
     /// Mutable access for the aggregator while it fills in estimates.
     #[inline]
     pub fn diff_mut(&mut self, depth: u32, t: usize) -> &mut f64 {
-        &mut self.diffs[depth as usize][t]
+        &mut self.diffs_mut(depth)[t]
     }
 
     /// Reconstructs a single leaf value in `O(log D)`.
@@ -316,7 +333,7 @@ impl HaarPyramid {
         let mut s = self.total;
         let mut t = 0usize;
         for d in 0..self.height {
-            let d_u = self.diffs[d as usize][t];
+            let d_u = self.diff(d, t);
             let bit = (i >> (self.height - 1 - d)) & 1;
             s = if bit == 0 {
                 (s + d_u) / 2.0
@@ -341,7 +358,7 @@ impl HaarPyramid {
             for ((pair, &s), &d_u) in next[..2 * width]
                 .chunks_exact_mut(2)
                 .zip(cur[..width].iter())
-                .zip(self.diffs[d as usize].iter())
+                .zip(self.diffs(d).iter())
             {
                 pair[0] = (s + d_u) / 2.0;
                 pair[1] = (s - d_u) / 2.0;
@@ -363,7 +380,7 @@ impl HaarPyramid {
         for d in 0..self.height {
             for t in (0..width).rev() {
                 let s = sums[t];
-                let d_u = self.diffs[d as usize][t];
+                let d_u = self.diff(d, t);
                 sums[2 * t] = (s + d_u) / 2.0;
                 sums[2 * t + 1] = (s - d_u) / 2.0;
             }
@@ -400,7 +417,7 @@ impl HaarPyramid {
         if qa == lo && qb == hi {
             return node_sum;
         }
-        let d_u = self.diffs[depth as usize][t];
+        let d_u = self.diff(depth, t);
         let left = (node_sum + d_u) / 2.0;
         let right = (node_sum - d_u) / 2.0;
         self.range_rec(depth + 1, 2 * t, left, a, b)
