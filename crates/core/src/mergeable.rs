@@ -121,6 +121,13 @@ pub trait SubtractableServer: MergeableServer {
     /// Rejects accumulators built from a different configuration, and
     /// state that was detectably never merged into this one.
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError>;
+
+    /// Resets this accumulator in place to the additive identity — the
+    /// state a freshly built server of the same configuration holds —
+    /// with no allocation, so `clear` then `merge(b)` holds exactly `b`.
+    /// This is how a sharded service drains a shard into its accumulator:
+    /// one merge pass and one zeroing pass, no copy.
+    fn clear(&mut self);
 }
 
 /// Subtracts `theirs` from `mine` level by level, in place and
@@ -147,6 +154,10 @@ pub(crate) fn subtract_levels<O>(
 
 fn settle_all<O: PointOracle>(oracles: &mut [O]) {
     oracles.iter_mut().for_each(PointOracle::settle);
+}
+
+fn clear_all<O: PointOracle>(oracles: &mut [O]) {
+    oracles.iter_mut().for_each(PointOracle::clear);
 }
 
 impl MergeableServer for FlatServer {
@@ -289,11 +300,19 @@ impl SubtractableServer for FlatServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         FlatServer::subtract(self, other)
     }
+
+    fn clear(&mut self) {
+        self.oracle_mut().clear();
+    }
 }
 
 impl SubtractableServer for HhServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         HhServer::subtract(self, other)
+    }
+
+    fn clear(&mut self) {
+        clear_all(self.oracles_mut());
     }
 }
 
@@ -301,11 +320,19 @@ impl SubtractableServer for HhSplitServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         HhSplitServer::subtract(self, other)
     }
+
+    fn clear(&mut self) {
+        clear_all(self.oracles_mut());
+    }
 }
 
 impl SubtractableServer for HaarHrrServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         HaarHrrServer::subtract(self, other)
+    }
+
+    fn clear(&mut self) {
+        clear_all(self.oracles_mut());
     }
 }
 
@@ -313,11 +340,19 @@ impl SubtractableServer for HaarOueServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         HaarOueServer::subtract(self, other)
     }
+
+    fn clear(&mut self) {
+        clear_all(self.oracles_mut());
+    }
 }
 
 impl SubtractableServer for Hh2dServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         Hh2dServer::subtract(self, other)
+    }
+
+    fn clear(&mut self) {
+        clear_all(self.oracles_mut());
     }
 }
 

@@ -306,6 +306,11 @@ impl PointOracle for Hrr {
         self.reports
     }
 
+    fn clear(&mut self) {
+        self.sums.fill(0);
+        self.reports = 0;
+    }
+
     /// Scales each index's ±1 sum into the unbiased Hadamard coefficient
     /// estimate `m̂_j ≈ Σ_z θ_z (−1)^{⟨z,j⟩}` of the (possibly signed)
     /// frequency vector, written straight into `out`, then inverts the

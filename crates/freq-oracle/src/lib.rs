@@ -281,6 +281,15 @@ impl PointOracle for AnyOracle {
         }
     }
 
+    fn clear(&mut self) {
+        match self {
+            Self::Oue(o) => o.clear(),
+            Self::Olh(o) => o.clear(),
+            Self::Hrr(o) => o.clear(),
+            Self::Sue(o) => o.clear(),
+        }
+    }
+
     fn estimate_into(&self, out: &mut [f64]) {
         match self {
             Self::Oue(o) => o.estimate_into(out),

@@ -250,6 +250,11 @@ impl PointOracle for Olh {
         self.reports
     }
 
+    fn clear(&mut self) {
+        self.support.fill(0);
+        self.reports = 0;
+    }
+
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
         if self.reports == 0 {

@@ -88,6 +88,12 @@ pub trait PointOracle {
     /// Number of reports absorbed so far.
     fn num_reports(&self) -> u64;
 
+    /// Resets the accumulated statistics in place to the additive
+    /// identity — exactly what a freshly built oracle of the same
+    /// configuration holds — without reallocating. Pending reports are
+    /// dropped with the rest.
+    fn clear(&mut self);
+
     /// Writes the unbiased estimates `θ̂[z]` of the fraction of users
     /// holding each value into `out[z]` — all-zero if no reports have been
     /// absorbed. This is each oracle's one estimator body: it overwrites

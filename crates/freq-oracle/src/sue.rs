@@ -190,6 +190,10 @@ impl PointOracle for Sue {
         self.state.reports()
     }
 
+    fn clear(&mut self) {
+        self.state.clear();
+    }
+
     fn estimate_into(&self, out: &mut [f64]) {
         self.state.estimate_into((self.p, self.q), out);
     }

@@ -320,6 +320,15 @@ impl UnaryCounts {
         Ok(())
     }
 
+    /// Resets to the empty accumulator in place: counts zeroed, nothing
+    /// pending, no allocation (the plane buffer keeps its capacity).
+    pub(crate) fn clear(&mut self) {
+        self.counts.fill(0);
+        self.reports = 0;
+        self.planes.clear();
+        self.pending = 0;
+    }
+
     /// Adds another settled accumulator of the same domain.
     pub(crate) fn merge(&mut self, other: &Self) {
         self.assert_settled();

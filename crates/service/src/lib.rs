@@ -19,9 +19,9 @@
 //!                     │ shard 0   shard 1  …  shard k│   bytes into the next
 //!                     │ (absorb)  (absorb)    (absorb)│   shard, in place,
 //!                     └──────────────┬───────────────┘   all-or-nothing
-//!                                    │ merge (exact: integer
-//!                                    ▼        sufficient statistics)
-//!                             merged server
+//!                                    │ drain: merge each dirty shard in,
+//!                                    ▼ clear it (exact: integer sums)
+//!                              accumulator
 //!                                    │ freeze (CI / pyramid collapse,
 //!                                    ▼         prefix sums)
 //!                             RangeSnapshot (Arc, versioned)
@@ -129,7 +129,7 @@
 //! }
 //! assert_eq!(service.num_reports(), 20_000);
 //!
-//! // 3. Publish a snapshot (exact shard merge, then estimation) and
+//! // 3. Publish a snapshot (drain the shards, then estimation) and
 //! //    serve queries from it, lock-free.
 //! let snap = service.refresh_snapshot().unwrap();
 //! assert!((snap.range(0, 255) - 1.0).abs() < 0.1);

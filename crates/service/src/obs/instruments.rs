@@ -21,7 +21,7 @@ pub mod names {
     pub const SHARD_FRAMES_REJECTED: &str = "shard.frames_rejected";
 
     /// Histogram, ns: wall time of one published-snapshot refresh
-    /// (merge + freeze + swap).
+    /// (drain + freeze + swap).
     pub const SERVICE_REFRESH_NS: &str = "service.refresh_ns";
     /// Histogram, ns: wall time of one snapshot freeze (estimate,
     /// constrained inference or pyramid collapse, prefix sums), recorded
@@ -32,21 +32,18 @@ pub mod names {
     pub const SERVICE_REFRESHES: &str = "service.refreshes";
     /// Gauge, version: version stamp of the currently published snapshot.
     pub const SERVICE_SNAPSHOT_VERSION: &str = "service.snapshot_version";
-    /// Counter, refreshes: refreshes served by the delta path (only
-    /// shards that absorbed since the last freeze were re-cloned and
-    /// swapped into the retained merge).
-    pub const SERVICE_REFRESHES_DELTA: &str = "service.refreshes_delta";
-    /// Counter, refreshes: refreshes that rebuilt the merge from scratch
-    /// (the first refresh, the refresh after an epoch seal, or any
-    /// refresh with the delta path disabled).
-    pub const SERVICE_REFRESHES_FULL: &str = "service.refreshes_full";
-    /// Counter, shards: unchanged shards a delta refresh reused without
-    /// cloning or merging.
-    pub const SERVICE_REFRESH_SHARDS_REUSED: &str = "service.refresh_shards_reused";
-    /// Counter, refreshes: delta refreshes that found every shard
-    /// unchanged and returned the already-published snapshot without
-    /// estimating (a subset of [`SERVICE_REFRESHES_DELTA`]; over
-    /// [`SERVICE_REFRESHES`] it is the hit rate of unchanged queries).
+    /// Histogram, ns: wall time of one refresh's drain (every shard
+    /// holding reports merged into the accumulator and cleared), recorded
+    /// only by refreshes that publish a new version, like
+    /// [`SERVICE_FREEZE_NS`].
+    pub const SERVICE_DRAIN_NS: &str = "service.drain_ns";
+    /// Counter, shards: shards refreshes drained into the accumulator
+    /// (shards holding no reports are skipped and not counted).
+    pub const SERVICE_REFRESH_SHARDS_DRAINED: &str = "service.refresh_shards_drained";
+    /// Counter, refreshes: refreshes that found nothing drained since the
+    /// published freeze and returned the already-published snapshot
+    /// without estimating (over [`SERVICE_REFRESHES`] it is the hit rate
+    /// of unchanged queries).
     pub const SERVICE_REFRESHES_CLEAN: &str = "service.refreshes_clean";
 
     /// Histogram, ns: wall time of one lockstep epoch seal across all
@@ -57,7 +54,8 @@ pub mod names {
     /// Histogram, ns: wall time of one ring rotation's exact subtract of
     /// the retired epoch.
     pub const WINDOW_ROTATE_NS: &str = "window.rotate_ns";
-    /// Counter, epochs: epochs retired out of the ring (per shard ring).
+    /// Counter, epochs: epochs retired out of the service's accumulator
+    /// ring (shard rings hold no sealed data and are not instrumented).
     pub const WINDOW_ROTATIONS: &str = "window.rotations";
 
     /// Counter, sessions: sessions accepted off the listener.
@@ -163,12 +161,10 @@ pub struct ServiceInstruments {
     pub refreshes: Arc<Counter>,
     /// [`names::SERVICE_SNAPSHOT_VERSION`].
     pub snapshot_version: Arc<Gauge>,
-    /// [`names::SERVICE_REFRESHES_DELTA`].
-    pub refreshes_delta: Arc<Counter>,
-    /// [`names::SERVICE_REFRESHES_FULL`].
-    pub refreshes_full: Arc<Counter>,
-    /// [`names::SERVICE_REFRESH_SHARDS_REUSED`].
-    pub refresh_shards_reused: Arc<Counter>,
+    /// [`names::SERVICE_DRAIN_NS`].
+    pub drain_ns: Arc<Histo>,
+    /// [`names::SERVICE_REFRESH_SHARDS_DRAINED`].
+    pub refresh_shards_drained: Arc<Counter>,
     /// [`names::SERVICE_REFRESHES_CLEAN`].
     pub refreshes_clean: Arc<Counter>,
 }
@@ -182,9 +178,8 @@ impl ServiceInstruments {
             freeze_ns: registry.histo(names::SERVICE_FREEZE_NS),
             refreshes: registry.counter(names::SERVICE_REFRESHES),
             snapshot_version: registry.gauge(names::SERVICE_SNAPSHOT_VERSION),
-            refreshes_delta: registry.counter(names::SERVICE_REFRESHES_DELTA),
-            refreshes_full: registry.counter(names::SERVICE_REFRESHES_FULL),
-            refresh_shards_reused: registry.counter(names::SERVICE_REFRESH_SHARDS_REUSED),
+            drain_ns: registry.histo(names::SERVICE_DRAIN_NS),
+            refresh_shards_drained: registry.counter(names::SERVICE_REFRESH_SHARDS_DRAINED),
             refreshes_clean: registry.counter(names::SERVICE_REFRESHES_CLEAN),
         }
     }

@@ -18,18 +18,18 @@
 //! * **Query serving** — readers never touch shard state. They clone an
 //!   `Arc` to the latest published [`RangeSnapshot`] and answer queries
 //!   lock-free against that immutable freeze.
-//! * **Publication** — [`LdpService::refresh_snapshot`] locks shards one
-//!   at a time (briefly, to clone), merges the clones, runs the expensive
-//!   estimation *outside* any shard lock, and atomically swaps the
-//!   published snapshot with a bumped version. Refreshes are *delta*
-//!   refreshes: the service retains the merged accumulator between
-//!   refreshes and re-clones only shards that absorbed since the last
-//!   freeze, swapping each one's previous contribution out by exact
-//!   subtraction — bit-identical to the from-scratch clone-and-merge
-//!   (integer sufficient statistics), at a cost proportional to the
-//!   shards that actually changed. A refresh that finds *no* shard
-//!   changed re-estimates nothing: it returns the already-published
-//!   `Arc` and the version stays put.
+//! * **Publication** — the service's state is one *accumulator*, and
+//!   each shard holds only its undrained delta: what it absorbed since it
+//!   was last drained. [`LdpService::refresh_snapshot`] drains every
+//!   shard that holds reports — under that shard's lock, the accumulator
+//!   merges it and the shard is cleared in place
+//!   ([`SubtractableServer::clear`]), one read pass and one zeroing pass —
+//!   then runs the expensive estimation *outside* any shard lock and
+//!   atomically swaps the published snapshot with a bumped version.
+//!   Integer sufficient statistics make the accumulator bit-identical to
+//!   one server absorbing every report. A refresh when nothing was
+//!   drained since the published freeze re-estimates nothing: it returns
+//!   the already-published `Arc` and the version stays put.
 //!
 //! Queries therefore keep answering — at a bounded staleness — while
 //! ingestion continues, which is the contract industry aggregation
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use ldp_ranges::{PersistableServer, SubtractableServer};
+use ldp_ranges::{MergeableServer, PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
@@ -56,24 +56,18 @@ struct ServiceObs {
     service: ServiceInstruments,
 }
 
-/// State carried from one snapshot refresh to the next so a refresh can
-/// merge *deltas* instead of re-merging every shard from scratch:
-/// `merged` always equals the merge of `retained`, and `seen[k]` is the
-/// value shard `k`'s dirty counter had when `retained[k]` was cloned.
-struct RefreshState<S> {
-    merged: S,
-    retained: Vec<S>,
-    seen: Vec<u64>,
-}
-
-/// What the refresh mutex guards: the retained delta-refresh state and,
-/// on a windowed service, the frozen trailing windows.
+/// What the refresh mutex guards: the accumulator and, on a windowed
+/// service, the frozen trailing windows.
 struct Publication<S> {
-    /// `None` until the first refresh, and reset by structural changes
-    /// (epoch seals).
-    delta: Option<RefreshState<S>>,
+    /// Everything drained out of the shards so far — with the shards'
+    /// undrained deltas, the service's whole state. On a windowed service
+    /// it alone holds sealed epochs: a seal drains every shard first.
+    acc: S,
+    /// Whether `acc` changed (a drain, by whoever ran it, or a seal)
+    /// since the published snapshot was frozen from it.
+    stale: bool,
     /// Frozen trailing windows keyed by the number of sealed epochs they
-    /// cover — clamped to what the rings retain, so never more than
+    /// cover — clamped to what the accumulator ring retains, so never more than
     /// `window_len` entries whatever `k` a query names. Sealed epochs are
     /// immutable, so an entry stays exact until the next seal, which
     /// clears the map.
@@ -85,18 +79,19 @@ struct Publication<S> {
 
 /// A sharded LDP aggregation service with snapshot-isolated reads.
 pub struct LdpService<S: SnapshotSource> {
+    /// Each shard holds what it absorbed since its last drain.
     shards: Vec<Mutex<S>>,
-    /// Per-shard mutation counters, bumped under the shard lock on every
-    /// committed state change; a delta refresh skips any shard whose
-    /// counter has not moved since its retained clone was taken.
-    dirty: Vec<AtomicU64>,
+    /// `acc.num_reports()`, stored by every drain under the drained
+    /// shard's lock, so [`LdpService::num_reports`] reads it without
+    /// waiting on the refresh guard. `Relaxed` suffices: it publishes no
+    /// other data, and the shard mutexes order it against shard counts.
+    acc_reports: AtomicU64,
     next_shard: AtomicUsize,
     published: RwLock<Arc<RangeSnapshot>>,
-    version: AtomicU64,
-    /// Serializes refreshes end to end (clone → estimate → publish) so a
-    /// slow refresher can never overwrite a newer snapshot with staler
-    /// data, and holds the state refreshes and windowed queries carry
-    /// between calls; readers stay lock-free on `published`.
+    /// Serializes drains and refreshes end to end (drain → estimate →
+    /// publish) so a slow refresher can never overwrite a newer snapshot
+    /// with staler data, and holds the accumulator; readers stay
+    /// lock-free on `published`.
     refresh: Mutex<Publication<S>>,
     /// Telemetry handles, attached at most once
     /// ([`LdpService::attach_metrics`]); unattached, every hot path pays
@@ -136,20 +131,19 @@ fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// ([`ldp_ranges::MergeableServer::settle`]) on both outcomes. On `Ok`
 /// nothing else happens — the happy path does no O(state) work. On `Err`
 /// the absorbed prefix is rolled back by exact subtraction: an aligned
-/// zero
-/// (`shard − shard`, which keeps an [`EpochRing`]'s epoch layout)
-/// replays the batch — failing at the same frame, since decoding and
-/// every `absorb` check depend on the bytes and the configuration, never
-/// on the counts — and is subtracted back out of the shard. Because
-/// `run` settles before it returns, the rollback's clone, replay and
-/// subtractions all see settled state. Integer sufficient statistics make
-/// that the bit-identical inverse, so the shard is left exactly as it was
-/// found and `run`'s error is returned.
+/// zero (`shard` cloned and cleared, which keeps an [`EpochRing`]'s
+/// epoch layout) replays the batch — failing at the same frame, since
+/// decoding and every `absorb` check depend on the bytes and the
+/// configuration, never on the counts — and is subtracted back out of
+/// the shard. Because `run` settles before it returns, the rollback's
+/// clone, replay and subtraction all see settled state. Integer
+/// sufficient statistics make that the bit-identical inverse, so the
+/// shard is left exactly as it was found and `run`'s error is returned.
 ///
-/// The rollback always pays its two O(state) copies, even when the batch
-/// failed at frame 0 and nothing was absorbed: rolling back an empty
-/// prefix is exact, and only the offending client pays for it, so there
-/// is deliberately no second exit for that case.
+/// The rollback always pays its clone, clear and subtraction, even when
+/// the batch failed at frame 0 and nothing was absorbed: rolling back an
+/// empty prefix is exact, and only the offending client pays for it, so
+/// there is deliberately no second exit for that case.
 ///
 /// The caller holds whatever lock guards `shard` across the call, so no
 /// reader observes the prefix.
@@ -169,7 +163,7 @@ fn absorb_all_or_nothing<S: SubtractableServer, T>(
         Err(e) => e,
     };
     let mut prefix = shard.clone();
-    prefix.subtract(shard)?;
+    prefix.clear();
     // The replay's outcome is the rejection already in hand.
     let _ = run(&mut prefix);
     shard.subtract(&prefix)?;
@@ -236,18 +230,17 @@ impl<S: SnapshotSource> LdpService<S> {
         Self::with_recovered(prototype.clone(), prototype, num_shards)
     }
 
-    /// Builds the service with shard 0 seeded from `recovered` state and
-    /// the remaining `num_shards - 1` shards cloned from `empty` — how
-    /// the durable storage layer ([`crate::storage::DurableService`])
-    /// reopens a service after crash recovery. Because merging is exact,
-    /// concentrating the recovered state in one shard leaves every merged
-    /// view (snapshots, `num_reports`) bit-identical to the pre-crash
-    /// distribution across shards. The initial published snapshot
-    /// (version 0) freezes the recovered state.
+    /// Builds the service around `recovered` state as its accumulator,
+    /// with `num_shards` shards cloned from `empty` — how the durable
+    /// storage layer ([`crate::storage::DurableService`]) reopens a
+    /// service after crash recovery. Because merging is exact, every
+    /// merged view (snapshots, `num_reports`) is bit-identical to the
+    /// pre-crash one. The initial published snapshot (version 0) freezes
+    /// the recovered state.
     ///
     /// For windowed backends `empty` must be epoch-aligned with
-    /// `recovered` (see [`EpochRing::aligned_empty`]), or shard merging
-    /// will reject the misalignment.
+    /// `recovered` (see [`EpochRing::aligned_empty`]), or draining a
+    /// shard will reject the misalignment.
     ///
     /// # Errors
     ///
@@ -261,17 +254,14 @@ impl<S: SnapshotSource> LdpService<S> {
             return Err(ServiceError::NoShards);
         }
         let initial = Arc::new(RangeSnapshot::freeze(&recovered, 0));
-        let mut shards = Vec::with_capacity(num_shards);
-        shards.push(Mutex::new(recovered));
-        shards.extend((1..num_shards).map(|_| Mutex::new(empty.clone())));
         Ok(Self {
-            shards,
-            dirty: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
+            shards: (0..num_shards).map(|_| Mutex::new(empty.clone())).collect(),
+            acc_reports: AtomicU64::new(recovered.num_reports()),
             next_shard: AtomicUsize::new(0),
             published: RwLock::new(initial),
-            version: AtomicU64::new(0),
             refresh: Mutex::new(Publication {
-                delta: None,
+                acc: recovered,
+                stale: false,
                 windows: BTreeMap::new(),
                 seals: 0,
             }),
@@ -345,18 +335,14 @@ impl<S: SnapshotSource> LdpService<S> {
         result
     }
 
-    /// Locks the next round-robin shard and runs one state change against
-    /// it; a committed change marks the shard dirty, a refused one does
-    /// not (the shard is bit-identical to what the last refresh saw).
+    /// Locks the next round-robin shard and runs one state change
+    /// against it.
     fn on_next_shard<T>(
         &self,
         change: impl FnOnce(&mut S) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
         let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let done = change(&mut shard)?;
-        self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        Ok(done)
+        change(&mut *lock(&self.shards[k], "shard")?)
     }
 
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
@@ -416,14 +402,17 @@ impl<S: SnapshotSource> LdpService<S> {
         result
     }
 
-    /// Total reports across all shards right now (racy by nature while
-    /// writers are active; exact when quiesced).
+    /// Total reports in the service right now: the accumulator plus every
+    /// shard's undrained delta (racy by nature while writers are active;
+    /// exact when quiesced). Every shard lock is held at once, taken in
+    /// index order, while the accumulator total is read: a drain moves a
+    /// shard's reports into that total under the shard's lock, so no
+    /// drained batch is counted twice or missed.
     #[must_use]
     pub fn num_reports(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock_infallible(s).num_reports())
-            .sum()
+        let shards: Vec<_> = self.shards.iter().map(lock_infallible).collect();
+        shards.iter().map(|s| s.num_reports()).sum::<u64>()
+            + self.acc_reports.load(Ordering::Relaxed)
     }
 
     /// The most recently published snapshot (lock-free once cloned).
@@ -440,81 +429,60 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// Brings the published snapshot up to date with current shard state
-    /// and returns it. Shards are locked one at a time only long enough
-    /// to clone (or, on the delta path, to read one counter); estimation
-    /// runs with no shard lock held.
-    ///
-    /// Refreshes after the first take the **delta path**: the previous
-    /// refresh's merged accumulator is retained, and only shards whose
-    /// dirty counter moved since their last clone are re-cloned — each
-    /// one's previous contribution is subtracted out and the fresh clone
-    /// merged in. Integer sufficient statistics make subtract the exact
-    /// inverse of merge and both order-insensitive, so the published
-    /// snapshot is bit-identical to a from-scratch clone-and-merge (the
+    /// and returns it. Every shard holding reports is drained into the
+    /// accumulator under its own lock ([`SubtractableServer::clear`]
+    /// after the merge); estimation runs with no shard lock held.
+    /// Integer sufficient statistics make the accumulator bit-identical
+    /// to one server absorbing every report in order (the
     /// `delta_refresh` proptest pins this for all six mechanisms against
-    /// [`LdpService::merged_state`], which shares no state with the
-    /// retained accumulator).
-    /// Structural changes (epoch seals) reset the retained state, forcing
-    /// the next refresh through the full rebuild.
+    /// such a one-shard reference).
     ///
     /// **Version contract.** The version increases iff the published
-    /// content changed. A *clean* refresh — the delta pass found every
-    /// shard unchanged since the freeze already published — estimates
-    /// nothing, publishes nothing, and returns that same `Arc`
-    /// (`Arc::ptr_eq` with the previous return), so a query that finds
-    /// nothing new costs a few counter loads. Every refresh that
-    /// re-merged anything (a dirty shard, or the full rebuild that the
-    /// first refresh and the refresh after a seal take) freezes and
-    /// publishes under the next version. Rejected batches roll back
-    /// without dirtying their shard, so they never cost a re-estimate
-    /// either.
+    /// content changed: a refresh publishes under the next version iff
+    /// anything was drained since the published freeze — by this
+    /// refresh, by [`LdpService::merged_state`], or by a seal, which also
+    /// marks the snapshot stale. Otherwise the refresh estimates nothing,
+    /// publishes nothing, and returns that same `Arc` (`Arc::ptr_eq` with
+    /// the previous return), so a query that finds nothing new costs a
+    /// few lock round trips. A rejected batch rolls back to a shard with
+    /// zero reports, so it never costs a re-estimate either.
     ///
     /// # Errors
     ///
     /// Propagates merge failures (impossible for shards built by
     /// [`LdpService::new`]).
     pub fn refresh_snapshot(&self) -> Result<Arc<RangeSnapshot>, ServiceError> {
-        // Serialize the whole clone → merge → estimate → publish sequence;
-        // without this, a refresher that cloned earlier (staler data)
+        // Serialize the whole drain → estimate → publish sequence;
+        // without this, a refresher that drained earlier (staler data)
         // could publish after — and overwrite — a fresher snapshot.
         let mut guard = lock(&self.refresh, "refresh")?;
-        let started = self.obs.get().map(|_| Instant::now());
-        let reused = self.refresh_merged(&mut guard.delta)?;
-        let Some(state) = guard.delta.as_ref() else {
-            return Err(ServiceError::NoShards);
-        };
-        // Retained state exists only once its freeze has been published
-        // (below, under this guard), so "every shard reused" means the
-        // published snapshot already is the freeze of `state.merged`.
-        let clean = reused == Some(self.shards.len());
+        let timer = self.obs.get().map(|obs| (obs, Instant::now()));
+        let drained = self.drain(&mut guard)?;
+        let clean = !guard.stale;
         let snap = if clean {
             self.snapshot()
         } else {
-            let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
-            let frozen = self.obs.get().map(|obs| (obs, Instant::now()));
-            let snap = Arc::new(RangeSnapshot::freeze(&state.merged, version));
+            let frozen = timer.map(|(obs, started)| {
+                obs.service.drain_ns.record_elapsed(started);
+                (obs, Instant::now())
+            });
+            let version = self.snapshot().version() + 1;
+            let snap = Arc::new(RangeSnapshot::freeze(&guard.acc, version));
             if let Some((obs, frozen)) = frozen {
                 obs.service.freeze_ns.record_elapsed(frozen);
             }
+            guard.stale = false;
             *self
                 .published
                 .write()
                 .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&snap);
             snap
         };
-        if let Some(obs) = self.obs.get() {
-            if let Some(started) = started {
-                obs.service.refresh_ns.record_elapsed(started);
-            }
+        if let Some((obs, started)) = timer {
+            obs.service.refresh_ns.record_elapsed(started);
             obs.service.refreshes.incr();
             obs.service.snapshot_version.set(snap.version());
-            match reused {
-                Some(n) => {
-                    obs.service.refreshes_delta.incr();
-                    obs.service.refresh_shards_reused.add(n as u64);
-                }
-                None => obs.service.refreshes_full.incr(),
-            }
+            obs.service.refresh_shards_drained.add(drained as u64);
             if clean {
                 obs.service.refreshes_clean.incr();
             }
@@ -522,74 +490,41 @@ impl<S: SnapshotSource> LdpService<S> {
         Ok(snap)
     }
 
-    /// Brings the retained refresh state up to date with current shard
-    /// contents: the delta path when state is retained, the from-scratch
-    /// rebuild otherwise. On `Ok` the guard always holds a state whose
-    /// `merged` equals a from-scratch clone-and-merge of every shard, bit
-    /// for bit. Returns the number of unchanged shards the delta path
-    /// reused (`None` when the full rebuild ran).
-    fn refresh_merged(
+    /// Drains every shard holding reports into the accumulator; returns
+    /// how many were drained. An empty shard costs one lock round trip.
+    fn drain(&self, publication: &mut Publication<S>) -> Result<usize, ServiceError> {
+        let mut drained = 0;
+        for shard in &self.shards {
+            drained += usize::from(self.drain_shard(publication, &mut *lock(shard, "shard")?)?);
+        }
+        Ok(drained)
+    }
+
+    /// Folds one locked shard into the accumulator and clears it, if it
+    /// holds any reports: one merge pass and one zeroing pass, no copy.
+    /// Runs under the shard's lock, so the accumulator total that
+    /// [`LdpService::num_reports`] reads moves with the shard's reports.
+    fn drain_shard(
         &self,
-        state: &mut Option<RefreshState<S>>,
-    ) -> Result<Option<usize>, ServiceError> {
-        // An error mid-delta (impossible for shards built by the
-        // constructors) may leave `merged` half-updated: drop the state
-        // and rebuild instead of propagating.
-        if let Some(reused) = state.as_mut().and_then(|s| self.apply_shard_deltas(s).ok()) {
-            return Ok(Some(reused));
+        publication: &mut Publication<S>,
+        shard: &mut S,
+    ) -> Result<bool, ServiceError> {
+        if shard.num_reports() == 0 {
+            return Ok(false);
         }
-        *state = None;
-        let mut retained = Vec::with_capacity(self.shards.len());
-        let mut seen = Vec::with_capacity(self.shards.len());
-        for (shard, dirty) in self.shards.iter().zip(&self.dirty) {
-            let locked = lock(shard, "shard")?;
-            // Read under the shard lock: the counter is bumped under this
-            // same lock, so it exactly matches the cloned contents.
-            seen.push(dirty.load(Ordering::Relaxed));
-            retained.push(locked.clone());
-        }
-        let mut merged = retained.first().cloned().ok_or(ServiceError::NoShards)?;
-        for shard in &retained[1..] {
-            merged.merge(shard)?;
-        }
-        *state = Some(RefreshState {
-            merged,
-            retained,
-            seen,
-        });
-        Ok(None)
+        publication.acc.merge(shard)?;
+        shard.clear();
+        publication.stale = true;
+        self.acc_reports
+            .store(publication.acc.num_reports(), Ordering::Relaxed);
+        Ok(true)
     }
 
-    /// The delta step: every shard whose dirty counter moved has its
-    /// previous contribution subtracted out of the running merge and a
-    /// fresh clone merged in (and retained). Unchanged shards cost one
-    /// counter load — no clone, no merge. Returns how many were reused.
-    fn apply_shard_deltas(&self, state: &mut RefreshState<S>) -> Result<usize, ServiceError> {
-        debug_assert_eq!(state.retained.len(), self.shards.len());
-        let mut reused = 0;
-        for (k, (shard, dirty)) in self.shards.iter().zip(&self.dirty).enumerate() {
-            let fresh = {
-                let locked = lock(shard, "shard")?;
-                let counter = dirty.load(Ordering::Relaxed);
-                if counter == state.seen[k] {
-                    reused += 1;
-                    continue;
-                }
-                state.seen[k] = counter;
-                locked.clone()
-            };
-            state.merged.subtract(&state.retained[k])?;
-            state.merged.merge(&fresh)?;
-            state.retained[k] = fresh;
-        }
-        Ok(reused)
-    }
-
-    /// Clones and merges every shard into one server — exactly the state
-    /// a single sequential server absorbing the same reports would hold.
-    /// Serialized with snapshot refreshes and epoch seals (the refresh
-    /// guard), so the returned state never straddles an epoch boundary.
-    /// This is what durable checkpoints serialize.
+    /// The service's whole state in one server — exactly the state a
+    /// single sequential server absorbing the same reports would hold:
+    /// every shard is drained and the accumulator cloned, under the
+    /// refresh guard, so the returned state never straddles an epoch
+    /// boundary.
     ///
     /// # Errors
     ///
@@ -597,23 +532,23 @@ impl<S: SnapshotSource> LdpService<S> {
     /// [`LdpService::new`]; lock poisoning surfaces as
     /// [`ServiceError::LockPoisoned`].
     pub fn merged_state(&self) -> Result<S, ServiceError> {
-        let _guard = lock(&self.refresh, "refresh")?;
-        let mut merged: Option<S> = None;
-        for shard in &self.shards {
-            let copy = lock(shard, "shard")?.clone();
-            match &mut merged {
-                None => merged = Some(copy),
-                Some(m) => m.merge(&copy)?,
-            }
-        }
-        merged.ok_or(ServiceError::NoShards)
+        self.with_merged(S::clone)
+    }
+
+    /// Drains every shard and hands the accumulator to `read` under the
+    /// refresh guard — what [`LdpService::merged_state`] clones and a
+    /// durable checkpoint serializes in place.
+    fn with_merged<T>(&self, read: impl FnOnce(&S) -> T) -> Result<T, ServiceError> {
+        let mut guard = lock(&self.refresh, "refresh")?;
+        self.drain(&mut guard)?;
+        Ok(read(&guard.acc))
     }
 }
 
-/// The windowed streaming front: every shard holds an [`EpochRing`], so
-/// the service ingests into the open epoch, seals epochs in lockstep
-/// across shards, and answers sliding-window queries while reports keep
-/// arriving. [`LdpService::refresh_snapshot`] on a windowed service
+/// The windowed streaming front: the accumulator and every shard hold an
+/// [`EpochRing`], so the service ingests into the open epoch, seals
+/// epochs in lockstep across the rings, and answers sliding-window
+/// queries while reports keep arriving. [`LdpService::refresh_snapshot`] on a windowed service
 /// publishes the *trailing-window* estimate (retained sealed epochs plus
 /// the open one), not the all-time population.
 impl<S> LdpService<EpochRing<S>>
@@ -645,22 +580,24 @@ where
 
     /// Attaches window-tier telemetry from the shared `registry`: the
     /// lockstep seal sweep's latency and count are recorded here, the
-    /// per-ring rotation subtract inside each shard's [`EpochRing`]. One
-    /// instrument set is shared by every shard ring — rotation counts
-    /// from all shards fan into the same counters, exactly like shard
-    /// state fans into one merge. First attachment wins.
+    /// rotation subtract inside the accumulator's [`EpochRing`] — the
+    /// only ring that retires reports, since shard rings hold no sealed
+    /// data. First attachment wins.
     pub fn attach_window_metrics(&self, registry: &MetricsRegistry) -> bool {
         let instruments = Arc::new(WindowInstruments::register(registry));
-        for shard in &self.shards {
-            lock_infallible(shard).set_instruments(Arc::clone(&instruments));
-        }
+        lock_infallible(&self.refresh)
+            .acc
+            .set_instruments(Arc::clone(&instruments));
         self.window_obs.set(instruments).is_ok()
     }
 
-    /// Seals the open epoch on every shard and returns its id. Holds the
-    /// refresh lock for the whole sweep so a concurrent
-    /// [`LdpService::refresh_snapshot`] or [`LdpService::window_snapshot`]
-    /// never observes half-sealed (epoch-misaligned) shards.
+    /// Seals the open epoch and returns its id. Each shard is drained and
+    /// its ring sealed under one hold of its lock, so shard rings never
+    /// hold sealed data; then the accumulator seals the epoch it now
+    /// holds whole. Holds the refresh lock for the whole sweep so a
+    /// concurrent [`LdpService::refresh_snapshot`] or
+    /// [`LdpService::window_snapshot`] never observes half-sealed
+    /// (epoch-misaligned) rings.
     ///
     /// Boundary semantics for concurrent submitters: an *untagged* (v1)
     /// report racing the seal lands on one side of the boundary or the
@@ -677,26 +614,27 @@ where
     pub fn seal_epoch(&self) -> Result<u64, ServiceError> {
         let mut guard = lock(&self.refresh, "refresh")?;
         let started = self.window_obs.get().map(|_| Instant::now());
-        // Sealing restructures every shard ring (new open epoch, rotated
-        // retention), so the retained delta-refresh clones no longer
-        // align — the next refresh rebuilds from scratch — and every
-        // trailing window gains an epoch (and may lose one), so the
-        // frozen windows go too. Invalidated up front: a sweep that
-        // fails half way must not leave either behind.
-        guard.delta = None;
+        // Every trailing window gains an epoch (and may lose one), so the
+        // frozen windows go and the published snapshot is stale.
+        // Invalidated up front: a sweep that fails half way must not
+        // leave either behind.
         guard.windows.clear();
         guard.seals += 1;
-        let mut sealed = None;
+        guard.stale = true;
         for shard in &self.shards {
-            let id = lock(shard, "shard")?.seal_epoch()?;
-            debug_assert!(sealed.is_none_or(|s| s == id), "shards sealed out of step");
-            sealed = Some(id);
+            let mut shard = lock(shard, "shard")?;
+            self.drain_shard(&mut guard, &mut *shard)?;
+            let id = shard.seal_epoch()?;
+            debug_assert_eq!(id, guard.acc.current_epoch(), "shards sealed out of step");
         }
+        let sealed = guard.acc.seal_epoch()?;
+        self.acc_reports
+            .store(guard.acc.num_reports(), Ordering::Relaxed);
         if let (Some(obs), Some(started)) = (self.window_obs.get(), started) {
             obs.seal_ns.record_elapsed(started);
             obs.epochs_sealed.incr();
         }
-        sealed.ok_or(ServiceError::NoShards)
+        Ok(sealed)
     }
 
     /// Decodes one wire frame — v1 (epoch-less) or v2 (epoch-tagged) —
@@ -740,57 +678,48 @@ where
         self.submit_wire_batch(wire_version, count, frames)
     }
 
-    /// Merges the shard rings and freezes the trailing `epochs` sealed
-    /// epochs into an immutable windowed query handle. Serialized with
-    /// sealing (see [`LdpService::seal_epoch`]); queries on the returned
-    /// snapshot are lock-free.
+    /// Freezes the trailing `epochs` sealed epochs into an immutable
+    /// windowed query handle. Serialized with sealing (see
+    /// [`LdpService::seal_epoch`]); queries on the returned snapshot are
+    /// lock-free.
     ///
     /// Sealed epochs are immutable, so a trailing window changes only at
-    /// a seal: each distinct window is merged and estimated once, kept
+    /// a seal: each distinct window is extracted and estimated once, kept
     /// (behind an `Arc`) until the next seal, and handed out again to
-    /// every query in between. `epochs` is clamped to what the rings
-    /// retain before it keys that cache, so it holds at most `window_len`
-    /// entries however large a `k` callers name.
+    /// every query in between. `epochs` is clamped to what the ring
+    /// retains before it keys that cache, so it holds at most
+    /// `window_len` entries however large a `k` callers name.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::EmptyWindow`] when `epochs == 0` or no
     /// epoch has been sealed yet.
     pub fn window_snapshot(&self, epochs: usize) -> Result<WindowedSnapshot, ServiceError> {
-        // Extract each shard's trailing-window server (for the common
-        // full-window query that is a clone of the shard's running merge)
-        // under the refresh guard, so a concurrent seal cannot leave the
-        // extraction straddling an epoch boundary. Merging and the
-        // expensive estimation run after the guard drops — sealing and
-        // snapshot refreshes never wait on estimation.
-        let (servers, bounds, covered, seals) = {
+        // Sealed epochs live only in the accumulator, so the window is
+        // extracted from it alone (for the common full-window query, a
+        // clone of its running merge), under the refresh guard so a
+        // concurrent seal cannot move it. The expensive estimation runs
+        // after the guard drops — sealing and snapshot refreshes never
+        // wait on it.
+        let (server, (first, last), covered, seals) = {
             let guard = lock(&self.refresh, "refresh")?;
-            // Shards seal in lockstep (under this same guard), so every
-            // shard retains the same epochs and reports identical bounds.
-            let (covered, bounds) = {
-                let ring = lock(&self.shards[0], "shard")?;
-                (
-                    epochs.min(ring.epochs_retained()),
-                    ring.window_bounds(epochs),
-                )
-            };
+            let covered = epochs.min(guard.acc.epochs_retained());
             if let Some(frozen) = guard.windows.get(&covered) {
                 return Ok(frozen.clone());
             }
-            let mut servers = Vec::with_capacity(self.shards.len());
-            for shard in &self.shards {
-                servers.push(lock(shard, "shard")?.window_server(epochs)?);
-            }
-            (servers, bounds, covered, guard.seals)
+            let bounds = guard
+                .acc
+                .window_bounds(epochs)
+                .ok_or(ServiceError::EmptyWindow)?;
+            (
+                guard.acc.window_server(epochs)?,
+                bounds,
+                covered,
+                guard.seals,
+            )
         };
-        let (first, last) = bounds.ok_or(ServiceError::EmptyWindow)?;
-        let mut servers = servers.into_iter();
-        let mut merged = servers.next().ok_or(ServiceError::NoShards)?;
-        for server in servers {
-            merged.merge(&server)?;
-        }
         let frozen = WindowedSnapshot::from_parts(
-            Arc::new(RangeSnapshot::freeze(&merged, last)),
+            Arc::new(RangeSnapshot::freeze(&server, last)),
             first,
             last,
         );
@@ -904,17 +833,17 @@ where
         }
     }
 
-    /// The merged state ([`LdpService::merged_state`]) serialized — what
-    /// a durable checkpoint writes.
+    /// The merged state ([`LdpService::merged_state`]) serialized in
+    /// place, without a copy — what a durable checkpoint writes.
     pub(crate) fn persist_merged(&self) -> Result<Vec<u8>, ServiceError>
     where
         S: PersistableServer,
     {
         let mut bytes = Vec::new();
         match self {
-            Self::Plain(s) => s.merged_state()?.persist_state(&mut bytes),
-            Self::Windowed(s) => s.merged_state()?.persist_state(&mut bytes),
-        }
+            Self::Plain(s) => s.with_merged(|state| state.persist_state(&mut bytes)),
+            Self::Windowed(s) => s.with_merged(|state| state.persist_state(&mut bytes)),
+        }?;
         Ok(bytes)
     }
 

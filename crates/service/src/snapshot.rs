@@ -34,11 +34,11 @@ use ldp_ranges::{
 /// so a snapshot is exactly what the underlying mechanism would publish.
 ///
 /// The supertrait is [`SubtractableServer`], not just mergeable: the
-/// service's delta snapshot refresh swaps a shard's previous
-/// contribution *out* of a retained running merge by exact subtraction
-/// ([`crate::LdpService::refresh_snapshot`]), so anything the service can
-/// freeze must also be able to un-merge. Every mechanism's integer
-/// sufficient statistics satisfy this for free.
+/// service drains a shard by merging it into its accumulator and
+/// clearing it in place ([`crate::LdpService::refresh_snapshot`]), and
+/// rolls a rejected batch back by exact subtraction, so anything the
+/// service can freeze must also clear and un-merge. Every mechanism's
+/// integer sufficient statistics satisfy this for free.
 pub trait SnapshotSource: SubtractableServer {
     /// Materializes the per-item frequency estimate of the current state.
     fn frequency_estimate(&self) -> FrequencyEstimate;

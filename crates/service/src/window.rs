@@ -52,11 +52,13 @@ use crate::obs::instruments::WindowInstruments;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 
 /// One sealed epoch: its id and the accumulator of every report absorbed
-/// while it was open.
+/// while it was open — `None` if it sealed empty, so an empty epoch (every
+/// shard ring's, on a sharded service: a seal drains the shards first)
+/// holds no state.
 #[derive(Debug, Clone)]
 pub struct SealedEpoch<S> {
     id: u64,
-    server: S,
+    server: Option<S>,
 }
 
 impl<S: MergeableServer> SealedEpoch<S> {
@@ -69,13 +71,13 @@ impl<S: MergeableServer> SealedEpoch<S> {
     /// Reports absorbed during this epoch.
     #[must_use]
     pub fn num_reports(&self) -> u64 {
-        self.server.num_reports()
+        self.server.as_ref().map_or(0, S::num_reports)
     }
 
-    /// The epoch's frozen accumulator.
+    /// The epoch's frozen accumulator, `None` if it sealed empty.
     #[must_use]
-    pub fn server(&self) -> &S {
-        &self.server
+    pub fn server(&self) -> Option<&S> {
+        self.server.as_ref()
     }
 }
 
@@ -103,8 +105,8 @@ pub struct EpochRing<S: SubtractableServer> {
     window_len: usize,
     /// Auto-seal threshold in reports per epoch; 0 = manual sealing only.
     epoch_width: u64,
-    /// Window-tier telemetry, shared across shard rings (cloned rings
-    /// keep recording into the same instruments). Not part of the ring's
+    /// Window-tier telemetry, shared with clones (a cloned ring keeps
+    /// recording into the same instruments). Not part of the ring's
     /// *state*: excluded from persistence and from merge alignment.
     obs: Option<Arc<WindowInstruments>>,
 }
@@ -250,11 +252,18 @@ impl<S: SubtractableServer> EpochRing<S> {
     /// itself (all clones of one prototype); an error indicates corrupted
     /// state.
     pub fn seal_epoch(&mut self) -> Result<u64, ServiceError> {
-        let sealed = std::mem::replace(&mut self.current, self.prototype.clone());
-        self.running.merge(&sealed)?;
+        // An empty open epoch stays open: it already is what the next
+        // epoch starts from.
+        let server = if self.current.num_reports() > 0 {
+            let sealed = std::mem::replace(&mut self.current, self.prototype.clone());
+            self.running.merge(&sealed)?;
+            Some(sealed)
+        } else {
+            None
+        };
         self.ring.push_back(SealedEpoch {
             id: self.current_id,
-            server: sealed,
+            server,
         });
         if self.ring.len() > self.window_len {
             let retired = self.ring.pop_front().expect("ring just grew");
@@ -262,7 +271,9 @@ impl<S: SubtractableServer> EpochRing<S> {
             // the retired epoch from the running merge instead of
             // re-merging the survivors.
             let started = self.obs.as_ref().map(|_| Instant::now());
-            self.running.subtract(&retired.server)?;
+            if let Some(server) = &retired.server {
+                self.running.subtract(server)?;
+            }
             if let (Some(obs), Some(started)) = (&self.obs, started) {
                 obs.rotate_ns.record_elapsed(started);
                 obs.rotations.incr();
@@ -294,15 +305,24 @@ impl<S: SubtractableServer> EpochRing<S> {
         let drop = self.ring.len() - k;
         if drop <= k {
             let mut merged = self.running.clone();
-            for epoch in self.ring.iter().take(drop) {
-                merged.subtract(&epoch.server)?;
+            for server in self
+                .ring
+                .iter()
+                .take(drop)
+                .filter_map(|e| e.server.as_ref())
+            {
+                merged.subtract(server)?;
             }
             Ok(merged)
         } else {
-            let mut survivors = self.ring.iter().skip(drop);
-            let mut merged = survivors.next().expect("k >= 1").server.clone();
-            for epoch in survivors {
-                merged.merge(&epoch.server)?;
+            let mut merged = self.prototype.clone();
+            for server in self
+                .ring
+                .iter()
+                .skip(drop)
+                .filter_map(|e| e.server.as_ref())
+            {
+                merged.merge(server)?;
             }
             Ok(merged)
         }
@@ -323,30 +343,55 @@ impl<S: SubtractableServer> EpochRing<S> {
     }
 
     /// An empty ring *epoch-aligned* with this one: same window
-    /// configuration, same open epoch id, and one empty accumulator per
-    /// retained sealed epoch (matching ids). This is what the remaining
-    /// shards of a recovered windowed service start from, so shard rings
-    /// merge and seal in lockstep with the shard holding the recovered
-    /// state (see [`crate::LdpService::with_recovered`]).
+    /// configuration, same open epoch id, and the same retained sealed
+    /// epoch ids, holding no state — this ring, cleared. This is
+    /// what the shards of a recovered windowed service start from, so
+    /// they drain and seal in lockstep with the accumulator holding the
+    /// recovered state (see [`crate::LdpService::with_recovered`]).
     #[must_use]
     pub fn aligned_empty(&self) -> Self {
-        Self {
-            prototype: self.prototype.clone(),
-            ring: self
-                .ring
-                .iter()
-                .map(|e| SealedEpoch {
-                    id: e.id,
-                    server: self.prototype.clone(),
-                })
-                .collect(),
-            running: self.prototype.clone(),
-            current: self.prototype.clone(),
-            current_id: self.current_id,
-            window_len: self.window_len,
-            epoch_width: self.epoch_width,
-            obs: self.obs.clone(),
+        let mut empty = self.clone();
+        empty.clear();
+        empty
+    }
+
+    /// Folds `other` into this ring slot by slot with `op` (merge or
+    /// subtract). Requires epoch-aligned rings — same window
+    /// configuration, same open epoch, same retained ids — and rejects
+    /// misaligned ones before touching any slot. A slot of `other` that
+    /// holds no reports is the additive identity — integer sufficient
+    /// statistics count nothing without a report — and is skipped, so
+    /// draining a shard ring (whose running merge and sealed epochs are
+    /// empty) costs one pass over its open epoch, not `window_len + 2`.
+    fn fold_aligned(
+        &mut self,
+        other: &Self,
+        op: fn(&mut S, &S) -> Result<(), RangeError>,
+    ) -> Result<(), RangeError> {
+        let aligned = other.window_len == self.window_len
+            && other.epoch_width == self.epoch_width
+            && other.current_id == self.current_id
+            && other.ring.len() == self.ring.len()
+            && other.ring.iter().zip(&self.ring).all(|(a, b)| a.id == b.id);
+        if !aligned {
+            return Err(RangeError::ReportShapeMismatch);
         }
+        let holding = |s: &&S| s.num_reports() > 0;
+        for (mine, theirs) in [
+            (&mut self.running, &other.running),
+            (&mut self.current, &other.current),
+        ] {
+            if holding(&theirs) {
+                op(mine, theirs)?;
+            }
+        }
+        for (mine, theirs) in self.ring.iter_mut().zip(&other.ring) {
+            if let Some(theirs) = theirs.server.as_ref().filter(holding) {
+                let prototype = &self.prototype;
+                op(mine.server.get_or_insert_with(|| prototype.clone()), theirs)?;
+            }
+        }
+        Ok(())
     }
 
     /// Freezes the trailing `epochs` sealed epochs into an immutable
@@ -399,20 +444,7 @@ impl<S: SubtractableServer> MergeableServer for EpochRing<S> {
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        let aligned = other.window_len == self.window_len
-            && other.epoch_width == self.epoch_width
-            && other.current_id == self.current_id
-            && other.ring.len() == self.ring.len()
-            && other.ring.iter().zip(&self.ring).all(|(a, b)| a.id == b.id);
-        if !aligned {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        self.running.merge(&other.running)?;
-        self.current.merge(&other.current)?;
-        for (mine, theirs) in self.ring.iter_mut().zip(&other.ring) {
-            mine.server.merge(&theirs.server)?;
-        }
-        Ok(())
+        self.fold_aligned(other, S::merge)
     }
 
     fn num_reports(&self) -> u64 {
@@ -424,28 +456,27 @@ impl<S: SubtractableServer> MergeableServer for EpochRing<S> {
 
 /// Subtraction mirrors [`MergeableServer::merge`] slot by slot — running
 /// merge, open epoch, and each retained sealed epoch — with the same
-/// alignment requirements. This is the exact inverse the service's delta
-/// snapshot refresh needs to swap a shard ring's previous contribution
-/// out of a retained running merge
-/// ([`crate::LdpService::refresh_snapshot`]). A misaligned subtrahend —
-/// including a clone taken before this ring sealed another epoch — is
-/// rejected up front, exactly like a misaligned merge.
+/// alignment requirements; a misaligned subtrahend — including a clone
+/// taken before this ring sealed another epoch — is rejected up front,
+/// exactly like a misaligned merge. Clearing zeroes the running merge and
+/// the open epoch and drops every sealed epoch's state, but keeps the
+/// layout (window configuration, open epoch id, retained ids), so a
+/// drained shard ring stays aligned with the service's accumulator ring
+/// ([`crate::LdpService::refresh_snapshot`]).
 impl<S: SubtractableServer> SubtractableServer for EpochRing<S> {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        let aligned = other.window_len == self.window_len
-            && other.epoch_width == self.epoch_width
-            && other.current_id == self.current_id
-            && other.ring.len() == self.ring.len()
-            && other.ring.iter().zip(&self.ring).all(|(a, b)| a.id == b.id);
-        if !aligned {
-            return Err(RangeError::ReportShapeMismatch);
+        self.fold_aligned(other, S::subtract)
+    }
+
+    fn clear(&mut self) {
+        for slot in [&mut self.running, &mut self.current] {
+            if slot.num_reports() > 0 {
+                slot.clear();
+            }
         }
-        self.running.subtract(&other.running)?;
-        self.current.subtract(&other.current)?;
-        for (mine, theirs) in self.ring.iter_mut().zip(&other.ring) {
-            mine.server.subtract(&theirs.server)?;
+        for epoch in &mut self.ring {
+            epoch.server = None;
         }
-        Ok(())
     }
 }
 
@@ -467,7 +498,11 @@ where
         put_varint(out, self.ring.len() as u64);
         for epoch in &self.ring {
             put_varint(out, epoch.id);
-            epoch.server.persist_state(out);
+            epoch
+                .server
+                .as_ref()
+                .unwrap_or(&self.prototype)
+                .persist_state(out);
         }
         self.current.persist_state(out);
     }
@@ -497,7 +532,10 @@ where
             let mut server = self.prototype.clone();
             server.restore_state(r)?;
             running.merge(&server)?;
-            ring.push_back(SealedEpoch { id, server });
+            ring.push_back(SealedEpoch {
+                id,
+                server: (server.num_reports() > 0).then_some(server),
+            });
         }
         let mut current = self.prototype.clone();
         current.restore_state(r)?;

@@ -1,12 +1,17 @@
-//! Property tests for the delta snapshot refresh: after an *arbitrary*
-//! interleaving of submits, refreshes, and (windowed) epoch seals, the
-//! published snapshot must be bit-identical to a from-scratch
-//! clone-and-merge of every shard — for all six mechanisms, plain and
-//! windowed. Integer sufficient statistics make shard subtract the exact
-//! inverse of shard merge, which is the whole correctness argument for
-//! retaining the previous refresh's accumulator and only re-merging
-//! dirty shards; these tests pin that argument against every absorb
-//! path the service exposes.
+//! Property tests for the drain refresh: after an *arbitrary*
+//! interleaving of submits, refreshes, drains by `merged_state`, and
+//! (windowed) epoch seals, the published snapshot must be bit-identical
+//! to a one-shard reference that absorbed the same reports in order (an
+//! `EpochRing` sealed at the same ops, for the windowed drivers) — for
+//! all six mechanisms, plain and windowed. Integer sufficient statistics
+//! make merging each shard's delta into the accumulator and clearing the
+//! shard exact, which is the whole correctness argument for the drain;
+//! the reference shares no code with it. The drivers also pin the
+//! version contract: a refresh publishes the next version iff something
+//! was submitted or sealed since the last one, and otherwise returns the
+//! same `Arc`.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -14,7 +19,7 @@ use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{
     FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
     HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer,
+    HhSplitServer, MergeableServer, SubtractableServer,
 };
 use ldp_service::obs::instruments::names;
 use ldp_service::{EpochRing, LdpService, MetricsRegistry, RangeSnapshot, SnapshotSource};
@@ -30,8 +35,8 @@ const ORACLES: [FrequencyOracle; 4] = [
 
 /// One step of a generated interleaving. Values 0..8 submit the next
 /// report (biasing runs toward submit-heavy histories, where dirty and
-/// clean shards coexist); 8 refreshes; 9 seals the open epoch (windowed
-/// drivers only — plain drivers treat it as a refresh).
+/// clean shards coexist); 8 refreshes; 9 seals the open epoch on
+/// windowed drivers and drains through `merged_state` on plain ones.
 const OP_REFRESH: u32 = 8;
 const OP_SEAL: u32 = 9;
 
@@ -39,16 +44,11 @@ fn ops_strategy() -> impl Strategy<Value = Vec<u32>> {
     collection::vec(0u32..10, 1..60)
 }
 
-/// Refreshes the service and asserts the published snapshot is
-/// bit-identical to an independent from-scratch clone-and-merge of the
-/// current shard state ([`LdpService::merged_state`] shares no state
-/// with the retained delta accumulator).
-fn assert_refresh_exact<S: SnapshotSource>(service: &LdpService<S>) {
-    let oracle = service.merged_state().expect("merged state");
-    let snap = service.refresh_snapshot().expect("refresh");
-    let expected = RangeSnapshot::freeze(&oracle, snap.version());
-    assert_eq!(snap.num_reports(), expected.num_reports());
-    assert_eq!(snap.domain(), expected.domain());
+/// Asserts two snapshots hold the same report count and bit-identical
+/// per-item estimates.
+fn assert_same_estimate(snap: &RangeSnapshot, expected: &RangeSnapshot, what: &str) {
+    assert_eq!(snap.num_reports(), expected.num_reports(), "{what}");
+    assert_eq!(snap.domain(), expected.domain(), "{what}");
     for (z, (a, b)) in snap
         .estimate()
         .frequencies()
@@ -58,61 +58,142 @@ fn assert_refresh_exact<S: SnapshotSource>(service: &LdpService<S>) {
     {
         assert!(
             a.to_bits() == b.to_bits(),
-            "delta refresh diverged from clone-and-merge at item {z}: {a} vs {b}"
+            "{what}: diverged from the one-shard reference at item {z}: {a} vs {b}"
         );
     }
 }
 
-/// Drives a *plain* service through the interleaving. A seal op on a
-/// plain service degrades to a refresh, so the same generated histories
-/// exercise both drivers.
-fn run_plain<S: SnapshotSource>(prototype: &S, reports: &[S::Report], ops: &[u32], shards: usize) {
-    let service = LdpService::new(prototype, shards).expect("service");
-    let mut next = 0usize;
-    for &op in ops {
-        if op >= OP_REFRESH {
-            assert_refresh_exact(&service);
-        } else {
-            service
-                .submit(&reports[next % reports.len()])
-                .expect("submit");
-            next += 1;
-        }
-    }
-    // Two final refreshes: the second observes zero dirty shards, so the
-    // all-shards-reused delta path is exercised on every run.
-    assert_refresh_exact(&service);
-    assert_refresh_exact(&service);
+/// A service under a generated interleaving, the one-shard reference fed
+/// the same reports, and the version contract's bookkeeping.
+struct Driver<'a, S: SnapshotSource> {
+    service: LdpService<S>,
+    reference: S,
+    reports: &'a [S::Report],
+    next: usize,
+    last: Arc<RangeSnapshot>,
+    /// Whether anything was submitted or sealed since `last`.
+    changed: bool,
 }
 
-/// Drives a *windowed* service: seals restructure every shard ring and
-/// must invalidate the retained accumulator, never corrupt it.
-fn run_windowed<S: SnapshotSource + ldp_ranges::SubtractableServer>(
+impl<'a, S: SnapshotSource> Driver<'a, S> {
+    fn new(service: LdpService<S>, reference: S, reports: &'a [S::Report]) -> Self {
+        let last = service.snapshot();
+        Self {
+            service,
+            reference,
+            reports,
+            next: 0,
+            last,
+            changed: false,
+        }
+    }
+
+    fn submit(&mut self) {
+        let report = &self.reports[self.next % self.reports.len()];
+        self.service.submit(report).expect("submit");
+        self.reference.absorb(report).expect("reference absorb");
+        self.next += 1;
+        self.changed = true;
+    }
+
+    /// Refreshes and asserts the published snapshot is bit-identical to
+    /// a freeze of the reference, under the next version iff anything
+    /// changed since the last refresh and as the same `Arc` otherwise.
+    fn refresh(&mut self) {
+        let snap = self.service.refresh_snapshot().expect("refresh");
+        if self.changed {
+            assert_eq!(snap.version(), self.last.version() + 1, "changed refresh");
+        } else {
+            assert!(Arc::ptr_eq(&snap, &self.last), "clean refresh republished");
+        }
+        let expected = RangeSnapshot::freeze(&self.reference, snap.version());
+        assert_same_estimate(&snap, &expected, "refresh");
+        assert_eq!(self.service.num_reports(), self.reference.num_reports());
+        self.last = snap;
+        self.changed = false;
+    }
+
+    /// Two final refreshes: the second finds nothing to drain, so the
+    /// clean path is exercised on every run.
+    fn finish(mut self) -> Self {
+        self.refresh();
+        self.refresh();
+        self
+    }
+}
+
+/// Drives a *plain* service through the interleaving. A seal op drains
+/// through [`LdpService::merged_state`] instead: it publishes nothing,
+/// but the next refresh must.
+fn run_plain<S: SnapshotSource>(prototype: &S, reports: &[S::Report], ops: &[u32], shards: usize) {
+    let service = LdpService::new(prototype, shards).expect("service");
+    let mut driver = Driver::new(service, prototype.clone(), reports);
+    for &op in ops {
+        match op {
+            OP_SEAL => {
+                let merged = driver.service.merged_state().expect("merged state");
+                assert_eq!(merged.num_reports(), driver.reference.num_reports());
+            }
+            OP_REFRESH => driver.refresh(),
+            _ => driver.submit(),
+        }
+    }
+    driver.finish();
+}
+
+/// Every trailing window the service answers must match the reference
+/// ring's, bounds and estimate.
+fn assert_windows_exact<S: SnapshotSource + SubtractableServer>(
+    service: &LdpService<EpochRing<S>>,
+    reference: &EpochRing<S>,
+) {
+    for k in 1..=3 {
+        match reference.window_snapshot(k) {
+            Ok(expected) => {
+                let window = service.window_snapshot(k).expect("window");
+                assert_eq!(
+                    (window.first_epoch(), window.last_epoch()),
+                    (expected.first_epoch(), expected.last_epoch())
+                );
+                assert_same_estimate(window.snapshot(), expected.snapshot(), "window");
+            }
+            Err(_) => assert!(service.window_snapshot(k).is_err()),
+        }
+    }
+}
+
+/// Drives a *windowed* service against a reference ring sealed at the
+/// same ops. Every trailing window must match the reference's right
+/// after each seal — before any refresh drains the shards — and at the
+/// end.
+fn run_windowed<S: SnapshotSource + SubtractableServer>(
     prototype: &S,
     reports: &[S::Report],
     ops: &[u32],
     shards: usize,
 ) where
-    EpochRing<S>: SnapshotSource + ldp_ranges::MergeableServer<Report = S::Report>,
+    EpochRing<S>: SnapshotSource + MergeableServer<Report = S::Report>,
 {
     let service = LdpService::<EpochRing<S>>::windowed(prototype, shards, 3).expect("service");
-    let mut next = 0usize;
+    let reference = EpochRing::new(prototype, 3).expect("reference ring");
+    let mut driver = Driver::new(service, reference, reports);
     for &op in ops {
         match op {
             OP_SEAL => {
-                service.seal_epoch().expect("seal");
+                let sealed = driver.service.seal_epoch().expect("seal");
+                assert_eq!(
+                    sealed,
+                    driver.reference.seal_epoch().expect("reference seal")
+                );
+                driver.changed = true;
+                assert_windows_exact(&driver.service, &driver.reference);
             }
-            OP_REFRESH => assert_refresh_exact(&service),
-            _ => {
-                service
-                    .submit(&reports[next % reports.len()])
-                    .expect("submit");
-                next += 1;
-            }
+            OP_REFRESH => driver.refresh(),
+            _ => driver.submit(),
         }
     }
-    assert_refresh_exact(&service);
-    assert_refresh_exact(&service);
+    let driver = driver.finish();
+    assert_windows_exact(&driver.service, &driver.reference);
 }
 
 proptest! {
@@ -217,36 +298,39 @@ proptest! {
     }
 }
 
-/// An epoch seal invalidates the retained accumulator: the refresh after
-/// a seal is a full rebuild (counter-visible), and subsequent refreshes
-/// delta again — all bit-exact, which the windowed proptests above pin.
+/// A seal marks the published snapshot stale whether or not anything
+/// was absorbed: the next refresh publishes version + 1 (with nothing to
+/// drain — the seal drained every shard), and the refresh after that
+/// returns the same `Arc`.
 #[test]
-fn seal_invalidates_retained_state() {
+fn seal_publishes_once_then_reuses() {
     let config = HhConfig::new(64, 2, Epsilon::from_exp(3.0)).unwrap();
     let client = HhClient::new(config.clone()).unwrap();
     let prototype = HhServer::new(config).unwrap();
     let service = LdpService::<EpochRing<HhServer>>::windowed(&prototype, 2, 3).unwrap();
     let registry = MetricsRegistry::new();
     assert!(service.attach_metrics(&registry));
-    let delta = registry.counter(names::SERVICE_REFRESHES_DELTA);
-    let full = registry.counter(names::SERVICE_REFRESHES_FULL);
+    let drained = registry.counter(names::SERVICE_REFRESH_SHARDS_DRAINED);
 
     let mut rng = StdRng::seed_from_u64(7);
     for i in 0..12 {
         let r = client.report(i % 64, &mut rng).unwrap();
         service.submit(&r).unwrap();
     }
-    assert_refresh_exact(&service);
-    assert_refresh_exact(&service);
-    assert_eq!((full.get(), delta.get()), (1, 1));
+    let first = service.refresh_snapshot().unwrap();
+    assert_eq!((first.version(), first.num_reports()), (1, 12));
+    assert_eq!(drained.get(), 2, "both shards held reports");
+    assert!(Arc::ptr_eq(&service.refresh_snapshot().unwrap(), &first));
 
-    service.seal_epoch().unwrap();
-    assert_refresh_exact(&service);
-    assert_eq!(
-        (full.get(), delta.get()),
-        (2, 1),
-        "refresh after seal must rebuild"
-    );
-    assert_refresh_exact(&service);
-    assert_eq!((full.get(), delta.get()), (2, 2));
+    for round in 1..=2u64 {
+        // Round 1 seals an epoch holding reports, round 2 an empty one.
+        service.seal_epoch().unwrap();
+        let sealed = service.refresh_snapshot().unwrap();
+        assert_eq!(sealed.version(), first.version() + round, "round {round}");
+        assert_eq!(sealed.num_reports(), 12, "round {round}");
+        assert_eq!(drained.get(), 2, "round {round}: the seal drained");
+        let clean = service.refresh_snapshot().unwrap();
+        assert!(Arc::ptr_eq(&clean, &sealed), "round {round}: republished");
+    }
+    assert_eq!(service.num_reports(), 12);
 }

@@ -303,6 +303,61 @@ fn freeze_histogram_samples_only_publishing_refreshes() {
     }
 }
 
+/// `service.drain_ns` samples like `service.freeze_ns`: once per
+/// publishing refresh, none for a clean one — including a refresh that
+/// publishes what `merged_state` drained before it, which drains no shard
+/// itself. `service.refresh_shards_drained` counts the shards each
+/// refresh actually drained.
+#[test]
+fn drain_histogram_samples_only_publishing_refreshes() {
+    let (client, prototype) = hh_parts();
+    let service = LdpService::new(&prototype, 2).unwrap();
+    let registry = MetricsRegistry::new();
+    assert!(service.attach_metrics(&registry));
+    let counts = || {
+        let snapshot = registry.snapshot();
+        let count = |name| snapshot.histo(name).map_or(0, |h| h.count());
+        (
+            count(names::SERVICE_DRAIN_NS),
+            count(names::SERVICE_REFRESH_NS),
+            snapshot
+                .counter(names::SERVICE_REFRESH_SHARDS_DRAINED)
+                .unwrap_or(0),
+        )
+    };
+    let mut rng = StdRng::seed_from_u64(9060);
+    let mut submit = |n| {
+        for i in 0..n {
+            service
+                .submit(&client.report(i % 64, &mut rng).unwrap())
+                .unwrap();
+        }
+    };
+
+    for round in 1..=3u64 {
+        submit(20);
+        let dirty = service.refresh_snapshot().unwrap();
+        assert_eq!(
+            counts(),
+            (round, 2 * round - 1, 2 * round),
+            "round {round}: dirty refresh drains both shards"
+        );
+        let clean = service.refresh_snapshot().unwrap();
+        assert!(Arc::ptr_eq(&dirty, &clean), "round {round}: republished");
+        assert_eq!(counts(), (round, 2 * round, 2 * round), "round {round}");
+    }
+
+    submit(1);
+    service.merged_state().unwrap();
+    let published = service.refresh_snapshot().unwrap();
+    assert_eq!(published.num_reports(), 61);
+    assert_eq!(
+        counts(),
+        (4, 7, 6),
+        "drained by merged_state, still published"
+    );
+}
+
 /// Four concurrent socket writers: the drained stats, the registry's
 /// net/shard counters, and the backend's report count all agree exactly
 /// on the acked total — one accounting path, no lost updates.
