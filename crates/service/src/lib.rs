@@ -91,13 +91,13 @@
 //! * [`obs`] — the telemetry layer: a shared lock-free
 //!   [`MetricsRegistry`] of counters, gauges, and log-bucketed latency
 //!   histograms threaded through every tier above, with frozen snapshots
-//!   that merge/subtract exactly like the mechanism servers, plus a
-//!   [`TraceRing`] of structured per-message span events for
-//!   postmortems. [`NetConfig::ops_addr`] is the one surface on which it
-//!   leaves the process: a std-only HTTP endpoint serving Prometheus text
-//!   on `GET /metrics`, a [`HealthReport`] judged from registry signals
-//!   on `GET /health`, and a [`TimeSeriesRing`] that a background sampler
-//!   (started with the endpoint) fills, on `GET /metrics/range`.
+//!   that merge/subtract exactly like the mechanism servers — the one
+//!   record of per-stage cost. [`NetConfig::ops_addr`] is the one
+//!   surface on which it leaves the process: a std-only HTTP endpoint
+//!   serving Prometheus text on `GET /metrics`, a [`HealthReport`]
+//!   judged from registry signals on `GET /health`, and a
+//!   [`TimeSeriesRing`] that a background sampler (started with the
+//!   endpoint) fills, on `GET /metrics/range`.
 //!   In-process callers read [`LdpServer::registry`]; the session
 //!   protocol keeps only its STATUS counters.
 //!
@@ -154,7 +154,7 @@ pub use net::{
 };
 pub use obs::{
     HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRange, MetricsRegistry,
-    RegistrySnapshot, TimeSample, TimeSeriesRing, TraceEvent, TraceOutcome, TraceRing, TraceStage,
+    RegistrySnapshot, TimeSample, TimeSeriesRing,
 };
 pub use repl::{FollowerService, ReplFeed};
 pub use service::LdpService;

@@ -88,7 +88,7 @@ pub use proto::{
 pub use server::{LdpServer, ServerStats};
 
 use crate::error::{ServiceError, WireError};
-use crate::obs::{HealthThresholds, MetricsRegistry, TraceRing};
+use crate::obs::{HealthThresholds, MetricsRegistry};
 
 /// Tuning knobs of [`LdpServer`]. `Default` is sized for tests and
 /// laptop-scale benchmarks; a deployment raises `workers`.
@@ -125,12 +125,6 @@ pub struct NetConfig {
     /// into, so one `GET /metrics` scrape (or one
     /// [`LdpServer::registry`] snapshot) sees every tier.
     pub registry: Option<Arc<MetricsRegistry>>,
-    /// Structured-event trace ring for session postmortems. `None` (the
-    /// default) disables tracing entirely; recording also honors the
-    /// ring's own runtime flag ([`TraceRing::set_enabled`]). A durable
-    /// backend's own ring ([`crate::storage::DurableConfig::trace`]) is
-    /// adopted when this is `None`, the same way the registry is.
-    pub trace: Option<Arc<TraceRing>>,
     /// Bind address of the plain-HTTP ops endpoint (`GET /metrics`,
     /// `/health`, `/metrics/range`) — e.g. `"127.0.0.1:0"` — the only
     /// surface on which metrics, health and the time-series ring leave
@@ -159,7 +153,6 @@ impl Default for NetConfig {
             idle_timeout: None,
             portable_poller: false,
             registry: None,
-            trace: None,
             ops_addr: None,
             sample_interval: Duration::from_secs(1),
             ring_capacity: 128,

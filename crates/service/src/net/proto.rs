@@ -609,14 +609,7 @@ impl ClientMsg {
         let mut r = Reader::new(body);
         let msg = match r.u8()? {
             MSG_HELLO => {
-                let magic = [r.u8()?, r.u8()?];
-                if magic != HELLO_MAGIC {
-                    return Err(WireError::BadMagic(magic));
-                }
-                let proto = r.u8()?;
-                if proto != PROTO_VERSION {
-                    return Err(WireError::UnsupportedVersion(proto));
-                }
+                expect_handshake(&mut r)?;
                 let kind = r.u8()?;
                 let wire_version = r.u8()?;
                 if wire_version != WIRE_V1 && wire_version != WIRE_EPOCH {
@@ -630,16 +623,11 @@ impl ClientMsg {
                 })
             }
             MSG_REPORT => {
-                let count = r.varint()?;
-                let frames = r.bytes(r.remaining())?.to_vec();
-                // The smallest well-formed wire frame is 5 bytes
-                // (magic + version + kind + ≥1 payload byte); a count
-                // that cannot fit the payload is rejected here so later
-                // per-frame allocations stay bounded by real bytes.
-                if count > frames.len() as u64 {
-                    return Err(WireError::Malformed("frame count exceeds payload"));
-                }
-                Self::Report(ReportBatch { count, frames })
+                let ReportFrames { count, frames } = decode_report_frames(body)?;
+                return Ok(Self::Report(ReportBatch {
+                    count,
+                    frames: frames.to_vec(),
+                }));
             }
             MSG_QUERY => {
                 let window = if decode_bool(&mut r)? {
@@ -677,20 +665,13 @@ impl ClientMsg {
             MSG_BYE => Self::Bye,
             MSG_STATUS => Self::Status,
             MSG_REPLICATE => {
-                let magic = [r.u8()?, r.u8()?];
-                if magic != HELLO_MAGIC {
-                    return Err(WireError::BadMagic(magic));
-                }
-                let proto = r.u8()?;
-                if proto != PROTO_VERSION {
-                    return Err(WireError::UnsupportedVersion(proto));
-                }
+                expect_handshake(&mut r)?;
                 Self::Replicate { start: r.varint()? }
             }
             MSG_REPL_ACK => Self::ReplAck { acked: r.varint()? },
             t => return Err(WireError::UnknownKind(t)),
         };
-        expect_consumed(&r, body.len())?;
+        expect_consumed(&r)?;
         Ok(msg)
     }
 }
@@ -922,7 +903,7 @@ impl ServerMsg {
             }
             t => return Err(WireError::UnknownKind(t)),
         };
-        expect_consumed(&r, body.len())?;
+        expect_consumed(&r)?;
         Ok(msg)
     }
 }
@@ -942,8 +923,8 @@ pub(crate) struct ReportFrames<'a> {
 }
 
 /// Decodes a REPORT message body (`body[0]` must be [`MSG_REPORT`]) into
-/// a borrowed [`ReportFrames`], applying exactly the validation
-/// [`ClientMsg::decode`] applies — the two paths must reject hostile
+/// a borrowed [`ReportFrames`] — the one REPORT check, which
+/// [`ClientMsg::decode`] runs too, so the two paths reject hostile
 /// bodies identically.
 pub(crate) fn decode_report_frames(body: &[u8]) -> Result<ReportFrames<'_>, WireError> {
     let mut r = Reader::new(body);
@@ -991,7 +972,21 @@ fn decode_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
     }
 }
 
-fn expect_consumed(r: &Reader<'_>, _len: usize) -> Result<(), WireError> {
+/// Checks the handshake magic and protocol version that HELLO and
+/// REPLICATE both open with.
+fn expect_handshake(r: &mut Reader<'_>) -> Result<(), WireError> {
+    let magic = [r.u8()?, r.u8()?];
+    if magic != HELLO_MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    let proto = r.u8()?;
+    if proto != PROTO_VERSION {
+        return Err(WireError::UnsupportedVersion(proto));
+    }
+    Ok(())
+}
+
+fn expect_consumed(r: &Reader<'_>) -> Result<(), WireError> {
     if r.remaining() != 0 {
         return Err(WireError::Malformed("trailing bytes after message"));
     }

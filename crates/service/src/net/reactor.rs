@@ -13,9 +13,10 @@
 //!
 //! Loop 0 also owns the listener. It hands each accepted stream to the
 //! next loop round-robin, through that loop's mailbox plus its poller's
-//! wake. The loops share only the shutdown flag, one span-id counter and
-//! one session-id counter (so ids stay unique server-wide), and the
-//! registry instruments (so `net.sessions_open` is one count).
+//! wake. The loops share only the shutdown flag, one session-id counter
+//! (so ids stay unique server-wide — the replication hub keys streams by
+//! them), and the registry instruments (so `net.sessions_open` is one
+//! count).
 //!
 //! Ordering: a session's messages execute on its one loop in arrival
 //! order, and their replies are queued in that order, so a pipelined
@@ -41,7 +42,6 @@ use std::time::{Duration, Instant};
 use crate::net::poll::{Event, Interest, Poller, TOKEN_LISTENER};
 use crate::net::proto::{ErrorCode, Hello, RemoteError, ServerMsg, MAX_MESSAGE_BYTES};
 use crate::obs::instruments::NetInstruments;
-use crate::obs::{TraceEvent, TraceOutcome, TraceRing, TraceStage};
 
 /// Parsed-but-unexecuted messages a session may hold before its read
 /// interest is shed (per-session pipelining bound).
@@ -74,17 +74,14 @@ pub(crate) fn envelope(body: &[u8]) -> Vec<u8> {
 /// protocol error and closes, mirroring the blocking engine's behavior
 /// byte for byte.
 pub(crate) struct Job {
-    /// Trace-facing session id.
+    /// Server-wide session id (the replication hub keys streams by it).
     pub session: u64,
     /// Negotiated handshake state before the batch.
     pub hello: Option<Hello>,
     /// The session entered replication mode (REPLICATE accepted).
     pub repl: bool,
-    /// Message bodies in arrival order, each paired with the span id the
-    /// loop assigned at envelope decode. The span follows the message
-    /// through execute and the storage tiers, so one trace tail
-    /// reconstructs a single message's cross-tier timeline.
-    pub bodies: Vec<(u64, Vec<u8>)>,
+    /// Message bodies in arrival order.
+    pub bodies: Vec<Vec<u8>>,
 }
 
 /// What executing a [`Job`] produced.
@@ -155,9 +152,6 @@ pub(crate) struct ReactorShared {
     /// Set by [`ReactorShared::request_shutdown`]; flips every loop into
     /// its drain.
     shutdown: AtomicBool,
-    /// Next span id. Starts at 1 — span 0 is the "no span" sentinel used
-    /// by events not tied to a decoded message.
-    next_span: AtomicU64,
     /// Next session id (accept order across the whole server).
     next_session: AtomicU64,
 }
@@ -173,7 +167,6 @@ impl ReactorShared {
                 })
                 .collect(),
             shutdown: AtomicBool::new(false),
-            next_span: AtomicU64::new(1),
             next_session: AtomicU64::new(0),
         }
     }
@@ -228,13 +221,12 @@ pub(crate) struct ReactorKnobs {
 
 struct Session {
     stream: TcpStream,
-    /// Trace-facing id (server-wide accept order).
+    /// Server-wide id (accept order).
     id: u64,
     /// Partial-read accumulator: raw bytes, possibly mid-envelope.
     inbuf: Vec<u8>,
-    /// Complete message bodies awaiting execution, each with its
-    /// decode-assigned span id.
-    inbox: VecDeque<(u64, Vec<u8>)>,
+    /// Complete message bodies awaiting execution.
+    inbox: VecDeque<Vec<u8>>,
     /// Enveloped replies awaiting flush.
     outq: VecDeque<Vec<u8>>,
     /// Bytes of `outq[0]` already written.
@@ -288,7 +280,6 @@ pub(crate) struct EventLoop {
     exec: Arc<dyn Execute>,
     knobs: ReactorKnobs,
     obs: NetInstruments,
-    trace: Option<Arc<TraceRing>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     /// Sessions this loop holds (the drain's exit condition).
@@ -311,7 +302,6 @@ impl EventLoop {
         exec: Arc<dyn Execute>,
         knobs: ReactorKnobs,
         obs: NetInstruments,
-        trace: Option<Arc<TraceRing>>,
     ) -> std::io::Result<Self> {
         if let Some(l) = &listener {
             shared.loops[index]
@@ -326,7 +316,6 @@ impl EventLoop {
             exec,
             knobs,
             obs,
-            trace,
             slots: Vec::new(),
             free: Vec::new(),
             open: 0,
@@ -560,15 +549,13 @@ impl EventLoop {
         self.parse_inbuf(idx);
     }
 
-    /// Extracts complete envelopes into the inbox, assigning each one a
-    /// fresh span id (and recording the span's Decode arrival event —
-    /// `ns` 0, it is a marker, not a duration). A hostile declared
+    /// Extracts complete envelopes into the inbox. A hostile declared
     /// length (zero or over the cap) enqueues the empty-body sentinel —
     /// sequenced *after* every previously queued message, exactly where
     /// the blocking engine would have tripped over it — and stops the
     /// read side for good.
     fn parse_inbuf(&mut self, idx: usize) {
-        let (mut in_bytes, mut hw) = (0u64, 0u64);
+        let mut in_bytes = 0u64;
         {
             let s = self.slots[idx].sess.as_mut().expect("resolved session");
             let mut off = 0;
@@ -582,33 +569,14 @@ impl EventLoop {
                 if !hostile && rest.len() < 4 + len {
                     break;
                 }
-                let span = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
-                let body = if hostile {
-                    Vec::new()
-                } else {
-                    rest[4..4 + len].to_vec()
-                };
-                if let Some(trace) = &self.trace {
-                    trace.record(TraceEvent {
-                        span,
-                        session: s.id,
-                        stage: TraceStage::Decode,
-                        msg_type: body.first().copied().unwrap_or(0),
-                        outcome: if hostile {
-                            TraceOutcome::Error
-                        } else {
-                            TraceOutcome::Ok
-                        },
-                        ns: 0,
-                    });
-                }
-                s.inbox.push_back((span, body));
                 if hostile {
+                    s.inbox.push_back(Vec::new());
                     s.read_gone = true;
                     s.inbuf.clear();
                     off = 0;
                     break;
                 }
+                s.inbox.push_back(rest[4..4 + len].to_vec());
                 // Envelope + body, counted once decoded off the socket —
                 // same accounting point as the blocking engine.
                 in_bytes += 4 + len as u64;
@@ -617,12 +585,10 @@ impl EventLoop {
             if off > 0 {
                 s.inbuf.drain(..off);
             }
-            hw = hw.max(s.inbox.len() as u64);
         }
         if in_bytes > 0 {
             self.obs.bytes_in.add(in_bytes);
         }
-        self.obs.queue_depth_hw.record_max(hw);
     }
 
     /// Flushes the output queue with vectored writes until it would
@@ -836,20 +802,6 @@ impl EventLoop {
         self.shared.loops[self.index]
             .poller
             .deregister(&s.stream, token);
-        // A peer-initiated end (EOF or read error, not a BYE/ERROR close
-        // we decided on) is the Disconnect trace event.
-        if s.read_gone && !s.closing {
-            if let Some(trace) = &self.trace {
-                trace.record(TraceEvent {
-                    span: 0,
-                    session: s.id,
-                    stage: TraceStage::Execute,
-                    msg_type: 0,
-                    outcome: TraceOutcome::Disconnect,
-                    ns: 0,
-                });
-            }
-        }
         drop(s);
         self.free.push(idx);
         self.open -= 1;

@@ -53,10 +53,7 @@ use crate::net::reactor::{
 };
 use crate::net::{NetConfig, NetError};
 use crate::obs::instruments::NetInstruments;
-use crate::obs::trace::set_current_span;
-use crate::obs::{
-    MetricsRegistry, TimeSeriesRing, TraceEvent, TraceOutcome, TraceRing, TraceStage,
-};
+use crate::obs::{MetricsRegistry, TimeSeriesRing};
 use crate::repl::cursor::ReplCursor;
 use crate::service::{AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
@@ -242,7 +239,6 @@ where
     /// Net-tier instruments: the *single* accounting path — drain totals
     /// ([`ServerStats`]) and STATUS replies both read these counters.
     obs: NetInstruments,
-    trace: Option<Arc<TraceRing>>,
 }
 
 /// What a drained server reports back from [`LdpServer::shutdown`]. The
@@ -388,21 +384,10 @@ where
             backend.service.attach_metrics(&registry);
         }
         let obs = NetInstruments::register(&registry);
-        // Trace adoption mirrors registry adoption: an explicit
-        // `config.trace` wins; otherwise a durable backend's own ring
-        // (from [`crate::storage::DurableConfig::trace`]) is shared, so
-        // session-tier span events land in the same ring the storage
-        // tier's WAL-append events do.
-        let trace = match (&config.trace, &backend.log) {
-            (Some(t), _) => Some(Arc::clone(t)),
-            (None, Some(log)) => log.trace().cloned(),
-            (None, None) => None,
-        };
         let shared = Arc::new(Shared {
             backend,
             registry,
             obs: obs.clone(),
-            trace: trace.clone(),
         });
         let ops = match &config.ops_addr {
             Some(ops_addr) => Some(
@@ -448,7 +433,6 @@ where
                 Arc::clone(&exec),
                 knobs,
                 obs.clone(),
-                trace.clone(),
             )
             .and_then(|ev| {
                 std::thread::Builder::new()
@@ -550,37 +534,17 @@ fn stop_loops(rshared: &ReactorShared, loops: Vec<JoinHandle<()>>, obs: &NetInst
     rshared.close_unadmitted(obs);
 }
 
-/// Records one handled request into the per-message-type latency
-/// histogram and — when tracing is on — the trace ring, as the span's
-/// Execute-stage event.
-fn observe<S>(shared: &Shared<S>, span: u64, session: u64, msg_type: u8, ok: bool, started: Instant)
-where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
-    S::Report: WireReport,
-{
-    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+/// Records one handled request into its message type's latency
+/// histogram.
+fn observe(obs: &NetInstruments, msg_type: u8, started: Instant) {
     let histo = match msg_type {
-        MSG_REPORT => &shared.obs.report_ns,
-        MSG_QUERY => &shared.obs.query_ns,
-        MSG_SEAL => &shared.obs.seal_ns,
+        MSG_REPORT => &obs.report_ns,
+        MSG_QUERY => &obs.query_ns,
+        MSG_SEAL => &obs.seal_ns,
         // STATUS and REPLICATE share one introspection-latency histogram.
-        _ => &shared.obs.status_ns,
+        _ => &obs.status_ns,
     };
-    histo.record(ns);
-    if let Some(trace) = &shared.trace {
-        trace.record(TraceEvent {
-            span,
-            session,
-            stage: TraceStage::Execute,
-            msg_type,
-            outcome: if ok {
-                TraceOutcome::Ok
-            } else {
-                TraceOutcome::Error
-            },
-            ns,
-        });
-    }
+    histo.record_elapsed(started);
 }
 
 /// What a replication stream answers to anything but REPL_ACK and BYE.
@@ -619,12 +583,7 @@ where
     let mut close = false;
     let mut repl = job.repl;
     let mut push: Option<Box<dyn PushSource>> = None;
-    for (span, body) in &job.bodies {
-        let span = *span;
-        // The decode-assigned span follows the message into the storage
-        // tiers through the loop's thread-local, so a WAL group-commit
-        // can stamp its event with the span that caused it.
-        set_current_span(Some(span));
+    for body in &job.bodies {
         if body.is_empty() {
             // Hostile envelope length (zero or over the cap): typed
             // error, then close — resync is impossible.
@@ -663,7 +622,6 @@ where
                 Ok(accepted) => {
                     obs.frames_absorbed.add(accepted);
                     replies.push(ServerMsg::ReportOk { accepted }.encode());
-                    observe(shared, span, job.session, MSG_REPORT, true, started);
                 }
                 Err(e) => {
                     // Count what the payload could physically hold (the
@@ -673,9 +631,9 @@ where
                     let plausible = count.min(frames.len() as u64 / 5);
                     obs.frames_rejected.add(plausible);
                     replies.push(ServerMsg::Error(e).encode());
-                    observe(shared, span, job.session, MSG_REPORT, false, started);
                 }
             }
+            observe(obs, MSG_REPORT, started);
             continue;
         }
         let msg = match ClientMsg::decode(body) {
@@ -755,12 +713,12 @@ where
                     close = true;
                     break;
                 }
-                let (reply, ok) = match shared.backend.query(&query) {
-                    Ok(reply) => (ServerMsg::QueryOk(reply), true),
-                    Err(e) => (ServerMsg::Error(e), false),
+                let reply = match shared.backend.query(&query) {
+                    Ok(reply) => ServerMsg::QueryOk(reply),
+                    Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(shared, span, job.session, MSG_QUERY, ok, started);
+                observe(obs, MSG_QUERY, started);
             }
             ClientMsg::Seal => {
                 if hello.is_none() {
@@ -768,22 +726,22 @@ where
                     close = true;
                     break;
                 }
-                let (reply, ok) = match shared.backend.seal() {
-                    Ok(epoch) => (ServerMsg::SealOk { epoch }, true),
-                    Err(e) => (ServerMsg::Error(e), false),
+                let reply = match shared.backend.seal() {
+                    Ok(epoch) => ServerMsg::SealOk { epoch },
+                    Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(shared, span, job.session, MSG_SEAL, ok, started);
+                observe(obs, MSG_SEAL, started);
             }
             ClientMsg::Status => {
                 // No handshake required: STATUS names no report kind, so
                 // an operator tool can probe any server blind.
-                let (reply, ok) = match build_status(shared) {
-                    Ok(status) => (ServerMsg::StatusOk(status), true),
-                    Err(e) => (ServerMsg::Error(e), false),
+                let reply = match build_status(shared) {
+                    Ok(status) => ServerMsg::StatusOk(status),
+                    Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(shared, span, job.session, MSG_STATUS, ok, started);
+                observe(obs, MSG_STATUS, started);
             }
             ClientMsg::Replicate { start } => {
                 // Allowed before HELLO only (like STATUS it names no
@@ -797,18 +755,18 @@ where
                     close = true;
                     break;
                 }
-                match setup_replication(shared, job.session, start) {
+                let granted = setup_replication(shared, job.session, start);
+                observe(obs, MSG_REPLICATE, started);
+                match granted {
                     Ok((reply, source)) => {
                         replies.push(reply);
                         repl = true;
                         push = Some(source);
-                        observe(shared, span, job.session, MSG_REPLICATE, true, started);
                         // Anything pipelined after this body hits the
                         // stream-session guard above.
                     }
                     Err((code, detail)) => {
                         replies.push(error_body(code, detail));
-                        observe(shared, span, job.session, MSG_REPLICATE, false, started);
                         close = true;
                         break;
                     }
@@ -829,8 +787,6 @@ where
             }
         }
     }
-    // A loop runs many sessions; never leak a span into the next job.
-    set_current_span(None);
     JobDone {
         hello,
         replies,

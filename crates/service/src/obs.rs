@@ -1,7 +1,6 @@
 //! The unified telemetry layer: a mergeable metrics registry, per-stage
 //! latency histograms, and the ops plane built on top of them —
-//! time-series sampling, derived component health, and cross-tier span
-//! tracing.
+//! time-series sampling and derived component health.
 //!
 //! Every tier of the service — shard absorb, snapshot publication, epoch
 //! windowing, the session server, and the durable storage layer —
@@ -29,13 +28,9 @@
 //! The session protocol carries none of this; its STATUS probe answers
 //! with counters and durability progress only.
 //!
-//! A [`TraceRing`] rides along for postmortem debugging of the
-//! adversarial session paths: a fixed-size lock-free ring of structured
-//! events behind a runtime flag. Events are **spans**: each message gets
-//! an id at event-loop decode that follows it through execute, WAL
-//! group-commit, and follower re-apply ([`TraceStage`]), so one ring
-//! tail reconstructs the decode→absorb→fsync→ack timeline of a single
-//! REPORT.
+//! The registry is the one record of per-stage cost: each handled
+//! message type, each WAL append and each follower re-apply is timed or
+//! counted by its own instrument.
 //!
 //! See the README's "Observability" section for the full metric-name
 //! table (name, type, unit, tier) and the health-state semantics.
@@ -45,7 +40,6 @@ pub mod health;
 pub mod instruments;
 pub mod registry;
 pub mod timeseries;
-pub mod trace;
 
 pub use expose::{MetricEntry, MetricValue, RegistrySnapshot};
 pub use health::{evaluate, ComponentHealth, HealthReport, HealthState, HealthThresholds};
@@ -53,4 +47,3 @@ pub use registry::{
     Counter, Gauge, Histo, HistoSnapshot, Metric, MetricsRegistry, ObsError, HISTO_BUCKETS,
 };
 pub use timeseries::{MetricsRange, Sampler, TimeSample, TimeSeriesRing, MAX_RANGE_SAMPLES};
-pub use trace::{TraceEvent, TraceOutcome, TraceRing, TraceStage};

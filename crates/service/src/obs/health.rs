@@ -3,11 +3,10 @@
 //!
 //! Health is *derived*, never stored: every signal it reads — the
 //! [`names::STORAGE_WEDGED`] gauge, the WAL append-latency percentiles,
-//! the event loops' queue high-water mark, the open-session count, the
-//! replication lag gauge — already lives in the registry, so the ops
-//! endpoint's `GET /health` and an in-process [`evaluate`] over
-//! `LdpServer::registry()` are the same computation over the same
-//! snapshot. A component only appears in the report when its tier's
+//! the open-session count, the replication lag gauge — already lives in
+//! the registry, so the ops endpoint's `GET /health` and an in-process
+//! [`evaluate`] over `LdpServer::registry()` are the same computation
+//! over the same snapshot. A component only appears in the report when its tier's
 //! signals are present in the snapshot (a plain in-memory server has no
 //! storage component), so the report's shape tracks the node's actual
 //! composition.
@@ -21,7 +20,7 @@ use crate::obs::instruments::names;
 pub enum HealthState {
     /// All signals inside their thresholds.
     Healthy,
-    /// Operable but outside a threshold (latency, backlog, lag).
+    /// Operable but outside a threshold (latency, sessions, lag).
     Degraded,
     /// Not operable (the store wedged fail-stop, lag past the hard
     /// threshold).
@@ -48,9 +47,6 @@ pub struct HealthThresholds {
     /// Degraded when the WAL append (group-commit incl. fsync) p99
     /// bucket bound exceeds this many nanoseconds.
     pub wal_append_p99_ns: u64,
-    /// Degraded when a session's parsed-but-undispatched backlog
-    /// high-water mark reaches this many messages.
-    pub queue_depth_hw: u64,
     /// Degraded when this many sessions are open simultaneously.
     pub sessions_open: u64,
     /// Degraded when replication lag reaches this many records.
@@ -65,9 +61,6 @@ impl Default for HealthThresholds {
             // One WAL group commit slower than 250ms at p99 means the
             // disk is in trouble, not just busy.
             wal_append_p99_ns: 250_000_000,
-            // A loop's per-session inbox holds 32 parsed messages;
-            // sustained high-water near it means the loops are behind.
-            queue_depth_hw: 24,
             // Far above the tested 10k-session concurrency gate.
             sessions_open: 50_000,
             follower_lag_degraded: 4_096,
@@ -160,8 +153,7 @@ fn json_escape(s: &str) -> String {
 /// * `storage` — [`names::STORAGE_WEDGED`] set ⇒ Unhealthy (fail-stop);
 ///   WAL append p99 past [`HealthThresholds::wal_append_p99_ns`] ⇒
 ///   Degraded.
-/// * `net` — open sessions past [`HealthThresholds::sessions_open`] or
-///   queue high-water past [`HealthThresholds::queue_depth_hw`] ⇒
+/// * `net` — open sessions past [`HealthThresholds::sessions_open`] ⇒
 ///   Degraded.
 /// * `repl` — [`names::REPL_FOLLOWER_LAG_RECORDS`] past the degraded /
 ///   unhealthy lag thresholds ⇒ Degraded / Unhealthy (on a leader the
@@ -207,7 +199,6 @@ pub fn evaluate(snapshot: &RegistrySnapshot, thresholds: &HealthThresholds) -> H
     }
 
     if let Some(open) = snapshot.gauge(names::NET_SESSIONS_OPEN) {
-        let hw = snapshot.gauge(names::NET_QUEUE_DEPTH_HW).unwrap_or(0);
         let (state, detail) = if open >= thresholds.sessions_open {
             (
                 HealthState::Degraded,
@@ -216,19 +207,8 @@ pub fn evaluate(snapshot: &RegistrySnapshot, thresholds: &HealthThresholds) -> H
                     thresholds.sessions_open
                 ),
             )
-        } else if hw >= thresholds.queue_depth_hw {
-            (
-                HealthState::Degraded,
-                format!(
-                    "session backlog high-water {hw} at/above the {} threshold",
-                    thresholds.queue_depth_hw
-                ),
-            )
         } else {
-            (
-                HealthState::Healthy,
-                format!("{open} open sessions, backlog high-water {hw}"),
-            )
+            (HealthState::Healthy, format!("{open} open sessions"))
         };
         components.push(ComponentHealth {
             component: "net".to_string(),
@@ -324,10 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn slow_wal_and_deep_queues_degrade_without_unhealthy() {
+    fn slow_wal_and_many_sessions_degrade_without_unhealthy() {
         let thresholds = HealthThresholds {
             wal_append_p99_ns: 1_000,
-            queue_depth_hw: 8,
+            sessions_open: 3,
             ..HealthThresholds::default()
         };
         let snapshot = snapshot_with(|r| {
@@ -336,7 +316,6 @@ mod tests {
                 r.histo(names::WAL_APPEND_NS).record(1_000_000);
             }
             r.gauge(names::NET_SESSIONS_OPEN).set(3);
-            r.gauge(names::NET_QUEUE_DEPTH_HW).set(9);
         });
         let report = evaluate(&snapshot, &thresholds);
         assert_eq!(report.verdict(), HealthState::Degraded);

@@ -72,9 +72,6 @@ pub mod names {
     pub const NET_BYTES_IN: &str = "net.bytes_in";
     /// Counter, bytes: session-message bytes written.
     pub const NET_BYTES_OUT: &str = "net.bytes_out";
-    /// Gauge, messages: high-water mark of a session's parsed-but-
-    /// undispatched message backlog (pipelining depth).
-    pub const NET_QUEUE_DEPTH_HW: &str = "net.queue_depth_hw";
     /// Histogram, ns: REPORT handling latency (absorb + reply write).
     pub const NET_REPORT_NS: &str = "net.report_ns";
     /// Histogram, ns: QUERY handling latency.
@@ -230,8 +227,6 @@ pub struct NetInstruments {
     pub bytes_in: Arc<Counter>,
     /// [`names::NET_BYTES_OUT`].
     pub bytes_out: Arc<Counter>,
-    /// [`names::NET_QUEUE_DEPTH_HW`].
-    pub queue_depth_hw: Arc<Gauge>,
     /// [`names::NET_REPORT_NS`].
     pub report_ns: Arc<Histo>,
     /// [`names::NET_QUERY_NS`].
@@ -254,7 +249,6 @@ impl NetInstruments {
             frames_rejected: registry.counter(names::NET_FRAMES_REJECTED),
             bytes_in: registry.counter(names::NET_BYTES_IN),
             bytes_out: registry.counter(names::NET_BYTES_OUT),
-            queue_depth_hw: registry.gauge(names::NET_QUEUE_DEPTH_HW),
             report_ns: registry.histo(names::NET_REPORT_NS),
             query_ns: registry.histo(names::NET_QUERY_NS),
             seal_ns: registry.histo(names::NET_SEAL_NS),

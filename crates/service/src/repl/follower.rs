@@ -5,14 +5,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ldp_ranges::{PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::ReplInstruments;
-use crate::obs::trace::set_current_span;
-use crate::obs::{TraceEvent, TraceOutcome, TraceStage};
 use crate::repl::feed::ReplFeed;
 use crate::snapshot::SnapshotSource;
 use crate::storage::recovery::RecoveryReport;
@@ -302,40 +300,13 @@ where
             expected += 1;
             let record = WalRecord::decode_body(body)
                 .map_err(|e| format!("pushed WAL record {at} is malformed: {e}"))?;
-            records.push((*at, record));
+            records.push(record);
         }
         let boundary = records
             .iter()
-            .any(|(_, r)| !matches!(r, WalRecord::Frames { .. }));
-        // The span of a replicated record is its leader-assigned log
-        // position: the one id both sides already agree on, so a
-        // leader's WalAppend and the follower's ReplApply for the same
-        // record correlate without a wire change. The batched apply
-        // stamps each record's own position onto its WalAppend; here
-        // each record gets its ReplApply event with the run's wall time
-        // amortized across its records.
-        let started = Instant::now();
-        let applied = service.apply_replicated_batch(&records);
-        set_current_span(None);
-        if let Some(trace) = service.trace() {
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let per_record = elapsed / records.len() as u64;
-            for (at, _) in &records {
-                trace.record(TraceEvent {
-                    span: *at,
-                    session: 0,
-                    stage: TraceStage::ReplApply,
-                    msg_type: 0,
-                    outcome: if applied.is_ok() {
-                        TraceOutcome::Ok
-                    } else {
-                        TraceOutcome::Error
-                    },
-                    ns: per_record,
-                });
-            }
-        }
-        applied
+            .any(|r| !matches!(r, WalRecord::Frames { .. }));
+        service
+            .apply_replicated_batch(&records)
             .map_err(|e| format!("applying replicated records {start}..{expected} failed: {e}"))?;
         position.store(expected, Ordering::SeqCst);
         let leader = feed.leader_records();

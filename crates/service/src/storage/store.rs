@@ -31,8 +31,7 @@ use ldp_ranges::{PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::{ReplInstruments, StorageInstruments};
-use crate::obs::trace::{current_span, set_current_span};
-use crate::obs::{MetricsRegistry, TraceEvent, TraceOutcome, TraceRing, TraceStage};
+use crate::obs::MetricsRegistry;
 use crate::repl::hub::ReplHub;
 use crate::service::{AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
@@ -67,13 +66,6 @@ pub struct DurableConfig {
     /// instruments itself into. `None` (the default) creates a private
     /// registry, reachable via [`DurableService::registry`].
     pub registry: Option<Arc<MetricsRegistry>>,
-    /// Trace ring the storage tier records its WAL-append span events
-    /// into. `None` (the default) disables storage-tier tracing;
-    /// `bind_durable` adopts this ring for the session tier when
-    /// [`crate::net::NetConfig::trace`] is unset, the same way it adopts
-    /// the registry — so one ring holds a message's whole
-    /// decode→execute→append timeline.
-    pub trace: Option<Arc<TraceRing>>,
 }
 
 impl Default for DurableConfig {
@@ -85,7 +77,6 @@ impl Default for DurableConfig {
             checkpoint_every_records: 0,
             retain_history: false,
             registry: None,
-            trace: None,
         }
     }
 }
@@ -144,8 +135,6 @@ where
     /// no shadow copies — [`DurableService::status`] and the metrics
     /// exposition cannot disagree.
     obs: StorageInstruments,
-    /// Trace ring for WAL-append span events ([`DurableConfig::trace`]).
-    trace: Option<Arc<TraceRing>>,
     /// The replication hub, once this store serves as a leader (created
     /// lazily by [`DurableService::ensure_repl_hub`]). Append paths
     /// publish each logged record through it; `None` costs nothing.
@@ -376,7 +365,6 @@ where
         obs.replay_records.add(report.records_replayed);
         obs.replay_frames.add(report.frames_replayed);
         service.attach_metrics(&registry);
-        let trace = config.trace.clone();
         Ok((
             Self {
                 service,
@@ -390,7 +378,6 @@ where
                 last_checkpoint: AtomicU64::new(last),
                 registry,
                 obs,
-                trace,
                 repl: OnceLock::new(),
             },
             report,
@@ -404,32 +391,6 @@ where
     #[must_use]
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// The trace ring this store records WAL-append span events into
-    /// ([`DurableConfig::trace`]) — `bind_durable` adopts it for the
-    /// session tier when [`crate::net::NetConfig::trace`] is unset, like
-    /// the registry.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Arc<TraceRing>> {
-        self.trace.as_ref()
-    }
-
-    /// Records one WAL-append span event: the span the calling thread's
-    /// thread-local carries (a live REPORT/SEAL span on the leader, the
-    /// leader-assigned record position on a follower re-apply), session
-    /// 0 — the storage tier serves every session.
-    fn trace_append(&self, started: Instant) {
-        if let Some(trace) = &self.trace {
-            trace.record(TraceEvent {
-                span: current_span().unwrap_or(0),
-                session: 0,
-                stage: TraceStage::WalAppend,
-                msg_type: 0,
-                outcome: TraceOutcome::Ok,
-                ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
     }
 
     /// Whether the backend is windowed.
@@ -533,7 +494,6 @@ where
         let started = Instant::now();
         self.wedge_on_err(wal.writer.append_frames(wire_version, n, frames))?;
         self.obs.append_ns.record_elapsed(started);
-        self.trace_append(started);
         self.obs.batch_frames.record(n);
         self.obs.wal_records.incr();
         self.obs.wal_frames.add(n);
@@ -566,7 +526,6 @@ where
         let started = Instant::now();
         self.wedge_on_err(wal.writer.append(&WalRecord::Seal { epoch }))?;
         self.obs.append_ns.record_elapsed(started);
-        self.trace_append(started);
         self.obs.wal_records.incr();
         wal.records_since_checkpoint += 1;
         self.notify_repl(wal);
@@ -750,9 +709,7 @@ where
     /// records seal and log at their original positions, and a
     /// CHECKPOINT record is appended as a marker only (the follower
     /// checkpoints on its own schedule, which for a live follower is
-    /// never). Each element pairs the leader-assigned record position
-    /// with the record so per-record `WalAppend` trace spans stay
-    /// correct.
+    /// never).
     ///
     /// All-or-nothing per record: if one is rejected, it reached neither
     /// state nor log, and the records *before* it in `records` are
@@ -764,14 +721,10 @@ where
     /// As [`DurableService::ingest_batch`] / [`DurableService::seal_epoch`];
     /// a SEAL naming a different epoch than the follower's ring sealed
     /// surfaces as corrupt state (the logs have diverged).
-    pub(crate) fn apply_replicated_batch(
-        &self,
-        records: &[(u64, WalRecord)],
-    ) -> Result<(), ServiceError> {
+    pub(crate) fn apply_replicated_batch(&self, records: &[WalRecord]) -> Result<(), ServiceError> {
         let _order = self.exclude_order()?;
         self.check_wedged()?;
-        for (position, record) in records {
-            set_current_span(Some(*position));
+        for record in records {
             match record {
                 WalRecord::Frames {
                     wire_version,
@@ -994,8 +947,7 @@ mod tests {
             WalRecord::Checkpoint { .. } => 'C',
         };
         assert_eq!(leader_log.iter().map(kind).collect::<String>(), "FFSFC");
-        let run: Vec<(u64, WalRecord)> = (0u64..).zip(leader_log.iter().cloned()).collect();
-        follower.apply_replicated_batch(&run).unwrap();
+        follower.apply_replicated_batch(&leader_log).unwrap();
         follower.sync().unwrap();
 
         assert_eq!(log_of(&follower_dir), leader_log);
@@ -1017,8 +969,8 @@ mod tests {
             count: 24,
             frames: batch(Some(0)).as_bytes().to_vec(),
         };
-        let good = run[3].1.clone();
-        let run = [(5, good.clone()), (6, stale), (7, good.clone())];
+        let good = leader_log[3].clone();
+        let run = [good.clone(), stale, good.clone()];
         assert!(matches!(
             follower.apply_replicated_batch(&run),
             Err(ServiceError::BadFrame { index: 0, .. })

@@ -4,8 +4,8 @@
 //! pipelined requests are answered in order without a round trip per
 //! message — and without waiting a poll tick per inbox-cap slice — idle
 //! sessions are evicted with a typed error, the portable fallback poller
-//! serves the identical protocol, sessions and span ids are accounted
-//! once across loops, and shutdown stays bounded even with a peer frozen
+//! serves the identical protocol, sessions are accounted once across
+//! loops, and shutdown stays bounded even with a peer frozen
 //! mid-frame.
 
 use std::io::{Read, Write};
@@ -19,7 +19,6 @@ use ldp_service::net::proto::{
 };
 use ldp_service::net::{ErrorCode, Hello, NetConfig};
 use ldp_service::obs::instruments::names;
-use ldp_service::obs::{TraceRing, TraceStage};
 use ldp_service::{EncodedStream, LdpClient, LdpServer, LdpService};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -387,15 +386,12 @@ fn raw_envelope_matches_write_message() {
 
 /// Sessions dealt across three loops are accounted once: the shared
 /// `net.sessions_open` gauge reads every open session while they are
-/// open and zero after their BYEs, opened equals closed, and span ids
-/// (one server-wide counter) never repeat across loops.
+/// open and zero after their BYEs, and opened equals closed.
 #[test]
-fn sessions_and_spans_are_counted_once_across_loops() {
+fn sessions_are_counted_once_across_loops() {
     const SESSIONS: usize = 10;
-    let trace = Arc::new(TraceRing::enabled_with(1024));
     let (client, _service, server) = hh_fixture(NetConfig {
         workers: 3,
-        trace: Some(Arc::clone(&trace)),
         ..NetConfig::default()
     });
     let addr = server.local_addr();
@@ -423,24 +419,6 @@ fn sessions_and_spans_are_counted_once_across_loops() {
     }
     assert_eq!(counter(names::NET_SESSIONS_OPENED), SESSIONS as u64);
     assert_eq!(counter(names::NET_SESSIONS_CLOSED), SESSIONS as u64);
-
-    // HELLO, two REPORTs, a QUERY and a BYE per session, each with its
-    // own span, and one session id per session.
-    let decodes: Vec<_> = trace
-        .events()
-        .into_iter()
-        .map(|(_, e)| e)
-        .filter(|e| e.stage == TraceStage::Decode)
-        .collect();
-    assert_eq!(decodes.len(), 5 * SESSIONS);
-    let spans: std::collections::BTreeSet<u64> = decodes.iter().map(|e| e.span).collect();
-    assert_eq!(
-        spans.len(),
-        decodes.len(),
-        "a span id was reused across loops"
-    );
-    let ids: std::collections::BTreeSet<u64> = decodes.iter().map(|e| e.session).collect();
-    assert_eq!(ids.len(), SESSIONS, "a session id was reused across loops");
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions, SESSIONS as u64);

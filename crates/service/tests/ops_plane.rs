@@ -6,10 +6,8 @@
 //! bytes get typed status codes, never a hang or a panic. It answers
 //! against a follower actively catching up, while the session protocol
 //! keeps its pre-HELLO STATUS probe. A server without an ops endpoint
-//! runs no sampler. The per-message span ids assigned at reactor decode
-//! reappear on the worker's Execute events and the storage tier's
-//! WalAppend events, correlating one REPORT's decode → absorb → fsync
-//! timeline across tiers.
+//! runs no sampler. A leader whose event loops deal follower sessions
+//! out across loops counts every follower once.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,14 +16,16 @@ use std::time::{Duration, Instant};
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HhClient, HhConfig, HhServer};
-use ldp_service::net::proto::{read_message, write_message, ClientMsg, ServerMsg};
+use ldp_service::net::proto::{
+    encode_report_body, read_message, write_message, ClientMsg, ServerMsg,
+};
 use ldp_service::net::{Hello, NetConfig};
 use ldp_service::obs::instruments::names;
-use ldp_service::obs::{evaluate, HealthState, TraceStage};
+use ldp_service::obs::{evaluate, HealthState};
 use ldp_service::storage::{scratch_dir, DurableConfig, DurableService, FsyncPolicy};
 use ldp_service::{
     EncodedStream, FollowerService, HealthThresholds, LdpClient, LdpServer, LdpService,
-    MetricsRegistry, TraceRing,
+    MetricsRegistry,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -292,6 +292,51 @@ fn injected_follower_lag_flips_health_over_both_surfaces() {
 /// configured interval, capped at the ring's capacity; a clamped read of
 /// the same ring keeps the newest samples, and adjacent samples of one
 /// live registry subtract exactly.
+/// A client that pipelines a burst deeper than a session's inbox cap,
+/// reads its acks and disconnects leaves the node Healthy once its
+/// session is closed. A full inbox means a
+/// client is pipelining — read interest is shed until it drains — not
+/// that a loop is behind.
+#[test]
+fn pipelined_burst_leaves_health_healthy_once_drained() {
+    const BURST: usize = 40;
+    let (client, prototype) = hh_parts();
+    let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
+    let server = LdpServer::bind("127.0.0.1:0", service, NetConfig::default()).unwrap();
+    let session =
+        LdpClient::connect(server.local_addr(), Hello::plain::<ldp_ranges::HhReport>()).unwrap();
+    let mut stream = session.into_stream();
+
+    let frames = stream_of(&client, 4500, BURST);
+    let mut burst = Vec::new();
+    for k in 0..BURST {
+        let body = encode_report_body(1, frames.frame_span(k, k + 1));
+        burst.extend_from_slice(&u32::try_from(body.len()).unwrap().to_le_bytes());
+        burst.extend_from_slice(&body);
+    }
+    stream.write_all(&burst).unwrap();
+    for k in 0..BURST {
+        let reply = ServerMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
+        assert!(
+            matches!(reply, ServerMsg::ReportOk { accepted: 1 }),
+            "REPORT {k}: {reply:?}"
+        );
+    }
+    drop(stream);
+
+    let open = || server.registry().snapshot().gauge(names::NET_SESSIONS_OPEN);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while open() != Some(0) {
+        assert!(Instant::now() < deadline, "session never closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let report = evaluate(&server.registry().snapshot(), &HealthThresholds::default());
+    assert_eq!(report.verdict(), HealthState::Healthy, "{report:?}");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.frames_absorbed, BURST as u64);
+}
+
 #[test]
 fn metrics_range_scrape_is_ordered_clamped_and_exact() {
     let (_, prototype) = hh_parts();
@@ -459,92 +504,29 @@ fn follower_replica_answers_probes_during_catch_up() {
     let _ = server.shutdown();
 }
 
-// --- cross-tier span tracing ---------------------------------------------
+// --- followers across event loops ---------------------------------------
 
-/// One REPORT's span id, assigned at reactor decode, reappears on the
-/// worker's Execute event and the storage tier's WalAppend event — and
-/// the trace ring came from the durable config (adoption), not from
-/// `NetConfig::trace`.
+/// Two followers subscribe through a three-loop leader, so their
+/// sessions live on different loops. The replication hub keys streams
+/// by session id, so ids must be unique server-wide: the leader counts
+/// two followers, both reach its position, and each counts every
+/// record it applied once.
 #[test]
-fn spans_correlate_decode_execute_and_wal_append() {
+fn followers_on_different_loops_are_counted_apart() {
     let (client, prototype) = hh_parts();
-    let dir = scratch_dir("ops-span-leader").unwrap();
-    let trace = Arc::new(TraceRing::enabled_with(256));
-    let config = DurableConfig {
-        trace: Some(Arc::clone(&trace)),
-        ..durable_config()
-    };
-    let (leader, _) = DurableService::open(&dir, &prototype, config).unwrap();
-    // NetConfig::trace stays None: the server adopts the storage ring.
-    let server =
-        LdpServer::bind_durable("127.0.0.1:0", Arc::new(leader), NetConfig::default()).unwrap();
-
-    let mut session =
-        LdpClient::connect(server.local_addr(), Hello::plain::<ldp_ranges::HhReport>()).unwrap();
-    let stream = stream_of(&client, 4300, 40);
-    assert_eq!(session.send_stream(&stream, 10).unwrap(), 40);
-    let _ = session.status().unwrap();
-    session.bye().unwrap();
-    let _ = server.shutdown();
-
-    let events: Vec<_> = trace.events().into_iter().map(|(_, e)| e).collect();
-    let report_executes: Vec<_> = events
-        .iter()
-        .filter(|e| e.stage == TraceStage::Execute && e.msg_type == 0x02)
-        .collect();
-    assert_eq!(report_executes.len(), 4, "four REPORT batches executed");
-    for exec in report_executes {
-        assert_ne!(exec.span, 0, "real messages get non-sentinel spans");
-        assert!(
-            events
-                .iter()
-                .any(|e| e.stage == TraceStage::Decode && e.span == exec.span),
-            "span {} has no decode marker",
-            exec.span
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| e.stage == TraceStage::WalAppend && e.span == exec.span && e.ns > 0),
-            "span {} has no WAL append event",
-            exec.span
-        );
-    }
-    // A STATUS (no storage work) must NOT leave a WalAppend event; the
-    // span pipeline only stamps stages that actually ran.
-    let status_span = events
-        .iter()
-        .find(|e| e.stage == TraceStage::Execute && e.msg_type == 0x06)
-        .expect("STATUS executed")
-        .span;
-    assert!(
-        !events
-            .iter()
-            .any(|e| e.stage == TraceStage::WalAppend && e.span == status_span),
-        "STATUS left a WalAppend event"
-    );
-}
-
-/// A follower's ReplApply events are keyed by the leader-assigned
-/// record position — the one id both sides agree on — and the nested
-/// WalAppend the re-framed record produces carries the same span.
-#[test]
-fn follower_repl_apply_spans_are_leader_record_positions() {
-    let (client, prototype) = hh_parts();
-    let leader_dir = scratch_dir("ops-span-repl-leader").unwrap();
-    let follower_dir = scratch_dir("ops-span-repl-follower").unwrap();
+    let leader_dir = scratch_dir("ops-two-followers-leader").unwrap();
     let (leader, _) = DurableService::open(&leader_dir, &prototype, durable_config()).unwrap();
-    let server =
-        LdpServer::bind_durable("127.0.0.1:0", Arc::new(leader), NetConfig::default()).unwrap();
+    let leader = Arc::new(leader);
+    let server = LdpServer::bind_durable(
+        "127.0.0.1:0",
+        Arc::clone(&leader),
+        NetConfig {
+            workers: 3,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
     let addr = format!("{}", server.local_addr());
-
-    let trace = Arc::new(TraceRing::enabled_with(256));
-    let follower_config = DurableConfig {
-        trace: Some(Arc::clone(&trace)),
-        ..durable_config()
-    };
-    let (follower, _) =
-        FollowerService::open(&follower_dir, &prototype, &addr, follower_config).unwrap();
 
     let mut session = LdpClient::connect(&addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
     let stream = stream_of(&client, 4400, 30);
@@ -552,38 +534,39 @@ fn follower_repl_apply_spans_are_leader_record_positions() {
         let span = stream.frame_span(chunk * 10, (chunk + 1) * 10);
         assert_eq!(session.send_batch(10, span).unwrap(), 10);
     }
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while follower.position() < 3 {
-        assert!(
-            Instant::now() < deadline,
-            "follower stuck at {} (err: {:?})",
-            follower.position(),
-            follower.last_error()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    session.bye().unwrap();
-
-    let events: Vec<_> = trace.events().into_iter().map(|(_, e)| e).collect();
-    let applies: Vec<_> = events
+    let followers: Vec<_> = ["a", "b"]
         .iter()
-        .filter(|e| e.stage == TraceStage::ReplApply)
+        .map(|tag| {
+            let dir = scratch_dir(&format!("ops-two-followers-{tag}")).unwrap();
+            FollowerService::open(&dir, &prototype, &addr, durable_config())
+                .unwrap()
+                .0
+        })
         .collect();
-    assert_eq!(applies.len(), 3, "one ReplApply per replicated record");
-    let mut spans: Vec<u64> = applies.iter().map(|e| e.span).collect();
-    spans.sort_unstable();
-    assert_eq!(spans, vec![0, 1, 2], "spans are the record positions");
-    // Each re-applied record was re-framed into the follower's own log
-    // under the same span (the thread-local carries it down).
-    for span in spans {
-        assert!(
-            events
-                .iter()
-                .any(|e| e.stage == TraceStage::WalAppend && e.span == span),
-            "record {span} left no follower WalAppend event"
-        );
-    }
 
-    drop(follower);
+    let position = leader.status().unwrap().wal_records;
+    assert_eq!(position, 3);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    for follower in &followers {
+        let applied = || {
+            let snapshot = follower.service().registry().snapshot();
+            snapshot.counter(names::REPL_RECORDS_APPLIED)
+        };
+        while follower.position() < position || applied() != Some(position) {
+            assert!(
+                Instant::now() < deadline,
+                "follower stuck at {} with {:?} applied (err: {:?})",
+                follower.position(),
+                applied(),
+                follower.last_error()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    let snapshot = server.registry().snapshot();
+    assert_eq!(snapshot.gauge(names::REPL_FOLLOWERS), Some(2));
+
+    session.bye().unwrap();
+    drop(followers);
     let _ = server.shutdown();
 }

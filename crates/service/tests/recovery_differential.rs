@@ -15,7 +15,7 @@
 //! and a follower's re-apply — lands on the live state bit for bit.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1013,11 +1013,21 @@ fn check_concurrent_ingest<S>(
         .collect();
     points.sort_unstable();
     let progress = AtomicUsize::new(0);
+    // Thread 0 holds its last batch back until the last point has run,
+    // so at least one record follows the newest mid-run checkpoint and
+    // the checkpoint + tail reopen below always replays something. No
+    // point waits on it: every point is below `total`.
+    let points_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for batches in &threads {
-            let (leader, progress) = (&leader, &progress);
+        for (t, batches) in threads.iter().enumerate() {
+            let (leader, progress, points_done) = (&leader, &progress, &points_done);
             scope.spawn(move || {
-                for batch in batches {
+                for (i, batch) in batches.iter().enumerate() {
+                    if t == 0 && i + 1 == batches.len() {
+                        while !points_done.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
                     let n = leader
                         .ingest_batch(WIRE_V1, batch.len() as u64, batch.as_bytes())
                         .unwrap();
@@ -1037,6 +1047,7 @@ fn check_concurrent_ingest<S>(
                 leader.checkpoint().unwrap();
             }
         }
+        points_done.store(true, Ordering::SeqCst);
     });
     let live = observe(&leader, window);
 

@@ -1,11 +1,10 @@
 //! The ops plane on one page: a durable windowed `LdpServer` runs with one
 //! shared `MetricsRegistry` spanning every tier — shard absorb, snapshot
 //! refresh, epoch sealing, socket sessions, and the write-ahead log —
-//! plus a `TraceRing` of per-message span events, and the HTTP scrape
-//! endpoint enabled. In process it prints exact per-epoch deltas
-//! (`server.registry()` snapshots and `subtract`) and the trace-ring
-//! tail. Over plain std sockets — no curl, no fixed port — it scrapes
-//! *itself*, asserting that `GET /metrics` parses as Prometheus text,
+//! with the HTTP scrape endpoint enabled. In process it prints exact
+//! per-epoch deltas (`server.registry()` snapshots and `subtract`). Over
+//! plain std sockets — no curl, no fixed port — it scrapes *itself*,
+//! asserting that `GET /metrics` parses as Prometheus text,
 //! `GET /health` answers 200 with a `Healthy` verdict, and
 //! `GET /metrics/range` serves the background sampler's time-series
 //! ring, whose JSON dump is written to `OPS_ring_dump.json` (the CI
@@ -26,7 +25,7 @@ use ldp_range_queries::service::obs::instruments::names;
 use ldp_range_queries::service::storage::{
     scratch_dir, DurableConfig, DurableService, FsyncPolicy,
 };
-use ldp_range_queries::service::{EncodedStream, LdpClient, LdpServer, MetricsRegistry, TraceRing};
+use ldp_range_queries::service::{EncodedStream, LdpClient, LdpServer, MetricsRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,10 +102,8 @@ fn main() {
 
     // One registry for the whole stack: handed to the storage tier, which
     // shares it with the wrapped service, window, and shard tiers; the
-    // socket front end adopts it at bind. The trace ring records span
-    // events for every session message.
+    // socket front end adopts it at bind.
     let registry = Arc::new(MetricsRegistry::new());
-    let trace = Arc::new(TraceRing::enabled_with(256));
     let dir = scratch_dir("ops-plane-example").expect("scratch dir");
     let (durable, _) = DurableService::open_windowed(
         &dir,
@@ -124,7 +121,6 @@ fn main() {
         "127.0.0.1:0",
         Arc::new(durable),
         NetConfig {
-            trace: Some(Arc::clone(&trace)),
             ops_addr: Some("127.0.0.1:0".to_string()),
             sample_interval: Duration::from_millis(50),
             ring_capacity: 64,
@@ -232,18 +228,6 @@ fn main() {
     session.bye().expect("clean close");
     let stats = server.shutdown();
     assert_eq!(stats.frames_absorbed, total);
-
-    // The trace ring: the last few structured span events.
-    println!(
-        "\n# trace ring: {} events recorded, tail:",
-        trace.recorded()
-    );
-    for (ticket, event) in trace.events().iter().rev().take(5).rev() {
-        println!(
-            "#   [{ticket:>4}] span {} session {} {:?} msg 0x{:02x} {:?} {} ns",
-            event.span, event.session, event.stage, event.msg_type, event.outcome, event.ns
-        );
-    }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
     println!("# ops_plane: OK");
