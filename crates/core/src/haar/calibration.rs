@@ -27,7 +27,6 @@ use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::haar::{coefficient_of, HaarEstimate};
-use crate::mergeable::subtract_levels;
 
 /// One user's `HaarOUE` report: sampled depth plus the perturbed unsigned
 /// `2M`-cell vector.
@@ -42,18 +41,6 @@ impl HaarOueReport {
     #[must_use]
     pub fn depth(&self) -> u32 {
         self.depth
-    }
-
-    /// The perturbed `2M`-cell vector (wire encoding).
-    #[must_use]
-    pub fn inner(&self) -> &OueReport {
-        &self.inner
-    }
-
-    /// Rebuilds a report from its transmitted parts (wire decoding).
-    #[must_use]
-    pub fn from_parts(depth: u32, inner: OueReport) -> Self {
-        Self { depth, inner }
     }
 }
 
@@ -122,12 +109,14 @@ impl HaarOueServer {
         Ok(Self { config, levels })
     }
 
-    /// The per-level OUE accumulators (persistence codec access).
+    /// The per-level OUE accumulators (the freeze differential's
+    /// reference reads them).
+    #[cfg(test)]
     pub(crate) fn oracles(&self) -> &[Oue] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (persistence codec access).
+    /// Mutable per-level accumulators (`MergeableServer::settle`).
     pub(crate) fn oracles_mut(&mut self) -> &mut [Oue] {
         &mut self.levels
     }
@@ -145,23 +134,6 @@ impl HaarOueServer {
             a.merge(b)?;
         }
         Ok(())
-    }
-
-    /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HaarOueServer::merge`]. Subtracts in place,
-    /// level by level; an underflow at any level re-merges the levels
-    /// already subtracted, so a refused subtraction leaves this server
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards over a different domain, or state that was never
-    /// merged into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        subtract_levels(&mut self.levels, &other.levels, Oue::subtract, Oue::merge)
     }
 
     /// Accumulates one user report.

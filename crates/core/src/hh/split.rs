@@ -24,33 +24,12 @@ use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::hh::HhEstimate;
-use crate::mergeable::subtract_levels;
 
 /// One user's split-budget report: a perturbed node vector for *every*
 /// level of the tree.
 #[derive(Debug, Clone)]
 pub struct HhSplitReport {
     layers: Vec<AnyReport>,
-}
-
-impl HhSplitReport {
-    /// Number of levels reported (always `h`).
-    #[must_use]
-    pub fn num_levels(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The per-level perturbed node vectors, shallowest level first.
-    #[must_use]
-    pub fn layers(&self) -> &[AnyReport] {
-        &self.layers
-    }
-
-    /// Rebuilds a report from transmitted per-level layers (wire decoding).
-    #[must_use]
-    pub fn from_layers(layers: Vec<AnyReport>) -> Self {
-        Self { layers }
-    }
 }
 
 fn build_split_oracles(config: &HhConfig) -> Result<Vec<AnyOracle>, RangeError> {
@@ -138,12 +117,14 @@ impl HhSplitServer {
         })
     }
 
-    /// The per-level oracle accumulators (persistence codec access).
+    /// The per-level oracle accumulators (the freeze differential's
+    /// reference reads them).
+    #[cfg(test)]
     pub(crate) fn oracles(&self) -> &[AnyOracle] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (persistence codec access).
+    /// Mutable per-level accumulators (`MergeableServer::settle`).
     pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         &mut self.levels
     }
@@ -162,28 +143,6 @@ impl HhSplitServer {
             a.merge(b)?;
         }
         Ok(())
-    }
-
-    /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HhSplitServer::merge`]. Subtracts in place,
-    /// level by level; an underflow at any level re-merges the levels
-    /// already subtracted, so a refused subtraction leaves this server
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards of mismatched shape, or state that was never merged
-    /// into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        subtract_levels(
-            &mut self.levels,
-            &other.levels,
-            AnyOracle::subtract,
-            AnyOracle::merge,
-        )
     }
 
     /// Accumulates one user's multi-level report.
@@ -289,7 +248,7 @@ mod tests {
         let client = HhSplitClient::new(config).unwrap();
         let mut rng = StdRng::seed_from_u64(171);
         let r = client.report(10, &mut rng).unwrap();
-        assert_eq!(r.num_levels(), 6);
+        assert_eq!(r.layers.len(), 6);
     }
 
     #[test]
@@ -366,15 +325,15 @@ mod tests {
             .frequencies()
             .to_vec();
 
-        let mut layers = client.report(5, &mut rng).unwrap().layers().to_vec();
+        let mut layers = client.report(5, &mut rng).unwrap().layers;
         // Replace the depth-2 layer with one from a mismatched (wider)
-        // oracle — exactly what a hostile wire frame could carry.
+        // oracle.
         let alien = HhSplitClient::new(HhConfig::new(64, 2, Epsilon::new(1.0)).unwrap())
             .unwrap()
             .report(0, &mut rng)
             .unwrap();
-        layers[1] = alien.layers()[3].clone();
-        let poison = HhSplitReport::from_layers(layers);
+        layers[1] = alien.layers[3].clone();
+        let poison = HhSplitReport { layers };
 
         assert!(server.absorb(&poison).is_err());
         assert_eq!(server.num_reports(), 1, "poison report must not be counted");

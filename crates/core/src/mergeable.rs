@@ -14,7 +14,10 @@
 //!
 //! [`MergeableServer`] captures that contract behind one trait so generic
 //! infrastructure (shard pools, load generators, snapshot builders) can be
-//! written once for all six mechanisms.
+//! written once for all six mechanisms. [`SubtractableServer`] — exact
+//! un-merge and in-place clear, which windows and shard drains need — is
+//! implemented for the three mechanisms `ldp-service` serves: flat, `HH_B`
+//! and HaarHRR.
 
 use crate::error::RangeError;
 use crate::flat::FlatServer;
@@ -316,39 +319,9 @@ impl SubtractableServer for HhServer {
     }
 }
 
-impl SubtractableServer for HhSplitServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        HhSplitServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_all(self.oracles_mut());
-    }
-}
-
 impl SubtractableServer for HaarHrrServer {
     fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
         HaarHrrServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_all(self.oracles_mut());
-    }
-}
-
-impl SubtractableServer for HaarOueServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        HaarOueServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_all(self.oracles_mut());
-    }
-}
-
-impl SubtractableServer for Hh2dServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        Hh2dServer::subtract(self, other)
     }
 
     fn clear(&mut self) {
@@ -573,20 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn hh_split_last_level_underflow_leaves_state() {
-        let mut rng = StdRng::seed_from_u64(322);
-        let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
-        let client = HhSplitClient::new(config.clone()).unwrap();
-        let mut server = HhSplitServer::new(config).unwrap();
-        for i in 0..100 {
-            server
-                .absorb(&client.report(i % 64, &mut rng).unwrap())
-                .unwrap();
-        }
-        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
-    }
-
-    #[test]
     fn haar_hrr_last_level_underflow_leaves_state() {
         let mut rng = StdRng::seed_from_u64(323);
         let config = HaarConfig::new(64, Epsilon::new(1.1)).unwrap();
@@ -596,33 +555,6 @@ mod tests {
             server
                 .absorb(&client.report(i % 64, &mut rng).unwrap())
                 .unwrap();
-        }
-        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
-    }
-
-    #[test]
-    fn haar_oue_last_level_underflow_leaves_state() {
-        let mut rng = StdRng::seed_from_u64(324);
-        let config = HaarConfig::new(64, Epsilon::new(1.1)).unwrap();
-        let client = HaarOueClient::new(config.clone()).unwrap();
-        let mut server = HaarOueServer::new(config).unwrap();
-        for i in 0..300 {
-            server
-                .absorb(&client.report(i % 64, &mut rng).unwrap())
-                .unwrap();
-        }
-        assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
-    }
-
-    #[test]
-    fn hh2d_last_grid_underflow_leaves_state() {
-        let mut rng = StdRng::seed_from_u64(325);
-        let config = Hh2dConfig::new(16, 2, Epsilon::new(1.1)).unwrap();
-        let client = Hh2dClient::new(config.clone()).unwrap();
-        let mut server = Hh2dServer::new(config).unwrap();
-        for i in 0..600 {
-            let report = client.report(i % 16, (i * 7) % 16, &mut rng).unwrap();
-            server.absorb(&report).unwrap();
         }
         assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
     }
@@ -650,5 +582,71 @@ mod tests {
             5,
             |s: &HaarHrrServer| s.estimate().to_frequency_estimate().cdf(),
         );
+    }
+
+    // The ablations the service does not serve still merge exactly, and
+    // refuse a shard of another shape.
+
+    #[test]
+    fn hh_split_sharding_is_exact() {
+        let config = HhConfig::new(64, 2, Epsilon::new(1.4)).unwrap();
+        let client = HhSplitClient::new(config.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(304);
+        let reports: Vec<_> = (0..150)
+            .map(|i| client.report((i * 5) % 64, &mut rng).unwrap())
+            .collect();
+        assert_sharded_equals_sequential(
+            || HhSplitServer::new(config.clone()).unwrap(),
+            &reports,
+            4,
+            |s: &HhSplitServer| s.estimate_consistent().to_frequency_estimate().cdf(),
+        );
+        let mut a = HhSplitServer::new(config).unwrap();
+        let b = HhSplitServer::new(HhConfig::new(64, 4, Epsilon::new(1.4)).unwrap()).unwrap();
+        assert!(MergeableServer::merge(&mut a, &b).is_err());
+    }
+
+    #[test]
+    fn haar_oue_sharding_is_exact() {
+        let config = HaarConfig::new(64, Epsilon::new(0.8)).unwrap();
+        let client = HaarOueClient::new(config.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(305);
+        let reports: Vec<_> = (0..200)
+            .map(|i| client.report((i * 3) % 64, &mut rng).unwrap())
+            .collect();
+        assert_sharded_equals_sequential(
+            || HaarOueServer::new(config.clone()).unwrap(),
+            &reports,
+            4,
+            |s: &HaarOueServer| s.estimate().to_frequency_estimate().cdf(),
+        );
+        let mut a = HaarOueServer::new(config).unwrap();
+        let b = HaarOueServer::new(HaarConfig::new(32, Epsilon::new(0.8)).unwrap()).unwrap();
+        assert!(MergeableServer::merge(&mut a, &b).is_err());
+    }
+
+    #[test]
+    fn hh2d_sharding_is_exact() {
+        let config = Hh2dConfig::new(16, 2, Epsilon::new(1.1)).unwrap();
+        let client = Hh2dClient::new(config.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(306);
+        let reports: Vec<_> = (0..150)
+            .map(|i| client.report(i % 16, (i * 3) % 16, &mut rng).unwrap())
+            .collect();
+        assert_sharded_equals_sequential(
+            || Hh2dServer::new(config.clone()).unwrap(),
+            &reports,
+            4,
+            |s: &Hh2dServer| {
+                let est = s.estimate();
+                [(0, 15, 0, 15), (0, 7, 8, 15), (3, 12, 2, 9), (5, 5, 5, 5)]
+                    .iter()
+                    .map(|&(a, b, c, d)| est.rectangle(a, b, c, d))
+                    .collect()
+            },
+        );
+        let mut a = Hh2dServer::new(config).unwrap();
+        let b = Hh2dServer::new(Hh2dConfig::new(8, 2, Epsilon::new(1.1)).unwrap()).unwrap();
+        assert!(MergeableServer::merge(&mut a, &b).is_err());
     }
 }

@@ -23,7 +23,6 @@ use ldp_transforms::{decompose_range, CompleteTree};
 use crate::binomial_support::scatter_item_over_levels;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
-use crate::mergeable::subtract_levels;
 
 /// Configuration of the 2-D hierarchical mechanism over `[side]²`.
 #[derive(Debug, Clone)]
@@ -117,26 +116,6 @@ pub struct Hh2dReport {
     inner: AnyReport,
 }
 
-impl Hh2dReport {
-    /// The sampled depth pair `(d_x, d_y)`.
-    #[must_use]
-    pub fn depths(&self) -> (u32, u32) {
-        (self.dx, self.dy)
-    }
-
-    /// The perturbed grid-cell vector (wire encoding).
-    #[must_use]
-    pub fn inner(&self) -> &AnyReport {
-        &self.inner
-    }
-
-    /// Rebuilds a report from its transmitted parts (wire decoding).
-    #[must_use]
-    pub fn from_parts(dx: u32, dy: u32, inner: AnyReport) -> Self {
-        Self { dx, dy, inner }
-    }
-}
-
 fn build_grid_oracles(config: &Hh2dConfig) -> Result<Vec<AnyOracle>, RangeError> {
     let shape = config.shape();
     config
@@ -225,12 +204,14 @@ impl Hh2dServer {
         })
     }
 
-    /// The per-grid oracle accumulators (persistence codec access).
+    /// The per-grid oracle accumulators (the freeze differential's
+    /// reference reads them).
+    #[cfg(test)]
     pub(crate) fn oracles(&self) -> &[AnyOracle] {
         &self.grids
     }
 
-    /// Mutable per-grid accumulators (persistence codec access).
+    /// Mutable per-grid accumulators (`MergeableServer::settle`).
     pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         &mut self.grids
     }
@@ -248,27 +229,6 @@ impl Hh2dServer {
             a.merge(b)?;
         }
         Ok(())
-    }
-
-    /// Removes a previously merged shard's per-grid accumulators — the
-    /// exact inverse of [`Hh2dServer::merge`]. Subtracts in place, grid by
-    /// grid; an underflow at any grid re-merges the grids already
-    /// subtracted, so a refused subtraction leaves this server untouched.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards of mismatched shape, or state that was never merged
-    /// into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.side != self.config.side || other.config.fanout != self.config.fanout {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        subtract_levels(
-            &mut self.grids,
-            &other.grids,
-            AnyOracle::subtract,
-            AnyOracle::merge,
-        )
     }
 
     /// Accumulates one report.

@@ -7,8 +7,9 @@
 //! restoring those integers into a *fresh server built from the same
 //! configuration* reproduces the original state bit for bit — estimates,
 //! report counts, merge behavior, everything. [`PersistableServer`]
-//! captures that contract for all six mechanisms, the same way
-//! [`MergeableServer`] captures exact merging.
+//! captures that contract for the three mechanisms `ldp-service` serves
+//! (flat, `HH_B`, HaarHRR), the same way [`MergeableServer`] captures
+//! exact merging.
 //!
 //! ## Format
 //!
@@ -34,12 +35,9 @@ use ldp_freq_oracle::{AnyOracle, Hrr, Oue, PointOracle};
 
 use crate::error::RangeError;
 use crate::flat::FlatServer;
-use crate::haar::calibration::HaarOueServer;
 use crate::haar::HaarHrrServer;
-use crate::hh::split::HhSplitServer;
 use crate::hh::HhServer;
 use crate::mergeable::MergeableServer;
-use crate::multidim::Hh2dServer;
 
 /// Oracle kind tags, matching the service crate's wire-format oracle tags
 /// so one set of constants describes both encodings.
@@ -297,21 +295,6 @@ impl PersistableServer for HhServer {
     }
 }
 
-impl PersistableServer for HhSplitServer {
-    fn persist_state(&self, out: &mut Vec<u8>) {
-        for oracle in self.oracles() {
-            persist_any(out, oracle);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        for oracle in self.oracles_mut() {
-            restore_any(r, oracle)?;
-        }
-        Ok(())
-    }
-}
-
 impl PersistableServer for HaarHrrServer {
     fn persist_state(&self, out: &mut Vec<u8>) {
         for oracle in self.oracles() {
@@ -327,47 +310,14 @@ impl PersistableServer for HaarHrrServer {
     }
 }
 
-impl PersistableServer for HaarOueServer {
-    fn persist_state(&self, out: &mut Vec<u8>) {
-        for oracle in self.oracles() {
-            persist_oue(out, oracle);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        for oracle in self.oracles_mut() {
-            restore_oue(r, oracle)?;
-        }
-        Ok(())
-    }
-}
-
-impl PersistableServer for Hh2dServer {
-    fn persist_state(&self, out: &mut Vec<u8>) {
-        for oracle in self.oracles() {
-            persist_any(out, oracle);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        for oracle in self.oracles_mut() {
-            restore_any(r, oracle)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FlatConfig, HaarConfig, HhConfig};
     use crate::estimate::RangeEstimate;
     use crate::flat::FlatClient;
-    use crate::haar::calibration::HaarOueClient;
     use crate::haar::HaarHrrClient;
-    use crate::hh::split::HhSplitClient;
     use crate::hh::HhClient;
-    use crate::multidim::{Hh2dClient, Hh2dConfig};
     use ldp_freq_oracle::{Epsilon, FrequencyOracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -435,17 +385,6 @@ mod tests {
         roundtrip(&server, &prototype, |s: &HhServer| {
             s.estimate_consistent().to_frequency_estimate().cdf()
         });
-
-        let client = HhSplitClient::new(config.clone()).unwrap();
-        let prototype = HhSplitServer::new(config).unwrap();
-        let mut server = prototype.clone();
-        for i in 0..200 {
-            MergeableServer::absorb(&mut server, &client.report(i % 64, &mut rng).unwrap())
-                .unwrap();
-        }
-        roundtrip(&server, &prototype, |s: &HhSplitServer| {
-            s.estimate_consistent().to_frequency_estimate().cdf()
-        });
     }
 
     #[test]
@@ -462,37 +401,6 @@ mod tests {
         }
         roundtrip(&server, &prototype, |s: &HaarHrrServer| {
             s.estimate().to_frequency_estimate().cdf()
-        });
-
-        let client = HaarOueClient::new(config.clone()).unwrap();
-        let prototype = HaarOueServer::new(config).unwrap();
-        let mut server = prototype.clone();
-        for i in 0..400 {
-            MergeableServer::absorb(&mut server, &client.report(i % 64, &mut rng).unwrap())
-                .unwrap();
-        }
-        roundtrip(&server, &prototype, |s: &HaarOueServer| {
-            s.estimate().to_frequency_estimate().cdf()
-        });
-    }
-
-    #[test]
-    fn hh2d_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(604);
-        let config = Hh2dConfig::new(16, 2, Epsilon::new(1.1)).unwrap();
-        let client = Hh2dClient::new(config.clone()).unwrap();
-        let prototype = Hh2dServer::new(config).unwrap();
-        let mut server = prototype.clone();
-        for i in 0..300 {
-            let (x, y) = (i % 16, (i * 7) % 16);
-            MergeableServer::absorb(&mut server, &client.report(x, y, &mut rng).unwrap()).unwrap();
-        }
-        roundtrip(&server, &prototype, |s: &Hh2dServer| {
-            let est = s.estimate();
-            let side = est.side();
-            (0..side * side)
-                .map(|i| est.rectangle(i / side, i / side, i % side, i % side))
-                .collect()
         });
     }
 

@@ -38,11 +38,11 @@
 //! shard, and the socket front end, the durable store, a replication
 //! follower and crash recovery all go through the function under it.
 //!
-//! * [`wire`] — the versioned binary frame format for every report type
-//!   (flat one-hots through any oracle, `HH_B` level reports, budget-split
-//!   reports, both Haar variants, 2-D grids). Total decoding: malformed
-//!   bytes produce [`error::WireError`], never a panic or an unbounded
-//!   allocation.
+//! * [`wire`] — the versioned binary frame format for the served report
+//!   types (flat one-hots through any oracle, `HH_B` level reports,
+//!   HaarHRR). The paper's ablations stay in `ldp_ranges`, unserved.
+//!   Total decoding: malformed bytes produce [`error::WireError`], never
+//!   a panic or an unbounded allocation.
 //! * [`snapshot`] — [`RangeSnapshot`]: merged state frozen into an
 //!   immutable, prefix-summed estimate answering range/prefix/point/
 //!   quantile queries in `O(1)`/`O(log D)`, shared by `Arc`, versioned

@@ -107,8 +107,9 @@ pub const WIRE_V1: u8 = crate::wire::VERSION;
 /// untagged).
 pub const WIRE_EPOCH: u8 = crate::wire::VERSION_EPOCH;
 
-// The client-message type bytes are crate-visible so the server can
-// stamp them into trace events without re-deriving them from the enum.
+// The client-message type bytes are crate-visible so the server can pick
+// a message's latency histogram (`observe`) and take the REPORT fast path
+// without re-deriving them from the enum.
 // 0x07, 0x0A and 0x0B (and the replies 0x87, 0x8A, 0x8B) are retired:
 // see the module docs before assigning a new type byte.
 pub(crate) const MSG_HELLO: u8 = 0x01;

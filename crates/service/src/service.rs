@@ -434,8 +434,8 @@ impl<S: SnapshotSource> LdpService<S> {
     /// after the merge); estimation runs with no shard lock held.
     /// Integer sufficient statistics make the accumulator bit-identical
     /// to one server absorbing every report in order (the
-    /// `delta_refresh` proptest pins this for all six mechanisms against
-    /// such a one-shard reference).
+    /// `delta_refresh` proptest pins this for the three served mechanisms
+    /// against such a one-shard reference).
     ///
     /// **Version contract.** The version increases iff the published
     /// content changed: a refresh publishes under the next version iff

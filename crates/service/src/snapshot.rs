@@ -13,7 +13,7 @@
 //! about staleness.
 //!
 //! A freeze writes each stage's output once, in place: every level oracle
-//! estimates straight into its level of the tree, pyramid or grid
+//! estimates straight into its level of the tree or pyramid
 //! (`PointOracle::estimate_into`), constrained inference runs a kernel
 //! instantiated for the tree's fanout, and the prefix sums fill a
 //! pre-sized buffer by index. `ldp_ranges`' freeze differential holds the
@@ -22,8 +22,8 @@
 
 use crate::error::ServiceError;
 use ldp_ranges::{
-    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HaarOueServer, Hh2dServer, HhServer,
-    HhSplitServer, RangeEstimate, SubtractableServer,
+    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, RangeEstimate,
+    SubtractableServer,
 };
 
 /// Servers whose merged state can be frozen into a 1-D frequency
@@ -72,15 +72,9 @@ pub trait SnapshotSource: SubtractableServer {
     }
 }
 
-/// Each mechanism publishes what its server names as its best estimate
-/// (`frequency_estimate` in `ldp_ranges`): the leaves of the
-/// constrained-inference tree for the hierarchical families, the collapsed
-/// pyramid for Haar, the oracle's own estimate for the flat mechanism, and
-/// for the 2-D mechanism the grid linearized row-major — cell `(x, y)`
-/// becomes item `x · side + y`, so range/prefix queries run over the
-/// row-major cell order. Native axis-aligned rectangle queries stay on
-/// [`Hh2dServer::estimate`]; the 2-D impl is what lets that mechanism ride
-/// the generic service and network stack beside the 1-D ones.
+/// Each served mechanism publishes its server's `frequency_estimate`: the
+/// flat oracle's own estimate, the `HH_B` constrained-inference leaves, or
+/// the collapsed HaarHRR pyramid.
 macro_rules! snapshot_sources {
     ($($server:ty),+) => {$(
         impl SnapshotSource for $server {
@@ -91,14 +85,7 @@ macro_rules! snapshot_sources {
     )+};
 }
 
-snapshot_sources!(
-    FlatServer,
-    HhServer,
-    HhSplitServer,
-    HaarHrrServer,
-    HaarOueServer,
-    Hh2dServer
-);
+snapshot_sources!(FlatServer, HhServer, HaarHrrServer);
 
 /// An immutable, query-ready freeze of merged aggregator state.
 #[derive(Debug, Clone)]

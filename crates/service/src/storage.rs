@@ -8,8 +8,8 @@
 //! the same standard as the socket path: recovery after a crash at *any*
 //! byte offset must reproduce a snapshot bit-identical to an in-process
 //! server fed exactly the durably-logged prefix, and the
-//! `recovery_differential.rs` tests enforce it for all six mechanisms,
-//! windowed and unwindowed.
+//! `recovery_differential.rs` tests enforce it for the three served
+//! mechanisms (flat, `HH_B`, HaarHRR), windowed and unwindowed.
 //!
 //! ```text
 //!   ingest batch ──► submit_wire_batch (decode + absorb in place,

@@ -18,8 +18,8 @@
 //! of re-merging the surviving `K − 1` epochs from scratch. Windowed
 //! answers are therefore exactly what a from-scratch merge of the same
 //! epochs would produce (the `window.rs` integration tests check this
-//! bit-for-bit for all six mechanisms), at a per-rotation cost that does
-//! not grow with the window length.
+//! bit-for-bit for the three served mechanisms), at a per-rotation cost
+//! that does not grow with the window length.
 //!
 //! ```text
 //!        absorb                    seal_epoch            rotation

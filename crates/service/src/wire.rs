@@ -1,9 +1,8 @@
 //! The versioned binary wire format for client reports.
 //!
-//! Every report a client can produce — flat one-hots through any oracle,
-//! hierarchical-histogram level reports, budget-split multi-level reports,
-//! both Haar variants, and 2-D grid reports — encodes into one
-//! self-delimiting *frame*:
+//! Every report the service absorbs — flat one-hots through any oracle,
+//! hierarchical-histogram level reports and HaarHRR coefficient reports —
+//! encodes into one self-delimiting *frame*:
 //!
 //! ```text
 //! frame   := magic(2B = "LQ")  version(1B)  kind(1B)  payload        (v1)
@@ -13,10 +12,10 @@
 //!
 //! kind 0  Flat      payload := oracle_report
 //! kind 1  Hh        payload := depth:varint  oracle_report
-//! kind 2  HhSplit   payload := layers:varint  oracle_report × layers
+//! kind 2  retired — was HhSplit; never reuse
 //! kind 3  HaarHrr   payload := depth:varint  hrr_report
-//! kind 4  HaarOue   payload := depth:varint  unary_report
-//! kind 5  Hh2d      payload := dx:varint  dy:varint  oracle_report
+//! kind 4  retired — was HaarOue; never reuse
+//! kind 5  retired — was Hh2d; never reuse
 //!
 //! oracle_report := tag(1B) body
 //!   tag 0 OUE   body := unary_report
@@ -44,7 +43,7 @@
 //! rejects v2 frames outright.
 
 use ldp_freq_oracle::{AnyReport, HrrReport, OlhReport, OueReport, UniversalHash};
-use ldp_ranges::{HaarHrrReport, HaarOueReport, Hh2dReport, HhReport, HhSplitReport};
+use ldp_ranges::{HaarHrrReport, HhReport};
 
 use crate::error::WireError;
 
@@ -63,12 +62,10 @@ pub const VERSION_EPOCH: u8 = 2;
 /// *population* scale) before calling a header hostile.
 pub const MAX_WIRE_DOMAIN: u64 = 1 << 26;
 
+// Kinds 2, 4 and 5 are retired: see the module docs.
 const KIND_FLAT: u8 = 0;
 const KIND_HH: u8 = 1;
-const KIND_HH_SPLIT: u8 = 2;
 const KIND_HAAR_HRR: u8 = 3;
-const KIND_HAAR_OUE: u8 = 4;
-const KIND_HH2D: u8 = 5;
 
 const TAG_OUE: u8 = 0;
 const TAG_OLH: u8 = 1;
@@ -351,28 +348,6 @@ impl WireReport for HhReport {
     }
 }
 
-impl WireReport for HhSplitReport {
-    const KIND: u8 = KIND_HH_SPLIT;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.layers().len() as u64);
-        for layer in self.layers() {
-            put_any(out, layer);
-        }
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.size()?;
-        if n == 0 || n > 64 {
-            return Err(WireError::Malformed(
-                "split report layer count out of range",
-            ));
-        }
-        let layers = (0..n).map(|_| get_any(r)).collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_layers(layers))
-    }
-}
-
 impl WireReport for HaarHrrReport {
     const KIND: u8 = KIND_HAAR_HRR;
 
@@ -384,37 +359,6 @@ impl WireReport for HaarHrrReport {
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let depth = r.size()? as u32;
         Ok(Self::from_parts(depth, get_hrr(r)?))
-    }
-}
-
-impl WireReport for HaarOueReport {
-    const KIND: u8 = KIND_HAAR_OUE;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        put_varint(out, u64::from(self.depth()));
-        put_unary(out, self.inner());
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let depth = r.size()? as u32;
-        Ok(Self::from_parts(depth, get_unary(r)?))
-    }
-}
-
-impl WireReport for Hh2dReport {
-    const KIND: u8 = KIND_HH2D;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        let (dx, dy) = self.depths();
-        put_varint(out, u64::from(dx));
-        put_varint(out, u64::from(dy));
-        put_any(out, self.inner());
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let dx = r.size()? as u32;
-        let dy = r.size()? as u32;
-        Ok(Self::from_parts(dx, dy, get_any(r)?))
     }
 }
 
@@ -568,6 +512,16 @@ mod tests {
     use ldp_freq_oracle::{AnyOracle, Epsilon, FrequencyOracle, PointOracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Kind bytes of the retired HhSplit, HaarOue and Hh2d reports.
+    const RETIRED_KINDS: [u8; 3] = [2, 4, 5];
+
+    #[test]
+    fn retired_kinds_stay_retired() {
+        for kind in [AnyReport::KIND, HhReport::KIND, HaarHrrReport::KIND] {
+            assert!(!RETIRED_KINDS.contains(&kind), "kind {kind} is retired");
+        }
+    }
 
     fn roundtrip<T: WireReport>(report: &T) -> T {
         let frame = report.to_frame();

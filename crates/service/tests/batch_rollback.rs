@@ -1,11 +1,11 @@
 //! All-or-nothing batches are absorbed in place and rolled back by exact
 //! subtraction; these tests pin that the rollback is *exact*.
 //!
-//! For all six mechanisms, plain and windowed: a batch that fails at an
-//! arbitrary frame `k` — truncated bytes, a well-formed report of the
-//! wrong shape, a stale or future epoch tag — through each of
-//! `submit_wire_batch`, its windowed alias `submit_epoch_wire_batch` and
-//! `DurableService::ingest_batch` must
+//! For the three served mechanisms (flat, `HH_B`, HaarHRR), plain and
+//! windowed: a batch that fails at an arbitrary frame `k` — truncated
+//! bytes, a well-formed report of the wrong shape, a stale or future
+//! epoch tag — through each of `submit_wire_batch`, its windowed alias
+//! `submit_epoch_wire_batch` and `DurableService::ingest_batch` must
 //!
 //! * report `BadFrame { index: k, .. }`,
 //! * leave the merged shard state's `persist_state` bytes identical,
@@ -14,17 +14,16 @@
 //!
 //! The rollback rests on per-report atomicity — a rejected `absorb`
 //! mutates nothing — which the unit tests at the bottom pin for every
-//! mechanism and for `EpochRing::absorb_tagged`.
+//! served mechanism and for `EpochRing::absorb_tagged`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ldp_freq_oracle::{AnyReport, Epsilon};
+use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitReport, HhSplitServer, MergeableServer, PersistableServer, SubtractableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, MergeableServer, PersistableServer, SubtractableServer,
 };
 use ldp_service::net::{WIRE_EPOCH, WIRE_V1};
 use ldp_service::storage::{scratch_dir, wal, DurableConfig, DurableService, FsyncPolicy};
@@ -121,25 +120,6 @@ fn hh_with_pool(seed: u64, pool: usize, fanout: usize) -> Mech<HhServer> {
     )
 }
 
-/// The split mechanism's rejected report is *partially* valid — every
-/// layer but the last matches the server — so it exercises the
-/// validate-all-layers-before-mutating order, not just a length check.
-fn hh_split(seed: u64) -> Mech<HhSplitServer> {
-    let config = HhConfig::new(64, 2, eps()).unwrap();
-    let client = HhSplitClient::new(config.clone()).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut layers: Vec<AnyReport> = client.report(9, &mut rng).unwrap().layers().to_vec();
-    let last = layers.len() - 1;
-    layers[last] = layers[0].clone();
-    let bad = HhSplitReport::from_layers(layers);
-    Mech::new(
-        HhSplitServer::new(config).unwrap(),
-        &mut rng,
-        |i, rng| client.report((i * 5) % 64, rng).unwrap(),
-        |_, _| bad.clone(),
-    )
-}
-
 fn haar_hrr(seed: u64) -> Mech<HaarHrrServer> {
     let config = HaarConfig::new(64, eps()).unwrap();
     let client = HaarHrrClient::new(config.clone()).unwrap();
@@ -149,30 +129,6 @@ fn haar_hrr(seed: u64) -> Mech<HaarHrrServer> {
         &mut StdRng::seed_from_u64(seed),
         |i, rng| client.report((i * 11) % 64, rng).unwrap(),
         |i, rng| foreign.report(i % 1024, rng).unwrap(),
-    )
-}
-
-fn haar_oue(seed: u64) -> Mech<HaarOueServer> {
-    let config = HaarConfig::new(64, eps()).unwrap();
-    let client = HaarOueClient::new(config.clone()).unwrap();
-    let foreign = HaarOueClient::new(HaarConfig::new(1024, eps()).unwrap()).unwrap();
-    Mech::new(
-        HaarOueServer::new(config).unwrap(),
-        &mut StdRng::seed_from_u64(seed),
-        |i, rng| client.report((i * 3) % 64, rng).unwrap(),
-        |i, rng| foreign.report(i % 1024, rng).unwrap(),
-    )
-}
-
-fn hh2d(seed: u64) -> Mech<Hh2dServer> {
-    let config = Hh2dConfig::new(16, 2, eps()).unwrap();
-    let client = Hh2dClient::new(config.clone()).unwrap();
-    let foreign = Hh2dClient::new(Hh2dConfig::new(64, 2, eps()).unwrap()).unwrap();
-    Mech::new(
-        Hh2dServer::new(config).unwrap(),
-        &mut StdRng::seed_from_u64(seed),
-        |i, rng| client.report(i % 16, (i * 3) % 16, rng).unwrap(),
-        |i, rng| foreign.report(i % 64, (i * 5) % 64, rng).unwrap(),
     )
 }
 
@@ -505,44 +461,20 @@ proptest! {
     }
 
     #[test]
-    fn hh_split_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
-        let mech = hh_split(seed);
-        check_plain(&mech, k);
-        check_windowed(&mech, k);
-    }
-
-    #[test]
     fn haar_hrr_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
         let mech = haar_hrr(seed);
         check_plain(&mech, k);
         check_windowed(&mech, k);
     }
 
-    #[test]
-    fn haar_oue_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
-        let mech = haar_oue(seed);
-        check_plain(&mech, k);
-        check_windowed(&mech, k);
-    }
-
-    #[test]
-    fn hh2d_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH) {
-        let mech = hh2d(seed);
-        check_plain(&mech, k);
-        check_windowed(&mech, k);
-    }
-
     /// One mechanism per case through the durable path (a case opens two
-    /// storage directories, so the six share one property's budget).
+    /// storage directories, so the three share one property's budget).
     #[test]
-    fn durable_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH, which in 0usize..6) {
+    fn durable_rollback_is_exact(seed in 0u64..5_000, k in 0usize..=BATCH, which in 0usize..3) {
         match which {
             0 => check_durable(&flat(seed), k, "flat"),
             1 => check_durable(&hh(seed), k, "hh"),
-            2 => check_durable(&hh_split(seed), k, "hhsplit"),
-            3 => check_durable(&haar_hrr(seed), k, "haarhrr"),
-            4 => check_durable(&haar_oue(seed), k, "haaroue"),
-            _ => check_durable(&hh2d(seed), k, "hh2d"),
+            _ => check_durable(&haar_hrr(seed), k, "haarhrr"),
         }
     }
 }
@@ -799,21 +731,6 @@ fn hh_rejected_absorb_mutates_nothing() {
 }
 
 #[test]
-fn hh_split_rejected_absorb_mutates_nothing() {
-    assert_rejected_absorb_is_a_no_op(&hh_split(3), "hhsplit");
-}
-
-#[test]
 fn haar_hrr_rejected_absorb_mutates_nothing() {
     assert_rejected_absorb_is_a_no_op(&haar_hrr(4), "haarhrr");
-}
-
-#[test]
-fn haar_oue_rejected_absorb_mutates_nothing() {
-    assert_rejected_absorb_is_a_no_op(&haar_oue(5), "haaroue");
-}
-
-#[test]
-fn hh2d_rejected_absorb_mutates_nothing() {
-    assert_rejected_absorb_is_a_no_op(&hh2d(6), "hh2d");
 }

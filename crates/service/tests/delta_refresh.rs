@@ -3,13 +3,13 @@
 //! (windowed) epoch seals, the published snapshot must be bit-identical
 //! to a one-shard reference that absorbed the same reports in order (an
 //! `EpochRing` sealed at the same ops, for the windowed drivers) — for
-//! all six mechanisms, plain and windowed. Integer sufficient statistics
-//! make merging each shard's delta into the accumulator and clearing the
-//! shard exact, which is the whole correctness argument for the drain;
-//! the reference shares no code with it. The drivers also pin the
-//! version contract: a refresh publishes the next version iff something
-//! was submitted or sealed since the last one, and otherwise returns the
-//! same `Arc`.
+//! the three served mechanisms (flat, `HH_B`, HaarHRR), plain and
+//! windowed. Integer sufficient statistics make merging each shard's
+//! delta into the accumulator and clearing the shard exact, which is the
+//! whole correctness argument for the drain; the reference shares no code
+//! with it. The drivers also pin the version contract: a refresh
+//! publishes the next version iff something was submitted or sealed since
+//! the last one, and otherwise returns the same `Arc`.
 
 use std::sync::Arc;
 
@@ -17,9 +17,8 @@ use proptest::prelude::*;
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer, MergeableServer, SubtractableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, MergeableServer, SubtractableServer,
 };
 use ldp_service::obs::instruments::names;
 use ldp_service::{EpochRing, LdpService, MetricsRegistry, RangeSnapshot, SnapshotSource};
@@ -233,22 +232,6 @@ proptest! {
     }
 
     #[test]
-    fn hh_split_delta_refresh_is_exact(
-        seed in 0u64..5_000,
-        ops in ops_strategy(),
-        shards in 1usize..5,
-    ) {
-        let config = HhConfig::new(64, 2, Epsilon::new(1.4)).unwrap();
-        let client = HhSplitClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> =
-            (0..48).map(|i| client.report((i * 5) % 64, &mut rng).unwrap()).collect();
-        let prototype = HhSplitServer::new(config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
-    }
-
-    #[test]
     fn haar_hrr_delta_refresh_is_exact(
         seed in 0u64..5_000,
         ops in ops_strategy(),
@@ -260,39 +243,6 @@ proptest! {
         let reports: Vec<_> =
             (0..48).map(|i| client.report((i * 11) % 128, &mut rng).unwrap()).collect();
         let prototype = HaarHrrServer::new(config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
-    }
-
-    #[test]
-    fn haar_oue_delta_refresh_is_exact(
-        seed in 0u64..5_000,
-        ops in ops_strategy(),
-        shards in 1usize..5,
-    ) {
-        let config = HaarConfig::new(64, Epsilon::new(0.8)).unwrap();
-        let client = HaarOueClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> =
-            (0..48).map(|i| client.report((i * 3) % 64, &mut rng).unwrap()).collect();
-        let prototype = HaarOueServer::new(config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
-    }
-
-    #[test]
-    fn hh2d_delta_refresh_is_exact(
-        seed in 0u64..5_000,
-        ops in ops_strategy(),
-        shards in 1usize..5,
-    ) {
-        let config = Hh2dConfig::new(16, 2, Epsilon::new(1.1)).unwrap();
-        let client = Hh2dClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> = (0..48)
-            .map(|i| client.report(i % 16, (i * 3) % 16, &mut rng).unwrap())
-            .collect();
-        let prototype = Hh2dServer::new(config).unwrap();
         run_plain(&prototype, &reports, &ops, shards);
         run_windowed(&prototype, &reports, &ops, shards);
     }

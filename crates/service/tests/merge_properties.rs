@@ -1,14 +1,14 @@
 //! Property tests for the merge semantics underpinning the sharded
-//! service: for every mechanism, shard-merge is associative, commutative,
-//! and bit-identical to single-threaded absorption.
+//! service: for every served mechanism (flat, `HH_B`, HaarHRR),
+//! shard-merge is associative, commutative, and bit-identical to
+//! single-threaded absorption.
 
 use proptest::prelude::*;
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer, MergeableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, MergeableServer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,28 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn hh_split_merge_is_exact(
-        seed in 0u64..5_000,
-        n in 1usize..150,
-        shards in 1usize..6,
-    ) {
-        let eps = Epsilon::new(1.4);
-        let config = HhConfig::new(64, 2, eps).unwrap();
-        let client = HhSplitClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> =
-            (0..n).map(|i| client.report((i * 5) % 64, &mut rng).unwrap()).collect();
-        check_merge_invariants(
-            || HhSplitServer::new(config.clone()).unwrap(),
-            &reports,
-            shards,
-            |s: &HhSplitServer| {
-                s.estimate_consistent().to_frequency_estimate().frequencies().to_vec()
-            },
-        );
-    }
-
-    #[test]
     fn haar_hrr_merge_is_exact(
         seed in 0u64..5_000,
         n in 1usize..300,
@@ -150,68 +128,14 @@ proptest! {
     }
 
     #[test]
-    fn haar_oue_merge_is_exact(
-        seed in 0u64..5_000,
-        n in 1usize..200,
-        shards in 1usize..6,
-    ) {
-        let eps = Epsilon::new(0.8);
-        let config = HaarConfig::new(64, eps).unwrap();
-        let client = HaarOueClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> =
-            (0..n).map(|i| client.report((i * 3) % 64, &mut rng).unwrap()).collect();
-        check_merge_invariants(
-            || HaarOueServer::new(config.clone()).unwrap(),
-            &reports,
-            shards,
-            |s: &HaarOueServer| s.estimate().to_frequency_estimate().frequencies().to_vec(),
-        );
-    }
-
-    #[test]
-    fn hh2d_merge_is_exact(
-        seed in 0u64..5_000,
-        n in 1usize..150,
-        shards in 1usize..6,
-    ) {
-        let eps = Epsilon::new(1.1);
-        let config = Hh2dConfig::new(16, 2, eps).unwrap();
-        let client = Hh2dClient::new(config.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> = (0..n)
-            .map(|i| client.report(i % 16, (i * 3) % 16, &mut rng).unwrap())
-            .collect();
-        check_merge_invariants(
-            || Hh2dServer::new(config.clone()).unwrap(),
-            &reports,
-            shards,
-            |s: &Hh2dServer| {
-                // Probe the 2-D estimate over a panel of rectangles.
-                let est = s.estimate();
-                [(0, 15, 0, 15), (0, 7, 8, 15), (3, 12, 2, 9), (5, 5, 5, 5)]
-                    .iter()
-                    .map(|&(a, b, c, d)| est.rectangle(a, b, c, d))
-                    .collect()
-            },
-        );
-    }
-
-    #[test]
     fn merge_rejects_mismatched_shapes(seed in 0u64..1_000) {
         let _ = seed;
         let eps = Epsilon::new(1.0);
         let mut a = HhServer::new(HhConfig::new(64, 2, eps).unwrap()).unwrap();
         let b = HhServer::new(HhConfig::new(64, 4, eps).unwrap()).unwrap();
         prop_assert!(a.merge(&b).is_err());
-        let mut x = HaarOueServer::new(HaarConfig::new(64, eps).unwrap()).unwrap();
-        let y = HaarOueServer::new(HaarConfig::new(32, eps).unwrap()).unwrap();
+        let mut x = HaarHrrServer::new(HaarConfig::new(64, eps).unwrap()).unwrap();
+        let y = HaarHrrServer::new(HaarConfig::new(32, eps).unwrap()).unwrap();
         prop_assert!(x.merge(&y).is_err());
-        let mut p = Hh2dServer::new(Hh2dConfig::new(16, 2, eps).unwrap()).unwrap();
-        let q = Hh2dServer::new(Hh2dConfig::new(8, 2, eps).unwrap()).unwrap();
-        prop_assert!(p.merge(&q).is_err());
-        let mut s = HhSplitServer::new(HhConfig::new(16, 2, eps).unwrap()).unwrap();
-        let t = HhSplitServer::new(HhConfig::new(16, 4, eps).unwrap()).unwrap();
-        prop_assert!(s.merge(&t).is_err());
     }
 }

@@ -170,6 +170,20 @@ fn handshake_mismatches_are_typed_errors() {
         other => panic!("expected a remote kind mismatch, got {other}"),
     }
 
+    // The retired HhSplit, HaarOue and Hh2d kind bytes name no served
+    // mechanism.
+    for kind in [2, 4, 5] {
+        let hello = Hello {
+            kind,
+            wire_version: WIRE_V1,
+            windowed: false,
+        };
+        match LdpClient::connect(addr, hello).unwrap_err() {
+            NetError::Remote(e) => assert_eq!(e.code, ErrorCode::KindMismatch, "kind {kind}"),
+            other => panic!("kind {kind}: expected a remote kind mismatch, got {other}"),
+        }
+    }
+
     // Epoch-tagged wire version against an unwindowed backend.
     let err = LdpClient::connect(
         addr,
@@ -245,6 +259,18 @@ fn bad_batches_reject_all_or_nothing_with_the_offending_index() {
     assert!(matches!(err, NetError::Remote(ref e) if e.code == ErrorCode::BadFrame));
     let err = session.send_batch(0, one.as_bytes()).unwrap_err();
     assert!(matches!(err, NetError::Remote(ref e) if e.code == ErrorCode::BadFrame));
+    assert_eq!(service.num_reports(), 0);
+
+    // A well-formed frame under the retired kind byte 2 (was HhSplit).
+    let mut retired = client.report(1, &mut rng).unwrap().to_frame();
+    retired[3] = 2;
+    match session.send_batch(1, &retired).unwrap_err() {
+        NetError::Remote(e) => {
+            assert_eq!(e.code, ErrorCode::BadFrame);
+            assert_eq!(e.index, Some(0));
+        }
+        other => panic!("expected a remote bad-frame error, got {other}"),
+    }
     assert_eq!(service.num_reports(), 0);
 
     // The session survives its own rejected batches.

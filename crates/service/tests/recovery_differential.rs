@@ -1,10 +1,11 @@
 //! Crash-recovery differential tests: durability is a *pure function* of
 //! the logged prefix.
 //!
-//! For all six mechanisms, windowed and unwindowed: ingest through a
-//! [`DurableService`], crash it (drop without shutdown), truncate the WAL
-//! at arbitrary byte offsets — mid-header, mid-length-prefix, mid-body,
-//! and on record boundaries — and recover. The recovered snapshot must be
+//! For the three served mechanisms (flat, `HH_B`, HaarHRR), windowed and
+//! unwindowed: ingest through a [`DurableService`], crash it (drop
+//! without shutdown), truncate the WAL at arbitrary byte offsets —
+//! mid-header, mid-length-prefix, mid-body, and on record boundaries —
+//! and recover. The recovered snapshot must be
 //! bit-identical to an in-process service fed exactly the record prefix
 //! that survived, and that prefix must itself be a byte prefix of what
 //! was acknowledged. Separately: recovery from checkpoint + WAL tail must
@@ -21,9 +22,8 @@ use std::time::{Duration, Instant};
 
 use ldp_freq_oracle::{AnyReport, Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer, PersistableServer, SubtractableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, PersistableServer, SubtractableServer,
 };
 use ldp_service::net::{NetConfig, WIRE_EPOCH, WIRE_V1};
 use ldp_service::storage::wal::{self, WalRecord};
@@ -410,9 +410,9 @@ fn epoch_streams<T: WireReport>(
         .collect()
 }
 
-/// The acceptance-criterion sweep, unwindowed: all six mechanisms.
+/// The acceptance-criterion sweep, unwindowed: every served mechanism.
 #[test]
-fn crash_recovery_is_bit_identical_for_all_six_mechanisms() {
+fn crash_recovery_is_bit_identical_for_every_served_mechanism() {
     const BATCHES: usize = 6;
     const PER_BATCH: usize = 40;
     let eps = Epsilon::new(1.1);
@@ -437,50 +437,21 @@ fn crash_recovery_is_bit_identical_for_all_six_mechanisms() {
         "hh",
     );
 
-    let split_config = HhConfig::new(64, 2, eps).unwrap();
-    let split_client = HhSplitClient::new(split_config.clone()).unwrap();
-    check_plain_crash(
-        &HhSplitServer::new(split_config.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 3003, |i, rng| {
-            split_client.report((i * 5) % 64, rng).unwrap()
-        }),
-        "hhsplit",
-    );
-
     let haar_config = HaarConfig::new(64, eps).unwrap();
     let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
     check_plain_crash(
-        &HaarHrrServer::new(haar_config.clone()).unwrap(),
+        &HaarHrrServer::new(haar_config).unwrap(),
         &plain_batches(BATCHES, PER_BATCH, 3004, |i, rng| {
             haar_client.report((i * 11) % 64, rng).unwrap()
         }),
         "haarhrr",
     );
-
-    let haar_oue_client = HaarOueClient::new(haar_config.clone()).unwrap();
-    check_plain_crash(
-        &HaarOueServer::new(haar_config.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 3005, |i, rng| {
-            haar_oue_client.report((i * 3) % 64, rng).unwrap()
-        }),
-        "haaroue",
-    );
-
-    let config_2d = Hh2dConfig::new(16, 2, eps).unwrap();
-    let client_2d = Hh2dClient::new(config_2d.clone()).unwrap();
-    check_plain_crash(
-        &Hh2dServer::new(config_2d.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 3006, |i, rng| {
-            client_2d.report(i % 16, (i * 3) % 16, rng).unwrap()
-        }),
-        "hh2d",
-    );
 }
 
-/// The acceptance-criterion sweep, windowed: all six mechanisms with
+/// The acceptance-criterion sweep, windowed: every served mechanism with
 /// seals and window rotation in the log.
 #[test]
-fn windowed_crash_recovery_is_bit_identical_for_all_six_mechanisms() {
+fn windowed_crash_recovery_is_bit_identical_for_every_served_mechanism() {
     const EPOCHS: usize = 4;
     const PER_EPOCH: usize = 40;
     const WINDOW: usize = 2;
@@ -508,47 +479,15 @@ fn windowed_crash_recovery_is_bit_identical_for_all_six_mechanisms() {
         "hh",
     );
 
-    let split_config = HhConfig::new(64, 2, eps).unwrap();
-    let split_client = HhSplitClient::new(split_config.clone()).unwrap();
-    check_windowed_crash(
-        &HhSplitServer::new(split_config.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 3103, |i, rng| {
-            split_client.report((i * 5) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        "hhsplit",
-    );
-
     let haar_config = HaarConfig::new(64, eps).unwrap();
     let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
     check_windowed_crash(
-        &HaarHrrServer::new(haar_config.clone()).unwrap(),
+        &HaarHrrServer::new(haar_config).unwrap(),
         &epoch_streams(EPOCHS, PER_EPOCH, 3104, |i, rng| {
             haar_client.report((i * 11) % 64, rng).unwrap()
         }),
         WINDOW,
         "haarhrr",
-    );
-
-    let haar_oue_client = HaarOueClient::new(haar_config.clone()).unwrap();
-    check_windowed_crash(
-        &HaarOueServer::new(haar_config.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 3105, |i, rng| {
-            haar_oue_client.report((i * 3) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        "haaroue",
-    );
-
-    let config_2d = Hh2dConfig::new(16, 2, eps).unwrap();
-    let client_2d = Hh2dClient::new(config_2d.clone()).unwrap();
-    check_windowed_crash(
-        &Hh2dServer::new(config_2d.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 3106, |i, rng| {
-            client_2d.report(i % 16, (i * 3) % 16, rng).unwrap()
-        }),
-        WINDOW,
-        "hh2d",
     );
 }
 

@@ -1,11 +1,11 @@
 //! Replication differential tests: a follower is a *pure function* of
 //! the leader's acked record stream.
 //!
-//! For all six mechanisms, windowed and unwindowed: ingest through a
-//! durable leader over the socket while a [`FollowerService`] streams
-//! the WAL, disconnect the follower at an arbitrary acked offset,
-//! ingest more, restart the follower from its own local log tail, let
-//! it catch up, and promote it. The promoted service's snapshot must be
+//! For the three served mechanisms (flat, `HH_B`, HaarHRR), windowed and
+//! unwindowed: ingest through a durable leader over the socket while a
+//! [`FollowerService`] streams the WAL, disconnect the follower at an
+//! arbitrary acked offset, ingest more, restart the follower from its own
+//! local log tail, let it catch up, and promote it. The promoted service's snapshot must be
 //! bit-identical to a fresh in-process service fed exactly the acked
 //! traffic — and a read replica's QUERY replies over the socket must be
 //! bit-identical to the leader's at the same replication position.
@@ -15,9 +15,8 @@ use std::time::{Duration, Instant};
 
 use ldp_freq_oracle::{AnyReport, Epsilon};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer, PersistableServer, SubtractableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, PersistableServer, SubtractableServer,
 };
 use ldp_service::net::proto::QueryResult;
 use ldp_service::net::{Hello, NetConfig, WIRE_V1};
@@ -337,10 +336,10 @@ fn epoch_streams<T: WireReport>(
         .collect()
 }
 
-/// The acceptance-criterion sweep, unwindowed: all six mechanisms, each
-/// with a different disconnect offset.
+/// The acceptance-criterion sweep, unwindowed: every served mechanism,
+/// each with a different disconnect offset.
 #[test]
-fn replication_is_bit_identical_for_all_six_mechanisms() {
+fn replication_is_bit_identical_for_every_served_mechanism() {
     const BATCHES: usize = 6;
     const PER_BATCH: usize = 40;
     let eps = Epsilon::new(1.1);
@@ -367,54 +366,22 @@ fn replication_is_bit_identical_for_all_six_mechanisms() {
         "hh",
     );
 
-    let split_config = HhConfig::new(64, 2, eps).unwrap();
-    let split_client = HhSplitClient::new(split_config.clone()).unwrap();
-    check_plain_replication(
-        &HhSplitServer::new(split_config.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 4003, |i, rng| {
-            split_client.report((i * 5) % 64, rng).unwrap()
-        }),
-        3,
-        "hhsplit",
-    );
-
     let haar_config = HaarConfig::new(64, eps).unwrap();
     let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
     check_plain_replication(
-        &HaarHrrServer::new(haar_config.clone()).unwrap(),
+        &HaarHrrServer::new(haar_config).unwrap(),
         &plain_batches(BATCHES, PER_BATCH, 4004, |i, rng| {
             haar_client.report((i * 11) % 64, rng).unwrap()
         }),
         4,
         "haarhrr",
     );
-
-    let haar_oue_client = HaarOueClient::new(haar_config.clone()).unwrap();
-    check_plain_replication(
-        &HaarOueServer::new(haar_config.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 4005, |i, rng| {
-            haar_oue_client.report((i * 3) % 64, rng).unwrap()
-        }),
-        5,
-        "haaroue",
-    );
-
-    let config_2d = Hh2dConfig::new(16, 2, eps).unwrap();
-    let client_2d = Hh2dClient::new(config_2d.clone()).unwrap();
-    check_plain_replication(
-        &Hh2dServer::new(config_2d.clone()).unwrap(),
-        &plain_batches(BATCHES, PER_BATCH, 4006, |i, rng| {
-            client_2d.report(i % 16, (i * 3) % 16, rng).unwrap()
-        }),
-        3,
-        "hh2d",
-    );
 }
 
-/// The acceptance-criterion sweep, windowed: all six mechanisms with
+/// The acceptance-criterion sweep, windowed: every served mechanism with
 /// seals in the stream and window rotation on both sides.
 #[test]
-fn windowed_replication_is_bit_identical_for_all_six_mechanisms() {
+fn windowed_replication_is_bit_identical_for_every_served_mechanism() {
     const EPOCHS: usize = 4;
     const PER_EPOCH: usize = 40;
     const WINDOW: usize = 2;
@@ -444,51 +411,16 @@ fn windowed_replication_is_bit_identical_for_all_six_mechanisms() {
         "hh",
     );
 
-    let split_config = HhConfig::new(64, 2, eps).unwrap();
-    let split_client = HhSplitClient::new(split_config.clone()).unwrap();
-    check_windowed_replication(
-        &HhSplitServer::new(split_config.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 4103, |i, rng| {
-            split_client.report((i * 5) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        3,
-        "hhsplit",
-    );
-
     let haar_config = HaarConfig::new(64, eps).unwrap();
     let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
     check_windowed_replication(
-        &HaarHrrServer::new(haar_config.clone()).unwrap(),
+        &HaarHrrServer::new(haar_config).unwrap(),
         &epoch_streams(EPOCHS, PER_EPOCH, 4104, |i, rng| {
             haar_client.report((i * 11) % 64, rng).unwrap()
         }),
         WINDOW,
         1,
         "haarhrr",
-    );
-
-    let haar_oue_client = HaarOueClient::new(haar_config.clone()).unwrap();
-    check_windowed_replication(
-        &HaarOueServer::new(haar_config.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 4105, |i, rng| {
-            haar_oue_client.report((i * 3) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        2,
-        "haaroue",
-    );
-
-    let config_2d = Hh2dConfig::new(16, 2, eps).unwrap();
-    let client_2d = Hh2dClient::new(config_2d.clone()).unwrap();
-    check_windowed_replication(
-        &Hh2dServer::new(config_2d.clone()).unwrap(),
-        &epoch_streams(EPOCHS, PER_EPOCH, 4106, |i, rng| {
-            client_2d.report(i % 16, (i * 3) % 16, rng).unwrap()
-        }),
-        WINDOW,
-        3,
-        "hh2d",
     );
 }
 

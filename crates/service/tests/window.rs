@@ -1,15 +1,15 @@
-//! Windowed streaming aggregation tests: for every mechanism, a sliding
-//! window answered via ring rotation (absorb + subtract) is bit-identical
-//! to recomputing the merge of the covered epochs from scratch, and the
-//! epoch-extended wire path stays total under hostile input.
+//! Windowed streaming aggregation tests: for every served mechanism (flat,
+//! `HH_B`, HaarHRR), a sliding window answered via ring rotation (absorb +
+//! subtract) is bit-identical to recomputing the merge of the covered
+//! epochs from scratch, and the epoch-extended wire path stays total under
+//! hostile input.
 
 use proptest::prelude::*;
 
 use ldp_freq_oracle::{AnyReport, Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HaarOueClient,
-    HaarOueServer, Hh2dClient, Hh2dConfig, Hh2dServer, HhClient, HhConfig, HhServer, HhSplitClient,
-    HhSplitServer, SubtractableServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, SubtractableServer,
 };
 use ldp_service::wire::{encode_epoch_frame, MAGIC, VERSION_EPOCH};
 use ldp_service::{
@@ -116,10 +116,10 @@ where
 
 /// The acceptance-criterion test: six epochs through a 4-epoch sliding
 /// window — so the ring has rotated (absorb + subtract) twice — compared
-/// bit-for-bit against a from-scratch merge, for all six mechanisms, at
-/// fixed seeds.
+/// bit-for-bit against a from-scratch merge, for every served mechanism,
+/// at fixed seeds.
 #[test]
-fn four_epoch_window_is_bit_identical_to_scratch_for_all_six_mechanisms() {
+fn four_epoch_window_is_bit_identical_to_scratch_for_every_served_mechanism() {
     const EPOCHS: usize = 6;
     const WINDOW: usize = 4;
     const PER_EPOCH: usize = 150;
@@ -152,22 +152,6 @@ fn four_epoch_window_is_bit_identical_to_scratch_for_all_six_mechanisms() {
         },
     );
 
-    let split_config = HhConfig::new(64, 2, eps).unwrap();
-    let split_client = HhSplitClient::new(split_config.clone()).unwrap();
-    check_ring_equals_scratch(
-        || HhSplitServer::new(split_config.clone()).unwrap(),
-        &batches(EPOCHS, PER_EPOCH, 1003, |i, rng| {
-            split_client.report((i * 5) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        |s: &HhSplitServer| {
-            s.estimate_consistent()
-                .to_frequency_estimate()
-                .frequencies()
-                .to_vec()
-        },
-    );
-
     let haar_config = HaarConfig::new(64, eps).unwrap();
     let haar_client = HaarHrrClient::new(haar_config.clone()).unwrap();
     check_ring_equals_scratch(
@@ -177,33 +161,6 @@ fn four_epoch_window_is_bit_identical_to_scratch_for_all_six_mechanisms() {
         }),
         WINDOW,
         |s: &HaarHrrServer| s.estimate().to_frequency_estimate().frequencies().to_vec(),
-    );
-
-    let haar_oue_client = HaarOueClient::new(haar_config.clone()).unwrap();
-    check_ring_equals_scratch(
-        || HaarOueServer::new(haar_config.clone()).unwrap(),
-        &batches(EPOCHS, PER_EPOCH, 1005, |i, rng| {
-            haar_oue_client.report((i * 3) % 64, rng).unwrap()
-        }),
-        WINDOW,
-        |s: &HaarOueServer| s.estimate().to_frequency_estimate().frequencies().to_vec(),
-    );
-
-    let config_2d = Hh2dConfig::new(16, 2, eps).unwrap();
-    let client_2d = Hh2dClient::new(config_2d.clone()).unwrap();
-    check_ring_equals_scratch(
-        || Hh2dServer::new(config_2d.clone()).unwrap(),
-        &batches(EPOCHS, PER_EPOCH, 1006, |i, rng| {
-            client_2d.report(i % 16, (i * 3) % 16, rng).unwrap()
-        }),
-        WINDOW,
-        |s: &Hh2dServer| {
-            let est = s.estimate();
-            [(0, 15, 0, 15), (0, 7, 8, 15), (3, 12, 2, 9), (5, 5, 5, 5)]
-                .iter()
-                .map(|&(a, b, c, d)| est.rectangle(a, b, c, d))
-                .collect()
-        },
     );
 }
 
@@ -254,30 +211,15 @@ proptest! {
         );
     }
 
-    /// Subtract inverts merge for the budget-split, Haar, and 2-D
-    /// mechanisms.
+    /// Subtract inverts merge for the HaarHRR mechanism.
     #[test]
-    fn remaining_mechanisms_subtract_is_exact(
+    fn haar_hrr_subtract_is_exact(
         seed in 0u64..5_000,
         n in 2usize..100,
         split in 1usize..100,
     ) {
         let eps = Epsilon::new(1.2);
         let mut rng = StdRng::seed_from_u64(seed);
-
-        let config = HhConfig::new(32, 2, eps).unwrap();
-        let client = HhSplitClient::new(config.clone()).unwrap();
-        let reports: Vec<_> =
-            (0..n).map(|i| client.report((i * 5) % 32, &mut rng).unwrap()).collect();
-        check_subtract_roundtrip(
-            || HhSplitServer::new(config.clone()).unwrap(),
-            &reports,
-            split % n,
-            |s: &HhSplitServer| {
-                s.estimate_consistent().to_frequency_estimate().frequencies().to_vec()
-            },
-        );
-
         let haar = HaarConfig::new(64, eps).unwrap();
         let client = HaarHrrClient::new(haar.clone()).unwrap();
         let reports: Vec<_> =
@@ -287,34 +229,6 @@ proptest! {
             &reports,
             split % n,
             |s: &HaarHrrServer| s.estimate().to_frequency_estimate().frequencies().to_vec(),
-        );
-
-        let client = HaarOueClient::new(haar.clone()).unwrap();
-        let reports: Vec<_> =
-            (0..n).map(|i| client.report((i * 3) % 64, &mut rng).unwrap()).collect();
-        check_subtract_roundtrip(
-            || HaarOueServer::new(haar.clone()).unwrap(),
-            &reports,
-            split % n,
-            |s: &HaarOueServer| s.estimate().to_frequency_estimate().frequencies().to_vec(),
-        );
-
-        let config = Hh2dConfig::new(16, 2, eps).unwrap();
-        let client = Hh2dClient::new(config.clone()).unwrap();
-        let reports: Vec<_> = (0..n)
-            .map(|i| client.report(i % 16, (i * 3) % 16, &mut rng).unwrap())
-            .collect();
-        check_subtract_roundtrip(
-            || Hh2dServer::new(config.clone()).unwrap(),
-            &reports,
-            split % n,
-            |s: &Hh2dServer| {
-                let est = s.estimate();
-                [(0, 15, 0, 15), (3, 12, 2, 9)]
-                    .iter()
-                    .map(|&(a, b, c, d)| est.rectangle(a, b, c, d))
-                    .collect()
-            },
         );
     }
 
