@@ -413,9 +413,7 @@ pub(crate) mod portable {
         }
 
         fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-            self.state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+            crate::service::lock_infallible(&self.state)
         }
 
         pub(crate) fn register(&self, token: u64, interest: Interest) {

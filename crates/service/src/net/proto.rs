@@ -81,13 +81,22 @@
 //! [`MAX_DETAIL_BYTES`]. The codecs reuse the wire format's primitives
 //! ([`Reader`], [`put_varint`]) so there is exactly one varint in the
 //! codebase.
+//!
+//! The grammar above is the human-readable spec; the `message_table!`
+//! rows below are authoritative: `encode`, `decode` and the type lists
+//! ([`ClientMsg::TYPES`], [`ServerMsg::TYPES`]) are generated from them,
+//! and each validation rule lives once, in the `get` of its field.
 
 use std::io::{IoSlice, Read, Write};
 
 use crate::error::WireError;
 use crate::net::NetError;
+use crate::storage::wal::MAX_RECORD_BYTES;
 use crate::storage::DurableStatus;
-use crate::wire::{put_varint, Reader};
+use crate::wire::{
+    decode_message, encode_message, fields, message_table, put_varint, Field, FrameCount, Le64,
+    Reader, Tail, WireVersion, MAX_VARINT_BYTES,
+};
 
 /// Handshake magic inside HELLO ("LN" = LQ-over-Network), distinguishing
 /// a session handshake from stray bytes.
@@ -99,6 +108,12 @@ pub const PROTO_VERSION: u8 = 1;
 /// the largest report type while keeping a hostile 4 GiB declared length
 /// unallocatable.
 pub const MAX_MESSAGE_BYTES: usize = 1 << 23;
+/// Cap on the envelope a replication follower accepts: a REPL_REC head
+/// (type byte + position varint) around the largest WAL record body. A
+/// REPORT at [`MAX_MESSAGE_BYTES`] is acked as a WAL record one byte
+/// longer than itself, so the stream must carry more than a client may
+/// send.
+pub(crate) const MAX_REPL_MESSAGE_BYTES: usize = 1 + MAX_VARINT_BYTES + MAX_RECORD_BYTES;
 /// Cap on an ERROR message's human-readable detail.
 pub const MAX_DETAIL_BYTES: usize = 1 << 10;
 /// Wire version 1: epoch-less frames, decoded strictly.
@@ -106,35 +121,6 @@ pub const WIRE_V1: u8 = crate::wire::VERSION;
 /// Wire version 2: epoch-tagged frames accepted (v1 frames still pass,
 /// untagged).
 pub const WIRE_EPOCH: u8 = crate::wire::VERSION_EPOCH;
-
-// The client-message type bytes are crate-visible so the server can pick
-// a message's latency histogram (`observe`) and take the REPORT fast path
-// without re-deriving them from the enum.
-// 0x07, 0x0A and 0x0B (and the replies 0x87, 0x8A, 0x8B) are retired:
-// see the module docs before assigning a new type byte.
-pub(crate) const MSG_HELLO: u8 = 0x01;
-pub(crate) const MSG_REPORT: u8 = 0x02;
-pub(crate) const MSG_QUERY: u8 = 0x03;
-pub(crate) const MSG_SEAL: u8 = 0x04;
-pub(crate) const MSG_BYE: u8 = 0x05;
-pub(crate) const MSG_STATUS: u8 = 0x06;
-pub(crate) const MSG_REPLICATE: u8 = 0x08;
-pub(crate) const MSG_REPL_ACK: u8 = 0x09;
-
-const MSG_HELLO_OK: u8 = 0x81;
-const MSG_REPORT_OK: u8 = 0x82;
-const MSG_QUERY_OK: u8 = 0x83;
-const MSG_SEAL_OK: u8 = 0x84;
-const MSG_BYE_OK: u8 = 0x85;
-const MSG_STATUS_OK: u8 = 0x86;
-const MSG_REPL_OK: u8 = 0x88;
-const MSG_REPL_REC: u8 = 0x89;
-const MSG_ERROR: u8 = 0x7F;
-
-const OP_RANGE: u8 = 0;
-const OP_PREFIX: u8 = 1;
-const OP_POINT: u8 = 2;
-const OP_QUANTILE: u8 = 3;
 
 // --- handshake ---------------------------------------------------------
 
@@ -359,47 +345,6 @@ pub enum ErrorCode {
     ReplUnavailable,
 }
 
-impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            Self::Protocol => 0,
-            Self::UnsupportedProto => 1,
-            Self::KindMismatch => 2,
-            Self::WireVersionMismatch => 3,
-            Self::EpochModeMismatch => 4,
-            Self::BadFrame => 5,
-            Self::EpochMismatch => 6,
-            Self::BadQuery => 7,
-            Self::EmptyWindow => 8,
-            Self::BadState => 9,
-            Self::ShuttingDown => 10,
-            Self::Internal => 11,
-            Self::IdleTimeout => 12,
-            Self::ReplUnavailable => 13,
-        }
-    }
-
-    fn from_u8(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => Self::Protocol,
-            1 => Self::UnsupportedProto,
-            2 => Self::KindMismatch,
-            3 => Self::WireVersionMismatch,
-            4 => Self::EpochModeMismatch,
-            5 => Self::BadFrame,
-            6 => Self::EpochMismatch,
-            7 => Self::BadQuery,
-            8 => Self::EmptyWindow,
-            9 => Self::BadState,
-            10 => Self::ShuttingDown,
-            11 => Self::Internal,
-            12 => Self::IdleTimeout,
-            13 => Self::ReplUnavailable,
-            _ => return Err(WireError::Malformed("unknown error code")),
-        })
-    }
-}
-
 /// A server-sent error: the typed code, the offending frame index for
 /// batch rejections (mirroring [`crate::ServiceError::BadFrame`]), and a
 /// bounded human-readable detail.
@@ -541,61 +486,7 @@ impl ClientMsg {
     /// Encodes the message body (type byte + payload, no envelope).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        match self {
-            Self::Hello(h) => {
-                out.push(MSG_HELLO);
-                out.extend_from_slice(&HELLO_MAGIC);
-                out.push(PROTO_VERSION);
-                out.push(h.kind);
-                out.push(h.wire_version);
-                out.push(u8::from(h.windowed));
-            }
-            Self::Report(batch) => return encode_report_body(batch.count, &batch.frames),
-            Self::Query(q) => {
-                out.push(MSG_QUERY);
-                match q.window {
-                    Some(k) => {
-                        out.push(1);
-                        put_varint(&mut out, k);
-                    }
-                    None => out.push(0),
-                }
-                match q.op {
-                    QueryOp::Range { a, b } => {
-                        out.push(OP_RANGE);
-                        put_varint(&mut out, a);
-                        put_varint(&mut out, b);
-                    }
-                    QueryOp::Prefix { b } => {
-                        out.push(OP_PREFIX);
-                        put_varint(&mut out, b);
-                    }
-                    QueryOp::Point { z } => {
-                        out.push(OP_POINT);
-                        put_varint(&mut out, z);
-                    }
-                    QueryOp::Quantile { phi } => {
-                        out.push(OP_QUANTILE);
-                        out.extend_from_slice(&phi.to_bits().to_le_bytes());
-                    }
-                }
-            }
-            Self::Seal => out.push(MSG_SEAL),
-            Self::Bye => out.push(MSG_BYE),
-            Self::Status => out.push(MSG_STATUS),
-            Self::Replicate { start } => {
-                out.push(MSG_REPLICATE);
-                out.extend_from_slice(&HELLO_MAGIC);
-                out.push(PROTO_VERSION);
-                put_varint(&mut out, *start);
-            }
-            Self::ReplAck { acked } => {
-                out.push(MSG_REPL_ACK);
-                put_varint(&mut out, *acked);
-            }
-        }
-        out
+        encode_message::<Self>(self)
     }
 
     /// Decodes one message body. Total: any malformed input is a
@@ -607,73 +498,7 @@ impl ClientMsg {
     /// Fails on an empty body, an unknown type byte, a malformed payload,
     /// or trailing bytes.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(body);
-        let msg = match r.u8()? {
-            MSG_HELLO => {
-                expect_handshake(&mut r)?;
-                let kind = r.u8()?;
-                let wire_version = r.u8()?;
-                if wire_version != WIRE_V1 && wire_version != WIRE_EPOCH {
-                    return Err(WireError::UnsupportedVersion(wire_version));
-                }
-                let windowed = decode_bool(&mut r)?;
-                Self::Hello(Hello {
-                    kind,
-                    wire_version,
-                    windowed,
-                })
-            }
-            MSG_REPORT => {
-                let ReportFrames { count, frames } = decode_report_frames(body)?;
-                return Ok(Self::Report(ReportBatch {
-                    count,
-                    frames: frames.to_vec(),
-                }));
-            }
-            MSG_QUERY => {
-                let window = if decode_bool(&mut r)? {
-                    let k = r.varint()?;
-                    if k == 0 {
-                        return Err(WireError::Malformed("zero-epoch window"));
-                    }
-                    Some(k)
-                } else {
-                    None
-                };
-                let op = match r.u8()? {
-                    OP_RANGE => {
-                        let a = r.varint()?;
-                        let b = r.varint()?;
-                        if a > b {
-                            return Err(WireError::Malformed("range lower bound above upper"));
-                        }
-                        QueryOp::Range { a, b }
-                    }
-                    OP_PREFIX => QueryOp::Prefix { b: r.varint()? },
-                    OP_POINT => QueryOp::Point { z: r.varint()? },
-                    OP_QUANTILE => {
-                        let phi = f64::from_bits(u64_le(&mut r)?);
-                        if !phi.is_finite() || !(0.0..=1.0).contains(&phi) {
-                            return Err(WireError::Malformed("quantile phi outside [0, 1]"));
-                        }
-                        QueryOp::Quantile { phi }
-                    }
-                    _ => return Err(WireError::Malformed("unknown query op")),
-                };
-                Self::Query(Query { op, window })
-            }
-            MSG_SEAL => Self::Seal,
-            MSG_BYE => Self::Bye,
-            MSG_STATUS => Self::Status,
-            MSG_REPLICATE => {
-                expect_handshake(&mut r)?;
-                Self::Replicate { start: r.varint()? }
-            }
-            MSG_REPL_ACK => Self::ReplAck { acked: r.varint()? },
-            t => return Err(WireError::UnknownKind(t)),
-        };
-        expect_consumed(&r)?;
-        Ok(msg)
+        decode_message::<Self>(body, "trailing bytes after message")
     }
 }
 
@@ -681,110 +506,7 @@ impl ServerMsg {
     /// Encodes the message body (type byte + payload, no envelope).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        match self {
-            Self::HelloOk(h) => {
-                out.push(MSG_HELLO_OK);
-                out.push(h.kind);
-                out.push(h.wire_version);
-                out.push(u8::from(h.windowed));
-                put_varint(&mut out, h.domain);
-            }
-            Self::ReportOk { accepted } => {
-                out.push(MSG_REPORT_OK);
-                put_varint(&mut out, *accepted);
-            }
-            Self::QueryOk(reply) => {
-                out.push(MSG_QUERY_OK);
-                match reply.result {
-                    QueryResult::Fraction(f) => {
-                        out.push(0);
-                        out.extend_from_slice(&f.to_bits().to_le_bytes());
-                    }
-                    QueryResult::Index(i) => {
-                        out.push(1);
-                        out.extend_from_slice(&i.to_le_bytes());
-                    }
-                }
-                put_varint(&mut out, reply.version);
-                put_varint(&mut out, reply.num_reports);
-                match reply.window {
-                    Some((first, last)) => {
-                        out.push(1);
-                        put_varint(&mut out, first);
-                        put_varint(&mut out, last);
-                    }
-                    None => out.push(0),
-                }
-            }
-            Self::SealOk { epoch } => {
-                out.push(MSG_SEAL_OK);
-                put_varint(&mut out, *epoch);
-            }
-            Self::ByeOk => out.push(MSG_BYE_OK),
-            Self::StatusOk(s) => {
-                out.push(MSG_STATUS_OK);
-                put_varint(&mut out, s.sessions);
-                put_varint(&mut out, s.frames_absorbed);
-                put_varint(&mut out, s.frames_rejected);
-                put_varint(&mut out, s.num_reports);
-                put_varint(&mut out, s.snapshot_version);
-                match s.current_epoch {
-                    Some(epoch) => {
-                        out.push(1);
-                        put_varint(&mut out, epoch);
-                    }
-                    None => out.push(0),
-                }
-                match &s.durable {
-                    Some(d) => {
-                        out.push(1);
-                        match d.last_checkpoint {
-                            Some(id) => {
-                                out.push(1);
-                                put_varint(&mut out, id);
-                            }
-                            None => out.push(0),
-                        }
-                        put_varint(&mut out, d.wal_segment_seq);
-                        put_varint(&mut out, d.wal_records);
-                        put_varint(&mut out, d.wal_frames);
-                        put_varint(&mut out, d.checkpoint_failures);
-                        out.push(u8::from(d.wedged));
-                    }
-                    None => out.push(0),
-                }
-            }
-            Self::ReplOk {
-                start,
-                leader_records,
-            } => {
-                out.push(MSG_REPL_OK);
-                put_varint(&mut out, *start);
-                put_varint(&mut out, *leader_records);
-            }
-            Self::ReplRecord { position, body } => {
-                out.push(MSG_REPL_REC);
-                put_varint(&mut out, *position);
-                out.extend_from_slice(body);
-            }
-            Self::Error(e) => {
-                out.push(MSG_ERROR);
-                out.push(e.code.to_u8());
-                match e.index {
-                    Some(i) => {
-                        out.push(1);
-                        put_varint(&mut out, i);
-                    }
-                    None => out.push(0),
-                }
-                let detail = e.detail.as_bytes();
-                let cut = detail.len().min(MAX_DETAIL_BYTES);
-                put_varint(&mut out, cut as u64);
-                out.extend_from_slice(&detail[..cut]);
-            }
-        }
-        out
+        encode_message::<Self>(self)
     }
 
     /// Decodes one message body. Total, like [`ClientMsg::decode`].
@@ -794,120 +516,196 @@ impl ServerMsg {
     /// Fails on an empty body, an unknown type byte, a malformed payload,
     /// or trailing bytes.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(body);
-        let msg = match r.u8()? {
-            MSG_HELLO_OK => {
-                let kind = r.u8()?;
-                let wire_version = r.u8()?;
-                let windowed = decode_bool(&mut r)?;
-                let domain = r.varint()?;
-                Self::HelloOk(HelloOk {
-                    kind,
-                    wire_version,
-                    windowed,
-                    domain,
-                })
-            }
-            MSG_REPORT_OK => Self::ReportOk {
-                accepted: r.varint()?,
-            },
-            MSG_QUERY_OK => {
-                let result = match r.u8()? {
-                    0 => QueryResult::Fraction(f64::from_bits(u64_le(&mut r)?)),
-                    1 => QueryResult::Index(u64_le(&mut r)?),
-                    _ => return Err(WireError::Malformed("unknown query result tag")),
-                };
-                let version = r.varint()?;
-                let num_reports = r.varint()?;
-                let window = if decode_bool(&mut r)? {
-                    Some((r.varint()?, r.varint()?))
-                } else {
-                    None
-                };
-                Self::QueryOk(QueryReply {
-                    result,
-                    version,
-                    num_reports,
-                    window,
-                })
-            }
-            MSG_SEAL_OK => Self::SealOk { epoch: r.varint()? },
-            MSG_BYE_OK => Self::ByeOk,
-            MSG_STATUS_OK => {
-                let sessions = r.varint()?;
-                let frames_absorbed = r.varint()?;
-                let frames_rejected = r.varint()?;
-                let num_reports = r.varint()?;
-                let snapshot_version = r.varint()?;
-                let current_epoch = if decode_bool(&mut r)? {
-                    Some(r.varint()?)
-                } else {
-                    None
-                };
-                let durable = if decode_bool(&mut r)? {
-                    let last_checkpoint = if decode_bool(&mut r)? {
-                        Some(r.varint()?)
-                    } else {
-                        None
-                    };
-                    Some(DurableProgress {
-                        last_checkpoint,
-                        wal_segment_seq: r.varint()?,
-                        wal_records: r.varint()?,
-                        wal_frames: r.varint()?,
-                        checkpoint_failures: r.varint()?,
-                        wedged: decode_bool(&mut r)?,
-                    })
-                } else {
-                    None
-                };
-                Self::StatusOk(StatusReply {
-                    sessions,
-                    frames_absorbed,
-                    frames_rejected,
-                    num_reports,
-                    snapshot_version,
-                    current_epoch,
-                    durable,
-                })
-            }
-            MSG_REPL_OK => Self::ReplOk {
-                start: r.varint()?,
-                leader_records: r.varint()?,
-            },
-            MSG_REPL_REC => {
-                let position = r.varint()?;
-                if r.remaining() == 0 {
-                    return Err(WireError::Malformed("empty replication record body"));
-                }
-                let body = r.bytes(r.remaining())?.to_vec();
-                Self::ReplRecord { position, body }
-            }
-            MSG_ERROR => {
-                let code = ErrorCode::from_u8(r.u8()?)?;
-                let index = if decode_bool(&mut r)? {
-                    Some(r.varint()?)
-                } else {
-                    None
-                };
-                let len = r.varint()?;
-                if len > MAX_DETAIL_BYTES as u64 {
-                    return Err(WireError::Malformed("error detail over cap"));
-                }
-                let detail = String::from_utf8(r.bytes(len as usize)?.to_vec())
-                    .map_err(|_| WireError::Malformed("error detail is not UTF-8"))?;
-                Self::Error(RemoteError {
-                    code,
-                    index,
-                    detail,
-                })
-            }
-            t => return Err(WireError::UnknownKind(t)),
-        };
-        expect_consumed(&r)?;
-        Ok(msg)
+        decode_message::<Self>(body, "trailing bytes after message")
     }
 }
+
+// --- the tables --------------------------------------------------------
+
+/// Type bytes of the retired METRICS, METRICS_RANGE and HEALTH requests
+/// (0x07, 0x0A, 0x0B) and their replies (0x87, 0x8A, 0x8B). They decode
+/// as unknown types and must never be reused: a client built against the
+/// old table would misparse a new meaning.
+pub const RETIRED_TYPES: [u8; 6] = [0x07, 0x0A, 0x0B, 0x87, 0x8A, 0x8B];
+
+message_table! {
+    ClientMsg, unknown(t) => WireError::UnknownKind(t);
+    0x01 HELLO => [Handshake] Hello(Hello),
+    0x02 REPORT => Report(ReportBatch),
+    0x03 QUERY => Query(Query),
+    0x04 SEAL => Seal,
+    0x05 BYE => Bye,
+    0x06 STATUS => Status,
+    0x08 REPLICATE => [Handshake] Replicate { start: u64 },
+    0x09 REPL_ACK => ReplAck { acked: u64 },
+}
+
+message_table! {
+    ServerMsg, unknown(t) => WireError::UnknownKind(t);
+    0x81 HELLO_OK => HelloOk(HelloOk),
+    0x82 REPORT_OK => ReportOk { accepted: u64 },
+    0x83 QUERY_OK => QueryOk(QueryReply),
+    0x84 SEAL_OK => SealOk { epoch: u64 },
+    0x85 BYE_OK => ByeOk,
+    0x86 STATUS_OK => StatusOk(StatusReply),
+    0x88 REPL_OK => ReplOk { start: u64, leader_records: u64 },
+    0x89 REPL_REC => ReplRecord { position: u64, body: RecordBody },
+    0x7F ERROR => Error(RemoteError),
+}
+
+message_table! {
+    QueryOp, unknown(_) => WireError::Malformed("unknown query op");
+    0 => Range { a: u64, b: u64 } if a > b => "range lower bound above upper",
+    1 => Prefix { b: u64 },
+    2 => Point { z: u64 },
+    3 => Quantile { phi: f64 }
+        if !phi.is_finite() || !(0.0..=1.0).contains(&phi) => "quantile phi outside [0, 1]",
+}
+
+message_table! {
+    QueryResult, unknown(_) => WireError::Malformed("unknown query result tag");
+    0 => Fraction(f64),
+    1 => Index(Le64),
+}
+
+message_table! {
+    ErrorCode, unknown(_) => WireError::Malformed("unknown error code");
+    0 => Protocol,
+    1 => UnsupportedProto,
+    2 => KindMismatch,
+    3 => WireVersionMismatch,
+    4 => EpochModeMismatch,
+    5 => BadFrame,
+    6 => EpochMismatch,
+    7 => BadQuery,
+    8 => EmptyWindow,
+    9 => BadState,
+    10 => ShuttingDown,
+    11 => Internal,
+    12 => IdleTimeout,
+    13 => ReplUnavailable,
+}
+
+fields!(Hello {
+    kind: u8,
+    wire_version: WireVersion,
+    windowed: bool
+});
+fields!(HelloOk {
+    kind: u8,
+    wire_version: u8,
+    windowed: bool,
+    domain: u64
+});
+fields!(ReportBatch {
+    count: FrameCount,
+    frames: Tail
+});
+fields!(Query { window: Option<Window>, op: QueryOp });
+fields!(QueryReply {
+    result: QueryResult,
+    version: u64,
+    num_reports: u64,
+    window: Option<(u64, u64)>,
+});
+fields!(StatusReply {
+    sessions: u64,
+    frames_absorbed: u64,
+    frames_rejected: u64,
+    num_reports: u64,
+    snapshot_version: u64,
+    current_epoch: Option<u64>,
+    durable: Option<DurableStatus>,
+});
+fields!(DurableStatus {
+    last_checkpoint: Option<u64>,
+    wal_segment_seq: u64,
+    wal_records: u64,
+    wal_frames: u64,
+    checkpoint_failures: u64,
+    wedged: bool,
+});
+fields!(RemoteError { code: ErrorCode, index: Option<u64>, detail: Detail });
+
+// --- session fields ----------------------------------------------------
+
+/// The handshake magic and session protocol version that HELLO and
+/// REPLICATE both open with.
+struct Handshake;
+
+impl Field for Handshake {
+    type Value = ();
+    fn put((): &(), out: &mut Vec<u8>) {
+        out.extend_from_slice(&HELLO_MAGIC);
+        out.push(PROTO_VERSION);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<(), WireError> {
+        let magic = [r.u8()?, r.u8()?];
+        if magic != HELLO_MAGIC {
+            return Err(WireError::BadMagic(magic));
+        }
+        match r.u8()? {
+            PROTO_VERSION => Ok(()),
+            proto => Err(WireError::UnsupportedVersion(proto)),
+        }
+    }
+}
+
+/// A windowed query's epoch count: a varint, never zero.
+struct Window;
+
+impl Field for Window {
+    type Value = u64;
+    fn put(k: &u64, out: &mut Vec<u8>) {
+        put_varint(out, *k);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u64, WireError> {
+        match r.varint()? {
+            0 => Err(WireError::Malformed("zero-epoch window")),
+            k => Ok(k),
+        }
+    }
+}
+
+/// An ERROR detail: a length varint of at most [`MAX_DETAIL_BYTES`], then
+/// that many bytes of UTF-8. Encoding cuts an over-long detail at the cap.
+struct Detail;
+
+impl Field for Detail {
+    type Value = String;
+    fn put(detail: &String, out: &mut Vec<u8>) {
+        let bytes = detail.as_bytes();
+        let cut = bytes.len().min(MAX_DETAIL_BYTES);
+        put_varint(out, cut as u64);
+        out.extend_from_slice(&bytes[..cut]);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, WireError> {
+        let len = r.varint()?;
+        if len > MAX_DETAIL_BYTES as u64 {
+            return Err(WireError::Malformed("error detail over cap"));
+        }
+        String::from_utf8(r.bytes(len as usize)?.to_vec())
+            .map_err(|_| WireError::Malformed("error detail is not UTF-8"))
+    }
+}
+
+/// A REPL_REC's WAL record body: the rest of the message, never empty.
+struct RecordBody;
+
+impl Field for RecordBody {
+    type Value = Vec<u8>;
+    fn put(body: &Vec<u8>, out: &mut Vec<u8>) {
+        Tail::put(body, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        if r.remaining() == 0 {
+            return Err(WireError::Malformed("empty replication record body"));
+        }
+        Tail::get(r)
+    }
+}
+
+// --- the REPORT fast paths ---------------------------------------------
 
 /// A REPORT batch *borrowed* from the message body it arrived in: the
 /// declared count plus the back-to-back frame bytes as a subslice of the
@@ -923,24 +721,28 @@ pub(crate) struct ReportFrames<'a> {
     pub frames: &'a [u8],
 }
 
-/// Decodes a REPORT message body (`body[0]` must be [`MSG_REPORT`]) into
-/// a borrowed [`ReportFrames`] — the one REPORT check, which
-/// [`ClientMsg::decode`] runs too, so the two paths reject hostile
-/// bodies identically.
+/// Decodes a REPORT message body (`body[0]` must be
+/// [`ClientMsg::REPORT`]) into a borrowed [`ReportFrames`], checking the
+/// FRAMES head exactly as [`ClientMsg::decode`] does, so the two paths
+/// reject hostile bodies identically.
 pub(crate) fn decode_report_frames(body: &[u8]) -> Result<ReportFrames<'_>, WireError> {
     let mut r = Reader::new(body);
-    if r.u8()? != MSG_REPORT {
+    if r.u8()? != ClientMsg::REPORT {
         return Err(WireError::Malformed("not a REPORT body"));
     }
-    let count = r.varint()?;
-    let frames = r.bytes(r.remaining())?;
-    // The smallest well-formed wire frame is 5 bytes (magic + version +
-    // kind + ≥1 payload byte); a count that cannot fit the payload is
-    // rejected here so later per-frame work stays bounded by real bytes.
-    if count > frames.len() as u64 {
-        return Err(WireError::Malformed("frame count exceeds payload"));
-    }
-    Ok(ReportFrames { count, frames })
+    let count = FrameCount::get(&mut r)?;
+    Ok(ReportFrames {
+        count,
+        frames: r.rest(),
+    })
+}
+
+/// The REPORT type byte and FRAMES head, with room for `frames` more.
+fn report_head(count: u64, frames: usize) -> Vec<u8> {
+    let mut head = Vec::with_capacity(1 + MAX_VARINT_BYTES + frames);
+    head.push(ClientMsg::REPORT);
+    FrameCount::put(&count, &mut head);
+    head
 }
 
 /// Encodes a REPORT message body straight from borrowed frame bytes —
@@ -948,50 +750,9 @@ pub(crate) fn decode_report_frames(body: &[u8]) -> Result<ReportFrames<'_>, Wire
 /// avoid copying each batch into an owned [`ReportBatch`] first.
 #[must_use]
 pub fn encode_report_body(count: u64, frames: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frames.len() + 11);
-    out.push(MSG_REPORT);
-    put_varint(&mut out, count);
+    let mut out = report_head(count, frames.len());
     out.extend_from_slice(frames);
     out
-}
-
-/// Reads an 8-byte little-endian `u64` totally: short input is
-/// [`WireError::Truncated`], never a panic — there is no `expect` or
-/// `unwrap` on any path reachable from network bytes.
-fn u64_le(r: &mut Reader<'_>) -> Result<u64, WireError> {
-    match <[u8; 8]>::try_from(r.bytes(8)?) {
-        Ok(raw) => Ok(u64::from_le_bytes(raw)),
-        Err(_) => Err(WireError::Truncated),
-    }
-}
-
-fn decode_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Malformed("flag byte not 0/1")),
-    }
-}
-
-/// Checks the handshake magic and protocol version that HELLO and
-/// REPLICATE both open with.
-fn expect_handshake(r: &mut Reader<'_>) -> Result<(), WireError> {
-    let magic = [r.u8()?, r.u8()?];
-    if magic != HELLO_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let proto = r.u8()?;
-    if proto != PROTO_VERSION {
-        return Err(WireError::UnsupportedVersion(proto));
-    }
-    Ok(())
-}
-
-fn expect_consumed(r: &Reader<'_>) -> Result<(), WireError> {
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes after message"));
-    }
-    Ok(())
 }
 
 // --- envelope I/O ------------------------------------------------------
@@ -1019,10 +780,7 @@ pub fn write_message(w: &mut impl Write, body: &[u8]) -> Result<(), NetError> {
 ///
 /// As [`write_message`].
 pub fn write_report(w: &mut impl Write, count: u64, frames: &[u8]) -> Result<(), NetError> {
-    let mut header = Vec::with_capacity(11);
-    header.push(MSG_REPORT);
-    put_varint(&mut header, count);
-    write_envelope(w, &[&header, frames])
+    write_envelope(w, &[&report_head(count, 0), frames])
 }
 
 /// Writes the length prefix, then `parts` back to back as one body,
@@ -1094,10 +852,6 @@ pub fn read_message(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
 mod tests {
     use super::*;
 
-    /// Type bytes of the retired METRICS, METRICS_RANGE and HEALTH
-    /// requests and their replies (see the module docs).
-    const RETIRED: [u8; 6] = [0x07, 0x0A, 0x0B, 0x87, 0x8A, 0x8B];
-
     fn durable_status() -> StatusReply {
         StatusReply {
             sessions: 3,
@@ -1114,6 +868,14 @@ mod tests {
                 checkpoint_failures: 1,
                 wedged: true,
             }),
+        }
+    }
+
+    #[test]
+    fn retired_types_are_in_neither_table() {
+        for t in RETIRED_TYPES {
+            assert!(!ClientMsg::TYPES.contains(&t), "0x{t:02X} is retired");
+            assert!(!ServerMsg::TYPES.contains(&t), "0x{t:02X} is retired");
         }
     }
 
@@ -1146,7 +908,6 @@ mod tests {
         ];
         for msg in msgs {
             let body = msg.encode();
-            assert!(!RETIRED.contains(&body[0]), "{msg:?} reuses a retired type");
             let decoded = ClientMsg::decode(&body).expect("decode own encoding");
             assert_eq!(decoded, msg);
             assert_eq!(decoded.encode(), body);
@@ -1205,7 +966,6 @@ mod tests {
         ];
         for msg in replies {
             let body = msg.encode();
-            assert!(!RETIRED.contains(&body[0]), "{msg:?} reuses a retired type");
             let decoded = ServerMsg::decode(&body).expect("decode own encoding");
             assert_eq!(decoded, msg);
             assert_eq!(decoded.encode(), body);
@@ -1233,29 +993,34 @@ mod tests {
         assert!(ClientMsg::decode(&trailing).is_err());
 
         // A REPORT whose declared count exceeds its payload bytes.
-        let mut report = vec![super::MSG_REPORT];
+        let mut report = vec![ClientMsg::REPORT];
         put_varint(&mut report, 1_000_000);
         report.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
             ClientMsg::decode(&report),
             Err(WireError::Malformed(_))
         ));
+        // The borrowed fast path rejects it with the same error.
+        assert_eq!(
+            decode_report_frames(&report),
+            Err(ClientMsg::decode(&report).unwrap_err())
+        );
 
         // A hostile quantile (NaN / out of range) is stopped at decode.
         for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
-            let mut q = vec![super::MSG_QUERY, 0, OP_QUANTILE];
+            let mut q = vec![ClientMsg::QUERY, 0, QueryOp::TYPES[3]];
             q.extend_from_slice(&bad.to_bits().to_le_bytes());
             assert!(ClientMsg::decode(&q).is_err(), "accepted phi {bad}");
         }
 
         // REPLICATE without the handshake magic or with a future proto
         // version is rejected, and a pushed record must carry a body.
-        assert!(ClientMsg::decode(&[MSG_REPLICATE, b'X', b'Y', 1, 0]).is_err());
+        assert!(ClientMsg::decode(&[ClientMsg::REPLICATE, b'X', b'Y', 1, 0]).is_err());
         assert!(matches!(
-            ClientMsg::decode(&[MSG_REPLICATE, b'L', b'N', PROTO_VERSION + 1, 0]),
+            ClientMsg::decode(&[ClientMsg::REPLICATE, b'L', b'N', PROTO_VERSION + 1, 0]),
             Err(WireError::UnsupportedVersion(_))
         ));
-        let empty_rec = ServerMsg::decode(&[MSG_REPL_REC, 0]);
+        let empty_rec = ServerMsg::decode(&[ServerMsg::REPL_REC, 0]);
         assert!(matches!(empty_rec, Err(WireError::Malformed(_))));
     }
 
@@ -1265,7 +1030,7 @@ mod tests {
     #[test]
     fn status_without_metrics_is_legacy_byte_identical() {
         // Legacy probe: bare type byte.
-        assert_eq!(ClientMsg::Status.encode(), vec![MSG_STATUS]);
+        assert_eq!(ClientMsg::Status.encode(), vec![ClientMsg::STATUS]);
 
         // Legacy reply: counters + option flags, nothing after `durable`.
         let reply = StatusReply {
@@ -1278,7 +1043,7 @@ mod tests {
             durable: None,
         };
         let body = ServerMsg::StatusOk(reply).encode();
-        let legacy = vec![MSG_STATUS_OK, 3, 40, 2, 38, 5, 0, 0];
+        let legacy = vec![ServerMsg::STATUS_OK, 3, 40, 2, 38, 5, 0, 0];
         assert_eq!(body, legacy);
     }
 
@@ -1288,10 +1053,10 @@ mod tests {
     #[test]
     fn hostile_metrics_payloads_are_rejected_not_panicked() {
         for body in [
-            &[MSG_STATUS, 0][..],
-            &[MSG_STATUS, 1],
-            &[MSG_STATUS, 2],
-            &[MSG_STATUS, 1, 1],
+            &[ClientMsg::STATUS, 0][..],
+            &[ClientMsg::STATUS, 1],
+            &[ClientMsg::STATUS, 2],
+            &[ClientMsg::STATUS, 1, 1],
         ] {
             assert!(
                 matches!(ClientMsg::decode(body), Err(WireError::Malformed(_))),
@@ -1318,7 +1083,7 @@ mod tests {
     /// carry, and behind their old version byte.
     #[test]
     fn hostile_ops_plane_payloads_are_rejected_not_panicked() {
-        for t in RETIRED {
+        for t in RETIRED_TYPES {
             for body in [vec![t], vec![t, 0xFF], vec![t, 1, 0], vec![t, 0x80]] {
                 assert_eq!(ClientMsg::decode(&body), Err(WireError::UnknownKind(t)));
                 assert_eq!(ServerMsg::decode(&body), Err(WireError::UnknownKind(t)));

@@ -36,12 +36,13 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::net::poll::{Event, Interest, Poller, TOKEN_LISTENER};
 use crate::net::proto::{ErrorCode, Hello, RemoteError, ServerMsg, MAX_MESSAGE_BYTES};
 use crate::obs::instruments::NetInstruments;
+use crate::service::lock_infallible;
 
 /// Parsed-but-unexecuted messages a session may hold before its read
 /// interest is shed (per-session pipelining bound).
@@ -133,10 +134,6 @@ pub(crate) trait PushSource: Send {
     fn pull(&mut self, max_bytes: usize) -> Pull;
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// One loop's doorbell and mailbox, reachable from every thread.
 struct LoopHandle {
     /// The loop's readiness source; `wake` is its doorbell.
@@ -195,14 +192,14 @@ impl ReactorShared {
     pub(crate) fn close_unadmitted(&self, obs: &NetInstruments) {
         for l in &self.loops {
             // Taking the streams out drops (closes) them.
-            let stragglers = std::mem::take(&mut *lock(&l.mailbox)).len() as u64;
+            let stragglers = std::mem::take(&mut *lock_infallible(&l.mailbox)).len() as u64;
             obs.sessions_opened.add(stragglers);
             obs.sessions_closed.add(stragglers);
         }
     }
 
     fn hand_off(&self, to: usize, stream: TcpStream) {
-        lock(&self.loops[to].mailbox).push(stream);
+        lock_infallible(&self.loops[to].mailbox).push(stream);
         self.loops[to].poller.wake();
     }
 }
@@ -342,7 +339,9 @@ impl EventLoop {
             // Read after the wait: the shutdown wake must start the drain
             // now, not a poll tick later.
             let draining = self.shared.shutdown.load(Ordering::SeqCst);
-            let handed = std::mem::take(&mut *lock(&self.shared.loops[self.index].mailbox));
+            let handed = std::mem::take(&mut *lock_infallible(
+                &self.shared.loops[self.index].mailbox,
+            ));
             for stream in handed {
                 self.admit(stream);
             }

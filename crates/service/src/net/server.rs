@@ -45,8 +45,7 @@ use crate::error::ServiceError;
 use crate::net::ops::OpsListener;
 use crate::net::proto::{
     decode_report_frames, ClientMsg, ErrorCode, Hello, HelloOk, Query, QueryOp, QueryReply,
-    QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_QUERY, MSG_REPLICATE,
-    MSG_REPORT, MSG_SEAL, MSG_STATUS, WIRE_EPOCH, WIRE_V1,
+    QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, WIRE_EPOCH, WIRE_V1,
 };
 use crate::net::reactor::{
     EventLoop, Execute, Job, JobDone, PushSource, ReactorKnobs, ReactorShared,
@@ -534,19 +533,6 @@ fn stop_loops(rshared: &ReactorShared, loops: Vec<JoinHandle<()>>, obs: &NetInst
     rshared.close_unadmitted(obs);
 }
 
-/// Records one handled request into its message type's latency
-/// histogram.
-fn observe(obs: &NetInstruments, msg_type: u8, started: Instant) {
-    let histo = match msg_type {
-        MSG_REPORT => &obs.report_ns,
-        MSG_QUERY => &obs.query_ns,
-        MSG_SEAL => &obs.seal_ns,
-        // STATUS and REPLICATE share one introspection-latency histogram.
-        _ => &obs.status_ns,
-    };
-    histo.record_elapsed(started);
-}
-
 /// What a replication stream answers to anything but REPL_ACK and BYE.
 const STREAM_ONLY: &str = "session is a replication stream: only REPL_ACK and BYE are accepted";
 
@@ -601,7 +587,7 @@ where
         // frame bytes are never copied between the socket and the shard
         // absorb. Replication sessions fall through to the generic decode
         // so the stream guard below refuses them like any other message.
-        if !repl && body[0] == MSG_REPORT {
+        if !repl && body[0] == ClientMsg::REPORT {
             let ReportFrames { count, frames } = match decode_report_frames(body) {
                 Ok(rf) => rf,
                 Err(e) => {
@@ -633,7 +619,7 @@ where
                     replies.push(ServerMsg::Error(e).encode());
                 }
             }
-            observe(obs, MSG_REPORT, started);
+            obs.report_ns.record_elapsed(started);
             continue;
         }
         let msg = match ClientMsg::decode(body) {
@@ -718,7 +704,7 @@ where
                     Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(obs, MSG_QUERY, started);
+                obs.query_ns.record_elapsed(started);
             }
             ClientMsg::Seal => {
                 if hello.is_none() {
@@ -731,7 +717,7 @@ where
                     Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(obs, MSG_SEAL, started);
+                obs.seal_ns.record_elapsed(started);
             }
             ClientMsg::Status => {
                 // No handshake required: STATUS names no report kind, so
@@ -741,7 +727,7 @@ where
                     Err(e) => ServerMsg::Error(e),
                 };
                 replies.push(reply.encode());
-                observe(obs, MSG_STATUS, started);
+                obs.status_ns.record_elapsed(started);
             }
             ClientMsg::Replicate { start } => {
                 // Allowed before HELLO only (like STATUS it names no
@@ -756,7 +742,8 @@ where
                     break;
                 }
                 let granted = setup_replication(shared, job.session, start);
-                observe(obs, MSG_REPLICATE, started);
+                // REPLICATE shares STATUS's introspection-latency histogram.
+                obs.status_ns.record_elapsed(started);
                 match granted {
                     Ok((reply, source)) => {
                         replies.push(reply);

@@ -34,10 +34,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::obs::expose::{MetricEntry, MetricValue, RegistrySnapshot};
+use crate::service::lock_infallible;
 
 /// Number of histogram buckets: bucket 0 for the value 0, buckets
 /// `1 ..= 64` for the 64 power-of-two magnitude classes of a `u64`.
@@ -407,7 +408,7 @@ impl MetricsRegistry {
     // mutex still guards a consistent map — recover like the service
     // tier's read-only shard peeks instead of cascading a panic.
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_infallible(&self.metrics)
     }
 
     /// Gets or registers the counter `name`.

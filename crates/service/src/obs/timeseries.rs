@@ -12,13 +12,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::obs::expose::RegistrySnapshot;
 use crate::obs::instruments::OpsInstruments;
 use crate::obs::registry::MetricsRegistry;
+use crate::service::lock_infallible;
 
 /// Cap on samples in one [`MetricsRange`] — bounds the `GET /metrics/range`
 /// body (each sample embeds a full snapshot).
@@ -116,10 +117,6 @@ pub struct TimeSeriesRing {
     inner: Mutex<RingInner>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -153,7 +150,7 @@ impl TimeSeriesRing {
     /// Samples currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        lock(&self.inner).samples.len()
+        lock_infallible(&self.inner).samples.len()
     }
 
     /// Whether the ring holds no samples yet.
@@ -172,7 +169,7 @@ impl TimeSeriesRing {
     /// [`TimeSeriesRing::push`] with an explicit timestamp (tests pin
     /// time; the sampler passes the wall clock).
     pub fn push_at(&self, snapshot: RegistrySnapshot, at_unix_ms: u64) -> u64 {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_infallible(&self.inner);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.samples.len() == self.capacity {
@@ -191,7 +188,7 @@ impl TimeSeriesRing {
     #[must_use]
     pub fn range(&self, max: usize) -> MetricsRange {
         let max = max.min(MAX_RANGE_SAMPLES);
-        let inner = lock(&self.inner);
+        let inner = lock_infallible(&self.inner);
         let skip = inner.samples.len().saturating_sub(max);
         MetricsRange {
             interval_ms: self.interval.as_millis() as u64,

@@ -1,11 +1,11 @@
 //! The follower-side stream client: connects to a leader, subscribes at
 //! a position, and yields pushed WAL record bodies one at a time.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::net::proto::{ClientMsg, ServerMsg, MAX_MESSAGE_BYTES};
+use crate::net::proto::{write_message, ClientMsg, ServerMsg, MAX_REPL_MESSAGE_BYTES};
 use crate::net::NetError;
 
 /// A live replication feed from a leader.
@@ -162,26 +162,19 @@ impl ReplFeed {
     }
 
     fn send(&mut self, msg: &ClientMsg) -> Result<(), NetError> {
-        let body = msg.encode();
-        let mut envelope = Vec::with_capacity(4 + body.len());
-        envelope.extend_from_slice(
-            &u32::try_from(body.len())
-                .expect("body under cap")
-                .to_le_bytes(),
-        );
-        envelope.extend_from_slice(&body);
-        self.stream.write_all(&envelope)?;
-        Ok(())
+        write_message(&mut self.stream, &msg.encode())
     }
 
     /// Pulls one complete envelope body out of the buffer without
     /// touching the socket — `Ok(None)` means the buffer holds no
     /// complete envelope (a partial one stays put for the next read).
+    /// The cap is the stream's, not a client's: a REPL_REC wraps a WAL
+    /// record, which may be longer than the REPORT it was acked from.
     fn take_buffered_body(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         if self.buf.len() >= 4 {
             let len =
                 u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-            if len == 0 || len > MAX_MESSAGE_BYTES {
+            if len == 0 || len > MAX_REPL_MESSAGE_BYTES {
                 return Err(NetError::TooLarge {
                     declared: len as u64,
                 });

@@ -3,7 +3,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -12,6 +12,7 @@ use ldp_ranges::{PersistableServer, SubtractableServer};
 use crate::error::ServiceError;
 use crate::obs::instruments::ReplInstruments;
 use crate::repl::feed::ReplFeed;
+use crate::service::lock_infallible;
 use crate::snapshot::SnapshotSource;
 use crate::storage::recovery::RecoveryReport;
 use crate::storage::wal::WalRecord;
@@ -60,10 +61,6 @@ where
     leader_records: Arc<AtomicU64>,
     pump: Option<JoinHandle<()>>,
     last_error: Arc<Mutex<Option<String>>>,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<S> FollowerService<S>
@@ -161,7 +158,7 @@ where
                     if let Err(e) =
                         pump_loop(&service, &mut feed, &stop, &position, &leader_records, &obs)
                     {
-                        *lock(&last_error) = Some(e);
+                        *lock_infallible(&last_error) = Some(e);
                     }
                 })
                 .map_err(ServiceError::Io)?
@@ -213,7 +210,7 @@ where
     /// the caller decides whether to reconnect or promote.
     #[must_use]
     pub fn last_error(&self) -> Option<String> {
-        lock(&self.last_error).clone()
+        lock_infallible(&self.last_error).clone()
     }
 
     /// Stops replication and promotes the follower into a normal

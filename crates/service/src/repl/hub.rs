@@ -8,9 +8,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crate::obs::instruments::ReplInstruments;
+use crate::service::lock_infallible;
 
 type Waker = Box<dyn Fn() + Send + Sync>;
 
@@ -30,10 +31,6 @@ pub(crate) struct ReplHub {
     /// Event-loop doorbells, rung on every append so streams pump promptly.
     wakers: Mutex<Vec<Waker>>,
     obs: ReplInstruments,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ReplHub {
@@ -67,7 +64,7 @@ impl ReplHub {
 
     /// Registers an event-loop doorbell, rung on every appended record.
     pub(crate) fn add_waker(&self, waker: Waker) {
-        lock(&self.wakers).push(waker);
+        lock_infallible(&self.wakers).push(waker);
     }
 
     /// One record hit the log (called under the WAL lock). Bumps the
@@ -78,8 +75,8 @@ impl ReplHub {
         if !self.has_followers() {
             return;
         }
-        self.refresh_lag(&lock(&self.followers));
-        for waker in lock(&self.wakers).iter() {
+        self.refresh_lag(&lock_infallible(&self.followers));
+        for waker in lock_infallible(&self.wakers).iter() {
             waker();
         }
     }
@@ -100,7 +97,7 @@ impl ReplHub {
                 "requested start position {start} is past the leader's {records} records"
             ));
         }
-        let mut followers = lock(&self.followers);
+        let mut followers = lock_infallible(&self.followers);
         followers.insert(session, start);
         self.follower_count.store(followers.len(), Ordering::SeqCst);
         self.obs.followers.set(followers.len() as u64);
@@ -112,7 +109,7 @@ impl ReplHub {
     /// the gauge backwards or past the log's end: the ack is clamped to
     /// the record count and kept monotone per follower.
     pub(crate) fn ack(&self, session: u64, acked: u64) {
-        let mut followers = lock(&self.followers);
+        let mut followers = lock_infallible(&self.followers);
         if let Some(prev) = followers.get_mut(&session) {
             *prev = (*prev).max(acked.min(self.records()));
         }
@@ -121,7 +118,7 @@ impl ReplHub {
 
     /// Drops a follower (stream teardown) and refreshes both gauges.
     pub(crate) fn unsubscribe(&self, session: u64) {
-        let mut followers = lock(&self.followers);
+        let mut followers = lock_infallible(&self.followers);
         followers.remove(&session);
         self.follower_count.store(followers.len(), Ordering::SeqCst);
         self.obs.followers.set(followers.len() as u64);

@@ -108,8 +108,12 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
     mutex.lock().map_err(|_| ServiceError::LockPoisoned(what))
 }
 
-/// Locks a mutex for a read-only peek, recovering from poisoning. Every
-/// mechanism's `absorb_deferred` validates its report before it mutates
+/// Locks a mutex, recovering the guard from a poisoned lock — the crate's
+/// one poison-tolerant lock, for state a panicking holder cannot leave
+/// half-written (registries, mailboxes, follower tables) and for
+/// read-only peeks at a shard.
+///
+/// Every mechanism's `absorb_deferred` validates its report before it mutates
 /// anything, so a shard poisoned by a panic mid-batch holds *whole*
 /// reports — but some of them may still be pending in an oracle's bit
 /// planes, never settled into its counts. That is why the shard peeks
@@ -121,7 +125,7 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
 /// path to that shard — writers, refreshes, merged state, checkpoints —
 /// gets [`ServiceError::LockPoisoned`] from [`lock`] instead of building
 /// on it.
-fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
+pub(crate) fn lock_infallible<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -23,13 +23,19 @@
 //! count is validated against the payload it arrived in. Any violation is
 //! a typed error carrying the byte offset, which is how recovery
 //! implements the torn-tail rule.
+//!
+//! The body grammar above is the human-readable spec; the
+//! `message_table!` rows for [`WalRecord`] are authoritative.
 
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::WireError;
-use crate::wire::{put_varint, Reader};
+use crate::wire::{
+    decode_message, encode_message, message_table, Field, FrameCount, Tail, WireVersion,
+    MAX_VARINT_BYTES,
+};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
@@ -43,10 +49,6 @@ pub const SEGMENT_HEADER_BYTES: u64 = 13;
 /// varint) is added — a legal ack must never produce an oversized,
 /// unreplayable record.
 pub const MAX_RECORD_BYTES: usize = crate::net::proto::MAX_MESSAGE_BYTES + 16;
-
-const REC_FRAMES: u8 = 0x01;
-const REC_SEAL: u8 = 0x02;
-const REC_CHECKPOINT: u8 = 0x03;
 
 // --- crc32 -------------------------------------------------------------
 
@@ -118,33 +120,18 @@ pub enum WalRecord {
     },
 }
 
+message_table! {
+    WalRecord, unknown(t) => WireError::UnknownKind(t);
+    0x01 FRAMES => Frames { wire_version: WireVersion, count: FrameCount, frames: Tail },
+    0x02 SEAL => Seal { epoch: u64 },
+    0x03 CHECKPOINT => Checkpoint { id: u64 },
+}
+
 impl WalRecord {
     /// Encodes the record body (type byte + payload, no framing).
     #[must_use]
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        match self {
-            Self::Frames {
-                wire_version,
-                count,
-                frames,
-            } => {
-                out.reserve(frames.len());
-                out.push(REC_FRAMES);
-                out.push(*wire_version);
-                put_varint(&mut out, *count);
-                out.extend_from_slice(frames);
-            }
-            Self::Seal { epoch } => {
-                out.push(REC_SEAL);
-                put_varint(&mut out, *epoch);
-            }
-            Self::Checkpoint { id } => {
-                out.push(REC_CHECKPOINT);
-                put_varint(&mut out, *id);
-            }
-        }
-        out
+        encode_message::<Self>(self)
     }
 
     /// Decodes one record body. Total: malformed bytes yield a
@@ -156,37 +143,7 @@ impl WalRecord {
     /// Fails on an empty body, an unknown type byte, a bad wire version,
     /// a frame count the payload cannot hold, or trailing bytes.
     pub fn decode_body(body: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(body);
-        let record = match r.u8()? {
-            REC_FRAMES => {
-                let wire_version = r.u8()?;
-                if wire_version != crate::wire::VERSION
-                    && wire_version != crate::wire::VERSION_EPOCH
-                {
-                    return Err(WireError::UnsupportedVersion(wire_version));
-                }
-                let count = r.varint()?;
-                let frames = r.bytes(r.remaining())?.to_vec();
-                // The smallest well-formed wire frame is 5 bytes; a count
-                // the payload cannot physically hold is rejected here so
-                // replay-side allocations stay bounded by real bytes.
-                if count > frames.len() as u64 {
-                    return Err(WireError::Malformed("frame count exceeds payload"));
-                }
-                Self::Frames {
-                    wire_version,
-                    count,
-                    frames,
-                }
-            }
-            REC_SEAL => Self::Seal { epoch: r.varint()? },
-            REC_CHECKPOINT => Self::Checkpoint { id: r.varint()? },
-            t => return Err(WireError::UnknownKind(t)),
-        };
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes after record"));
-        }
-        Ok(record)
+        decode_message::<Self>(body, "trailing bytes after record")
     }
 
     /// Encodes the full framed record (`len + crc + body`).
@@ -492,10 +449,10 @@ impl WalWriter {
         count: u64,
         frames: &[u8],
     ) -> std::io::Result<()> {
-        let mut head = Vec::with_capacity(12);
-        head.push(REC_FRAMES);
-        head.push(wire_version);
-        put_varint(&mut head, count);
+        let mut head = Vec::with_capacity(2 + MAX_VARINT_BYTES);
+        head.push(WalRecord::FRAMES);
+        WireVersion::put(&wire_version, &mut head);
+        FrameCount::put(&count, &mut head);
         self.append_parts(&head, frames, count)
     }
 
@@ -804,6 +761,7 @@ impl WalReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::put_varint;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -894,7 +852,7 @@ mod tests {
     #[test]
     fn frame_count_is_validated_against_payload() {
         let body_over = {
-            let mut b = vec![REC_FRAMES, 1];
+            let mut b = vec![WalRecord::FRAMES, 1];
             put_varint(&mut b, 1_000_000);
             b.extend_from_slice(&[0u8; 4]);
             b
@@ -904,7 +862,7 @@ mod tests {
             Err(WireError::Malformed(_))
         ));
         assert!(matches!(
-            WalRecord::decode_body(&[REC_FRAMES, 9, 0]),
+            WalRecord::decode_body(&[WalRecord::FRAMES, 9, 0]),
             Err(WireError::UnsupportedVersion(9))
         ));
         assert!(matches!(

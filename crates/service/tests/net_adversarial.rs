@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
-use ldp_service::net::proto::{read_message, write_message, ClientMsg, ReportBatch, ServerMsg};
+use ldp_service::net::proto::{
+    read_message, write_message, ClientMsg, ReportBatch, ServerMsg, RETIRED_TYPES,
+};
 use ldp_service::net::{ErrorCode, Hello, NetConfig, Query, QueryOp, WIRE_EPOCH, WIRE_V1};
 use ldp_service::{EncodedStream, LdpClient, LdpServer, LdpService, NetError, WireReport};
 use rand::rngs::StdRng;
@@ -90,14 +92,9 @@ fn hostile_bytes_yield_typed_errors_and_the_server_survives() {
     //    HEALTH bytes, and the retired verbose STATUS flag: a typed
     //    protocol error before HELLO (then the server closes) and after
     //    it (then the session carries on).
-    let unknown: [&[u8]; 5] = [
-        &[0x66, 1, 2, 3],
-        &[0x07],
-        &[0x0A, 2],
-        &[0x0B],
-        &[0x06, 0x01],
-    ];
-    for body in unknown {
+    let mut unknown: Vec<Vec<u8>> = vec![vec![0x66, 1, 2, 3], vec![0x06, 0x01]];
+    unknown.extend(RETIRED_TYPES.iter().flat_map(|&t| [vec![t], vec![t, 2]]));
+    for body in &unknown {
         let mut raw = TcpStream::connect(addr).unwrap();
         write_message(&mut raw, body).unwrap();
         let e = read_error(&mut raw);
@@ -106,7 +103,7 @@ fn hostile_bytes_yield_typed_errors_and_the_server_survives() {
     }
     let session = LdpClient::connect(addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
     let mut raw = session.into_stream();
-    for body in unknown {
+    for body in &unknown {
         write_message(&mut raw, body).unwrap();
         let e = read_error(&mut raw);
         assert_eq!(e.code, ErrorCode::Protocol, "post-HELLO {body:?}");

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HhClient, HhConfig, HhServer};
-use ldp_service::net::proto::{ClientMsg, ServerMsg};
+use ldp_service::net::proto::{ClientMsg, ServerMsg, RETIRED_TYPES};
 use ldp_service::net::{Hello, NetConfig};
 use ldp_service::obs::instruments::names;
 use ldp_service::obs::{Histo, MetricValue};
@@ -230,7 +230,7 @@ proptest! {
         let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
         let _ = ServerMsg::decode(&bytes);
         let _ = ClientMsg::decode(&bytes);
-        for type_byte in [0x07u8, 0x0A, 0x0B, 0x87, 0x8A, 0x8B] {
+        for type_byte in RETIRED_TYPES {
             let mut framed = vec![type_byte];
             framed.extend_from_slice(&bytes);
             prop_assert_eq!(ClientMsg::decode(&framed), Err(WireError::UnknownKind(type_byte)));

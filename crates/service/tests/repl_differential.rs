@@ -594,3 +594,107 @@ fn checkpoint_markers_replicate_and_pruning_refuses_new_subscriptions() {
     std::fs::remove_dir_all(&leader_dir).unwrap();
     std::fs::remove_dir_all(&follower_dir).unwrap();
 }
+
+/// Picks frames from `pool` whose lengths sum to exactly `target`: the
+/// pool in order while a margin of `small` bytes stays open, then a
+/// subset sum over the frames no longer than `small` for the rest.
+fn exact_fill(pool: &[Vec<u8>], target: usize, small: usize) -> Vec<usize> {
+    let mut picked = Vec::new();
+    let mut total = 0;
+    let mut rest = Vec::new();
+    for (i, frame) in pool.iter().enumerate() {
+        if total + frame.len() + small <= target {
+            total += frame.len();
+            picked.push(i);
+        } else if frame.len() <= small {
+            rest.push(i);
+        }
+    }
+    let need = target - total;
+    // reach[v] = (item, previous sum) for the first way found to sum to v.
+    let mut reach: Vec<Option<(usize, usize)>> = vec![None; need + 1];
+    reach[0] = Some((usize::MAX, 0));
+    for &i in &rest {
+        let len = pool[i].len();
+        for v in (len..=need).rev() {
+            if reach[v].is_none() && reach[v - len].is_some() {
+                reach[v] = Some((i, v - len));
+            }
+        }
+    }
+    let mut v = need;
+    while v > 0 {
+        let (i, prev) = reach[v].expect("the small frames cannot close the gap");
+        picked.push(i);
+        v = prev;
+    }
+    picked
+}
+
+/// A REPORT body at [`MAX_MESSAGE_BYTES`] is acked as a WAL record one
+/// byte longer than itself, and its REPL_REC adds a type byte and the
+/// position varint on top: the follower must take that envelope and
+/// reach position 1, not stall at position 0 on the client-side cap.
+#[test]
+fn an_at_cap_report_reaches_the_follower() {
+    use ldp_freq_oracle::FrequencyOracle;
+    use ldp_service::net::proto::MAX_MESSAGE_BYTES;
+
+    // HH_4 over OUE at D = 2^16: a frame is 15 bytes at the top levels and
+    // 8 KiB at the leaves, so a few thousand frames fill the cap and the
+    // small ones make the fill exact.
+    let hh_config =
+        HhConfig::with_oracle(1 << 16, 4, Epsilon::new(1.1), FrequencyOracle::Oue).unwrap();
+    let client = HhClient::new(hh_config.clone()).unwrap();
+    let prototype = HhServer::new(hh_config).unwrap();
+    let mut rng = StdRng::seed_from_u64(4401);
+    let pool: Vec<Vec<u8>> = (0..12_000)
+        .map(|i| {
+            client
+                .report((i * 7919) % (1 << 16), &mut rng)
+                .unwrap()
+                .to_frame()
+        })
+        .collect();
+    // The body is the type byte, a two-byte count varint, then the frames.
+    let picked = exact_fill(&pool, MAX_MESSAGE_BYTES - 3, 600);
+    assert!(
+        (128..16_384).contains(&picked.len()),
+        "count varint is not two bytes"
+    );
+    let frames: Vec<u8> = picked
+        .iter()
+        .flat_map(|&i| pool[i].iter().copied())
+        .collect();
+    let count = picked.len() as u64;
+    assert_eq!(
+        ldp_service::net::proto::encode_report_body(count, &frames).len(),
+        MAX_MESSAGE_BYTES
+    );
+
+    let leader_dir = scratch_dir("repl-at-cap-leader").unwrap();
+    let follower_dir = scratch_dir("repl-at-cap-follower").unwrap();
+    let (leader, _) = DurableService::open(&leader_dir, &prototype, config()).unwrap();
+    let leader = Arc::new(leader);
+    let server =
+        LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&leader), NetConfig::default()).unwrap();
+    let addr = format!("{}", server.local_addr());
+    let (follower, _) = FollowerService::open(&follower_dir, &prototype, &addr, config()).unwrap();
+
+    let mut session = LdpClient::connect(&addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
+    assert_eq!(session.send_batch(count, &frames).unwrap(), count);
+    await_position(&follower, 1, "at-cap REPORT");
+    assert_eq!(follower.last_error(), None);
+    assert_snapshots_identical(
+        &follower.service().refresh_snapshot().unwrap(),
+        &leader.refresh_snapshot().unwrap(),
+        "at-cap REPORT",
+    );
+
+    drop(follower);
+    session.bye().unwrap();
+    let _ = server.shutdown();
+    drop(leader);
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
