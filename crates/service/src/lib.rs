@@ -94,10 +94,8 @@
 //!   that merge/subtract exactly like the mechanism servers — the one
 //!   record of per-stage cost. [`NetConfig::ops_addr`] is the one
 //!   surface on which it leaves the process: a std-only HTTP endpoint
-//!   serving Prometheus text on `GET /metrics`, a [`HealthReport`]
-//!   judged from registry signals on `GET /health`, and a
-//!   [`TimeSeriesRing`] that a background sampler (started with the
-//!   endpoint) fills, on `GET /metrics/range`.
+//!   serving Prometheus text on `GET /metrics` and a [`HealthReport`]
+//!   judged from registry signals on `GET /health`.
 //!   In-process callers read [`LdpServer::registry`]; the session
 //!   protocol keeps only its STATUS counters.
 //!
@@ -153,8 +151,7 @@ pub use net::{
     Hello, LdpClient, LdpServer, NetConfig, NetError, Query, QueryOp, QueryReply, ServerStats,
 };
 pub use obs::{
-    HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRange, MetricsRegistry,
-    RegistrySnapshot, TimeSample, TimeSeriesRing,
+    HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRegistry, RegistrySnapshot,
 };
 pub use repl::{FollowerService, ReplFeed};
 pub use service::LdpService;

@@ -50,7 +50,7 @@
 //!   peers, seals the open epoch on windowed backends, checkpoints
 //!   durable ones (a read replica does neither), and joins every thread.
 //!   With [`NetConfig::ops_addr`] set it also serves the plain-HTTP ops
-//!   endpoint (`GET /metrics`, `/health`, `/metrics/range`).
+//!   endpoint (`GET /metrics`, `/health`).
 //! * [`client`] — [`LdpClient`]: the blocking client used by the tests,
 //!   `examples/net_pipeline.rs`, the socket replay path over
 //!   [`crate::EncodedStream`], and the `ldpbench` load generator.
@@ -126,19 +126,11 @@ pub struct NetConfig {
     /// [`LdpServer::registry`] snapshot) sees every tier.
     pub registry: Option<Arc<MetricsRegistry>>,
     /// Bind address of the plain-HTTP ops endpoint (`GET /metrics`,
-    /// `/health`, `/metrics/range`) — e.g. `"127.0.0.1:0"` — the only
-    /// surface on which metrics, health and the time-series ring leave
-    /// the process. `None` (the default) serves no HTTP and starts no
-    /// sampler; in-process callers still read [`LdpServer::registry`],
+    /// `/health`) — e.g. `"127.0.0.1:0"` — the only surface on which
+    /// metrics and health leave the process. `None` (the default) serves
+    /// no HTTP; in-process callers still read [`LdpServer::registry`],
     /// and the session protocol keeps its STATUS counters.
     pub ops_addr: Option<String>,
-    /// Interval of the time-series sampler that freezes registry
-    /// snapshots into the ring served by `GET /metrics/range`. The
-    /// sampler runs only alongside [`NetConfig::ops_addr`].
-    pub sample_interval: Duration,
-    /// Samples the time-series ring retains (clamped to at least 2, so
-    /// a per-interval delta always has a pair).
-    pub ring_capacity: usize,
     /// Thresholds the component-health model judges registry signals
     /// against for `GET /health`.
     pub health: HealthThresholds,
@@ -154,8 +146,6 @@ impl Default for NetConfig {
             portable_poller: false,
             registry: None,
             ops_addr: None,
-            sample_interval: Duration::from_secs(1),
-            ring_capacity: 128,
             health: HealthThresholds::default(),
         }
     }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use crate::loadgen::EncodedStream;
 use crate::net::proto::{
     read_message, write_message, write_report, ClientMsg, Hello, HelloOk, Query, QueryOp,
-    QueryReply, ServerMsg, StatusReply,
+    QueryReply, QueryResult, ServerMsg, StatusReply,
 };
 use crate::net::NetError;
 
@@ -130,14 +130,26 @@ impl LdpClient {
         Ok(acked)
     }
 
-    /// Runs one query.
+    /// Runs one query. The reply's result kind is checked against the
+    /// op — a quantile answers with an index, every other op with a
+    /// fraction — so [`QueryReply::fraction`] / [`QueryReply::index`]
+    /// on an `Ok` reply never panic, whatever the server sends.
     ///
     /// # Errors
     ///
-    /// Transport failures or a typed server rejection.
+    /// Transport failures, a typed server rejection, or
+    /// [`NetError::UnexpectedReply`] for a result of the wrong kind.
     pub fn query(&mut self, query: Query) -> Result<QueryReply, NetError> {
         match self.roundtrip(&ClientMsg::Query(query))? {
-            ServerMsg::QueryOk(reply) => Ok(reply),
+            ServerMsg::QueryOk(reply) => {
+                let quantile = matches!(query.op, QueryOp::Quantile { .. });
+                match (quantile, reply.result) {
+                    (true, QueryResult::Index(_)) | (false, QueryResult::Fraction(_)) => Ok(reply),
+                    _ => Err(NetError::UnexpectedReply(
+                        "QUERY answered with the wrong result kind",
+                    )),
+                }
+            }
             ServerMsg::Error(e) => Err(NetError::Remote(e)),
             _ => Err(NetError::UnexpectedReply("QUERY answered with non-reply")),
         }

@@ -2,19 +2,16 @@
 //! the one surface on which telemetry leaves the process.
 //!
 //! A deliberately minimal, dependency-free HTTP/1.1 listener on its own
-//! thread, serving three GET routes straight from the shared telemetry:
+//! thread, serving two GET routes straight from the shared registry:
 //!
 //! - `GET /metrics` — the Prometheus text exposition
-//!   ([`RegistrySnapshot::render_prom`]) of a fresh registry snapshot,
+//!   ([`RegistrySnapshot::render_prom`]) of a fresh registry snapshot;
+//!   differencing two scrapes gives the exact per-interval delta, so the
+//!   listener keeps no history,
 //! - `GET /health` — the derived component-health report as JSON
 //!   ([`crate::obs::HealthReport::render_json`]); the status code is
 //!   `200` for a `Healthy`/`Degraded` node and `503` for `Unhealthy`,
-//!   so a load balancer needs nothing but the code,
-//! - `GET /metrics/range` — the time-series ring as JSON
-//!   ([`crate::obs::MetricsRange::render_json`]).
-//!
-//! The listener owns the time-series ring and the [`Sampler`] thread that
-//! fills it, so a server without an ops endpoint samples nothing.
+//!   so a load balancer needs nothing but the code.
 //!
 //! The parser is total in the same sense as the session protocol's:
 //! arbitrary bytes produce a typed status code (400/404/405), never a
@@ -32,12 +29,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::net::NetConfig;
 use crate::obs::health::evaluate;
 use crate::obs::instruments::OpsInstruments;
-use crate::obs::{
-    HealthState, HealthThresholds, MetricsRegistry, Sampler, TimeSeriesRing, MAX_RANGE_SAMPLES,
-};
+use crate::obs::{HealthState, HealthThresholds, MetricsRegistry};
 
 /// How often the accept loop re-checks the shutdown flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -52,56 +46,41 @@ const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// listener thread's closure captures a single value.
 struct OpsShared {
     registry: Arc<MetricsRegistry>,
-    ring: Arc<TimeSeriesRing>,
     thresholds: HealthThresholds,
     obs: OpsInstruments,
 }
 
-/// The running ops listener: a bound address, a joinable accept thread,
-/// and the sampler filling the ring it serves. Dropping stops and joins
-/// both threads.
+/// The running ops listener: a bound address and a joinable accept
+/// thread. Dropping stops and joins the thread.
 pub(crate) struct OpsListener {
     addr: SocketAddr,
-    ring: Arc<TimeSeriesRing>,
-    sampler: Sampler,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl OpsListener {
-    /// Binds the ops endpoint at `addr`, starts the time-series sampler
-    /// (`config.sample_interval` / `config.ring_capacity`), then the
-    /// accept thread, which judges health against `config.health`.
+    /// Binds the ops endpoint at `addr` and starts the accept thread,
+    /// which judges health against `thresholds`.
     pub(crate) fn start(
         addr: &str,
         registry: Arc<MetricsRegistry>,
-        config: &NetConfig,
+        thresholds: &HealthThresholds,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let obs = OpsInstruments::register(&registry);
-        let ring = Arc::new(TimeSeriesRing::new(
-            config.ring_capacity,
-            config.sample_interval,
-        ));
-        let sampler = Sampler::start(Arc::clone(&registry), Arc::clone(&ring), obs.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let shared = OpsShared {
+            obs: OpsInstruments::register(&registry),
             registry,
-            ring: Arc::clone(&ring),
-            thresholds: config.health.clone(),
-            obs,
+            thresholds: thresholds.clone(),
         };
-        // A failed spawn drops `sampler`, which stops and joins it.
         let handle = std::thread::Builder::new()
             .name("ldp-ops-http".into())
             .spawn(move || accept_loop(&listener, &flag, &shared))?;
         Ok(Self {
             addr,
-            ring,
-            sampler,
             stop,
             handle: Some(handle),
         })
@@ -112,19 +91,12 @@ impl OpsListener {
         self.addr
     }
 
-    /// The ring the sampler fills and `GET /metrics/range` serves.
-    pub(crate) fn timeseries(&self) -> &Arc<TimeSeriesRing> {
-        &self.ring
-    }
-
-    /// Stops accepting, joins the listener thread, then stops the
-    /// sampler.
+    /// Stops accepting and joins the listener thread.
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
-        self.sampler.stop();
     }
 }
 
@@ -221,11 +193,6 @@ fn respond(head: &[u8], shared: &OpsShared) -> (u16, &'static str, String) {
             };
             (status, "application/json", report.render_json())
         }
-        "/metrics/range" => (
-            200,
-            "application/json",
-            shared.ring.range(MAX_RANGE_SAMPLES).render_json(),
-        ),
         _ => (404, "text/plain; charset=utf-8", "404\n".to_string()),
     }
 }
@@ -264,8 +231,8 @@ mod tests {
             Ok("/metrics")
         );
         assert_eq!(
-            parse_http_request(b"GET /metrics/range?x=1 HTTP/1.0\r\n\r\n"),
-            Ok("/metrics/range?x=1")
+            parse_http_request(b"GET /metrics?x=1 HTTP/1.0\r\n\r\n"),
+            Ok("/metrics?x=1")
         );
         assert_eq!(
             parse_http_request(b"POST /metrics HTTP/1.1\r\n\r\n"),
@@ -291,11 +258,8 @@ mod tests {
     fn routes_answer_from_live_telemetry() {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter("t.hits").add(3);
-        let ring = Arc::new(TimeSeriesRing::new(4, Duration::from_millis(100)));
-        ring.push(registry.snapshot());
         let shared = OpsShared {
             registry: Arc::clone(&registry),
-            ring,
             thresholds: HealthThresholds::default(),
             obs: OpsInstruments::register(&registry),
         };
@@ -307,9 +271,6 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(ct, "application/json");
         assert!(body.contains("\"verdict\""));
-        let (status, _, body) = respond(b"GET /metrics/range HTTP/1.1\r\n\r\n", &shared);
-        assert_eq!(status, 200);
-        assert!(body.contains("\"samples\""));
         let (status, _, _) = respond(b"GET /nope HTTP/1.1\r\n\r\n", &shared);
         assert_eq!(status, 404);
         let (status, _, _) = respond(b"DELETE /metrics HTTP/1.1\r\n\r\n", &shared);
@@ -325,7 +286,6 @@ mod tests {
             .set(1);
         let shared = OpsShared {
             registry: Arc::clone(&registry),
-            ring: Arc::new(TimeSeriesRing::new(2, Duration::from_secs(1))),
             thresholds: HealthThresholds::default(),
             obs: OpsInstruments::register(&registry),
         };

@@ -63,10 +63,10 @@
 //! is rejected explicitly ([`WireError::UnsupportedVersion`]) rather than
 //! silently streamed to.
 //!
-//! Telemetry does not travel on this protocol: metrics, health and the
-//! time-series ring leave the process only over the plain-HTTP ops
-//! endpoint ([`crate::net::NetConfig::ops_addr`]), and in-process callers
-//! read [`super::LdpServer::registry`]. STATUS is the one probe left, and
+//! Telemetry does not travel on this protocol: metrics and health leave
+//! the process only over the plain-HTTP ops endpoint
+//! ([`crate::net::NetConfig::ops_addr`]), and in-process callers read
+//! [`super::LdpServer::registry`]. STATUS is the one probe left, and
 //! its request and reply bytes are those of the first protocol version.
 //! The retired type bytes decode as unknown types (a typed `Protocol`
 //! error from the server) and must never be reused: a client built

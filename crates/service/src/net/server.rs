@@ -52,7 +52,7 @@ use crate::net::reactor::{
 };
 use crate::net::{NetConfig, NetError};
 use crate::obs::instruments::NetInstruments;
-use crate::obs::{MetricsRegistry, TimeSeriesRing};
+use crate::obs::MetricsRegistry;
 use crate::repl::cursor::ReplCursor;
 use crate::service::{AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
@@ -284,8 +284,7 @@ where
     rshared: Arc<ReactorShared>,
     addr: SocketAddr,
     loops: Vec<JoinHandle<()>>,
-    /// The plain-HTTP ops endpoint and its time-series sampler, when
-    /// `ops_addr` asked for one.
+    /// The plain-HTTP ops endpoint, when `ops_addr` asked for one.
     ops: Option<OpsListener>,
 }
 
@@ -390,7 +389,7 @@ where
         });
         let ops = match &config.ops_addr {
             Some(ops_addr) => Some(
-                OpsListener::start(ops_addr, Arc::clone(&shared.registry), &config)
+                OpsListener::start(ops_addr, Arc::clone(&shared.registry), &config.health)
                     .map_err(NetError::Io)?,
             ),
             None => None,
@@ -478,14 +477,6 @@ where
     #[must_use]
     pub fn ops_local_addr(&self) -> Option<SocketAddr> {
         self.ops.as_ref().map(OpsListener::local_addr)
-    }
-
-    /// The metrics time-series ring `GET /metrics/range` serves. Only a
-    /// server with [`NetConfig::ops_addr`] runs the sampler that fills
-    /// it; without one this is `None`.
-    #[must_use]
-    pub fn timeseries(&self) -> Option<&Arc<TimeSeriesRing>> {
-        self.ops.as_ref().map(OpsListener::timeseries)
     }
 
     /// Drains and stops the server: no new connections are accepted,

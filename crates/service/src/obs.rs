@@ -1,6 +1,6 @@
 //! The unified telemetry layer: a mergeable metrics registry, per-stage
 //! latency histograms, and the ops plane built on top of them —
-//! time-series sampling and derived component health.
+//! Prometheus exposition and derived component health.
 //!
 //! Every tier of the service — shard absorb, snapshot publication, epoch
 //! windowing, the session server, and the durable storage layer —
@@ -14,12 +14,10 @@
 //! (`LdpServer::registry`):
 //!
 //! - `GET /metrics` — the Prometheus text exposition
-//!   ([`RegistrySnapshot::render_prom`]) of a fresh snapshot;
-//! - `GET /metrics/range` — the time-series ring ([`TimeSeriesRing`]): a
-//!   background [`Sampler`], running only alongside the endpoint, freezes
-//!   whole snapshots on a fixed interval, and the exact subtract algebra
-//!   turns any two samples into a lossless per-interval delta
-//!   ([`MetricsRange::deltas`]);
+//!   ([`RegistrySnapshot::render_prom`]) of a fresh snapshot. Counters
+//!   and cumulative histograms only grow, and [`RegistrySnapshot::subtract`]
+//!   is exact, so a scraper that differences two scrapes gets the exact
+//!   per-interval delta — no in-process history is kept;
 //! - `GET /health` — the derived component health ([`health::evaluate`]):
 //!   a pure function over a frozen snapshot giving per-component
 //!   `Healthy`/`Degraded`/`Unhealthy` verdicts rolled into one node
@@ -39,11 +37,9 @@ pub mod expose;
 pub mod health;
 pub mod instruments;
 pub mod registry;
-pub mod timeseries;
 
 pub use expose::{MetricEntry, MetricValue, RegistrySnapshot};
 pub use health::{evaluate, ComponentHealth, HealthReport, HealthState, HealthThresholds};
 pub use registry::{
     Counter, Gauge, Histo, HistoSnapshot, Metric, MetricsRegistry, ObsError, HISTO_BUCKETS,
 };
-pub use timeseries::{MetricsRange, Sampler, TimeSample, TimeSeriesRing, MAX_RANGE_SAMPLES};

@@ -1,8 +1,6 @@
 //! Exposition: frozen registry snapshots, their exact merge/subtract
-//! algebra, and the two bodies the ops endpoint serves from them — the
-//! Prometheus text of `GET /metrics` ([`RegistrySnapshot::render_prom`])
-//! and the flat JSON each `GET /metrics/range` sample embeds
-//! ([`RegistrySnapshot::render_json`]).
+//! algebra, and their one rendering — the Prometheus text of
+//! `GET /metrics` ([`RegistrySnapshot::render_prom`]).
 
 use crate::obs::registry::{Histo, HistoSnapshot, ObsError};
 
@@ -28,7 +26,7 @@ pub struct MetricEntry {
 }
 
 /// A frozen view of a whole [`crate::obs::MetricsRegistry`]: what
-/// `GET /metrics` renders and each time-series sample holds.
+/// `GET /metrics` renders.
 ///
 /// Snapshots obey the same exact algebra as the mechanism servers:
 /// [`RegistrySnapshot::merge`] folds counters by addition, gauges by max,
@@ -222,39 +220,6 @@ impl RegistrySnapshot {
         }
         out
     }
-
-    /// Flat JSON, the `metrics` object of each `GET /metrics/range`
-    /// sample: one top-level numeric field per scalar, histograms
-    /// flattened to `name.count` / `name.sum` / `name.p50` / `name.p99` /
-    /// `name.max`.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut fields: Vec<(String, u64)> = Vec::with_capacity(self.entries.len());
-        for entry in &self.entries {
-            match &entry.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    fields.push((entry.name.clone(), *v));
-                }
-                MetricValue::Histo(h) => {
-                    fields.push((format!("{}.count", entry.name), h.count()));
-                    fields.push((format!("{}.sum", entry.name), h.sum()));
-                    fields.push((format!("{}.p50", entry.name), h.quantile_bound(0.50)));
-                    fields.push((format!("{}.p99", entry.name), h.quantile_bound(0.99)));
-                    fields.push((format!("{}.max", entry.name), h.quantile_bound(1.0)));
-                }
-            }
-        }
-        let mut out = String::from("{");
-        for (i, (name, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{name}\": {v}");
-        }
-        out.push_str("\n}\n");
-        out
-    }
 }
 
 /// Maps a dotted registry name onto the Prometheus name charset: every
@@ -364,9 +329,23 @@ mod tests {
         for family in ["a_counter counter", "b_gauge gauge", "c_histo histogram"] {
             assert!(prom.contains(&format!("# TYPE {family}\n")), "{family}");
         }
-        let json = s.render_json();
-        assert!(json.contains("\"a.counter\": 42"));
-        assert!(json.contains("\"b.gauge\": 7"));
-        assert!(json.contains("\"c.histo.count\": 6"));
+    }
+
+    /// The delta between two snapshots of one live registry is exact for
+    /// counters, and gauges are levels: subtract leaves the newer value.
+    #[test]
+    fn deltas_are_exact_and_gauges_stay_levels() {
+        let registry = crate::obs::MetricsRegistry::new();
+        let mut older = registry.snapshot();
+        for i in 1..4u64 {
+            registry.counter("t.frames").add(i * 10);
+            registry.gauge("t.level").set(i * 7);
+            let newer = registry.snapshot();
+            let mut delta = newer.clone();
+            delta.subtract(&older).unwrap();
+            assert_eq!(delta.counter("t.frames"), Some(i * 10));
+            assert_eq!(delta.gauge("t.level"), Some(i * 7));
+            older = newer;
+        }
     }
 }

@@ -119,9 +119,6 @@ pub mod names {
     /// Counter, requests: ops scrape requests answered with a non-200
     /// status (bad request, unknown path, wrong method).
     pub const OPS_HTTP_ERRORS: &str = "ops.http_errors";
-    /// Counter, samples: registry snapshots frozen into the time-series
-    /// ring by the background sampler.
-    pub const OPS_TS_SAMPLES: &str = "ops.ts_samples";
 }
 
 /// Shard-tier instruments (the service's per-shard absorb path).
@@ -329,17 +326,14 @@ impl ReplInstruments {
     }
 }
 
-/// Ops-plane instruments (the HTTP scrape endpoint and the time-series
-/// sampler) — the ops plane measures itself with the same registry it
-/// exposes.
+/// Ops-plane instruments (the HTTP scrape endpoint) — the ops plane
+/// measures itself with the same registry it exposes.
 #[derive(Debug, Clone)]
 pub struct OpsInstruments {
     /// [`names::OPS_HTTP_REQUESTS`].
     pub http_requests: Arc<Counter>,
     /// [`names::OPS_HTTP_ERRORS`].
     pub http_errors: Arc<Counter>,
-    /// [`names::OPS_TS_SAMPLES`].
-    pub ts_samples: Arc<Counter>,
 }
 
 impl OpsInstruments {
@@ -349,7 +343,6 @@ impl OpsInstruments {
         Self {
             http_requests: registry.counter(names::OPS_HTTP_REQUESTS),
             http_errors: registry.counter(names::OPS_HTTP_ERRORS),
-            ts_samples: registry.counter(names::OPS_TS_SAMPLES),
         }
     }
 }

@@ -385,7 +385,7 @@ pub enum Metric {
 /// through the returned `Arc`s and never touch the registry, so the hot
 /// paths stay lock-free. [`MetricsRegistry::snapshot`] freezes every
 /// instrument into a [`RegistrySnapshot`] for exposition (`GET /metrics`,
-/// the time-series ring, in-process reads).
+/// `GET /health`, in-process reads).
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Metric>>,

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use ldp_freq_oracle::Epsilon;
 use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
 use ldp_service::net::proto::{
-    read_message, write_message, ClientMsg, ReportBatch, ServerMsg, RETIRED_TYPES,
+    read_message, write_message, ClientMsg, HelloOk, QueryReply, QueryResult, ReportBatch,
+    ServerMsg, RETIRED_TYPES,
 };
 use ldp_service::net::{ErrorCode, Hello, NetConfig, Query, QueryOp, WIRE_EPOCH, WIRE_V1};
 use ldp_service::{EncodedStream, LdpClient, LdpServer, LdpService, NetError, WireReport};
@@ -721,4 +722,75 @@ fn report_on_a_replication_stream_is_refused_and_closes() {
     assert_eq!((stats.frames_absorbed, stats.frames_rejected), (16, 0));
     drop(leader);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A scripted peer — a plain `TcpListener`, not an `LdpServer` — accepts
+/// the HELLO, then answers every odd-numbered QUERY with the wrong result
+/// kind (an index for a fraction op, a fraction for a quantile) and every
+/// even-numbered one correctly. The client turns each mismatch into
+/// `UnexpectedReply` instead of handing back a reply whose accessor
+/// would panic, and the session stays usable for the next query.
+#[test]
+fn mismatched_query_result_kinds_are_unexpected_replies() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut queries = 0u64;
+        loop {
+            let msg = ClientMsg::decode(&read_message(&mut stream).unwrap()).unwrap();
+            let reply = match msg {
+                ClientMsg::Hello(hello) => ServerMsg::HelloOk(HelloOk {
+                    kind: hello.kind,
+                    wire_version: hello.wire_version,
+                    windowed: hello.windowed,
+                    domain: 64,
+                }),
+                ClientMsg::Query(query) => {
+                    queries += 1;
+                    let quantile = matches!(query.op, QueryOp::Quantile { .. });
+                    let wrong = queries % 2 == 1;
+                    let result = if quantile == wrong {
+                        QueryResult::Fraction(0.25)
+                    } else {
+                        QueryResult::Index(7)
+                    };
+                    ServerMsg::QueryOk(QueryReply {
+                        result,
+                        version: queries,
+                        num_reports: 0,
+                        window: None,
+                    })
+                }
+                ClientMsg::Bye => {
+                    write_message(&mut stream, &ServerMsg::ByeOk.encode()).unwrap();
+                    return queries;
+                }
+                other => panic!("unscripted message {other:?}"),
+            };
+            write_message(&mut stream, &reply.encode()).unwrap();
+        }
+    });
+
+    let mut session = LdpClient::connect(addr, Hello::plain::<ldp_ranges::HhReport>()).unwrap();
+    let ops = [
+        QueryOp::Range { a: 1, b: 9 },
+        QueryOp::Prefix { b: 9 },
+        QueryOp::Point { z: 3 },
+        QueryOp::Quantile { phi: 0.5 },
+    ];
+    for op in ops {
+        let query = Query { op, window: None };
+        assert!(
+            matches!(session.query(query), Err(NetError::UnexpectedReply(_))),
+            "{op:?}: a wrong-kind result must be refused"
+        );
+        let reply = session.query(query).expect("a right-kind result passes");
+        match op {
+            QueryOp::Quantile { .. } => assert_eq!(reply.index(), 7),
+            _ => assert_eq!(reply.fraction(), 0.25),
+        }
+    }
+    session.bye().unwrap();
+    assert_eq!(peer.join().unwrap(), 2 * ops.len() as u64);
 }

@@ -437,6 +437,12 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 /// window, net, and storage — in one `GET /metrics` scrape, every scraped
 /// scalar equals the in-process registry snapshot taken right after, and
 /// the STATUS probe reports the same counters.
+///
+/// Then more traffic and a second scrape: on the quiescent server the
+/// difference of the two scrapes is, scalar for scalar, the exact
+/// [`RegistrySnapshot::subtract`] of the snapshots taken beside them
+/// (gauges compared as levels). A scraper therefore needs no
+/// server-side history to get per-interval deltas.
 #[test]
 fn metrics_probe_sees_every_tier_live() {
     let (client, prototype) = hh_parts();
@@ -456,11 +462,9 @@ fn metrics_probe_sees_every_tier_live() {
     .unwrap();
     let durable = Arc::new(durable);
     // NetConfig.registry is None: bind_durable must share the storage
-    // tier's registry on its own. The sampler's one-minute interval keeps
-    // its counter still between the scrape and the snapshot below.
+    // tier's registry on its own.
     let config = NetConfig {
         ops_addr: Some("127.0.0.1:0".to_string()),
-        sample_interval: Duration::from_secs(60),
         ..NetConfig::default()
     };
     let server = LdpServer::bind_durable("127.0.0.1:0", Arc::clone(&durable), config).unwrap();
@@ -524,8 +528,60 @@ fn metrics_probe_sees_every_tier_live() {
         .subtract(&before)
         .expect("later snapshot subtracts the earlier one exactly");
 
+    // Phase two: one more epoch of traffic, two scrapes the first one
+    // does not see (a `/health` and a 404), then the second `/metrics`.
+    let mut stream = EncodedStream::new();
+    for i in 0..120usize {
+        stream.push_epoch(&client.report((i * 13) % 64, &mut rng).unwrap(), 2);
+    }
+    assert_eq!(session.send_stream(&stream, 40).unwrap(), 120);
+    assert_eq!(session.seal_epoch().unwrap(), 2);
+    let _ = session.range(3, 40).unwrap();
+    assert_eq!(scrape(ops, "/health").0, 200);
+    assert_eq!(scrape(ops, "/nope").0, 404);
+    let (code, body) = scrape(ops, "/metrics");
+    assert_eq!(code, 200);
+    let rescraped = prom_scalars(&body);
+    let later = server.registry().snapshot();
+
+    let mut interval = later.clone();
+    interval
+        .subtract(&after)
+        .expect("snapshots of one live registry subtract exactly");
+    let mut checked = 0;
+    for entry in interval.entries() {
+        let name = entry.name.replace('.', "_");
+        let pairs = match &entry.value {
+            // A gauge is a level: the second scrape shows it as is.
+            MetricValue::Gauge(level) => {
+                assert_eq!(rescraped.get(&name), Some(level), "{name}");
+                checked += 1;
+                continue;
+            }
+            MetricValue::Counter(v) => vec![(name, *v)],
+            MetricValue::Histo(h) => vec![
+                (format!("{name}_sum"), h.sum()),
+                (format!("{name}_count"), h.count()),
+            ],
+        };
+        for (name, want) in pairs {
+            let first = scraped.get(&name).copied().unwrap_or(0);
+            assert_eq!(rescraped[&name] - first, want, "{name}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, rescraped.len(), "every scraped scalar was checked");
+    // The interval's traffic, read off the scrape difference.
+    let moved = |name: &str| rescraped[name] - scraped.get(name).copied().unwrap_or(0);
+    assert_eq!(moved("shard_frames_accepted"), 120);
+    assert_eq!(moved("wal_records"), 4);
+    assert_eq!(moved("window_epochs_sealed"), 1);
+    // Three requests since the first scrape, one of them the 404.
+    assert_eq!(moved("ops_http_requests"), 3);
+    assert_eq!(moved("ops_http_errors"), 1);
+
     session.bye().unwrap();
     let stats = server.shutdown();
-    assert_eq!(stats.frames_absorbed, 240);
+    assert_eq!(stats.frames_absorbed, 360);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,12 +2,12 @@
 //!
 //! The HTTP scrape endpoint — the one surface on which telemetry leaves
 //! the process — serves valid Prometheus text, health JSON whose status
-//! code tracks the node verdict, and the time-series ring; hostile HTTP
-//! bytes get typed status codes, never a hang or a panic. It answers
-//! against a follower actively catching up, while the session protocol
-//! keeps its pre-HELLO STATUS probe. A server without an ops endpoint
-//! runs no sampler. A leader whose event loops deal follower sessions
-//! out across loops counts every follower once.
+//! code tracks the node verdict; hostile HTTP bytes get typed status
+//! codes, never a hang or a panic. It answers against a follower
+//! actively catching up, while the session protocol keeps its pre-HELLO
+//! STATUS probe. A server without an ops endpoint binds none. A leader
+//! whose event loops deal follower sessions out across loops counts
+//! every follower once.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -92,16 +92,6 @@ fn component_state(health_json: &str, component: &str) -> Option<String> {
     rest.split('"').next().map(str::to_string)
 }
 
-/// Blocks until the server's sampler has pushed `n` samples.
-fn await_samples(server: &LdpServer<HhServer>, n: usize) {
-    let ring = server.timeseries().expect("ops endpoint runs a sampler");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while ring.len() < n {
-        assert!(Instant::now() < deadline, "sampler produced no samples");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 fn assert_valid_prom_name(name: &str) {
     let mut chars = name.chars();
     let first = chars.next().unwrap_or_else(|| panic!("empty metric name"));
@@ -164,17 +154,15 @@ fn assert_prometheus_text_valid(body: &str) {
 
 // --- the HTTP endpoint --------------------------------------------------
 
-/// The three routes answer from live telemetry over a real socket, the
-/// Prometheus text parses strictly, and hostile requests get typed
-/// status codes.
+/// Both routes answer from live telemetry over a real socket, the
+/// Prometheus text parses strictly, no route serves metric history, and
+/// hostile requests get typed status codes.
 #[test]
 fn http_endpoint_serves_scrapes_and_rejects_hostile_requests() {
     let (client, prototype) = hh_parts();
     let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
     let config = NetConfig {
         ops_addr: Some("127.0.0.1:0".to_string()),
-        sample_interval: Duration::from_millis(10),
-        ring_capacity: 8,
         ..NetConfig::default()
     };
     let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
@@ -199,14 +187,8 @@ fn http_endpoint_serves_scrapes_and_rejects_hostile_requests() {
     assert!(body.contains("\"verdict\": \"Healthy\""));
     assert!(body.contains("\"component\": \"net\""));
 
-    // The sampler (10ms interval) fills the ring; wait for two samples
-    // so the range carries a delta-able pair.
-    await_samples(&server, 2);
-    let (status, body) = http_get(ops, "/metrics/range");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"interval_ms\": 10"));
-    assert!(body.contains("\"samples\""));
-    assert!(body.contains("\"seq\": 0"), "oldest sample missing: {body}");
+    // History is the scraper's: it differences two `/metrics` scrapes.
+    assert_eq!(http_get(ops, "/metrics/range").0, 404);
 
     // Query strings are stripped; unknown routes 404; non-GET 405;
     // garbage 400. All typed, none hang.
@@ -220,7 +202,6 @@ fn http_endpoint_serves_scrapes_and_rejects_hostile_requests() {
     // served with are visible in its own next scrape.
     let (_, body) = http_get(ops, "/metrics");
     assert!(body.contains("ops_http_requests"), "no self-metrics");
-    assert!(body.contains("ops_ts_samples"), "no sampler metrics");
 
     session.bye().unwrap();
     let _ = server.shutdown();
@@ -288,21 +269,18 @@ fn injected_follower_lag_flips_health_over_both_surfaces() {
     let _ = server.shutdown();
 }
 
-/// `GET /metrics/range` serves the live ring oldest → newest at the
-/// configured interval, capped at the ring's capacity; a clamped read of
-/// the same ring keeps the newest samples, and adjacent samples of one
-/// live registry subtract exactly.
 /// A client that pipelines a burst deeper than a session's inbox cap,
 /// reads its acks and disconnects leaves the node Healthy once its
-/// session is closed. A full inbox means a
-/// client is pipelining — read interest is shed until it drains — not
-/// that a loop is behind.
+/// session is closed. A full inbox means a client is pipelining — read
+/// interest is shed until it drains — not that a loop is behind. The
+/// server was bound without `ops_addr`, so it serves no HTTP.
 #[test]
 fn pipelined_burst_leaves_health_healthy_once_drained() {
     const BURST: usize = 40;
     let (client, prototype) = hh_parts();
     let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
     let server = LdpServer::bind("127.0.0.1:0", service, NetConfig::default()).unwrap();
+    assert!(server.ops_local_addr().is_none());
     let session =
         LdpClient::connect(server.local_addr(), Hello::plain::<ldp_ranges::HhReport>()).unwrap();
     let mut stream = session.into_stream();
@@ -335,67 +313,6 @@ fn pipelined_burst_leaves_health_healthy_once_drained() {
 
     let stats = server.shutdown();
     assert_eq!(stats.frames_absorbed, BURST as u64);
-}
-
-#[test]
-fn metrics_range_scrape_is_ordered_clamped_and_exact() {
-    let (_, prototype) = hh_parts();
-    let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
-    let config = NetConfig {
-        ops_addr: Some("127.0.0.1:0".to_string()),
-        sample_interval: Duration::from_millis(10),
-        ring_capacity: 16,
-        ..NetConfig::default()
-    };
-    let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
-    let ops = server.ops_local_addr().unwrap();
-    await_samples(&server, 3);
-
-    let (status, body) = http_get(ops, "/metrics/range");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"interval_ms\": 10"), "{body}");
-    let seqs: Vec<u64> = body
-        .split("\"seq\": ")
-        .skip(1)
-        .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
-        .collect();
-    assert!(seqs.len() >= 3 && seqs.len() <= 16, "{seqs:?}");
-    assert!(
-        seqs.windows(2).all(|w| w[1] == w[0] + 1),
-        "samples out of order: {seqs:?}"
-    );
-
-    let range = server.timeseries().unwrap().range(2);
-    assert_eq!(range.interval_ms, 10);
-    assert_eq!(range.samples.len(), 2, "max clamps the read");
-    assert!(range.samples[0].seq < range.samples[1].seq);
-    assert!(range.samples[1].seq >= *seqs.last().unwrap());
-    assert_eq!(range.deltas().len(), 1, "adjacent samples subtract exactly");
-
-    let (status, body) = http_get(ops, "/health");
-    assert_eq!(status, 200);
-    assert_eq!(component_state(&body, "net").as_deref(), Some("Healthy"));
-    let _ = server.shutdown();
-}
-
-/// Without `ops_addr` no sampler runs: the ring is absent and, after
-/// idling for several sample intervals, no sample was ever counted.
-#[test]
-fn no_ops_addr_runs_no_sampler() {
-    let (_, prototype) = hh_parts();
-    let service = Arc::new(LdpService::new(&prototype, 2).unwrap());
-    let interval = Duration::from_millis(10);
-    let config = NetConfig {
-        sample_interval: interval,
-        ..NetConfig::default()
-    };
-    let server = LdpServer::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
-    std::thread::sleep(interval * 5);
-    assert!(server.timeseries().is_none());
-    assert!(server.ops_local_addr().is_none());
-    let samples = server.registry().snapshot().counter(names::OPS_TS_SAMPLES);
-    assert!(matches!(samples, None | Some(0)), "{samples:?}");
-    let _ = server.shutdown();
 }
 
 /// A pre-HELLO STATUS probe answers on a follower's replica

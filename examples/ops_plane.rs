@@ -4,24 +4,26 @@
 //! with the HTTP scrape endpoint enabled. In process it prints exact
 //! per-epoch deltas (`server.registry()` snapshots and `subtract`). Over
 //! plain std sockets — no curl, no fixed port — it scrapes *itself*,
-//! asserting that `GET /metrics` parses as Prometheus text,
-//! `GET /health` answers 200 with a `Healthy` verdict, and
-//! `GET /metrics/range` serves the background sampler's time-series
-//! ring, whose JSON dump is written to `OPS_ring_dump.json` (the CI
-//! artifact).
+//! asserting that `GET /metrics` parses as Prometheus text and
+//! `GET /health` answers 200 with a `Healthy` verdict. A last epoch then
+//! runs between two `/metrics` scrapes, and the difference of the scrapes
+//! equals the in-process delta exactly — the endpoint keeps no history
+//! because a scraper can difference any two scrapes.
 //!
 //! ```text
 //! cargo run --release --example ops_plane
 //! ```
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ldp_range_queries::prelude::*;
 use ldp_range_queries::service::net::{Hello, NetConfig};
 use ldp_range_queries::service::obs::instruments::names;
+use ldp_range_queries::service::obs::MetricValue;
 use ldp_range_queries::service::storage::{
     scratch_dir, DurableConfig, DurableService, FsyncPolicy,
 };
@@ -92,11 +94,42 @@ fn assert_prometheus_parses(body: &str) -> usize {
     samples
 }
 
+/// The unlabelled `name value` samples of a Prometheus text body:
+/// counters, gauges, and each histogram's `_sum` / `_count`.
+fn prom_scalars(body: &str) -> BTreeMap<String, u64> {
+    body.lines()
+        .filter(|line| !line.starts_with('#') && !line.contains('{') && !line.is_empty())
+        .filter_map(|line| {
+            let (name, value) = line.rsplit_once(' ')?;
+            Some((name.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Domain of the reported values.
+const DOMAIN: usize = 256;
+
+/// Streams one epoch of `users` reports over `session` and seals it.
+fn ingest_epoch(
+    session: &mut LdpClient,
+    client: &HhClient,
+    rng: &mut StdRng,
+    epoch: u64,
+    users: u64,
+) {
+    let mut stream = EncodedStream::new();
+    for _ in 0..users {
+        let value = rng.random_range(0..DOMAIN);
+        stream.push_epoch(&client.report(value, rng).expect("report"), epoch);
+    }
+    assert_eq!(session.send_stream(&stream, 256).expect("stream"), users);
+    session.seal_epoch().expect("seal");
+}
+
 fn main() {
-    let domain = 256usize;
     let epochs = 3u64;
     let users_per_epoch = 2_000u64;
-    let config = HhConfig::new(domain, 4, Epsilon::from_exp(3.0)).expect("valid config");
+    let config = HhConfig::new(DOMAIN, 4, Epsilon::from_exp(3.0)).expect("valid config");
     let client = HhClient::new(config.clone()).expect("client");
     let prototype = HhServer::new(config).expect("server");
 
@@ -122,8 +155,6 @@ fn main() {
         Arc::new(durable),
         NetConfig {
             ops_addr: Some("127.0.0.1:0".to_string()),
-            sample_interval: Duration::from_millis(50),
-            ring_capacity: 64,
             ..NetConfig::default()
         },
     )
@@ -150,14 +181,7 @@ fn main() {
         "epoch", "frames", "wal records", "absorb p99 ns", "report ns"
     );
     for epoch in 0..epochs {
-        let mut stream = EncodedStream::new();
-        for _ in 0..users_per_epoch {
-            let value = rng.random_range(0..domain);
-            stream.push_epoch(&client.report(value, &mut rng).expect("report"), epoch);
-        }
-        let acked = session.send_stream(&stream, 256).expect("stream");
-        assert_eq!(acked, users_per_epoch);
-        session.seal_epoch().expect("seal");
+        ingest_epoch(&mut session, &client, &mut rng, epoch, users_per_epoch);
 
         let after = server.registry().snapshot();
         let mut delta = after.clone();
@@ -186,24 +210,16 @@ fn main() {
         status.durable.map_or(0, |d| d.wal_records)
     );
 
-    // Let the 50ms sampler take a handful of samples.
-    let ring = server
-        .timeseries()
-        .expect("the ops endpoint runs a sampler");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while ring.len() < 4 {
-        assert!(Instant::now() < deadline, "sampler never sampled");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
     // GET /metrics: valid Prometheus text with the ingested frames.
     let (code, body) = http_get(ops, "/metrics");
+    let first = server.registry().snapshot();
     assert_eq!(code, 200, "/metrics status");
     let samples = assert_prometheus_parses(&body);
     assert!(
         body.contains(&format!("net_frames_absorbed {total}\n")),
         "scrape missed the traffic"
     );
+    let scraped = prom_scalars(&body);
     println!("# GET /metrics: 200, {samples} samples, Prometheus text parses");
 
     // GET /health: 200 and a Healthy verdict on this idle, intact node.
@@ -215,19 +231,45 @@ fn main() {
     );
     println!("# GET /health: 200, verdict Healthy");
 
-    // GET /metrics/range: the ring dump — also the CI artifact.
-    let (code, dump) = http_get(ops, "/metrics/range");
-    assert_eq!(code, 200, "/metrics/range status");
-    assert!(dump.contains("\"samples\""), "no samples in range dump");
-    std::fs::write("OPS_ring_dump.json", &dump).expect("write ring dump");
+    // One more epoch, then a second scrape. Counters and histograms only
+    // grow, so (scrape₂ − scrape₁) is the exact in-process delta — what a
+    // scraper computes per interval, with no history kept in the server.
+    ingest_epoch(&mut session, &client, &mut rng, epochs, users_per_epoch);
+    let (code, body) = http_get(ops, "/metrics");
+    assert_eq!(code, 200, "/metrics status");
+    let mut delta = server.registry().snapshot();
+    delta.subtract(&first).expect("exact registry delta");
+    let rescraped = prom_scalars(&body);
+    let mut compared = 0usize;
+    for entry in delta.entries() {
+        let name = entry.name.replace('.', "_");
+        let totals = match &entry.value {
+            MetricValue::Counter(v) => vec![(name, *v)],
+            MetricValue::Histo(h) => vec![
+                (format!("{name}_sum"), h.sum()),
+                (format!("{name}_count"), h.count()),
+            ],
+            // Gauges are levels, not totals.
+            MetricValue::Gauge(_) => continue,
+        };
+        for (name, want) in totals {
+            let moved = rescraped[&name] - scraped.get(&name).copied().unwrap_or(0);
+            assert_eq!(moved, want, "{name}: scrape delta != registry delta");
+            compared += 1;
+        }
+    }
+    assert_eq!(
+        delta.counter(names::NET_FRAMES_ABSORBED),
+        Some(users_per_epoch)
+    );
     println!(
-        "# GET /metrics/range: 200, {} bytes -> OPS_ring_dump.json",
-        dump.len()
+        "# two /metrics scrapes differenced: {compared} totals equal the registry delta \
+         ({users_per_epoch} frames)"
     );
 
     session.bye().expect("clean close");
     let stats = server.shutdown();
-    assert_eq!(stats.frames_absorbed, total);
+    assert_eq!(stats.frames_absorbed, total + users_per_epoch);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
     println!("# ops_plane: OK");
