@@ -765,9 +765,18 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
+        // Standard IEEE CRC-32 check values. All but the first two are
+        // long enough to reach the 16-byte step, and come from an
+        // independent implementation (Python's `zlib.crc32`).
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        let all_bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(crc32(&all_bytes), 0x2905_8C73);
+        assert_eq!(crc32(&[0u8; 4096]), 0xC71C_0011);
     }
 
     #[test]

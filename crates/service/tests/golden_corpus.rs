@@ -331,6 +331,43 @@ fn every_wal_record_has_one_pinned_encoding() {
     );
 }
 
+/// A FRAMES record long enough to take the checksum through several
+/// 16-byte steps plus a byte tail, framed bytes written out in full. The
+/// CRC here comes from an independent CRC-32 (Python's `zlib.crc32`), not
+/// from `crc32`, so a kernel that agrees only with itself fails.
+#[test]
+fn a_long_frames_record_has_literal_framed_bytes() {
+    let rec = WalRecord::Frames {
+        wire_version: 1,
+        count: 4,
+        frames: (0u8..48).collect(),
+    };
+    #[rustfmt::skip]
+    let pinned: [u8; 59] = [
+        0x33, 0x00, 0x00, 0x00, // len = 51
+        0x9B, 0x9B, 0x46, 0xC1, // crc32 = 0xC146_9B9B
+        0x01, 0x01, 0x04,       // FRAMES, wire v1, count 4
+        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
+        0x08, 0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F,
+        0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17,
+        0x18, 0x19, 0x1A, 0x1B, 0x1C, 0x1D, 0x1E, 0x1F,
+        0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27,
+        0x28, 0x29, 0x2A, 0x2B, 0x2C, 0x2D, 0x2E, 0x2F,
+    ];
+    assert_eq!(rec.encode_framed(), pinned);
+    assert_eq!(decode_framed(&pinned), Ok((rec, pinned.len())));
+
+    // The append path checksums head ++ tail without concatenating them;
+    // it must land the same bytes.
+    let dir = scratch_dir("golden-wal-long").unwrap();
+    let mut writer = WalWriter::create(&dir, 0, 1 << 20, FsyncPolicy::Never).unwrap();
+    writer.append_frames(1, 4, &pinned[11..]).unwrap();
+    writer.sync().unwrap();
+    let on_disk = std::fs::read(segment_path(&dir, 0)).unwrap();
+    assert_eq!(on_disk[SEGMENT_HEADER_BYTES as usize..], pinned);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The borrowed fast paths write the same FRAMES head as the owned
 /// codecs: REPORT's count varint, and WAL FRAMES' wire version + count.
 #[test]
