@@ -105,18 +105,17 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
 /// Fails on bad magic/version, CRC mismatch, a state length the file
 /// does not hold, or trailing bytes.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
-    if bytes.len() < 9 {
+    let Some((&[m0, m1, m2, m3, version, crc @ ..], payload)) = bytes.split_first_chunk::<9>()
+    else {
         return Err(WireError::Truncated);
+    };
+    if [m0, m1, m2, m3] != CHECKPOINT_MAGIC {
+        return Err(WireError::BadMagic([m0, m1]));
     }
-    if bytes[0..4] != CHECKPOINT_MAGIC {
-        return Err(WireError::BadMagic([bytes[0], bytes[1]]));
+    if version != CHECKPOINT_VERSION {
+        return Err(WireError::UnsupportedVersion(version));
     }
-    if bytes[4] != CHECKPOINT_VERSION {
-        return Err(WireError::UnsupportedVersion(bytes[4]));
-    }
-    let expected_crc = u32::from_le_bytes(bytes[5..9].try_into().expect("4-byte slice"));
-    let payload = &bytes[9..];
-    if crc32(payload) != expected_crc {
+    if crc32(payload) != u32::from_le_bytes(crc) {
         return Err(WireError::Malformed("checkpoint CRC mismatch"));
     }
     let mut r = Reader::new(payload);

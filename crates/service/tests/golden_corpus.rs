@@ -1,5 +1,6 @@
 //! Golden corpus for the two self-made binary formats: the session
-//! protocol (`net::proto`) and the WAL record body (`storage::wal`).
+//! protocol (`net::proto`) and the WAL record body (`storage::wal`), plus
+//! the fixed-width heads of a framed record, a segment and a checkpoint.
 //!
 //! Every live session type byte and every WAL record type has one pinned
 //! encoding here, written out byte by byte from the module-doc grammars,
@@ -11,9 +12,11 @@ use ldp_service::net::proto::{
     encode_report_body, write_report, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query,
     QueryOp, QueryReply, QueryResult, RemoteError, ReportBatch, ServerMsg, StatusReply,
 };
+use ldp_service::storage::checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint};
 use ldp_service::storage::scratch_dir;
 use ldp_service::storage::wal::{
-    crc32, decode_framed, segment_path, FsyncPolicy, WalRecord, WalWriter, SEGMENT_HEADER_BYTES,
+    check_segment_header, crc32, decode_framed, segment_path, FsyncPolicy, WalRecord, WalWriter,
+    SEGMENT_HEADER_BYTES,
 };
 use ldp_service::WireError;
 
@@ -592,5 +595,71 @@ fn unknown_types_trailing_bytes_and_empty_bodies() {
     assert_eq!(
         ClientMsg::decode(&[0x09, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]),
         Err(WireError::BadVarint)
+    );
+}
+
+/// The fixed-width heads a framed WAL record, a segment file and a
+/// checkpoint file open with: each short, misidentified or corrupt head
+/// has one exact error.
+#[test]
+fn storage_heads_are_checked_field_by_field() {
+    // Record framing: len(4B LE), crc32(4B LE), body.
+    let framed = WalRecord::Seal { epoch: 41 }.encode_framed();
+    assert_eq!(decode_framed(&framed[..7]), Err(WireError::Truncated));
+    assert_eq!(decode_framed(&[0; 8]), Err(WireError::SizeOverCap(0)));
+    assert_eq!(
+        decode_framed(&[0xFF; 8]),
+        Err(WireError::SizeOverCap(u64::from(u32::MAX)))
+    );
+    assert_eq!(decode_framed(&framed[..9]), Err(WireError::Truncated));
+    let mut bad_crc = framed.clone();
+    bad_crc[4] ^= 0x01;
+    assert_eq!(
+        decode_framed(&bad_crc),
+        Err(malformed("record CRC mismatch"))
+    );
+
+    // Segment header: magic "LDPW", version 1, seq(8B LE).
+    let head = concat(&[b"LDPW", &[0x01], &7u64.to_le_bytes()]);
+    assert_eq!(check_segment_header(&head, 7), Ok(SEGMENT_HEADER_BYTES));
+    assert_eq!(
+        check_segment_header(&head[..12], 7),
+        Err(WireError::Truncated)
+    );
+    assert_eq!(
+        check_segment_header(&concat(&[b"XYPW", &head[4..]]), 7),
+        Err(WireError::BadMagic(*b"XY"))
+    );
+    assert_eq!(
+        check_segment_header(&concat(&[b"LDPW", &[0x02], &head[5..]]), 7),
+        Err(WireError::UnsupportedVersion(2))
+    );
+    assert_eq!(
+        check_segment_header(&head, 8),
+        Err(malformed("segment header seq != filename seq"))
+    );
+
+    // Checkpoint head: magic "LDPK", version 1, crc32(4B LE) over the rest.
+    let ckpt = encode_checkpoint(&Checkpoint {
+        id: 1,
+        replay_from_seq: 0,
+        state: vec![0xAB; 20],
+    });
+    assert_eq!(&ckpt[..5], b"LDPK\x01");
+    assert_eq!(ckpt[5..9], crc32(&ckpt[9..]).to_le_bytes());
+    assert_eq!(decode_checkpoint(&ckpt[..8]), Err(WireError::Truncated));
+    assert_eq!(
+        decode_checkpoint(&concat(&[b"XYPK", &ckpt[4..]])),
+        Err(WireError::BadMagic(*b"XY"))
+    );
+    assert_eq!(
+        decode_checkpoint(&concat(&[b"LDPK", &[0x02], &ckpt[5..]])),
+        Err(WireError::UnsupportedVersion(2))
+    );
+    let mut bad_crc = ckpt.clone();
+    bad_crc[5] ^= 0x01;
+    assert_eq!(
+        decode_checkpoint(&bad_crc),
+        Err(malformed("checkpoint CRC mismatch"))
     );
 }
