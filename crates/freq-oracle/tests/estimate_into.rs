@@ -5,10 +5,15 @@
 //!
 //! Buffers start as NaN, so a slot the estimator skips (an early return
 //! on an empty oracle, an accumulate-into instead of a write) fails here.
+//!
+//! HRR's estimator is also held, bit for bit, to the textbook inverse
+//! written out here: `estimate()` shares its body, so the slot contract
+//! alone cannot see a wrong scale.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ldp_freq_oracle::{AnyOracle, Epsilon, FrequencyOracle, Hrr, Olh, Oue, PointOracle, Sue};
+use ldp_transforms::fwht_scalar;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,6 +91,77 @@ fn any_oracle_overwrites_every_slot_with_and_without_reports() {
                 &format!("Any({kind})"),
                 3300 + k as u64,
             );
+        }
+    }
+}
+
+/// The textbook HRR decode `θ = φ⁻¹·m̂`: scale each ±1 sum into the
+/// coefficient estimate `m̂_j = D·s_j / (N(2p−1))`, run the scalar FWHT,
+/// then multiply by `1/D`.
+fn textbook_hrr_estimate(oracle: &Hrr) -> Vec<f64> {
+    let domain = oracle.domain();
+    let reports = oracle.num_reports();
+    if reports == 0 {
+        return vec![0.0; domain];
+    }
+    let scale = domain as f64 / (reports as f64 * (2.0 * oracle.keep_prob() - 1.0));
+    let mut theta: Vec<f64> = oracle.sums().iter().map(|&s| s as f64 * scale).collect();
+    fwht_scalar(&mut theta);
+    let inv = 1.0 / domain as f64;
+    for v in &mut theta {
+        *v *= inv;
+    }
+    theta
+}
+
+fn assert_matches_textbook(oracle: &Hrr, what: &str) {
+    let mut out = vec![f64::NAN; oracle.domain()];
+    oracle.estimate_into(&mut out);
+    let want = textbook_hrr_estimate(oracle);
+    for (z, (got, want)) in out.iter().zip(&want).enumerate() {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{what}: slot {z}: {got} vs {want}"
+        );
+    }
+}
+
+#[test]
+fn hrr_estimate_into_matches_the_textbook_inverse_bit_for_bit() {
+    for (e, exp_eps) in [1.5, 3.0, 9.0].into_iter().enumerate() {
+        let eps = Epsilon::from_exp(exp_eps);
+        for k in 0..=16u32 {
+            let domain = 1usize << k;
+            let what = format!("HRR e^eps={exp_eps} D={domain}");
+            let seed = 3400 + 100 * e as u64 + u64::from(k);
+            let mut rng = StdRng::seed_from_u64(seed);
+
+            let mut users = Hrr::new(domain, eps).unwrap();
+            for i in 0..200usize {
+                let report = users.encode((i * i + 7 * i) % domain, &mut rng).unwrap();
+                users.absorb(&report).unwrap();
+            }
+            assert_matches_textbook(&users, &format!("{what} 200 reports"));
+
+            // ≈10^6 users, three quarters on the all-ones value: half of
+            // the coefficients of that value are −1, so those sums come
+            // out negative (by ~10^5 at small D, where each index gathers
+            // hundreds of thousands of reports).
+            let mut counts = vec![1_000_000 / (4 * domain as u64); domain];
+            counts[domain - 1] += 750_000;
+            let mut population = Hrr::new(domain, eps).unwrap();
+            population.absorb_population(&counts, &mut rng).unwrap();
+            if domain > 1 {
+                let most_negative = population.sums().iter().min().copied().unwrap();
+                assert!(most_negative < 0, "{what}: min sum {most_negative}");
+            }
+            assert_matches_textbook(&population, &format!("{what} population"));
+
+            let mut drained = population.clone();
+            drained.subtract(&population).unwrap();
+            assert_eq!(drained.num_reports(), 0);
+            assert_matches_textbook(&drained, &format!("{what} drained"));
         }
     }
 }

@@ -16,11 +16,11 @@ use ldp_transforms::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every power of two from 1 to 2^14 — covers the unrolled base cases
+/// Every power of two from 1 to 2^17 — covers the unrolled base cases
 /// (1, 2, 4), the in-block sizes (8..64), and multi-block sizes where the
 /// two-stage pass split actually engages.
 fn sizes() -> Vec<usize> {
-    (0..=14).map(|k| 1usize << k).collect()
+    (0..=17).map(|k| 1usize << k).collect()
 }
 
 fn random_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
@@ -87,7 +87,7 @@ fn fwht_adversarial_values_still_bit_identical() {
         std::f64::consts::PI,
     ];
     let mut rng = StdRng::seed_from_u64(0xFA57_0003);
-    for n in [4usize, 64, 128, 1024] {
+    for n in [4usize, 64, 128, 1024, 4096, 8192] {
         let x: Vec<f64> = (0..n)
             .map(|_| specials[rng.random_range(0..specials.len())])
             .collect();
