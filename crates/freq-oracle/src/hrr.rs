@@ -311,21 +311,29 @@ impl PointOracle for Hrr {
         self.reports = 0;
     }
 
-    /// Scales each index's ±1 sum into the unbiased Hadamard coefficient
-    /// estimate `m̂_j ≈ Σ_z θ_z (−1)^{⟨z,j⟩}` of the (possibly signed)
-    /// frequency vector, written straight into `out`, then inverts the
-    /// transform there: `θ = (1/D)·φ·m`.
+    /// Inverts the Hadamard coefficient estimates of the (possibly
+    /// signed) frequency vector straight into `out`:
+    /// `θ = (1/D)·φ·m̂` with the unbiased `m̂_j = D·s_j / (N(2p−1))`
+    /// for index sums `s_j`.
+    ///
+    /// The two factors of `D` cancel, so this scales each sum by
+    /// `1/(N(2p−1))` and runs the forward [`fwht`] — one `O(D)` pass
+    /// fewer than scaling by `D/(N(2p−1))` and running `fwht_inverse`,
+    /// and bit-identical to it: `D` is a power of two, so
+    /// `round(D/x) = D·round(1/x)`, and scaling by `2^k` commutes with
+    /// every rounded add, subtract and multiply while values stay in the
+    /// normal range (`|s_j| ≤ N` keeps them far from subnormals).
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
         if self.reports == 0 {
             out.fill(0.0);
             return;
         }
-        let scale = self.domain as f64 / (self.reports as f64 * (2.0 * self.p - 1.0));
+        let scale = 1.0 / (self.reports as f64 * (2.0 * self.p - 1.0));
         for (o, &s) in out.iter_mut().zip(&self.sums) {
             *o = s as f64 * scale;
         }
-        ldp_transforms::fwht_inverse(out);
+        fwht(out);
     }
 
     fn theoretical_variance(&self) -> f64 {

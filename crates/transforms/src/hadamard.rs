@@ -31,11 +31,11 @@ pub fn hadamard_entry(i: usize, j: usize) -> i8 {
     }
 }
 
-/// Butterfly passes with spans up to this many lanes run entirely inside
-/// one resident chunk before the array is traversed again — 64 `f64`s =
-/// 512 B, a handful of cache lines, so the `log₂ 64 = 6` cheapest passes
-/// cost one pass over memory instead of six.
-const FWHT_BLOCK: usize = 64;
+/// Butterfly passes with spans under this many lanes run entirely inside
+/// one resident chunk before the array is traversed again — 2048 `f64`s =
+/// 16 KiB, well inside a 32–48 KiB L1d, so the `log₂ 2048 = 11` cheapest
+/// passes cost one pass over memory instead of eleven.
+const FWHT_BLOCK: usize = 2048;
 
 /// In-place fast Walsh–Hadamard transform of a length-`2^k` slice.
 ///
@@ -43,14 +43,27 @@ const FWHT_BLOCK: usize = 64;
 /// `O(D log D)` time and no extra space. Applying it twice multiplies the
 /// input by `D`.
 ///
-/// The implementation blocks the first `log₂` `FWHT_BLOCK` butterfly
-/// passes into cache-resident chunks (with an unrolled radix-4 base case)
-/// and runs the remaining passes over contiguous half-slices so the inner
-/// loops auto-vectorize. Every butterfly still combines exactly the same
-/// two operands in the same order as the textbook triple loop (each pair
-/// `(i, i + half)` is disjoint from every other pair of its pass), so the
-/// output is **bit-identical** to [`fwht_scalar`] — the differential
-/// tests assert this, not a tolerance.
+/// The butterfly passes (`half = 1, 2, 4, …, D/2`) are scheduled for the
+/// cache, not for operation count:
+///
+/// - **Resident blocks.** Every pass with `half <` `FWHT_BLOCK` stays
+///   inside one 2048-lane chunk, so those passes run chunk by chunk out of
+///   L1: a radix-8 base case holds the `half = 1, 2, 4` passes in
+///   registers, then radix-4 passes cover `half = 8 … 1024`.
+/// - **Radix-4 long passes.** The passes with `half ≥` `FWHT_BLOCK` run
+///   in pairs, one traversal of memory per pair: each `4h`-lane block is
+///   split into quarters `Q0..Q3`, and one loop over the quarters does the
+///   `half = h` butterflies `(Q0, Q1)`, `(Q2, Q3)`, then the `half = 2h`
+///   butterflies `(Q0, Q2)`, `(Q1, Q3)`. A single radix-2 pass finishes
+///   an odd count. The contiguous quarter streams auto-vectorize.
+///
+/// Fusing passes only changes *when* a butterfly runs, never what it
+/// computes: pass `half = 2h` reads exactly the two values pass `half = h`
+/// wrote for those lanes (held in locals instead of memory), and every
+/// element sees the same two-operand adds and subtracts in the same order
+/// as the textbook triple loop. The output is therefore **bit-identical**
+/// to [`fwht_scalar`] — the differential tests assert this, not a
+/// tolerance.
 ///
 /// # Panics
 ///
@@ -72,63 +85,79 @@ pub fn fwht(data: &mut [f64]) {
     for chunk in data.chunks_exact_mut(FWHT_BLOCK) {
         fwht_block(chunk);
     }
-    // Stage 2: the remaining long-span passes. Splitting each block into
-    // its two halves turns the butterfly into two parallel contiguous
-    // streams, which the compiler vectorizes.
-    let mut half = FWHT_BLOCK;
-    while half < n {
-        let step = half * 2;
-        for block in data.chunks_exact_mut(step) {
-            let (lo, hi) = block.split_at_mut(half);
-            for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
-                let a = *l;
-                let b = *h;
-                *l = a + b;
-                *h = a - b;
-            }
-        }
-        half = step;
-    }
+    // Stage 2: the remaining long-span passes, two per traversal.
+    passes_from(data, FWHT_BLOCK);
 }
 
 /// All butterfly passes of one cache-resident block (`len ≤` `FWHT_BLOCK`,
-/// a power of two): an unrolled radix-4 base case fusing the `half = 1`
-/// and `half = 2` passes, then half-split passes as in the main loop.
+/// a power of two): the radix-8 base case, then radix-4 passes.
 fn fwht_block(data: &mut [f64]) {
+    if data.len() < 8 {
+        passes_from(data, 1);
+        return;
+    }
+    // Fused half = 1, 2, 4 passes, eight lanes at a time. The locals hold
+    // the exact intermediates the three scalar passes would have stored.
+    for q in data.chunks_exact_mut(8) {
+        let (a, b, c, d) = (q[0] + q[1], q[0] - q[1], q[2] + q[3], q[2] - q[3]);
+        let (e, f, g, h) = (q[4] + q[5], q[4] - q[5], q[6] + q[7], q[6] - q[7]);
+        let (a, b, c, d) = (a + c, b + d, a - c, b - d);
+        let (e, f, g, h) = (e + g, f + h, e - g, f - h);
+        q[0] = a + e;
+        q[1] = b + f;
+        q[2] = c + g;
+        q[3] = d + h;
+        q[4] = a - e;
+        q[5] = b - f;
+        q[6] = c - g;
+        q[7] = d - h;
+    }
+    passes_from(data, 8);
+}
+
+/// The passes `half, 2·half, …, len/2` over the whole slice: radix-4
+/// pairs, then one radix-2 pass if the count is odd.
+fn passes_from(data: &mut [f64], mut half: usize) {
     let n = data.len();
-    if n == 1 {
-        return;
+    while half * 4 <= n {
+        radix4_pass(data, half);
+        half *= 4;
     }
-    if n == 2 {
-        let (a, b) = (data[0], data[1]);
-        data[0] = a + b;
-        data[1] = a - b;
-        return;
+    if half < n {
+        radix2_pass(data, half);
     }
-    // Fused half=1 + half=2 passes, four lanes at a time. The locals hold
-    // the exact intermediates the two scalar passes would have stored.
-    for q in data.chunks_exact_mut(4) {
-        let (a, b, c, d) = (q[0], q[1], q[2], q[3]);
-        let (ab, amb) = (a + b, a - b);
-        let (cd, cmd) = (c + d, c - d);
-        q[0] = ab + cd;
-        q[1] = amb + cmd;
-        q[2] = ab - cd;
-        q[3] = amb - cmd;
-    }
-    let mut half = 4;
-    while half < n {
-        let step = half * 2;
-        for block in data.chunks_exact_mut(step) {
-            let (lo, hi) = block.split_at_mut(half);
-            for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
-                let a = *l;
-                let b = *h;
-                *l = a + b;
-                *h = a - b;
-            }
+}
+
+/// The `half = h` and `half = 2h` passes in one traversal: per `4h`-lane
+/// block, butterflies `(Q0, Q1)`, `(Q2, Q3)` at span `h`, then `(Q0, Q2)`,
+/// `(Q1, Q3)` at span `2h` on those results.
+fn radix4_pass(data: &mut [f64], h: usize) {
+    for block in data.chunks_exact_mut(4 * h) {
+        let (q01, q23) = block.split_at_mut(2 * h);
+        let (q0, q1) = q01.split_at_mut(h);
+        let (q2, q3) = q23.split_at_mut(h);
+        let quarters = q0.iter_mut().zip(q1).zip(q2.iter_mut().zip(q3));
+        for ((w, x), (y, z)) in quarters {
+            let (s01, d01) = (*w + *x, *w - *x);
+            let (s23, d23) = (*y + *z, *y - *z);
+            *w = s01 + s23;
+            *x = d01 + d23;
+            *y = s01 - s23;
+            *z = d01 - d23;
         }
-        half = step;
+    }
+}
+
+/// One `half`-span pass: each `2·half`-lane block split into two
+/// contiguous halves, which the compiler vectorizes.
+fn radix2_pass(data: &mut [f64], half: usize) {
+    for block in data.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            let (a, b) = (*l, *h);
+            *l = a + b;
+            *h = a - b;
+        }
     }
 }
 
