@@ -1,12 +1,15 @@
 //! Differential suite: the blocked/vectorized transforms against their
 //! retained scalar oracles, **bit for bit**.
 //!
-//! The optimized FWHT reorders butterfly passes into cache-resident
-//! blocks and the Haar passes into ping-pong buffers, but every butterfly
-//! still combines exactly the same two operands in the same order — each
-//! `(i, i + half)` pair is disjoint from every other pair of its pass, so
-//! the computation DAG is unchanged and IEEE-754 determinism makes the
-//! outputs identical, not merely close. These tests therefore compare
+//! The optimized FWHT runs every pass with a span under 2048 lanes inside
+//! one resident 2048-lane chunk (a radix-8 base case, then radix-4
+//! passes) and the longer passes in radix-4 pairs with a trailing radix-2
+//! pass, and the Haar passes run through ping-pong buffers. Every
+//! butterfly still combines exactly the same two operands in the same
+//! order — each `(i, i + half)` pair is disjoint from every other pair of
+//! its pass, and a fused pass reads exactly what the pass before it wrote
+//! — so the computation DAG is unchanged and IEEE-754 determinism makes
+//! the outputs identical, not merely close. These tests therefore compare
 //! `to_bits()`, with no tolerance anywhere.
 
 use ldp_transforms::{
@@ -16,9 +19,12 @@ use ldp_transforms::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every power of two from 1 to 2^17 — covers the unrolled base cases
-/// (1, 2, 4), the in-block sizes (8..64), and multi-block sizes where the
-/// two-stage pass split actually engages.
+/// Every power of two from 1 to 2^17. For the FWHT that covers sizes
+/// under the radix-8 base case (1, 2, 4), single-block sizes with an even
+/// and an odd count of radix-4 passes (8..2048, 2048 being one full
+/// block), and many-block sizes whose long passes run as a trailing
+/// radix-2 pass alone (2^12), radix-4 pairs only (2^13, 2^15, 2^17) or
+/// pairs plus the trailing radix-2 pass (2^14, 2^16).
 fn sizes() -> Vec<usize> {
     (0..=17).map(|k| 1usize << k).collect()
 }
