@@ -88,6 +88,34 @@ fn bench_absorb(c: &mut Criterion) {
     group.finish();
 }
 
+/// The batch absorb the service runs: 32 deferred OUE reports then one
+/// settle, one `HH_4` level's share of a 256-frame batch. The one-report
+/// `absorb` above never reaches the settle's plane spill (a lone pending
+/// report takes the set-bit walk); this does. Reports are encoded once,
+/// outside the timed loop. Divide by 32 for ns per report.
+fn bench_absorb_batch(c: &mut Criterion) {
+    const BATCH: usize = 32;
+    let eps = Epsilon::from_exp(3.0);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut group = c.benchmark_group("oracle_absorb_batch_32");
+    for domain in [1usize << 10, 1 << 16] {
+        let oracle = Oue::new(domain, eps).unwrap();
+        let reports: Vec<_> = (0..BATCH)
+            .map(|i| oracle.encode(i * 31 % domain, &mut rng).unwrap())
+            .collect();
+        let mut server = oracle.clone();
+        group.bench_with_input(BenchmarkId::new("OUE", domain), &domain, |b, _| {
+            b.iter(|| {
+                for report in &reports {
+                    server.absorb_deferred(black_box(report)).unwrap();
+                }
+                server.settle();
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_population_simulation(c: &mut Criterion) {
     // The statistically-equivalent aggregate path: absorbing 2^20 users at
     // once (OUE and HRR; OLH has no aggregate shortcut).
@@ -142,6 +170,7 @@ criterion_group!(
     bench_encode,
     bench_unary_encode,
     bench_absorb,
+    bench_absorb_batch,
     bench_population_simulation,
     bench_estimate
 );

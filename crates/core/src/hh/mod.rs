@@ -65,6 +65,12 @@ impl HhReport {
     pub fn from_parts(depth: u32, inner: AnyReport) -> Self {
         Self { depth, inner }
     }
+
+    /// The inverse of [`HhReport::from_parts`].
+    #[must_use]
+    pub fn into_parts(self) -> (u32, AnyReport) {
+        (self.depth, self.inner)
+    }
 }
 
 /// Client side of `HH_B`.

@@ -55,6 +55,13 @@ impl OueReport {
         &self.bits
     }
 
+    /// The packed words, given back for reuse (the batch decoder reads
+    /// the next frame into them).
+    #[must_use]
+    pub fn into_words(self) -> Vec<u64> {
+        self.bits
+    }
+
     /// Rebuilds a report from its packed words, returning `None` unless
     /// `domain > 0`, `words` has exactly `⌈domain/64⌉` entries, and no bit
     /// beyond `domain` is set — the single validation point shared by the

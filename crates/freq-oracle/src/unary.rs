@@ -288,13 +288,11 @@ impl UnaryCounts {
                             *lane |= BYTE_LANES[usize::from((bits >> (8 * i)) as u8)] << k;
                         }
                     }
-                    for (group, &lane) in items.chunks_mut(8).zip(&lanes) {
-                        if lane == 0 {
-                            continue;
-                        }
-                        for (l, count) in group.iter_mut().enumerate() {
-                            *count += (lane >> (8 * l)) & 0xff;
-                        }
+                    // So the lanes' little-endian bytes are the 64 pending
+                    // counts in item order: one straight widening add.
+                    let bytes = lanes.map(u64::to_le_bytes);
+                    for (count, &byte) in items.iter_mut().zip(bytes.as_flattened()) {
+                        *count += u64::from(byte);
                     }
                 }
             }

@@ -209,7 +209,7 @@ where
 {
     absorb_all_or_nothing(shard, |shard| {
         let absorbed = crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-            shard.absorb_tagged(epoch, &report)
+            shard.absorb_tagged(epoch, report)
         });
         shard.settle();
         absorbed

@@ -462,7 +462,9 @@ fn put_unary(out: &mut Vec<u8>, report: &OueReport) {
     }
 }
 
-fn get_unary(r: &mut Reader<'_>) -> Result<OueReport, WireError> {
+/// Reads a unary body into `words`, the caller's buffer: taken, cleared
+/// and refilled, so the report holds this frame's words and nothing else.
+fn get_unary(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<OueReport, WireError> {
     let domain = r.size()?;
     if domain == 0 {
         return Err(WireError::Malformed("unary report over empty domain"));
@@ -476,14 +478,17 @@ fn get_unary(r: &mut Reader<'_>) -> Result<OueReport, WireError> {
     }
     // One bulk read for the whole bit vector: the per-word bounds checks
     // collapse into a single range check and the conversion loop below
-    // auto-vectorizes over exact 8-byte chunks.
+    // auto-vectorizes over exact 8-byte chunks. Every chunk is 8 bytes,
+    // so `first_chunk` always matches and the 0 is never taken.
     let raw = r.bytes(n_words * 8)?;
-    let words: Vec<u64> = raw
-        .chunks_exact(8)
-        .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-        .collect();
-    OueReport::try_from_words(domain, words)
-        .ok_or(WireError::Malformed("bits set past unary domain"))
+    let mut buf = std::mem::take(words);
+    buf.clear();
+    buf.extend(raw.chunks_exact(8).map(|chunk| {
+        chunk
+            .first_chunk()
+            .map_or(0, |&word| u64::from_le_bytes(word))
+    }));
+    OueReport::try_from_words(domain, buf).ok_or(WireError::Malformed("bits set past unary domain"))
 }
 
 fn put_hrr(out: &mut Vec<u8>, report: &HrrReport) {
@@ -557,12 +562,12 @@ fn put_any(out: &mut Vec<u8>, report: &AnyReport) {
     }
 }
 
-fn get_any(r: &mut Reader<'_>) -> Result<AnyReport, WireError> {
+fn get_any(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<AnyReport, WireError> {
     match r.u8()? {
-        TAG_OUE => Ok(AnyReport::Oue(get_unary(r)?)),
+        TAG_OUE => Ok(AnyReport::Oue(get_unary(r, words)?)),
         TAG_OLH => Ok(AnyReport::Olh(get_olh(r)?)),
         TAG_HRR => Ok(AnyReport::Hrr(get_hrr(r)?)),
-        TAG_SUE => Ok(AnyReport::Sue(get_unary(r)?)),
+        TAG_SUE => Ok(AnyReport::Sue(get_unary(r, words)?)),
         t => Err(WireError::UnknownOracleTag(t)),
     }
 }
@@ -581,12 +586,21 @@ pub trait WireReport: Sized {
     /// Appends this report's payload (everything after the kind byte).
     fn encode_payload(&self, out: &mut Vec<u8>);
 
-    /// Parses the payload.
+    /// Parses the payload. A unary body's packed words are read into
+    /// `words`, a buffer the caller lends: it is taken, cleared and
+    /// refilled, so nothing it held reaches the report, and
+    /// [`WireReport::recycle`] gives it back.
     ///
     /// # Errors
     ///
     /// Any malformed payload yields a [`WireError`].
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    fn decode_payload(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<Self, WireError>;
+
+    /// Returns the report's packed-word buffer, if it has one, to `words`
+    /// for the next [`WireReport::decode_payload`].
+    fn recycle(self, words: &mut Vec<u64>) {
+        let _ = words;
+    }
 
     /// Appends one full frame (header + payload) to `out`.
     fn encode_frame(&self, out: &mut Vec<u8>) {
@@ -611,8 +625,14 @@ impl WireReport for AnyReport {
         put_any(out, self);
     }
 
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        get_any(r)
+    fn decode_payload(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<Self, WireError> {
+        get_any(r, words)
+    }
+
+    fn recycle(self, words: &mut Vec<u64>) {
+        if let Self::Oue(report) | Self::Sue(report) = self {
+            *words = report.into_words();
+        }
     }
 }
 
@@ -624,9 +644,13 @@ impl WireReport for HhReport {
         put_any(out, self.inner());
     }
 
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_payload(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<Self, WireError> {
         let depth = r.size()? as u32;
-        Ok(Self::from_parts(depth, get_any(r)?))
+        Ok(Self::from_parts(depth, get_any(r, words)?))
+    }
+
+    fn recycle(self, words: &mut Vec<u64>) {
+        self.into_parts().1.recycle(words);
     }
 }
 
@@ -638,7 +662,7 @@ impl WireReport for HaarHrrReport {
         put_hrr(out, &self.inner());
     }
 
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_payload(r: &mut Reader<'_>, _words: &mut Vec<u64>) -> Result<Self, WireError> {
         let depth = r.size()? as u32;
         Ok(Self::from_parts(depth, get_hrr(r)?))
     }
@@ -652,21 +676,39 @@ impl WireReport for HaarHrrReport {
 /// Fails on truncated input, bad magic/version, a kind byte that does not
 /// match `T`, or a malformed payload.
 pub fn decode_frame<T: WireReport>(buf: &[u8]) -> Result<(T, usize), WireError> {
+    let (_, report, used) = decode_into(buf, false, &mut Vec::new())?;
+    Ok((report, used))
+}
+
+/// The one frame decoder, behind [`decode_frame`], [`decode_epoch_frame`]
+/// and [`for_each_frame`]: the header — a v2 epoch header only when
+/// `epochs` — then the payload, with a unary body read into `words`
+/// ([`WireReport::decode_payload`]).
+fn decode_into<T: WireReport>(
+    buf: &[u8],
+    epochs: bool,
+    words: &mut Vec<u64>,
+) -> Result<(Option<u64>, T, usize), WireError> {
     let mut r = Reader::new(buf);
     let magic = [r.u8()?, r.u8()?];
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
     let version = r.u8()?;
-    if version != VERSION {
+    if version != VERSION && !(epochs && version == VERSION_EPOCH) {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = r.u8()?;
     if kind != T::KIND {
         return Err(WireError::UnknownKind(kind));
     }
-    let report = T::decode_payload(&mut r)?;
-    Ok((report, r.pos))
+    let epoch = if version == VERSION_EPOCH {
+        Some(r.varint()?)
+    } else {
+        None
+    };
+    let report = T::decode_payload(&mut r, words)?;
+    Ok((epoch, report, r.pos))
 }
 
 /// Appends one epoch-tagged (version 2) frame to `out`: the v1 header
@@ -695,26 +737,7 @@ pub fn encode_epoch_frame<T: WireReport>(report: &T, epoch: u64, out: &mut Vec<u
 /// kind byte that does not match `T`, a malformed epoch varint, or a
 /// malformed payload.
 pub fn decode_epoch_frame<T: WireReport>(buf: &[u8]) -> Result<(Option<u64>, T, usize), WireError> {
-    let mut r = Reader::new(buf);
-    let magic = [r.u8()?, r.u8()?];
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = r.u8()?;
-    if version != VERSION && version != VERSION_EPOCH {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = r.u8()?;
-    if kind != T::KIND {
-        return Err(WireError::UnknownKind(kind));
-    }
-    let epoch = if version == VERSION_EPOCH {
-        Some(r.varint()?)
-    } else {
-        None
-    };
-    let report = T::decode_payload(&mut r)?;
-    Ok((epoch, report, r.pos))
+    decode_into(buf, true, &mut Vec::new())
 }
 
 /// Decodes a buffer of back-to-back frames into reports.
@@ -734,11 +757,14 @@ pub fn decode_all<T: WireReport>(mut buf: &[u8]) -> Result<Vec<T>, WireError> {
 }
 
 /// Walks a REPORT-style batch (back-to-back raw wire frames, declared
-/// `count`) under a negotiated wire version, handing each decoded report
+/// `count`) under a negotiated wire version, lending each decoded report
 /// — with its optional epoch tag — to `sink` as it is produced. Every
 /// frame is decoded straight from its borrowed subslice of `frames`, so
-/// a consumer that absorbs in place never materializes the batch. Its
-/// one absorbing caller is `service::absorb_frames`, so every backend
+/// a consumer that absorbs in place never materializes the batch, and
+/// the walk owns one packed-word buffer that every unary frame is read
+/// into and handed back from ([`WireReport::recycle`]), so no frame
+/// allocates once the buffer has grown to the batch's widest. Its one
+/// absorbing caller is `service::absorb_frames`, so every backend
 /// rejects hostile batches identically.
 ///
 /// Returns the number of frames decoded (equal to `count` on success).
@@ -751,7 +777,7 @@ pub(crate) fn for_each_frame<R: WireReport>(
     wire_version: u8,
     count: u64,
     frames: &[u8],
-    mut sink: impl FnMut(Option<u64>, R) -> Result<(), crate::error::ServiceError>,
+    mut sink: impl FnMut(Option<u64>, &R) -> Result<(), crate::error::ServiceError>,
 ) -> Result<u64, crate::error::ServiceError> {
     let bad =
         |index: usize, source: crate::error::ServiceError| crate::error::ServiceError::BadFrame {
@@ -759,6 +785,8 @@ pub(crate) fn for_each_frame<R: WireReport>(
             report_type: crate::error::report_type_name::<R>(),
             source: Box::new(source),
         };
+    let epochs = wire_version == VERSION_EPOCH;
+    let mut words = Vec::new();
     let mut decoded = 0u64;
     let mut buf = frames;
     while !buf.is_empty() {
@@ -769,13 +797,10 @@ pub(crate) fn for_each_frame<R: WireReport>(
             ));
         }
         let index = decoded as usize;
-        let (epoch, report, used) = if wire_version == VERSION_EPOCH {
-            decode_epoch_frame::<R>(buf).map_err(|e| bad(index, e.into()))?
-        } else {
-            let (report, used) = decode_frame::<R>(buf).map_err(|e| bad(index, e.into()))?;
-            (None, report, used)
-        };
-        sink(epoch, report).map_err(|e| bad(index, e))?;
+        let (epoch, report, used) =
+            decode_into::<R>(buf, epochs, &mut words).map_err(|e| bad(index, e.into()))?;
+        sink(epoch, &report).map_err(|e| bad(index, e))?;
+        report.recycle(&mut words);
         decoded += 1;
         buf = &buf[used..];
     }
