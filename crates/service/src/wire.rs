@@ -683,7 +683,10 @@ pub fn decode_frame<T: WireReport>(buf: &[u8]) -> Result<(T, usize), WireError> 
 /// The one frame decoder, behind [`decode_frame`], [`decode_epoch_frame`]
 /// and [`for_each_frame`]: the header — a v2 epoch header only when
 /// `epochs` — then the payload, with a unary body read into `words`
-/// ([`WireReport::decode_payload`]).
+/// ([`WireReport::decode_payload`]). Always inlined: called out of line,
+/// once per frame of a batch, it cost small-frame ingest a call and a
+/// report returned through memory.
+#[inline(always)]
 fn decode_into<T: WireReport>(
     buf: &[u8],
     epochs: bool,
