@@ -479,10 +479,13 @@ fn get_unary(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<OueReport, Wire
     // One bulk read for the whole bit vector: the per-word bounds checks
     // collapse into a single range check and the conversion loop below
     // auto-vectorizes over exact 8-byte chunks. Every chunk is 8 bytes,
-    // so `first_chunk` always matches and the 0 is never taken.
+    // so `first_chunk` always matches and the 0 is never taken. Reserved
+    // exactly, so a fresh buffer (`decode_frame`) is one allocation of
+    // the frame's size.
     let raw = r.bytes(n_words * 8)?;
     let mut buf = std::mem::take(words);
     buf.clear();
+    buf.reserve_exact(n_words);
     buf.extend(raw.chunks_exact(8).map(|chunk| {
         chunk
             .first_chunk()
