@@ -26,9 +26,13 @@
 //! carry. The planes spill into the `u64` counts when they are settled —
 //! on demand ([`UnaryCounts::settle`]), or by themselves once
 //! [`MAX_PENDING`] reports are pending, which keeps every pending count
-//! inside one byte and the planes at most eight deep. The spill expands
-//! each plane byte through a lookup table into eight byte-wide lanes;
-//! with a single report pending it is the plain set-bit walk.
+//! inside one byte and the planes at most eight deep. The spill builds,
+//! per 64 items, eight byte-wide lanes (each plane byte expanded through
+//! a lookup table and shifted to its plane's bit) whose little-endian
+//! bytes are the 64 pending counts in item order, then adds those bytes
+//! to the counts in one straight widening loop that the compiler
+//! vectorizes. With a single report pending it is the plain set-bit
+//! walk.
 //!
 //! Pending reports count towards [`UnaryCounts::reports`] at once, but
 //! every reader of the counts (`counts`, `merge`, `subtract`, `estimate`,

@@ -573,11 +573,16 @@ where
         }
         let started = Instant::now();
         // The one REPORT handler. REPORT bodies on ingest sessions decode
-        // as borrowed frames straight out of the envelope buffer instead
-        // of through `ClientMsg::decode`'s owning `ReportBatch`, so the
-        // frame bytes are never copied between the socket and the shard
-        // absorb. Replication sessions fall through to the generic decode
-        // so the stream guard below refuses them like any other message.
+        // as borrowed frames straight out of the envelope body instead of
+        // through `ClientMsg::decode`'s owning `ReportBatch`, so no frame
+        // is copied out of the body or allocated on its own. The copies
+        // that remain: the reactor reads the socket into a 16 KiB stack
+        // chunk, appends that to the session's `inbuf`, and copies each
+        // whole envelope body into its own `Vec` (one allocation per
+        // envelope); then a unary frame's words are read into the batch's
+        // one reused buffer (`wire::for_each_frame`). Replication sessions
+        // fall through to the generic decode so the stream guard below
+        // refuses them like any other message.
         if !repl && body[0] == ClientMsg::REPORT {
             let ReportFrames { count, frames } = match decode_report_frames(body) {
                 Ok(rf) => rf,
