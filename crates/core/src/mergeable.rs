@@ -341,7 +341,7 @@ mod tests {
     use crate::hh::HhClient;
     use crate::multidim::{Hh2dClient, Hh2dConfig};
     use crate::persist::PersistableServer;
-    use ldp_freq_oracle::Epsilon;
+    use ldp_freq_oracle::{Epsilon, FrequencyOracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -531,10 +531,25 @@ mod tests {
         last.absorb(&report).unwrap();
     }
 
-    #[test]
-    fn hh_last_level_underflow_leaves_state() {
+    /// Redraws the last of `oracles` as as many fresh reports as it held:
+    /// the report total matches, but some count is above what it was.
+    fn reroll_last<O: PointOracle>(oracles: &mut [O], rng: &mut StdRng) {
+        let last = oracles.last_mut().unwrap();
+        let reports = last.num_reports();
+        last.clear();
+        for i in 0..reports {
+            let report = last.encode(i as usize * 7 % last.domain(), rng).unwrap();
+            last.absorb(&report).unwrap();
+        }
+    }
+
+    /// `HH_B` over `kind` refuses a subtrahend with one report more on its
+    /// last level, and — for the oracles whose counts can witness it — one
+    /// with the same report total but a count it never held; both leave
+    /// every level as it was.
+    fn hh_last_level_underflow(kind: FrequencyOracle) {
         let mut rng = StdRng::seed_from_u64(321);
-        let config = HhConfig::new(64, 4, Epsilon::new(1.1)).unwrap();
+        let config = HhConfig::with_oracle(64, 4, Epsilon::new(1.1), kind).unwrap();
         let client = HhClient::new(config.clone()).unwrap();
         let mut server = HhServer::new(config).unwrap();
         for i in 0..300 {
@@ -543,6 +558,23 @@ mod tests {
                 .unwrap();
         }
         assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+        if kind != FrequencyOracle::Hrr {
+            assert_last_level_underflow_restores(&server, |s| {
+                reroll_last(s.oracles_mut(), &mut rng);
+            });
+        }
+    }
+
+    #[test]
+    fn hh_last_level_underflow_leaves_state() {
+        for kind in [
+            FrequencyOracle::Oue,
+            FrequencyOracle::Olh,
+            FrequencyOracle::Hrr,
+            FrequencyOracle::Sue,
+        ] {
+            hh_last_level_underflow(kind);
+        }
     }
 
     #[test]

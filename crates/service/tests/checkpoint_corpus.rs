@@ -139,7 +139,7 @@ fn flat_over_each_oracle_has_one_pinned_state() {
     );
 }
 
-// --- HH_B: one tagged oracle per depth ----------------------------------
+// --- HH_B: one tagged oracle per depth, for every level oracle ----------
 
 #[test]
 fn hh_over_oue_and_hrr_has_one_pinned_state() {
@@ -178,6 +178,52 @@ fn hh_over_oue_and_hrr_has_one_pinned_state() {
         0x02, 0x03,
         0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
+    pin(&absorbed(&empty, &reports), &empty, &bytes);
+}
+
+#[test]
+fn hh_over_olh_and_sue_has_one_pinned_state() {
+    // OLH, g = 4. Depth 1: H(x) = x mod 4 = 1 supports {1}. Depth 2:
+    // H(x) = (2x + 1) mod 4 = 3 supports the odd nodes, and H(x) = x mod
+    // 4 = 0 supports {0, 4, 8, 12}.
+    let config = HhConfig::with_oracle(16, 4, eps(), FrequencyOracle::Olh).unwrap();
+    let empty = HhServer::new(config).unwrap();
+    let olh =
+        |a, b, y| AnyReport::Olh(OlhReport::from_parts(UniversalHash::from_parts(a, b, 4), y));
+    let reports = [
+        HhReport::from_parts(1, olh(1, 0, 1)),
+        HhReport::from_parts(2, olh(2, 1, 3)),
+        HhReport::from_parts(2, olh(1, 0, 0)),
+    ];
+    #[rustfmt::skip]
+    let bytes = [
+        // depth 1: tag OLH, 1 report, support [0,1,0,0]
+        0x01, 0x01, 0x00, 0x01, 0x00, 0x00,
+        // depth 2: tag OLH, 2 reports, support 0 at nodes 2, 6, 10, 14
+        0x01, 0x02,
+        0x01, 0x01, 0x00, 0x01, 0x01, 0x01, 0x00, 0x01,
+        0x01, 0x01, 0x00, 0x01, 0x01, 0x01, 0x00, 0x01,
+    ];
+    pin(&absorbed(&empty, &reports), &empty, &bytes);
+
+    // SUE carries OUE's bit-vector reports and counts body under tag 3:
+    // the OUE rows above, retagged.
+    let config = HhConfig::with_oracle(16, 4, eps(), FrequencyOracle::Sue).unwrap();
+    let empty = HhServer::new(config).unwrap();
+    let reports = [
+        HhReport::from_parts(1, AnyReport::Sue(oue(4, 0b0110))),
+        HhReport::from_parts(2, AnyReport::Sue(oue(16, 0x8001))),
+        HhReport::from_parts(2, AnyReport::Sue(oue(16, 0x0010))),
+    ];
+    #[rustfmt::skip]
+    let bytes = [
+        // depth 1: tag SUE, 1 report, counts [0,1,1,0]
+        0x03, 0x01, 0x00, 0x01, 0x01, 0x00,
+        // depth 2: tag SUE, 2 reports, counts 1 at nodes 0, 4 and 15
+        0x03, 0x02,
+        0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
     ];
     pin(&absorbed(&empty, &reports), &empty, &bytes);
 }
