@@ -15,6 +15,7 @@ use ldp_freq_oracle::{AnyOracle, AnyReport, PointOracle};
 use crate::config::FlatConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
+use crate::mergeable::{merge_tallies, subtract_tallies};
 
 /// Client side of the flat mechanism: stateless per-user encoding.
 #[derive(Debug, Clone)]
@@ -71,6 +72,12 @@ impl FlatServer {
         Ok(self.oracle.absorb(report)?)
     }
 
+    /// [`FlatServer::absorb`], leaving the report pending in the oracle
+    /// (`MergeableServer::absorb_deferred`).
+    pub(crate) fn absorb_deferred(&mut self, report: &AnyReport) -> Result<(), RangeError> {
+        Ok(self.oracle.absorb_deferred(report)?)
+    }
+
     /// Absorbs a whole cohort at once from its true histogram (the paper's
     /// statistically-equivalent simulation, §5).
     ///
@@ -91,7 +98,7 @@ impl FlatServer {
     ///
     /// Rejects shards of mismatched shape or oracle kind.
     pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        Ok(self.oracle.merge(&other.oracle)?)
+        merge_tallies(self.levels_mut(), other.levels())
     }
 
     /// Removes a previously merged accumulator — the exact inverse of
@@ -102,7 +109,7 @@ impl FlatServer {
     /// Rejects shards of mismatched shape, or state that was never merged
     /// into this one.
     pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        Ok(self.oracle.subtract(&other.oracle)?)
+        subtract_tallies(self.levels_mut(), other.levels())
     }
 
     /// Number of reports absorbed.
@@ -111,14 +118,15 @@ impl FlatServer {
         self.oracle.num_reports()
     }
 
-    /// The underlying oracle accumulator (persistence codec access).
-    pub(crate) fn oracle(&self) -> &AnyOracle {
-        &self.oracle
+    /// The one oracle as a one-level slice, so the level helpers
+    /// (merge, subtract, clear, checkpoints) serve the flat server too.
+    pub(crate) fn levels(&self) -> &[AnyOracle] {
+        std::slice::from_ref(&self.oracle)
     }
 
-    /// Mutable oracle accumulator (persistence codec access).
-    pub(crate) fn oracle_mut(&mut self) -> &mut AnyOracle {
-        &mut self.oracle
+    /// Mutable [`FlatServer::levels`].
+    pub(crate) fn levels_mut(&mut self) -> &mut [AnyOracle] {
+        std::slice::from_mut(&mut self.oracle)
     }
 
     /// Reconstructs per-item frequency estimates; ranges are answered by

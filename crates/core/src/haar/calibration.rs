@@ -27,6 +27,7 @@ use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::haar::{coefficient_of, HaarEstimate};
+use crate::mergeable::merge_tallies;
 
 /// One user's `HaarOUE` report: sampled depth plus the perturbed unsigned
 /// `2M`-cell vector.
@@ -130,10 +131,7 @@ impl HaarOueServer {
         if other.config.domain != self.config.domain {
             return Err(RangeError::ReportShapeMismatch);
         }
-        for (a, b) in self.levels.iter_mut().zip(&other.levels) {
-            a.merge(b)?;
-        }
-        Ok(())
+        merge_tallies(&mut self.levels, &other.levels)
     }
 
     /// Accumulates one user report.

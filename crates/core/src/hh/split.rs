@@ -24,6 +24,7 @@ use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::hh::HhEstimate;
+use crate::mergeable::merge_tallies;
 
 /// One user's split-budget report: a perturbed node vector for *every*
 /// level of the tree.
@@ -139,10 +140,7 @@ impl HhSplitServer {
         if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
             return Err(RangeError::ReportShapeMismatch);
         }
-        for (a, b) in self.levels.iter_mut().zip(&other.levels) {
-            a.merge(b)?;
-        }
-        Ok(())
+        merge_tallies(&mut self.levels, &other.levels)
     }
 
     /// Accumulates one user's multi-level report.

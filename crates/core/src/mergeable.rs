@@ -18,6 +18,15 @@
 //! un-merge and in-place clear, which windows and shard drains need — is
 //! implemented for the three mechanisms `ldp-service` serves: flat, `HH_B`
 //! and HaarHRR.
+//!
+//! Each server is a slice of level oracles (the flat server is one
+//! level), and each oracle's state is one [`ldp_freq_oracle::Tally`]: a
+//! statistic per item and a report total, whose merge, subtract and clear
+//! are written once there. A server merges, subtracts or clears through
+//! one helper over its levels. A subtract checks every level — its
+//! configuration, then [`ldp_freq_oracle::Tally::check_subtract`] — before
+//! it changes any, and the subtraction that follows cannot fail, so a
+//! refused subtract leaves the server as it was.
 
 use crate::error::RangeError;
 use crate::flat::FlatServer;
@@ -26,7 +35,7 @@ use crate::haar::{HaarHrrReport, HaarHrrServer};
 use crate::hh::split::{HhSplitReport, HhSplitServer};
 use crate::hh::{HhReport, HhServer};
 use crate::multidim::{Hh2dReport, Hh2dServer};
-use ldp_freq_oracle::{AnyReport, OracleError, PointOracle};
+use ldp_freq_oracle::{AnyReport, PointOracle};
 
 /// An aggregator whose state from disjoint user cohorts can be combined
 /// exactly.
@@ -133,34 +142,47 @@ pub trait SubtractableServer: MergeableServer {
     fn clear(&mut self);
 }
 
-/// Subtracts `theirs` from `mine` level by level, in place and
-/// all-or-nothing. Each oracle's `subtract` checks before it mutates, so
-/// when level `k` refuses, re-merging levels `..k` — the exact inverse of
-/// what was just subtracted, in integer sufficient statistics — restores
-/// every level bit for bit, without staging a copy of the state.
-pub(crate) fn subtract_levels<O>(
+/// Adds `theirs` into `mine` level by level — the one merge body of
+/// every server. Every level's configuration is checked before any
+/// tally changes, so a refused merge changes nothing.
+pub(crate) fn merge_tallies<O: PointOracle>(
     mine: &mut [O],
     theirs: &[O],
-    subtract: fn(&mut O, &O) -> Result<(), OracleError>,
-    merge: fn(&mut O, &O) -> Result<(), OracleError>,
 ) -> Result<(), RangeError> {
-    for k in 0..mine.len().min(theirs.len()) {
-        if let Err(refused) = subtract(&mut mine[k], &theirs[k]) {
-            for (a, b) in mine[..k].iter_mut().zip(theirs) {
-                merge(a, b)?;
-            }
-            return Err(refused.into());
-        }
+    for (a, b) in mine.iter().zip(theirs) {
+        a.ensure_same(b)?;
+    }
+    for (a, b) in mine.iter_mut().zip(theirs) {
+        a.tally_mut().merge(b.tally());
     }
     Ok(())
 }
 
-fn settle_all<O: PointOracle>(oracles: &mut [O]) {
-    oracles.iter_mut().for_each(PointOracle::settle);
+/// Subtracts `theirs` from `mine` level by level, all or nothing — the
+/// one subtract body of every server. Every level's configuration and
+/// tally is checked ([`ldp_freq_oracle::Tally::check_subtract`]) before
+/// any is changed, and the subtraction that follows cannot fail.
+pub(crate) fn subtract_tallies<O: PointOracle>(
+    mine: &mut [O],
+    theirs: &[O],
+) -> Result<(), RangeError> {
+    for (a, b) in mine.iter().zip(theirs) {
+        a.ensure_same(b)?;
+        a.tally().check_subtract(b.tally())?;
+    }
+    for (a, b) in mine.iter_mut().zip(theirs) {
+        a.tally_mut().apply_subtract(b.tally());
+    }
+    Ok(())
 }
 
-fn clear_all<O: PointOracle>(oracles: &mut [O]) {
-    oracles.iter_mut().for_each(PointOracle::clear);
+/// Resets every level to its empty tally, dropping pending reports.
+fn clear_tallies<O: PointOracle>(levels: &mut [O]) {
+    levels.iter_mut().for_each(PointOracle::clear);
+}
+
+fn settle_all<O: PointOracle>(oracles: &mut [O]) {
+    oracles.iter_mut().for_each(PointOracle::settle);
 }
 
 impl MergeableServer for FlatServer {
@@ -171,11 +193,11 @@ impl MergeableServer for FlatServer {
     }
 
     fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        Ok(self.oracle_mut().absorb_deferred(report)?)
+        FlatServer::absorb_deferred(self, report)
     }
 
     fn settle(&mut self) {
-        self.oracle_mut().settle();
+        settle_all(self.levels_mut());
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -305,7 +327,7 @@ impl SubtractableServer for FlatServer {
     }
 
     fn clear(&mut self) {
-        self.oracle_mut().clear();
+        clear_tallies(self.levels_mut());
     }
 }
 
@@ -315,7 +337,7 @@ impl SubtractableServer for HhServer {
     }
 
     fn clear(&mut self) {
-        clear_all(self.oracles_mut());
+        clear_tallies(self.oracles_mut());
     }
 }
 
@@ -325,7 +347,7 @@ impl SubtractableServer for HaarHrrServer {
     }
 
     fn clear(&mut self) {
-        clear_all(self.oracles_mut());
+        clear_tallies(self.oracles_mut());
     }
 }
 
@@ -341,7 +363,7 @@ mod tests {
     use crate::hh::HhClient;
     use crate::multidim::{Hh2dClient, Hh2dConfig};
     use crate::persist::PersistableServer;
-    use ldp_freq_oracle::{Epsilon, FrequencyOracle};
+    use ldp_freq_oracle::{Epsilon, FrequencyOracle, OracleError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

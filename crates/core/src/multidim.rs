@@ -23,6 +23,7 @@ use ldp_transforms::{decompose_range, CompleteTree};
 use crate::binomial_support::scatter_item_over_levels;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
+use crate::mergeable::merge_tallies;
 
 /// Configuration of the 2-D hierarchical mechanism over `[side]²`.
 #[derive(Debug, Clone)]
@@ -225,10 +226,7 @@ impl Hh2dServer {
         if other.config.side != self.config.side || other.config.fanout != self.config.fanout {
             return Err(RangeError::ReportShapeMismatch);
         }
-        for (a, b) in self.grids.iter_mut().zip(&other.grids) {
-            a.merge(b)?;
-        }
-        Ok(())
+        merge_tallies(&mut self.grids, &other.grids)
     }
 
     /// Accumulates one report.

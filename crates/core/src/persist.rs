@@ -25,13 +25,23 @@
 //!                | reports:varint  zigzag:varint × domain      (±1 sums)
 //! ```
 //!
+//! Each `body` is one level oracle's [`ldp_freq_oracle::Tally`], which
+//! writes and reads it ([`ldp_freq_oracle::Tally::encode`] /
+//! [`ldp_freq_oracle::Tally::decode`]) and holds its load rules: one
+//! statistic per item, each count (or sum's magnitude) at most the report
+//! total. This module only walks a server's level oracles — the flat
+//! server is one level, `HH_B` has one per depth and HaarHRR one per
+//! detail level — and frames each body: behind its kind's
+//! [`FrequencyOracle::tag`] for flat and `HH_B`, bare for HaarHRR, whose
+//! levels are all HRR.
+//!
 //! Decoding is *total*: truncated or inconsistent bytes produce
 //! [`RangeError::CorruptState`], never a panic, and every allocation is
 //! sized by the prototype (never by attacker-controlled lengths). On any
 //! error the server under restoration must be discarded — partial
 //! restores are not rolled back.
 
-use ldp_freq_oracle::{AnyOracle, Hrr, Oue, PointOracle};
+use ldp_freq_oracle::{FrequencyOracle, PointOracle};
 
 use crate::error::RangeError;
 use crate::flat::FlatServer;
@@ -39,30 +49,7 @@ use crate::haar::HaarHrrServer;
 use crate::hh::HhServer;
 use crate::mergeable::MergeableServer;
 
-/// Oracle kind tags, matching the service crate's wire-format oracle tags
-/// so one set of constants describes both encodings.
-const TAG_OUE: u8 = 0;
-const TAG_OLH: u8 = 1;
-const TAG_HRR: u8 = 2;
-const TAG_SUE: u8 = 3;
-
-/// Appends one LEB128 varint (at most 10 bytes).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Appends one signed value as a zigzag-encoded varint.
-pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
-}
+pub use ldp_freq_oracle::put_varint;
 
 /// Bounds-checked cursor over persisted state bytes.
 ///
@@ -126,16 +113,6 @@ impl<'a> StateReader<'a> {
         }
         Err(RangeError::CorruptState("varint overflows 64 bits"))
     }
-
-    /// Reads one zigzag-encoded signed varint.
-    ///
-    /// # Errors
-    ///
-    /// As [`StateReader::varint`].
-    pub fn ivarint(&mut self) -> Result<i64, RangeError> {
-        let z = self.varint()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
 }
 
 /// A server whose accumulated state can be serialized and later restored
@@ -174,97 +151,48 @@ pub trait PersistableServer: MergeableServer {
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError>;
 }
 
-// --- oracle codecs -----------------------------------------------------
-
-fn put_counts(out: &mut Vec<u8>, reports: u64, counts: &[u64]) {
-    put_varint(out, reports);
-    for &c in counts {
-        put_varint(out, c);
+/// Appends each level's tally body ([`ldp_freq_oracle::Tally::encode`]),
+/// after its kind's tag when `tagged` — the one persist body of every
+/// server.
+fn persist_tallies<O: PointOracle>(out: &mut Vec<u8>, levels: &[O], tagged: bool) {
+    for level in levels {
+        if tagged {
+            out.push(level.kind().tag());
+        }
+        level.tally().encode(out);
     }
 }
 
-fn get_counts(r: &mut StateReader<'_>, n: usize) -> Result<(u64, Vec<u64>), RangeError> {
-    let reports = r.varint()?;
-    // `n` comes from the prototype's own configuration, never from the
-    // bytes, so this allocation is bounded by state we already hold.
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push(r.varint()?);
+/// Replaces each level's tally with the next body in `r`, after checking
+/// its tag names the level's kind when `tagged` — the one restore body of
+/// every server.
+fn restore_tallies<O: PointOracle>(
+    r: &mut StateReader<'_>,
+    levels: &mut [O],
+    tagged: bool,
+) -> Result<(), RangeError> {
+    for level in levels {
+        let kind = level.kind();
+        if tagged && r.u8()? != kind.tag() {
+            return Err(RangeError::CorruptState(
+                "oracle tag does not match prototype kind",
+            ));
+        }
+        level
+            .tally_mut()
+            .decode(|| r.varint())?
+            .map_err(|_| RangeError::CorruptState(impossible(kind)))?;
     }
-    Ok((reports, counts))
+    Ok(())
 }
 
-fn persist_oue(out: &mut Vec<u8>, oracle: &Oue) {
-    put_counts(out, oracle.num_reports(), oracle.counts());
-}
-
-fn restore_oue(r: &mut StateReader<'_>, oracle: &mut Oue) -> Result<(), RangeError> {
-    let (reports, counts) = get_counts(r, oracle.domain())?;
-    oracle
-        .load_state(counts, reports)
-        .map_err(|_| RangeError::CorruptState("impossible OUE counts"))
-}
-
-fn persist_hrr(out: &mut Vec<u8>, oracle: &Hrr) {
-    put_varint(out, oracle.num_reports());
-    for &s in oracle.sums() {
-        put_ivarint(out, s);
-    }
-}
-
-fn restore_hrr(r: &mut StateReader<'_>, oracle: &mut Hrr) -> Result<(), RangeError> {
-    let reports = r.varint()?;
-    let mut sums = Vec::with_capacity(oracle.domain());
-    for _ in 0..oracle.domain() {
-        sums.push(r.ivarint()?);
-    }
-    oracle
-        .load_state(sums, reports)
-        .map_err(|_| RangeError::CorruptState("impossible HRR sums"))
-}
-
-/// Appends one tagged [`AnyOracle`] state.
-fn persist_any(out: &mut Vec<u8>, oracle: &AnyOracle) {
-    match oracle {
-        AnyOracle::Oue(o) => {
-            out.push(TAG_OUE);
-            persist_oue(out, o);
-        }
-        AnyOracle::Olh(o) => {
-            out.push(TAG_OLH);
-            put_counts(out, o.num_reports(), o.support());
-        }
-        AnyOracle::Hrr(o) => {
-            out.push(TAG_HRR);
-            persist_hrr(out, o);
-        }
-        AnyOracle::Sue(o) => {
-            out.push(TAG_SUE);
-            put_counts(out, o.num_reports(), o.counts());
-        }
-    }
-}
-
-/// Restores one tagged [`AnyOracle`] state; the tag must match the
-/// prototype's oracle kind.
-fn restore_any(r: &mut StateReader<'_>, oracle: &mut AnyOracle) -> Result<(), RangeError> {
-    let tag = r.u8()?;
-    match (tag, oracle) {
-        (TAG_OUE, AnyOracle::Oue(o)) => restore_oue(r, o),
-        (TAG_OLH, AnyOracle::Olh(o)) => {
-            let (reports, support) = get_counts(r, o.domain())?;
-            o.load_state(support, reports)
-                .map_err(|_| RangeError::CorruptState("impossible OLH support"))
-        }
-        (TAG_HRR, AnyOracle::Hrr(o)) => restore_hrr(r, o),
-        (TAG_SUE, AnyOracle::Sue(o)) => {
-            let (reports, counts) = get_counts(r, o.domain())?;
-            o.load_state(counts, reports)
-                .map_err(|_| RangeError::CorruptState("impossible SUE counts"))
-        }
-        _ => Err(RangeError::CorruptState(
-            "oracle tag does not match prototype kind",
-        )),
+/// Why a restore refuses statistics no report sequence could produce.
+fn impossible(kind: FrequencyOracle) -> &'static str {
+    match kind {
+        FrequencyOracle::Oue => "impossible OUE counts",
+        FrequencyOracle::Olh => "impossible OLH support",
+        FrequencyOracle::Hrr => "impossible HRR sums",
+        FrequencyOracle::Sue => "impossible SUE counts",
     }
 }
 
@@ -272,41 +200,31 @@ fn restore_any(r: &mut StateReader<'_>, oracle: &mut AnyOracle) -> Result<(), Ra
 
 impl PersistableServer for FlatServer {
     fn persist_state(&self, out: &mut Vec<u8>) {
-        persist_any(out, self.oracle());
+        persist_tallies(out, self.levels(), true);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        restore_any(r, self.oracle_mut())
+        restore_tallies(r, self.levels_mut(), true)
     }
 }
 
 impl PersistableServer for HhServer {
     fn persist_state(&self, out: &mut Vec<u8>) {
-        for oracle in self.oracles() {
-            persist_any(out, oracle);
-        }
+        persist_tallies(out, self.oracles(), true);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        for oracle in self.oracles_mut() {
-            restore_any(r, oracle)?;
-        }
-        Ok(())
+        restore_tallies(r, self.oracles_mut(), true)
     }
 }
 
 impl PersistableServer for HaarHrrServer {
     fn persist_state(&self, out: &mut Vec<u8>) {
-        for oracle in self.oracles() {
-            persist_hrr(out, oracle);
-        }
+        persist_tallies(out, self.oracles(), false);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        for oracle in self.oracles_mut() {
-            restore_hrr(r, oracle)?;
-        }
-        Ok(())
+        restore_tallies(r, self.oracles_mut(), false)
     }
 }
 
@@ -420,7 +338,7 @@ mod tests {
 
         // Wrong oracle tag.
         let mut wrong_tag = bytes.clone();
-        wrong_tag[0] = TAG_HRR;
+        wrong_tag[0] = FrequencyOracle::Hrr.tag();
         assert!(matches!(
             prototype
                 .clone()
@@ -429,7 +347,7 @@ mod tests {
         ));
 
         // A count above the report total is impossible.
-        let mut impossible = vec![TAG_OUE];
+        let mut impossible = vec![FrequencyOracle::Oue.tag()];
         put_varint(&mut impossible, 3); // reports
         for _ in 0..16 {
             put_varint(&mut impossible, 1000); // counts > reports
@@ -452,15 +370,25 @@ mod tests {
         }
     }
 
+    /// Signed sums at the extremes survive the zigzag body: a flat HRR
+    /// state restored from them persists back to the same bytes.
     #[test]
     fn zigzag_roundtrips_extremes() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            let mut out = Vec::new();
-            put_ivarint(&mut out, v);
-            let mut r = StateReader::new(&out);
-            assert_eq!(r.ivarint().unwrap(), v);
-            assert_eq!(r.remaining(), 0);
+        let config = FlatConfig::with_oracle(8, Epsilon::new(1.1), FrequencyOracle::Hrr).unwrap();
+        let prototype = FlatServer::new(&config).unwrap();
+        let mut bytes = vec![FrequencyOracle::Hrr.tag()];
+        put_varint(&mut bytes, u64::MAX); // reports
+        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 0] {
+            put_varint(&mut bytes, ((v << 1) ^ (v >> 63)) as u64);
         }
+        let mut restored = prototype.clone();
+        let mut r = StateReader::new(&bytes);
+        restored.restore_state(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(restored.num_reports(), u64::MAX);
+        let mut again = Vec::new();
+        restored.persist_state(&mut again);
+        assert_eq!(again, bytes);
     }
 
     #[test]

@@ -19,10 +19,10 @@ use rand::{Rng, RngCore};
 use ldp_transforms::{fwht, hadamard_entry};
 
 use crate::binomial::{sample_binomial, sample_uniform_multinomial};
-use crate::oracle::{ensure_same_config, PointOracle};
+use crate::oracle::{self, PointOracle};
 use crate::params::binary_rr_keep_prob;
 use crate::variance::frequency_oracle_variance;
-use crate::{Epsilon, OracleError};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// One user's HRR report: the sampled coefficient index and the perturbed
 /// ±1 coefficient.
@@ -71,9 +71,8 @@ pub struct Hrr {
     domain: usize,
     eps: Epsilon,
     p: f64,
-    /// Per-index sums of reported ±1 bits.
-    sums: Vec<i64>,
-    reports: u64,
+    /// Per-index sums of reported ±1 bits, and the report total.
+    tally: Tally,
 }
 
 impl Hrr {
@@ -94,8 +93,7 @@ impl Hrr {
             domain,
             eps,
             p: binary_rr_keep_prob(eps),
-            sums: vec![0; domain],
-            reports: 0,
+            tally: Tally::sums(domain),
         })
     }
 
@@ -105,34 +103,11 @@ impl Hrr {
         self.p
     }
 
-    /// The accumulated per-index ±1 coefficient sums — the oracle's
-    /// complete mutable state (see [`crate::Oue::counts`]).
+    /// The accumulated per-index ±1 coefficient sums, read out of the
+    /// tally's two's complement.
     #[must_use]
-    pub fn sums(&self) -> &[i64] {
-        &self.sums
-    }
-
-    /// Replaces the accumulator state with previously persisted
-    /// coefficient sums — the restore dual of [`Hrr::sums`] (see
-    /// [`crate::Oue::load_state`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OracleError::InvalidState`] on a length mismatch or a
-    /// sum whose magnitude exceeds `reports` (each report moves exactly
-    /// one index by ±1). State is unchanged on error.
-    pub fn load_state(&mut self, sums: Vec<i64>, reports: u64) -> Result<(), OracleError> {
-        if sums.len() != self.domain {
-            return Err(OracleError::InvalidState("sum vector length != domain"));
-        }
-        if sums.iter().any(|&s| s.unsigned_abs() > reports) {
-            return Err(OracleError::InvalidState(
-                "coefficient sum magnitude above report total",
-            ));
-        }
-        self.sums = sums;
-        self.reports = reports;
-        Ok(())
+    pub fn sums(&self) -> Vec<i64> {
+        self.tally.stats.iter().map(|&s| s as i64).collect()
     }
 
     /// Merges another shard's accumulator into this one.
@@ -142,12 +117,7 @@ impl Hrr {
     /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
     /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            *a += b;
-        }
-        self.reports += other.reports;
-        Ok(())
+        oracle::merge(self, other)
     }
 
     /// Removes a previously merged shard's coefficient sums — the exact
@@ -162,15 +132,7 @@ impl Hrr {
     /// [`OracleError::SubtractUnderflow`] when `other` reflects more
     /// reports than this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        if self.reports < other.reports {
-            return Err(OracleError::SubtractUnderflow);
-        }
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            *a -= b;
-        }
-        self.reports -= other.reports;
-        Ok(())
+        oracle::subtract(self, other)
     }
 
     /// Encodes a *signed* one-hot input `sign·e_value` (`sign ∈ {−1, +1}`).
@@ -258,9 +220,10 @@ impl Hrr {
             // +1 reports: truthful plus-holders and lying minus-holders.
             let t =
                 sample_binomial(rng, n_plus, self.p) + sample_binomial(rng, n_minus, 1.0 - self.p);
-            self.sums[j] += 2 * t as i64 - nj as i64;
+            let sum = &mut self.tally.stats[j];
+            *sum = sum.wrapping_add((2 * t as i64 - nj as i64) as u64);
         }
-        self.reports += total;
+        self.tally.reports += total;
         Ok(())
     }
 }
@@ -288,8 +251,9 @@ impl PointOracle for Hrr {
             });
         }
         debug_assert!(report.index < self.domain);
-        self.sums[report.index] += i64::from(report.bit);
-        self.reports += 1;
+        let sum = &mut self.tally.stats[report.index];
+        *sum = sum.wrapping_add(i64::from(report.bit) as u64);
+        self.tally.reports += 1;
         Ok(())
     }
 
@@ -303,12 +267,23 @@ impl PointOracle for Hrr {
     }
 
     fn num_reports(&self) -> u64 {
-        self.reports
+        self.tally.reports
+    }
+
+    fn kind(&self) -> FrequencyOracle {
+        FrequencyOracle::Hrr
+    }
+
+    fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     fn clear(&mut self) {
-        self.sums.fill(0);
-        self.reports = 0;
+        self.tally.clear();
     }
 
     /// Inverts the Hadamard coefficient estimates of the (possibly
@@ -325,19 +300,19 @@ impl PointOracle for Hrr {
     /// normal range (`|s_j| ≤ N` keeps them far from subnormals).
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
-        if self.reports == 0 {
+        if self.tally.reports == 0 {
             out.fill(0.0);
             return;
         }
-        let scale = 1.0 / (self.reports as f64 * (2.0 * self.p - 1.0));
-        for (o, &s) in out.iter_mut().zip(&self.sums) {
-            *o = s as f64 * scale;
+        let scale = 1.0 / (self.tally.reports as f64 * (2.0 * self.p - 1.0));
+        for (o, &s) in out.iter_mut().zip(&self.tally.stats) {
+            *o = s as i64 as f64 * scale;
         }
         fwht(out);
     }
 
     fn theoretical_variance(&self) -> f64 {
-        frequency_oracle_variance(self.eps, self.reports)
+        frequency_oracle_variance(self.eps, self.tally.reports)
     }
 }
 

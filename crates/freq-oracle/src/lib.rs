@@ -25,6 +25,10 @@
 //! word, and [`PointOracle::settle`] spills them into the per-item counts
 //! once per batch.
 //!
+//! Every oracle's aggregator state is one [`Tally`]: an integer statistic
+//! per item and the report total. Merge, subtract, clear, validated load
+//! and the checkpoint body are written once, there.
+//!
 //! # Example
 //!
 //! ```
@@ -54,6 +58,7 @@ pub mod oracle;
 pub mod oue;
 pub mod params;
 pub mod sue;
+pub mod tally;
 mod unary;
 pub mod variance;
 
@@ -66,6 +71,7 @@ pub use oracle::{FrequencyOracle, PointOracle};
 pub use oue::{Oue, OueReport};
 pub use params::{binary_rr_keep_prob, grr_keep_prob, olh_hash_range, oue_probs, Epsilon};
 pub use sue::{sue_probs, sue_variance, Sue};
+pub use tally::{put_varint, Tally};
 pub use variance::{frequency_oracle_variance, hrr_exact_variance, psi};
 
 /// A frequency oracle of any of the three kinds, behind one concrete type.
@@ -122,16 +128,7 @@ impl AnyOracle {
     /// Returns [`OracleError::ReportDomainMismatch`] when kinds or shapes
     /// differ and [`OracleError::EpsilonMismatch`] when only ε does.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        match (self, other) {
-            (Self::Oue(a), Self::Oue(b)) => a.merge(b),
-            (Self::Olh(a), Self::Olh(b)) => a.merge(b),
-            (Self::Hrr(a), Self::Hrr(b)) => a.merge(b),
-            (Self::Sue(a), Self::Sue(b)) => a.merge(b),
-            (s, o) => Err(OracleError::ReportDomainMismatch {
-                report: o.domain(),
-                server: s.domain(),
-            }),
-        }
+        oracle::merge(self, other)
     }
 
     /// Removes a previously merged shard of the same kind and shape — the
@@ -146,16 +143,7 @@ impl AnyOracle {
     /// [`OracleError::SubtractUnderflow`] when `other` was never merged
     /// into this state.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        match (self, other) {
-            (Self::Oue(a), Self::Oue(b)) => a.subtract(b),
-            (Self::Olh(a), Self::Olh(b)) => a.subtract(b),
-            (Self::Hrr(a), Self::Hrr(b)) => a.subtract(b),
-            (Self::Sue(a), Self::Sue(b)) => a.subtract(b),
-            (s, o) => Err(OracleError::ReportDomainMismatch {
-                report: o.domain(),
-                server: s.domain(),
-            }),
-        }
+        oracle::subtract(self, other)
     }
 
     /// Checks — without mutating any state — that `report` has the kind
@@ -184,17 +172,6 @@ impl AnyOracle {
                 report: report_shape,
                 server: server_shape,
             })
-        }
-    }
-
-    /// Which primitive this is.
-    #[must_use]
-    pub fn kind(&self) -> FrequencyOracle {
-        match self {
-            Self::Oue(_) => FrequencyOracle::Oue,
-            Self::Olh(_) => FrequencyOracle::Olh,
-            Self::Hrr(_) => FrequencyOracle::Hrr,
-            Self::Sue(_) => FrequencyOracle::Sue,
         }
     }
 }
@@ -272,6 +249,7 @@ impl PointOracle for AnyOracle {
         }
     }
 
+    /// Pending reports count, so this asks the oracle, not its tally.
     fn num_reports(&self) -> u64 {
         match self {
             Self::Oue(o) => o.num_reports(),
@@ -281,13 +259,38 @@ impl PointOracle for AnyOracle {
         }
     }
 
-    fn clear(&mut self) {
+    fn kind(&self) -> FrequencyOracle {
         match self {
-            Self::Oue(o) => o.clear(),
-            Self::Olh(o) => o.clear(),
-            Self::Hrr(o) => o.clear(),
-            Self::Sue(o) => o.clear(),
+            Self::Oue(_) => FrequencyOracle::Oue,
+            Self::Olh(_) => FrequencyOracle::Olh,
+            Self::Hrr(_) => FrequencyOracle::Hrr,
+            Self::Sue(_) => FrequencyOracle::Sue,
         }
+    }
+
+    fn tally(&self) -> &Tally {
+        match self {
+            Self::Oue(o) => o.tally(),
+            Self::Olh(o) => o.tally(),
+            Self::Hrr(o) => o.tally(),
+            Self::Sue(o) => o.tally(),
+        }
+    }
+
+    fn tally_mut(&mut self) -> &mut Tally {
+        match self {
+            Self::Oue(o) => o.tally_mut(),
+            Self::Olh(o) => o.tally_mut(),
+            Self::Hrr(o) => o.tally_mut(),
+            Self::Sue(o) => o.tally_mut(),
+        }
+    }
+
+    /// Settles first, so reports pending in a unary oracle's planes are
+    /// dropped with the rest of its tally.
+    fn clear(&mut self) {
+        self.settle();
+        self.tally_mut().clear();
     }
 
     fn estimate_into(&self, out: &mut [f64]) {

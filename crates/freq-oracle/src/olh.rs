@@ -14,10 +14,10 @@ use rand::RngCore;
 
 use crate::grr::Grr;
 use crate::hash::{UniversalHash, MERSENNE_P};
-use crate::oracle::{ensure_same_config, PointOracle};
+use crate::oracle::{self, PointOracle};
 use crate::params::olh_hash_range;
 use crate::variance::frequency_oracle_variance;
-use crate::{Epsilon, OracleError};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// Counts one report's support: `support[j] += 1` for every item `j` with
 /// `H(j) = y`. This O(D) scan per report is the decode cost the paper
@@ -83,9 +83,8 @@ pub struct Olh {
     eps: Epsilon,
     g: usize,
     grr: Grr,
-    /// Support counts per original item.
-    support: Vec<u64>,
-    reports: u64,
+    /// Support counts per original item, and the report total.
+    tally: Tally,
 }
 
 impl Olh {
@@ -105,8 +104,7 @@ impl Olh {
             eps,
             g,
             grr: Grr::new(g, eps),
-            support: vec![0; domain],
-            reports: 0,
+            tally: Tally::counts(domain),
         })
     }
 
@@ -116,34 +114,6 @@ impl Olh {
         self.g
     }
 
-    /// The accumulated support counts per item — the oracle's complete
-    /// mutable state (see [`crate::Oue::counts`]).
-    #[must_use]
-    pub fn support(&self) -> &[u64] {
-        &self.support
-    }
-
-    /// Replaces the accumulator state with previously persisted support
-    /// counts — the restore dual of [`Olh::support`] (see
-    /// [`crate::Oue::load_state`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OracleError::InvalidState`] on a length mismatch or a
-    /// per-item support above `reports` (each report supports an item at
-    /// most once). State is unchanged on error.
-    pub fn load_state(&mut self, support: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        if support.len() != self.domain {
-            return Err(OracleError::InvalidState("support vector length != domain"));
-        }
-        if support.iter().any(|&s| s > reports) {
-            return Err(OracleError::InvalidState("item support above report total"));
-        }
-        self.support = support;
-        self.reports = reports;
-        Ok(())
-    }
-
     /// Merges another shard's support counts into this one.
     ///
     /// # Errors
@@ -151,12 +121,7 @@ impl Olh {
     /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
     /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        for (a, b) in self.support.iter_mut().zip(&other.support) {
-            *a += b;
-        }
-        self.reports += other.reports;
-        Ok(())
+        oracle::merge(self, other)
     }
 
     /// Removes a previously merged shard's support counts — the exact
@@ -169,17 +134,7 @@ impl Olh {
     /// [`OracleError::SubtractUnderflow`] if `other` was never merged into
     /// this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        if self.reports < other.reports
-            || self.support.iter().zip(&other.support).any(|(a, b)| a < b)
-        {
-            return Err(OracleError::SubtractUnderflow);
-        }
-        for (a, b) in self.support.iter_mut().zip(&other.support) {
-            *a -= b;
-        }
-        self.reports -= other.reports;
-        Ok(())
+        oracle::subtract(self, other)
     }
 }
 
@@ -216,8 +171,8 @@ impl PointOracle for Olh {
                 server: self.g,
             });
         }
-        add_support(&mut self.support, report.hash, report.value);
-        self.reports += 1;
+        add_support(&mut self.tally.stats, report.hash, report.value);
+        self.tally.reports += 1;
         Ok(())
     }
 
@@ -247,30 +202,41 @@ impl PointOracle for Olh {
     }
 
     fn num_reports(&self) -> u64 {
-        self.reports
+        self.tally.reports
+    }
+
+    fn kind(&self) -> FrequencyOracle {
+        FrequencyOracle::Olh
+    }
+
+    fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     fn clear(&mut self) {
-        self.support.fill(0);
-        self.reports = 0;
+        self.tally.clear();
     }
 
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
-        if self.reports == 0 {
+        if self.tally.reports == 0 {
             out.fill(0.0);
             return;
         }
-        let n = self.reports as f64;
+        let n = self.tally.reports as f64;
         let inv_g = 1.0 / self.g as f64;
         let denom = self.grr.keep_prob() - inv_g;
-        for (o, &s) in out.iter_mut().zip(&self.support) {
+        for (o, &s) in out.iter_mut().zip(&self.tally.stats) {
             *o = (s as f64 / n - inv_g) / denom;
         }
     }
 
     fn theoretical_variance(&self) -> f64 {
-        frequency_oracle_variance(self.eps, self.reports)
+        frequency_oracle_variance(self.eps, self.tally.reports)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use crate::{Epsilon, OracleError};
+use crate::{Epsilon, OracleError, Tally};
 
 /// A locally differentially private frequency oracle over a finite domain
 /// `[D]` (paper §3.2).
@@ -88,6 +88,45 @@ pub trait PointOracle {
     /// Number of reports absorbed so far.
     fn num_reports(&self) -> u64;
 
+    /// Which primitive this is.
+    fn kind(&self) -> FrequencyOracle;
+
+    /// The accumulated statistics and report total — with the
+    /// configuration, the oracle's whole state, and what merge,
+    /// subtract, clear and checkpoints work on. A unary oracle asserts in
+    /// debug builds that no report is pending.
+    fn tally(&self) -> &Tally;
+
+    /// Mutable [`PointOracle::tally`]; check [`PointOracle::ensure_same`]
+    /// before combining it with another oracle's.
+    fn tally_mut(&mut self) -> &mut Tally;
+
+    /// The check merge and subtract run before touching state: `other`
+    /// must be the same primitive over the same domain under the same ε.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::ReportDomainMismatch`] when the kinds or domains
+    /// differ and [`OracleError::EpsilonMismatch`] when only ε does.
+    fn ensure_same(&self, other: &Self) -> Result<(), OracleError>
+    where
+        Self: Sized,
+    {
+        if other.kind() != self.kind() || other.domain() != self.domain() {
+            return Err(OracleError::ReportDomainMismatch {
+                report: other.domain(),
+                server: self.domain(),
+            });
+        }
+        if other.epsilon() != self.epsilon() {
+            return Err(OracleError::EpsilonMismatch {
+                other: other.epsilon().value().to_bits(),
+                server: self.epsilon().value().to_bits(),
+            });
+        }
+        Ok(())
+    }
+
     /// Resets the accumulated statistics in place to the additive
     /// identity — exactly what a freshly built oracle of the same
     /// configuration holds — without reallocating. Pending reports are
@@ -119,41 +158,45 @@ pub trait PointOracle {
     fn theoretical_variance(&self) -> f64;
 }
 
-/// The check every oracle's `merge` and `subtract` run before touching
-/// state: `other` must cover the same domain under the same ε.
-pub(crate) fn ensure_same_config<O: PointOracle>(server: &O, other: &O) -> Result<(), OracleError> {
-    if other.domain() != server.domain() {
-        return Err(OracleError::ReportDomainMismatch {
-            report: other.domain(),
-            server: server.domain(),
-        });
-    }
-    if other.epsilon() != server.epsilon() {
-        return Err(OracleError::EpsilonMismatch {
-            other: other.epsilon().value().to_bits(),
-            server: server.epsilon().value().to_bits(),
-        });
-    }
+/// Adds another shard's tally: the one body behind every oracle's
+/// `merge`.
+pub(crate) fn merge<O: PointOracle>(server: &mut O, other: &O) -> Result<(), OracleError> {
+    server.ensure_same(other)?;
+    server.tally_mut().merge(other.tally());
     Ok(())
+}
+
+/// Removes a previously merged shard's tally, unchanged on error: the one
+/// body behind every oracle's `subtract`.
+pub(crate) fn subtract<O: PointOracle>(server: &mut O, other: &O) -> Result<(), OracleError> {
+    server.ensure_same(other)?;
+    server.tally_mut().subtract(other.tally())
 }
 
 /// Which frequency-oracle primitive to instantiate — the `F` parameter of
 /// the paper's mechanism framework (§4.4: "All algorithms follow a similar
 /// structure but differ on the perturbation primitive F they use").
+///
+/// The discriminant is the primitive's one-byte tag in report frames and
+/// checkpoints ([`FrequencyOracle::tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FrequencyOracle {
     /// Optimized Unary Encoding (Wang et al.).
-    Oue,
+    Oue = 0,
     /// Optimal Local Hashing (Wang et al.).
-    Olh,
+    Olh = 1,
     /// Hadamard Randomized Response.
-    Hrr,
+    Hrr = 2,
     /// Symmetric Unary Encoding (basic RAPPOR) — the historical baseline
     /// OUE optimizes; kept for ablations.
-    Sue,
+    Sue = 3,
 }
 
 impl FrequencyOracle {
+    /// Every primitive, in tag order.
+    pub const ALL: [Self; 4] = [Self::Oue, Self::Olh, Self::Hrr, Self::Sue];
+
     /// Human-readable name as used in the paper's plots (`OUE`, `OLH`,
     /// `HRR`; `SUE` for the RAPPOR baseline).
     #[must_use]
@@ -164,6 +207,20 @@ impl FrequencyOracle {
             Self::Hrr => "HRR",
             Self::Sue => "SUE",
         }
+    }
+
+    /// The byte that names this primitive in a report frame and in a
+    /// checkpoint — the one oracle tag table both encodings share.
+    #[must_use]
+    pub const fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The primitive a [`FrequencyOracle::tag`] names, if any.
+    #[must_use]
+    #[inline]
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(tag)).copied()
     }
 
     /// Whether the primitive restricts the domain to powers of two.
@@ -188,6 +245,20 @@ mod tests {
         assert_eq!(FrequencyOracle::Oue.to_string(), "OUE");
         assert_eq!(FrequencyOracle::Olh.to_string(), "OLH");
         assert_eq!(FrequencyOracle::Hrr.to_string(), "HRR");
+    }
+
+    #[test]
+    fn tags_are_the_wire_and_checkpoint_bytes() {
+        for (kind, tag) in [
+            (FrequencyOracle::Oue, 0),
+            (FrequencyOracle::Olh, 1),
+            (FrequencyOracle::Hrr, 2),
+            (FrequencyOracle::Sue, 3),
+        ] {
+            assert_eq!(kind.tag(), tag);
+            assert_eq!(FrequencyOracle::from_tag(tag), Some(kind));
+        }
+        assert_eq!(FrequencyOracle::from_tag(4), None);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 
 use rand::RngCore;
 
-use crate::oracle::{ensure_same_config, PointOracle};
+use crate::oracle::{self, PointOracle};
 use crate::params::oue_probs;
 use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::variance::frequency_oracle_variance;
-use crate::{Epsilon, OracleError};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// One user's OUE report: the perturbed bit vector, bit-packed. SUE
 /// reports share the type (the same wire format, different `(p, q)`).
@@ -136,28 +136,11 @@ impl Oue {
         (self.p, self.q)
     }
 
-    /// The accumulated noisy 1-counts per item — together with
-    /// [`PointOracle::num_reports`] the oracle's *complete* mutable state
-    /// (everything else is derived from the configuration). This is what
-    /// durable-storage checkpoints serialize.
+    /// The accumulated noisy 1-counts per item — with
+    /// [`PointOracle::num_reports`], the oracle's [`PointOracle::tally`].
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        self.state.counts()
-    }
-
-    /// Replaces the accumulator state with previously persisted counts —
-    /// the restore dual of [`Oue::counts`]. Loading the counts read back
-    /// from a checkpoint into a fresh oracle of the same configuration
-    /// reproduces the checkpointed state bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OracleError::InvalidState`] when the count vector does
-    /// not match the domain, or any per-item count exceeds `reports` (no
-    /// report sequence can set a bit more than once per report). State is
-    /// unchanged on error.
-    pub fn load_state(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        self.state.load(counts, reports)
+        self.state.tally().stats()
     }
 
     /// Merges another shard's accumulator into this one (distributed
@@ -170,9 +153,7 @@ impl Oue {
     /// share the same domain, and [`OracleError::EpsilonMismatch`] unless
     /// they share the same ε (and therefore parameters).
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        self.state.merge(&other.state);
-        Ok(())
+        oracle::merge(self, other)
     }
 
     /// Removes a previously merged shard's accumulator — the exact inverse
@@ -188,8 +169,7 @@ impl Oue {
     /// state does not contain (it was never merged in). The accumulator is
     /// unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        self.state.subtract(&other.state)
+        oracle::subtract(self, other)
     }
 }
 
@@ -262,6 +242,18 @@ impl PointOracle for Oue {
 
     fn num_reports(&self) -> u64 {
         self.state.reports()
+    }
+
+    fn kind(&self) -> FrequencyOracle {
+        FrequencyOracle::Oue
+    }
+
+    fn tally(&self) -> &Tally {
+        self.state.tally()
+    }
+
+    fn tally_mut(&mut self) -> &mut Tally {
+        self.state.tally_mut()
     }
 
     fn clear(&mut self) {

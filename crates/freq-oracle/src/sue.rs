@@ -17,10 +17,10 @@
 
 use rand::RngCore;
 
-use crate::oracle::{ensure_same_config, PointOracle};
+use crate::oracle::{self, PointOracle};
 use crate::oue::OueReport;
 use crate::unary::{UnaryCounts, UnaryEncoder};
-use crate::{Epsilon, OracleError};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// SUE bit-retention probabilities `(p, q)` with `p + q = 1` and
 /// `p/q = e^{ε/2}`.
@@ -82,22 +82,10 @@ impl Sue {
         (self.p, self.q)
     }
 
-    /// The accumulated noisy 1-counts per item — the oracle's complete
-    /// mutable state (see [`crate::Oue::counts`]).
+    /// The accumulated noisy 1-counts per item (see [`crate::Oue::counts`]).
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        self.state.counts()
-    }
-
-    /// Replaces the accumulator state with previously persisted counts —
-    /// the restore dual of [`Sue::counts`] (see [`crate::Oue::load_state`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OracleError::InvalidState`] on a length mismatch or a
-    /// per-item count above `reports`. State is unchanged on error.
-    pub fn load_state(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        self.state.load(counts, reports)
+        self.state.tally().stats()
     }
 
     /// Merges another shard's accumulator into this one.
@@ -107,9 +95,7 @@ impl Sue {
     /// Returns [`OracleError::ReportDomainMismatch`] on shape mismatch and
     /// [`OracleError::EpsilonMismatch`] on a different ε.
     pub fn merge(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        self.state.merge(&other.state);
-        Ok(())
+        oracle::merge(self, other)
     }
 
     /// Removes a previously merged shard's accumulator — the exact inverse
@@ -122,8 +108,7 @@ impl Sue {
     /// [`OracleError::SubtractUnderflow`] if `other` was never merged into
     /// this state. The accumulator is unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        ensure_same_config(self, other)?;
-        self.state.subtract(&other.state)
+        oracle::subtract(self, other)
     }
 }
 
@@ -188,6 +173,18 @@ impl PointOracle for Sue {
 
     fn num_reports(&self) -> u64 {
         self.state.reports()
+    }
+
+    fn kind(&self) -> FrequencyOracle {
+        FrequencyOracle::Sue
+    }
+
+    fn tally(&self) -> &Tally {
+        self.state.tally()
+    }
+
+    fn tally_mut(&mut self) -> &mut Tally {
+        self.state.tally_mut()
     }
 
     fn clear(&mut self) {

@@ -35,8 +35,9 @@
 //! walk.
 //!
 //! Pending reports count towards [`UnaryCounts::reports`] at once, but
-//! every reader of the counts (`counts`, `merge`, `subtract`, `estimate`,
-//! `load`) requires settled state, and debug builds assert it. Planes
+//! every reader of the counts ([`UnaryCounts::tally`], behind `counts`,
+//! `merge`, `subtract`, `clear` through `AnyOracle`, and checkpoints, and
+//! `estimate`) requires settled state, and debug builds assert it. Planes
 //! never outlive a batch, so they are not state: settled counts equal the
 //! one-increment-per-set-bit loop's exactly, and the emptied plane buffer
 //! clones without allocating.
@@ -44,7 +45,7 @@
 use rand::RngCore;
 
 use crate::binomial::sample_binomial;
-use crate::{OracleError, OueReport};
+use crate::{OracleError, OueReport, Tally};
 
 /// Pending reports at which the planes settle by themselves: 255 keeps a
 /// pending count in one byte (the spill's lane width) and the planes at
@@ -173,10 +174,9 @@ impl UnaryEncoder {
 /// absorption (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub(crate) struct UnaryCounts {
-    /// Settled noisy 1-counts per item.
-    counts: Vec<u64>,
-    /// Reports absorbed, pending ones included.
-    reports: u64,
+    /// Settled noisy 1-counts per item, and the reports absorbed —
+    /// pending ones included.
+    tally: Tally,
     /// Bit planes of the pending counts, plane-major: plane `k` is words
     /// `k·W .. (k+1)·W` with `W = ⌈D/64⌉`. Empty whenever settled.
     planes: Vec<u64>,
@@ -187,8 +187,7 @@ pub(crate) struct UnaryCounts {
 impl UnaryCounts {
     pub(crate) fn new(domain: usize) -> Self {
         Self {
-            counts: vec![0; domain],
-            reports: 0,
+            tally: Tally::counts(domain),
             planes: Vec::new(),
             pending: 0,
         }
@@ -196,7 +195,7 @@ impl UnaryCounts {
 
     /// Packed words per report, and per plane.
     fn width(&self) -> usize {
-        self.counts.len().div_ceil(64)
+        self.tally.stats.len().div_ceil(64)
     }
 
     fn assert_settled(&self) {
@@ -209,13 +208,20 @@ impl UnaryCounts {
 
     /// Reports absorbed so far, pending ones included.
     pub(crate) fn reports(&self) -> u64 {
-        self.reports
+        self.tally.reports
     }
 
-    /// The settled per-item counts.
-    pub(crate) fn counts(&self) -> &[u64] {
+    /// The settled counts and report total.
+    pub(crate) fn tally(&self) -> &Tally {
         self.assert_settled();
-        &self.counts
+        &self.tally
+    }
+
+    /// Mutable [`UnaryCounts::tally`]: settled, so nothing pending can be
+    /// lost or double-counted.
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        self.assert_settled();
+        &mut self.tally
     }
 
     /// Ripple-carry adds one report's packed words — exactly `⌈D/64⌉`, no
@@ -225,7 +231,7 @@ impl UnaryCounts {
         let width = self.width();
         debug_assert_eq!(words.len(), width);
         self.pending += 1;
-        self.reports += 1;
+        self.tally.reports += 1;
         if self.pending == 1 {
             // Rippling into no planes at all leaves the report itself as
             // plane 0 — which is all a lone report (the per-report
@@ -268,19 +274,20 @@ impl UnaryCounts {
     /// capacity for the next batch). A no-op when nothing is pending.
     pub(crate) fn settle(&mut self) {
         let width = self.width();
+        let counts = &mut self.tally.stats;
         match self.pending {
             0 => return,
             1 => {
                 for (wi, &word) in self.planes[..width].iter().enumerate() {
                     let mut w = word;
                     while w != 0 {
-                        self.counts[wi * 64 + w.trailing_zeros() as usize] += 1;
+                        counts[wi * 64 + w.trailing_zeros() as usize] += 1;
                         w &= w - 1;
                     }
                 }
             }
             _ => {
-                for (wi, items) in self.counts.chunks_mut(64).enumerate() {
+                for (wi, items) in counts.chunks_mut(64).enumerate() {
                     // lanes[i] byte l = pending count of item 64·wi + 8·i + l.
                     let mut lanes = [0u64; 8];
                     for (k, plane) in self.planes.chunks_exact(width).enumerate() {
@@ -305,56 +312,12 @@ impl UnaryCounts {
         self.pending = 0;
     }
 
-    /// Replaces the state with persisted counts (and drops anything
-    /// pending). State is unchanged on error.
-    pub(crate) fn load(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), OracleError> {
-        self.assert_settled();
-        if counts.len() != self.counts.len() {
-            return Err(OracleError::InvalidState("count vector length != domain"));
-        }
-        if counts.iter().any(|&c| c > reports) {
-            return Err(OracleError::InvalidState("item count above report total"));
-        }
-        self.counts = counts;
-        self.reports = reports;
-        self.planes.clear();
-        self.pending = 0;
-        Ok(())
-    }
-
     /// Resets to the empty accumulator in place: counts zeroed, nothing
     /// pending, no allocation (the plane buffer keeps its capacity).
     pub(crate) fn clear(&mut self) {
-        self.counts.fill(0);
-        self.reports = 0;
+        self.tally.clear();
         self.planes.clear();
         self.pending = 0;
-    }
-
-    /// Adds another settled accumulator of the same domain.
-    pub(crate) fn merge(&mut self, other: &Self) {
-        self.assert_settled();
-        other.assert_settled();
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.reports += other.reports;
-    }
-
-    /// The exact inverse of [`UnaryCounts::merge`], checked before it
-    /// mutates: unchanged on error.
-    pub(crate) fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
-        self.assert_settled();
-        other.assert_settled();
-        if self.reports < other.reports || self.counts.iter().zip(&other.counts).any(|(a, b)| a < b)
-        {
-            return Err(OracleError::SubtractUnderflow);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a -= b;
-        }
-        self.reports -= other.reports;
-        Ok(())
     }
 
     /// Adds the exact aggregate a cohort with the given true counts would
@@ -367,33 +330,34 @@ impl UnaryCounts {
         (p, q): (f64, f64),
         rng: &mut dyn RngCore,
     ) -> Result<(), OracleError> {
-        if true_counts.len() != self.counts.len() {
+        let tally = &mut self.tally;
+        if true_counts.len() != tally.stats.len() {
             return Err(OracleError::ReportDomainMismatch {
                 report: true_counts.len(),
-                server: self.counts.len(),
+                server: tally.stats.len(),
             });
         }
         let n: u64 = true_counts.iter().sum();
-        for (count, &c) in self.counts.iter_mut().zip(true_counts) {
+        for (count, &c) in tally.stats.iter_mut().zip(true_counts) {
             let kept = sample_binomial(rng, c, p);
             let flipped = sample_binomial(rng, n - c, q);
             *count += kept + flipped;
         }
-        self.reports += n;
+        tally.reports += n;
         Ok(())
     }
 
     /// Writes the unbiased frequency estimates `(c_j/N − q)/(p − q)` into
     /// `out`; all-zero before any report.
     pub(crate) fn estimate_into(&self, (p, q): (f64, f64), out: &mut [f64]) {
-        self.assert_settled();
-        assert_eq!(out.len(), self.counts.len(), "estimate buffer != domain");
-        if self.reports == 0 {
+        let tally = self.tally();
+        assert_eq!(out.len(), tally.stats.len(), "estimate buffer != domain");
+        if tally.reports == 0 {
             out.fill(0.0);
             return;
         }
-        let n = self.reports as f64;
-        for (o, &c) in out.iter_mut().zip(&self.counts) {
+        let n = tally.reports as f64;
+        for (o, &c) in out.iter_mut().zip(&tally.stats) {
             *o = (c as f64 / n - q) / (p - q);
         }
     }
@@ -448,11 +412,11 @@ mod tests {
                     // to past the auto-settle threshold.
                     if rng.random_range(0..200u32) == 0 {
                         acc.settle();
-                        assert_eq!(acc.counts(), &oracle[..], "D={domain} thin={thin} n={n}");
+                        assert_eq!(acc.tally().stats(), oracle, "D={domain} thin={thin} n={n}");
                     }
                 }
                 acc.settle();
-                assert_eq!(acc.counts(), &oracle[..], "D={domain} thin={thin}");
+                assert_eq!(acc.tally().stats(), oracle, "D={domain} thin={thin}");
                 assert_eq!(acc.reports(), 700);
             }
         }

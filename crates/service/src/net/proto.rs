@@ -78,9 +78,12 @@
 //! bounded: the envelope length is capped at [`MAX_MESSAGE_BYTES`] before
 //! any read, a REPORT's declared frame count is validated against the
 //! payload it arrived in, and an ERROR detail is capped at
-//! [`MAX_DETAIL_BYTES`]. The codecs reuse the wire format's primitives
-//! ([`Reader`], [`put_varint`]) so there is exactly one varint in the
-//! codebase.
+//! [`MAX_DETAIL_BYTES`]. The codecs reuse the wire format's primitives:
+//! [`Reader`], and [`put_varint`], the one varint writer in the codebase
+//! (`ldp_freq_oracle`'s, which checkpoints and WAL records write through
+//! too). There are two varint readers: [`Reader::varint`] on the frame
+//! decode path, which returns a [`WireError`], and checkpoint state's
+//! `ldp_ranges::StateReader::varint`, which returns a `RangeError`.
 //!
 //! The grammar above is the human-readable spec; the `message_table!`
 //! rows below are authoritative: `encode`, `decode` and the type lists
@@ -94,9 +97,10 @@ use crate::net::NetError;
 use crate::storage::wal::MAX_RECORD_BYTES;
 use crate::storage::DurableStatus;
 use crate::wire::{
-    decode_message, encode_message, fields, message_table, put_varint, Field, FrameCount, Le64,
-    Reader, Tail, WireVersion, MAX_VARINT_BYTES,
+    decode_message, encode_message, fields, message_table, Field, FrameCount, Le64, Reader, Tail,
+    WireVersion, MAX_VARINT_BYTES,
 };
+use ldp_ranges::persist::put_varint;
 
 /// Handshake magic inside HELLO ("LN" = LQ-over-Network), distinguishing
 /// a session handshake from stray bytes.

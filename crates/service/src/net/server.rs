@@ -39,8 +39,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ldp_ranges::{PersistableServer, SubtractableServer};
-
 use crate::error::ServiceError;
 use crate::net::ops::OpsListener;
 use crate::net::proto::{
@@ -67,7 +65,7 @@ use crate::wire::WireReport;
 /// querying (and, when durable, checkpointing) while the server ingests.
 struct Backend<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     service: AnyService<S>,
@@ -83,7 +81,7 @@ const READ_ONLY: &str = "replica is read-only: its log is a copy of its leader's
 
 impl<S> Backend<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     fn memory(service: AnyService<S>) -> Self {
@@ -229,7 +227,7 @@ fn service_error(e: ServiceError) -> RemoteError {
 
 struct Shared<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     backend: Backend<S>,
@@ -277,7 +275,7 @@ pub struct ServerStats {
 /// drain and join.
 pub struct LdpServer<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     shared: Arc<Shared<S>>,
@@ -290,7 +288,7 @@ where
 
 impl<S> LdpServer<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     /// Binds a server over a plain (all-time) service.
@@ -533,7 +531,7 @@ fn error_body(code: ErrorCode, detail: impl Into<String>) -> Vec<u8> {
 
 impl<S> Execute for Shared<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     fn execute(&self, job: Job) -> JobDone {
@@ -551,7 +549,7 @@ where
 /// loop that returned would have left them unread.
 fn execute_job<S>(shared: &Shared<S>, job: Job) -> JobDone
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     let obs = &shared.obs;
@@ -790,7 +788,7 @@ type ReplGrant = Result<(Vec<u8>, Box<dyn PushSource>), (ErrorCode, String)>;
 /// leaks nothing.
 fn setup_replication<S>(shared: &Shared<S>, session: u64, start: u64) -> ReplGrant
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     let Some(log) = &shared.backend.log else {
@@ -831,7 +829,7 @@ where
 /// durable layer's progress.
 fn build_status<S>(shared: &Shared<S>) -> Result<StatusReply, RemoteError>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     Ok(StatusReply {
@@ -856,7 +854,7 @@ where
 
 fn validate_hello<S>(hello: &Hello, windowed: bool) -> Result<(), (ErrorCode, String)>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     let mode = |windowed: bool| if windowed { "windowed" } else { "unwindowed" };

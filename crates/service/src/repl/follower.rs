@@ -7,8 +7,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ldp_ranges::{PersistableServer, SubtractableServer};
-
 use crate::error::ServiceError;
 use crate::obs::instruments::ReplInstruments;
 use crate::repl::feed::ReplFeed;
@@ -52,7 +50,7 @@ const IDLE_POLL: Duration = Duration::from_millis(200);
 /// durable service back as a normal leader.
 pub struct FollowerService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     service: Arc<DurableService<S>>,
@@ -65,7 +63,7 @@ where
 
 impl<S> FollowerService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     /// Opens a *plain* follower in `dir`, recovering any local log
@@ -239,7 +237,7 @@ where
 
 impl<S> Drop for FollowerService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     fn drop(&mut self) {
@@ -260,7 +258,7 @@ fn pump_loop<S>(
     obs: &ReplInstruments,
 ) -> Result<(), String>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     let mut unacked = 0u64;

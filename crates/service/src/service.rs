@@ -557,7 +557,7 @@ impl<S: SnapshotSource> LdpService<S> {
 /// the open one), not the all-time population.
 impl<S> LdpService<EpochRing<S>>
 where
-    S: SnapshotSource + SubtractableServer,
+    S: SnapshotSource,
 {
     /// Builds a windowed service: `num_shards` shards, each an epoch ring
     /// retaining `window_len` sealed epochs. Shard rings use manual
@@ -754,7 +754,7 @@ where
 #[derive(Clone)]
 pub(crate) enum AnyService<S>
 where
-    S: SnapshotSource + SubtractableServer,
+    S: SnapshotSource,
 {
     Plain(Arc<LdpService<S>>),
     Windowed(Arc<LdpService<EpochRing<S>>>),
@@ -762,7 +762,7 @@ where
 
 impl<S> AnyService<S>
 where
-    S: SnapshotSource + SubtractableServer,
+    S: SnapshotSource,
 {
     pub(crate) fn is_windowed(&self) -> bool {
         self.windowed().is_some()
@@ -839,10 +839,7 @@ where
 
     /// The merged state ([`LdpService::merged_state`]) serialized in
     /// place, without a copy — what a durable checkpoint writes.
-    pub(crate) fn persist_merged(&self) -> Result<Vec<u8>, ServiceError>
-    where
-        S: PersistableServer,
-    {
+    pub(crate) fn persist_merged(&self) -> Result<Vec<u8>, ServiceError> {
         let mut bytes = Vec::new();
         match self {
             Self::Plain(s) => s.with_merged(|state| state.persist_state(&mut bytes)),

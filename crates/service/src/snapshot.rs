@@ -22,8 +22,8 @@
 
 use crate::error::ServiceError;
 use ldp_ranges::{
-    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, RangeEstimate,
-    SubtractableServer,
+    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, PersistableServer,
+    RangeEstimate, SubtractableServer,
 };
 
 /// Servers whose merged state can be frozen into a 1-D frequency
@@ -37,9 +37,11 @@ use ldp_ranges::{
 /// service drains a shard by merging it into its accumulator and
 /// clearing it in place ([`crate::LdpService::refresh_snapshot`]), and
 /// rolls a rejected batch back by exact subtraction, so anything the
-/// service can freeze must also clear and un-merge. Every mechanism's
-/// integer sufficient statistics satisfy this for free.
-pub trait SnapshotSource: SubtractableServer {
+/// service can freeze must also clear and un-merge. It is
+/// [`PersistableServer`] too, because a durable service checkpoints it
+/// and a follower restores it. Every mechanism's integer sufficient
+/// statistics satisfy both for free.
+pub trait SnapshotSource: SubtractableServer + PersistableServer {
     /// Materializes the per-item frequency estimate of the current state.
     fn frequency_estimate(&self) -> FrequencyEstimate;
 

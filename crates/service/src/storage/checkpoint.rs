@@ -29,7 +29,8 @@ use std::path::{Path, PathBuf};
 
 use crate::error::WireError;
 use crate::storage::wal::crc32;
-use crate::wire::{put_varint, Reader};
+use crate::wire::Reader;
+use ldp_ranges::persist::put_varint;
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";

@@ -37,7 +37,7 @@
 
 use std::path::Path;
 
-use ldp_ranges::{PersistableServer, StateReader, SubtractableServer};
+use ldp_ranges::{PersistableServer, StateReader};
 
 use crate::error::ServiceError;
 use crate::service::absorb_frames;
@@ -287,7 +287,7 @@ fn recover<S>(
     mut seal: impl FnMut(&mut S, u64) -> ApplyResult,
 ) -> Result<(S, RecoveryReport), ServiceError>
 where
-    S: SnapshotSource + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     let (from_seq, checkpoint_id) = match load_checkpoint(dir)? {
@@ -332,7 +332,7 @@ where
 /// expected crash artifact, reported in [`RecoveryReport::tail`].
 pub fn recover_plain<S>(dir: &Path, prototype: &S) -> Result<(S, RecoveryReport), ServiceError>
 where
-    S: SnapshotSource + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     recover(dir, prototype.clone(), false, |_, _| {
@@ -357,7 +357,7 @@ pub fn recover_windowed<S>(
     window_len: usize,
 ) -> Result<(EpochRing<S>, RecoveryReport), ServiceError>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     let ring = EpochRing::new(prototype, window_len)?;

@@ -27,8 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use ldp_ranges::{PersistableServer, SubtractableServer};
-
 use crate::error::ServiceError;
 use crate::obs::instruments::{ReplInstruments, StorageInstruments};
 use crate::obs::MetricsRegistry;
@@ -107,7 +105,7 @@ pub struct DurableStatus {
 /// A durable LDP aggregation service: [`LdpService`] + WAL + checkpoints.
 pub struct DurableService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     service: AnyService<S>,
@@ -143,7 +141,7 @@ where
 
 impl<S> Drop for DurableService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer,
+    S: SnapshotSource,
     S::Report: WireReport,
 {
     fn drop(&mut self) {
@@ -244,7 +242,7 @@ struct WalInner {
 
 impl<S> DurableService<S>
 where
-    S: SnapshotSource + SubtractableServer + PersistableServer + 'static,
+    S: SnapshotSource + 'static,
     S::Report: WireReport,
 {
     /// Opens (or creates) a durable *plain* service in `dir`: runs

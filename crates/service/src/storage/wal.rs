@@ -802,7 +802,7 @@ impl WalReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::put_varint;
+    use ldp_ranges::persist::put_varint;
 
     #[test]
     fn crc32_matches_known_vectors() {

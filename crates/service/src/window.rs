@@ -547,7 +547,7 @@ where
     }
 }
 
-impl<S: SubtractableServer + SnapshotSource> SnapshotSource for EpochRing<S> {
+impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
     /// The shard-side tagged absorb: [`EpochRing::absorb_tagged`]'s tag
     /// check in front of the [`MergeableServer::absorb_deferred`] shards
     /// use, which never auto-seals — so a batch cannot change a shard

@@ -17,7 +17,8 @@
 //! kind 4  retired — was HaarOue; never reuse
 //! kind 5  retired — was Hh2d; never reuse
 //!
-//! oracle_report := tag(1B) body
+//! oracle_report := tag(1B) body        (tag: ldp_freq_oracle::FrequencyOracle::tag,
+//!                                        the checkpoint's oracle tags too)
 //!   tag 0 OUE   body := unary_report
 //!   tag 1 OLH   body := a:varint b:varint range:varint value:varint
 //!   tag 2 HRR   body := hrr_report
@@ -42,7 +43,8 @@
 //! (v1 frames carry no epoch), while the strict v1 [`decode_frame`]
 //! rejects v2 frames outright.
 
-use ldp_freq_oracle::{AnyReport, HrrReport, OlhReport, OueReport, UniversalHash};
+use ldp_freq_oracle::{AnyReport, FrequencyOracle, HrrReport, OlhReport, OueReport, UniversalHash};
+use ldp_ranges::persist::put_varint;
 use ldp_ranges::{HaarHrrReport, HhReport};
 
 use crate::error::WireError;
@@ -66,28 +68,6 @@ pub const MAX_WIRE_DOMAIN: u64 = 1 << 26;
 const KIND_FLAT: u8 = 0;
 const KIND_HH: u8 = 1;
 const KIND_HAAR_HRR: u8 = 3;
-
-const TAG_OUE: u8 = 0;
-const TAG_OLH: u8 = 1;
-const TAG_HRR: u8 = 2;
-const TAG_SUE: u8 = 3;
-
-// --- primitive writers -------------------------------------------------
-
-/// Appends one LEB128 varint — the writer dual of [`Reader::varint`],
-/// exposed so the session-protocol codecs ([`crate::net`]) share the
-/// frame format's primitives instead of reimplementing them.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
 
 // --- primitive readers -------------------------------------------------
 
@@ -547,31 +527,32 @@ fn get_olh(r: &mut Reader<'_>) -> Result<OlhReport, WireError> {
 fn put_any(out: &mut Vec<u8>, report: &AnyReport) {
     match report {
         AnyReport::Oue(r) => {
-            out.push(TAG_OUE);
+            out.push(FrequencyOracle::Oue.tag());
             put_unary(out, r);
         }
         AnyReport::Olh(r) => {
-            out.push(TAG_OLH);
+            out.push(FrequencyOracle::Olh.tag());
             put_olh(out, r);
         }
         AnyReport::Hrr(r) => {
-            out.push(TAG_HRR);
+            out.push(FrequencyOracle::Hrr.tag());
             put_hrr(out, r);
         }
         AnyReport::Sue(r) => {
-            out.push(TAG_SUE);
+            out.push(FrequencyOracle::Sue.tag());
             put_unary(out, r);
         }
     }
 }
 
 fn get_any(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<AnyReport, WireError> {
-    match r.u8()? {
-        TAG_OUE => Ok(AnyReport::Oue(get_unary(r, words)?)),
-        TAG_OLH => Ok(AnyReport::Olh(get_olh(r)?)),
-        TAG_HRR => Ok(AnyReport::Hrr(get_hrr(r)?)),
-        TAG_SUE => Ok(AnyReport::Sue(get_unary(r, words)?)),
-        t => Err(WireError::UnknownOracleTag(t)),
+    let tag = r.u8()?;
+    match FrequencyOracle::from_tag(tag) {
+        Some(FrequencyOracle::Oue) => Ok(AnyReport::Oue(get_unary(r, words)?)),
+        Some(FrequencyOracle::Olh) => Ok(AnyReport::Olh(get_olh(r)?)),
+        Some(FrequencyOracle::Hrr) => Ok(AnyReport::Hrr(get_hrr(r)?)),
+        Some(FrequencyOracle::Sue) => Ok(AnyReport::Sue(get_unary(r, words)?)),
+        None => Err(WireError::UnknownOracleTag(tag)),
     }
 }
 
@@ -922,7 +903,13 @@ mod tests {
     fn hostile_sizes_do_not_allocate() {
         // kind=Flat, tag=OUE, domain = 2^40 — must be rejected by the cap,
         // not attempted.
-        let mut frame = vec![MAGIC[0], MAGIC[1], VERSION, KIND_FLAT, TAG_OUE];
+        let mut frame = vec![
+            MAGIC[0],
+            MAGIC[1],
+            VERSION,
+            KIND_FLAT,
+            FrequencyOracle::Oue.tag(),
+        ];
         put_varint(&mut frame, 1 << 40);
         assert!(matches!(
             decode_frame::<AnyReport>(&frame),
@@ -932,7 +919,13 @@ mod tests {
         // A domain *under* the cap but far larger than the frame must be
         // rejected as truncated before the word buffer is allocated (the
         // allocation-amplification guard).
-        let mut tiny = vec![MAGIC[0], MAGIC[1], VERSION, KIND_FLAT, TAG_OUE];
+        let mut tiny = vec![
+            MAGIC[0],
+            MAGIC[1],
+            VERSION,
+            KIND_FLAT,
+            FrequencyOracle::Oue.tag(),
+        ];
         put_varint(&mut tiny, MAX_WIRE_DOMAIN);
         assert!(tiny.len() < 16);
         assert!(matches!(
@@ -943,7 +936,13 @@ mod tests {
 
     #[test]
     fn hrr_sign_and_index_are_validated() {
-        let mut frame = vec![MAGIC[0], MAGIC[1], VERSION, KIND_FLAT, TAG_HRR];
+        let mut frame = vec![
+            MAGIC[0],
+            MAGIC[1],
+            VERSION,
+            KIND_FLAT,
+            FrequencyOracle::Hrr.tag(),
+        ];
         put_varint(&mut frame, 8); // domain
         put_varint(&mut frame, 9); // index out of domain
         frame.push(1);
@@ -952,7 +951,13 @@ mod tests {
             Err(WireError::Malformed(_))
         ));
 
-        let mut frame = vec![MAGIC[0], MAGIC[1], VERSION, KIND_FLAT, TAG_HRR];
+        let mut frame = vec![
+            MAGIC[0],
+            MAGIC[1],
+            VERSION,
+            KIND_FLAT,
+            FrequencyOracle::Hrr.tag(),
+        ];
         put_varint(&mut frame, 8);
         put_varint(&mut frame, 3);
         frame.push(7); // sign byte must be 0/1
@@ -1027,7 +1032,7 @@ mod tests {
         // Hostile payload sizes stay capped behind the epoch header.
         let mut huge = vec![MAGIC[0], MAGIC[1], VERSION_EPOCH, KIND_FLAT];
         put_varint(&mut huge, 17); // epoch
-        huge.push(TAG_OUE);
+        huge.push(FrequencyOracle::Oue.tag());
         put_varint(&mut huge, 1 << 40); // domain over the cap
         assert!(matches!(
             decode_epoch_frame::<AnyReport>(&huge),
