@@ -15,7 +15,6 @@ use ldp_freq_oracle::{AnyOracle, AnyReport, PointOracle};
 use crate::config::FlatConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
-use crate::mergeable::{merge_tallies, subtract_tallies};
 
 /// Client side of the flat mechanism: stateless per-user encoding.
 #[derive(Debug, Clone)]
@@ -92,26 +91,6 @@ impl FlatServer {
         Ok(self.oracle.absorb_population(true_counts, rng)?)
     }
 
-    /// Merges another shard's accumulator into this one.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards of mismatched shape or oracle kind.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        merge_tallies(self.levels_mut(), other.levels())
-    }
-
-    /// Removes a previously merged accumulator — the exact inverse of
-    /// [`FlatServer::merge`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards of mismatched shape, or state that was never merged
-    /// into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        subtract_tallies(self.levels_mut(), other.levels())
-    }
-
     /// Number of reports absorbed.
     #[must_use]
     pub fn num_reports(&self) -> u64 {
@@ -120,12 +99,12 @@ impl FlatServer {
 
     /// The one oracle as a one-level slice, so the level helpers
     /// (merge, subtract, clear, checkpoints) serve the flat server too.
-    pub(crate) fn levels(&self) -> &[AnyOracle] {
+    pub(crate) fn oracles(&self) -> &[AnyOracle] {
         std::slice::from_ref(&self.oracle)
     }
 
-    /// Mutable [`FlatServer::levels`].
-    pub(crate) fn levels_mut(&mut self) -> &mut [AnyOracle] {
+    /// Mutable [`FlatServer::oracles`].
+    pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         std::slice::from_mut(&mut self.oracle)
     }
 

@@ -27,7 +27,6 @@ use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::haar::{coefficient_of, HaarEstimate};
-use crate::mergeable::merge_tallies;
 
 /// One user's `HaarOUE` report: sampled depth plus the perturbed unsigned
 /// `2M`-cell vector.
@@ -110,28 +109,14 @@ impl HaarOueServer {
         Ok(Self { config, levels })
     }
 
-    /// The per-level OUE accumulators (the freeze differential's
-    /// reference reads them).
-    #[cfg(test)]
+    /// The per-level OUE accumulators.
     pub(crate) fn oracles(&self) -> &[Oue] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (`MergeableServer::settle`).
+    /// Mutable per-level accumulators.
     pub(crate) fn oracles_mut(&mut self) -> &mut [Oue] {
         &mut self.levels
-    }
-
-    /// Merges another shard's per-level accumulators into this one.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards over a different domain.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        merge_tallies(&mut self.levels, &other.levels)
     }
 
     /// Accumulates one user report.

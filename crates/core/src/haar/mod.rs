@@ -29,7 +29,6 @@ use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
 use crate::estimate::{FrequencyEstimate, RangeEstimate};
-use crate::mergeable::{merge_tallies, subtract_tallies};
 
 /// One user's `HaarHRR` report: the sampled detail level (as a node depth)
 /// and the HRR-perturbed coefficient.
@@ -143,46 +142,14 @@ impl HaarHrrServer {
         &self.config
     }
 
-    /// The per-level HRR accumulators (persistence codec access).
+    /// The per-level HRR accumulators, for the level helpers.
     pub(crate) fn oracles(&self) -> &[Hrr] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (persistence codec access).
+    /// Mutable per-level accumulators, for the level helpers.
     pub(crate) fn oracles_mut(&mut self) -> &mut [Hrr] {
         &mut self.levels
-    }
-
-    /// Merges another shard's per-level accumulators into this one.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards over a different domain.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        self.ensure_same_shape(other)?;
-        merge_tallies(&mut self.levels, &other.levels)
-    }
-
-    /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HaarHrrServer::merge`]. Every level is checked
-    /// before any is subtracted, so a refused subtraction leaves this
-    /// server untouched.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards over a different domain, or state that was never
-    /// merged into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        self.ensure_same_shape(other)?;
-        subtract_tallies(&mut self.levels, &other.levels)
-    }
-
-    /// The domain two servers must share before their levels combine.
-    fn ensure_same_shape(&self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        Ok(())
     }
 
     /// Accumulates one user report at its sampled level.

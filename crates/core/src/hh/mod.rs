@@ -26,7 +26,6 @@ use crate::binomial_support::{scatter_item_over_levels, scatter_item_over_weight
 use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::estimate::{FrequencyEstimate, RangeEstimate};
-use crate::mergeable::{merge_tallies, subtract_tallies};
 
 /// Validates and normalizes per-level sampling weights (length `h`, all
 /// positive).
@@ -221,47 +220,14 @@ impl HhServer {
         &self.config
     }
 
-    /// The per-level oracle accumulators (persistence codec access).
+    /// The per-level oracle accumulators, for the level helpers.
     pub(crate) fn oracles(&self) -> &[AnyOracle] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (persistence codec access).
+    /// Mutable per-level accumulators, for the level helpers.
     pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         &mut self.levels
-    }
-
-    /// Merges another shard's per-level accumulators into this one
-    /// (distributed aggregation over disjoint user cohorts).
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards with a different tree shape or oracle.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        self.ensure_same_shape(other)?;
-        merge_tallies(&mut self.levels, &other.levels)
-    }
-
-    /// Removes a previously merged shard's per-level accumulators — the
-    /// exact inverse of [`HhServer::merge`]. Every level is checked before
-    /// any is subtracted, so a refused subtraction leaves this server
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards of mismatched shape, or state that was never merged
-    /// into this one.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        self.ensure_same_shape(other)?;
-        subtract_tallies(&mut self.levels, &other.levels)
-    }
-
-    /// The tree shape two servers must share before their levels combine.
-    fn ensure_same_shape(&self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        Ok(())
     }
 
     /// Accumulates one user report at its sampled level.

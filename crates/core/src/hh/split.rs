@@ -24,7 +24,6 @@ use crate::config::HhConfig;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
 use crate::hh::HhEstimate;
-use crate::mergeable::merge_tallies;
 
 /// One user's split-budget report: a perturbed node vector for *every*
 /// level of the tree.
@@ -118,29 +117,14 @@ impl HhSplitServer {
         })
     }
 
-    /// The per-level oracle accumulators (the freeze differential's
-    /// reference reads them).
-    #[cfg(test)]
+    /// The per-level oracle accumulators.
     pub(crate) fn oracles(&self) -> &[AnyOracle] {
         &self.levels
     }
 
-    /// Mutable per-level accumulators (`MergeableServer::settle`).
+    /// Mutable per-level accumulators.
     pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         &mut self.levels
-    }
-
-    /// Merges another shard's per-level accumulators into this one
-    /// (distributed aggregation over disjoint user cohorts).
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards with a different tree shape or oracle.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.domain != self.config.domain || other.config.fanout != self.config.fanout {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        merge_tallies(&mut self.levels, &other.levels)
     }
 
     /// Accumulates one user's multi-level report.

@@ -145,13 +145,8 @@ pub trait SubtractableServer: MergeableServer {
 /// Adds `theirs` into `mine` level by level — the one merge body of
 /// every server. Every level's configuration is checked before any
 /// tally changes, so a refused merge changes nothing.
-pub(crate) fn merge_tallies<O: PointOracle>(
-    mine: &mut [O],
-    theirs: &[O],
-) -> Result<(), RangeError> {
-    for (a, b) in mine.iter().zip(theirs) {
-        a.ensure_same(b)?;
-    }
+fn merge_tallies<O: PointOracle>(mine: &mut [O], theirs: &[O]) -> Result<(), RangeError> {
+    ensure_same_levels(mine, theirs)?;
     for (a, b) in mine.iter_mut().zip(theirs) {
         a.tally_mut().merge(b.tally());
     }
@@ -162,16 +157,27 @@ pub(crate) fn merge_tallies<O: PointOracle>(
 /// one subtract body of every server. Every level's configuration and
 /// tally is checked ([`ldp_freq_oracle::Tally::check_subtract`]) before
 /// any is changed, and the subtraction that follows cannot fail.
-pub(crate) fn subtract_tallies<O: PointOracle>(
-    mine: &mut [O],
-    theirs: &[O],
-) -> Result<(), RangeError> {
+fn subtract_tallies<O: PointOracle>(mine: &mut [O], theirs: &[O]) -> Result<(), RangeError> {
+    ensure_same_levels(mine, theirs)?;
     for (a, b) in mine.iter().zip(theirs) {
-        a.ensure_same(b)?;
         a.tally().check_subtract(b.tally())?;
     }
     for (a, b) in mine.iter_mut().zip(theirs) {
         a.tally_mut().apply_subtract(b.tally());
+    }
+    Ok(())
+}
+
+/// The check before two servers' levels combine: as many levels, each
+/// the same primitive over the same domain under the same ε. That fixes
+/// the configuration: `HH_B`'s level domains are `B, B², …, D`,
+/// HaarHRR's `1, 2, …, D/2`.
+fn ensure_same_levels<O: PointOracle>(mine: &[O], theirs: &[O]) -> Result<(), RangeError> {
+    if mine.len() != theirs.len() {
+        return Err(RangeError::ReportShapeMismatch);
+    }
+    for (a, b) in mine.iter().zip(theirs) {
+        a.ensure_same(b)?;
     }
     Ok(())
 }
@@ -185,78 +191,46 @@ fn settle_all<O: PointOracle>(oracles: &mut [O]) {
     oracles.iter_mut().for_each(PointOracle::settle);
 }
 
-impl MergeableServer for FlatServer {
-    type Report = AnyReport;
+/// The servers that defer: each is a slice of level oracles
+/// (`oracles`/`oracles_mut`), so settling and merging are the level
+/// helpers', and only absorbing is the server's own.
+macro_rules! deferring_servers {
+    ($($server:ty => $report:ty),+ $(,)?) => {$(
+        impl MergeableServer for $server {
+            type Report = $report;
 
-    fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        FlatServer::absorb(self, report)
-    }
+            fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+                <$server>::absorb(self, report)
+            }
 
-    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        FlatServer::absorb_deferred(self, report)
-    }
+            fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+                <$server>::absorb_deferred(self, report)
+            }
 
-    fn settle(&mut self) {
-        settle_all(self.levels_mut());
-    }
+            fn settle(&mut self) {
+                settle_all(self.oracles_mut());
+            }
 
-    fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        FlatServer::merge(self, other)
-    }
+            fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
+                merge_tallies(self.oracles_mut(), other.oracles())
+            }
 
-    fn num_reports(&self) -> u64 {
-        FlatServer::num_reports(self)
-    }
+            fn num_reports(&self) -> u64 {
+                <$server>::num_reports(self)
+            }
+        }
+    )+};
 }
 
-impl MergeableServer for HhServer {
-    type Report = HhReport;
+deferring_servers!(
+    FlatServer => AnyReport,
+    HhServer => HhReport,
+    HhSplitServer => HhSplitReport,
+    HaarOueServer => HaarOueReport,
+    Hh2dServer => Hh2dReport,
+);
 
-    fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HhServer::absorb(self, report)
-    }
-
-    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HhServer::absorb_deferred(self, report)
-    }
-
-    fn settle(&mut self) {
-        settle_all(self.oracles_mut());
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        HhServer::merge(self, other)
-    }
-
-    fn num_reports(&self) -> u64 {
-        HhServer::num_reports(self)
-    }
-}
-
-impl MergeableServer for HhSplitServer {
-    type Report = HhSplitReport;
-
-    fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HhSplitServer::absorb(self, report)
-    }
-
-    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HhSplitServer::absorb_deferred(self, report)
-    }
-
-    fn settle(&mut self) {
-        settle_all(self.oracles_mut());
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        HhSplitServer::merge(self, other)
-    }
-
-    fn num_reports(&self) -> u64 {
-        HhSplitServer::num_reports(self)
-    }
-}
-
+/// HRR levels absorb at once, so HaarHRR never has anything to settle.
 impl MergeableServer for HaarHrrServer {
     type Report = HaarHrrReport;
 
@@ -265,7 +239,7 @@ impl MergeableServer for HaarHrrServer {
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        HaarHrrServer::merge(self, other)
+        merge_tallies(self.oracles_mut(), other.oracles())
     }
 
     fn num_reports(&self) -> u64 {
@@ -273,83 +247,22 @@ impl MergeableServer for HaarHrrServer {
     }
 }
 
-impl MergeableServer for HaarOueServer {
-    type Report = HaarOueReport;
+/// The served mechanisms subtract and clear through the level helpers.
+macro_rules! subtractable_servers {
+    ($($server:ty),+) => {$(
+        impl SubtractableServer for $server {
+            fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
+                subtract_tallies(self.oracles_mut(), other.oracles())
+            }
 
-    fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HaarOueServer::absorb(self, report)
-    }
-
-    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        HaarOueServer::absorb_deferred(self, report)
-    }
-
-    fn settle(&mut self) {
-        settle_all(self.oracles_mut());
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        HaarOueServer::merge(self, other)
-    }
-
-    fn num_reports(&self) -> u64 {
-        HaarOueServer::num_reports(self)
-    }
+            fn clear(&mut self) {
+                clear_tallies(self.oracles_mut());
+            }
+        }
+    )+};
 }
 
-impl MergeableServer for Hh2dServer {
-    type Report = Hh2dReport;
-
-    fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        Hh2dServer::absorb(self, report)
-    }
-
-    fn absorb_deferred(&mut self, report: &Self::Report) -> Result<(), RangeError> {
-        Hh2dServer::absorb_deferred(self, report)
-    }
-
-    fn settle(&mut self) {
-        settle_all(self.oracles_mut());
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        Hh2dServer::merge(self, other)
-    }
-
-    fn num_reports(&self) -> u64 {
-        Hh2dServer::num_reports(self)
-    }
-}
-
-impl SubtractableServer for FlatServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        FlatServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_tallies(self.levels_mut());
-    }
-}
-
-impl SubtractableServer for HhServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        HhServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_tallies(self.oracles_mut());
-    }
-}
-
-impl SubtractableServer for HaarHrrServer {
-    fn subtract(&mut self, other: &Self) -> Result<(), RangeError> {
-        HaarHrrServer::subtract(self, other)
-    }
-
-    fn clear(&mut self) {
-        clear_tallies(self.oracles_mut());
-    }
-}
+subtractable_servers!(FlatServer, HhServer, HaarHrrServer);
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,6 @@ use ldp_transforms::{decompose_range, CompleteTree};
 use crate::binomial_support::scatter_item_over_levels;
 use crate::error::RangeError;
 use crate::estimate::FrequencyEstimate;
-use crate::mergeable::merge_tallies;
 
 /// Configuration of the 2-D hierarchical mechanism over `[side]²`.
 #[derive(Debug, Clone)]
@@ -205,28 +204,14 @@ impl Hh2dServer {
         })
     }
 
-    /// The per-grid oracle accumulators (the freeze differential's
-    /// reference reads them).
-    #[cfg(test)]
+    /// The per-grid oracle accumulators.
     pub(crate) fn oracles(&self) -> &[AnyOracle] {
         &self.grids
     }
 
-    /// Mutable per-grid accumulators (`MergeableServer::settle`).
+    /// Mutable per-grid accumulators.
     pub(crate) fn oracles_mut(&mut self) -> &mut [AnyOracle] {
         &mut self.grids
-    }
-
-    /// Merges another shard's per-grid accumulators into this one.
-    ///
-    /// # Errors
-    ///
-    /// Rejects shards with a different side length or fanout.
-    pub fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
-        if other.config.side != self.config.side || other.config.fanout != self.config.fanout {
-            return Err(RangeError::ReportShapeMismatch);
-        }
-        merge_tallies(&mut self.grids, &other.grids)
     }
 
     /// Accumulates one report.

@@ -67,12 +67,6 @@ impl<'a> StateReader<'a> {
         Self { buf, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    #[must_use]
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left to read.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -200,11 +194,11 @@ fn impossible(kind: FrequencyOracle) -> &'static str {
 
 impl PersistableServer for FlatServer {
     fn persist_state(&self, out: &mut Vec<u8>) {
-        persist_tallies(out, self.levels(), true);
+        persist_tallies(out, self.oracles(), true);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RangeError> {
-        restore_tallies(r, self.levels_mut(), true)
+        restore_tallies(r, self.oracles_mut(), true)
     }
 }
 

@@ -2,25 +2,23 @@
 //! statistic per item and the number of reports behind them (paper §3.2).
 //!
 //! OUE and SUE count each item's noisy 1-bits, OLH counts the reports
-//! that support each item, and HRR sums each Hadamard index's ±1 bits.
-//! Each of these is an integer sum over reports, so merging two cohorts
-//! is adding their tallies and retiring one is subtracting it, exactly.
-//! [`Tally`] is the one place that algebra — merge, subtract, clear,
-//! validated load and the checkpoint body — is written.
+//! supporting each item and HRR sums each Hadamard index's ±1 bits: sums
+//! over reports, so two cohorts merge by adding and one retires by
+//! subtracting, exactly. [`Tally`] is where that algebra — merge,
+//! subtract, clear, validated load and the checkpoint body — is written.
 //!
 //! HRR's signed sums are stored in two's complement, so one wrapping add
-//! and one wrapping subtract serve signed and unsigned statistics alike,
-//! with no per-item branch. Signedness matters only where a statistic is
-//! checked or encoded: an unsigned count can witness a subtract that
-//! would take it below zero, and is at most the report total; a signed
-//! sum can witness neither, and only its magnitude is bounded by the
-//! report total.
+//! and one wrapping subtract serve every oracle with no per-item branch.
+//! Signedness matters only where statistics are checked or encoded: a
+//! count is at most the report total and can witness a subtract that
+//! takes it below zero; a sum's magnitude is at most the report total,
+//! and a sum witnesses nothing.
 
 use crate::OracleError;
 
-/// Appends one LEB128 varint (at most 10 bytes) — the one varint writer
-/// of the workspace: tally bodies, report frames, session messages, WAL
-/// records and checkpoints all write through it.
+/// Appends one LEB128 varint (at most 10 bytes): the one varint writer
+/// of the workspace, behind tally bodies, report frames, session
+/// messages, WAL records and checkpoints.
 #[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -34,29 +32,23 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// A two's-complement sum as its zigzag code: small magnitudes of
-/// either sign get short varints.
+/// A two's-complement sum's zigzag code: small magnitudes of either sign
+/// get short varints.
 fn zigzag(s: u64) -> u64 {
     (s << 1) ^ ((s as i64 >> 63) as u64)
 }
 
-/// The inverse of [`zigzag`].
 fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ 0u64.wrapping_sub(z & 1)
 }
 
-/// One oracle's accumulated statistics: one integer per item and the
-/// report total (see the [module docs](self)).
-///
-/// Every oracle holds one ([`crate::PointOracle::tally`]). The
-/// operations that combine two tallies assume both come from oracles of
-/// the same configuration, which the caller checks first
-/// ([`crate::PointOracle::ensure_same`]).
+/// One oracle's statistics and report total ([`crate::PointOracle::tally`]).
+/// Combining two assumes their oracles share a configuration, which the
+/// caller checks first ([`crate::PointOracle::ensure_same`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tally {
     /// One statistic per item; HRR's signed sums in two's complement.
     pub(crate) stats: Vec<u64>,
-    /// Reports absorbed.
     pub(crate) reports: u64,
     /// Whether `stats` are signed sums rather than counts.
     signed: bool,
@@ -86,14 +78,14 @@ impl Tally {
         self.reports
     }
 
-    /// The statistics, one per item: counts, or signed sums in two's
+    /// One statistic per item: a count, or a signed sum in two's
     /// complement (`s as i64`).
     #[must_use]
     pub fn stats(&self) -> &[u64] {
         &self.stats
     }
 
-    /// Adds `other` — another cohort's tally of the same shape.
+    /// Adds another cohort's tally.
     pub fn merge(&mut self, other: &Self) {
         debug_assert!(self.same_shape(other));
         for (a, &b) in self.stats.iter_mut().zip(&other.stats) {
@@ -102,14 +94,13 @@ impl Tally {
         self.reports += other.reports;
     }
 
-    /// Checks, without changing anything, that `other` can be subtracted:
-    /// its report total is not above this one's and, for counts, no count
-    /// is above this one's. A tally that was merged in always passes.
+    /// Checks, changing nothing, that `other` could have been merged in:
+    /// its report total, and for counts each count, is not above this
+    /// tally's.
     ///
     /// # Errors
     ///
-    /// [`OracleError::SubtractUnderflow`] when the integers show `other`
-    /// was never merged in.
+    /// [`OracleError::SubtractUnderflow`] when it could not.
     pub fn check_subtract(&self, other: &Self) -> Result<(), OracleError> {
         debug_assert!(self.same_shape(other));
         let underflow = self.reports < other.reports
@@ -121,7 +112,7 @@ impl Tally {
         }
     }
 
-    /// Subtracts `other`, which [`Tally::check_subtract`] accepted — the
+    /// Subtracts `other`, which [`Tally::check_subtract`] accepted: the
     /// exact inverse of [`Tally::merge`].
     pub fn apply_subtract(&mut self, other: &Self) {
         debug_assert!(self.same_shape(other));
@@ -131,12 +122,11 @@ impl Tally {
         self.reports -= other.reports;
     }
 
-    /// [`Tally::check_subtract`], then [`Tally::apply_subtract`]:
-    /// unchanged on error.
+    /// [`Tally::check_subtract`], then [`Tally::apply_subtract`].
     ///
     /// # Errors
     ///
-    /// As [`Tally::check_subtract`].
+    /// As [`Tally::check_subtract`]; unchanged on error.
     pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
         self.check_subtract(other)?;
         self.apply_subtract(other);
@@ -150,13 +140,12 @@ impl Tally {
     }
 
     /// Replaces the state with persisted statistics, if some report
-    /// sequence could have produced them. Unchanged on error.
+    /// sequence could have produced them.
     ///
     /// # Errors
     ///
-    /// [`OracleError::InvalidState`] when `stats` is not one per item, or
-    /// a count (or a sum's magnitude) is above `reports`: a report moves
-    /// each statistic by at most one.
+    /// [`OracleError::InvalidState`], unchanged, when `stats` is not one
+    /// per item, or a count (or a sum's magnitude) is above `reports`.
     pub fn load(&mut self, stats: Vec<u64>, reports: u64) -> Result<(), OracleError> {
         if stats.len() != self.stats.len() {
             return Err(OracleError::InvalidState("statistics length != domain"));
@@ -174,8 +163,8 @@ impl Tally {
         Ok(())
     }
 
-    /// Appends the checkpoint body: `reports` as a varint, then each
-    /// statistic as a varint — zigzag-coded for signed sums.
+    /// Appends the checkpoint body: `reports`, then each statistic, as
+    /// varints — zigzag-coded for signed sums.
     pub fn encode(&self, out: &mut Vec<u8>) {
         fn put_all(out: &mut Vec<u8>, stats: &[u64], code: impl Fn(u64) -> u64) {
             for &s in stats {
@@ -191,15 +180,13 @@ impl Tally {
     }
 
     /// Reads a body [`Tally::encode`] wrote for a tally of this shape,
-    /// pulling each varint from `next`, and [`Tally::load`]s it. All of
-    /// it is read before any of it is checked, so a short body fails in
-    /// `next`.
+    /// pulling each varint from `next`, then [`Tally::load`]s it: a short
+    /// body fails in `next` before anything is checked.
     ///
     /// # Errors
     ///
-    /// The outer error is `next`'s; the inner one is
-    /// [`Tally::load`]'s, for bytes that decode to impossible statistics.
-    /// Unchanged on either.
+    /// The outer error is `next`'s, the inner one [`Tally::load`]'s;
+    /// unchanged on either.
     pub fn decode<E>(
         &mut self,
         mut next: impl FnMut() -> Result<u64, E>,
