@@ -195,7 +195,7 @@ pub enum FrequencyOracle {
 
 impl FrequencyOracle {
     /// Every primitive, in tag order.
-    pub const ALL: [Self; 4] = [Self::Oue, Self::Olh, Self::Hrr, Self::Sue];
+    const ALL: [Self; 4] = [Self::Oue, Self::Olh, Self::Hrr, Self::Sue];
 
     /// Human-readable name as used in the paper's plots (`OUE`, `OLH`,
     /// `HRR`; `SUE` for the RAPPOR baseline).

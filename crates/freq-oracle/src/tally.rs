@@ -72,16 +72,9 @@ impl Tally {
         }
     }
 
-    /// Reports absorbed.
-    #[must_use]
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
     /// One statistic per item: a count, or a signed sum in two's
     /// complement (`s as i64`).
-    #[must_use]
-    pub fn stats(&self) -> &[u64] {
+    pub(crate) fn stats(&self) -> &[u64] {
         &self.stats
     }
 
@@ -122,12 +115,9 @@ impl Tally {
         self.reports -= other.reports;
     }
 
-    /// [`Tally::check_subtract`], then [`Tally::apply_subtract`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Tally::check_subtract`]; unchanged on error.
-    pub fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
+    /// [`Tally::check_subtract`], then [`Tally::apply_subtract`];
+    /// unchanged on error.
+    pub(crate) fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
         self.check_subtract(other)?;
         self.apply_subtract(other);
         Ok(())
@@ -140,13 +130,10 @@ impl Tally {
     }
 
     /// Replaces the state with persisted statistics, if some report
-    /// sequence could have produced them.
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError::InvalidState`], unchanged, when `stats` is not one
-    /// per item, or a count (or a sum's magnitude) is above `reports`.
-    pub fn load(&mut self, stats: Vec<u64>, reports: u64) -> Result<(), OracleError> {
+    /// sequence could have produced them: [`OracleError::InvalidState`],
+    /// unchanged, when `stats` is not one per item, or a count (or a sum's
+    /// magnitude) is above `reports`.
+    fn load(&mut self, stats: Vec<u64>, reports: u64) -> Result<(), OracleError> {
         if stats.len() != self.stats.len() {
             return Err(OracleError::InvalidState("statistics length != domain"));
         }
@@ -180,13 +167,16 @@ impl Tally {
     }
 
     /// Reads a body [`Tally::encode`] wrote for a tally of this shape,
-    /// pulling each varint from `next`, then [`Tally::load`]s it: a short
-    /// body fails in `next` before anything is checked.
+    /// pulling each varint from `next`, then loads it if some report
+    /// sequence could have produced it: one statistic per item, each
+    /// count (or sum's magnitude) at most the report total. A short body
+    /// fails in `next` before anything is checked.
     ///
     /// # Errors
     ///
-    /// The outer error is `next`'s, the inner one [`Tally::load`]'s;
-    /// unchanged on either.
+    /// The outer error is `next`'s; the inner one is
+    /// [`OracleError::InvalidState`] for impossible statistics. Unchanged
+    /// on either.
     pub fn decode<E>(
         &mut self,
         mut next: impl FnMut() -> Result<u64, E>,
@@ -252,7 +242,7 @@ mod tests {
             let other = tally(signed, &b, 6);
             let mut merged = base.clone();
             merged.merge(&other);
-            assert_eq!(merged.reports(), 15);
+            assert_eq!(merged.reports, 15);
             let sums: Vec<u64> = a.iter().zip(&b).map(|(x, y)| (x + y) as u64).collect();
             assert_eq!(merged.stats(), &sums[..]);
             merged.subtract(&other).unwrap();
@@ -284,7 +274,7 @@ mod tests {
         let mut sums = tally(true, &[2, 0, 1], 2);
         sums.subtract(&tally(true, &[1, 1, 0], 2)).unwrap();
         assert_eq!(sums.stats(), [1, (-1i64) as u64, 1]);
-        assert_eq!(sums.reports(), 0);
+        assert_eq!(sums.reports, 0);
     }
 
     #[test]
@@ -305,7 +295,7 @@ mod tests {
             match why {
                 None => {
                     assert_eq!(result, Ok(()));
-                    assert_eq!(t.reports(), reports);
+                    assert_eq!(t.reports, reports);
                 }
                 Some(why) => {
                     assert_eq!(result, Err(OracleError::InvalidState(why)));
