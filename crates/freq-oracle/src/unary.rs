@@ -35,9 +35,9 @@
 //! walk.
 //!
 //! Pending reports count towards [`UnaryCounts::reports`] at once, but
-//! every reader of the counts ([`UnaryCounts::tally`], behind `counts`,
-//! `merge`, `subtract`, `clear` through `AnyOracle`, and checkpoints, and
-//! `estimate`) requires settled state, and debug builds assert it. Planes
+//! every reader of the counts — [`UnaryCounts::tally`], which `counts`,
+//! `merge`, `subtract` and checkpoints go through, and `estimate` —
+//! requires settled state, and debug builds assert it. Planes
 //! never outlive a batch, so they are not state: settled counts equal the
 //! one-increment-per-set-bit loop's exactly, and the emptied plane buffer
 //! clones without allocating.
