@@ -97,6 +97,12 @@ impl FlatServer {
         self.oracle.num_reports()
     }
 
+    /// The one oracle (the freeze differential's reference reads it).
+    #[cfg(test)]
+    pub(crate) fn oracle(&self) -> &AnyOracle {
+        &self.oracle
+    }
+
     /// The one oracle as a one-level slice, so the level helpers
     /// (merge, subtract, clear, checkpoints) serve the flat server too.
     pub(crate) fn oracles(&self) -> &[AnyOracle] {

@@ -271,7 +271,7 @@ fn flat_freeze_matches_reference() {
                 let what = format!("Flat {oracle} D={domain} populated={populated}");
                 assert_same(
                     &server.frequency_estimate(),
-                    &server.oracles()[0].estimate(),
+                    &server.oracle().estimate(),
                     &what,
                 );
             }
