@@ -17,8 +17,7 @@
 //! kind 4  retired — was HaarOue; never reuse
 //! kind 5  retired — was Hh2d; never reuse
 //!
-//! oracle_report := tag(1B) body        (tag: ldp_freq_oracle::FrequencyOracle::tag,
-//!                                        the checkpoint's oracle tags too)
+//! oracle_report := tag(1B) body        (tag = FrequencyOracle::tag, as in checkpoints)
 //!   tag 0 OUE   body := unary_report
 //!   tag 1 OLH   body := a:varint b:varint range:varint value:varint
 //!   tag 2 HRR   body := hrr_report
