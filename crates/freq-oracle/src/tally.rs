@@ -286,6 +286,68 @@ mod tests {
         }
     }
 
+    /// The drain under test: `theirs` folded into `mine`, `theirs` emptied.
+    fn drain(mine: &mut Tally, theirs: &mut Tally) {
+        mine.merge(theirs);
+        theirs.clear();
+    }
+
+    /// A tally of `len` statistics, every one nonzero where it can be:
+    /// counts up to the report total, sums of either sign.
+    fn filled(signed: bool, len: usize, seed: i64, reports: u64) -> Tally {
+        let stats: Vec<i64> = (0..len as i64)
+            .map(|i| {
+                let v = (i * 7 + seed) % (reports as i64 + 1);
+                if signed && (i + seed) % 3 == 0 {
+                    -v
+                } else {
+                    v
+                }
+            })
+            .collect();
+        tally(signed, &stats, reports)
+    }
+
+    #[test]
+    fn drain_is_merge_then_clear() {
+        for signed in [false, true] {
+            for len in [0, 1, 7, 8, 9, 65_535] {
+                for (mine, theirs) in [
+                    (filled(signed, len, 3, 40), filled(signed, len, 5, 25)),
+                    (filled(signed, len, 0, 0), filled(signed, len, 11, 9)),
+                    (filled(signed, len, 2, 17), filled(signed, len, 0, 0)),
+                ] {
+                    let mut expected = mine.clone();
+                    expected.merge(&theirs);
+                    let mut drained = mine;
+                    let mut shard = theirs;
+                    drain(&mut drained, &mut shard);
+                    let at = format!("signed={signed} len={len}");
+                    assert_eq!(drained.stats(), expected.stats(), "{at}");
+                    assert_eq!(drained.reports, expected.reports, "{at}");
+                    assert_eq!(drained, expected, "{at}");
+                    let empty = if signed {
+                        Tally::sums(len)
+                    } else {
+                        Tally::counts(len)
+                    };
+                    assert_eq!(shard, empty, "{at}: drained side not empty");
+                    assert_eq!(shard.reports, 0, "{at}");
+                }
+            }
+        }
+        // Negative sums cross zero both ways and still add exactly.
+        let mut acc = tally(true, &[-5, 3, 0, i64::MIN + 1], u64::MAX >> 1);
+        let mut shard = tally(true, &[5, -4, -2, -1], 6);
+        drain(&mut acc, &mut shard);
+        assert_eq!(
+            acc.stats(),
+            [0, (-1i64) as u64, (-2i64) as u64, i64::MIN as u64]
+        );
+        assert_eq!(acc.reports, (u64::MAX >> 1) + 6);
+        assert_eq!(shard, Tally::sums(4));
+    }
+
     #[test]
     fn load_checks_every_rule_and_refuses_without_change() {
         let check = |signed: bool, stats: &[i64], reports: u64, why: Option<&'static str>| {

@@ -824,4 +824,98 @@ mod tests {
         b.seal_epoch().unwrap();
         assert!(MergeableServer::merge(&mut a, &b).is_err());
     }
+
+    type Ring = EpochRing<HhServer>;
+
+    /// The drain under test: `shard` folded into `acc`, `shard` emptied.
+    fn drain(acc: &mut Ring, shard: &mut Ring) -> Result<(), RangeError> {
+        MergeableServer::merge(acc, shard)?;
+        shard.clear();
+        Ok(())
+    }
+
+    /// Everything a ring holds: its checkpoint bytes, its running merge's
+    /// bytes, which sealed slots hold state, its report total and its open
+    /// epoch.
+    fn ring_state(ring: &Ring) -> (Vec<u8>, Vec<u8>, Vec<bool>, u64, u64) {
+        let mut bytes = Vec::new();
+        ring.persist_state(&mut bytes);
+        let mut running = Vec::new();
+        ring.running.persist_state(&mut running);
+        let slots = ring.ring.iter().map(|e| e.server.is_some()).collect();
+        (bytes, running, slots, ring.num_reports(), ring.current_id)
+    }
+
+    #[test]
+    fn ring_drain_is_merge_then_clear() {
+        let (client, prototype) = setup(64);
+        let mut rng = StdRng::seed_from_u64(905);
+        let absorb = |ring: &mut Ring, n: usize, rng: &mut StdRng| {
+            for i in 0..n {
+                ring.absorb(&client.report(i * 5 % 64, rng).unwrap())
+                    .unwrap();
+            }
+        };
+        // An accumulator that has rotated, with one empty sealed epoch
+        // and reports in its open epoch.
+        let mut acc = Ring::new(&prototype, 3).unwrap();
+        for n in [30, 0, 45, 20, 0] {
+            absorb(&mut acc, n, &mut rng);
+            acc.seal_epoch().unwrap();
+        }
+        absorb(&mut acc, 10, &mut rng);
+        // A shard ring holding only an open-epoch delta — what a service
+        // drains — and one sealed in lockstep while holding reports, so
+        // its running merge and a sealed slot hold state too.
+        let mut shard = acc.aligned_empty();
+        absorb(&mut shard, 70, &mut rng);
+        let mut sealed_shard = Ring::new(&prototype, 3).unwrap();
+        let mut sealed_acc = Ring::new(&prototype, 3).unwrap();
+        for ring in [&mut sealed_shard, &mut sealed_acc] {
+            absorb(ring, 25, &mut rng);
+            ring.seal_epoch().unwrap();
+            absorb(ring, 15, &mut rng);
+        }
+        for (mut acc, mut shard) in [(acc, shard), (sealed_acc, sealed_shard)] {
+            let mut expected = acc.clone();
+            MergeableServer::merge(&mut expected, &shard).unwrap();
+            let layout = acc.aligned_empty();
+            drain(&mut acc, &mut shard).unwrap();
+            assert_eq!(ring_state(&acc), ring_state(&expected));
+            assert_eq!(ring_state(&shard), ring_state(&layout));
+            // Still aligned: the drained shard takes new reports and
+            // drains again.
+            let report = client.report(17, &mut rng).unwrap();
+            shard.absorb(&report).unwrap();
+            expected.absorb(&report).unwrap();
+            drain(&mut acc, &mut shard).unwrap();
+            assert_eq!(ring_state(&acc), ring_state(&expected));
+        }
+    }
+
+    #[test]
+    fn misaligned_ring_drain_is_refused_unchanged() {
+        let (client, prototype) = setup(64);
+        let mut rng = StdRng::seed_from_u64(906);
+        let mut acc = Ring::new(&prototype, 2).unwrap();
+        let mut shard = acc.aligned_empty();
+        for ring in [&mut acc, &mut shard] {
+            ring.absorb(&client.report(9, &mut rng).unwrap()).unwrap();
+        }
+        acc.seal_epoch().unwrap();
+        let (acc_before, shard_before) = (ring_state(&acc), ring_state(&shard));
+        assert_eq!(
+            drain(&mut acc, &mut shard),
+            Err(RangeError::ReportShapeMismatch)
+        );
+        assert_eq!(ring_state(&acc), acc_before);
+        assert_eq!(ring_state(&shard), shard_before);
+        // A different window length, with the same open epoch.
+        let mut wider = Ring::new(&prototype, 3).unwrap();
+        wider.seal_epoch().unwrap();
+        let wider_before = ring_state(&wider);
+        assert!(drain(&mut acc, &mut wider).is_err());
+        assert_eq!(ring_state(&acc), acc_before);
+        assert_eq!(ring_state(&wider), wider_before);
+    }
 }

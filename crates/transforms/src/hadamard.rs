@@ -301,6 +301,40 @@ mod tests {
         fwht(&mut x);
     }
 
+    /// The portable body — what every CPU without AVX2 and every
+    /// non-x86-64 target runs — called directly, so a host that dispatches
+    /// to AVX2 still holds it to [`fwht_scalar`] bit for bit, at every
+    /// power of two to 2^17 and over signed zeros, subnormals and
+    /// infinities. `tests/differential.rs` covers the dispatched [`fwht`].
+    #[test]
+    fn portable_body_bit_identical_to_scalar() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            1e308,
+            -1e308,
+            f64::INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xFA57_0007);
+        for n in (0..=17).map(|k| 1usize << k) {
+            let random: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
+            let special: Vec<f64> = (0..n)
+                .map(|_| specials[rng.random_range(0..specials.len())])
+                .collect();
+            for x in [random, special] {
+                let mut fast = x.clone();
+                let mut slow = x;
+                fwht(&mut fast);
+                fwht_scalar(&mut slow);
+                let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn length_one_is_identity() {
         let mut x = vec![42.0];
