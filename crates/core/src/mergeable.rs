@@ -15,18 +15,19 @@
 //! [`MergeableServer`] captures that contract behind one trait so generic
 //! infrastructure (shard pools, load generators, snapshot builders) can be
 //! written once for all six mechanisms. [`SubtractableServer`] — exact
-//! un-merge and in-place clear, which windows and shard drains need — is
-//! implemented for the three mechanisms `ldp-service` serves: flat, `HH_B`
-//! and HaarHRR.
+//! un-merge, in-place clear and the fused merge-and-clear drain, which
+//! windows and shard drains need — is implemented for the three
+//! mechanisms `ldp-service` serves: flat, `HH_B` and HaarHRR.
 //!
 //! Each server is a slice of level oracles (the flat server is one
 //! level), and each oracle's state is one [`ldp_freq_oracle::Tally`]: a
-//! statistic per item and a report total, whose merge, subtract and clear
-//! are written once there. A server merges, subtracts or clears through
-//! one helper over its levels. A subtract checks every level — its
-//! configuration, then [`ldp_freq_oracle::Tally::check_subtract`] — before
-//! it changes any, and the subtraction that follows cannot fail, so a
-//! refused subtract leaves the server as it was.
+//! statistic per item and a report total, whose merge, subtract, clear
+//! and drain are written once there. A server merges, subtracts, clears
+//! or drains through one helper over its levels. A subtract checks every
+//! level — its configuration, then
+//! [`ldp_freq_oracle::Tally::check_subtract`] — before it changes any,
+//! and the subtraction that follows cannot fail, so a refused subtract
+//! leaves the server as it was.
 
 use crate::error::RangeError;
 use crate::flat::FlatServer;
@@ -137,9 +138,18 @@ pub trait SubtractableServer: MergeableServer {
     /// Resets this accumulator in place to the additive identity — the
     /// state a freshly built server of the same configuration holds —
     /// with no allocation, so `clear` then `merge(b)` holds exactly `b`.
-    /// This is how a sharded service drains a shard into its accumulator:
-    /// one merge pass and one zeroing pass, no copy.
     fn clear(&mut self);
+
+    /// Moves `other`'s state into this accumulator: exactly
+    /// [`MergeableServer::merge`] then [`SubtractableServer::clear`] of
+    /// `other`, fused into one add-and-zero pass over each statistic.
+    /// This is how a sharded service drains a shard into its accumulator:
+    /// one pass, no copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`MergeableServer::merge`], leaving both sides unchanged.
+    fn drain(&mut self, other: &mut Self) -> Result<(), RangeError>;
 }
 
 /// Adds `theirs` into `mine` level by level — the one merge body of
@@ -149,6 +159,18 @@ fn merge_tallies<O: PointOracle>(mine: &mut [O], theirs: &[O]) -> Result<(), Ran
     ensure_same_levels(mine, theirs)?;
     for (a, b) in mine.iter_mut().zip(theirs) {
         a.tally_mut().merge(b.tally());
+    }
+    Ok(())
+}
+
+/// Moves `theirs` into `mine` level by level, leaving `theirs` empty —
+/// the one drain body of every served server:
+/// [`ldp_freq_oracle::Tally::drain`] per level, after the same check as
+/// [`merge_tallies`], so a refused drain changes neither side.
+fn drain_tallies<O: PointOracle>(mine: &mut [O], theirs: &mut [O]) -> Result<(), RangeError> {
+    ensure_same_levels(mine, theirs)?;
+    for (a, b) in mine.iter_mut().zip(theirs) {
+        a.tally_mut().drain(b.tally_mut());
     }
     Ok(())
 }
@@ -247,7 +269,8 @@ impl MergeableServer for HaarHrrServer {
     }
 }
 
-/// The served mechanisms subtract and clear through the level helpers.
+/// The served mechanisms subtract, clear and drain through the level
+/// helpers.
 macro_rules! subtractable_servers {
     ($($server:ty),+) => {$(
         impl SubtractableServer for $server {
@@ -257,6 +280,10 @@ macro_rules! subtractable_servers {
 
             fn clear(&mut self) {
                 clear_tallies(self.oracles_mut());
+            }
+
+            fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
+                drain_tallies(self.oracles_mut(), other.oracles_mut())
             }
         }
     )+};

@@ -5,7 +5,8 @@
 //! supporting each item and HRR sums each Hadamard index's ±1 bits: sums
 //! over reports, so two cohorts merge by adding and one retires by
 //! subtracting, exactly. [`Tally`] is where that algebra — merge,
-//! subtract, clear, validated load and the checkpoint body — is written.
+//! subtract, clear, the fused merge-and-clear drain, validated load and
+//! the checkpoint body — is written.
 //!
 //! HRR's signed sums are stored in two's complement, so one wrapping add
 //! and one wrapping subtract serve every oracle with no per-item branch.
@@ -85,6 +86,18 @@ impl Tally {
             *a = a.wrapping_add(b);
         }
         self.reports += other.reports;
+    }
+
+    /// Moves another cohort's tally into this one: [`Tally::merge`] then
+    /// [`Tally::clear`] of `other`, in one pass that adds each statistic
+    /// and zeroes it where it was read. How a service folds a shard into
+    /// its accumulator.
+    pub fn drain(&mut self, other: &mut Self) {
+        debug_assert!(self.same_shape(other));
+        for (a, b) in self.stats.iter_mut().zip(&mut other.stats) {
+            *a = a.wrapping_add(std::mem::take(b));
+        }
+        self.reports += std::mem::take(&mut other.reports);
     }
 
     /// Checks, changing nothing, that `other` could have been merged in:
@@ -286,12 +299,6 @@ mod tests {
         }
     }
 
-    /// The drain under test: `theirs` folded into `mine`, `theirs` emptied.
-    fn drain(mine: &mut Tally, theirs: &mut Tally) {
-        mine.merge(theirs);
-        theirs.clear();
-    }
-
     /// A tally of `len` statistics, every one nonzero where it can be:
     /// counts up to the report total, sums of either sign.
     fn filled(signed: bool, len: usize, seed: i64, reports: u64) -> Tally {
@@ -321,7 +328,7 @@ mod tests {
                     expected.merge(&theirs);
                     let mut drained = mine;
                     let mut shard = theirs;
-                    drain(&mut drained, &mut shard);
+                    drained.drain(&mut shard);
                     let at = format!("signed={signed} len={len}");
                     assert_eq!(drained.stats(), expected.stats(), "{at}");
                     assert_eq!(drained.reports, expected.reports, "{at}");
@@ -339,7 +346,7 @@ mod tests {
         // Negative sums cross zero both ways and still add exactly.
         let mut acc = tally(true, &[-5, 3, 0, i64::MIN + 1], u64::MAX >> 1);
         let mut shard = tally(true, &[5, -4, -2, -1], 6);
-        drain(&mut acc, &mut shard);
+        acc.drain(&mut shard);
         assert_eq!(
             acc.stats(),
             [0, (-1i64) as u64, (-2i64) as u64, i64::MIN as u64]

@@ -21,9 +21,9 @@
 //! * **Publication** — the service's state is one *accumulator*, and
 //!   each shard holds only its undrained delta: what it absorbed since it
 //!   was last drained. [`LdpService::refresh_snapshot`] drains every
-//!   shard that holds reports — under that shard's lock, the accumulator
-//!   merges it and the shard is cleared in place
-//!   ([`SubtractableServer::clear`]), one read pass and one zeroing pass —
+//!   shard that holds reports — under that shard's lock, one pass adds
+//!   each of the shard's statistics into the accumulator and zeroes it
+//!   in place ([`SubtractableServer::drain`]) —
 //!   then runs the expensive estimation *outside* any shard lock and
 //!   atomically swaps the published snapshot with a bumped version.
 //!   Integer sufficient statistics make the accumulator bit-identical to
@@ -504,10 +504,11 @@ impl<S: SnapshotSource> LdpService<S> {
         Ok(drained)
     }
 
-    /// Folds one locked shard into the accumulator and clears it, if it
-    /// holds any reports: one merge pass and one zeroing pass, no copy.
-    /// Runs under the shard's lock, so the accumulator total that
-    /// [`LdpService::num_reports`] reads moves with the shard's reports.
+    /// Moves one locked shard into the accumulator, if it holds any
+    /// reports: one add-and-zero pass ([`SubtractableServer::drain`]),
+    /// no copy. Runs under the shard's lock, so the accumulator total
+    /// that [`LdpService::num_reports`] reads moves with the shard's
+    /// reports.
     fn drain_shard(
         &self,
         publication: &mut Publication<S>,
@@ -516,8 +517,7 @@ impl<S: SnapshotSource> LdpService<S> {
         if shard.num_reports() == 0 {
             return Ok(false);
         }
-        publication.acc.merge(shard)?;
-        shard.clear();
+        publication.acc.drain(shard)?;
         publication.stale = true;
         self.acc_reports
             .store(publication.acc.num_reports(), Ordering::Relaxed);

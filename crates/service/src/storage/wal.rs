@@ -675,9 +675,10 @@ impl WalReader {
     /// whether any new bytes arrived.
     fn fill(&mut self) -> std::io::Result<bool> {
         use std::io::Read;
-        if self.file.is_none() {
-            match File::open(segment_path(&self.dir, self.seq)) {
-                Ok(f) => self.file = Some(f),
+        let file = match &mut self.file {
+            Some(file) => file,
+            slot @ None => match File::open(segment_path(&self.dir, self.seq)) {
+                Ok(f) => slot.insert(f),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     // Not created yet (the writer is about to) — unless a
                     // later segment exists, in which case this one was
@@ -694,9 +695,8 @@ impl WalReader {
                     return Ok(false);
                 }
                 Err(e) => return Err(e),
-            }
-        }
-        let file = self.file.as_mut().expect("file just opened");
+            },
+        };
         let before = self.buf.len();
         // The file handle's own cursor tracks how far we have read; a
         // concurrent writer only ever appends past it.

@@ -355,27 +355,35 @@ impl<S: SubtractableServer> EpochRing<S> {
         empty
     }
 
+    /// Refuses a ring that is not epoch-aligned with this one: same window
+    /// configuration, same open epoch, same retained ids.
+    fn ensure_aligned(&self, other: &Self) -> Result<(), RangeError> {
+        let aligned = other.window_len == self.window_len
+            && other.epoch_width == self.epoch_width
+            && other.current_id == self.current_id
+            && other.ring.len() == self.ring.len()
+            && other.ring.iter().zip(&self.ring).all(|(a, b)| a.id == b.id);
+        if aligned {
+            Ok(())
+        } else {
+            Err(RangeError::ReportShapeMismatch)
+        }
+    }
+
     /// Folds `other` into this ring slot by slot with `op` (merge or
     /// subtract). Requires epoch-aligned rings — same window
     /// configuration, same open epoch, same retained ids — and rejects
     /// misaligned ones before touching any slot. A slot of `other` that
     /// holds no reports is the additive identity — integer sufficient
     /// statistics count nothing without a report — and is skipped, so
-    /// draining a shard ring (whose running merge and sealed epochs are
+    /// folding in a shard ring (whose running merge and sealed epochs are
     /// empty) costs one pass over its open epoch, not `window_len + 2`.
     fn fold_aligned(
         &mut self,
         other: &Self,
         op: fn(&mut S, &S) -> Result<(), RangeError>,
     ) -> Result<(), RangeError> {
-        let aligned = other.window_len == self.window_len
-            && other.epoch_width == self.epoch_width
-            && other.current_id == self.current_id
-            && other.ring.len() == self.ring.len()
-            && other.ring.iter().zip(&self.ring).all(|(a, b)| a.id == b.id);
-        if !aligned {
-            return Err(RangeError::ReportShapeMismatch);
-        }
+        self.ensure_aligned(other)?;
         let holding = |s: &&S| s.num_reports() > 0;
         for (mine, theirs) in [
             (&mut self.running, &other.running),
@@ -477,6 +485,21 @@ impl<S: SubtractableServer> SubtractableServer for EpochRing<S> {
         for epoch in &mut self.ring {
             epoch.server = None;
         }
+    }
+
+    /// A shard ring's delta is its open epoch, which moves across in one
+    /// add-and-zero pass ([`SubtractableServer::drain`]); any other slot
+    /// of `other` holding reports is merged like
+    /// [`MergeableServer::merge`] would, and `other` is then cleared to
+    /// its layout. A misaligned ring is refused before either changes.
+    fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
+        self.ensure_aligned(other)?;
+        if other.current.num_reports() > 0 {
+            self.current.drain(&mut other.current)?;
+        }
+        self.fold_aligned(other, S::merge)?;
+        other.clear();
+        Ok(())
     }
 }
 
@@ -827,13 +850,6 @@ mod tests {
 
     type Ring = EpochRing<HhServer>;
 
-    /// The drain under test: `shard` folded into `acc`, `shard` emptied.
-    fn drain(acc: &mut Ring, shard: &mut Ring) -> Result<(), RangeError> {
-        MergeableServer::merge(acc, shard)?;
-        shard.clear();
-        Ok(())
-    }
-
     /// Everything a ring holds: its checkpoint bytes, its running merge's
     /// bytes, which sealed slots hold state, its report total and its open
     /// epoch.
@@ -880,7 +896,7 @@ mod tests {
             let mut expected = acc.clone();
             MergeableServer::merge(&mut expected, &shard).unwrap();
             let layout = acc.aligned_empty();
-            drain(&mut acc, &mut shard).unwrap();
+            acc.drain(&mut shard).unwrap();
             assert_eq!(ring_state(&acc), ring_state(&expected));
             assert_eq!(ring_state(&shard), ring_state(&layout));
             // Still aligned: the drained shard takes new reports and
@@ -888,7 +904,7 @@ mod tests {
             let report = client.report(17, &mut rng).unwrap();
             shard.absorb(&report).unwrap();
             expected.absorb(&report).unwrap();
-            drain(&mut acc, &mut shard).unwrap();
+            acc.drain(&mut shard).unwrap();
             assert_eq!(ring_state(&acc), ring_state(&expected));
         }
     }
@@ -904,17 +920,14 @@ mod tests {
         }
         acc.seal_epoch().unwrap();
         let (acc_before, shard_before) = (ring_state(&acc), ring_state(&shard));
-        assert_eq!(
-            drain(&mut acc, &mut shard),
-            Err(RangeError::ReportShapeMismatch)
-        );
+        assert_eq!(acc.drain(&mut shard), Err(RangeError::ReportShapeMismatch));
         assert_eq!(ring_state(&acc), acc_before);
         assert_eq!(ring_state(&shard), shard_before);
         // A different window length, with the same open epoch.
         let mut wider = Ring::new(&prototype, 3).unwrap();
         wider.seal_epoch().unwrap();
         let wider_before = ring_state(&wider);
-        assert!(drain(&mut acc, &mut wider).is_err());
+        assert!(acc.drain(&mut wider).is_err());
         assert_eq!(ring_state(&acc), acc_before);
         assert_eq!(ring_state(&wider), wider_before);
     }
