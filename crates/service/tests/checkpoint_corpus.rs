@@ -304,6 +304,15 @@ fn every_corrupt_state_rule_has_one_hostile_row() {
         ],
         "varint overflows 64 bits",
     );
+    // A varint in a longer form than its shortest: the report total 2
+    // widened to `0x82 0x00`.
+    refuse(
+        &oue_empty,
+        &[
+            0x00, 0x82, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01,
+        ],
+        "varint not in its shortest form",
+    );
     // A well-formed HRR state offered to an OUE prototype.
     refuse(
         &oue_empty,

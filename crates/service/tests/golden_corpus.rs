@@ -8,6 +8,7 @@
 //! [`WireError`] it must produce. Roundtrip tests cannot see a field-order
 //! swap made on both the encode and the decode side; these bytes can.
 
+use ldp_freq_oracle::AnyReport;
 use ldp_service::net::proto::{
     encode_report_body, write_report, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query,
     QueryOp, QueryReply, QueryResult, RemoteError, ReportBatch, ServerMsg, StatusReply,
@@ -18,7 +19,7 @@ use ldp_service::storage::wal::{
     check_segment_header, crc32, decode_framed, segment_path, FsyncPolicy, WalRecord, WalWriter,
     SEGMENT_HEADER_BYTES,
 };
-use ldp_service::WireError;
+use ldp_service::{decode_frame, WireError, WireReport};
 
 /// `msg` encodes to exactly `bytes`, and `bytes` decode to exactly `msg`.
 fn client(msg: ClientMsg, bytes: &[u8]) {
@@ -596,6 +597,55 @@ fn unknown_types_trailing_bytes_and_empty_bodies() {
         ClientMsg::decode(&[0x09, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]),
         Err(WireError::BadVarint)
     );
+}
+
+/// Every varint is read in its shortest form only: a final `0x00` byte
+/// after a continuation byte adds nothing but a second encoding of the
+/// same value, so each reader refuses it — in a session message, a WAL
+/// record and a report frame alike.
+#[test]
+fn overlong_varints_are_refused() {
+    // REPL_ACK's acked, SEAL's epoch and REPLICATE's start, each widened.
+    for body in [
+        &[0x09, 0x80, 0x00][..],
+        &[0x09, 0xB9, 0xE0, 0x00],
+        &[0x08, b'L', b'N', 0x01, 0xAC, 0x82, 0x00],
+    ] {
+        assert_eq!(
+            ClientMsg::decode(body),
+            Err(WireError::BadVarint),
+            "{body:02x?}"
+        );
+    }
+    assert_eq!(
+        WalRecord::decode_body(&[0x02, 0xA9, 0x00]),
+        Err(WireError::BadVarint)
+    );
+    // A ten-byte varint whose last byte adds no bit.
+    let mut ten = vec![0x09];
+    ten.extend([0xFF; 9]);
+    ten.push(0x00);
+    assert_eq!(ClientMsg::decode(&ten), Err(WireError::BadVarint));
+    // The shortest forms next to them still decode: 0x80 0x01 is 128.
+    client(ClientMsg::ReplAck { acked: 128 }, &[0x09, 0x80, 0x01]);
+    client(ClientMsg::ReplAck { acked: 0 }, &[0x09, 0x00]);
+
+    // A flat HRR frame over D = 16 (tag 2, domain 16, index 3, sign +1),
+    // then the same frame with either body varint widened by `0x80 0x00`.
+    let hrr = |body: &[u8]| decode_frame::<AnyReport>(&concat(&[b"LQ\x01\x00", body]));
+    let (report, used) = hrr(&[0x02, 0x10, 0x03, 0x01]).expect("canonical frame");
+    assert_eq!(used, 8);
+    assert_eq!(report.to_frame(), b"LQ\x01\x00\x02\x10\x03\x01");
+    for widened in [
+        &[0x02, 0x90, 0x00, 0x03, 0x01][..],
+        &[0x02, 0x10, 0x83, 0x00, 0x01],
+    ] {
+        assert_eq!(
+            hrr(widened).err(),
+            Some(WireError::BadVarint),
+            "{widened:02x?}"
+        );
+    }
 }
 
 /// The fixed-width heads a framed WAL record, a segment file and a
