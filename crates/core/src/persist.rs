@@ -87,11 +87,13 @@ impl<'a> StateReader<'a> {
         Ok(b)
     }
 
-    /// Reads one LEB128 varint.
+    /// Reads one LEB128 varint in its shortest form.
     ///
     /// # Errors
     ///
-    /// Fails on truncation or 64-bit overflow.
+    /// Fails on truncation, 64-bit overflow, or an overlong encoding (a
+    /// final `0x00` byte after a continuation byte), so a state has
+    /// exactly one accepted encoding.
     pub fn varint(&mut self) -> Result<u64, RangeError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -102,7 +104,11 @@ impl<'a> StateReader<'a> {
             }
             v |= bits << shift;
             if byte & 0x80 == 0 {
-                return Ok(v);
+                return if byte == 0 && shift > 0 {
+                    Err(RangeError::CorruptState("varint not in its shortest form"))
+                } else {
+                    Ok(v)
+                };
             }
         }
         Err(RangeError::CorruptState("varint overflows 64 bits"))

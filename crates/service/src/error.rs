@@ -20,7 +20,8 @@ pub enum WireError {
     UnknownKind(u8),
     /// Unknown frequency-oracle subtype tag.
     UnknownOracleTag(u8),
-    /// A varint ran past 10 bytes or overflowed 64 bits.
+    /// A varint ran past 10 bytes, overflowed 64 bits, or was not in its
+    /// shortest form.
     BadVarint,
     /// A declared size exceeds the codec's sanity cap
     /// ([`crate::wire::MAX_WIRE_DOMAIN`]).

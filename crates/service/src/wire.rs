@@ -8,7 +8,8 @@
 //! frame   := magic(2B = "LQ")  version(1B)  kind(1B)  payload        (v1)
 //!          | magic(2B = "LQ")  version(1B = 2)  kind(1B)
 //!            epoch:varint  payload                                   (v2)
-//! varint  := LEB128, at most 10 bytes, no 64-bit overflow
+//! varint  := LEB128 in its shortest form, at most 10 bytes, no 64-bit
+//!            overflow
 //!
 //! kind 0  Flat      payload := oracle_report
 //! kind 1  Hh        payload := depth:varint  oracle_report
@@ -107,11 +108,13 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one LEB128 varint.
+    /// Reads one LEB128 varint in its shortest form.
     ///
     /// # Errors
     ///
-    /// Fails on truncation or 64-bit overflow.
+    /// Fails on truncation, 64-bit overflow, or an overlong encoding (a
+    /// final `0x00` byte after a continuation byte), so each value has
+    /// exactly one accepted encoding.
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -122,7 +125,11 @@ impl<'a> Reader<'a> {
             }
             v |= bits << shift;
             if byte & 0x80 == 0 {
-                return Ok(v);
+                return if byte == 0 && shift > 0 {
+                    Err(WireError::BadVarint)
+                } else {
+                    Ok(v)
+                };
             }
         }
         Err(WireError::BadVarint)
