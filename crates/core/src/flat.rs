@@ -97,9 +97,9 @@ impl FlatServer {
         self.oracle.num_reports()
     }
 
-    /// The one oracle (the freeze differential's reference reads it).
-    #[cfg(test)]
-    pub(crate) fn oracle(&self) -> &AnyOracle {
+    /// The one oracle.
+    #[must_use]
+    pub fn oracle(&self) -> &AnyOracle {
         &self.oracle
     }
 

@@ -37,7 +37,6 @@ pub mod hh;
 pub mod mergeable;
 pub mod multidim;
 pub mod persist;
-pub mod postprocess;
 pub mod quantile;
 pub mod theory;
 
@@ -52,7 +51,6 @@ pub use hh::{HhClient, HhEstimate, HhReport, HhServer};
 pub use mergeable::{MergeableServer, SubtractableServer};
 pub use multidim::{Hh2dClient, Hh2dConfig, Hh2dEstimate, Hh2dReport, Hh2dServer};
 pub use persist::{PersistableServer, StateReader};
-pub use postprocess::{isotonic_cdf, isotonic_regression, project_nonnegative_simplex};
 pub use quantile::{deciles, quantile, true_quantile};
 
 // Re-export the privacy parameter so downstream users need only this crate.

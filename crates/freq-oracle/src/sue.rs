@@ -13,7 +13,9 @@
 //! Included as the historical baseline the optimized mechanisms are
 //! measured against (the paper cites RAPPOR as the archetypal deployed
 //! LDP system); the `oracle_suite` ablation compares it against OUE
-//! empirically.
+//! empirically. It is an ablation baseline only: `ldp-service` does not
+//! serve it (wire oracle tag 3 is retired, and a SUE-backed server is
+//! refused at construction).
 
 use rand::RngCore;
 

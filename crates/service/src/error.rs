@@ -58,6 +58,13 @@ pub enum ServiceError {
     Range(RangeError),
     /// The service was configured with zero shards.
     NoShards,
+    /// The prototype releases reports through SUE, which the service does
+    /// not serve: an OUE report has the same size, and OUE's variance
+    /// never exceeds SUE's at the same ε (wire oracle tag 3 is retired).
+    SueNotServed,
+    /// The prototype has an OLH level over this many items, more than
+    /// [`crate::MAX_OLH_DOMAIN`]: OLH decodes a report in `O(D)`.
+    OlhDomainOverCap(usize),
     /// One frame of an all-or-nothing batch was rejected. Carries the
     /// offending frame's position in the batch and the report type being
     /// ingested, so a producer can locate the bad frame in its own buffer
@@ -99,6 +106,12 @@ impl fmt::Display for ServiceError {
             Self::Wire(e) => write!(f, "wire error: {e}"),
             Self::Range(e) => write!(f, "mechanism error: {e}"),
             Self::NoShards => write!(f, "aggregator needs at least one shard"),
+            Self::SueNotServed => write!(f, "SUE is not served: use OUE, which dominates it"),
+            Self::OlhDomainOverCap(domain) => write!(
+                f,
+                "OLH over {domain} items exceeds the served cap of {} items",
+                crate::MAX_OLH_DOMAIN
+            ),
             Self::BadFrame {
                 index,
                 report_type,

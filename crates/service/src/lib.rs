@@ -39,8 +39,11 @@
 //! follower and crash recovery all go through the function under it.
 //!
 //! * [`wire`] — the versioned binary frame format for the served report
-//!   types (flat one-hots through any oracle, `HH_B` level reports,
-//!   HaarHRR). The paper's ablations stay in `ldp_ranges`, unserved.
+//!   types (flat and `HH_B` reports through OUE, OLH or HRR, and
+//!   HaarHRR). The paper's ablations — SUE among them — stay in
+//!   `ldp_ranges` and `ldp_freq_oracle`, unserved: every constructor
+//!   refuses a SUE-backed prototype, and an OLH one over
+//!   [`MAX_OLH_DOMAIN`] items.
 //!   Total decoding: malformed bytes produce [`error::WireError`], never
 //!   a panic or an unbounded allocation.
 //! * [`snapshot`] — [`RangeSnapshot`]: merged state frozen into an
@@ -154,7 +157,7 @@ pub use obs::{
     HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRegistry, RegistrySnapshot,
 };
 pub use repl::{FollowerService, ReplFeed};
-pub use service::LdpService;
+pub use service::{LdpService, MAX_OLH_DOMAIN};
 pub use snapshot::{RangeSnapshot, SnapshotSource};
 pub use storage::{
     DurableConfig, DurableService, DurableStatus, FsyncPolicy, RecoveryReport, TailStatus,

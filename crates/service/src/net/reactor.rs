@@ -510,7 +510,9 @@ impl EventLoop {
     /// slices complete envelopes out of it.
     fn do_read(&mut self, idx: usize) {
         {
-            let s = self.slots[idx].sess.as_mut().expect("resolved session");
+            let Some(s) = self.slots[idx].sess.as_mut() else {
+                return;
+            };
             let mut buf = [0u8; READ_CHUNK];
             loop {
                 if s.read_gone || s.closing {
@@ -556,7 +558,9 @@ impl EventLoop {
     fn parse_inbuf(&mut self, idx: usize) {
         let mut in_bytes = 0u64;
         {
-            let s = self.slots[idx].sess.as_mut().expect("resolved session");
+            let Some(s) = self.slots[idx].sess.as_mut() else {
+                return;
+            };
             let mut off = 0;
             while !s.closing && s.inbox.len() < INBOX_CAP {
                 let rest = &s.inbuf[off..];
@@ -595,7 +599,9 @@ impl EventLoop {
     fn do_flush(&mut self, idx: usize) {
         let mut out_bytes = 0u64;
         {
-            let s = self.slots[idx].sess.as_mut().expect("resolved session");
+            let Some(s) = self.slots[idx].sess.as_mut() else {
+                return;
+            };
             while !s.outq.is_empty() && !s.write_dead {
                 let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(s.outq.len().min(MAX_IOV));
                 for (k, chunk) in s.outq.iter().take(MAX_IOV).enumerate() {
@@ -694,7 +700,9 @@ impl EventLoop {
         };
         let done = self.exec.execute(job);
         {
-            let s = self.slots[idx].sess.as_mut().expect("resolved session");
+            let Some(s) = self.slots[idx].sess.as_mut() else {
+                return true;
+            };
             s.hello = done.hello;
             s.repl |= done.repl;
             if done.push.is_some() {
@@ -795,7 +803,9 @@ impl EventLoop {
 
     fn teardown(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        let s = slot.sess.take().expect("teardown of a live session");
+        let Some(s) = slot.sess.take() else {
+            return;
+        };
         let token = token_of(slot.gen, idx);
         slot.gen = slot.gen.wrapping_add(1);
         self.shared.loops[self.index]
@@ -844,20 +854,17 @@ impl EventLoop {
             return;
         };
         for idx in 0..self.slots.len() {
-            let evict = match self.slots[idx].sess.as_ref() {
-                Some(s) => {
-                    s.quiescent()
-                        && s.push.is_none()
-                        && s.last_rx.elapsed() > timeout
-                        && s.progress_at.elapsed() > timeout
-                }
-                None => false,
-            };
-            if !evict {
-                continue;
-            }
             {
-                let s = self.slots[idx].sess.as_mut().expect("resolved session");
+                let Some(s) = self.slots[idx].sess.as_mut() else {
+                    continue;
+                };
+                let evict = s.quiescent()
+                    && s.push.is_none()
+                    && s.last_rx.elapsed() > timeout
+                    && s.progress_at.elapsed() > timeout;
+                if !evict {
+                    continue;
+                }
                 let body = ServerMsg::Error(RemoteError::new(
                     ErrorCode::IdleTimeout,
                     None,

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
+use ldp_freq_oracle::FrequencyOracle;
 use ldp_ranges::{MergeableServer, PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
@@ -48,6 +49,29 @@ use crate::obs::MetricsRegistry;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::window::{EpochRing, WindowedSnapshot};
 use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
+
+/// The largest domain an OLH level of a served server may have. OLH
+/// decodes a report by hashing every item to find its support, so one
+/// absorb costs `O(D)` on the ingest path. On a 2-vCPU Intel Xeon VM
+/// (release build, e^ε = 3) one OLH absorb at 2^10 items costs ≈ 3.8 µs
+/// (`cargo bench -p ldp-bench --bench oracles`, group
+/// `oracle_absorb_one_report`), and ≈ 283 µs at 2^16 — against ≈ 0.1 µs
+/// for an HRR report at 2^16. HRR serves the larger domains.
+pub const MAX_OLH_DOMAIN: usize = 1 << 10;
+
+/// Refuses a prototype the service does not serve: one whose levels use
+/// SUE, or OLH over more than [`MAX_OLH_DOMAIN`] items. Every service
+/// is built through [`LdpService::with_recovered`], which calls this;
+/// a durable service also calls it before it touches its directory.
+pub(crate) fn check_served<S: SnapshotSource>(prototype: &S) -> Result<(), ServiceError> {
+    match prototype.level_oracle() {
+        (FrequencyOracle::Sue, _) => Err(ServiceError::SueNotServed),
+        (FrequencyOracle::Olh, domain) if domain > MAX_OLH_DOMAIN => {
+            Err(ServiceError::OlhDomainOverCap(domain))
+        }
+        _ => Ok(()),
+    }
+}
 
 // The service's resolved instrument handles (shard tier: the per-shard
 // absorb paths run inside this type; service tier: snapshot publication).
@@ -229,7 +253,10 @@ impl<S: SnapshotSource> LdpService<S> {
     ///
     /// # Errors
     ///
-    /// Rejects `num_shards == 0`.
+    /// Rejects `num_shards == 0`, and a prototype the service does not
+    /// serve: SUE levels ([`ServiceError::SueNotServed`]) or OLH over
+    /// more than [`MAX_OLH_DOMAIN`] items
+    /// ([`ServiceError::OlhDomainOverCap`]).
     pub fn new(prototype: &S, num_shards: usize) -> Result<Self, ServiceError> {
         Self::with_recovered(prototype.clone(), prototype, num_shards)
     }
@@ -248,12 +275,13 @@ impl<S: SnapshotSource> LdpService<S> {
     ///
     /// # Errors
     ///
-    /// Rejects `num_shards == 0`.
+    /// As [`LdpService::new`].
     pub fn with_recovered(
         recovered: S,
         empty: &S,
         num_shards: usize,
     ) -> Result<Self, ServiceError> {
+        check_served(empty)?;
         if num_shards == 0 {
             return Err(ServiceError::NoShards);
         }
@@ -566,7 +594,7 @@ where
     ///
     /// # Errors
     ///
-    /// Rejects `num_shards == 0` and `window_len == 0`.
+    /// As [`LdpService::new`], plus `window_len == 0`.
     pub fn windowed(
         prototype: &S,
         num_shards: usize,

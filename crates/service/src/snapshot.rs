@@ -21,6 +21,7 @@
 //! level, reads the fanout at run time and builds the prefix by `push`.
 
 use crate::error::ServiceError;
+use ldp_freq_oracle::{FrequencyOracle, PointOracle};
 use ldp_ranges::{
     quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, PersistableServer,
     RangeEstimate, SubtractableServer,
@@ -44,6 +45,11 @@ use ldp_ranges::{
 pub trait SnapshotSource: SubtractableServer + PersistableServer {
     /// Materializes the per-item frequency estimate of the current state.
     fn frequency_estimate(&self) -> FrequencyEstimate;
+
+    /// The frequency oracle every level of this server releases reports
+    /// through, and the largest level's domain — what
+    /// [`crate::LdpService`] checks before it serves the server.
+    fn level_oracle(&self) -> (FrequencyOracle, usize);
 
     /// Absorbs one report that arrived with an optional epoch tag (`Some`
     /// from a v2 wire frame, `None` from a v1 one). An all-time server
@@ -77,17 +83,36 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
 /// Each served mechanism publishes its server's `frequency_estimate`: the
 /// flat oracle's own estimate, the `HH_B` constrained-inference leaves, or
 /// the collapsed HaarHRR pyramid.
-macro_rules! snapshot_sources {
-    ($($server:ty),+) => {$(
-        impl SnapshotSource for $server {
-            fn frequency_estimate(&self) -> FrequencyEstimate {
-                <$server>::frequency_estimate(self)
-            }
-        }
-    )+};
+impl SnapshotSource for FlatServer {
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        FlatServer::frequency_estimate(self)
+    }
+
+    fn level_oracle(&self) -> (FrequencyOracle, usize) {
+        (self.oracle().kind(), self.oracle().domain())
+    }
 }
 
-snapshot_sources!(FlatServer, HhServer, HaarHrrServer);
+impl SnapshotSource for HhServer {
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        HhServer::frequency_estimate(self)
+    }
+
+    /// Every depth uses the configured oracle; the leaves are the largest.
+    fn level_oracle(&self) -> (FrequencyOracle, usize) {
+        (self.config().oracle, self.config().domain)
+    }
+}
+
+impl SnapshotSource for HaarHrrServer {
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        HaarHrrServer::frequency_estimate(self)
+    }
+
+    fn level_oracle(&self) -> (FrequencyOracle, usize) {
+        (FrequencyOracle::Hrr, self.config().domain)
+    }
+}
 
 /// An immutable, query-ready freeze of merged aggregator state.
 #[derive(Debug, Clone)]

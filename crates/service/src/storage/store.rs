@@ -31,7 +31,7 @@ use crate::error::ServiceError;
 use crate::obs::instruments::{ReplInstruments, StorageInstruments};
 use crate::obs::MetricsRegistry;
 use crate::repl::hub::ReplHub;
-use crate::service::{AnyService, LdpService};
+use crate::service::{check_served, AnyService, LdpService};
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::storage::recovery::{self, RecoveryReport, ResumePoint};
 use crate::storage::wal::{FsyncPolicy, WalRecord, WalWriter};
@@ -251,14 +251,16 @@ where
     ///
     /// # Errors
     ///
-    /// I/O failures, a zero shard count, or a checkpoint that does not
-    /// match `prototype`'s configuration.
+    /// I/O failures, a zero shard count, a checkpoint that does not
+    /// match `prototype`'s configuration, or a prototype the service
+    /// does not serve (see [`LdpService::new`]) — refused before the
+    /// directory is read or written.
     pub fn open(
         dir: impl AsRef<Path>,
         prototype: &S,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        Self::open_with(dir.as_ref(), config, |dir, shards| {
+        Self::open_with(dir.as_ref(), prototype, config, |dir, shards| {
             let (state, report) = recovery::recover_plain(dir, prototype)?;
             let service = LdpService::with_recovered(state, prototype, shards)?;
             Ok((AnyService::Plain(Arc::new(service)), report))
@@ -278,7 +280,7 @@ where
         window_len: usize,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        Self::open_with(dir.as_ref(), config, |dir, shards| {
+        Self::open_with(dir.as_ref(), prototype, config, |dir, shards| {
             let (ring, report) = recovery::recover_windowed(dir, prototype, window_len)?;
             let empty = ring.aligned_empty();
             let service = LdpService::with_recovered(ring, &empty, shards)?;
@@ -286,14 +288,17 @@ where
         })
     }
 
-    /// The open path of both shapes: lock the directory, `recover` the
-    /// shape's state into a service with `config.num_shards` shards, and
-    /// resume the log. The lock is released again if any step fails.
+    /// The open path of both shapes: check that `prototype` is served,
+    /// lock the directory, `recover` the shape's state into a service
+    /// with `config.num_shards` shards, and resume the log. The lock is
+    /// released again if any step fails.
     fn open_with(
         dir: &Path,
+        prototype: &S,
         config: DurableConfig,
         recover: impl FnOnce(&Path, usize) -> Result<(AnyService<S>, RecoveryReport), ServiceError>,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
+        check_served(prototype)?;
         create_dir_durable(dir)?;
         acquire_lock(dir)?;
         let result = recover(dir, config.num_shards).and_then(|(service, report)| {

@@ -596,6 +596,11 @@ impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
             .expect("ring epochs share one prototype");
         merged.frequency_estimate()
     }
+
+    /// Every epoch is a clone of the prototype.
+    fn level_oracle(&self) -> (ldp_freq_oracle::FrequencyOracle, usize) {
+        self.prototype.level_oracle()
+    }
 }
 
 /// An immutable freeze of a trailing window of sealed epochs.

@@ -22,7 +22,7 @@
 //!   tag 0 OUE   body := unary_report
 //!   tag 1 OLH   body := a:varint b:varint range:varint value:varint
 //!   tag 2 HRR   body := hrr_report
-//!   tag 3 SUE   body := unary_report
+//!   tag 3 retired — was SUE; never reuse
 //!
 //! unary_report := domain:varint  word:8B-LE × ⌈domain/64⌉
 //! hrr_report   := domain:varint  index:varint  sign(1B: 0 ⇒ −1, 1 ⇒ +1)
@@ -544,10 +544,9 @@ fn put_any(out: &mut Vec<u8>, report: &AnyReport) {
             out.push(FrequencyOracle::Hrr.tag());
             put_hrr(out, r);
         }
-        AnyReport::Sue(r) => {
-            out.push(FrequencyOracle::Sue.tag());
-            put_unary(out, r);
-        }
+        // SUE is not served: its report writes only the retired tag,
+        // which every decoder refuses.
+        AnyReport::Sue(_) => out.push(FrequencyOracle::Sue.tag()),
     }
 }
 
@@ -557,8 +556,7 @@ fn get_any(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<AnyReport, WireEr
         Some(FrequencyOracle::Oue) => Ok(AnyReport::Oue(get_unary(r, words)?)),
         Some(FrequencyOracle::Olh) => Ok(AnyReport::Olh(get_olh(r)?)),
         Some(FrequencyOracle::Hrr) => Ok(AnyReport::Hrr(get_hrr(r)?)),
-        Some(FrequencyOracle::Sue) => Ok(AnyReport::Sue(get_unary(r, words)?)),
-        None => Err(WireError::UnknownOracleTag(tag)),
+        Some(FrequencyOracle::Sue) | None => Err(WireError::UnknownOracleTag(tag)),
     }
 }
 
@@ -620,7 +618,7 @@ impl WireReport for AnyReport {
     }
 
     fn recycle(self, words: &mut Vec<u64>) {
-        if let Self::Oue(report) | Self::Sue(report) = self {
+        if let Self::Oue(report) = self {
             *words = report.into_words();
         }
     }
@@ -823,6 +821,33 @@ mod tests {
         }
     }
 
+    /// Tag 3 (SUE) is retired: a SUE report encodes to the bare tag, and a
+    /// tag-3 body — SUE's old unary body included — is refused, flat or
+    /// inside an `HH_B` frame.
+    #[test]
+    fn retired_oracle_tag_stays_retired() {
+        let mut rng = StdRng::seed_from_u64(400);
+        let sue = AnyOracle::new(FrequencyOracle::Sue, 8, Epsilon::new(1.1)).unwrap();
+        let report = sue.encode(3, &mut rng).unwrap();
+        assert_eq!(
+            report.to_frame(),
+            [MAGIC[0], MAGIC[1], VERSION, KIND_FLAT, 3]
+        );
+        let oue = AnyOracle::new(FrequencyOracle::Oue, 8, Epsilon::new(1.1)).unwrap();
+        let mut flat = oue.encode(3, &mut rng).unwrap().to_frame();
+        flat[4] = 3;
+        assert!(matches!(
+            decode_frame::<AnyReport>(&flat),
+            Err(WireError::UnknownOracleTag(3))
+        ));
+        let mut hh = HhReport::from_parts(1, oue.encode(3, &mut rng).unwrap()).to_frame();
+        hh[5] = 3;
+        assert!(matches!(
+            decode_frame::<HhReport>(&hh),
+            Err(WireError::UnknownOracleTag(3))
+        ));
+    }
+
     fn roundtrip<T: WireReport>(report: &T) -> T {
         let frame = report.to_frame();
         let (decoded, used) = decode_frame::<T>(&frame).expect("roundtrip decode");
@@ -840,7 +865,6 @@ mod tests {
             FrequencyOracle::Oue,
             FrequencyOracle::Olh,
             FrequencyOracle::Hrr,
-            FrequencyOracle::Sue,
         ] {
             let oracle = AnyOracle::new(kind, 64, eps).unwrap();
             for v in [0usize, 31, 63] {
@@ -1049,7 +1073,7 @@ mod tests {
     #[test]
     fn concatenated_frames_stream() {
         let mut rng = StdRng::seed_from_u64(405);
-        let oracle = AnyOracle::new(FrequencyOracle::Sue, 20, Epsilon::new(1.3)).unwrap();
+        let oracle = AnyOracle::new(FrequencyOracle::Oue, 20, Epsilon::new(1.3)).unwrap();
         let mut buf = Vec::new();
         let originals: Vec<AnyReport> = (0..10)
             .map(|i| oracle.encode(i % 20, &mut rng).unwrap())

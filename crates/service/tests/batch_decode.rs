@@ -10,10 +10,11 @@
 //!
 //! The batches are built to catch a decoder that carries anything from
 //! one frame to the next: `HH_4`/OUE frames of every depth interleaved,
-//! so a 4-item frame follows a 65 536-item one; flat OUE and SUE around
-//! the 64-bit word edges; and hostile rows placed right after a longer
+//! so a 4-item frame follows a 65 536-item one; flat OUE around the
+//! 64-bit word edges; and hostile rows placed right after a longer
 //! frame — bits set past a short frame's domain, a truncated word block,
-//! and a domain that does not match its depth.
+//! a domain that does not match its depth, and the retired oracle tag 3
+//! (SUE) on an otherwise valid frame.
 
 use ldp_freq_oracle::{AnyOracle, AnyReport, Epsilon, FrequencyOracle, OueReport, PointOracle};
 use ldp_ranges::{
@@ -23,7 +24,8 @@ use ldp_ranges::{
 use ldp_service::net::{WIRE_EPOCH, WIRE_V1};
 use ldp_service::wire::encode_epoch_frame;
 use ldp_service::{
-    decode_epoch_frame, decode_frame, LdpService, ServiceError, SnapshotSource, WireReport,
+    decode_epoch_frame, decode_frame, LdpService, ServiceError, SnapshotSource, WireError,
+    WireReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,6 +229,66 @@ fn hostile_hh_rows_after_a_longer_frame_are_refused_like_decode_frame() {
     }
 }
 
+/// Submits `batch`, whose frame `index` carries the retired oracle tag 3
+/// (SUE), to a one-shard service: refused as that frame's unknown tag,
+/// exactly as [`assert_batch_matches`] holds `decode_frame` to refuse it.
+fn assert_tag_3_refused<S>(prototype: &S, version: u8, batch: &[Vec<u8>], index: usize)
+where
+    S: SnapshotSource,
+    S::Report: WireReport,
+{
+    let service = LdpService::new(prototype, 1).unwrap();
+    match service.submit_wire_batch(version, batch.len() as u64, &batch.concat()) {
+        Err(ServiceError::BadFrame {
+            index: at, source, ..
+        }) => {
+            assert_eq!(at, index);
+            assert!(
+                matches!(*source, ServiceError::Wire(WireError::UnknownOracleTag(3))),
+                "{source:?}"
+            );
+        }
+        other => panic!("expected frame {index} refused, got {other:?}"),
+    }
+    assert_eq!(service.num_reports(), 0);
+}
+
+#[test]
+fn the_retired_sue_tag_is_refused_at_its_index() {
+    for version in [WIRE_V1, WIRE_EPOCH] {
+        // The oracle tag follows the four header bytes, the one-byte
+        // epoch under v2 and, in an `HH_B` frame, the one-byte depth.
+        let tag_at = if version == WIRE_EPOCH { 5 } else { 4 };
+        let retagged = |mut frame: Vec<u8>, at: usize| {
+            frame[at] = 3;
+            frame
+        };
+
+        let mut hh = Hh::new(200 + u64::from(version));
+        let server = HhServer::new(hh.config.clone()).unwrap();
+        let warm = hh.frames(&[1, 8], version);
+        let mut batch = hh.frames(&[3, 8, 1], version);
+        batch.push(retagged(frame(&hh.report(2), version), tag_at + 1));
+        batch.extend(hh.frames(&[8], version));
+        assert_batch_matches(&server, version, (&warm, &batch), false, "HH_4 tag 3");
+        assert_tag_3_refused(&server, version, &batch, 3);
+
+        let config = FlatConfig::new(64, eps()).unwrap();
+        let client = FlatClient::new(&config).unwrap();
+        let server = FlatServer::new(&config).unwrap();
+        let mut rng = StdRng::seed_from_u64(u64::from(version));
+        let mut frames = (0..4).map(|v| frame(&client.report(v, &mut rng).unwrap(), version));
+        let warm = vec![frames.next().unwrap()];
+        let batch = vec![
+            frames.next().unwrap(),
+            retagged(frames.next().unwrap(), tag_at),
+            frames.next().unwrap(),
+        ];
+        assert_batch_matches(&server, version, (&warm, &batch), false, "flat tag 3");
+        assert_tag_3_refused(&server, version, &batch, 1);
+    }
+}
+
 /// A unary report over `domain` items with only bit `bit` set.
 fn one_hot(domain: usize, bit: usize) -> OueReport {
     let mut words = vec![0; domain.div_ceil(64)];
@@ -290,7 +352,6 @@ fn flat_unary_batches_match_frame_by_frame_absorb_at_the_word_edges() {
     for domain in [2, 63, 64, 65, 1_000] {
         for version in [WIRE_V1, WIRE_EPOCH] {
             check_flat(FrequencyOracle::Oue, AnyReport::Oue, domain, version);
-            check_flat(FrequencyOracle::Sue, AnyReport::Sue, domain, version);
         }
     }
 }

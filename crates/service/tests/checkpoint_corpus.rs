@@ -13,10 +13,13 @@
 //!                | reports:varint  zigzag:varint × domain      (±1 sums)
 //! ```
 //!
-//! Oracle tags: OUE 0, OLH 1, HRR 2, SUE 3. Every pinned body restores
-//! into a fresh prototype, consuming every byte and persisting back to
-//! the same bytes, and every strict prefix of it is refused as truncated.
-//! Each `CorruptState` rule has one hostile row with its exact reason.
+//! Oracle tags: OUE 0, OLH 1, HRR 2, and SUE 3, which is retired from the
+//! service — a SUE-backed server is refused before any checkpoint is read
+//! — but still persisted by `ldp_ranges`, whose rows stay pinned here.
+//! Every pinned body restores into a fresh prototype, consuming every
+//! byte and persisting back to the same bytes, and every strict prefix of
+//! it is refused as truncated. Each `CorruptState` rule has one hostile
+//! row with its exact reason.
 
 use ldp_freq_oracle::{
     AnyReport, Epsilon, FrequencyOracle, HrrReport, OlhReport, OueReport, UniversalHash,

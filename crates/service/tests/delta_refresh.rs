@@ -25,11 +25,10 @@ use ldp_service::{EpochRing, LdpService, MetricsRegistry, RangeSnapshot, Snapsho
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const ORACLES: [FrequencyOracle; 4] = [
+const ORACLES: [FrequencyOracle; 3] = [
     FrequencyOracle::Oue,
     FrequencyOracle::Olh,
     FrequencyOracle::Hrr,
-    FrequencyOracle::Sue,
 ];
 
 /// One step of a generated interleaving. Values 0..8 submit the next
@@ -202,7 +201,7 @@ proptest! {
         seed in 0u64..5_000,
         ops in ops_strategy(),
         shards in 1usize..5,
-        oracle_idx in 0usize..4,
+        oracle_idx in 0..ORACLES.len(),
     ) {
         let config = FlatConfig::with_oracle(32, Epsilon::new(1.1), ORACLES[oracle_idx]).unwrap();
         let client = FlatClient::new(&config).unwrap();
@@ -219,7 +218,7 @@ proptest! {
         seed in 0u64..5_000,
         ops in ops_strategy(),
         shards in 1usize..5,
-        oracle_idx in 0usize..4,
+        oracle_idx in 0..ORACLES.len(),
     ) {
         let config = HhConfig::with_oracle(64, 4, Epsilon::new(0.9), ORACLES[oracle_idx]).unwrap();
         let client = HhClient::new(config.clone()).unwrap();

@@ -7,8 +7,12 @@
 //! and every decoder validation rule has one hostile body with the exact
 //! [`WireError`] it must produce. Roundtrip tests cannot see a field-order
 //! swap made on both the encode and the decode side; these bytes can.
+//! Two refusals of the report-frame grammar (`wire`), whose frames a
+//! REPORT carries verbatim, are pinned here too: overlong varints and the
+//! retired oracle tag 3.
 
-use ldp_freq_oracle::AnyReport;
+use ldp_freq_oracle::{AnyReport, OueReport};
+use ldp_ranges::HhReport;
 use ldp_service::net::proto::{
     encode_report_body, write_report, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query,
     QueryOp, QueryReply, QueryResult, RemoteError, ReportBatch, ServerMsg, StatusReply,
@@ -19,7 +23,7 @@ use ldp_service::storage::wal::{
     check_segment_header, crc32, decode_framed, segment_path, FsyncPolicy, WalRecord, WalWriter,
     SEGMENT_HEADER_BYTES,
 };
-use ldp_service::{decode_frame, WireError, WireReport};
+use ldp_service::{decode_epoch_frame, decode_frame, WireError, WireReport};
 
 /// `msg` encodes to exactly `bytes`, and `bytes` decode to exactly `msg`.
 fn client(msg: ClientMsg, bytes: &[u8]) {
@@ -646,6 +650,37 @@ fn overlong_varints_are_refused() {
             "{widened:02x?}"
         );
     }
+}
+
+/// Report frames' oracle tag 3 (SUE) is retired: a tag-3 body — SUE's
+/// old unary body included — is refused flat, inside an `HH_B` frame and
+/// behind an epoch, while the same body under tag 0 (OUE) decodes; and a
+/// SUE report encodes to the bare retired tag.
+#[test]
+fn retired_oracle_tag_3_is_refused() {
+    // Tag, then a unary body: D = 4, one word with bits {0, 2}.
+    let unary = |tag: u8| concat(&[&[tag, 0x04, 0x05], &[0; 7]]);
+    for head in [
+        &b"LQ\x01\x00"[..],     // v1 flat
+        &b"LQ\x02\x00\x09"[..], // v2 flat, epoch 9
+    ] {
+        let (_, report, _) = decode_epoch_frame::<AnyReport>(&concat(&[head, &unary(0)])).unwrap();
+        assert!(matches!(report, AnyReport::Oue(_)));
+        assert_eq!(
+            decode_epoch_frame::<AnyReport>(&concat(&[head, &unary(3)])).err(),
+            Some(WireError::UnknownOracleTag(3)),
+            "{head:02x?}"
+        );
+    }
+    // v1 HH_B at depth 1.
+    let hh = |tag: u8| concat(&[b"LQ\x01\x01\x01", &unary(tag)]);
+    assert!(decode_frame::<HhReport>(&hh(0)).is_ok());
+    assert_eq!(
+        decode_frame::<HhReport>(&hh(3)).err(),
+        Some(WireError::UnknownOracleTag(3))
+    );
+    let sue = AnyReport::Sue(OueReport::from_words(4, vec![0b101]));
+    assert_eq!(sue.to_frame(), b"LQ\x01\x00\x03");
 }
 
 /// The fixed-width heads a framed WAL record, a segment file and a

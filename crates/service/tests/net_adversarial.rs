@@ -271,6 +271,25 @@ fn bad_batches_reject_all_or_nothing_with_the_offending_index() {
     }
     assert_eq!(service.num_reports(), 0);
 
+    // A well-formed frame under the retired oracle tag 3 (was SUE), after
+    // two good frames: HH_B's tag follows the header and the depth byte.
+    let mut batch = EncodedStream::new();
+    for i in 0..2 {
+        batch.push(&client.report(i, &mut rng).unwrap());
+    }
+    let mut sue = client.report(2, &mut rng).unwrap().to_frame();
+    sue[5] = 3;
+    batch.push_raw(&sue);
+    match session.send_batch(3, batch.as_bytes()).unwrap_err() {
+        NetError::Remote(e) => {
+            assert_eq!(e.code, ErrorCode::BadFrame);
+            assert_eq!(e.index, Some(2));
+            assert!(e.detail.contains("unknown oracle tag 3"), "{}", e.detail);
+        }
+        other => panic!("expected a remote bad-frame error, got {other}"),
+    }
+    assert_eq!(service.num_reports(), 0);
+
     // The session survives its own rejected batches.
     assert_eq!(session.send_batch(1, one.as_bytes()).unwrap(), 1);
     session.bye().unwrap();

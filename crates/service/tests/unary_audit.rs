@@ -7,15 +7,18 @@
 //! correlates bits, or lets the input steer anything but the value's own
 //! bit, breaks ε-LDP while every bit-identity suite and every MSE check
 //! can still pass. So for every configuration below this draws reports
-//! per input through `encode` → [`WireReport::encode_frame`] →
-//! [`decode_frame`] and holds the decoded bits to that distribution:
+//! per input through `encode` and holds their bits to that distribution
+//! — OUE's as the service receives them, through
+//! [`WireReport::encode_frame`] → [`decode_frame`]; SUE's, which the
+//! service does not serve (wire oracle tag 3 is retired), straight from
+//! `encode`:
 //!
 //! - per position, the count of 1s is a Binomial(n, p or q) draw;
 //! - per pair of positions — every pair, so `j` / `j+64` and pairs across
 //!   word boundaries included — the count of joint 1s is a
 //!   Binomial(n, πⱼ·πₖ) draw, which with the two marginals pins the
 //!   pair's 2×2 table to independence;
-//! - every frame has the same byte length, whatever the input.
+//! - every OUE frame has the same byte length, whatever the input.
 //!
 //! Each count is held to the two-sided Chernoff bound
 //! `n·KL(x/n ‖ π) ≤ ln(2M/α)`, Bonferroni-corrected over all `M` counts
@@ -154,17 +157,24 @@ fn audit(sampler: Sampler) {
                                 AnyReport::Sue(encode_per_bit(domain, value, (p, q), &mut rng))
                             }
                         };
-                        frame.clear();
-                        report.encode_frame(&mut frame);
-                        assert_eq!(
-                            *frame_len.get_or_insert(frame.len()),
-                            frame.len(),
-                            "{config}: frame length depends on the input (value {value})"
-                        );
-                        let (decoded, used) = decode_frame::<AnyReport>(&frame).unwrap();
-                        assert_eq!(used, frame.len(), "{config}");
-                        let (AnyReport::Oue(unary) | AnyReport::Sue(unary)) = decoded else {
-                            panic!("{config}: decoded a non-unary report");
+                        let unary = match report {
+                            AnyReport::Oue(_) => {
+                                frame.clear();
+                                report.encode_frame(&mut frame);
+                                assert_eq!(
+                                    *frame_len.get_or_insert(frame.len()),
+                                    frame.len(),
+                                    "{config}: frame length depends on the input (value {value})"
+                                );
+                                let (decoded, used) = decode_frame::<AnyReport>(&frame).unwrap();
+                                assert_eq!(used, frame.len(), "{config}");
+                                let AnyReport::Oue(unary) = decoded else {
+                                    panic!("{config}: decoded a non-OUE report");
+                                };
+                                unary
+                            }
+                            AnyReport::Sue(unary) => unary,
+                            _ => panic!("{config}: encoded a non-unary report"),
                         };
                         for (wi, &word) in unary.words().iter().enumerate() {
                             let mut w = word;

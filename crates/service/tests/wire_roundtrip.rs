@@ -15,11 +15,10 @@ use ldp_service::{decode_frame, WireReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const ORACLES: [FrequencyOracle; 4] = [
+const ORACLES: [FrequencyOracle; 3] = [
     FrequencyOracle::Oue,
     FrequencyOracle::Olh,
     FrequencyOracle::Hrr,
-    FrequencyOracle::Sue,
 ];
 
 /// Byte-level and semantic round trip for one report.
@@ -49,7 +48,7 @@ proptest! {
     fn flat_reports_roundtrip(
         seed in 0u64..100_000,
         log_domain in 1u32..9,
-        oracle_idx in 0usize..4,
+        oracle_idx in 0..ORACLES.len(),
         eps_v in 0.2f64..3.0,
     ) {
         let domain = 1usize << log_domain;
@@ -69,7 +68,7 @@ proptest! {
         eps_v in 0.2f64..3.0,
     ) {
         // Non-power-of-two domains exercise the unary tail-bit masking
-        // (OUE/SUE) and OLH; HRR requires powers of two and is covered
+        // (OUE) and OLH; HRR requires powers of two and is covered
         // above.
         let oracle = if seed % 3 == 0 { FrequencyOracle::Olh } else { FrequencyOracle::Oue };
         let config = FlatConfig::with_oracle(domain, Epsilon::new(eps_v), oracle).unwrap();
@@ -83,7 +82,7 @@ proptest! {
     #[test]
     fn hh_reports_roundtrip(
         seed in 0u64..100_000,
-        oracle_idx in 0usize..4,
+        oracle_idx in 0..ORACLES.len(),
         fanout_pow in 1u32..3,
     ) {
         let fanout = 1usize << fanout_pow; // 2 or 4: power-of-two for HRR

@@ -8,7 +8,7 @@
 //! We work with the *unnormalized* ±1 matrix throughout, which is what the
 //! HRR mechanism transmits; the `1/√D` or `1/D` factors are restored by the
 //! caller where needed. The unnormalized matrix satisfies `φ·φ = D·I`, so
-//! [`fwht_inverse`] is [`fwht`] followed by division by `D`.
+//! the inverse transform is [`fwht`] followed by division by `D`.
 
 /// Single entry of the unnormalized Hadamard matrix: `(−1)^{popcount(i & j)}`.
 ///
@@ -229,19 +229,6 @@ pub fn fwht_scalar(data: &mut [f64]) {
     }
 }
 
-/// In-place inverse Walsh–Hadamard transform: `x ← φ⁻¹·x = (1/D)·φ·x`.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn fwht_inverse(data: &mut [f64]) {
-    fwht(data);
-    let scale = 1.0 / data.len() as f64;
-    for v in data.iter_mut() {
-        *v *= scale;
-    }
-}
-
 /// Returns column `j` of the unnormalized Hadamard matrix as ±1 values.
 ///
 /// Useful for tests and for the aggregator-side decoding path that scatters
@@ -255,6 +242,13 @@ pub fn hadamard_column(dim: usize, j: usize) -> Vec<i8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inverse transform `x ← (1/D)·φ·x`: [`fwht`], then divide by `D`.
+    fn fwht_inverse(data: &mut [f64]) {
+        fwht(data);
+        let scale = 1.0 / data.len() as f64;
+        data.iter_mut().for_each(|v| *v *= scale);
+    }
 
     fn naive_transform(x: &[f64]) -> Vec<f64> {
         let n = x.len();

@@ -13,11 +13,18 @@
 //! `to_bits()`, with no tolerance anywhere.
 
 use ldp_transforms::{
-    fwht, fwht_inverse, fwht_scalar, haar_forward, haar_forward_scalar, haar_inverse,
-    haar_inverse_scalar, HaarPyramid,
+    fwht, fwht_scalar, haar_forward, haar_forward_scalar, haar_inverse, haar_inverse_scalar,
+    HaarPyramid,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The inverse transform `x ← (1/D)·φ·x`: [`fwht`], then divide by `D`.
+fn fwht_inverse(data: &mut [f64]) {
+    fwht(data);
+    let scale = 1.0 / data.len() as f64;
+    data.iter_mut().for_each(|v| *v *= scale);
+}
 
 /// Every power of two from 1 to 2^17. For the FWHT that covers sizes
 /// under the radix-8 base case (1, 2, 4), single-block sizes with an even

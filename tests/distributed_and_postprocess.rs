@@ -1,8 +1,7 @@
-//! Integration: sharded (distributed) aggregation and estimate
-//! post-processing.
+//! Integration: sharded (distributed) aggregation — disjoint cohorts
+//! absorbed apart and merged estimate like one server.
 
 use ldp_range_queries::prelude::*;
-use ldp_range_queries::ranges::{isotonic_cdf, project_nonnegative_simplex, FrequencyEstimate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,76 +90,4 @@ fn merge_rejects_mismatched_shapes() {
     let mut ha = HaarHrrServer::new(HaarConfig::new(64, eps).unwrap()).unwrap();
     let hb = HaarHrrServer::new(HaarConfig::new(128, eps).unwrap()).unwrap();
     assert!(ha.merge(&hb).is_err());
-}
-
-#[test]
-fn simplex_projection_never_hurts_range_accuracy_much() {
-    // Projection onto the feasible set cannot increase L2 distance to any
-    // feasible point (the truth is feasible) — check the induced effect on
-    // ranges over repeated runs.
-    let domain = 128;
-    let ds = cauchy(domain, 1 << 15, 45);
-    let eps = Epsilon::new(0.5); // noisy regime: negatives are common
-    let mut rng = StdRng::seed_from_u64(46);
-    let mut raw_sq = 0.0;
-    let mut proj_sq = 0.0;
-    let reps = 10;
-    for _ in 0..reps {
-        let config = FlatConfig::new(domain, eps).unwrap();
-        let mut server = FlatServer::new(&config).unwrap();
-        server.absorb_population(ds.counts(), &mut rng).unwrap();
-        let est = server.estimate();
-        assert!(
-            est.frequencies().iter().any(|&f| f < 0.0),
-            "noisy flat estimates should have negative cells at eps=0.5"
-        );
-        let projected = FrequencyEstimate::new(project_nonnegative_simplex(est.frequencies(), 1.0));
-        for (a, b) in [(0, 20), (30, 90), (100, 127)] {
-            let t = ds.true_range(a, b);
-            raw_sq += (est.range(a, b) - t).powi(2);
-            proj_sq += (projected.range(a, b) - t).powi(2);
-        }
-    }
-    assert!(
-        proj_sq < raw_sq * 1.5,
-        "projection should not degrade range accuracy: raw {raw_sq:.3e} vs proj {proj_sq:.3e}"
-    );
-}
-
-#[test]
-fn isotonic_cdf_improves_quantile_stability() {
-    let domain = 256;
-    let ds = cauchy(domain, 1 << 15, 47);
-    let eps = Epsilon::new(0.4);
-    let mut rng = StdRng::seed_from_u64(48);
-    let mut raw_err = 0.0;
-    let mut iso_err = 0.0;
-    let reps = 8;
-    for _ in 0..reps {
-        let config = HaarConfig::new(domain, eps).unwrap();
-        let mut server = HaarHrrServer::new(config).unwrap();
-        server.absorb_population(ds.counts(), &mut rng).unwrap();
-        let est = server.estimate().to_frequency_estimate();
-        let iso = isotonic_cdf(&est, 1.0);
-        for i in 1..=9u32 {
-            let phi = f64::from(i) / 10.0;
-            let truth = ds.true_quantile(phi) as f64;
-            raw_err += (quantile(&est, phi) as f64 - truth).abs();
-            iso_err += (quantile(&iso, phi) as f64 - truth).abs();
-        }
-    }
-    // Isotonic cleanup must not make quantiles worse in aggregate (it
-    // usually helps in this noisy regime).
-    assert!(
-        iso_err <= raw_err * 1.2,
-        "isotonic CDF should not hurt quantiles: raw {raw_err} vs iso {iso_err}"
-    );
-    // And the cleaned estimate is a valid distribution.
-    let config = HaarConfig::new(domain, eps).unwrap();
-    let mut server = HaarHrrServer::new(config).unwrap();
-    server.absorb_population(ds.counts(), &mut rng).unwrap();
-    let iso = isotonic_cdf(&server.estimate().to_frequency_estimate(), 1.0);
-    assert!(iso.frequencies().iter().all(|&f| f >= -1e-12));
-    let cdf = iso.cdf();
-    assert!(cdf.windows(2).all(|w| w[0] <= w[1] + 1e-12));
 }

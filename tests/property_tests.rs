@@ -6,11 +6,18 @@ use proptest::prelude::*;
 use ldp_range_queries::oracle::binomial::{sample_multinomial, sample_uniform_multinomial};
 use ldp_range_queries::prelude::*;
 use ldp_range_queries::transforms::{
-    decompose_range, fwht, fwht_inverse, haar_forward, haar_inverse, CompleteTree, FlatTree,
-    HaarPyramid,
+    decompose_range, fwht, haar_forward, haar_inverse, CompleteTree, FlatTree, HaarPyramid,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The inverse Walsh–Hadamard transform `x ← (1/D)·φ·x`: `fwht`, then
+/// divide by `D`.
+fn fwht_inverse(data: &mut [f64]) {
+    fwht(data);
+    let scale = 1.0 / data.len() as f64;
+    data.iter_mut().for_each(|v| *v *= scale);
+}
 
 proptest! {
     #[test]
