@@ -91,9 +91,7 @@ impl<'a> StateReader<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on truncation, 64-bit overflow, or an overlong encoding (a
-    /// final `0x00` byte after a continuation byte), so a state has
-    /// exactly one accepted encoding.
+    /// Fails on truncation, 64-bit overflow or a multi-byte encoding ending in `0x00`.
     pub fn varint(&mut self) -> Result<u64, RangeError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -104,11 +102,9 @@ impl<'a> StateReader<'a> {
             }
             v |= bits << shift;
             if byte & 0x80 == 0 {
-                return if byte == 0 && shift > 0 {
-                    Err(RangeError::CorruptState("varint not in its shortest form"))
-                } else {
-                    Ok(v)
-                };
+                return (byte != 0 || shift == 0)
+                    .then_some(v)
+                    .ok_or(RangeError::CorruptState("varint not in its shortest form"));
             }
         }
         Err(RangeError::CorruptState("varint overflows 64 bits"))
