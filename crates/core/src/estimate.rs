@@ -41,8 +41,12 @@ pub trait RangeEstimate {
 /// prefix sums, §4.5).
 #[derive(Debug, Clone)]
 pub struct FrequencyEstimate {
-    freqs: Vec<f64>,
-    /// `prefix[i]` = sum of `freqs[..i]`; length `D + 1`.
+    /// The per-item estimates are `values[first..]`. The `HH_B` freeze
+    /// hands over its whole estimate tree, whose leaf level they are,
+    /// instead of copying that level out; everywhere else `first` is 0.
+    values: Vec<f64>,
+    first: usize,
+    /// `prefix[i]` = sum of the first `i` estimates; length `D + 1`.
     prefix: Vec<f64>,
 }
 
@@ -54,38 +58,93 @@ impl FrequencyEstimate {
     /// Panics on an empty vector.
     #[must_use]
     pub fn new(freqs: Vec<f64>) -> Self {
+        Self::over(freqs, 0, Vec::new())
+    }
+
+    /// The estimate whose per-item vector is `values[first..]`, its
+    /// prefix sums written into `prefix`'s allocation
+    /// ([`ldp_transforms::reuse_buffer`]; nothing it held is read).
+    fn over(values: Vec<f64>, first: usize, prefix: Vec<f64>) -> Self {
+        let freqs = &values[first..];
         assert!(!freqs.is_empty(), "estimate needs at least one item");
         // Filled by index into a pre-sized buffer, adding left to right:
         // `prefix[i + 1]` is the sequential sum of `freqs[..=i]`, to the
         // bit, which the freeze differential holds the snapshots to.
-        let mut prefix = vec![0.0; freqs.len() + 1];
+        let mut prefix = ldp_transforms::reuse_buffer(prefix, freqs.len() + 1);
+        prefix[0] = 0.0;
         let mut acc = 0.0;
         for (i, &f) in freqs.iter().enumerate() {
             acc += f;
             prefix[i + 1] = acc;
         }
-        Self { freqs, prefix }
+        Self {
+            values,
+            first,
+            prefix,
+        }
     }
 
     /// The per-item estimates.
     #[must_use]
     pub fn frequencies(&self) -> &[f64] {
-        &self.freqs
+        &self.values[self.first..]
+    }
+}
+
+/// The buffers a freeze writes into instead of allocating them: the
+/// storage and prefix sums of the estimate to be built, and HaarHRR's
+/// pyramid and second leaf-expansion buffer. Every server's
+/// `frequency_estimate_into` takes what it needs and hands the pyramid
+/// and second buffer back, so a caller that keeps one `EstimateBuffers`
+/// across freezes — and recycles each retired estimate into it —
+/// allocates nothing of size `O(D)` once warm.
+///
+/// Any contents and any lengths are accepted: a buffer is reused when it
+/// is long enough and replaced by a fresh one otherwise
+/// ([`ldp_transforms::reuse_buffer`]), and no freeze reads a slot it did
+/// not write, so the estimate is bit-identical to one built with no
+/// buffers at all (`EstimateBuffers::default()`, what every allocating
+/// `frequency_estimate` passes).
+#[derive(Debug, Default)]
+pub struct EstimateBuffers {
+    /// The next estimate's storage: its per-item vector, or for `HH_B`
+    /// the whole estimate tree, whose leaf level that vector is.
+    pub values: Vec<f64>,
+    /// The next estimate's prefix sums.
+    pub prefix: Vec<f64>,
+    /// The HaarHRR pyramid's differences.
+    pub pyramid: Vec<f64>,
+    /// The HaarHRR leaf expansion's second buffer.
+    pub scratch: Vec<f64>,
+}
+
+impl EstimateBuffers {
+    /// Takes a retired estimate's storage and prefix sums for the next
+    /// freeze to overwrite.
+    pub fn recycle(&mut self, retired: FrequencyEstimate) {
+        self.values = retired.values;
+        self.prefix = retired.prefix;
+    }
+
+    /// The estimate whose per-item vector is `values[first..]`, its
+    /// prefix sums in the prefix buffer.
+    pub(crate) fn finish(&mut self, values: Vec<f64>, first: usize) -> FrequencyEstimate {
+        FrequencyEstimate::over(values, first, std::mem::take(&mut self.prefix))
     }
 }
 
 impl RangeEstimate for FrequencyEstimate {
     fn domain(&self) -> usize {
-        self.freqs.len()
+        self.prefix.len() - 1
     }
 
     fn range(&self, a: usize, b: usize) -> f64 {
-        assert!(a <= b && b < self.freqs.len(), "invalid range [{a}, {b}]");
+        assert!(a <= b && b < self.domain(), "invalid range [{a}, {b}]");
         self.prefix[b + 1] - self.prefix[a]
     }
 
     fn point(&self, z: usize) -> f64 {
-        self.freqs[z]
+        self.frequencies()[z]
     }
 }
 

@@ -14,7 +14,7 @@ use ldp_freq_oracle::{AnyOracle, AnyReport, PointOracle};
 
 use crate::config::FlatConfig;
 use crate::error::RangeError;
-use crate::estimate::FrequencyEstimate;
+use crate::estimate::{EstimateBuffers, FrequencyEstimate};
 
 /// Client side of the flat mechanism: stateless per-user encoding.
 #[derive(Debug, Clone)]
@@ -119,13 +119,23 @@ impl FlatServer {
     /// estimates, but `O(1)` per query).
     #[must_use]
     pub fn estimate(&self) -> FrequencyEstimate {
-        FrequencyEstimate::new(self.oracle.estimate())
+        self.frequency_estimate()
     }
 
     /// The per-item estimate a snapshot publishes: [`FlatServer::estimate`].
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate()
+        self.frequency_estimate_into(&mut EstimateBuffers::default())
+    }
+
+    /// [`FlatServer::frequency_estimate`] written into `buffers`: the
+    /// oracle estimates straight into the per-item vector.
+    #[must_use]
+    pub fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        let spare = std::mem::take(&mut buffers.values);
+        let mut freqs = ldp_transforms::reuse_buffer(spare, self.oracle.domain());
+        self.oracle.estimate_into(&mut freqs);
+        buffers.finish(freqs, 0)
     }
 }
 

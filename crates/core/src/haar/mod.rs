@@ -28,7 +28,7 @@ use ldp_transforms::HaarPyramid;
 use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
-use crate::estimate::{FrequencyEstimate, RangeEstimate};
+use crate::estimate::{EstimateBuffers, FrequencyEstimate, RangeEstimate};
 
 /// One user's `HaarHRR` report: the sampled detail level (as a node depth)
 /// and the HRR-perturbed coefficient.
@@ -208,7 +208,13 @@ impl HaarHrrServer {
     /// whose scaling coefficient is pinned to the exact total of 1.
     #[must_use]
     pub fn estimate(&self) -> HaarEstimate {
-        let mut pyramid = HaarPyramid::new(self.config.height, 1.0);
+        self.estimate_over(Vec::new())
+    }
+
+    /// [`HaarHrrServer::estimate`] over `buf`'s allocation: the level
+    /// oracles fill every depth, so every difference is written.
+    fn estimate_over(&self, buf: Vec<f64>) -> HaarEstimate {
+        let mut pyramid = HaarPyramid::over_buffer(self.config.height, 1.0, buf);
         for (depth, oracle) in (0..).zip(&self.levels) {
             oracle.estimate_into(pyramid.diffs_mut(depth));
         }
@@ -219,7 +225,19 @@ impl HaarHrrServer {
     /// with prefix sums.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate().to_frequency_estimate()
+        self.frequency_estimate_into(&mut EstimateBuffers::default())
+    }
+
+    /// [`HaarHrrServer::frequency_estimate`] written into `buffers`: the
+    /// pyramid is built over `buffers.pyramid` and handed back there, and
+    /// collapses into `buffers.values` with `buffers.scratch` as the
+    /// expansion's second buffer.
+    #[must_use]
+    pub fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        let estimate = self.estimate_over(std::mem::take(&mut buffers.pyramid));
+        let collapsed = estimate.collapse_into(buffers);
+        buffers.pyramid = estimate.pyramid.into_buffer();
+        collapsed
     }
 }
 
@@ -248,7 +266,17 @@ impl HaarEstimate {
     /// vector (consistency by design, §4.6).
     #[must_use]
     pub fn to_frequency_estimate(&self) -> FrequencyEstimate {
-        FrequencyEstimate::new(self.pyramid.leaves())
+        self.collapse_into(&mut EstimateBuffers::default())
+    }
+
+    /// [`HaarEstimate::to_frequency_estimate`] written into `buffers`'
+    /// storage and prefix vectors, with `buffers.scratch` as the leaf
+    /// expansion's second buffer.
+    fn collapse_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        let freqs = self
+            .pyramid
+            .leaves_into(std::mem::take(&mut buffers.values), &mut buffers.scratch);
+        buffers.finish(freqs, 0)
     }
 }
 

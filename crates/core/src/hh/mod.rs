@@ -25,7 +25,7 @@ use ldp_transforms::{decompose_range, CompleteTree, FlatTree};
 use crate::binomial_support::{scatter_item_over_levels, scatter_item_over_weighted_levels};
 use crate::config::HhConfig;
 use crate::error::RangeError;
-use crate::estimate::{FrequencyEstimate, RangeEstimate};
+use crate::estimate::{EstimateBuffers, FrequencyEstimate, RangeEstimate};
 
 /// Validates and normalizes per-level sampling weights (length `h`, all
 /// positive).
@@ -299,17 +299,11 @@ impl HhServer {
         self.levels.iter().map(PointOracle::num_reports).sum()
     }
 
-    /// Reports collected at one depth (1..=h).
-    #[must_use]
-    pub fn reports_at_depth(&self, depth: u32) -> u64 {
-        self.levels[depth as usize - 1].num_reports()
-    }
-
     /// Reconstructs the raw (inconsistent) estimate tree: per-level
     /// fraction histograms, root pinned at 1.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        HhEstimate::from_levels(self.shape, &self.levels)
+        HhEstimate::from_levels(self.shape, &self.levels, Vec::new())
     }
 
     /// Reconstructs the estimate tree and applies constrained inference
@@ -323,7 +317,19 @@ impl HhServer {
     /// constrained-inference tree, with prefix sums.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.estimate_consistent().to_frequency_estimate()
+        self.frequency_estimate_into(&mut EstimateBuffers::default())
+    }
+
+    /// [`HhServer::frequency_estimate`] written into `buffers`: the
+    /// estimate tree is built and made consistent over `buffers.values`,
+    /// and becomes the estimate's storage, its leaf level the per-item
+    /// vector — no copy.
+    #[must_use]
+    pub fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        let tree = std::mem::take(&mut buffers.values);
+        let estimate = HhEstimate::from_levels(self.shape, &self.levels, tree).into_consistent();
+        let leaves = self.shape.depth_offset(self.shape.height());
+        buffers.finish(estimate.tree.into_raw(), leaves)
     }
 }
 
@@ -335,11 +341,12 @@ pub struct HhEstimate {
 }
 
 impl HhEstimate {
-    /// The raw tree of one oracle per depth `1..=h`: each level oracle
-    /// writes its fraction histogram straight into its level of the tree,
-    /// and the root is pinned at 1.
-    fn from_levels(shape: CompleteTree, levels: &[AnyOracle]) -> Self {
-        let mut tree = FlatTree::new(shape);
+    /// The raw tree of one oracle per depth `1..=h`, over `buf`'s
+    /// allocation: each level oracle writes its fraction histogram
+    /// straight into its level of the tree, and the root is pinned at 1,
+    /// so every slot is written.
+    fn from_levels(shape: CompleteTree, levels: &[AnyOracle], buf: Vec<f64>) -> Self {
+        let mut tree = FlatTree::over_buffer(shape, buf);
         *tree.get_mut(0, 0) = 1.0;
         for (depth, oracle) in (1..).zip(levels) {
             oracle.estimate_into(tree.level_mut(depth));

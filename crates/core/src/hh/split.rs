@@ -198,7 +198,7 @@ impl HhSplitServer {
     /// Reconstructs the (inconsistent) estimate tree.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        HhEstimate::from_levels(self.shape, &self.levels)
+        HhEstimate::from_levels(self.shape, &self.levels, Vec::new())
     }
 
     /// Reconstructs the estimate tree with constrained inference.

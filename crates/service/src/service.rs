@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use ldp_freq_oracle::FrequencyOracle;
-use ldp_ranges::{MergeableServer, PersistableServer, SubtractableServer};
+use ldp_ranges::{EstimateBuffers, MergeableServer, PersistableServer, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
@@ -99,6 +99,26 @@ struct Publication<S> {
     /// Seals so far: a window extracted under one value is cached only
     /// if no seal intervened before its freeze finished.
     seals: u64,
+    /// What the next freeze writes into: HaarHRR's pyramid and second
+    /// expansion buffer, kept from the last freeze, plus the retired
+    /// snapshot's storage and prefix sums once they are reclaimed.
+    buffers: EstimateBuffers,
+    /// The snapshot the last publish replaced. The next freeze reclaims
+    /// its vectors if no reader still holds it by then.
+    retired: Option<Arc<RangeSnapshot>>,
+}
+
+impl<S: SnapshotSource> Publication<S> {
+    /// Freezes the accumulator into the kept buffers. The retired
+    /// snapshot is recycled only when `Arc::try_unwrap` shows this is
+    /// its last holder; a snapshot a reader still holds is dropped here
+    /// and never written, and the freeze allocates its vectors afresh.
+    fn freeze(&mut self, version: u64) -> RangeSnapshot {
+        if let Some(retired) = self.retired.take().and_then(|s| Arc::try_unwrap(s).ok()) {
+            self.buffers.recycle(retired.into_estimate());
+        }
+        RangeSnapshot::freeze_into(&self.acc, version, &mut self.buffers)
+    }
 }
 
 /// A sharded LDP aggregation service with snapshot-isolated reads.
@@ -296,6 +316,8 @@ impl<S: SnapshotSource> LdpService<S> {
                 stale: false,
                 windows: BTreeMap::new(),
                 seals: 0,
+                buffers: EstimateBuffers::default(),
+                retired: None,
             }),
             obs: OnceLock::new(),
             window_obs: OnceLock::new(),
@@ -499,15 +521,19 @@ impl<S: SnapshotSource> LdpService<S> {
                 (obs, Instant::now())
             });
             let version = self.snapshot().version() + 1;
-            let snap = Arc::new(RangeSnapshot::freeze(&guard.acc, version));
+            let snap = Arc::new(guard.freeze(version));
             if let Some((obs, frozen)) = frozen {
                 obs.service.freeze_ns.record_elapsed(frozen);
             }
             guard.stale = false;
-            *self
-                .published
-                .write()
-                .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&snap);
+            let replaced = std::mem::replace(
+                &mut *self
+                    .published
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner),
+                Arc::clone(&snap),
+            );
+            guard.retired = Some(replaced);
             snap
         };
         if let Some((obs, started)) = timer {

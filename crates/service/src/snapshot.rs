@@ -19,12 +19,30 @@
 //! pre-sized buffer by index. `ldp_ranges`' freeze differential holds the
 //! result bit-identical to a reference that copies a fresh `Vec` per
 //! level, reads the fanout at run time and builds the prefix by `push`.
+//!
+//! A service's freezes allocate nothing of size `O(D)` once warm.
+//! [`RangeSnapshot::freeze_into`] writes into an
+//! [`ldp_ranges::EstimateBuffers`], and [`crate::LdpService`] owns one,
+//! kept under its refresh lock next to the accumulator. Its *workspace*
+//! — HaarHRR's pyramid and second leaf-expansion buffer — is handed back
+//! by every freeze and reused by the next. Its *spare* — a snapshot's
+//! storage (the per-item vector, or for `HH_B` the whole estimate tree
+//! whose leaf level that vector is) and prefix sums — comes from the
+//! snapshot the last publish replaced: the service keeps that retired
+//! `Arc` and, at the next dirty refresh, recycles its buffers only if
+//! `Arc::try_unwrap` shows the service is its last holder. A snapshot
+//! any reader still holds is never written: the service drops its
+//! reference and the freeze allocates fresh buffers, as
+//! [`RangeSnapshot::freeze`] always does. A buffer's old contents are
+//! never read, so a recycled freeze is bit-identical to an allocating
+//! one (`tests/recycled_freeze.rs`), and `tests/refresh_alloc.rs` counts
+//! a warm refresh's large allocations.
 
 use crate::error::ServiceError;
 use ldp_freq_oracle::{FrequencyOracle, PointOracle};
 use ldp_ranges::{
-    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, PersistableServer,
-    RangeEstimate, SubtractableServer,
+    quantile, EstimateBuffers, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer,
+    PersistableServer, RangeEstimate, SubtractableServer,
 };
 
 /// Servers whose merged state can be frozen into a 1-D frequency
@@ -43,8 +61,15 @@ use ldp_ranges::{
 /// and a follower restores it. Every mechanism's integer sufficient
 /// statistics satisfy both for free.
 pub trait SnapshotSource: SubtractableServer + PersistableServer {
-    /// Materializes the per-item frequency estimate of the current state.
-    fn frequency_estimate(&self) -> FrequencyEstimate;
+    /// Materializes the per-item frequency estimate of the current state
+    /// in freshly allocated buffers.
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.frequency_estimate_into(&mut EstimateBuffers::default())
+    }
+
+    /// [`SnapshotSource::frequency_estimate`] written into `buffers`,
+    /// bit-identical whatever they held (see [`EstimateBuffers`]).
+    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate;
 
     /// The frequency oracle every level of this server releases reports
     /// through, and the largest level's domain — what
@@ -80,12 +105,12 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
     }
 }
 
-/// Each served mechanism publishes its server's `frequency_estimate`: the
+/// Each served mechanism publishes its server's `frequency_estimate_into`: the
 /// flat oracle's own estimate, the `HH_B` constrained-inference leaves, or
 /// the collapsed HaarHRR pyramid.
 impl SnapshotSource for FlatServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        FlatServer::frequency_estimate(self)
+    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        FlatServer::frequency_estimate_into(self, buffers)
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -94,8 +119,8 @@ impl SnapshotSource for FlatServer {
 }
 
 impl SnapshotSource for HhServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        HhServer::frequency_estimate(self)
+    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        HhServer::frequency_estimate_into(self, buffers)
     }
 
     /// Every depth uses the configured oracle; the leaves are the largest.
@@ -105,8 +130,8 @@ impl SnapshotSource for HhServer {
 }
 
 impl SnapshotSource for HaarHrrServer {
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        HaarHrrServer::frequency_estimate(self)
+    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+        HaarHrrServer::frequency_estimate_into(self, buffers)
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -126,8 +151,20 @@ impl RangeSnapshot {
     /// Freezes a server's current state.
     #[must_use]
     pub fn freeze<S: SnapshotSource>(server: &S, version: u64) -> Self {
+        Self::freeze_into(server, version, &mut EstimateBuffers::default())
+    }
+
+    /// [`RangeSnapshot::freeze`] written into `buffers`
+    /// ([`SnapshotSource::frequency_estimate_into`]): the same bits, and
+    /// no `O(D)` allocation once the buffers are warm.
+    #[must_use]
+    pub fn freeze_into<S: SnapshotSource>(
+        server: &S,
+        version: u64,
+        buffers: &mut EstimateBuffers,
+    ) -> Self {
         Self {
-            estimate: server.frequency_estimate(),
+            estimate: server.frequency_estimate_into(buffers),
             num_reports: server.num_reports(),
             version,
         }
@@ -203,6 +240,13 @@ impl RangeSnapshot {
     #[must_use]
     pub fn estimate(&self) -> &FrequencyEstimate {
         &self.estimate
+    }
+
+    /// Consumes the snapshot, returning its estimate — how a retired
+    /// snapshot's buffers go back into [`EstimateBuffers::recycle`].
+    #[must_use]
+    pub fn into_estimate(self) -> FrequencyEstimate {
+        self.estimate
     }
 }
 

@@ -589,12 +589,15 @@ impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
     /// open epoch. This is what `LdpService::refresh_snapshot` publishes
     /// for a windowed service — the trailing-window view, not the
     /// all-time population.
-    fn frequency_estimate(&self) -> ldp_ranges::FrequencyEstimate {
+    fn frequency_estimate_into(
+        &self,
+        buffers: &mut ldp_ranges::EstimateBuffers,
+    ) -> ldp_ranges::FrequencyEstimate {
         let mut merged = self.running.clone();
         merged
             .merge(&self.current)
             .expect("ring epochs share one prototype");
-        merged.frequency_estimate()
+        merged.frequency_estimate_into(buffers)
     }
 
     /// Every epoch is a clone of the prototype.

@@ -1,0 +1,262 @@
+//! Recycled buffers ≡ the allocating freeze, bit for bit.
+//!
+//! A service freezes each snapshot into buffers it keeps: HaarHRR's
+//! pyramid and second expansion buffer from the last freeze, and the
+//! storage and prefix sums of the snapshot it retired (for `HH_B` the
+//! storage is the whole estimate tree).
+//! Two properties make that safe, and this suite holds both for the three
+//! served mechanisms (flat, `HH_4`, HaarHRR) over every served oracle
+//! (OUE and HRR at 2^12 items, OLH at its 2^10 cap):
+//!
+//! 1. **Contents never leak.** `RangeSnapshot::freeze_into` over buffers
+//!    that are NaN-poisoned, of the exact length or one longer or shorter,
+//!    gives the same bits — every frequency, every prefix sum — as
+//!    `RangeSnapshot::freeze`, which allocates fresh zeroed buffers.
+//! 2. **A shared snapshot is never written.** A caller that holds an old
+//!    `Arc<RangeSnapshot>` across dirty refreshes reads the same bits
+//!    from it afterwards, and every snapshot published meanwhile equals a
+//!    fresh freeze of the service's state.
+
+use std::sync::Arc;
+
+use ldp_freq_oracle::{Epsilon, FrequencyOracle};
+use ldp_ranges::{
+    EstimateBuffers, FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer,
+    HhClient, HhConfig, HhServer,
+};
+use ldp_service::{LdpService, RangeSnapshot, SnapshotSource};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The domain OUE and HRR are served at here; OLH is capped at 2^10.
+const D: usize = 1 << 12;
+const OLH_D: usize = 1 << 10;
+const REPORTS: usize = 600;
+
+/// Every served oracle with the domain it is tested at.
+const ORACLES: [(FrequencyOracle, usize); 3] = [
+    (FrequencyOracle::Oue, D),
+    (FrequencyOracle::Hrr, D),
+    (FrequencyOracle::Olh, OLH_D),
+];
+
+fn eps() -> Epsilon {
+    Epsilon::from_exp(3.0)
+}
+
+/// Values skewed toward the low quarter, so estimates are far from flat.
+fn value(i: usize, domain: usize) -> usize {
+    if i.is_multiple_of(3) {
+        (i * 7919) % domain
+    } else {
+        (i * 31) % (domain / 4)
+    }
+}
+
+fn bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    v.into_iter().map(f64::to_bits).collect()
+}
+
+/// Every bit a snapshot answers from: the per-item frequencies, every
+/// prefix sum, the report count and the version.
+fn fingerprint(snap: &RangeSnapshot) -> (Vec<u64>, Vec<u64>, u64, u64) {
+    let d = snap.domain();
+    (
+        bits(snap.estimate().frequencies().iter().copied()),
+        bits((0..d).map(|b| snap.prefix(b))),
+        snap.num_reports(),
+        snap.version(),
+    )
+}
+
+fn assert_same(got: &RangeSnapshot, fresh: &RangeSnapshot, what: &str) {
+    assert_eq!(got.domain(), fresh.domain(), "{what}: domain");
+    assert!(
+        fingerprint(got) == fingerprint(fresh),
+        "{what}: bits differ"
+    );
+    let d = got.domain();
+    for (a, b) in [(0, d - 1), (d / 4, d / 2), (d - 1, d - 1), (1, 1)] {
+        assert_eq!(
+            got.range(a, b).to_bits(),
+            fresh.range(a, b).to_bits(),
+            "{what}: range [{a}, {b}]"
+        );
+    }
+    assert_eq!(got.quantile(0.5), fresh.quantile(0.5), "{what}: median");
+}
+
+fn poison(buffers: &mut EstimateBuffers) {
+    for buf in [
+        &mut buffers.values,
+        &mut buffers.prefix,
+        &mut buffers.pyramid,
+        &mut buffers.scratch,
+    ] {
+        buf.fill(f64::NAN);
+    }
+}
+
+/// NaN-poisoned buffers one slot off the warm lengths `warm` (values,
+/// prefix, pyramid, second buffer): with `values_longer` the storage
+/// and second buffer are one slot too long and the prefix and pyramid
+/// one too short, and the reverse otherwise.
+fn wrong_lengths(warm: [usize; 4], values_longer: bool) -> EstimateBuffers {
+    let off = |len: usize, longer: bool| {
+        vec![
+            f64::NAN;
+            if longer {
+                len + 1
+            } else {
+                len.saturating_sub(1)
+            }
+        ]
+    };
+    let [values, prefix, pyramid, scratch] = warm;
+    EstimateBuffers {
+        values: off(values, values_longer),
+        prefix: off(prefix, !values_longer),
+        pyramid: off(pyramid, !values_longer),
+        scratch: off(scratch, values_longer),
+    }
+}
+
+/// Freezes `server` into warm poisoned buffers and into buffers of the
+/// wrong lengths, both ways, and holds each to the allocating freeze.
+fn check_recycled_freezes<S: SnapshotSource>(server: &S, what: &str) {
+    let fresh = RangeSnapshot::freeze(server, 7);
+    let d = fresh.domain();
+
+    let mut buffers = EstimateBuffers::default();
+    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers);
+    assert_same(&warm, &fresh, &format!("{what}, empty buffers"));
+
+    // The steady state: last freeze's buffers at their exact lengths,
+    // every slot poisoned.
+    buffers.recycle(warm.into_estimate());
+    let lengths = [
+        buffers.values.len(),
+        buffers.prefix.len(),
+        buffers.pyramid.len(),
+        buffers.scratch.len(),
+    ];
+    assert!(
+        lengths[0] >= d && lengths[1] == d + 1,
+        "{what}: {lengths:?}"
+    );
+    poison(&mut buffers);
+    let again = RangeSnapshot::freeze_into(server, 7, &mut buffers);
+    assert_same(&again, &fresh, &format!("{what}, poisoned exact buffers"));
+
+    for values_longer in [true, false] {
+        let mut buffers = wrong_lengths(lengths, values_longer);
+        let got = RangeSnapshot::freeze_into(server, 7, &mut buffers);
+        let how = format!("values longer: {values_longer}");
+        assert_same(&got, &fresh, &format!("{what}, poisoned buffers, {how}"));
+    }
+}
+
+/// A service over `prototype` fed `reports` in six chunks. Holds the
+/// snapshot of the first chunk across five dirty refreshes, each of
+/// whose snapshots is dropped at once so the next freeze recycles it;
+/// the held one must keep its bits, and every published snapshot must
+/// equal a fresh freeze of the service's whole state.
+fn check_held_snapshot<S: SnapshotSource>(prototype: &S, reports: &[S::Report], what: &str) {
+    let service = LdpService::new(prototype, 2).expect("service");
+    let mut chunks = reports.chunks(reports.len().div_ceil(6));
+    let mut submit = |service: &LdpService<S>| {
+        for report in chunks.next().expect("six chunks") {
+            service.submit(report).expect("submit");
+        }
+    };
+    submit(&service);
+    let held = service.refresh_snapshot().expect("refresh");
+    let before = fingerprint(&held);
+    for round in 1..=5 {
+        submit(&service);
+        let snap = service.refresh_snapshot().expect("refresh");
+        assert_eq!(snap.version(), held.version() + round, "{what}");
+        let state = service.merged_state().expect("merged state");
+        let fresh = RangeSnapshot::freeze(&state, snap.version());
+        assert_same(&snap, &fresh, &format!("{what}, refresh {round}"));
+    }
+    assert!(
+        fingerprint(&held) == before,
+        "{what}: a held snapshot changed under a recycling refresh"
+    );
+    assert_eq!(Arc::strong_count(&held), 1, "{what}: the service kept it");
+}
+
+fn flat(oracle: FrequencyOracle, d: usize) -> (FlatServer, Vec<ldp_freq_oracle::AnyReport>) {
+    let config = FlatConfig::with_oracle(d, eps(), oracle).expect("config");
+    let client = FlatClient::new(&config).expect("client");
+    let mut rng = StdRng::seed_from_u64(4301);
+    let reports = (0..REPORTS)
+        .map(|i| client.report(value(i, d), &mut rng).expect("report"))
+        .collect();
+    (FlatServer::new(&config).expect("server"), reports)
+}
+
+fn hh4(oracle: FrequencyOracle, d: usize) -> (HhServer, Vec<ldp_ranges::HhReport>) {
+    let config = HhConfig::with_oracle(d, 4, eps(), oracle).expect("config");
+    let client = HhClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4302);
+    let reports = (0..REPORTS)
+        .map(|i| client.report(value(i, d), &mut rng).expect("report"))
+        .collect();
+    (HhServer::new(config).expect("server"), reports)
+}
+
+fn haar_hrr() -> (HaarHrrServer, Vec<ldp_ranges::HaarHrrReport>) {
+    let config = HaarConfig::new(D, eps()).expect("config");
+    let client = HaarHrrClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4303);
+    let reports = (0..REPORTS)
+        .map(|i| client.report(value(i, D), &mut rng).expect("report"))
+        .collect();
+    (HaarHrrServer::new(config).expect("server"), reports)
+}
+
+/// The empty server (every level estimates from zero reports) and the
+/// server holding every report.
+fn check_both_states<S: SnapshotSource>(mut server: S, reports: &[S::Report], what: &str) {
+    check_recycled_freezes(&server, &format!("{what}, empty"));
+    for report in reports {
+        server.absorb(report).expect("absorb");
+    }
+    check_recycled_freezes(&server, what);
+}
+
+#[test]
+fn flat_recycled_freeze_is_the_allocating_freeze() {
+    for (oracle, d) in ORACLES {
+        let (server, reports) = flat(oracle, d);
+        check_both_states(server, &reports, &format!("flat/{oracle:?}"));
+    }
+}
+
+#[test]
+fn hh4_recycled_freeze_is_the_allocating_freeze() {
+    for (oracle, d) in ORACLES {
+        let (server, reports) = hh4(oracle, d);
+        check_both_states(server, &reports, &format!("HH_4/{oracle:?}"));
+    }
+}
+
+#[test]
+fn haar_hrr_recycled_freeze_is_the_allocating_freeze() {
+    let (server, reports) = haar_hrr();
+    check_both_states(server, &reports, "HaarHRR");
+}
+
+#[test]
+fn held_snapshot_keeps_its_bits_across_recycling_refreshes() {
+    for (oracle, d) in ORACLES {
+        let (server, reports) = flat(oracle, d);
+        check_held_snapshot(&server, &reports, &format!("flat/{oracle:?}"));
+        let (server, reports) = hh4(oracle, d);
+        check_held_snapshot(&server, &reports, &format!("HH_4/{oracle:?}"));
+    }
+    let (server, reports) = haar_hrr();
+    check_held_snapshot(&server, &reports, "HaarHRR");
+}

@@ -1,0 +1,156 @@
+//! A warm dirty refresh allocates nothing of size `O(D)`.
+//!
+//! This binary installs a counting global allocator: [`large_allocations`]
+//! runs a closure and counts the blocks of at least a given size that the
+//! calling thread allocated (or grew a block to) inside it. Other test
+//! threads in the binary are never counted, so any test here can use it.
+//!
+//! The tests build plain `HH_4`/OUE and HaarHRR services at D = 2^12, run
+//! two warm-up refreshes (the first allocates HaarHRR's kept pyramid and
+//! second buffer, the second reclaims the retired initial snapshot), then
+//! require
+//! each later dirty `refresh_snapshot` — drain, freeze, publish — to
+//! allocate no block of `D · 8` bytes or more: every estimate tree,
+//! pyramid, leaf expansion, per-item vector and prefix buffer it writes
+//! must be one the service already owns.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ldp_freq_oracle::{Epsilon, FrequencyOracle};
+use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
+use ldp_service::{LdpService, SnapshotSource};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Counts, per thread, the allocations of at least `min` bytes made
+/// while armed, and the largest.
+struct CountingAlloc;
+
+thread_local! {
+    /// The size from which an allocation is counted; `None` = disarmed.
+    static MIN_BYTES: Cell<Option<usize>> = const { Cell::new(None) };
+    static COUNT: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also serves threads whose locals are
+    // being torn down. These cells own nothing, so reading them never
+    // allocates.
+    let _ = MIN_BYTES.try_with(|min| {
+        if min.get().is_some_and(|min| size >= min) {
+            COUNT.set(COUNT.get() + 1);
+            LARGEST.set(LARGEST.get().max(size));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; `note` only reads and writes plain thread-local cells.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns `(count, largest)`: how many blocks of at least
+/// `min_bytes` this thread allocated or grew to inside it, and the
+/// largest such size (0 if none).
+fn large_allocations(min_bytes: usize, f: impl FnOnce()) -> (usize, usize) {
+    COUNT.set(0);
+    LARGEST.set(0);
+    MIN_BYTES.set(Some(min_bytes));
+    f();
+    MIN_BYTES.set(None);
+    (COUNT.get(), LARGEST.get())
+}
+
+const D: usize = 1 << 12;
+const BATCH: usize = 200;
+
+/// Feeds `reports` a batch at a time; after two warm-up refreshes,
+/// counts each later dirty refresh's allocations of `D · 8` bytes or
+/// more. The returned snapshot is dropped inside the measured closure,
+/// so it is free to be recycled by the next refresh.
+fn assert_warm_refreshes_allocate_no_o_d_block<S: SnapshotSource>(
+    prototype: &S,
+    reports: &[S::Report],
+    what: &str,
+) {
+    let service = LdpService::new(prototype, 2).expect("service");
+    for (round, batch) in reports.chunks(BATCH).enumerate() {
+        for report in batch {
+            service.submit(report).expect("submit");
+        }
+        let mut version = 0;
+        let (count, largest) = large_allocations(D * 8, || {
+            version = service.refresh_snapshot().expect("refresh").version();
+        });
+        assert_eq!(version, round as u64 + 1, "{what}: the refresh was dirty");
+        if round >= 2 {
+            assert_eq!(
+                count,
+                0,
+                "{what}: warm dirty refresh {round} allocated {count} block(s) of ≥ {} bytes \
+                 (largest {largest})",
+                D * 8
+            );
+        }
+    }
+}
+
+#[test]
+fn warm_hh4_oue_refresh_allocates_no_o_d_block() {
+    let config =
+        HhConfig::with_oracle(D, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue).expect("config");
+    let client = HhClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4311);
+    let reports: Vec<_> = (0..5 * BATCH)
+        .map(|i| client.report((i * 37) % D, &mut rng).expect("report"))
+        .collect();
+    let prototype = HhServer::new(config).expect("server");
+    assert_warm_refreshes_allocate_no_o_d_block(&prototype, &reports, "HH_4/OUE");
+}
+
+#[test]
+fn warm_haar_hrr_refresh_allocates_no_o_d_block() {
+    let config = HaarConfig::new(D, Epsilon::from_exp(3.0)).expect("config");
+    let client = HaarHrrClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4312);
+    let reports: Vec<_> = (0..5 * BATCH)
+        .map(|i| client.report((i * 37) % D, &mut rng).expect("report"))
+        .collect();
+    let prototype = HaarHrrServer::new(config).expect("server");
+    assert_warm_refreshes_allocate_no_o_d_block(&prototype, &reports, "HaarHRR");
+}
+
+#[test]
+fn counter_sees_only_large_blocks_on_its_own_thread() {
+    let (count, largest) = large_allocations(D * 8, || {
+        std::hint::black_box(vec![0u8; 16]);
+        std::hint::black_box(vec![0.0f64; D]);
+        std::thread::spawn(|| std::hint::black_box(vec![0.0f64; 2 * D]))
+            .join()
+            .expect("thread");
+    });
+    assert_eq!((count, largest), (1, D * 8));
+}

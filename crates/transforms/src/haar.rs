@@ -186,11 +186,25 @@ impl HaarPyramid {
     /// A pyramid of height `h` with the given total and every difference
     /// zero, ready to be filled depth by depth.
     pub fn new(height: u32, total: f64) -> Self {
+        Self::over_buffer(height, total, Vec::new())
+    }
+
+    /// A pyramid of height `h` with the given total over `buf`'s
+    /// allocation ([`crate::reuse_buffer`]): its differences hold whatever
+    /// the buffer held, so the caller fills every depth through
+    /// [`HaarPyramid::diffs_mut`] before reading. [`HaarPyramid::into_buffer`]
+    /// gives the buffer back.
+    pub fn over_buffer(height: u32, total: f64, buf: Vec<f64>) -> Self {
         Self {
             height,
             total,
-            diffs: vec![0.0; (1usize << height) - 1],
+            diffs: crate::reuse_buffer(buf, (1usize << height) - 1),
         }
+    }
+
+    /// Consumes the pyramid, returning the buffer of its differences.
+    pub fn into_buffer(self) -> Vec<f64> {
+        self.diffs
     }
 
     /// Builds the exact pyramid of a length-`2^h` leaf vector in `O(D)`.
@@ -347,11 +361,25 @@ impl HaarPyramid {
 
     /// Reconstructs every leaf in `O(D)`.
     pub fn leaves(&self) -> Vec<f64> {
+        self.leaves_into(Vec::new(), &mut Vec::new())
+    }
+
+    /// [`HaarPyramid::leaves`] written into `out`'s allocation, with
+    /// `scratch` as the expansion's second buffer; both are sized by
+    /// [`crate::reuse_buffer`], and nothing either held is read.
+    pub fn leaves_into(&self, out: Vec<f64>, scratch: &mut Vec<f64>) -> Vec<f64> {
         let n = self.len();
+        let mut out = crate::reuse_buffer(out, n);
+        *scratch = crate::reuse_buffer(std::mem::take(scratch), n);
         // Ping-pong expansion (see [`haar_inverse`]); bit-identical to
-        // [`HaarPyramid::leaves_scalar`].
-        let mut cur = vec![0.0; n];
-        let mut next = vec![0.0; n];
+        // [`HaarPyramid::leaves_scalar`]. Each of the `h` passes writes
+        // the other buffer, so the first one read is chosen by the
+        // parity of `h` for the last pass to write `out`.
+        let (mut cur, mut next) = if self.height.is_multiple_of(2) {
+            (&mut out, scratch)
+        } else {
+            (scratch, &mut out)
+        };
         cur[0] = self.total;
         let mut width = 1usize;
         for d in 0..self.height {
@@ -366,7 +394,7 @@ impl HaarPyramid {
             std::mem::swap(&mut cur, &mut next);
             width *= 2;
         }
-        cur
+        out
     }
 
     /// The in-place reference implementation of [`HaarPyramid::leaves`] —
@@ -532,6 +560,29 @@ mod tests {
                 .collect(),
         );
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn leaves_into_poisoned_buffers_of_any_length_is_leaves() {
+        for height in 0..6u32 {
+            let x: Vec<f64> = (0..1usize << height).map(|i| (i as f64).cbrt()).collect();
+            let p = HaarPyramid::from_leaves(&x);
+            let fresh = p.leaves();
+            let n = p.len();
+            for (out_len, scratch_len) in [(n, n), (n + 1, n - 1), (n - 1, n + 3)] {
+                let mut scratch = vec![f64::NAN; scratch_len];
+                let got = p.leaves_into(vec![f64::NAN; out_len], &mut scratch);
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&fresh), "h={height}");
+                assert_eq!(scratch.len(), n);
+            }
+            let mut rebuilt = HaarPyramid::over_buffer(height, p.total(), vec![f64::NAN; n]);
+            for d in 0..height {
+                rebuilt.diffs_mut(d).copy_from_slice(p.diffs(d));
+            }
+            assert_eq!(rebuilt, p);
+            assert_eq!(rebuilt.into_buffer().len(), n - 1);
+        }
     }
 
     #[test]

@@ -229,16 +229,6 @@ pub fn fwht_scalar(data: &mut [f64]) {
     }
 }
 
-/// Returns column `j` of the unnormalized Hadamard matrix as ±1 values.
-///
-/// Useful for tests and for the aggregator-side decoding path that scatters
-/// a single reported coefficient back over the original domain.
-pub fn hadamard_column(dim: usize, j: usize) -> Vec<i8> {
-    assert!(dim.is_power_of_two());
-    assert!(j < dim);
-    (0..dim).map(|i| hadamard_entry(i, j)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,9 +298,8 @@ mod tests {
             let mut e = vec![0.0; d];
             e[v] = 1.0;
             fwht(&mut e);
-            let col = hadamard_column(d, v);
-            for (a, b) in e.iter().zip(col.iter()) {
-                assert!((a - f64::from(*b)).abs() < 1e-12);
+            for (i, a) in e.iter().enumerate() {
+                assert!((a - f64::from(hadamard_entry(i, v))).abs() < 1e-12);
             }
         }
     }
