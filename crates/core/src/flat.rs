@@ -128,6 +128,12 @@ impl FlatServer {
         self.frequency_estimate_into(&mut EstimateBuffers::default())
     }
 
+    /// The flat freeze runs whole on the caller: no level is cut
+    /// ([`crate::SubtractableServer::drain_with`]).
+    pub(crate) fn cuts(&self) -> Option<fn(usize) -> usize> {
+        None
+    }
+
     /// [`FlatServer::frequency_estimate`] written into `buffers`: the
     /// oracle estimates straight into the per-item vector.
     #[must_use]

@@ -28,61 +28,117 @@
 
 use ldp_transforms::FlatTree;
 
+use crate::estimate::LevelParts;
+
 /// Applies the two-stage least-squares post-processing in place.
 ///
 /// Expects per-level fraction estimates (each level summing to ≈ 1). Runs
 /// in `O(total nodes)` — "the cost of this post-processing is relatively
-/// low for the aggregator". The fanouts the mechanisms use (2, 4, 8, 16)
-/// each run their own instantiation of the kernel, where the sibling
-/// group is a compile-time length; any other fanout runs the same body
-/// with the group length read from the tree.
+/// low for the aggregator". Both stages are local to the subtrees under
+/// the root's children except for one step, the root's own top-down
+/// step over level 1, so the work is three passes — bottom-up, the root
+/// step, top-down — and a split freeze runs the first and last on two
+/// halves of those subtrees at once; here they run over all of them.
 pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
-    match tree.shape().fanout() {
-        2 => consistency_kernel::<2>(tree),
-        4 => consistency_kernel::<4>(tree),
-        8 => consistency_kernel::<8>(tree),
-        16 => consistency_kernel::<16>(tree),
-        _ => consistency_kernel::<0>(tree),
+    let fanout = tree.shape().fanout();
+    let mut levels = tree.levels_mut();
+    if let Some(root) = levels.next() {
+        root[0] = 1.0;
+    }
+    let mut below: LevelParts<&mut [f64]> = levels.collect();
+    bottom_up(&mut below, fanout);
+    if let Some(level1) = below.first_mut() {
+        root_step(level1, &mut [], fanout);
+    }
+    top_down(&mut below, fanout);
+}
+
+/// Runs `$kernel` instantiated for `$fanout`: the fanouts the
+/// mechanisms use (2, 4, 8, 16) each have their own instantiation, where
+/// the sibling group is a compile-time length; any other fanout runs the
+/// same body with the group length read at run time (`B = 0`). The
+/// additions stay in the same left-to-right order, so every
+/// instantiation gives the same bits.
+macro_rules! per_fanout {
+    ($kernel:ident($levels:expr, $fanout:expr)) => {
+        match $fanout {
+            2 => $kernel::<2>($levels, 2),
+            4 => $kernel::<4>($levels, 4),
+            8 => $kernel::<8>($levels, 8),
+            16 => $kernel::<16>($levels, 16),
+            fanout => $kernel::<0>($levels, fanout),
+        }
+    };
+}
+
+/// Stage 1, bottom-up weighted averaging, over a *forest*: `levels[i]`
+/// holds depth `i + 1` of some run of consecutive subtrees under the
+/// root's children (all of them, or one side of a split tree), so
+/// `levels.len()` is the tree height.
+pub(crate) fn bottom_up(levels: &mut [&mut [f64]], fanout: usize) {
+    per_fanout!(bottom_up_kernel(levels, fanout));
+}
+
+/// Stage 2, top-down mean consistency, below level 1 of a forest (see
+/// [`bottom_up`]). Runs after [`root_step`].
+pub(crate) fn top_down(levels: &mut [&mut [f64]], fanout: usize) {
+    per_fanout!(top_down_kernel(levels, fanout));
+}
+
+/// Stage 2's first step, the one that needs all of level 1: the root is
+/// the whole population, 1, and the residual between it and level 1's
+/// total — summed left to right over `left` then `right`, the two sides'
+/// parts of the level — is shared equally among the `fanout` nodes.
+pub(crate) fn root_step(left: &mut [f64], right: &mut [f64], fanout: usize) {
+    debug_assert_eq!(left.len() + right.len(), fanout);
+    let child_sum: f64 = left.iter().chain(right.iter()).sum();
+    let adjust = (1.0 - child_sum) / fanout as f64;
+    for c in left.iter_mut().chain(right.iter_mut()) {
+        *c += adjust;
     }
 }
 
-/// The one body of [`enforce_consistency`]: `B` is the tree's fanout, or
-/// 0 to read it at run time. A constant `B` lets the compiler unroll each
-/// sibling group's sum; the additions stay in the same left-to-right
-/// order, so every instantiation gives the same bits.
-fn consistency_kernel<const B: usize>(tree: &mut FlatTree<f64>) {
-    let shape = tree.shape();
-    let fanout = if B == 0 { shape.fanout() } else { B };
-    debug_assert_eq!(fanout, shape.fanout());
+/// The group length: the compile-time `B`, or the run-time fanout.
+fn group<const B: usize>(fanout: usize) -> usize {
+    debug_assert!(B == 0 || B == fanout);
+    if B == 0 {
+        fanout
+    } else {
+        B
+    }
+}
+
+// Both kernels walk one depth and the depth below it as two slices,
+// children grouped per parent by `chunks_exact(B)`. Each child sum adds
+// left to right, so results are bit-identical to per-node
+// `(depth, index)` addressing — the differential test below pins that.
+
+fn bottom_up_kernel<const B: usize>(levels: &mut [&mut [f64]], fanout: usize) {
+    let fanout = group::<B>(fanout);
     let b = fanout as f64;
-    let h = shape.height();
-
-    // Both stages walk one depth and the depth below it as two adjacent
-    // slices (the tree is level-major), children grouped per parent by
-    // `chunks_exact(B)`. Each child sum adds left to right, so results
-    // are bit-identical to per-node `(depth, index)` addressing — the
-    // differential test below pins that.
-
-    // Stage 1: bottom-up weighted averaging over internal, non-root nodes.
+    let h = levels.len();
+    // Internal, non-root nodes: depths h − 1 down to 1.
     for d in (1..h).rev() {
         let subtree_levels = i32::try_from(h - d + 1).expect("height fits i32");
         let bi = b.powi(subtree_levels);
         let bim1 = b.powi(subtree_levels - 1);
         let w_self = (bi - bim1) / (bi - 1.0);
         let w_children = (bim1 - 1.0) / (bi - 1.0);
-        let (parents, children) = tree.adjacent_levels_mut(d);
+        let (upper, lower) = levels.split_at_mut(d);
+        let (parents, children) = (&mut *upper[d - 1], &*lower[0]);
         for (v, group) in parents.iter_mut().zip(children.chunks_exact(fanout)) {
             let child_sum: f64 = group.iter().sum();
             *v = w_self * *v + w_children * child_sum;
         }
     }
+}
 
-    // The root holds the whole population by definition.
-    *tree.get_mut(0, 0) = 1.0;
-
-    // Stage 2: top-down mean consistency.
-    for d in 0..h {
-        let (parents, children) = tree.adjacent_levels_mut(d);
+fn top_down_kernel<const B: usize>(levels: &mut [&mut [f64]], fanout: usize) {
+    let fanout = group::<B>(fanout);
+    let b = fanout as f64;
+    for d in 1..levels.len() {
+        let (upper, lower) = levels.split_at_mut(d);
+        let (parents, children) = (&*upper[d - 1], &mut *lower[0]);
         for (parent_val, group) in parents.iter().zip(children.chunks_exact_mut(fanout)) {
             let child_sum: f64 = group.iter().sum();
             let adjust = (parent_val - child_sum) / b;

@@ -42,7 +42,7 @@ pub mod theory;
 
 pub use config::{FlatConfig, HaarConfig, HhConfig, RangeMechanism};
 pub use error::RangeError;
-pub use estimate::{EstimateBuffers, FrequencyEstimate, RangeEstimate};
+pub use estimate::{EstimateBuffers, FrequencyEstimate, Join, RangeEstimate, SerialJoin};
 pub use flat::{FlatClient, FlatServer};
 pub use haar::calibration::{HaarOueClient, HaarOueReport, HaarOueServer};
 pub use haar::{HaarEstimate, HaarHrrClient, HaarHrrReport, HaarHrrServer};

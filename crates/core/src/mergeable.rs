@@ -30,13 +30,14 @@
 //! leaves the server as it was.
 
 use crate::error::RangeError;
+use crate::estimate::{Join, LevelParts};
 use crate::flat::FlatServer;
 use crate::haar::calibration::{HaarOueReport, HaarOueServer};
 use crate::haar::{HaarHrrReport, HaarHrrServer};
 use crate::hh::split::{HhSplitReport, HhSplitServer};
 use crate::hh::{HhReport, HhServer};
 use crate::multidim::{Hh2dReport, Hh2dServer};
-use ldp_freq_oracle::{AnyReport, PointOracle};
+use ldp_freq_oracle::{AnyReport, DrainPart, PointOracle};
 
 /// An aggregator whose state from disjoint user cohorts can be combined
 /// exactly.
@@ -150,6 +151,21 @@ pub trait SubtractableServer: MergeableServer {
     ///
     /// As [`MergeableServer::merge`], leaving both sides unchanged.
     fn drain(&mut self, other: &mut Self) -> Result<(), RangeError>;
+
+    /// [`SubtractableServer::drain`] run as two halves through `join`,
+    /// the same state however they run. `HH_B` and HaarHRR cut each
+    /// level's statistics where their split freeze cuts that level's
+    /// estimate, so each half of the accumulator is drained by the
+    /// thread that then estimates it, and stays in that core's cache
+    /// (see [`crate::Join`]). The default drains whole on the caller.
+    ///
+    /// # Errors
+    ///
+    /// As [`SubtractableServer::drain`].
+    fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
+        let _ = join;
+        self.drain(other)
+    }
 }
 
 /// Adds `theirs` into `mine` level by level — the one merge body of
@@ -172,6 +188,29 @@ fn drain_tallies<O: PointOracle>(mine: &mut [O], theirs: &mut [O]) -> Result<(),
     for (a, b) in mine.iter_mut().zip(theirs) {
         a.tally_mut().drain(b.tally_mut());
     }
+    Ok(())
+}
+
+/// [`drain_tallies`] as two halves through `join`: level `i`'s
+/// statistics are cut at item `cut(i)`, those below it drained on the
+/// caller's side and the rest on the other
+/// ([`ldp_freq_oracle::Tally::split_drain`]).
+fn drain_tallies_with<O: PointOracle>(
+    mine: &mut [O],
+    theirs: &mut [O],
+    cut: impl Fn(usize) -> usize,
+    join: &dyn Join,
+) -> Result<(), RangeError> {
+    ensure_same_levels(mine, theirs)?;
+    let (mut below, mut above): (LevelParts<DrainPart<'_>>, LevelParts<DrainPart<'_>>) = mine
+        .iter_mut()
+        .zip(theirs)
+        .enumerate()
+        .map(|(i, (a, b))| a.tally_mut().split_drain(b.tally_mut(), cut(i)))
+        .unzip();
+    let run =
+        |parts: &mut [DrainPart<'_>]| parts.iter_mut().for_each(|part| std::mem::take(part).run());
+    join.join(&mut || run(&mut below), &mut || run(&mut above));
     Ok(())
 }
 
@@ -270,7 +309,8 @@ impl MergeableServer for HaarHrrServer {
 }
 
 /// The served mechanisms subtract, clear and drain through the level
-/// helpers.
+/// helpers; each names where its split freeze cuts its levels
+/// (`cuts`), or that it does not split.
 macro_rules! subtractable_servers {
     ($($server:ty),+) => {$(
         impl SubtractableServer for $server {
@@ -285,6 +325,15 @@ macro_rules! subtractable_servers {
             fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
                 drain_tallies(self.oracles_mut(), other.oracles_mut())
             }
+
+            /// Each level cut where the split freeze cuts it; a server
+            /// whose freeze does not split drains whole.
+            fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
+                match self.cuts() {
+                    Some(cut) => drain_tallies_with(self.oracles_mut(), other.oracles_mut(), cut, join),
+                    None => self.drain(other),
+                }
+            }
         }
     )+};
 }
@@ -295,7 +344,7 @@ subtractable_servers!(FlatServer, HhServer, HaarHrrServer);
 mod tests {
     use super::*;
     use crate::config::{FlatConfig, HaarConfig, HhConfig};
-    use crate::estimate::RangeEstimate;
+    use crate::estimate::{RangeEstimate, ScopedJoin};
     use crate::flat::FlatClient;
     use crate::haar::calibration::HaarOueClient;
     use crate::haar::HaarHrrClient;
@@ -551,6 +600,62 @@ mod tests {
                 .unwrap();
         }
         assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
+    }
+
+    /// A split drain, its halves run in parallel, leaves both sides with
+    /// the bytes of the whole drain — every served mechanism, `HH_B` over
+    /// every fanout and level oracle — and refuses another shape
+    /// unchanged.
+    #[test]
+    fn split_drain_is_the_drain() {
+        fn check<S: SubtractableServer + PersistableServer>(mut acc: S, mut shard: S, what: &str) {
+            let bytes = |s: &S| {
+                let mut out = Vec::new();
+                s.persist_state(&mut out);
+                out
+            };
+            let (mut whole, mut whole_shard) = (acc.clone(), shard.clone());
+            whole.drain(&mut whole_shard).unwrap();
+            acc.drain_with(&mut shard, &ScopedJoin).unwrap();
+            assert_eq!(bytes(&acc), bytes(&whole), "{what}: accumulator");
+            assert_eq!(bytes(&shard), bytes(&whole_shard), "{what}: drained shard");
+        }
+        let eps = Epsilon::from_exp(3.0);
+        let mut rng = StdRng::seed_from_u64(331);
+        for (kind, fanout, domain) in [
+            (FrequencyOracle::Oue, 2, 256),
+            (FrequencyOracle::Oue, 3, 243),
+            (FrequencyOracle::Oue, 4, 256),
+            (FrequencyOracle::Oue, 16, 256),
+            (FrequencyOracle::Olh, 4, 64),
+            (FrequencyOracle::Hrr, 2, 256),
+            (FrequencyOracle::Hrr, 4, 256),
+        ] {
+            let config = HhConfig::with_oracle(domain, fanout, eps, kind).unwrap();
+            let mut pair = [(); 2].map(|()| HhServer::new(config.clone()).unwrap());
+            for (k, server) in pair.iter_mut().enumerate() {
+                let counts: Vec<u64> = (0..domain as u64).map(|z| (z * 7 + k as u64) % 5).collect();
+                server.absorb_population(&counts, &mut rng).unwrap();
+            }
+            let [acc, shard] = pair;
+            check(acc, shard, &format!("HH_{fanout} {kind}"));
+        }
+        for domain in [2, 64, 1024] {
+            let config = HaarConfig::new(domain, eps).unwrap();
+            let mut pair = [(); 2].map(|()| HaarHrrServer::new(config.clone()).unwrap());
+            for (k, server) in pair.iter_mut().enumerate() {
+                let counts: Vec<u64> = (0..domain as u64).map(|z| (z * 3 + k as u64) % 4).collect();
+                server.absorb_population(&counts, &mut rng).unwrap();
+            }
+            let [acc, shard] = pair;
+            check(acc, shard, &format!("HaarHRR D={domain}"));
+        }
+        let mut a = HhServer::new(HhConfig::new(64, 2, eps).unwrap()).unwrap();
+        let mut b = HhServer::new(HhConfig::new(64, 4, eps).unwrap()).unwrap();
+        b.absorb_population(&[1; 64], &mut rng).unwrap();
+        let before = b.num_reports();
+        assert!(a.drain_with(&mut b, &ScopedJoin).is_err());
+        assert_eq!((a.num_reports(), b.num_reports()), (0, before));
     }
 
     #[test]

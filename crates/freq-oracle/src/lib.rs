@@ -71,7 +71,7 @@ pub use oracle::{FrequencyOracle, PointOracle};
 pub use oue::{Oue, OueReport};
 pub use params::{binary_rr_keep_prob, grr_keep_prob, olh_hash_range, oue_probs, Epsilon};
 pub use sue::{sue_probs, sue_variance, Sue};
-pub use tally::{put_varint, Tally};
+pub use tally::{put_varint, DrainPart, Tally};
 pub use variance::{frequency_oracle_variance, hrr_exact_variance, psi};
 
 /// A frequency oracle of any of the three kinds, behind one concrete type.
@@ -302,6 +302,24 @@ impl PointOracle for AnyOracle {
         }
     }
 
+    fn estimates_per_item(&self) -> bool {
+        match self {
+            Self::Oue(o) => o.estimates_per_item(),
+            Self::Olh(o) => o.estimates_per_item(),
+            Self::Hrr(o) => o.estimates_per_item(),
+            Self::Sue(o) => o.estimates_per_item(),
+        }
+    }
+
+    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
+        match self {
+            Self::Oue(o) => o.estimate_part_into(first, out),
+            Self::Olh(o) => o.estimate_part_into(first, out),
+            Self::Hrr(o) => o.estimate_part_into(first, out),
+            Self::Sue(o) => o.estimate_part_into(first, out),
+        }
+    }
+
     fn theoretical_variance(&self) -> f64 {
         match self {
             Self::Oue(o) => o.theoretical_variance(),
@@ -378,6 +396,43 @@ mod tests {
             let after: Vec<u64> = server.estimate().iter().map(|x| x.to_bits()).collect();
             assert_eq!(before, after, "{kind}: state changed");
             assert_eq!(server.num_reports(), 40, "{kind}");
+        }
+    }
+
+    /// Every part of the domain, written alone into a NaN buffer, holds
+    /// the bits of those slots of the whole estimate — before and after
+    /// reports, for every kind, the whole-domain default (HRR) included.
+    #[test]
+    fn estimate_parts_are_the_whole_estimate_sliced() {
+        let mut rng = StdRng::seed_from_u64(54);
+        let eps = Epsilon::from_exp(3.0);
+        for kind in [
+            FrequencyOracle::Oue,
+            FrequencyOracle::Olh,
+            FrequencyOracle::Hrr,
+            FrequencyOracle::Sue,
+        ] {
+            let mut oracle = AnyOracle::new(kind, 64, eps).unwrap();
+            assert_eq!(oracle.estimates_per_item(), kind != FrequencyOracle::Hrr);
+            for reports in [0, 300] {
+                for v in 0..reports {
+                    let r = oracle.encode((v * v) % 64, &mut rng).unwrap();
+                    oracle.absorb(&r).unwrap();
+                }
+                let whole = oracle.estimate();
+                for (first, len) in [(0, 64), (0, 1), (7, 20), (32, 32), (63, 1), (40, 0)] {
+                    let mut part = vec![f64::NAN; len];
+                    oracle.estimate_part_into(first, &mut part);
+                    let want = &whole[first..first + len];
+                    assert!(
+                        part.iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{kind}: items {first}..{} after {reports} reports",
+                        first + len
+                    );
+                }
+            }
         }
     }
 

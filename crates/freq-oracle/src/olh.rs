@@ -223,6 +223,15 @@ impl PointOracle for Olh {
 
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
+        self.estimate_part_into(0, out);
+    }
+
+    fn estimates_per_item(&self) -> bool {
+        true
+    }
+
+    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
+        let supports = &self.tally.stats[first..first + out.len()];
         if self.tally.reports == 0 {
             out.fill(0.0);
             return;
@@ -230,7 +239,7 @@ impl PointOracle for Olh {
         let n = self.tally.reports as f64;
         let inv_g = 1.0 / self.g as f64;
         let denom = self.grr.keep_prob() - inv_g;
-        for (o, &s) in out.iter_mut().zip(&self.tally.stats) {
+        for (o, &s) in out.iter_mut().zip(supports) {
             *o = (s as f64 / n - inv_g) / denom;
         }
     }

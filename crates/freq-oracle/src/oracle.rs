@@ -145,6 +145,29 @@ pub trait PointOracle {
     /// Panics unless `out.len() == D`.
     fn estimate_into(&self, out: &mut [f64]);
 
+    /// Whether this oracle estimates each item from that item's own
+    /// statistic alone, so [`PointOracle::estimate_part_into`] writes any
+    /// part of the domain without touching the rest: true for the unary
+    /// encodings and OLH, false (the default) for HRR, whose estimator
+    /// is one transform over the whole domain.
+    fn estimates_per_item(&self) -> bool {
+        false
+    }
+
+    /// The estimates of items `first..first + out.len()`, bit for bit
+    /// those slots of [`PointOracle::estimate_into`]. An oracle that
+    /// [estimates per item](PointOracle::estimates_per_item) writes only
+    /// that part, so two threads can each fill a disjoint part of one
+    /// level; the default estimates the whole domain into a fresh vector
+    /// and copies the part out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the part runs past the domain.
+    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
+        out.copy_from_slice(&self.estimate()[first..first + out.len()]);
+    }
+
     /// [`PointOracle::estimate_into`] into a freshly allocated vector.
     fn estimate(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.domain()];

@@ -261,7 +261,16 @@ impl PointOracle for Oue {
     }
 
     fn estimate_into(&self, out: &mut [f64]) {
-        self.state.estimate_into((self.p, self.q), out);
+        assert_eq!(out.len(), self.domain(), "estimate buffer != domain");
+        self.estimate_part_into(0, out);
+    }
+
+    fn estimates_per_item(&self) -> bool {
+        true
+    }
+
+    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
+        self.state.estimate_part_into((self.p, self.q), first, out);
     }
 
     fn theoretical_variance(&self) -> f64 {

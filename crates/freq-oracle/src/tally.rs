@@ -43,6 +43,24 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ 0u64.wrapping_sub(z & 1)
 }
 
+/// One part of a [`Tally::split_drain`]: a run of one tally's statistics
+/// and the same run of the tally it drains (empty by default).
+#[derive(Debug, Default)]
+pub struct DrainPart<'a> {
+    into: &'a mut [u64],
+    from: &'a mut [u64],
+}
+
+impl DrainPart<'_> {
+    /// Adds each statistic of the drained run into this one's and zeroes
+    /// it where it was read.
+    pub fn run(self) {
+        for (a, b) in self.into.iter_mut().zip(self.from) {
+            *a = a.wrapping_add(std::mem::take(b));
+        }
+    }
+}
+
 /// One oracle's statistics and report total ([`crate::PointOracle::tally`]).
 /// Combining two assumes their oracles share a configuration, which the
 /// caller checks first ([`crate::PointOracle::ensure_same`]).
@@ -93,11 +111,34 @@ impl Tally {
     /// and zeroes it where it was read. How a service folds a shard into
     /// its accumulator.
     pub fn drain(&mut self, other: &mut Self) {
+        let (below, above) = self.split_drain(other, 0);
+        below.run();
+        above.run();
+    }
+
+    /// [`Tally::drain`] cut at item `at` into two parts that two threads
+    /// can run at once; the report total moves here. The drain is whole
+    /// once both parts have run.
+    #[must_use = "the statistics move only when both parts run"]
+    pub fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>) {
         debug_assert!(self.same_shape(other));
-        for (a, b) in self.stats.iter_mut().zip(&mut other.stats) {
-            *a = a.wrapping_add(std::mem::take(b));
-        }
         self.reports += std::mem::take(&mut other.reports);
+        let (into_below, into_above) = self.stats.split_at_mut(at);
+        let (from_below, from_above) = other.stats.split_at_mut(at);
+        (
+            DrainPart {
+                into: into_below,
+                from: from_below,
+            },
+            DrainPart {
+                into: into_above,
+                from: from_above,
+            },
+        )
     }
 
     /// Checks, changing nothing, that `other` could have been merged in:
@@ -353,6 +394,36 @@ mod tests {
         );
         assert_eq!(acc.reports, (u64::MAX >> 1) + 6);
         assert_eq!(shard, Tally::sums(4));
+    }
+
+    /// Cut anywhere, and its parts run in either order, a split drain
+    /// is the whole drain.
+    #[test]
+    fn split_drain_is_the_drain() {
+        for signed in [false, true] {
+            let (mine, theirs) = (filled(signed, 9, 3, 40), filled(signed, 9, 5, 25));
+            let mut whole = mine.clone();
+            let mut whole_shard = theirs.clone();
+            whole.drain(&mut whole_shard);
+            for at in 0..=9 {
+                for above_first in [false, true] {
+                    let (mut split, mut shard) = (mine.clone(), theirs.clone());
+                    let (below, above) = split.split_drain(&mut shard, at);
+                    if above_first {
+                        above.run();
+                        below.run();
+                    } else {
+                        below.run();
+                        above.run();
+                    }
+                    assert_eq!(
+                        (&split, &shard),
+                        (&whole, &whole_shard),
+                        "signed={signed} at={at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

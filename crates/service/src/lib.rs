@@ -19,8 +19,8 @@
 //!                     │ shard 0   shard 1  …  shard k│   bytes into the next
 //!                     │ (absorb)  (absorb)    (absorb)│   shard, in place,
 //!                     └──────────────┬───────────────┘   all-or-nothing
-//!                                    │ drain: merge each dirty shard in,
-//!                                    ▼ clear it (exact: integer sums)
+//!                                    │ drain: add each dirty shard in and
+//!                                    ▼ zero it, one pass (exact: integer sums)
 //!                              accumulator
 //!                                    │ freeze (CI / pyramid collapse,
 //!                                    ▼         prefix sums)
@@ -54,7 +54,9 @@
 //!   mutex-sharded ingestion with atomic snapshot publication, so queries
 //!   keep answering while reports stream in. Sharding is a pure
 //!   throughput change: shard-merge equals sequential absorption
-//!   *exactly* (bit-for-bit).
+//!   *exactly* (bit-for-bit). From [`SPLIT_FREEZE_MIN_DOMAIN`] items up,
+//!   a refresh drains and freezes on two threads — the refresher and a
+//!   parked helper thread the service keeps — with the same bits.
 //! * [`window`] — [`EpochRing`]: time-windowed streaming aggregation.
 //!   Per-epoch accumulators in a ring, rotation that retires the oldest
 //!   epoch by *exact subtraction* ([`SubtractableServer`]) instead of a
@@ -138,6 +140,7 @@
 //! ```
 
 pub mod error;
+mod helper;
 pub mod loadgen;
 pub mod net;
 pub mod obs;
@@ -157,7 +160,7 @@ pub use obs::{
     HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRegistry, RegistrySnapshot,
 };
 pub use repl::{FollowerService, ReplFeed};
-pub use service::{LdpService, MAX_OLH_DOMAIN};
+pub use service::{LdpService, MAX_OLH_DOMAIN, SPLIT_FREEZE_MIN_DOMAIN};
 pub use snapshot::{RangeSnapshot, SnapshotSource};
 pub use storage::{
     DurableConfig, DurableService, DurableStatus, FsyncPolicy, RecoveryReport, TailStatus,

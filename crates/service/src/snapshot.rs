@@ -20,6 +20,13 @@
 //! result bit-identical to a reference that copies a fresh `Vec` per
 //! level, reads the fanout at run time and builds the prefix by `push`.
 //!
+//! A large freeze splits in two ([`ldp_ranges::Join`]): `HH_B`'s level
+//! estimates and consistency passes under each half of the root's
+//! children, HaarHRR's per-depth inversions and each half of its leaf
+//! expansion. [`RangeSnapshot::freeze`] runs both halves on the calling
+//! thread; a service runs them on two threads from
+//! [`crate::SPLIT_FREEZE_MIN_DOMAIN`] items up, with the same bits.
+//!
 //! A service's freezes allocate nothing of size `O(D)` once warm.
 //! [`RangeSnapshot::freeze_into`] writes into an
 //! [`ldp_ranges::EstimateBuffers`], and [`crate::LdpService`] owns one,
@@ -36,13 +43,13 @@
 //! [`RangeSnapshot::freeze`] always does. A buffer's old contents are
 //! never read, so a recycled freeze is bit-identical to an allocating
 //! one (`tests/recycled_freeze.rs`), and `tests/refresh_alloc.rs` counts
-//! a warm refresh's large allocations.
+//! a warm refresh's large allocations — on the freeze helper too.
 
 use crate::error::ServiceError;
 use ldp_freq_oracle::{FrequencyOracle, PointOracle};
 use ldp_ranges::{
-    quantile, EstimateBuffers, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer,
-    PersistableServer, RangeEstimate, SubtractableServer,
+    quantile, EstimateBuffers, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, Join,
+    PersistableServer, RangeEstimate, SerialJoin, SubtractableServer,
 };
 
 /// Servers whose merged state can be frozen into a 1-D frequency
@@ -53,23 +60,48 @@ use ldp_ranges::{
 /// so a snapshot is exactly what the underlying mechanism would publish.
 ///
 /// The supertrait is [`SubtractableServer`], not just mergeable: the
-/// service drains a shard by merging it into its accumulator and
-/// clearing it in place ([`crate::LdpService::refresh_snapshot`]), and
-/// rolls a rejected batch back by exact subtraction, so anything the
-/// service can freeze must also clear and un-merge. It is
+/// service drains a shard into its accumulator in one add-and-zero pass
+/// ([`SubtractableServer::drain`], from
+/// [`crate::LdpService::refresh_snapshot`]), and rolls a rejected batch
+/// back by exact subtraction, so anything the service can freeze must
+/// also drain, clear and un-merge. It is
 /// [`PersistableServer`] too, because a durable service checkpoints it
 /// and a follower restores it. Every mechanism's integer sufficient
 /// statistics satisfy both for free.
 pub trait SnapshotSource: SubtractableServer + PersistableServer {
     /// Materializes the per-item frequency estimate of the current state
-    /// in freshly allocated buffers.
+    /// in freshly allocated buffers, on the calling thread.
     fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.frequency_estimate_into(&mut EstimateBuffers::default())
+        self.frequency_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)
     }
 
     /// [`SnapshotSource::frequency_estimate`] written into `buffers`,
-    /// bit-identical whatever they held (see [`EstimateBuffers`]).
-    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate;
+    /// bit-identical whatever they held (see [`EstimateBuffers`]), with
+    /// its two halves run through `join` — the same bits however `join`
+    /// runs them (see [`Join`]).
+    fn frequency_estimate_into(
+        &self,
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> FrequencyEstimate;
+
+    /// The estimate [`crate::LdpService::refresh_snapshot`] publishes,
+    /// frozen from the accumulator the service holds mutably: by default
+    /// [`SnapshotSource::frequency_estimate_into`]. [`crate::EpochRing`]
+    /// sums its open epoch and its sealed ones into a scratch server it
+    /// keeps, instead of allocating one per refresh.
+    ///
+    /// # Errors
+    ///
+    /// A state that cannot be summed (impossible for a ring built from
+    /// one prototype).
+    fn publish_estimate_into(
+        &mut self,
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> Result<FrequencyEstimate, ServiceError> {
+        Ok(self.frequency_estimate_into(buffers, join))
+    }
 
     /// The frequency oracle every level of this server releases reports
     /// through, and the largest level's domain — what
@@ -109,7 +141,12 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
 /// flat oracle's own estimate, the `HH_B` constrained-inference leaves, or
 /// the collapsed HaarHRR pyramid.
 impl SnapshotSource for FlatServer {
-    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
+    /// The flat estimate is one oracle's and runs whole on the caller.
+    fn frequency_estimate_into(
+        &self,
+        buffers: &mut EstimateBuffers,
+        _join: &dyn Join,
+    ) -> FrequencyEstimate {
         FlatServer::frequency_estimate_into(self, buffers)
     }
 
@@ -119,8 +156,12 @@ impl SnapshotSource for FlatServer {
 }
 
 impl SnapshotSource for HhServer {
-    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
-        HhServer::frequency_estimate_into(self, buffers)
+    fn frequency_estimate_into(
+        &self,
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> FrequencyEstimate {
+        HhServer::frequency_estimate_into(self, buffers, join)
     }
 
     /// Every depth uses the configured oracle; the leaves are the largest.
@@ -130,8 +171,12 @@ impl SnapshotSource for HhServer {
 }
 
 impl SnapshotSource for HaarHrrServer {
-    fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
-        HaarHrrServer::frequency_estimate_into(self, buffers)
+    fn frequency_estimate_into(
+        &self,
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> FrequencyEstimate {
+        HaarHrrServer::frequency_estimate_into(self, buffers, join)
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -164,7 +209,7 @@ impl RangeSnapshot {
         buffers: &mut EstimateBuffers,
     ) -> Self {
         Self {
-            estimate: server.frequency_estimate_into(buffers),
+            estimate: server.frequency_estimate_into(buffers, &SerialJoin),
             num_reports: server.num_reports(),
             version,
         }

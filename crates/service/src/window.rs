@@ -45,7 +45,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ldp_ranges::persist::put_varint;
-use ldp_ranges::{MergeableServer, PersistableServer, RangeError, StateReader, SubtractableServer};
+use ldp_ranges::{
+    EstimateBuffers, FrequencyEstimate, Join, MergeableServer, PersistableServer, RangeError,
+    SerialJoin, StateReader, SubtractableServer,
+};
 
 use crate::error::ServiceError;
 use crate::obs::instruments::WindowInstruments;
@@ -109,6 +112,22 @@ pub struct EpochRing<S: SubtractableServer> {
     /// recording into the same instruments). Not part of the ring's
     /// *state*: excluded from persistence and from merge alignment.
     obs: Option<Arc<WindowInstruments>>,
+    /// The live window's sum — `running` plus `current` — as the last
+    /// service refresh built it, kept so the next one overwrites it
+    /// instead of allocating ([`SnapshotSource::publish_estimate_into`]).
+    /// Scratch, not state: a clone starts without one, and persistence
+    /// and alignment never look at it.
+    live: Scratch<S>,
+}
+
+/// A kept scratch server; it clones as `None`.
+#[derive(Debug)]
+struct Scratch<S>(Option<S>);
+
+impl<S> Clone for Scratch<S> {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
 }
 
 impl<S: SubtractableServer> EpochRing<S> {
@@ -131,6 +150,7 @@ impl<S: SubtractableServer> EpochRing<S> {
             window_len,
             epoch_width: 0,
             obs: None,
+            live: Scratch(None),
         })
     }
 
@@ -493,9 +513,15 @@ impl<S: SubtractableServer> SubtractableServer for EpochRing<S> {
     /// [`MergeableServer::merge`] would, and `other` is then cleared to
     /// its layout. A misaligned ring is refused before either changes.
     fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
+        self.drain_with(other, &SerialJoin)
+    }
+
+    /// [`SubtractableServer::drain`], the open epoch's pass split as the
+    /// epoch's own server splits it.
+    fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
         self.ensure_aligned(other)?;
         if other.current.num_reports() > 0 {
-            self.current.drain(&mut other.current)?;
+            self.current.drain_with(&mut other.current, join)?;
         }
         self.fold_aligned(other, S::merge)?;
         other.clear();
@@ -586,18 +612,36 @@ impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
     }
 
     /// The live windowed estimate: every retained sealed epoch plus the
-    /// open epoch. This is what `LdpService::refresh_snapshot` publishes
-    /// for a windowed service — the trailing-window view, not the
-    /// all-time population.
+    /// open epoch, summed into a fresh server. This is what
+    /// `LdpService::refresh_snapshot` publishes for a windowed service —
+    /// the trailing-window view, not the all-time population — through
+    /// [`SnapshotSource::publish_estimate_into`], which sums into a kept
+    /// scratch instead.
     fn frequency_estimate_into(
         &self,
-        buffers: &mut ldp_ranges::EstimateBuffers,
-    ) -> ldp_ranges::FrequencyEstimate {
-        let mut merged = self.running.clone();
-        merged
-            .merge(&self.current)
-            .expect("ring epochs share one prototype");
-        merged.frequency_estimate_into(buffers)
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> FrequencyEstimate {
+        let mut live = self.running.clone();
+        let summed = live.merge(&self.current);
+        // Never refused: both are built from the prototype. (A refused
+        // merge changes nothing.)
+        debug_assert!(summed.is_ok(), "ring epochs share one prototype");
+        live.frequency_estimate_into(buffers, join)
+    }
+
+    /// The live windowed estimate, summed into the kept scratch in place:
+    /// cleared, then the running merge and the open epoch merged in.
+    fn publish_estimate_into(
+        &mut self,
+        buffers: &mut EstimateBuffers,
+        join: &dyn Join,
+    ) -> Result<FrequencyEstimate, ServiceError> {
+        let live = self.live.0.get_or_insert_with(|| self.prototype.clone());
+        live.clear();
+        live.merge(&self.running)?;
+        live.merge(&self.current)?;
+        Ok(live.frequency_estimate_into(buffers, join))
     }
 
     /// Every epoch is a clone of the prototype.

@@ -4,6 +4,9 @@
 //! runs a closure and counts the blocks of at least a given size that the
 //! calling thread allocated (or grew a block to) inside it. Other test
 //! threads in the binary are never counted, so any test here can use it.
+//! [`huge_allocations`] counts every thread's blocks instead — the
+//! caller's and the freeze helper's — from a size no other test here
+//! ever allocates.
 //!
 //! The tests build plain `HH_4`/OUE and HaarHRR services at D = 2^12, run
 //! two warm-up refreshes (the first allocates HaarHRR's kept pyramid and
@@ -12,10 +15,15 @@
 //! each later dirty `refresh_snapshot` — drain, freeze, publish — to
 //! allocate no block of `D · 8` bytes or more: every estimate tree,
 //! pyramid, leaf expansion, per-item vector and prefix buffer it writes
-//! must be one the service already owns.
+//! must be one the service already owns. A windowed HaarHRR service must
+//! allocate no block of 1 KB or more: the window's live sum goes into a
+//! server the ring keeps. At D = 2^16, where the drain and the freeze
+//! split across the helper thread, neither thread may allocate a block
+//! of `D · 8` bytes, and the caller none of 1 KB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
@@ -34,7 +42,16 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+/// The size from which [`huge_allocations`] counts a block on any
+/// thread; 0 = disarmed.
+static HUGE_MIN: AtomicUsize = AtomicUsize::new(0);
+static HUGE_COUNT: AtomicUsize = AtomicUsize::new(0);
+
 fn note(size: usize) {
+    let huge = HUGE_MIN.load(Ordering::Relaxed);
+    if huge > 0 && size >= huge {
+        HUGE_COUNT.fetch_add(1, Ordering::Relaxed);
+    }
     // `try_with`: the allocator also serves threads whose locals are
     // being torn down. These cells own nothing, so reading them never
     // allocates.
@@ -82,6 +99,16 @@ fn large_allocations(min_bytes: usize, f: impl FnOnce()) -> (usize, usize) {
     f();
     MIN_BYTES.set(None);
     (COUNT.get(), LARGEST.get())
+}
+
+/// Runs `f` and returns how many blocks of at least `min_bytes` any
+/// thread allocated or grew to inside it.
+fn huge_allocations(min_bytes: usize, f: impl FnOnce()) -> usize {
+    HUGE_COUNT.store(0, Ordering::Relaxed);
+    HUGE_MIN.store(min_bytes, Ordering::Relaxed);
+    f();
+    HUGE_MIN.store(0, Ordering::Relaxed);
+    HUGE_COUNT.load(Ordering::Relaxed)
 }
 
 const D: usize = 1 << 12;
@@ -141,6 +168,83 @@ fn warm_haar_hrr_refresh_allocates_no_o_d_block() {
         .collect();
     let prototype = HaarHrrServer::new(config).expect("server");
     assert_warm_refreshes_allocate_no_o_d_block(&prototype, &reports, "HaarHRR");
+}
+
+#[test]
+fn warm_windowed_haar_hrr_refresh_allocates_no_kilobyte_block() {
+    let config = HaarConfig::new(D, Epsilon::from_exp(3.0)).expect("config");
+    let client = HaarHrrClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4313);
+    let prototype = HaarHrrServer::new(config).expect("server");
+    let service = LdpService::windowed(&prototype, 2, 4).expect("service");
+    for round in 0..8 {
+        for i in 0..BATCH {
+            let report = client
+                .report((i * 37 + round) % D, &mut rng)
+                .expect("report");
+            service.submit(&report).expect("submit");
+        }
+        let (count, largest) = large_allocations(1024, || {
+            drop(service.refresh_snapshot().expect("refresh"));
+        });
+        if round >= 2 {
+            assert_eq!(
+                count, 0,
+                "windowed HaarHRR: warm dirty refresh {round} allocated {count} block(s) of \
+                 ≥ 1 KB (largest {largest})"
+            );
+        }
+        // Sealed epochs fill the running sum the live window adds to.
+        if round % 2 == 1 {
+            service.seal_epoch().expect("seal");
+        }
+    }
+}
+
+/// At D = 2^16 the freeze and the drain split across the helper thread;
+/// a warm refresh allocates no `O(D)` block on either thread.
+#[test]
+fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
+    const BIG: usize = 1 << 16;
+    const { assert!(BIG >= ldp_service::SPLIT_FREEZE_MIN_DOMAIN) };
+    let eps = Epsilon::from_exp(3.0);
+    let mut rng = StdRng::seed_from_u64(4314);
+    let hh = HhConfig::with_oracle(BIG, 4, eps, FrequencyOracle::Oue).expect("config");
+    let hh_client = HhClient::new(hh.clone()).expect("client");
+    let hh_service = LdpService::new(&HhServer::new(hh).expect("server"), 2).expect("service");
+    let haar = HaarConfig::new(BIG, eps).expect("config");
+    let haar_client = HaarHrrClient::new(haar.clone()).expect("client");
+    let haar_service =
+        LdpService::new(&HaarHrrServer::new(haar).expect("server"), 2).expect("service");
+    for round in 0..5 {
+        for i in 0..8 {
+            let value = (i * 7919 + round) % BIG;
+            hh_service
+                .submit(&hh_client.report(value, &mut rng).expect("report"))
+                .expect("submit");
+            haar_service
+                .submit(&haar_client.report(value, &mut rng).expect("report"))
+                .expect("submit");
+        }
+        let mut huge = 0;
+        let (on_caller, largest) = large_allocations(1024, || {
+            huge = huge_allocations(BIG * 8, || {
+                drop(hh_service.refresh_snapshot().expect("refresh"));
+                drop(haar_service.refresh_snapshot().expect("refresh"));
+            });
+        });
+        if round >= 2 {
+            assert_eq!(
+                huge, 0,
+                "warm split refresh {round} allocated {huge} O(D) block(s)"
+            );
+            assert_eq!(
+                on_caller, 0,
+                "warm split refresh {round} allocated {on_caller} block(s) of ≥ 1 KB on the \
+                 caller (largest {largest})"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,0 +1,189 @@
+//! The split freeze ≡ the serial freeze, bit for bit.
+//!
+//! From [`SPLIT_FREEZE_MIN_DOMAIN`] items up, a dirty refresh drains and
+//! freezes as a fork-join over the refreshing thread and the service's
+//! freeze helper. This suite holds what such a service publishes to
+//! `RangeSnapshot::freeze` of its merged state — the serial, allocating
+//! freeze — in every frequency bit and every prefix bit:
+//!
+//! * `HH_B` over OUE for B ∈ {2, 3, 4, 16}, `HH_B` over HRR for the
+//!   power-of-two B, whose levels go whole to one side, and HaarHRR;
+//! * plain and windowed services;
+//! * a domain below the cutoff, one at it (where the fanout has one) or
+//!   just above it, and one far above it — up to 2^16 items, 2^17 for
+//!   HaarHRR.
+//!
+//! It also freezes each state into NaN-poisoned `EstimateBuffers` with a
+//! join that runs the other half on a scoped thread, so a split freeze
+//! that reads a slot it did not write fails here too.
+
+use ldp_freq_oracle::{Epsilon, FrequencyOracle};
+use ldp_ranges::{
+    EstimateBuffers, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer, Join,
+};
+use ldp_service::{EpochRing, LdpService, RangeSnapshot, SnapshotSource, SPLIT_FREEZE_MIN_DOMAIN};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+const REPORTS_PER_ROUND: usize = 24;
+const ROUNDS: usize = 3;
+
+/// Runs `theirs` on a scoped thread while `mine` runs here.
+struct ScopedJoin;
+
+impl Join for ScopedJoin {
+    fn join(&self, mine: &mut dyn FnMut(), theirs: &mut (dyn FnMut() + Send)) {
+        std::thread::scope(|scope| {
+            scope.spawn(theirs);
+            mine();
+        });
+    }
+}
+
+fn eps() -> Epsilon {
+    Epsilon::from_exp(3.0)
+}
+
+/// Every frequency bit and every prefix bit of a snapshot.
+fn bits(snap: &RangeSnapshot) -> (Vec<u64>, Vec<u64>) {
+    (
+        snap.estimate()
+            .frequencies()
+            .iter()
+            .map(|f| f.to_bits())
+            .collect(),
+        (0..snap.domain())
+            .map(|b| snap.prefix(b).to_bits())
+            .collect(),
+    )
+}
+
+fn assert_same(got: &RangeSnapshot, serial: &RangeSnapshot, what: &str) {
+    assert_eq!(got.domain(), serial.domain(), "{what}: domain");
+    assert_eq!(got.num_reports(), serial.num_reports(), "{what}: reports");
+    assert!(bits(got) == bits(serial), "{what}: bits differ");
+}
+
+/// A freeze into NaN-poisoned buffers, split onto a scoped thread, held
+/// to the serial freeze.
+fn check_poisoned<S: SnapshotSource>(state: &S, serial: &RangeSnapshot, what: &str) {
+    let d = serial.domain();
+    let mut buffers = EstimateBuffers {
+        values: vec![f64::NAN; 2 * d],
+        prefix: vec![f64::NAN; d + 1],
+        pyramid: vec![f64::NAN; d],
+        scratch: vec![f64::NAN; d],
+    };
+    let estimate = state.frequency_estimate_into(&mut buffers, &ScopedJoin);
+    let split = RangeSnapshot::from_estimate(estimate, state.num_reports(), serial.version());
+    assert_same(&split, serial, &format!("{what}, poisoned buffers"));
+}
+
+/// Feeds a plain and a windowed service over `prototype` a few rounds of
+/// reports — sealing the windowed one between rounds — and holds every
+/// published snapshot to the serial freeze of the merged state.
+fn check<S: SnapshotSource>(
+    prototype: &S,
+    mut report: impl FnMut(usize, &mut dyn RngCore) -> S::Report,
+    what: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(4401);
+    let plain = LdpService::new(prototype, 2).expect("service");
+    let windowed = LdpService::windowed(prototype, 2, 2).expect("windowed service");
+    for round in 0..ROUNDS {
+        for i in 0..REPORTS_PER_ROUND {
+            let r = report(round * REPORTS_PER_ROUND + i, &mut rng);
+            plain.submit(&r).expect("submit");
+            windowed.submit(&r).expect("submit");
+        }
+        let what = format!("{what}, round {round}");
+        let snap = plain.refresh_snapshot().expect("refresh");
+        let state = plain.merged_state().expect("state");
+        let serial = RangeSnapshot::freeze(&state, snap.version());
+        assert_same(&snap, &serial, &format!("{what}, plain"));
+        check_poisoned(&state, &serial, &format!("{what}, plain"));
+
+        let snap = windowed.refresh_snapshot().expect("refresh");
+        let ring: EpochRing<S> = windowed.merged_state().expect("state");
+        let serial = RangeSnapshot::freeze(&ring, snap.version());
+        assert_same(&snap, &serial, &format!("{what}, windowed"));
+        check_poisoned(&ring, &serial, &format!("{what}, windowed"));
+        windowed.seal_epoch().expect("seal");
+    }
+}
+
+/// A value skewed toward the low quarter of the domain.
+fn value(i: usize, domain: usize) -> usize {
+    if i.is_multiple_of(3) {
+        (i * 7919) % domain
+    } else {
+        (i * 31) % (domain / 4)
+    }
+}
+
+/// The powers of `fanout` that bracket the cutoff: the largest below it,
+/// the smallest at or above it, and the largest up to 2^16.
+fn domains(fanout: usize) -> Vec<usize> {
+    let powers: Vec<usize> = std::iter::successors(Some(fanout), |&d| Some(d * fanout))
+        .take_while(|&d| d <= 1 << 16)
+        .collect();
+    let at = powers
+        .iter()
+        .position(|&d| d >= SPLIT_FREEZE_MIN_DOMAIN)
+        .expect("a power at or above the cutoff");
+    let mut picked = vec![powers[at - 1], powers[at], powers[powers.len() - 1]];
+    picked.dedup();
+    picked
+}
+
+fn check_hh(oracle: FrequencyOracle, fanout: usize) {
+    for domain in domains(fanout) {
+        let config = HhConfig::with_oracle(domain, fanout, eps(), oracle).expect("config");
+        let client = HhClient::new(config.clone()).expect("client");
+        let prototype = HhServer::new(config).expect("server");
+        check(
+            &prototype,
+            |i, rng| client.report(value(i, domain), rng).expect("report"),
+            &format!("HH_{fanout}/{oracle} D={domain}"),
+        );
+    }
+}
+
+#[test]
+fn the_domains_bracket_the_cutoff() {
+    assert_eq!(domains(4), [1 << 12, 1 << 14, 1 << 16]);
+    assert_eq!(domains(3), [6561, 19683, 59049]);
+    assert_eq!(domains(16), [4096, 65536]);
+}
+
+#[test]
+fn split_hh_oue_is_the_serial_freeze() {
+    for fanout in [2, 3, 4, 16] {
+        check_hh(FrequencyOracle::Oue, fanout);
+    }
+}
+
+#[test]
+fn split_hh_hrr_is_the_serial_freeze() {
+    for fanout in [2, 4, 16] {
+        check_hh(FrequencyOracle::Hrr, fanout);
+    }
+}
+
+#[test]
+fn split_haar_hrr_is_the_serial_freeze() {
+    for domain in [
+        SPLIT_FREEZE_MIN_DOMAIN / 4,
+        SPLIT_FREEZE_MIN_DOMAIN,
+        1 << 17,
+    ] {
+        let config = HaarConfig::new(domain, eps()).expect("config");
+        let client = HaarHrrClient::new(config.clone()).expect("client");
+        let prototype = HaarHrrServer::new(config).expect("server");
+        check(
+            &prototype,
+            |i, rng| client.report(value(i, domain), rng).expect("report"),
+            &format!("HaarHRR D={domain}"),
+        );
+    }
+}

@@ -305,6 +305,17 @@ impl HaarPyramid {
         &mut self.diffs[width - 1..2 * width - 1]
     }
 
+    /// Every depth's differences as its own mutable slice, root first:
+    /// disjoint borrows, so different threads can fill different depths.
+    pub fn depths_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let mut rest = self.diffs.as_mut_slice();
+        (0..self.height).map(move |depth| {
+            let (diffs, deeper) = std::mem::take(&mut rest).split_at_mut(1usize << depth);
+            rest = deeper;
+            diffs
+        })
+    }
+
     /// Domain size `D = 2^h`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -371,22 +382,59 @@ impl HaarPyramid {
         let n = self.len();
         let mut out = crate::reuse_buffer(out, n);
         *scratch = crate::reuse_buffer(std::mem::take(scratch), n);
+        self.expand_into(0, 0, self.total, &mut out, scratch);
+        out
+    }
+
+    /// The two halves' sums of the node at `depth`, index `t`, whose
+    /// subtree sums to `sum`: `((s + d)/2, (s − d)/2)`, the one step
+    /// every expansion repeats.
+    #[inline]
+    pub fn child_sums(&self, depth: u32, t: usize, sum: f64) -> (f64, f64) {
+        let d_u = self.diff(depth, t);
+        ((sum + d_u) / 2.0, (sum - d_u) / 2.0)
+    }
+
+    /// The leaves under the node at `depth`, index `t`, whose subtree
+    /// sums to `sum`, written into `out` (`D / 2^depth` slots) with
+    /// `scratch` (as long) as the second buffer; nothing either held is
+    /// read. The whole expansion is the root's, so two subtrees expanded
+    /// apart — on two threads — give the bits of one
+    /// [`HaarPyramid::leaves`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both buffers hold exactly the subtree's leaves.
+    pub fn expand_into(
+        &self,
+        depth: u32,
+        t: usize,
+        sum: f64,
+        out: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let passes = self.height - depth;
+        assert!(
+            out.len() == 1 << passes && scratch.len() == out.len(),
+            "expansion buffers must hold the subtree's leaves"
+        );
         // Ping-pong expansion (see [`haar_inverse`]); bit-identical to
-        // [`HaarPyramid::leaves_scalar`]. Each of the `h` passes writes
-        // the other buffer, so the first one read is chosen by the
-        // parity of `h` for the last pass to write `out`.
-        let (mut cur, mut next) = if self.height.is_multiple_of(2) {
-            (&mut out, scratch)
+        // [`HaarPyramid::leaves_scalar`]. Each pass writes the other
+        // buffer, so the first one read is chosen by the parity of the
+        // pass count for the last pass to write `out`.
+        let (mut cur, mut next) = if passes.is_multiple_of(2) {
+            (out, scratch)
         } else {
-            (scratch, &mut out)
+            (scratch, out)
         };
-        cur[0] = self.total;
+        cur[0] = sum;
         let mut width = 1usize;
-        for d in 0..self.height {
+        for d in depth..self.height {
+            let diffs = &self.diffs(d)[t * width..(t + 1) * width];
             for ((pair, &s), &d_u) in next[..2 * width]
                 .chunks_exact_mut(2)
                 .zip(cur[..width].iter())
-                .zip(self.diffs(d).iter())
+                .zip(diffs)
             {
                 pair[0] = (s + d_u) / 2.0;
                 pair[1] = (s - d_u) / 2.0;
@@ -394,7 +442,6 @@ impl HaarPyramid {
             std::mem::swap(&mut cur, &mut next);
             width *= 2;
         }
-        out
     }
 
     /// The in-place reference implementation of [`HaarPyramid::leaves`] —
@@ -582,6 +629,33 @@ mod tests {
             }
             assert_eq!(rebuilt, p);
             assert_eq!(rebuilt.into_buffer().len(), n - 1);
+        }
+    }
+
+    /// The two root halves expanded apart, and every depth filled through
+    /// its own `depths_mut` slice, give the bits of one whole expansion.
+    #[test]
+    fn halves_expanded_apart_are_the_leaves() {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for height in 1..8u32 {
+            let x: Vec<f64> = (0..1usize << height)
+                .map(|i| (i as f64 + 0.3).ln())
+                .collect();
+            let p = HaarPyramid::from_leaves(&x);
+            let n = p.len();
+            let mut filled = HaarPyramid::new(height, p.total());
+            for (d, diffs) in (0..).zip(filled.depths_mut()) {
+                diffs.copy_from_slice(p.diffs(d));
+            }
+            assert_eq!(filled, p);
+            let (lo, hi) = p.child_sums(0, 0, p.total());
+            let mut out = vec![f64::NAN; n];
+            let mut scratch = vec![f64::NAN; n];
+            let (out_lo, out_hi) = out.split_at_mut(n / 2);
+            let (scratch_lo, scratch_hi) = scratch.split_at_mut(n / 2);
+            p.expand_into(1, 1, hi, out_hi, scratch_hi);
+            p.expand_into(1, 0, lo, out_lo, scratch_lo);
+            assert_eq!(bits(&out), bits(&p.leaves_scalar()), "h={height}");
         }
     }
 

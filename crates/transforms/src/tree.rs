@@ -215,6 +215,20 @@ impl<T> FlatTree<T> {
         (upper, &mut lower[..parents * self.shape.fanout])
     }
 
+    /// Every depth `0..=h` as its own mutable slice, root first: disjoint
+    /// borrows, so the parts of one tree can be handed to different
+    /// threads (a split freeze gives each side a part of every level).
+    pub fn levels_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let shape = self.shape;
+        let mut rest = self.data.as_mut_slice();
+        (0..=shape.height).map(move |depth| {
+            let (level, below) =
+                std::mem::take(&mut rest).split_at_mut(shape.nodes_at_depth(depth));
+            rest = below;
+            level
+        })
+    }
+
     /// The leaf level (depth `h`).
     #[inline]
     pub fn leaves(&self) -> &[T] {
@@ -359,6 +373,22 @@ mod tests {
                 *tree.get_mut(d, 0) = expect_parents[0];
                 *tree.get_mut(d + 1, last) = *expect_children.last().unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn levels_mut_are_the_levels() {
+        for (fanout, domain) in [(2usize, 16usize), (3, 27), (4, 4)] {
+            let shape = CompleteTree::new(fanout, domain);
+            let mut tree: FlatTree<usize> = FlatTree::new(shape);
+            for (depth, level) in (0..).zip(tree.levels_mut()) {
+                assert_eq!(level.len(), shape.nodes_at_depth(depth));
+                level.fill(depth as usize);
+            }
+            for d in 0..=shape.height() {
+                assert!(tree.level(d).iter().all(|&v| v == d as usize));
+            }
+            assert_eq!(tree.levels_mut().count(), shape.height() as usize + 1);
         }
     }
 
