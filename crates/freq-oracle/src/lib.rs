@@ -8,7 +8,7 @@
 //!
 //! | Mechanism | Module | Client encode | Communication | Aggregation | Variance |
 //! |-----------|--------|---------------|---------------|-------------|----------|
-//! | Optimized Unary Encoding | [`oue`] | `O(D)`: 64 exact Bernoulli lanes per random word, ≈ 8 words per 64 bits | `D` bits | `O(N·D)` bits, trivially parallel; a batch ripples into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
+//! | Optimized Unary Encoding | [`oue`] | `O(D)`: 64 exact Bernoulli lanes per random word, ≈ 8 words per 64 bits | `D` bits | `O(N·D)` bits, trivially parallel; a batch is staged as rows and folded sixteen at a time into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
 //! | Optimal Local Hashing | [`olh`]| `O(1)` | `O(log D)` bits | `O(N·D)` incremental hash steps (slow) | same |
 //! | Hadamard Randomized Response | [`hrr`] | `O(1)` | `log2 D + 1` bits | `O(N + D log D)` | same |
 //!
@@ -20,10 +20,10 @@
 //! fills its `D` bits with Bernoulli(`q`) lanes decided against `q`'s
 //! exact binary expansion, 64 per random word, then draws the value's bit
 //! from `p` ([`Oue`]'s `encode` documents why the bits are independent).
-//! The aggregator adds a batch of reports
-//! ([`PointOracle::absorb_deferred`]) into bit-sliced counters, word by
-//! word, and [`PointOracle::settle`] spills them into the per-item counts
-//! once per batch.
+//! The aggregator stages a batch of reports
+//! ([`PointOracle::absorb_deferred`]) and folds them sixteen at a time
+//! into bit-sliced counters, and [`PointOracle::settle`] spills those
+//! into the per-item counts once per batch.
 //!
 //! Every oracle's aggregator state is one [`Tally`]: an integer statistic
 //! per item and the report total. Merge, subtract, clear, validated load

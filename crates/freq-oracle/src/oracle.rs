@@ -54,7 +54,8 @@ pub trait PointOracle {
     /// merge, subtract, persisted state) requires settled state. A batch
     /// absorbs each report deferred and settles once at its end, which
     /// lets an oracle amortize per-report work across the batch (the
-    /// unary encodings ripple reports into bit planes).
+    /// unary encodings stage reports as rows and fold every sixteen into
+    /// bit planes).
     ///
     /// The default is [`PointOracle::absorb`]: nothing is ever pending.
     ///

@@ -212,10 +212,12 @@ impl PointOracle for Oue {
         Ok(())
     }
 
-    /// Ripples the report's packed words into the pending bit planes
-    /// (`crate::unary`): a batch costs word-wide adds per report plus one
-    /// spill at [`PointOracle::settle`], instead of one scattered
-    /// increment per set bit.
+    /// Stages the report's packed words as a row and folds every sixteen
+    /// rows into the pending bit planes with a carry-save adder tree
+    /// (`crate::unary`): a batch costs a row copy and a share of one
+    /// word-wide fold per report plus one spill at
+    /// [`PointOracle::settle`], instead of one scattered increment per set
+    /// bit.
     fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
         if report.domain != self.domain {
             return Err(OracleError::ReportDomainMismatch {

@@ -147,8 +147,9 @@ impl PointOracle for Sue {
         Ok(())
     }
 
-    /// The same bit-plane ripple as [`crate::Oue`]'s: the two encodings
-    /// share one accumulator (`crate::unary`) and differ only in `(p, q)`.
+    /// The same staged rows and bit-plane fold as [`crate::Oue`]'s: the
+    /// two encodings share one accumulator (`crate::unary`) and differ only
+    /// in `(p, q)`.
     fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
         if report.domain() != self.domain {
             return Err(OracleError::ReportDomainMismatch {

@@ -1,7 +1,7 @@
 //! The two halves shared by the unary encodings ([`crate::Oue`] and
 //! [`crate::Sue`]): a client encoder that draws 64 exact Bernoulli lanes
 //! per random word, and an aggregator state — one noisy 1-count per item,
-//! plus a bit-sliced buffer that absorbs a batch of `D`-bit reports
+//! plus staged rows and bit planes that absorb a batch of `D`-bit reports
 //! without paying one scattered increment per set bit.
 //!
 //! # Encoding
@@ -18,29 +18,49 @@
 //!
 //! # Aggregation
 //!
-//! A report is `⌈D/64⌉` packed words. Absorbing it *deferred*
-//! ripple-carry adds those words into **bit planes**: plane `k` holds bit
-//! `k` of every item's pending count, so one word-wide XOR/AND step
-//! advances 64 items' counters at once. With `n` reports pending no item's
-//! pending count exceeds `n`, so `bit_length(n)` planes always hold the
-//! carry. The planes spill into the `u64` counts when they are settled —
-//! on demand ([`UnaryCounts::settle`]), or by themselves once
-//! [`MAX_PENDING`] reports are pending, which keeps every pending count
-//! inside one byte and the planes at most eight deep. The spill builds,
-//! per 64 items, eight byte-wide lanes (each plane byte expanded through
-//! a lookup table and shifted to its plane's bit) whose little-endian
-//! bytes are the 64 pending counts in item order, then adds those bytes
-//! to the counts in one straight widening loop that the compiler
-//! vectorizes. With a single report pending it is the plain set-bit
-//! walk.
+//! A report is `⌈D/64⌉` packed words. Absorbing it *deferred* copies
+//! those words into a **staged row**, zero-padded to a whole number of
+//! 8-word lane blocks. Every sixteen staged rows are **folded** into **bit
+//! planes**: plane `k` holds bit `k` of every item's pending count, so one
+//! word-wide step advances 64 items' counters at once. The fold is a
+//! Harley–Seal carry-save adder tree (Muła, Kurz & Lemire, "Faster
+//! Population Counts Using AVX2 Instructions", 2018; Klarqvist, Muła &
+//! Lemire, "Efficient Computation of Positional Population Counts Using
+//! SIMD Instructions", 2021): planes 0–3 are its ones, twos, fours and
+//! eights accumulators, the sixteen rows go in through fifteen adders of
+//! five bitwise operations each, and only the tree's sixteens word
+//! ripples on into planes 4–7. So the planes are walked once per sixteen
+//! reports, not once per report, at ≈ 5 word operations per staged word,
+//! on `[u64; 8]` blocks the compiler vectorizes.
+//!
+//! The planes spill into the `u64` counts when they are settled — on
+//! demand ([`UnaryCounts::settle`], which first zero-pads and folds a
+//! partial group of rows), or by themselves once [`MAX_PENDING`] reports
+//! are pending, which keeps every pending count inside one byte and eight
+//! planes. The spill builds, per 64 items, eight byte-wide lanes (each
+//! plane byte expanded through a lookup table and shifted to its plane's
+//! bit) whose little-endian bytes are the 64 pending counts in item order,
+//! then adds those bytes to the counts in one straight widening loop that
+//! the compiler vectorizes. With a single report pending it is the plain
+//! set-bit walk over the one staged row. The fold and the spill bodies
+//! are each compiled twice and dispatched on AVX2, as
+//! `ldp_transforms::hadamard::fwht` is.
+//!
+//! The rows cost memory: sixteen rows of the padded width, for every
+//! oracle that takes batches. An `HH_4`/OUE server at `D = 2^16` (eight
+//! levels, 1 392 padded words) stages at most 16 · 1 392 · 8 B ≈ 174 KiB
+//! per shard, next to 87 KiB of planes. Against the per-report ripple
+//! through the planes that the fold replaced, `ldpbench`'s
+//! `hh_oue_d64k_mem` ingest went from 844 k to 1.03 M reports/s (medians
+//! of ten interleaved 20-s pairs on a 2-vCPU Intel Xeon VM, ten wins).
 //!
 //! Pending reports count towards [`UnaryCounts::reports`] at once, but
 //! every reader of the counts — [`UnaryCounts::tally`], which `counts`,
 //! `merge`, `subtract` and checkpoints go through, and `estimate` —
-//! requires settled state, and debug builds assert it. Planes
+//! requires settled state, and debug builds assert it. Rows and planes
 //! never outlive a batch, so they are not state: settled counts equal the
-//! one-increment-per-set-bit loop's exactly, and the emptied plane buffer
-//! clones without allocating.
+//! one-increment-per-set-bit loop's exactly, and the emptied buffers clone
+//! without allocating.
 
 use rand::RngCore;
 
@@ -48,13 +68,23 @@ use crate::binomial::sample_binomial;
 use crate::{OracleError, OueReport, Tally};
 
 /// Pending reports at which the planes settle by themselves: 255 keeps a
-/// pending count in one byte (the spill's lane width) and the planes at
-/// most eight deep.
+/// pending count in one byte (the spill's lane width) and in [`PLANES`]
+/// bit planes.
 const MAX_PENDING: u32 = u8::MAX as u32;
 
-/// Words per ripple chunk: a chunk's carries live in a stack array while
-/// it walks the planes, so the walk is branch-free within a plane.
-const RIPPLE_CHUNK: usize = 16;
+/// Bit planes of the pending counts: enough for [`MAX_PENDING`].
+const PLANES: usize = 8;
+
+/// Staged rows per fold: one Harley–Seal tree adds sixteen rows into
+/// planes 0–3 and carries its sixteens into planes 4–7.
+const FOLD_ROWS: usize = 16;
+
+/// Words per lane block. Rows and planes are padded to a multiple of it,
+/// and the fold works one `[u64; 8]` block at a time, so each of its
+/// steps is two AVX2 or four SSE2 instructions.
+const LANE_BLOCK: usize = 8;
+
+type Block = [u64; LANE_BLOCK];
 
 /// `BYTE_LANES[b]` spreads the bits of `b` over the bytes of a word: byte
 /// `i` is bit `i` of `b`.
@@ -177,10 +207,16 @@ pub(crate) struct UnaryCounts {
     /// Settled noisy 1-counts per item, and the reports absorbed —
     /// pending ones included.
     tally: Tally,
-    /// Bit planes of the pending counts, plane-major: plane `k` is words
-    /// `k·W .. (k+1)·W` with `W = ⌈D/64⌉`. Empty whenever settled.
+    /// Reports staged since the last fold, row-major: row `r` is words
+    /// `r·S .. (r+1)·S` with `S` the [stride](UnaryCounts::stride) — the
+    /// report's `⌈D/64⌉` words, then zero pad. Fewer than [`FOLD_ROWS`]
+    /// rows; empty whenever settled.
+    staged: Vec<u64>,
+    /// Bit planes of the folded pending counts, plane-major: plane `k` is
+    /// words `k·S .. (k+1)·S`. [`PLANES`] planes from a batch's first fold
+    /// on; empty whenever settled.
     planes: Vec<u64>,
-    /// Reports rippled into `planes` since the last settle.
+    /// Reports staged or folded since the last settle.
     pending: u32,
 }
 
@@ -188,14 +224,21 @@ impl UnaryCounts {
     pub(crate) fn new(domain: usize) -> Self {
         Self {
             tally: Tally::counts(domain),
+            staged: Vec::new(),
             planes: Vec::new(),
             pending: 0,
         }
     }
 
-    /// Packed words per report, and per plane.
+    /// Packed words per report.
     fn width(&self) -> usize {
         self.tally.stats.len().div_ceil(64)
+    }
+
+    /// Words per staged row and per plane: the width padded to a whole
+    /// number of lane blocks.
+    fn stride(&self) -> usize {
+        self.width().next_multiple_of(LANE_BLOCK)
     }
 
     fn assert_settled(&self) {
@@ -224,61 +267,51 @@ impl UnaryCounts {
         &mut self.tally
     }
 
-    /// Ripple-carry adds one report's packed words — exactly `⌈D/64⌉`, no
-    /// bit set at or past `D`, as every validated `OueReport` is — into
-    /// the planes, settling once [`MAX_PENDING`] reports are pending.
+    /// Stages one report's packed words — exactly `⌈D/64⌉`, no bit set at
+    /// or past `D`, as every validated `OueReport` is — as a zero-padded
+    /// row, folds the rows into the planes once [`FOLD_ROWS`] are staged,
+    /// and settles once [`MAX_PENDING`] reports are pending.
     pub(crate) fn add_deferred(&mut self, words: &[u64]) {
-        let width = self.width();
+        let (width, stride) = (self.width(), self.stride());
         debug_assert_eq!(words.len(), width);
         self.pending += 1;
         self.tally.reports += 1;
-        if self.pending == 1 {
-            // Rippling into no planes at all leaves the report itself as
-            // plane 0 — which is all a lone report (the per-report
-            // `absorb`) ever costs before its set-bit walk.
-            debug_assert!(self.planes.is_empty());
-            self.planes.extend_from_slice(words);
-            return;
-        }
-        let depth = (u32::BITS - self.pending.leading_zeros()) as usize;
-        if self.planes.len() < depth * width {
-            self.planes.resize(depth * width, 0);
-        }
-        for (chunk, report) in words.chunks(RIPPLE_CHUNK).enumerate() {
-            let start = chunk * RIPPLE_CHUNK;
-            let mut carries = [0u64; RIPPLE_CHUNK];
-            let carries = &mut carries[..report.len()];
-            carries.copy_from_slice(report);
-            let mut overflow = true;
-            for plane in self.planes.chunks_exact_mut(width) {
-                let mut live = 0;
-                for (bits, carry) in plane[start..].iter_mut().zip(carries.iter_mut()) {
-                    let old = *bits;
-                    *bits = old ^ *carry;
-                    *carry &= old;
-                    live |= *carry;
-                }
-                if live == 0 {
-                    overflow = false;
-                    break;
-                }
-            }
-            debug_assert!(!overflow, "a pending count outgrew its bit planes");
+        self.staged.extend_from_slice(words);
+        self.staged.resize(self.staged.len() + stride - width, 0);
+        if self.staged.len() == FOLD_ROWS * stride {
+            self.fold_staged();
         }
         if self.pending == MAX_PENDING {
             self.settle();
         }
     }
 
-    /// Spills the planes into the counts and empties them (keeping their
-    /// capacity for the next batch). A no-op when nothing is pending.
+    /// Folds the [`FOLD_ROWS`] staged rows into the planes (zeroed first
+    /// if this is the batch's first fold) and empties the rows.
+    fn fold_staged(&mut self) {
+        let stride = self.stride();
+        debug_assert_eq!(self.staged.len(), FOLD_ROWS * stride);
+        if self.planes.is_empty() {
+            self.planes.resize(PLANES * stride, 0);
+        }
+        fold(&mut self.planes, &self.staged, stride);
+        self.staged.clear();
+    }
+
+    /// Spills the pending reports into the counts and empties the rows and
+    /// planes (keeping their capacity for the next batch). A no-op when
+    /// nothing is pending.
     pub(crate) fn settle(&mut self) {
-        let width = self.width();
-        let counts = &mut self.tally.stats;
+        let (width, stride) = (self.width(), self.stride());
+        debug_assert_eq!(
+            self.staged.len(),
+            (self.pending as usize % FOLD_ROWS) * stride
+        );
         match self.pending {
             0 => return,
             1 => {
-                for (wi, &word) in self.planes[..width].iter().enumerate() {
+                let counts = &mut self.tally.stats;
+                for (wi, &word) in self.staged[..width].iter().enumerate() {
                     let mut w = word;
                     while w != 0 {
                         counts[wi * 64 + w.trailing_zeros() as usize] += 1;
@@ -286,36 +319,31 @@ impl UnaryCounts {
                     }
                 }
             }
-            _ => {
-                for (wi, items) in counts.chunks_mut(64).enumerate() {
-                    // lanes[i] byte l = pending count of item 64·wi + 8·i + l.
-                    let mut lanes = [0u64; 8];
-                    for (k, plane) in self.planes.chunks_exact(width).enumerate() {
-                        let bits = plane[wi];
-                        if bits == 0 {
-                            continue;
-                        }
-                        for (i, lane) in lanes.iter_mut().enumerate() {
-                            *lane |= BYTE_LANES[usize::from((bits >> (8 * i)) as u8)] << k;
-                        }
-                    }
-                    // So the lanes' little-endian bytes are the 64 pending
-                    // counts in item order: one straight widening add.
-                    let bytes = lanes.map(u64::to_le_bytes);
-                    for (count, &byte) in items.iter_mut().zip(bytes.as_flattened()) {
-                        *count += u64::from(byte);
-                    }
+            pending => {
+                if !self.staged.is_empty() {
+                    self.staged.resize(FOLD_ROWS * stride, 0);
+                    self.fold_staged();
                 }
+                // No pending count reaches 2^depth, so deeper planes are 0.
+                let depth = (u32::BITS - pending.leading_zeros()) as usize;
+                spill(
+                    &mut self.tally.stats,
+                    &self.planes[..depth * stride],
+                    stride,
+                );
             }
         }
+        self.staged.clear();
         self.planes.clear();
         self.pending = 0;
     }
 
     /// Resets to the empty accumulator in place: counts zeroed, nothing
-    /// pending, no allocation (the plane buffer keeps its capacity).
+    /// pending, no allocation (the row and plane buffers keep their
+    /// capacity).
     pub(crate) fn clear(&mut self) {
         self.tally.clear();
+        self.staged.clear();
         self.planes.clear();
         self.pending = 0;
     }
@@ -361,6 +389,145 @@ impl UnaryCounts {
         let n = tally.reports as f64;
         for (o, &c) in out.iter_mut().zip(counts) {
             *o = (c as f64 / n - q) / (p - q);
+        }
+    }
+}
+
+/// Adds [`FOLD_ROWS`] staged rows into the planes. One body, compiled
+/// twice, dispatched as [`ldp_transforms::hadamard::fwht`] is: on x86-64
+/// CPUs that report AVX2 it runs as an AVX2 build, elsewhere at the
+/// baseline width. Both builds do the same bitwise operations on the same
+/// words, so they leave the same bits.
+fn fold(planes: &mut [u64], staged: &[u64], stride: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `fold_avx2` needs only AVX2, which this CPU reports.
+        unsafe { fold_avx2(planes, staged, stride) };
+        return;
+    }
+    fold_body(planes, staged, stride);
+}
+
+/// The fold body compiled for AVX2; [`fold`] calls it only on a CPU that
+/// reports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_avx2(planes: &mut [u64], staged: &[u64], stride: usize) {
+    fold_body(planes, staged, stride);
+}
+
+/// Spills planes (plane-major, `stride` words each) into `counts`, adding
+/// each item's pending count. Dispatched as [`fold`] is.
+fn spill(counts: &mut [u64], planes: &[u64], stride: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `spill_avx2` needs only AVX2, which this CPU reports.
+        unsafe { spill_avx2(counts, planes, stride) };
+        return;
+    }
+    spill_body(counts, planes, stride);
+}
+
+/// The spill body compiled for AVX2; [`spill`] calls it only on a CPU that
+/// reports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn spill_avx2(counts: &mut [u64], planes: &[u64], stride: usize) {
+    spill_body(counts, planes, stride);
+}
+
+/// The lane block of `words` at word `at`.
+#[inline(always)]
+fn block(words: &[u64], at: usize) -> Block {
+    words[at..at + LANE_BLOCK]
+        .try_into()
+        .expect("a slice of one lane block")
+}
+
+/// One carry-save adder: adds `a` and `b` into `sum` (the low bit of each
+/// lane's three-way sum) and returns the carry (its high bit).
+#[inline(always)]
+fn csa(sum: &mut Block, a: Block, b: Block) -> Block {
+    let mut carry = [0; LANE_BLOCK];
+    for i in 0..LANE_BLOCK {
+        let half = sum[i] ^ a[i];
+        carry[i] = (sum[i] & a[i]) | (half & b[i]);
+        sum[i] = half ^ b[i];
+    }
+    carry
+}
+
+/// The portable fold body: a Harley–Seal tree over each lane block.
+///
+/// Planes 0–3 of a block are the tree's ones, twos, fours and eights
+/// accumulators; the tree adds the sixteen rows' blocks into them and
+/// yields a sixteens word per lane, which a ripple adds into planes 4–7.
+/// Every pending count stays at most [`MAX_PENDING`], so planes 4–7 never
+/// carry out. It and its helpers are `#[inline(always)]`, so [`fold`] and
+/// `fold_avx2` each get their own copy, compiled at their own width.
+#[inline(always)]
+fn fold_body(planes: &mut [u64], staged: &[u64], stride: usize) {
+    assert!(stride.is_multiple_of(LANE_BLOCK));
+    assert_eq!(planes.len(), PLANES * stride);
+    assert_eq!(staged.len(), FOLD_ROWS * stride);
+    for at in (0..stride).step_by(LANE_BLOCK) {
+        let mut ones = block(planes, at);
+        let mut twos = block(planes, stride + at);
+        let mut fours = block(planes, 2 * stride + at);
+        let mut eights = block(planes, 3 * stride + at);
+        let mut eights_in = [[0; LANE_BLOCK]; 2];
+        for (half, eights_in) in eights_in.iter_mut().enumerate() {
+            let mut fours_in = [[0; LANE_BLOCK]; 2];
+            for (quarter, fours_in) in fours_in.iter_mut().enumerate() {
+                let first = 4 * (2 * half + quarter) * stride + at;
+                let row = |r: usize| first + r * stride;
+                let twos_a = csa(&mut ones, block(staged, row(0)), block(staged, row(1)));
+                let twos_b = csa(&mut ones, block(staged, row(2)), block(staged, row(3)));
+                *fours_in = csa(&mut twos, twos_a, twos_b);
+            }
+            *eights_in = csa(&mut fours, fours_in[0], fours_in[1]);
+        }
+        let mut carry = csa(&mut eights, eights_in[0], eights_in[1]);
+        for (k, bits) in [ones, twos, fours, eights].into_iter().enumerate() {
+            planes[k * stride + at..][..LANE_BLOCK].copy_from_slice(&bits);
+        }
+        for k in 4..PLANES {
+            let plane = &mut planes[k * stride + at..][..LANE_BLOCK];
+            for (bits, carry) in plane.iter_mut().zip(&mut carry) {
+                let old = *bits;
+                *bits = old ^ *carry;
+                *carry &= old;
+            }
+        }
+        debug_assert_eq!(carry, [0; LANE_BLOCK], "a pending count outgrew its planes");
+    }
+}
+
+/// The portable spill body. Per 64 items it builds eight byte-wide lanes
+/// (each plane byte expanded through [`BYTE_LANES`] and shifted to its
+/// plane's bit) whose little-endian bytes are the 64 pending counts in
+/// item order, then adds those bytes to the counts in one straight
+/// widening loop. `#[inline(always)]`, so [`spill`] and `spill_avx2` each
+/// get their own copy.
+#[inline(always)]
+fn spill_body(counts: &mut [u64], planes: &[u64], stride: usize) {
+    assert!(planes.len() <= PLANES * stride && planes.len().is_multiple_of(stride));
+    assert!(counts.len().div_ceil(64) <= stride);
+    for (wi, items) in counts.chunks_mut(64).enumerate() {
+        // lanes[i] byte l = pending count of item 64·wi + 8·i + l.
+        let mut lanes = [0u64; 8];
+        for (k, plane) in planes.chunks_exact(stride).enumerate() {
+            let bits = plane[wi];
+            if bits == 0 {
+                continue;
+            }
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane |= BYTE_LANES[usize::from((bits >> (8 * i)) as u8)] << k;
+            }
+        }
+        let bytes = lanes.map(u64::to_le_bytes);
+        for (count, &byte) in items.iter_mut().zip(bytes.as_flattened()) {
+            *count += u64::from(byte);
         }
     }
 }
@@ -432,9 +599,86 @@ mod tests {
             acc.add_deferred(&report(4_096, 2, &mut rng));
         }
         assert!(acc.planes.capacity() > 0);
+        assert!(acc.staged.capacity() > 0);
         acc.settle();
         assert!(acc.planes.is_empty());
-        assert_eq!(acc.clone().planes.capacity(), 0);
+        assert!(acc.staged.is_empty());
+        let clone = acc.clone();
+        assert_eq!(clone.planes.capacity(), 0);
+        assert_eq!(clone.staged.capacity(), 0);
+    }
+
+    /// Item `j`'s count in planes of `stride` words: bit `k` from plane `k`.
+    fn plane_count(planes: &[u64], stride: usize, j: usize) -> u64 {
+        planes
+            .chunks_exact(stride)
+            .enumerate()
+            .map(|(k, plane)| ((plane[j / 64] >> (j % 64)) & 1) << k)
+            .sum()
+    }
+
+    /// Planes of `stride` words holding `counts` (each below 2^[`PLANES`]).
+    fn planes_of(counts: &[u64], stride: usize) -> Vec<u64> {
+        let mut planes = vec![0u64; PLANES * stride];
+        for (j, &count) in counts.iter().enumerate() {
+            for (k, plane) in planes.chunks_exact_mut(stride).enumerate() {
+                plane[j / 64] |= ((count >> k) & 1) << (j % 64);
+            }
+        }
+        planes
+    }
+
+    /// The portable fold body — what every CPU without AVX2 and every
+    /// non-x86-64 target runs — called directly, so a host that dispatches
+    /// to AVX2 still holds it to the scalar oracle: sixteen rows at every
+    /// density, added to pending counts up to the largest that sixteen
+    /// more keep within [`MAX_PENDING`], over one to several lane blocks.
+    #[test]
+    fn portable_fold_body_matches_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        for stride in [8, 16, 24, 136] {
+            let items = 64 * stride;
+            for thin in [0, 1, 2, 5] {
+                let before: Vec<u64> = (0..items)
+                    .map(|_| rng.random_range(0..=u64::from(MAX_PENDING) - FOLD_ROWS as u64))
+                    .collect();
+                let staged: Vec<u64> = (0..FOLD_ROWS)
+                    .flat_map(|_| report(items, thin, &mut rng))
+                    .collect();
+                let mut oracle = before.clone();
+                for row in staged.chunks_exact(stride) {
+                    absorb_scalar(&mut oracle, row);
+                }
+                let mut planes = planes_of(&before, stride);
+                fold_body(&mut planes, &staged, stride);
+                let after: Vec<u64> = (0..items)
+                    .map(|j| plane_count(&planes, stride, j))
+                    .collect();
+                assert_eq!(after, oracle, "stride={stride} thin={thin}");
+            }
+        }
+    }
+
+    /// The portable spill body, called directly as the fold body is: every
+    /// depth, domains off the word and lane-block edges, and counts that
+    /// already hold values.
+    #[test]
+    fn portable_spill_body_matches_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5B11);
+        for domain in [1usize, 63, 64, 65, 513, 1_000, 4_160] {
+            let stride = domain.div_ceil(64).next_multiple_of(LANE_BLOCK);
+            for depth in 1..=PLANES {
+                let pending: Vec<u64> = (0..domain)
+                    .map(|_| rng.random_range(0..1u64 << depth))
+                    .collect();
+                let planes = planes_of(&pending, stride);
+                let mut counts: Vec<u64> =
+                    (0..domain).map(|_| rng.random_range(0..1 << 40)).collect();
+                let oracle: Vec<u64> = counts.iter().zip(&pending).map(|(c, p)| c + p).collect();
+                spill_body(&mut counts, &planes[..depth * stride], stride);
+                assert_eq!(counts, oracle, "D={domain} depth={depth}");
+            }
+        }
     }
 
     /// The lane sampler and the encoders built on it.

@@ -1,13 +1,14 @@
 //! The bit-sliced unary absorb ≡ the scalar per-bit oracle, bit for bit.
 //!
-//! `Oue` and `Sue` absorb a batch by rippling each report into bit planes
-//! (`absorb_deferred`) and spilling the planes into their counts once
+//! `Oue` and `Sue` absorb a batch by staging each report as a row
+//! (`absorb_deferred`), folding every sixteen rows into bit planes with a
+//! carry-save adder tree, and spilling the planes into their counts once
 //! (`settle`, or by themselves after 255 pending reports). These tests
-//! drive runs of deferred absorbs — across word edges, across the
-//! auto-settle, at every density from all-clear to all-set — with
-//! `settle`, `clone`, `merge` and `subtract` interleaved at arbitrary
-//! points, and hold the settled counts to a model that adds each report
-//! one bit at a time.
+//! drive runs of deferred absorbs — across word and lane-block edges,
+//! across the fold's sixteen-row groups and the auto-settle, at every
+//! density from all-clear to all-set — with `settle`, `clone`, `merge`
+//! and `subtract` interleaved at arbitrary points, and hold the settled
+//! counts to a model that adds each report one bit at a time.
 
 use proptest::prelude::*;
 
@@ -15,8 +16,13 @@ use ldp_freq_oracle::{Epsilon, OracleError, Oue, OueReport, PointOracle, Sue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const DOMAINS: [usize; 8] = [1, 2, 63, 64, 65, 1_000, 4_096, 65_536];
-const RUNS: [usize; 7] = [1, 2, 254, 255, 256, 511, 1_000];
+/// Domains around the word edges and, at 513 and 4 160 items (9 and 65
+/// words), off the fold's 8-word lane blocks, so rows carry zero pad.
+const DOMAINS: [usize; 10] = [1, 2, 63, 64, 65, 513, 1_000, 4_096, 4_160, 65_536];
+/// Run lengths around the fold's 16-row groups (15, 16, 17, 33; 240 and
+/// 241, the last whole group before the auto-settle and one past it) and
+/// around the 255-report auto-settle.
+const RUNS: [usize; 13] = [1, 2, 15, 16, 17, 33, 240, 241, 254, 255, 256, 511, 1_000];
 
 /// The two unary oracles behind one interface.
 trait Unary: PointOracle<Report = OueReport> + Clone {

@@ -190,10 +190,10 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
 ///
 /// Every mechanism's `absorb_deferred` validates its report before it mutates
 /// anything, so a shard poisoned by a panic mid-batch holds *whole*
-/// reports — but some of them may still be pending in an oracle's bit
-/// planes, never settled into its counts. That is why the shard peeks
-/// through here read only [`LdpService::num_reports`] (which counts
-/// pending reports whole) and [`LdpService::current_epoch`] — never
+/// reports — but some of them may still be pending in a unary oracle's
+/// staged rows or bit planes, never settled into its counts. That is why
+/// the shard peeks through here read only [`LdpService::num_reports`]
+/// (which counts pending reports whole) and [`LdpService::current_epoch`] — never
 /// counts, estimates or persisted state — plus the telemetry attach,
 /// which writes only instrument handles. What the panic costs is that one
 /// batch's all-or-nothing (its absorbed prefix stays in), and every other

@@ -20,6 +20,9 @@
 //! server the ring keeps. At D = 2^16, where the drain and the freeze
 //! split across the helper thread, neither thread may allocate a block
 //! of `D · 8` bytes, and the caller none of 1 KB.
+//!
+//! Ingest is held to the same rule: a warm `submit_wire_batch` of 256
+//! `HH_4`/OUE frames at D = 2^16 allocates no block of 16 KiB or more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,7 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
-use ldp_service::{LdpService, SnapshotSource};
+use ldp_service::net::WIRE_V1;
+use ldp_service::{LdpService, SnapshotSource, WireReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -245,6 +249,40 @@ fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
             );
         }
     }
+}
+
+/// A warm batch of `HH_4`/OUE frames at D = 2^16 — decoded into one word
+/// buffer of at most 1 024 words (8 KiB), staged as rows and folded into
+/// bit planes per level — allocates no block of 16 KiB or more: the rows
+/// and planes keep their capacity from one batch to the next. The warm-up
+/// batch is the same frames, so every level sees the same run lengths.
+#[test]
+fn warm_hh4_oue_ingest_allocates_no_16_kib_block() {
+    const BIG: usize = 1 << 16;
+    const FRAMES: u64 = 256;
+    let config = HhConfig::with_oracle(BIG, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue)
+        .expect("config");
+    let client = HhClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4315);
+    let mut frames = Vec::new();
+    for i in 0..FRAMES as usize {
+        let report = client.report((i * 7919) % BIG, &mut rng).expect("report");
+        report.encode_frame(&mut frames);
+    }
+    let service = LdpService::new(&HhServer::new(config).expect("server"), 1).expect("service");
+    let submit = || {
+        service
+            .submit_wire_batch(WIRE_V1, FRAMES, &frames)
+            .expect("batch")
+    };
+    assert_eq!(submit(), FRAMES, "warm-up batch");
+    let mut absorbed = 0;
+    let (count, largest) = large_allocations(16 * 1024, || absorbed = submit());
+    assert_eq!(absorbed, FRAMES);
+    assert_eq!(
+        count, 0,
+        "warm HH_4/OUE batch allocated {count} block(s) of ≥ 16 KiB (largest {largest})"
+    );
 }
 
 #[test]
