@@ -72,11 +72,13 @@ pub trait MergeableServer: Clone + Send {
     /// its contribution may stay pending in the oracles
     /// ([`PointOracle::absorb_deferred`]) until
     /// [`MergeableServer::settle`]. A pending report counts in
-    /// [`MergeableServer::num_reports`] at once; every other reader of the
-    /// state (`merge`, `subtract`, estimates, persistence) requires settled
-    /// state, and debug builds assert it. Whoever absorbs deferred owns the
-    /// settle: a batch absorbs each report deferred and settles once at its
-    /// end, before anyone else can see the server.
+    /// [`MergeableServer::num_reports`] at once. Statistics settle when
+    /// read, not at the end of a batch: pending reports may span batches,
+    /// a drain ([`SubtractableServer::drain`]) moves them out without
+    /// settling, and every other reader of the state (`merge`, `subtract`,
+    /// estimates, persistence) requires settled state — debug builds
+    /// assert it — so whoever reads a server that absorbs deferred settles
+    /// it first.
     ///
     /// The default is [`MergeableServer::absorb`]: nothing is ever pending.
     ///
@@ -88,9 +90,9 @@ pub trait MergeableServer: Clone + Send {
     }
 
     /// Folds every pending report into the state, leaving it exactly as
-    /// absorbing each report with [`MergeableServer::absorb`] would.
-    /// Idempotent; the default, for servers whose oracles never defer,
-    /// does nothing.
+    /// absorbing each report with [`MergeableServer::absorb`] would: what
+    /// a reader other than a drain runs first. Idempotent; the default,
+    /// for servers whose oracles never defer, does nothing.
     fn settle(&mut self) {}
 
     /// Adds another shard's accumulated state into this one.
@@ -142,10 +144,14 @@ pub trait SubtractableServer: MergeableServer {
     fn clear(&mut self);
 
     /// Moves `other`'s state into this accumulator: exactly
-    /// [`MergeableServer::merge`] then [`SubtractableServer::clear`] of
-    /// `other`, fused into one add-and-zero pass over each statistic.
+    /// [`MergeableServer::settle`] and [`MergeableServer::merge`] of
+    /// `other`, then [`SubtractableServer::clear`] of it, fused into one
+    /// pass over each statistic. `other` need not be settled: a unary
+    /// level's pending reports are spilled straight into this
+    /// accumulator in the pass that moves its counts, and counts known to
+    /// be zero are not read ([`ldp_freq_oracle::PointOracle::split_drain`]).
     /// This is how a sharded service drains a shard into its accumulator:
-    /// one pass, no copy.
+    /// one pass, no copy, no settle.
     ///
     /// # Errors
     ///
@@ -181,20 +187,23 @@ fn merge_tallies<O: PointOracle>(mine: &mut [O], theirs: &[O]) -> Result<(), Ran
 
 /// Moves `theirs` into `mine` level by level, leaving `theirs` empty —
 /// the one drain body of every served server:
-/// [`ldp_freq_oracle::Tally::drain`] per level, after the same check as
-/// [`merge_tallies`], so a refused drain changes neither side.
+/// [`PointOracle::drain`] per level (a unary level's pending reports spill
+/// straight into `mine`), after the same check as [`merge_tallies`], so a
+/// refused drain changes neither side.
 fn drain_tallies<O: PointOracle>(mine: &mut [O], theirs: &mut [O]) -> Result<(), RangeError> {
     ensure_same_levels(mine, theirs)?;
     for (a, b) in mine.iter_mut().zip(theirs) {
-        a.tally_mut().drain(b.tally_mut());
+        a.drain(b);
     }
     Ok(())
 }
 
-/// [`drain_tallies`] as two halves through `join`: level `i`'s
-/// statistics are cut at item `cut(i)`, those below it drained on the
-/// caller's side and the rest on the other
-/// ([`ldp_freq_oracle::Tally::split_drain`]).
+/// [`drain_tallies`] as two halves through `join`: level `i` is cut at
+/// item `cut(i)` ([`PointOracle::split_drain`]; a unary level rounds the
+/// cut down to a whole word), the part below drained on the caller's
+/// side and the rest on the other, so each side also spills its own
+/// words of a unary level's pending reports. Once both sides are done,
+/// each level of `theirs` finishes its drain.
 fn drain_tallies_with<O: PointOracle>(
     mine: &mut [O],
     theirs: &mut [O],
@@ -204,13 +213,14 @@ fn drain_tallies_with<O: PointOracle>(
     ensure_same_levels(mine, theirs)?;
     let (mut below, mut above): (LevelParts<DrainPart<'_>>, LevelParts<DrainPart<'_>>) = mine
         .iter_mut()
-        .zip(theirs)
+        .zip(&mut *theirs)
         .enumerate()
-        .map(|(i, (a, b))| a.tally_mut().split_drain(b.tally_mut(), cut(i)))
+        .map(|(i, (a, b))| a.split_drain(b, cut(i)))
         .unzip();
     let run =
         |parts: &mut [DrainPart<'_>]| parts.iter_mut().for_each(|part| std::mem::take(part).run());
     join.join(&mut || run(&mut below), &mut || run(&mut above));
+    theirs.iter_mut().for_each(PointOracle::finish_drain);
     Ok(())
 }
 

@@ -8,7 +8,7 @@
 //!
 //! | Mechanism | Module | Client encode | Communication | Aggregation | Variance |
 //! |-----------|--------|---------------|---------------|-------------|----------|
-//! | Optimized Unary Encoding | [`oue`] | `O(D)`: 64 exact Bernoulli lanes per random word, ≈ 8 words per 64 bits | `D` bits | `O(N·D)` bits, trivially parallel; a batch is staged as rows and folded sixteen at a time into bit planes, `O(D)` spill per batch | `4e^ε/(N(e^ε−1)²)` |
+//! | Optimized Unary Encoding | [`oue`] | `O(D)`: 64 exact Bernoulli lanes per random word, ≈ 8 words per 64 bits | `D` bits | `O(N·D)` bits, trivially parallel; reports are staged as rows and folded sixteen at a time into bit planes, `O(D)` spill when read | `4e^ε/(N(e^ε−1)²)` |
 //! | Optimal Local Hashing | [`olh`]| `O(1)` | `O(log D)` bits | `O(N·D)` incremental hash steps (slow) | same |
 //! | Hadamard Randomized Response | [`hrr`] | `O(1)` | `log2 D + 1` bits | `O(N + D log D)` | same |
 //!
@@ -20,10 +20,11 @@
 //! fills its `D` bits with Bernoulli(`q`) lanes decided against `q`'s
 //! exact binary expansion, 64 per random word, then draws the value's bit
 //! from `p` ([`Oue`]'s `encode` documents why the bits are independent).
-//! The aggregator stages a batch of reports
-//! ([`PointOracle::absorb_deferred`]) and folds them sixteen at a time
-//! into bit-sliced counters, and [`PointOracle::settle`] spills those
-//! into the per-item counts once per batch.
+//! The aggregator stages reports ([`PointOracle::absorb_deferred`]) and
+//! folds them sixteen at a time into bit-sliced counters, which stay
+//! pending across batches until they are read: a drain
+//! ([`PointOracle::split_drain`]) spills them straight into the
+//! accumulator, and [`PointOracle::settle`] into the oracle's own counts.
 //!
 //! Every oracle's aggregator state is one [`Tally`]: an integer statistic
 //! per item and the report total. Merge, subtract, clear, validated load
@@ -236,6 +237,27 @@ impl PointOracle for AnyOracle {
         }
     }
 
+    /// The unary encodings' fused drain; OLH and HRR drain their tallies.
+    fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>) {
+        match (self, other) {
+            (Self::Oue(a), Self::Oue(b)) => a.split_drain(b, at),
+            (Self::Sue(a), Self::Sue(b)) => a.split_drain(b, at),
+            (a, b) => a.tally_mut().split_drain(b.tally_mut(), at),
+        }
+    }
+
+    fn finish_drain(&mut self) {
+        match self {
+            Self::Oue(o) => o.finish_drain(),
+            Self::Sue(o) => o.finish_drain(),
+            Self::Olh(_) | Self::Hrr(_) => {}
+        }
+    }
+
     fn absorb_population(
         &mut self,
         true_counts: &[u64],
@@ -286,11 +308,15 @@ impl PointOracle for AnyOracle {
         }
     }
 
-    /// Settles first, so reports pending in a unary oracle's planes are
-    /// dropped with the rest of its tally.
+    /// Each oracle's own clear: a unary oracle drops its pending reports
+    /// with the rest, and skips zeroing counts known to be zero.
     fn clear(&mut self) {
-        self.settle();
-        self.tally_mut().clear();
+        match self {
+            Self::Oue(o) => o.clear(),
+            Self::Olh(o) => o.clear(),
+            Self::Hrr(o) => o.clear(),
+            Self::Sue(o) => o.clear(),
+        }
     }
 
     fn estimate_into(&self, out: &mut [f64]) {

@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use crate::{Epsilon, OracleError, Tally};
+use crate::{DrainPart, Epsilon, OracleError, Tally};
 
 /// A locally differentially private frequency oracle over a finite domain
 /// `[D]` (paper §3.2).
@@ -48,14 +48,18 @@ pub trait PointOracle {
 
     /// Accumulates one report like [`PointOracle::absorb`] — validated
     /// identically, rejected with the same error and nothing mutated — but
-    /// its contribution may stay *pending* until [`PointOracle::settle`].
-    /// A pending report already counts in [`PointOracle::num_reports`];
-    /// everything that reads the accumulated statistics (estimates,
-    /// merge, subtract, persisted state) requires settled state. A batch
-    /// absorbs each report deferred and settles once at its end, which
-    /// lets an oracle amortize per-report work across the batch (the
-    /// unary encodings stage reports as rows and fold every sixteen into
-    /// bit planes).
+    /// its contribution may stay *pending* until it is read. A pending
+    /// report already counts in [`PointOracle::num_reports`]. Statistics
+    /// settle when read, not at the end of a batch: a drain
+    /// ([`PointOracle::split_drain`]) moves pending reports straight into
+    /// the accumulator it drains into, and everything else that reads the
+    /// accumulated statistics (estimates, merge, subtract, persisted
+    /// state) requires settled state, so its caller runs
+    /// [`PointOracle::settle`] first. Pending reports may span any number
+    /// of batches, up to the oracle's own bound (the unary encodings stage
+    /// reports as rows, fold every sixteen into bit planes, and settle by
+    /// themselves at 255 pending), which lets an oracle amortize
+    /// per-report work across them.
     ///
     /// The default is [`PointOracle::absorb`]: nothing is ever pending.
     ///
@@ -68,9 +72,52 @@ pub trait PointOracle {
 
     /// Folds every pending report into the accumulated statistics,
     /// leaving them exactly as absorbing each report with
-    /// [`PointOracle::absorb`] would. Idempotent; the default, for oracles
+    /// [`PointOracle::absorb`] would. What a reader other than a drain
+    /// runs first; a batch does not. Idempotent; the default, for oracles
     /// that never defer, does nothing.
     fn settle(&mut self) {}
+
+    /// Moves `other`'s state into this oracle — exactly settling `other`,
+    /// adding its tally into this one's and clearing it — as two
+    /// [`DrainPart`]s cut near item `at`, which two threads can run at
+    /// once; any cut leaves the same state. The report total moves at
+    /// once, and `other` reads as empty. Once both parts have run,
+    /// [`PointOracle::finish_drain`] on `other` completes the drain. Check
+    /// [`PointOracle::ensure_same`] first.
+    ///
+    /// A drain reads `other` without settling it: a unary oracle cuts at a
+    /// whole 64-item word and spills `other`'s pending reports straight
+    /// into this one's counts, in the same pass that moves `other`'s
+    /// counts, which it skips when they are known to be zero. The default
+    /// is [`Tally::split_drain`].
+    fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>)
+    where
+        Self: Sized,
+    {
+        self.tally_mut().split_drain(other.tally_mut(), at)
+    }
+
+    /// Completes a drain out of this oracle once both parts of its
+    /// [`PointOracle::split_drain`] have run: a unary oracle empties the
+    /// staged rows and planes the parts read. The default does nothing.
+    fn finish_drain(&mut self) {}
+
+    /// [`PointOracle::split_drain`] run whole on this thread, then
+    /// [`PointOracle::finish_drain`]: how a service moves one level of a
+    /// shard into its accumulator.
+    fn drain(&mut self, other: &mut Self)
+    where
+        Self: Sized,
+    {
+        let (below, above) = self.split_drain(other, 0);
+        below.run();
+        above.run();
+        other.finish_drain();
+    }
 
     /// Absorbs an entire cohort at once: `true_counts[z]` users hold value
     /// `z`. Statistically equivalent to encoding and absorbing each user

@@ -18,7 +18,7 @@ use crate::oracle::{self, PointOracle};
 use crate::params::oue_probs;
 use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::variance::frequency_oracle_variance;
-use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
+use crate::{DrainPart, Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// One user's OUE report: the perturbed bit vector, bit-packed. SUE
 /// reports share the type (the same wire format, different `(p, q)`).
@@ -205,7 +205,8 @@ impl PointOracle for Oue {
     }
 
     /// [`PointOracle::absorb_deferred`] then [`PointOracle::settle`], so
-    /// the per-report path and a batch settle through the same kernel.
+    /// the per-report path and deferred reports settle through the same
+    /// kernel.
     fn absorb(&mut self, report: &OueReport) -> Result<(), OracleError> {
         self.absorb_deferred(report)?;
         self.settle();
@@ -214,10 +215,11 @@ impl PointOracle for Oue {
 
     /// Stages the report's packed words as a row and folds every sixteen
     /// rows into the pending bit planes with a carry-save adder tree
-    /// (`crate::unary`): a batch costs a row copy and a share of one
-    /// word-wide fold per report plus one spill at
-    /// [`PointOracle::settle`], instead of one scattered increment per set
-    /// bit.
+    /// (`crate::unary`): a report costs a row copy and a share of one
+    /// word-wide fold, plus a share of one spill when the pending reports
+    /// are read — by a drain ([`PointOracle::split_drain`]) or
+    /// [`PointOracle::settle`] — instead of one scattered increment per
+    /// set bit.
     fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
         if report.domain != self.domain {
             return Err(OracleError::ReportDomainMismatch {
@@ -231,6 +233,21 @@ impl PointOracle for Oue {
 
     fn settle(&mut self) {
         self.state.settle();
+    }
+
+    /// Spills `other`'s pending reports and its counts, unless known to
+    /// be zero, straight into these counts (`crate::unary`), cut at a
+    /// whole word.
+    fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>) {
+        self.state.split_drain(&mut other.state, at)
+    }
+
+    fn finish_drain(&mut self) {
+        self.state.finish_drain();
     }
 
     fn absorb_population(

@@ -22,7 +22,7 @@ use rand::RngCore;
 use crate::oracle::{self, PointOracle};
 use crate::oue::OueReport;
 use crate::unary::{UnaryCounts, UnaryEncoder};
-use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
+use crate::{DrainPart, Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// SUE bit-retention probabilities `(p, q)` with `p + q = 1` and
 /// `p/q = e^{ε/2}`.
@@ -163,6 +163,21 @@ impl PointOracle for Sue {
 
     fn settle(&mut self) {
         self.state.settle();
+    }
+
+    /// Spills `other`'s pending reports and its counts, unless known to
+    /// be zero, straight into these counts (`crate::unary`), cut at a
+    /// whole word.
+    fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>) {
+        self.state.split_drain(&mut other.state, at)
+    }
+
+    fn finish_drain(&mut self) {
+        self.state.finish_drain();
     }
 
     fn absorb_population(

@@ -15,6 +15,7 @@
 //! takes it below zero; a sum's magnitude is at most the report total,
 //! and a sum witnesses nothing.
 
+use crate::unary::Pending;
 use crate::OracleError;
 
 /// Appends one LEB128 varint (at most 10 bytes): the one varint writer
@@ -43,20 +44,30 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ 0u64.wrapping_sub(z & 1)
 }
 
-/// One part of a [`Tally::split_drain`]: a run of one tally's statistics
-/// and the same run of the tally it drains (empty by default).
+/// One part of a drain ([`Tally::split_drain`], or an oracle's
+/// [`crate::PointOracle::split_drain`]): a run of one tally's statistics,
+/// the same run of the tally it drains — empty when that tally's
+/// statistics are known to be zero — and, for a unary oracle drained with
+/// reports pending, the bit planes of those reports over the run's words
+/// (empty by default).
 #[derive(Debug, Default)]
 pub struct DrainPart<'a> {
-    into: &'a mut [u64],
-    from: &'a mut [u64],
+    pub(crate) into: &'a mut [u64],
+    pub(crate) from: &'a mut [u64],
+    pub(crate) pending: Pending<'a>,
 }
 
 impl DrainPart<'_> {
     /// Adds each statistic of the drained run into this one's and zeroes
-    /// it where it was read.
+    /// it where it was read, plus each item's pending count when the
+    /// drained side has reports pending — one pass either way.
     pub fn run(self) {
-        for (a, b) in self.into.iter_mut().zip(self.from) {
-            *a = a.wrapping_add(std::mem::take(b));
+        if self.pending.is_empty() {
+            for (a, b) in self.into.iter_mut().zip(self.from) {
+                *a = a.wrapping_add(std::mem::take(b));
+            }
+        } else {
+            crate::unary::spill(self.into, self.from, self.pending);
         }
     }
 }
@@ -106,19 +117,13 @@ impl Tally {
         self.reports += other.reports;
     }
 
-    /// Moves another cohort's tally into this one: [`Tally::merge`] then
+    /// Moves another cohort's tally into this one — [`Tally::merge`] then
     /// [`Tally::clear`] of `other`, in one pass that adds each statistic
-    /// and zeroes it where it was read. How a service folds a shard into
-    /// its accumulator.
-    pub fn drain(&mut self, other: &mut Self) {
-        let (below, above) = self.split_drain(other, 0);
-        below.run();
-        above.run();
-    }
-
-    /// [`Tally::drain`] cut at item `at` into two parts that two threads
-    /// can run at once; the report total moves here. The drain is whole
-    /// once both parts have run.
+    /// and zeroes it where it was read — as two parts cut at item `at`,
+    /// which two threads can run at once; the report total moves here.
+    /// The drain is whole once both parts have run. What an oracle with
+    /// nothing pending does when a service drains a shard into its
+    /// accumulator ([`crate::PointOracle::split_drain`]).
     #[must_use = "the statistics move only when both parts run"]
     pub fn split_drain<'a>(
         &'a mut self,
@@ -133,10 +138,12 @@ impl Tally {
             DrainPart {
                 into: into_below,
                 from: from_below,
+                pending: Pending::default(),
             },
             DrainPart {
                 into: into_above,
                 from: from_above,
+                pending: Pending::default(),
             },
         )
     }
@@ -356,6 +363,13 @@ mod tests {
         tally(signed, &stats, reports)
     }
 
+    /// The whole drain: both parts of a split at item 0.
+    fn drain(mine: &mut Tally, theirs: &mut Tally) {
+        let (below, above) = mine.split_drain(theirs, 0);
+        below.run();
+        above.run();
+    }
+
     #[test]
     fn drain_is_merge_then_clear() {
         for signed in [false, true] {
@@ -369,7 +383,7 @@ mod tests {
                     expected.merge(&theirs);
                     let mut drained = mine;
                     let mut shard = theirs;
-                    drained.drain(&mut shard);
+                    drain(&mut drained, &mut shard);
                     let at = format!("signed={signed} len={len}");
                     assert_eq!(drained.stats(), expected.stats(), "{at}");
                     assert_eq!(drained.reports, expected.reports, "{at}");
@@ -387,7 +401,7 @@ mod tests {
         // Negative sums cross zero both ways and still add exactly.
         let mut acc = tally(true, &[-5, 3, 0, i64::MIN + 1], u64::MAX >> 1);
         let mut shard = tally(true, &[5, -4, -2, -1], 6);
-        acc.drain(&mut shard);
+        drain(&mut acc, &mut shard);
         assert_eq!(
             acc.stats(),
             [0, (-1i64) as u64, (-2i64) as u64, i64::MIN as u64]
@@ -404,7 +418,7 @@ mod tests {
             let (mine, theirs) = (filled(signed, 9, 3, 40), filled(signed, 9, 5, 25));
             let mut whole = mine.clone();
             let mut whole_shard = theirs.clone();
-            whole.drain(&mut whole_shard);
+            drain(&mut whole, &mut whole_shard);
             for at in 0..=9 {
                 for above_first in [false, true] {
                     let (mut split, mut shard) = (mine.clone(), theirs.clone());

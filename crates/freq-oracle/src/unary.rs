@@ -33,18 +33,27 @@
 //! reports, not once per report, at ≈ 5 word operations per staged word,
 //! on `[u64; 8]` blocks the compiler vectorizes.
 //!
-//! The planes spill into the `u64` counts when they are settled — on
-//! demand ([`UnaryCounts::settle`], which first zero-pads and folds a
-//! partial group of rows), or by themselves once [`MAX_PENDING`] reports
-//! are pending, which keeps every pending count inside one byte and eight
-//! planes. The spill builds, per 64 items, eight byte-wide lanes (each
-//! plane byte expanded through a lookup table and shifted to its plane's
-//! bit) whose little-endian bytes are the 64 pending counts in item order,
-//! then adds those bytes to the counts in one straight widening loop that
-//! the compiler vectorizes. With a single report pending it is the plain
-//! set-bit walk over the one staged row. The fold and the spill bodies
-//! are each compiled twice and dispatched on AVX2, as
-//! `ldp_transforms::hadamard::fwht` is.
+//! Pending reports are spilled when they are read, not at the end of a
+//! batch, so they stay in the rows and planes across batches. A **drain**
+//! ([`UnaryCounts::split_drain`], how a service moves a shard into its
+//! accumulator) spills them straight into the accumulator's counts, in
+//! the same pass that moves the shard's own counts — which it skips when
+//! they are known to be zero, as they are in a shard drained at every
+//! refresh, so such a drain never touches the shard's `u64` counts.
+//! Every other reader settles first ([`UnaryCounts::settle`]), which
+//! spills into the oracle's own counts; and the planes settle by
+//! themselves once [`MAX_PENDING`] reports are pending, which keeps every
+//! pending count inside one byte and eight planes. The spill builds, per
+//! 64 items, eight byte-wide lanes (each plane byte expanded through a
+//! lookup table and shifted to its plane's bit, then each row staged since
+//! the last fold added in) whose little-endian bytes are the 64 pending
+//! counts in item order, then adds those bytes — and the drained counts,
+//! if any — to the counts in one straight widening loop that the compiler
+//! vectorizes. A partial group of [`FOLD_PARTIAL`] rows or more is
+//! zero-padded and folded first, as that costs less than adding each row;
+//! a settle with a single report pending is the plain set-bit walk over
+//! the one staged row. The fold and the spill bodies are each compiled
+//! twice and dispatched on AVX2, as `ldp_transforms::hadamard::fwht` is.
 //!
 //! The rows cost memory: sixteen rows of the padded width, for every
 //! oracle that takes batches. An `HH_4`/OUE server at `D = 2^16` (eight
@@ -55,17 +64,19 @@
 //! of ten interleaved 20-s pairs on a 2-vCPU Intel Xeon VM, ten wins).
 //!
 //! Pending reports count towards [`UnaryCounts::reports`] at once, but
-//! every reader of the counts — [`UnaryCounts::tally`], which `counts`,
-//! `merge`, `subtract` and checkpoints go through, and `estimate` —
-//! requires settled state, and debug builds assert it. Rows and planes
-//! never outlive a batch, so they are not state: settled counts equal the
-//! one-increment-per-set-bit loop's exactly, and the emptied buffers clone
-//! without allocating.
+//! every reader of the counts other than a drain — [`UnaryCounts::tally`],
+//! which `counts`, `merge`, `subtract` and checkpoints go through, and
+//! `estimate` — requires settled state, and debug builds assert it. Rows
+//! and planes are not state: a settle or a drain leaves the counts equal
+//! to the one-increment-per-set-bit loop's exactly, and the emptied
+//! buffers clone without allocating. They keep their capacity, reserved
+//! whole at the first report staged, so no later fold, settle or drain
+//! grows them.
 
 use rand::RngCore;
 
 use crate::binomial::sample_binomial;
-use crate::{OracleError, OueReport, Tally};
+use crate::{DrainPart, OracleError, OueReport, Tally};
 
 /// Pending reports at which the planes settle by themselves: 255 keeps a
 /// pending count in one byte (the spill's lane width) and in [`PLANES`]
@@ -78,6 +89,13 @@ const PLANES: usize = 8;
 /// Staged rows per fold: one Harley–Seal tree adds sixteen rows into
 /// planes 0–3 and carries its sixteens into planes 4–7.
 const FOLD_ROWS: usize = 16;
+
+/// Staged rows from which a spill zero-pads and folds a partial group
+/// before it spills; fewer rows it adds in one at a time. Spilling the
+/// eight levels of an `HH_4` shard at `D = 2^16` (release, AVX2, 2-vCPU
+/// Intel Xeon VM), the zero-padded fold cost ≈ 40 µs and each row added
+/// in ≈ 6.5 µs, so the two break even at about ten rows.
+const FOLD_PARTIAL: usize = 10;
 
 /// Words per lane block. Rows and planes are padded to a multiple of it,
 /// and the fold works one `[u64; 8]` block at a time, so each of its
@@ -210,14 +228,18 @@ pub(crate) struct UnaryCounts {
     /// Reports staged since the last fold, row-major: row `r` is words
     /// `r·S .. (r+1)·S` with `S` the [stride](UnaryCounts::stride) — the
     /// report's `⌈D/64⌉` words, then zero pad. Fewer than [`FOLD_ROWS`]
-    /// rows; empty whenever settled.
+    /// rows; empty whenever nothing is pending.
     staged: Vec<u64>,
     /// Bit planes of the folded pending counts, plane-major: plane `k` is
-    /// words `k·S .. (k+1)·S`. [`PLANES`] planes from a batch's first fold
-    /// on; empty whenever settled.
+    /// words `k·S .. (k+1)·S`. [`PLANES`] planes from the first fold
+    /// after a settle or drain on; empty whenever nothing is pending.
     planes: Vec<u64>,
-    /// Reports staged or folded since the last settle.
+    /// Reports staged or folded since the last settle or drain.
     pending: u32,
+    /// Whether the settled counts are known to be all zero: set when
+    /// built, cleared or drained out, so a drain need not read them;
+    /// unset by anything that may add to them.
+    zero: bool,
 }
 
 impl UnaryCounts {
@@ -227,6 +249,7 @@ impl UnaryCounts {
             staged: Vec::new(),
             planes: Vec::new(),
             pending: 0,
+            zero: true,
         }
     }
 
@@ -264,6 +287,7 @@ impl UnaryCounts {
     /// lost or double-counted.
     pub(crate) fn tally_mut(&mut self) -> &mut Tally {
         self.assert_settled();
+        self.zero = false;
         &mut self.tally
     }
 
@@ -274,6 +298,16 @@ impl UnaryCounts {
     pub(crate) fn add_deferred(&mut self, words: &[u64]) {
         let (width, stride) = (self.width(), self.stride());
         debug_assert_eq!(words.len(), width);
+        debug_assert!(
+            self.pending > 0 || (self.staged.is_empty() && self.planes.is_empty()),
+            "rows or planes left behind by a drain"
+        );
+        if self.staged.capacity() == 0 {
+            // A whole group of rows and every plane at once, so that no
+            // later fold, settle or drain grows them.
+            self.staged.reserve_exact(FOLD_ROWS * stride);
+            self.planes.reserve_exact(PLANES * stride);
+        }
         self.pending += 1;
         self.tally.reports += 1;
         self.staged.extend_from_slice(words);
@@ -287,7 +321,8 @@ impl UnaryCounts {
     }
 
     /// Folds the [`FOLD_ROWS`] staged rows into the planes (zeroed first
-    /// if this is the batch's first fold) and empties the rows.
+    /// if this is the first fold since the last settle or drain) and
+    /// empties the rows.
     fn fold_staged(&mut self) {
         let stride = self.stride();
         debug_assert_eq!(self.staged.len(), FOLD_ROWS * stride);
@@ -298,15 +333,44 @@ impl UnaryCounts {
         self.staged.clear();
     }
 
+    /// Readies the pending reports for a spill: a partial group of
+    /// [`FOLD_PARTIAL`] staged rows or more is zero-padded and folded into
+    /// the planes; fewer stay staged, for the spill to add in one row at a
+    /// time.
+    fn fold_partial(&mut self) {
+        let stride = self.stride();
+        if self.staged.len() >= FOLD_PARTIAL * stride {
+            self.staged.resize(FOLD_ROWS * stride, 0);
+            self.fold_staged();
+        }
+    }
+
+    /// The pending reports as a spill reads them, after
+    /// [`UnaryCounts::fold_partial`]: the planes that can hold bits of the
+    /// folded counts (no folded count reaches 2^depth) and the rows
+    /// staged since the last fold.
+    fn pending_bits<'a>(
+        planes: &'a [u64],
+        staged: &'a [u64],
+        pending: u32,
+        stride: usize,
+    ) -> Pending<'a> {
+        let rows = staged.len() / stride;
+        debug_assert!(rows < FOLD_PARTIAL);
+        let folded = pending - rows as u32;
+        let depth = (u32::BITS - folded.leading_zeros()) as usize;
+        Pending {
+            planes: &planes[..depth * stride],
+            rows: staged,
+            stride,
+            first: 0,
+        }
+    }
+
     /// Spills the pending reports into the counts and empties the rows and
-    /// planes (keeping their capacity for the next batch). A no-op when
-    /// nothing is pending.
+    /// planes (keeping their capacity). A no-op when nothing is pending.
     pub(crate) fn settle(&mut self) {
         let (width, stride) = (self.width(), self.stride());
-        debug_assert_eq!(
-            self.staged.len(),
-            (self.pending as usize % FOLD_ROWS) * stride
-        );
         match self.pending {
             0 => return,
             1 => {
@@ -320,32 +384,86 @@ impl UnaryCounts {
                 }
             }
             pending => {
-                if !self.staged.is_empty() {
-                    self.staged.resize(FOLD_ROWS * stride, 0);
-                    self.fold_staged();
-                }
-                // No pending count reaches 2^depth, so deeper planes are 0.
-                let depth = (u32::BITS - pending.leading_zeros()) as usize;
-                spill(
-                    &mut self.tally.stats,
-                    &self.planes[..depth * stride],
-                    stride,
-                );
+                self.fold_partial();
+                let bits = Self::pending_bits(&self.planes, &self.staged, pending, stride);
+                spill(&mut self.tally.stats, &mut [], bits);
             }
         }
         self.staged.clear();
         self.planes.clear();
         self.pending = 0;
+        self.zero = false;
+    }
+
+    /// Moves `other` into these counts — its settled counts unless they
+    /// are known to be zero, and its pending reports, spilled straight in
+    /// without settling `other` first — as two [`DrainPart`]s cut at item
+    /// `at` rounded down to a whole word, so two threads can run them at
+    /// once and each reads whole plane words. Any cut leaves the same
+    /// state. The report total moves here at once, and `other` is left
+    /// empty with nothing pending; the parts still read its staged rows
+    /// and planes, so [`UnaryCounts::finish_drain`] empties those once
+    /// both parts have run.
+    pub(crate) fn split_drain<'a>(
+        &'a mut self,
+        other: &'a mut Self,
+        at: usize,
+    ) -> (DrainPart<'a>, DrainPart<'a>) {
+        debug_assert_eq!(self.tally.stats.len(), other.tally.stats.len());
+        let (first, stride) = (at / 64, other.stride());
+        other.fold_partial();
+        self.zero &= other.zero && other.pending == 0;
+        self.tally.reports += std::mem::take(&mut other.tally.reports);
+        let Self {
+            tally,
+            staged,
+            planes,
+            pending,
+            zero,
+        } = other;
+        let bits = Self::pending_bits(planes, staged, std::mem::take(pending), stride);
+        let (from_below, from_above) = if std::mem::replace(zero, true) {
+            (Default::default(), Default::default())
+        } else {
+            tally.stats.split_at_mut(first * 64)
+        };
+        let (into_below, into_above) = self.tally.stats.split_at_mut(first * 64);
+        (
+            DrainPart {
+                into: into_below,
+                from: from_below,
+                pending: bits,
+            },
+            DrainPart {
+                into: into_above,
+                from: from_above,
+                pending: Pending { first, ..bits },
+            },
+        )
+    }
+
+    /// Ends a drain out of these counts once both parts of its
+    /// [`UnaryCounts::split_drain`] have run: empties the staged rows and
+    /// planes the parts read, keeping their capacity.
+    pub(crate) fn finish_drain(&mut self) {
+        debug_assert_eq!(self.pending, 0, "finish_drain without a drain");
+        self.staged.clear();
+        self.planes.clear();
     }
 
     /// Resets to the empty accumulator in place: counts zeroed, nothing
     /// pending, no allocation (the row and plane buffers keep their
     /// capacity).
     pub(crate) fn clear(&mut self) {
-        self.tally.clear();
+        if self.zero {
+            self.tally.reports = 0;
+        } else {
+            self.tally.clear();
+        }
         self.staged.clear();
         self.planes.clear();
         self.pending = 0;
+        self.zero = true;
     }
 
     /// Adds the exact aggregate a cohort with the given true counts would
@@ -366,6 +484,7 @@ impl UnaryCounts {
             });
         }
         let n: u64 = true_counts.iter().sum();
+        self.zero = false;
         for (count, &c) in tally.stats.iter_mut().zip(true_counts) {
             let kept = sample_binomial(rng, c, p);
             let flipped = sample_binomial(rng, n - c, q);
@@ -416,24 +535,47 @@ fn fold_avx2(planes: &mut [u64], staged: &[u64], stride: usize) {
     fold_body(planes, staged, stride);
 }
 
-/// Spills planes (plane-major, `stride` words each) into `counts`, adding
-/// each item's pending count. Dispatched as [`fold`] is.
-fn spill(counts: &mut [u64], planes: &[u64], stride: usize) {
+/// Pending reports as a spill reads them: bit planes of the folded
+/// counts, plane-major, and the rows staged since the last fold, each
+/// `stride` words, whose word `first` holds the bits of the spilled run's
+/// first 64 items. Empty by default: nothing pending.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Pending<'a> {
+    planes: &'a [u64],
+    rows: &'a [u64],
+    stride: usize,
+    first: usize,
+}
+
+impl Pending<'_> {
+    /// Whether no report is pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.planes.is_empty() && self.rows.is_empty()
+    }
+}
+
+/// Adds each item's pending count, read from `pending`'s planes, into
+/// `into` — and, unless `from` is empty, the drained count `from` holds
+/// for the same item, zeroed where it is read. A settle spills into its
+/// own counts with `from` empty; a drain spills a shard's pending reports
+/// and its counts into the accumulator in the same pass. Dispatched as
+/// [`fold`] is.
+pub(crate) fn spill(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `spill_avx2` needs only AVX2, which this CPU reports.
-        unsafe { spill_avx2(counts, planes, stride) };
+        unsafe { spill_avx2(into, from, pending) };
         return;
     }
-    spill_body(counts, planes, stride);
+    spill_body(into, from, pending);
 }
 
 /// The spill body compiled for AVX2; [`spill`] calls it only on a CPU that
 /// reports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn spill_avx2(counts: &mut [u64], planes: &[u64], stride: usize) {
-    spill_body(counts, planes, stride);
+fn spill_avx2(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
+    spill_body(into, from, pending);
 }
 
 /// The lane block of `words` at word `at`.
@@ -505,31 +647,67 @@ fn fold_body(planes: &mut [u64], staged: &[u64], stride: usize) {
 
 /// The portable spill body. Per 64 items it builds eight byte-wide lanes
 /// (each plane byte expanded through [`BYTE_LANES`] and shifted to its
-/// plane's bit) whose little-endian bytes are the 64 pending counts in
-/// item order, then adds those bytes to the counts in one straight
-/// widening loop. `#[inline(always)]`, so [`spill`] and `spill_avx2` each
-/// get their own copy.
+/// plane's bit, then each staged row's bytes added in) whose
+/// little-endian bytes are the 64 pending counts in item order, then adds
+/// those bytes — and the drained counts, if any —
+/// to the counts in one straight widening loop. `#[inline(always)]`, so
+/// [`spill`] and `spill_avx2` each get their own copy.
 #[inline(always)]
-fn spill_body(counts: &mut [u64], planes: &[u64], stride: usize) {
-    assert!(planes.len() <= PLANES * stride && planes.len().is_multiple_of(stride));
-    assert!(counts.len().div_ceil(64) <= stride);
-    for (wi, items) in counts.chunks_mut(64).enumerate() {
-        // lanes[i] byte l = pending count of item 64·wi + 8·i + l.
-        let mut lanes = [0u64; 8];
-        for (k, plane) in planes.chunks_exact(stride).enumerate() {
-            let bits = plane[wi];
-            if bits == 0 {
-                continue;
+fn spill_body(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
+    let Pending {
+        planes,
+        rows,
+        stride,
+        first,
+    } = pending;
+    assert!(stride > 0 && planes.len() <= PLANES * stride && rows.len() < FOLD_ROWS * stride);
+    assert!(planes.len().is_multiple_of(stride) && rows.len().is_multiple_of(stride));
+    assert!(first + into.len().div_ceil(64) <= stride);
+    assert!(from.is_empty() || from.len() == into.len());
+    if from.is_empty() {
+        for (wi, items) in into.chunks_mut(64).enumerate() {
+            let counts = pending_counts(planes, rows, stride, first + wi);
+            for (count, &c) in items.iter_mut().zip(counts.as_flattened()) {
+                *count = count.wrapping_add(u64::from(c));
             }
+        }
+    } else {
+        for (wi, (items, drained)) in into.chunks_mut(64).zip(from.chunks_mut(64)).enumerate() {
+            let counts = pending_counts(planes, rows, stride, first + wi);
+            for ((count, drained), &c) in items.iter_mut().zip(drained).zip(counts.as_flattened()) {
+                *count = count
+                    .wrapping_add(std::mem::take(drained))
+                    .wrapping_add(u64::from(c));
+            }
+        }
+    }
+}
+
+/// The pending counts of the 64 items at word `word`, in item order: byte
+/// `l` of lane `i` is item `64·word + 8·i + l`'s. Plane `k`'s bits land on
+/// bit `k` of each byte; each staged row then adds its bits in one at a
+/// time. A pending count never exceeds [`MAX_PENDING`], so no byte
+/// carries into the next.
+#[inline(always)]
+fn pending_counts(planes: &[u64], rows: &[u64], stride: usize, word: usize) -> [[u8; 8]; 8] {
+    let mut lanes = [0u64; 8];
+    for (k, plane) in planes.chunks_exact(stride).enumerate() {
+        let bits = plane[word];
+        if bits != 0 {
             for (i, lane) in lanes.iter_mut().enumerate() {
                 *lane |= BYTE_LANES[usize::from((bits >> (8 * i)) as u8)] << k;
             }
         }
-        let bytes = lanes.map(u64::to_le_bytes);
-        for (count, &byte) in items.iter_mut().zip(bytes.as_flattened()) {
-            *count += u64::from(byte);
+    }
+    for row in rows.chunks_exact(stride) {
+        let bits = row[word];
+        if bits != 0 {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane += BYTE_LANES[usize::from((bits >> (8 * i)) as u8)];
+            }
         }
     }
+    lanes.map(u64::to_le_bytes)
 }
 
 #[cfg(test)]
@@ -675,8 +853,74 @@ mod tests {
                 let mut counts: Vec<u64> =
                     (0..domain).map(|_| rng.random_range(0..1 << 40)).collect();
                 let oracle: Vec<u64> = counts.iter().zip(&pending).map(|(c, p)| c + p).collect();
-                spill_body(&mut counts, &planes[..depth * stride], stride);
+                let pending = Pending {
+                    planes: &planes[..depth * stride],
+                    rows: &[],
+                    stride,
+                    first: 0,
+                };
+                spill_body(&mut counts, &mut [], pending);
                 assert_eq!(counts, oracle, "D={domain} depth={depth}");
+            }
+        }
+    }
+
+    /// The portable spill body as a drain part runs it: a run of items
+    /// starting at word `first` (0, 1 and the last word), into
+    /// accumulator counts, from folded counts in planes plus none, one or
+    /// fifteen staged rows, with the drained shard's counts for the run
+    /// added and zeroed in the same pass, or absent.
+    #[test]
+    fn portable_spill_body_drains_a_run_of_words() {
+        let mut rng = StdRng::seed_from_u64(0xD8A1);
+        for domain in [64usize, 65, 513, 4_160] {
+            let stride = domain.div_ceil(64).next_multiple_of(LANE_BLOCK);
+            let words = domain.div_ceil(64);
+            for (depth, rows) in [(1, 0), (1, 1), (5, 15), (PLANES, 0), (PLANES, 15)] {
+                // Folded counts below 2^depth that leave room for the rows.
+                let top = (1u64 << depth).min(u64::from(MAX_PENDING) + 1 - rows as u64);
+                let folded: Vec<u64> = (0..domain).map(|_| rng.random_range(0..top)).collect();
+                let planes = planes_of(&folded, stride);
+                let staged: Vec<u64> = (0..rows)
+                    .flat_map(|_| {
+                        let mut row = report(domain, 1, &mut rng);
+                        row.resize(stride, 0);
+                        row
+                    })
+                    .collect();
+                let mut pending = folded.clone();
+                for row in staged.chunks_exact(stride) {
+                    absorb_scalar(&mut pending, &row[..words]);
+                }
+                for first in [0, 1, words - 1] {
+                    let run = first * 64..domain;
+                    let part = Pending {
+                        planes: &planes[..depth * stride],
+                        rows: &staged,
+                        stride,
+                        first,
+                    };
+                    for with_shard in [false, true] {
+                        let mut acc: Vec<u64> =
+                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect();
+                        let mut shard: Vec<u64> = if with_shard {
+                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        let oracle: Vec<u64> = run
+                            .clone()
+                            .enumerate()
+                            .map(|(i, j)| acc[i] + shard.get(i).copied().unwrap_or(0) + pending[j])
+                            .collect();
+                        spill_body(&mut acc, &mut shard, part);
+                        let at = format!(
+                            "D={domain} depth={depth} rows={rows} first={first} shard={with_shard}"
+                        );
+                        assert_eq!(acc, oracle, "{at}");
+                        assert!(shard.iter().all(|&c| c == 0), "{at}: shard not zeroed");
+                    }
+                }
             }
         }
     }

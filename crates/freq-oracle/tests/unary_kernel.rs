@@ -8,7 +8,11 @@
 //! across the fold's sixteen-row groups and the auto-settle, at every
 //! density from all-clear to all-set — with `settle`, `clone`, `merge`
 //! and `subtract` interleaved at arbitrary points, and hold the settled
-//! counts to a model that adds each report one bit at a time.
+//! counts to a model that adds each report one bit at a time. A drain
+//! (`split_drain`) moves a shard's pending reports and counts into an
+//! accumulator without settling the shard first; the drain rows hold it
+//! to the same model at every pending count around the fold groups and
+//! the auto-settle, for every shard state and cut.
 
 use proptest::prelude::*;
 
@@ -245,4 +249,133 @@ fn per_report_absorb_equals_one_settled_batch() {
         let bits = |o: &Oue| o.estimate().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&one_by_one), bits(&batched), "D={domain}");
     }
+}
+
+/// Pending counts a drain meets: nothing, one staged row, a partial
+/// group, one group exactly and one past it, and the counts around the
+/// 255-report auto-settle.
+const DRAIN_PENDING: [usize; 10] = [0, 1, 2, 15, 16, 17, 254, 255, 256, 511];
+
+/// What a shard holds before its pending reports arrive.
+#[derive(Debug, Clone, Copy)]
+enum ShardState {
+    /// Freshly built: counts known to be zero.
+    Fresh,
+    /// 255 reports absorbed deferred, which settle by themselves.
+    AutoSettled,
+    /// A settled side oracle merged in through the tally.
+    Merged,
+}
+
+/// A shard in `state` with `pending` more reports absorbed deferred, and
+/// the model of everything it holds.
+fn shard<O: Unary>(
+    domain: usize,
+    state: ShardState,
+    pending: usize,
+    rng: &mut StdRng,
+) -> Tracked<O> {
+    let mut shard = Tracked::<O>::new(domain);
+    match state {
+        ShardState::Fresh => {}
+        ShardState::AutoSettled => {
+            for _ in 0..255 {
+                shard.absorb_deferred(&report(domain, Density::Q, rng));
+            }
+        }
+        ShardState::Merged => {
+            let mut side = Tracked::<O>::new(domain);
+            for _ in 0..40 {
+                side.absorb_deferred(&report(domain, Density::Q, rng));
+            }
+            side.settle_and_check("side");
+            shard.oracle.merge(&side.oracle).unwrap();
+            shard.model = side.model;
+            shard.reports = side.reports;
+        }
+    }
+    for _ in 0..pending {
+        shard.absorb_deferred(&report(domain, Density::Q, rng));
+    }
+    shard
+}
+
+/// A shard drained into an accumulator that already holds counts — at
+/// every pending count of [`DRAIN_PENDING`], from every [`ShardState`],
+/// cut at item 0, at a word edge, off a word edge and at the end, its
+/// parts run in either order — leaves the accumulator holding both
+/// models' sum and the shard empty. The drained shard then absorbs a run
+/// that crosses a fold group, settles to exactly that run, and drains
+/// again.
+fn check_drains<O: Unary>() {
+    let mut rng = StdRng::seed_from_u64(0xD4A1);
+    for domain in [65, 4_160] {
+        let mut acc = Tracked::<O>::new(domain);
+        for _ in 0..3 {
+            acc.absorb_deferred(&report(domain, Density::Q, &mut rng));
+        }
+        acc.settle_and_check("accumulator");
+        for state in [
+            ShardState::Fresh,
+            ShardState::AutoSettled,
+            ShardState::Merged,
+        ] {
+            for pending in DRAIN_PENDING {
+                let template = shard::<O>(domain, state, pending, &mut rng);
+                for (cut, above_first) in [(0, false), (64, true), (97, false), (domain, true)] {
+                    let what = format!("D={domain} {state:?} pending={pending} cut={cut}");
+                    let mut into = acc.oracle.clone();
+                    let mut from = template.oracle.clone();
+                    let (below, above) = into.split_drain(&mut from, cut);
+                    if above_first {
+                        above.run();
+                        below.run();
+                    } else {
+                        below.run();
+                        above.run();
+                    }
+                    from.finish_drain();
+                    let sum: Vec<u64> = acc
+                        .model
+                        .iter()
+                        .zip(&template.model)
+                        .map(|(a, b)| a + b)
+                        .collect();
+                    assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
+                    assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
+                    assert_eq!(from.num_reports(), 0, "{what}: drained shard");
+                    assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
+
+                    let mut again = Tracked {
+                        oracle: from,
+                        model: vec![0; domain],
+                        reports: 0,
+                    };
+                    for _ in 0..17 {
+                        again.absorb_deferred(&report(domain, Density::Q, &mut rng));
+                    }
+                    let mut twice = into.clone();
+                    PointOracle::drain(&mut twice, &mut again.oracle);
+                    let sum: Vec<u64> = sum.iter().zip(&again.model).map(|(a, b)| a + b).collect();
+                    assert_eq!(twice.counts(), &sum[..], "{what}: second drain");
+                    again.model.fill(0);
+                    again.reports = 0;
+                    for _ in 0..17 {
+                        again.absorb_deferred(&report(domain, Density::Ones, &mut rng));
+                    }
+                    again.settle_and_check(&format!("{what}: absorbed after the drains"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn oue_drain_spills_pending_reports_exactly() {
+    check_drains::<Oue>();
+}
+
+#[test]
+fn sue_drain_spills_pending_reports_exactly() {
+    check_drains::<Sue>();
 }

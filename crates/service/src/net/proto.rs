@@ -246,29 +246,23 @@ pub struct QueryReply {
 }
 
 impl QueryReply {
-    /// The answer as a fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reply answered a quantile query.
+    /// The answer as a fraction: `Some` for a range, prefix or point
+    /// reply, `None` for a quantile reply.
     #[must_use]
-    pub fn fraction(&self) -> f64 {
+    pub fn fraction(&self) -> Option<f64> {
         match self.result {
-            QueryResult::Fraction(f) => f,
-            QueryResult::Index(_) => panic!("quantile reply has no fraction"),
+            QueryResult::Fraction(f) => Some(f),
+            QueryResult::Index(_) => None,
         }
     }
 
-    /// The answer as a quantile index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reply answered a range/prefix/point query.
+    /// The answer as a quantile index: `Some` for a quantile reply,
+    /// `None` for a range, prefix or point reply.
     #[must_use]
-    pub fn index(&self) -> u64 {
+    pub fn index(&self) -> Option<u64> {
         match self.result {
-            QueryResult::Index(i) => i,
-            QueryResult::Fraction(_) => panic!("fraction reply has no index"),
+            QueryResult::Index(i) => Some(i),
+            QueryResult::Fraction(_) => None,
         }
     }
 }

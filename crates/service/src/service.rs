@@ -191,7 +191,9 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
 /// Every mechanism's `absorb_deferred` validates its report before it mutates
 /// anything, so a shard poisoned by a panic mid-batch holds *whole*
 /// reports — but some of them may still be pending in a unary oracle's
-/// staged rows or bit planes, never settled into its counts. That is why
+/// staged rows or bit planes, not settled into its counts. Statistics
+/// settle when read, not at batch end, so that holds of any shard, and
+/// its pending reports may span many batches. That is why
 /// the shard peeks through here read only [`LdpService::num_reports`]
 /// (which counts pending reports whole) and [`LdpService::current_epoch`] — never
 /// counts, estimates or persisted state — plus the telemetry attach,
@@ -205,19 +207,20 @@ pub(crate) fn lock_infallible<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Runs a batch against `shard` **in place**, all-or-nothing: `run`
-/// absorbs the batch's reports in order and stops at the first malformed
-/// or rejected frame, and it must leave `shard` settled
-/// ([`ldp_ranges::MergeableServer::settle`]) on both outcomes. On `Ok`
-/// nothing else happens — the happy path does no O(state) work. On `Err`
-/// the absorbed prefix is rolled back by exact subtraction: an aligned
+/// absorbs the batch's reports in order, deferred, and stops at the first
+/// malformed or rejected frame. On `Ok` nothing else happens — the happy
+/// path does no O(state) work and settles nothing, so the batch's reports
+/// may stay pending in the shard until a drain reads them. On `Err` the
+/// absorbed prefix is rolled back by exact subtraction: the shard is
+/// settled ([`ldp_ranges::MergeableServer::settle`]), then an aligned
 /// zero (`shard` cloned and cleared, which keeps an [`EpochRing`]'s
 /// epoch layout) replays the batch — failing at the same frame, since
 /// decoding and every `absorb` check depend on the bytes and the
-/// configuration, never on the counts — and is subtracted back out of
-/// the shard. Because `run` settles before it returns, the rollback's
-/// clone, replay and subtraction all see settled state. Integer
-/// sufficient statistics make that the bit-identical inverse, so the
-/// shard is left exactly as it was found and `run`'s error is returned.
+/// configuration, never on the counts — is settled in turn and is
+/// subtracted back out of the shard. So the rollback's clone, replay and
+/// subtraction all see settled state. Integer sufficient statistics make
+/// that the bit-identical inverse, so the shard is left exactly as it was
+/// found, up to settling, and `run`'s error is returned.
 ///
 /// The rollback always pays its clone, clear and subtraction, even when
 /// the batch failed at frame 0 and nothing was absorbed: rolling back an
@@ -241,10 +244,12 @@ fn absorb_all_or_nothing<S: SubtractableServer, T>(
         Ok(done) => return Ok(done),
         Err(e) => e,
     };
+    shard.settle();
     let mut prefix = shard.clone();
     prefix.clear();
     // The replay's outcome is the rejection already in hand.
     let _ = run(&mut prefix);
+    prefix.settle();
     shard.subtract(&prefix)?;
     Err(rejected)
 }
@@ -256,10 +261,11 @@ fn absorb_all_or_nothing<S: SubtractableServer, T>(
 /// ([`SnapshotSource::absorb_tagged`]: an epoch ring checks a v2 tag
 /// against its open epoch, an all-time server ignores it), so the batch
 /// is never materialized, and the whole payload lands all-or-nothing
-/// ([`absorb_all_or_nothing`]). Frames are absorbed deferred, and the
-/// shard is settled once, after the last frame or the rejected one —
-/// inside the all-or-nothing `run`, so the rollback works on settled
-/// state and the shard is settled when the caller's lock drops. Live
+/// ([`absorb_all_or_nothing`]). Frames are absorbed deferred, and an
+/// accepted batch settles nothing: statistics settle when read, not at
+/// batch end, so the batch's reports may stay pending in the shard —
+/// across later batches too — until a drain spills them into the
+/// accumulator. Only a rejected batch settles, before its rollback. Live
 /// ingest ([`LdpService::submit_wire_batch`], and through it the durable
 /// store and a follower's re-apply) and both recovery replays call this
 /// one function, so they accept and reject exactly the same bytes.
@@ -283,11 +289,9 @@ where
     S::Report: WireReport,
 {
     absorb_all_or_nothing(shard, |shard| {
-        let absorbed = crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
+        crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
             shard.absorb_tagged(epoch, report)
-        });
-        shard.settle();
-        absorbed
+        })
     })
 }
 
@@ -318,7 +322,7 @@ impl<S: SnapshotSource> LdpService<S> {
     /// service after crash recovery. Because merging is exact, every
     /// merged view (snapshots, `num_reports`) is bit-identical to the
     /// pre-crash one. The initial published snapshot (version 0) freezes
-    /// the recovered state.
+    /// the recovered state, settled once first: a replay absorbs deferred.
     ///
     /// For windowed backends `empty` must be epoch-aligned with
     /// `recovered` (see [`EpochRing::aligned_empty`]), or draining a
@@ -337,6 +341,7 @@ impl<S: SnapshotSource> LdpService<S> {
             return Err(ServiceError::NoShards);
         }
         let mut recovered = recovered;
+        recovered.settle();
         let estimate =
             recovered.publish_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)?;
         let initial = Arc::new(RangeSnapshot::from_estimate(
@@ -411,14 +416,11 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// The shared tail of the single-report submits: absorbs one report,
-    /// with its optional epoch tag, into the next round-robin shard, and
-    /// settles it before the lock drops.
+    /// with its optional epoch tag, deferred into the next round-robin
+    /// shard, where it stays pending until a drain reads it. A rejected
+    /// report changes nothing, so nothing is rolled back or settled.
     fn submit_tagged(&self, epoch: Option<u64>, report: &S::Report) -> Result<(), ServiceError> {
-        let result = self.on_next_shard(|shard| {
-            let absorbed = shard.absorb_tagged(epoch, report);
-            shard.settle();
-            absorbed
-        });
+        let result = self.on_next_shard(|shard| shard.absorb_tagged(epoch, report));
         if let Some(obs) = self.obs.get() {
             match &result {
                 Ok(()) => obs.shard.frames_accepted.incr(),

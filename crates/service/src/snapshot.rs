@@ -117,12 +117,12 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
     ///
     /// **Deferred.** The report is absorbed with
     /// [`ldp_ranges::MergeableServer::absorb_deferred`], so it may stay
-    /// pending in the server's oracles: the caller must call
-    /// [`ldp_ranges::MergeableServer::settle`] before it releases the
-    /// server — after a whole batch, whether the batch was accepted or
-    /// not. The service's two callers (`absorb_frames`, and the
-    /// single-report submits) settle before the shard lock drops, so a
-    /// shard is settled whenever its lock is free.
+    /// pending in the server's oracles until it is read: a drain moves it
+    /// out as it is, and any other reader must call
+    /// [`ldp_ranges::MergeableServer::settle`] first. The service's
+    /// callers (`absorb_frames`, and the single-report submits) leave
+    /// shards unsettled across batches; only a batch rollback settles,
+    /// and only the drains read a shard.
     ///
     /// # Errors
     ///

@@ -314,6 +314,8 @@ where
         wal::WalRecord::Seal { epoch } => seal(&mut state, *epoch),
         wal::WalRecord::Checkpoint { .. } => Ok(0),
     })?;
+    // The replay absorbed deferred; the state is read from here on.
+    state.settle();
     report.checkpoint_id = checkpoint_id;
     Ok((state, report))
 }

@@ -272,6 +272,9 @@ impl<S: SubtractableServer> EpochRing<S> {
     /// itself (all clones of one prototype); an error indicates corrupted
     /// state.
     pub fn seal_epoch(&mut self) -> Result<u64, ServiceError> {
+        // The sealed epoch is read (merged into the running sum), so its
+        // pending reports settle first.
+        self.current.settle();
         // An empty open epoch stays open: it already is what the next
         // epoch starts from.
         let server = if self.current.num_reports() > 0 {
@@ -285,8 +288,12 @@ impl<S: SubtractableServer> EpochRing<S> {
             id: self.current_id,
             server,
         });
-        if self.ring.len() > self.window_len {
-            let retired = self.ring.pop_front().expect("ring just grew");
+        let retired = if self.ring.len() > self.window_len {
+            self.ring.pop_front()
+        } else {
+            None
+        };
+        if let Some(retired) = retired {
             // The rotation that makes sliding windows O(state): remove
             // the retired epoch from the running merge instead of
             // re-merging the survivors.
@@ -356,10 +363,8 @@ impl<S: SubtractableServer> EpochRing<S> {
         if k == 0 {
             return None;
         }
-        Some((
-            self.ring[self.ring.len() - k].id,
-            self.ring.back().expect("k >= 1").id,
-        ))
+        let last = self.ring.back()?.id;
+        Some((self.ring[self.ring.len() - k].id, last))
     }
 
     /// An empty ring *epoch-aligned* with this one: same window

@@ -671,6 +671,85 @@ fn long_unary_batches_cross_the_auto_settle_exactly() {
     check_long(&hh_with_pool(8, LONG + BATCH, 8), "hh8");
 }
 
+/// Frames per good batch in [`check_after_deferred_batches`].
+const DEFERRED_BATCH: usize = 16;
+
+/// `batches` good batches of [`DEFERRED_BATCH`] frames, absorbed deferred
+/// and never read, so their reports are still pending in the shards'
+/// unary levels; then a batch rejected at frame `k`. The rollback settles
+/// the shard before it clones and subtracts, so the state is exactly the
+/// good batches': the same `persist_state` bytes and published bits as a
+/// reference service fed only those, under the same version. The refresh
+/// after that is clean (the same `Arc`), a second rejected batch on the
+/// drained shards keeps it, and later good batches land as on the
+/// reference.
+fn check_after_deferred_batches<S>(mech: &Mech<S>, batches: usize, k: usize, shards: usize)
+where
+    S: SnapshotSource + PersistableServer,
+    S::Report: WireReport,
+{
+    let what = format!("{batches} deferred batches, {shards} shard(s), k={k}");
+    let good = |i: usize| {
+        let at = (i * DEFERRED_BATCH) % (mech.good.len() - DEFERRED_BATCH);
+        &mech.good[at..at + DEFERRED_BATCH]
+    };
+    let reference = LdpService::new(&mech.prototype, shards).unwrap();
+    let service = LdpService::new(&mech.prototype, shards).unwrap();
+    for i in 0..batches {
+        submit_good(&reference, good(i));
+        submit_good(&service, good(i));
+    }
+    let (count, frames) = faulty_frames(mech, k, Fault::WrongShape, 0, WIRE_V1);
+    assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
+    assert_eq!(service.num_reports(), reference.num_reports(), "{what}");
+    let state = state_bytes(&reference.merged_state().unwrap());
+    assert_eq!(
+        state_bytes(&service.merged_state().unwrap()),
+        state,
+        "{what}: state after the rollback"
+    );
+    let snap = service.refresh_snapshot().unwrap();
+    let expected = reference.refresh_snapshot().unwrap();
+    assert_eq!(snap.version(), expected.version(), "{what}");
+    assert_eq!(frequency_bits(&snap), frequency_bits(&expected), "{what}");
+    assert!(
+        Arc::ptr_eq(&service.refresh_snapshot().unwrap(), &snap),
+        "{what}: the rollback left its shard dirty"
+    );
+    assert_bad_frame(service.submit_wire_batch(WIRE_V1, count, &frames), k, &what);
+    assert_untouched(&service, &state, &snap, &format!("{what}, drained"));
+    for i in batches..batches + 3 {
+        submit_good(&reference, good(i));
+        submit_good(&service, good(i));
+    }
+    assert_eq!(
+        state_bytes(&service.merged_state().unwrap()),
+        state_bytes(&reference.merged_state().unwrap()),
+        "{what}: good batches after the rollback"
+    );
+}
+
+/// Flat OUE (one level: 15, 16 and 17 batches put 240, 256 and 272
+/// reports on one shard, just under, just past and well past the
+/// 255-report auto-settle) and HH₈/OUE (two levels, so about 31–33
+/// batches straddle it per level): a rejected batch after good deferred
+/// batches rolls back exactly, with one shard and with two.
+#[test]
+fn rollback_after_deferred_batches_straddling_the_auto_settle_is_exact() {
+    let flat = flat_with_pool(11, LONG + BATCH);
+    let hh = hh_with_pool(12, LONG + BATCH, 8);
+    for shards in [1, 2] {
+        for k in [0, 5, BATCH] {
+            for batches in [15, 16, 17] {
+                check_after_deferred_batches(&flat, batches * shards, k, shards);
+            }
+            for batches in [31, 32, 33] {
+                check_after_deferred_batches(&hh, batches * shards, k, shards);
+            }
+        }
+    }
+}
+
 /// Per-report atomicity: a single rejected `absorb` mutates nothing, on
 /// a server that already holds state.
 fn assert_rejected_absorb_is_a_no_op<S>(mech: &Mech<S>, what: &str)

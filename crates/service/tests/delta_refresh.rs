@@ -10,6 +10,11 @@
 //! with it. The drivers also pin the version contract: a refresh
 //! publishes the next version iff something was submitted or sealed since
 //! the last one, and otherwise returns the same `Arc`.
+//!
+//! The batched drivers submit wire batches instead of single reports, so
+//! unary levels hold pending reports across batches — staged rows, whole
+//! fold groups, runs past the 255-report auto-settle — whenever a
+//! refresh, a `merged_state` drain or a seal lands.
 
 use std::sync::Arc;
 
@@ -20,8 +25,12 @@ use ldp_ranges::{
     FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
     HhConfig, HhServer, MergeableServer, SubtractableServer,
 };
+use ldp_service::net::WIRE_V1;
 use ldp_service::obs::instruments::names;
-use ldp_service::{EpochRing, LdpService, MetricsRegistry, RangeSnapshot, SnapshotSource};
+use ldp_service::{
+    EncodedStream, EpochRing, LdpService, MetricsRegistry, RangeSnapshot, SnapshotSource,
+    WireReport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,6 +46,11 @@ const ORACLES: [FrequencyOracle; 3] = [
 /// windowed drivers and drains through `merged_state` on plain ones.
 const OP_REFRESH: u32 = 8;
 const OP_SEAL: u32 = 9;
+
+/// Batch lengths of the batched drivers' submit ops: single reports,
+/// partial fold groups, a group exactly and one past it, and runs that
+/// take a level past the auto-settle within a few batches.
+const BATCH_LENS: [usize; 8] = [1, 2, 15, 16, 17, 40, 100, 300];
 
 fn ops_strategy() -> impl Strategy<Value = Vec<u32>> {
     collection::vec(0u32..10, 1..60)
@@ -68,6 +82,9 @@ struct Driver<'a, S: SnapshotSource> {
     reference: S,
     reports: &'a [S::Report],
     next: usize,
+    /// Whether submit op `op` sends the next `BATCH_LENS[op]` reports as
+    /// one wire batch, rather than the next report alone.
+    batched: bool,
     last: Arc<RangeSnapshot>,
     /// Whether anything was submitted or sealed since `last`.
     changed: bool,
@@ -81,16 +98,39 @@ impl<'a, S: SnapshotSource> Driver<'a, S> {
             reference,
             reports,
             next: 0,
+            batched: false,
             last,
             changed: false,
         }
     }
 
-    fn submit(&mut self) {
-        let report = &self.reports[self.next % self.reports.len()];
-        self.service.submit(report).expect("submit");
-        self.reference.absorb(report).expect("reference absorb");
-        self.next += 1;
+    /// Submit op `op`: the next report alone, or on a batched driver the
+    /// next `BATCH_LENS[op]` reports as one wire batch.
+    fn submit(&mut self, op: u32)
+    where
+        S::Report: WireReport,
+    {
+        if !self.batched {
+            let report = &self.reports[self.next % self.reports.len()];
+            self.service.submit(report).expect("submit");
+            self.reference.absorb(report).expect("reference absorb");
+            self.next += 1;
+            self.changed = true;
+            return;
+        }
+        let len = BATCH_LENS[op as usize];
+        let mut batch = EncodedStream::new();
+        for _ in 0..len {
+            let report = &self.reports[self.next % self.reports.len()];
+            batch.push(report);
+            self.reference.absorb(report).expect("reference absorb");
+            self.next += 1;
+        }
+        let accepted = self
+            .service
+            .submit_wire_batch(WIRE_V1, len as u64, batch.as_bytes())
+            .expect("batch");
+        assert_eq!(accepted, len as u64);
         self.changed = true;
     }
 
@@ -123,9 +163,18 @@ impl<'a, S: SnapshotSource> Driver<'a, S> {
 /// Drives a *plain* service through the interleaving. A seal op drains
 /// through [`LdpService::merged_state`] instead: it publishes nothing,
 /// but the next refresh must.
-fn run_plain<S: SnapshotSource>(prototype: &S, reports: &[S::Report], ops: &[u32], shards: usize) {
+fn run_plain<S: SnapshotSource>(
+    prototype: &S,
+    reports: &[S::Report],
+    ops: &[u32],
+    shards: usize,
+    batched: bool,
+) where
+    S::Report: WireReport,
+{
     let service = LdpService::new(prototype, shards).expect("service");
     let mut driver = Driver::new(service, prototype.clone(), reports);
+    driver.batched = batched;
     for &op in ops {
         match op {
             OP_SEAL => {
@@ -133,7 +182,7 @@ fn run_plain<S: SnapshotSource>(prototype: &S, reports: &[S::Report], ops: &[u32
                 assert_eq!(merged.num_reports(), driver.reference.num_reports());
             }
             OP_REFRESH => driver.refresh(),
-            _ => driver.submit(),
+            op => driver.submit(op),
         }
     }
     driver.finish();
@@ -169,12 +218,15 @@ fn run_windowed<S: SnapshotSource + SubtractableServer>(
     reports: &[S::Report],
     ops: &[u32],
     shards: usize,
+    batched: bool,
 ) where
     EpochRing<S>: SnapshotSource + MergeableServer<Report = S::Report>,
+    S::Report: WireReport,
 {
     let service = LdpService::<EpochRing<S>>::windowed(prototype, shards, 3).expect("service");
     let reference = EpochRing::new(prototype, 3).expect("reference ring");
     let mut driver = Driver::new(service, reference, reports);
+    driver.batched = batched;
     for &op in ops {
         match op {
             OP_SEAL => {
@@ -187,7 +239,7 @@ fn run_windowed<S: SnapshotSource + SubtractableServer>(
                 assert_windows_exact(&driver.service, &driver.reference);
             }
             OP_REFRESH => driver.refresh(),
-            _ => driver.submit(),
+            op => driver.submit(op),
         }
     }
     let driver = driver.finish();
@@ -209,8 +261,8 @@ proptest! {
         let reports: Vec<_> =
             (0..48).map(|i| client.report(i % 32, &mut rng).unwrap()).collect();
         let prototype = FlatServer::new(&config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
+        run_plain(&prototype, &reports, &ops, shards, false);
+        run_windowed(&prototype, &reports, &ops, shards, false);
     }
 
     #[test]
@@ -226,8 +278,8 @@ proptest! {
         let reports: Vec<_> =
             (0..48).map(|i| client.report((i * 7) % 64, &mut rng).unwrap()).collect();
         let prototype = HhServer::new(config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
+        run_plain(&prototype, &reports, &ops, shards, false);
+        run_windowed(&prototype, &reports, &ops, shards, false);
     }
 
     #[test]
@@ -242,8 +294,52 @@ proptest! {
         let reports: Vec<_> =
             (0..48).map(|i| client.report((i * 11) % 128, &mut rng).unwrap()).collect();
         let prototype = HaarHrrServer::new(config).unwrap();
-        run_plain(&prototype, &reports, &ops, shards);
-        run_windowed(&prototype, &reports, &ops, shards);
+        run_plain(&prototype, &reports, &ops, shards, false);
+        run_windowed(&prototype, &reports, &ops, shards, false);
+    }
+}
+
+proptest! {
+    /// Flat and `HH_4` over OUE, and HaarHRR, fed wire batches: refreshes,
+    /// `merged_state` drains and seals land between batches with reports
+    /// pending, plain and windowed.
+    #[test]
+    fn batched_delta_refresh_is_exact(
+        seed in 0u64..5_000,
+        ops in ops_strategy(),
+        shards in 1usize..4,
+        which in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match which {
+            0 => {
+                let config = FlatConfig::new(32, Epsilon::new(1.1)).unwrap();
+                let client = FlatClient::new(&config).unwrap();
+                let reports: Vec<_> =
+                    (0..97).map(|i| client.report(i % 32, &mut rng).unwrap()).collect();
+                let prototype = FlatServer::new(&config).unwrap();
+                run_plain(&prototype, &reports, &ops, shards, true);
+                run_windowed(&prototype, &reports, &ops, shards, true);
+            }
+            1 => {
+                let config = HhConfig::new(256, 4, Epsilon::new(0.9)).unwrap();
+                let client = HhClient::new(config.clone()).unwrap();
+                let reports: Vec<_> =
+                    (0..97).map(|i| client.report((i * 7) % 256, &mut rng).unwrap()).collect();
+                let prototype = HhServer::new(config).unwrap();
+                run_plain(&prototype, &reports, &ops, shards, true);
+                run_windowed(&prototype, &reports, &ops, shards, true);
+            }
+            _ => {
+                let config = HaarConfig::new(128, Epsilon::new(1.1)).unwrap();
+                let client = HaarHrrClient::new(config.clone()).unwrap();
+                let reports: Vec<_> =
+                    (0..97).map(|i| client.report((i * 11) % 128, &mut rng).unwrap()).collect();
+                let prototype = HaarHrrServer::new(config).unwrap();
+                run_plain(&prototype, &reports, &ops, shards, true);
+                run_windowed(&prototype, &reports, &ops, shards, true);
+            }
+        }
     }
 }
 

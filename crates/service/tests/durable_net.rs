@@ -97,7 +97,7 @@ fn durable_server_survives_restart_bit_identically() {
         })
         .unwrap();
     assert_eq!(
-        reply.fraction().to_bits(),
+        reply.fraction().expect("a range reply").to_bits(),
         direct_snap.range(0, 63).to_bits()
     );
 

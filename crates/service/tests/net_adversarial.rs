@@ -806,8 +806,8 @@ fn mismatched_query_result_kinds_are_unexpected_replies() {
         );
         let reply = session.query(query).expect("a right-kind result passes");
         match op {
-            QueryOp::Quantile { .. } => assert_eq!(reply.index(), 7),
-            _ => assert_eq!(reply.fraction(), 0.25),
+            QueryOp::Quantile { .. } => assert_eq!(reply.index(), Some(7)),
+            _ => assert_eq!(reply.fraction(), Some(0.25)),
         }
     }
     session.bye().unwrap();

@@ -22,7 +22,9 @@
 //! of `D · 8` bytes, and the caller none of 1 KB.
 //!
 //! Ingest is held to the same rule: a warm `submit_wire_batch` of 256
-//! `HH_4`/OUE frames at D = 2^16 allocates no block of 16 KiB or more.
+//! `HH_4`/OUE frames at D = 2^16 allocates no block of 16 KiB or more,
+//! nor does such a batch followed by the split refresh whose drain
+//! spills its still-pending reports.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -283,6 +285,50 @@ fn warm_hh4_oue_ingest_allocates_no_16_kib_block() {
         count, 0,
         "warm HH_4/OUE batch allocated {count} block(s) of ≥ 16 KiB (largest {largest})"
     );
+}
+
+/// A warm deferred batch of `HH_4`/OUE frames at the split cutoff, then
+/// a split refresh whose fused drain spills the batch's pending reports
+/// straight into the accumulator, each half on its own thread: the caller
+/// allocates no block of 16 KiB or more. Two warm-up rounds put a batch
+/// on each of the two shards. At this domain no block reaches the `D · 8`
+/// bytes of `warm_split_refreshes_allocate_no_o_d_block_on_either_thread`
+/// at 2^16, whose count of every thread's blocks a concurrent test must
+/// not disturb.
+#[test]
+fn warm_deferred_batch_and_split_drain_allocate_no_16_kib_block() {
+    const DOMAIN: usize = ldp_service::SPLIT_FREEZE_MIN_DOMAIN;
+    const FRAMES: u64 = 256;
+    let config = HhConfig::with_oracle(DOMAIN, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue)
+        .expect("config");
+    let client = HhClient::new(config.clone()).expect("client");
+    let mut rng = StdRng::seed_from_u64(4316);
+    let mut frames = Vec::new();
+    for i in 0..FRAMES as usize {
+        let report = client
+            .report((i * 7919) % DOMAIN, &mut rng)
+            .expect("report");
+        report.encode_frame(&mut frames);
+    }
+    let service = LdpService::new(&HhServer::new(config).expect("server"), 2).expect("service");
+    for round in 0..6 {
+        let mut version = 0;
+        let (count, largest) = large_allocations(16 * 1024, || {
+            let absorbed = service
+                .submit_wire_batch(WIRE_V1, FRAMES, &frames)
+                .expect("batch");
+            assert_eq!(absorbed, FRAMES);
+            version = service.refresh_snapshot().expect("refresh").version();
+        });
+        assert_eq!(version, round + 1, "the refresh was dirty");
+        if round >= 2 {
+            assert_eq!(
+                count, 0,
+                "round {round}: a warm batch and split drain allocated {count} block(s) of \
+                 ≥ 16 KiB on the caller (largest {largest})"
+            );
+        }
+    }
 }
 
 #[test]

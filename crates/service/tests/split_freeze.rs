@@ -16,12 +16,21 @@
 //! It also freezes each state into NaN-poisoned `EstimateBuffers` with a
 //! join that runs the other half on a scoped thread, so a split freeze
 //! that reads a slot it did not write fails here too.
+//!
+//! The batched rows feed `HH_4`/OUE wire batches, so the split drain
+//! spills reports still pending across batches, each half on its own
+//! thread; they also hold the published snapshot to the freeze of a
+//! one-server reference that absorbed every report on its own.
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    EstimateBuffers, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer, Join,
+    EstimateBuffers, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhReport,
+    HhServer, Join,
 };
-use ldp_service::{EpochRing, LdpService, RangeSnapshot, SnapshotSource, SPLIT_FREEZE_MIN_DOMAIN};
+use ldp_service::net::WIRE_V1;
+use ldp_service::{
+    EncodedStream, EpochRing, LdpService, RangeSnapshot, SnapshotSource, SPLIT_FREEZE_MIN_DOMAIN,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -184,6 +193,90 @@ fn split_haar_hrr_is_the_serial_freeze() {
             &prototype,
             |i, rng| client.report(value(i, domain), rng).expect("report"),
             &format!("HaarHRR D={domain}"),
+        );
+    }
+}
+
+/// Frames per wire batch in [`check_batched`], and batches per round.
+const FRAMES: usize = 40;
+const BATCHES: usize = 3;
+
+/// [`check`] fed wire batches: each round sends [`BATCHES`] batches
+/// before the refreshes — so the drained shards hold reports pending
+/// across batches — then one more before the windowed service seals, so
+/// the seal's drain meets pending reports too. Every published snapshot
+/// is also held to the freeze of a one-server reference (a ring sealed
+/// at the same points, for the windowed service).
+fn check_batched(
+    prototype: &HhServer,
+    mut report: impl FnMut(usize, &mut dyn RngCore) -> HhReport,
+    what: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(4402);
+    let plain = LdpService::new(prototype, 2).expect("service");
+    let windowed = LdpService::windowed(prototype, 2, 2).expect("windowed service");
+    let mut reference = prototype.clone();
+    let mut ring = EpochRing::new(prototype, 2).expect("ring");
+    let mut next = 0;
+    let mut send = |batches: usize, reference: &mut HhServer, ring: &mut EpochRing<HhServer>| {
+        for _ in 0..batches {
+            let mut batch = EncodedStream::new();
+            for _ in 0..FRAMES {
+                let r = report(next, &mut rng);
+                batch.push(&r);
+                reference.absorb(&r).expect("reference absorb");
+                ring.absorb(&r).expect("ring absorb");
+                next += 1;
+            }
+            for service in [
+                plain.submit_wire_batch(WIRE_V1, FRAMES as u64, batch.as_bytes()),
+                windowed.submit_wire_batch(WIRE_V1, FRAMES as u64, batch.as_bytes()),
+            ] {
+                assert_eq!(service.expect("batch"), FRAMES as u64);
+            }
+        }
+    };
+    for round in 0..ROUNDS {
+        let what = format!("{what}, batched round {round}");
+        send(BATCHES, &mut reference, &mut ring);
+        let snap = plain.refresh_snapshot().expect("refresh");
+        let serial = RangeSnapshot::freeze(&plain.merged_state().expect("state"), snap.version());
+        assert_same(&snap, &serial, &format!("{what}, plain"));
+        let expected = RangeSnapshot::freeze(&reference, snap.version());
+        assert_same(&snap, &expected, &format!("{what}, plain vs reference"));
+
+        let snap = windowed.refresh_snapshot().expect("refresh");
+        let serial =
+            RangeSnapshot::freeze(&windowed.merged_state().expect("state"), snap.version());
+        assert_same(&snap, &serial, &format!("{what}, windowed"));
+        let expected = RangeSnapshot::freeze(&ring, snap.version());
+        assert_same(&snap, &expected, &format!("{what}, windowed vs reference"));
+
+        send(1, &mut reference, &mut ring);
+        assert_eq!(
+            windowed.seal_epoch().expect("seal"),
+            ring.seal_epoch().expect("ring seal")
+        );
+    }
+    let snap = windowed.refresh_snapshot().expect("refresh");
+    let expected = RangeSnapshot::freeze(&ring, snap.version());
+    assert_same(
+        &snap,
+        &expected,
+        &format!("{what}, windowed after the last seal"),
+    );
+}
+
+#[test]
+fn split_hh_oue_batched_is_the_serial_freeze() {
+    for domain in domains(4) {
+        let config = HhConfig::with_oracle(domain, 4, eps(), FrequencyOracle::Oue).expect("config");
+        let client = HhClient::new(config.clone()).expect("client");
+        let prototype = HhServer::new(config).expect("server");
+        check_batched(
+            &prototype,
+            |i, rng| client.report(value(i, domain), rng).expect("report"),
+            &format!("HH_4/OUE D={domain}"),
         );
     }
 }

@@ -97,7 +97,7 @@ fn main() {
         let (first, last) = reply.window.expect("windowed reply carries bounds");
         println!(
             "{e:>6}  {acked:>10}  {:>14}  [{first}, {last}]",
-            reply.index()
+            reply.index().expect("a quantile reply")
         );
     }
 

@@ -205,7 +205,7 @@ fn main() {
     assert_eq!(status.frames_absorbed, total);
     println!(
         "\n# median after {epochs} epochs: {}; STATUS: {} frames, {} WAL records",
-        median.index(),
+        median.index().expect("a quantile reply"),
         status.frames_absorbed,
         status.durable.map_or(0, |d| d.wal_records)
     );
