@@ -44,16 +44,22 @@
 //! spills into the oracle's own counts; and the planes settle by
 //! themselves once [`MAX_PENDING`] reports are pending, which keeps every
 //! pending count inside one byte and eight planes. The spill builds, per
-//! 64 items, eight byte-wide lanes (each plane byte expanded through a
-//! lookup table and shifted to its plane's bit, then each row staged since
-//! the last fold added in) whose little-endian bytes are the 64 pending
-//! counts in item order, then adds those bytes — and the drained counts,
-//! if any — to the counts in one straight widening loop that the compiler
-//! vectorizes. A partial group of [`FOLD_PARTIAL`] rows or more is
-//! zero-padded and folded first, as that costs less than adding each row;
-//! a settle with a single report pending is the plain set-bit walk over
-//! the one staged row. The fold and the spill bodies are each compiled
-//! twice and dispatched on AVX2, as `ldp_transforms::hadamard::fwht` is.
+//! 64 items, the 64 pending counts as 64 bytes in item order — each plane
+//! word's bits set as bit `k` of their items' bytes, then each row staged
+//! since the last fold added in — and adds those bytes, and the drained
+//! counts if any, to the counts in one straight widening loop that the
+//! compiler vectorizes. On AVX2 the bytes are built with byte shuffles:
+//! a word is broadcast, `vpshufb` copies its byte `i` to bytes
+//! `8i .. 8i + 8` of two 32-byte vectors, and a mask and compare leave
+//! one all-ones byte per set bit (`vpshufb` as Muła, Kurz & Lemire use it
+//! for their population count), seven instructions per 64 items;
+//! elsewhere each plane byte goes through a 256-entry lookup table. A
+//! spill reads every pending report where it is, the staged rows of a
+//! partial group one row at a time, since with shuffles a row costs less
+//! than zero-padding and folding the group, and a settle of a single
+//! report spills it as any other (a set-bit walk over the row costs
+//! more). The fold and the spill are each compiled twice and dispatched
+//! on AVX2, as `ldp_transforms::hadamard::fwht` is.
 //!
 //! The rows cost memory: sixteen rows of the padded width, for every
 //! oracle that takes batches. An `HH_4`/OUE server at `D = 2^16` (eight
@@ -89,13 +95,6 @@ const PLANES: usize = 8;
 /// Staged rows per fold: one Harley–Seal tree adds sixteen rows into
 /// planes 0–3 and carries its sixteens into planes 4–7.
 const FOLD_ROWS: usize = 16;
-
-/// Staged rows from which a spill zero-pads and folds a partial group
-/// before it spills; fewer rows it adds in one at a time. Spilling the
-/// eight levels of an `HH_4` shard at `D = 2^16` (release, AVX2, 2-vCPU
-/// Intel Xeon VM), the zero-padded fold cost ≈ 40 µs and each row added
-/// in ≈ 6.5 µs, so the two break even at about ten rows.
-const FOLD_PARTIAL: usize = 10;
 
 /// Words per lane block. Rows and planes are padded to a multiple of it,
 /// and the fold works one `[u64; 8]` block at a time, so each of its
@@ -333,31 +332,17 @@ impl UnaryCounts {
         self.staged.clear();
     }
 
-    /// Readies the pending reports for a spill: a partial group of
-    /// [`FOLD_PARTIAL`] staged rows or more is zero-padded and folded into
-    /// the planes; fewer stay staged, for the spill to add in one row at a
-    /// time.
-    fn fold_partial(&mut self) {
-        let stride = self.stride();
-        if self.staged.len() >= FOLD_PARTIAL * stride {
-            self.staged.resize(FOLD_ROWS * stride, 0);
-            self.fold_staged();
-        }
-    }
-
-    /// The pending reports as a spill reads them, after
-    /// [`UnaryCounts::fold_partial`]: the planes that can hold bits of the
-    /// folded counts (no folded count reaches 2^depth) and the rows
-    /// staged since the last fold.
+    /// The pending reports as a spill reads them: the planes that can
+    /// hold bits of the folded counts (no folded count reaches 2^depth)
+    /// and the rows staged since the last fold, which the spill adds in
+    /// one at a time.
     fn pending_bits<'a>(
         planes: &'a [u64],
         staged: &'a [u64],
         pending: u32,
         stride: usize,
     ) -> Pending<'a> {
-        let rows = staged.len() / stride;
-        debug_assert!(rows < FOLD_PARTIAL);
-        let folded = pending - rows as u32;
+        let folded = pending - (staged.len() / stride) as u32;
         let depth = (u32::BITS - folded.leading_zeros()) as usize;
         Pending {
             planes: &planes[..depth * stride],
@@ -370,25 +355,11 @@ impl UnaryCounts {
     /// Spills the pending reports into the counts and empties the rows and
     /// planes (keeping their capacity). A no-op when nothing is pending.
     pub(crate) fn settle(&mut self) {
-        let (width, stride) = (self.width(), self.stride());
-        match self.pending {
-            0 => return,
-            1 => {
-                let counts = &mut self.tally.stats;
-                for (wi, &word) in self.staged[..width].iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        counts[wi * 64 + w.trailing_zeros() as usize] += 1;
-                        w &= w - 1;
-                    }
-                }
-            }
-            pending => {
-                self.fold_partial();
-                let bits = Self::pending_bits(&self.planes, &self.staged, pending, stride);
-                spill(&mut self.tally.stats, &mut [], bits);
-            }
+        if self.pending == 0 {
+            return;
         }
+        let bits = Self::pending_bits(&self.planes, &self.staged, self.pending, self.stride());
+        spill(&mut self.tally.stats, &mut [], bits);
         self.staged.clear();
         self.planes.clear();
         self.pending = 0;
@@ -411,7 +382,6 @@ impl UnaryCounts {
     ) -> (DrainPart<'a>, DrainPart<'a>) {
         debug_assert_eq!(self.tally.stats.len(), other.tally.stats.len());
         let (first, stride) = (at / 64, other.stride());
-        other.fold_partial();
         self.zero &= other.zero && other.pending == 0;
         self.tally.reports += std::mem::take(&mut other.tally.reports);
         let Self {
@@ -559,7 +529,11 @@ impl Pending<'_> {
 /// for the same item, zeroed where it is read. A settle spills into its
 /// own counts with `from` empty; a drain spills a shard's pending reports
 /// and its counts into the accumulator in the same pass. Dispatched as
-/// [`fold`] is.
+/// [`fold`] is, but the two builds differ in how they build each 64
+/// items' counts: the AVX2 build with byte shuffles
+/// ([`pending_counts_avx2`]), every other with a lookup table
+/// ([`pending_counts`]). Both return the same bytes, so both leave the
+/// same counts.
 pub(crate) fn spill(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -567,15 +541,18 @@ pub(crate) fn spill(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
         unsafe { spill_avx2(into, from, pending) };
         return;
     }
-    spill_body(into, from, pending);
+    spill_body(into, from, pending, pending_counts);
 }
 
-/// The spill body compiled for AVX2; [`spill`] calls it only on a CPU that
-/// reports AVX2.
+/// The spill body compiled for AVX2 with the byte-shuffle count builder;
+/// [`spill`] calls it only on a CPU that reports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn spill_avx2(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
-    spill_body(into, from, pending);
+    spill_body(into, from, pending, |pending, word| {
+        // SAFETY: `spill` calls this build only on a CPU that reports AVX2.
+        unsafe { pending_counts_avx2(pending, word) }
+    });
 }
 
 /// The lane block of `words` at word `at`.
@@ -645,15 +622,25 @@ fn fold_body(planes: &mut [u64], staged: &[u64], stride: usize) {
     }
 }
 
-/// The portable spill body. Per 64 items it builds eight byte-wide lanes
-/// (each plane byte expanded through [`BYTE_LANES`] and shifted to its
-/// plane's bit, then each staged row's bytes added in) whose
-/// little-endian bytes are the 64 pending counts in item order, then adds
-/// those bytes — and the drained counts, if any —
-/// to the counts in one straight widening loop. `#[inline(always)]`, so
-/// [`spill`] and `spill_avx2` each get their own copy.
+/// The pending counts of 64 items, in item order: byte `8·i + l` (byte
+/// `l` of lane `i`) is item `64·word + 8·i + l`'s, for the `word` a count
+/// builder was asked for.
+type Counts = [[u8; 8]; 8];
+
+/// The spill body, generic over the builder of each 64 items' pending
+/// counts ([`pending_counts`] or [`pending_counts_avx2`]). Per word it
+/// builds the counts, then adds those bytes — and the drained counts, if
+/// any — to the counts in one straight widening loop. `#[inline(always)]`,
+/// so [`spill`] and `spill_avx2` each get their own copy, with their own
+/// builder inlined: the builder is called at one site, since with a
+/// second one LLVM kept the table builder out of line.
 #[inline(always)]
-fn spill_body(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
+fn spill_body(
+    into: &mut [u64],
+    from: &mut [u64],
+    pending: Pending<'_>,
+    counts_at: impl Fn(Pending<'_>, usize) -> Counts,
+) {
     let Pending {
         planes,
         rows,
@@ -664,17 +651,16 @@ fn spill_body(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
     assert!(planes.len().is_multiple_of(stride) && rows.len().is_multiple_of(stride));
     assert!(first + into.len().div_ceil(64) <= stride);
     assert!(from.is_empty() || from.len() == into.len());
-    if from.is_empty() {
-        for (wi, items) in into.chunks_mut(64).enumerate() {
-            let counts = pending_counts(planes, rows, stride, first + wi);
-            for (count, &c) in items.iter_mut().zip(counts.as_flattened()) {
+    for (wi, items) in into.chunks_mut(64).enumerate() {
+        let counts = counts_at(pending, first + wi);
+        let counts = &counts.as_flattened()[..items.len()];
+        if from.is_empty() {
+            for (count, &c) in items.iter_mut().zip(counts) {
                 *count = count.wrapping_add(u64::from(c));
             }
-        }
-    } else {
-        for (wi, (items, drained)) in into.chunks_mut(64).zip(from.chunks_mut(64)).enumerate() {
-            let counts = pending_counts(planes, rows, stride, first + wi);
-            for ((count, drained), &c) in items.iter_mut().zip(drained).zip(counts.as_flattened()) {
+        } else {
+            let drained = &mut from[64 * wi..][..items.len()];
+            for ((count, drained), &c) in items.iter_mut().zip(drained).zip(counts) {
                 *count = count
                     .wrapping_add(std::mem::take(drained))
                     .wrapping_add(u64::from(c));
@@ -683,15 +669,15 @@ fn spill_body(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
     }
 }
 
-/// The pending counts of the 64 items at word `word`, in item order: byte
-/// `l` of lane `i` is item `64·word + 8·i + l`'s. Plane `k`'s bits land on
-/// bit `k` of each byte; each staged row then adds its bits in one at a
-/// time. A pending count never exceeds [`MAX_PENDING`], so no byte
-/// carries into the next.
+/// The portable count builder: the pending counts of the 64 items at
+/// `word`. Each plane byte is expanded through [`BYTE_LANES`] and shifted
+/// to its plane's bit `k` of each byte; each staged row then adds its
+/// bits in, one at a time. A pending count never exceeds
+/// [`MAX_PENDING`], so no byte carries into the next.
 #[inline(always)]
-fn pending_counts(planes: &[u64], rows: &[u64], stride: usize, word: usize) -> [[u8; 8]; 8] {
+fn pending_counts(pending: Pending<'_>, word: usize) -> Counts {
     let mut lanes = [0u64; 8];
-    for (k, plane) in planes.chunks_exact(stride).enumerate() {
+    for (k, plane) in pending.planes.chunks_exact(pending.stride).enumerate() {
         let bits = plane[word];
         if bits != 0 {
             for (i, lane) in lanes.iter_mut().enumerate() {
@@ -699,7 +685,7 @@ fn pending_counts(planes: &[u64], rows: &[u64], stride: usize, word: usize) -> [
             }
         }
     }
-    for row in rows.chunks_exact(stride) {
+    for row in pending.rows.chunks_exact(pending.stride) {
         let bits = row[word];
         if bits != 0 {
             for (i, lane) in lanes.iter_mut().enumerate() {
@@ -708,6 +694,65 @@ fn pending_counts(planes: &[u64], rows: &[u64], stride: usize, word: usize) -> [
         }
     }
     lanes.map(u64::to_le_bytes)
+}
+
+/// The AVX2 count builder: the same bytes as [`pending_counts`], built
+/// with byte shuffles (see the [module docs](self)). Each plane or row
+/// word becomes two 32-byte masks ([`byte_masks`]); plane `k`'s masks
+/// are ANDed with `1 << k` and ORed into two 32-byte accumulators, and
+/// each staged row's masks (−1 per set bit) are subtracted from them,
+/// which adds 1 per set bit. No branch and no table: about a dozen
+/// instructions per word against eight table lookups.
+///
+/// # Safety
+///
+/// The CPU must report AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pending_counts_avx2(pending: Pending<'_>, word: usize) -> Counts {
+    use std::arch::x86_64::*;
+    let mut counts = [_mm256_setzero_si256(); 2];
+    for (k, plane) in pending.planes.chunks_exact(pending.stride).enumerate() {
+        let weight = _mm256_set1_epi8((1u8 << k) as i8);
+        for (count, mask) in counts.iter_mut().zip(byte_masks(plane[word])) {
+            *count = _mm256_or_si256(*count, _mm256_and_si256(mask, weight));
+        }
+    }
+    for row in pending.rows.chunks_exact(pending.stride) {
+        for (count, mask) in counts.iter_mut().zip(byte_masks(row[word])) {
+            *count = _mm256_sub_epi8(*count, mask);
+        }
+    }
+    // SAFETY: two 32-byte vectors and eight 8-byte arrays are the same
+    // 64 bytes, in the same order on this little-endian target.
+    unsafe { std::mem::transmute::<[__m256i; 2], Counts>(counts) }
+}
+
+/// Byte `j` of the two masks (items `0..32`, then `32..64`) is all-ones
+/// if bit `j` of `word` is set and zero otherwise. `word` is broadcast
+/// to every 8-byte lane, one load for both masks; a shuffle copies its
+/// byte `i` to bytes `8i .. 8i + 8` (shuffles work within each 16-byte
+/// half, so each half of each mask has its own two source bytes); each
+/// byte then keeps only its own bit (`1 << (j mod 8)`) and compares
+/// equal to it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn byte_masks(word: u64) -> [std::arch::x86_64::__m256i; 2] {
+    use std::arch::x86_64::*;
+    let low = _mm256_setr_epi8(
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, //
+        2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
+    );
+    let high = _mm256_setr_epi8(
+        4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, //
+        6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7,
+    );
+    let bit = _mm256_set1_epi64x(0x8040_2010_0804_0201_u64 as i64);
+    let word = _mm256_set1_epi64x(word as i64);
+    let low = _mm256_and_si256(_mm256_shuffle_epi8(word, low), bit);
+    let high = _mm256_and_si256(_mm256_shuffle_epi8(word, high), bit);
+    [_mm256_cmpeq_epi8(low, bit), _mm256_cmpeq_epi8(high, bit)]
 }
 
 #[cfg(test)]
@@ -859,7 +904,7 @@ mod tests {
                     stride,
                     first: 0,
                 };
-                spill_body(&mut counts, &mut [], pending);
+                spill_body(&mut counts, &mut [], pending, pending_counts);
                 assert_eq!(counts, oracle, "D={domain} depth={depth}");
             }
         }
@@ -913,12 +958,107 @@ mod tests {
                             .enumerate()
                             .map(|(i, j)| acc[i] + shard.get(i).copied().unwrap_or(0) + pending[j])
                             .collect();
-                        spill_body(&mut acc, &mut shard, part);
+                        spill_body(&mut acc, &mut shard, part, pending_counts);
                         let at = format!(
                             "D={domain} depth={depth} rows={rows} first={first} shard={with_shard}"
                         );
                         assert_eq!(acc, oracle, "{at}");
                         assert!(shard.iter().all(|&c| c == 0), "{at}: shard not zeroed");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX2 spill build (byte-shuffle counts) ≡ the portable body
+    /// (table counts) ≡ the scalar oracle, bit for bit: plane depth 0–8,
+    /// 0–15 staged rows, a run from word 0, from word 1 (the word edge at
+    /// item 64) and from mid-domain, with drained shard counts or none,
+    /// over 64, 65, 513 and 2^16 items. At 2^16 a spread of depths and
+    /// row counts stands in for the whole grid. A host without AVX2 holds
+    /// only the portable body.
+    #[test]
+    fn avx2_spill_matches_portable_body_and_scalar_oracle() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let mut rng = StdRng::seed_from_u64(0xA5F2);
+        for domain in [64usize, 65, 513, 1 << 16] {
+            let words = domain.div_ceil(64);
+            let stride = words.next_multiple_of(LANE_BLOCK);
+            let grid: Vec<(usize, usize)> = if domain < 1 << 16 {
+                (0..=PLANES)
+                    .flat_map(|depth| (0..FOLD_ROWS).map(move |rows| (depth, rows)))
+                    .collect()
+            } else {
+                [
+                    (0, 1),
+                    (0, 15),
+                    (1, 0),
+                    (3, 7),
+                    (5, 1),
+                    (6, 15),
+                    (8, 0),
+                    (8, 15),
+                ]
+                .into()
+            };
+            for (depth, rows) in grid {
+                // Folded counts below 2^depth that leave room for the rows.
+                let top = (1u64 << depth).min(u64::from(MAX_PENDING) + 1 - rows as u64);
+                let folded: Vec<u64> = (0..domain).map(|_| rng.random_range(0..top)).collect();
+                let planes = planes_of(&folded, stride);
+                let staged: Vec<u64> = (0..rows)
+                    .flat_map(|_| {
+                        let mut row = report(domain, 1, &mut rng);
+                        row.resize(stride, 0);
+                        row
+                    })
+                    .collect();
+                let mut pending = folded;
+                for row in staged.chunks_exact(stride) {
+                    absorb_scalar(&mut pending, &row[..words]);
+                }
+                let mut firsts = vec![0, 1.min(words - 1), words / 2];
+                firsts.dedup();
+                for first in firsts {
+                    let run = first * 64..domain;
+                    let part = Pending {
+                        planes: &planes[..depth * stride],
+                        rows: &staged,
+                        stride,
+                        first,
+                    };
+                    for with_shard in [false, true] {
+                        let at = format!(
+                            "D={domain} depth={depth} rows={rows} first={first} shard={with_shard}"
+                        );
+                        let acc: Vec<u64> =
+                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect();
+                        let shard: Vec<u64> = if with_shard {
+                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        let oracle: Vec<u64> = run
+                            .clone()
+                            .enumerate()
+                            .map(|(i, j)| acc[i] + shard.get(i).copied().unwrap_or(0) + pending[j])
+                            .collect();
+                        let (mut portable, mut portable_shard) = (acc.clone(), shard.clone());
+                        spill_body(&mut portable, &mut portable_shard, part, pending_counts);
+                        assert_eq!(portable, oracle, "{at}: portable");
+                        assert!(
+                            portable_shard.iter().all(|&c| c == 0),
+                            "{at}: portable shard"
+                        );
+                        #[cfg(target_arch = "x86_64")]
+                        if avx2 {
+                            let (mut shuffled, mut shuffled_shard) = (acc.clone(), shard.clone());
+                            // SAFETY: this CPU reports AVX2.
+                            unsafe { spill_avx2(&mut shuffled, &mut shuffled_shard, part) };
+                            assert_eq!(shuffled, portable, "{at}: AVX2 against portable");
+                            assert!(shuffled_shard.iter().all(|&c| c == 0), "{at}: AVX2 shard");
+                        }
                     }
                 }
             }

@@ -379,3 +379,52 @@ fn oue_drain_spills_pending_reports_exactly() {
 fn sue_drain_spills_pending_reports_exactly() {
     check_drains::<Sue>();
 }
+
+/// Folded groups before the rows a drain meets: none, one, two, four and
+/// fourteen groups of sixteen, so the spill reads 0, 5, 6, 7 and 8 bit
+/// planes (the planes a run of whole groups can reach).
+const DRAIN_GROUPS: [usize; 5] = [0, 1, 2, 4, 14];
+
+/// The spill a drain runs (the AVX2 build on a CPU that reports AVX2, the
+/// portable one elsewhere) ≡ the per-bit model, over every number of
+/// staged rows 0–15 after each of [`DRAIN_GROUPS`], from a fresh shard
+/// (no drained counts) and from one holding merged counts, cut at item 0,
+/// at the word edge 64 and mid-domain, over 64, 65, 513 and 2^16 items.
+#[test]
+fn oue_drain_spills_every_plane_depth_and_row_count_exactly() {
+    let mut rng = StdRng::seed_from_u64(0x5B1D);
+    for domain in [64, 65, 513, 1 << 16] {
+        let mut acc = Tracked::<Oue>::new(domain);
+        for _ in 0..5 {
+            acc.absorb_deferred(&report(domain, Density::Q, &mut rng));
+        }
+        acc.settle_and_check("accumulator");
+        for state in [ShardState::Fresh, ShardState::Merged] {
+            for groups in DRAIN_GROUPS {
+                let mut template = shard::<Oue>(domain, state, 16 * groups, &mut rng);
+                for rows in 0..16 {
+                    for cut in [0, 64, domain / 2] {
+                        let what =
+                            format!("D={domain} {state:?} groups={groups} rows={rows} cut={cut}");
+                        let mut into = acc.oracle.clone();
+                        let mut from = template.oracle.clone();
+                        let (below, above) = into.split_drain(&mut from, cut);
+                        below.run();
+                        above.run();
+                        from.finish_drain();
+                        let sum: Vec<u64> = acc
+                            .model
+                            .iter()
+                            .zip(&template.model)
+                            .map(|(a, b)| a + b)
+                            .collect();
+                        assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
+                        assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
+                        assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
+                    }
+                    template.absorb_deferred(&report(domain, Density::Q, &mut rng));
+                }
+            }
+        }
+    }
+}

@@ -459,19 +459,18 @@ fn get_unary(r: &mut Reader<'_>, words: &mut Vec<u64>) -> Result<OueReport, Wire
         return Err(WireError::Truncated);
     }
     // One bulk read for the whole bit vector: the per-word bounds checks
-    // collapse into a single range check and the conversion loop below
-    // auto-vectorizes over exact 8-byte chunks. Every chunk is 8 bytes,
-    // so `first_chunk` always matches and the 0 is never taken. Reserved
-    // exactly, so a fresh buffer (`decode_frame`) is one allocation of
-    // the frame's size.
+    // collapse into a single range check, and the copy of each exact
+    // 8-byte chunk into a fixed array has no failure arm, so the loop
+    // below is a straight copy. Reserved exactly, so a fresh buffer
+    // (`decode_frame`) is one allocation of the frame's size.
     let raw = r.bytes(n_words * 8)?;
     let mut buf = std::mem::take(words);
     buf.clear();
     buf.reserve_exact(n_words);
     buf.extend(raw.chunks_exact(8).map(|chunk| {
-        chunk
-            .first_chunk()
-            .map_or(0, |&word| u64::from_le_bytes(word))
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        u64::from_le_bytes(word)
     }));
     OueReport::try_from_words(domain, buf).ok_or(WireError::Malformed("bits set past unary domain"))
 }
@@ -1037,6 +1036,40 @@ mod tests {
             decode_epoch_frame::<AnyReport>(&huge),
             Err(WireError::SizeOverCap(_))
         ));
+    }
+
+    /// The word loop reads the body wherever it starts: the same unary
+    /// body, at every start offset 0–7 from an 8-byte boundary, decodes
+    /// into the same words through a reused buffer that holds other
+    /// words, and consumes exactly the body.
+    #[test]
+    fn unary_body_decodes_at_every_byte_offset() {
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(408);
+        let mut words = vec![u64::MAX; 200];
+        for domain in [1usize, 63, 64, 65, 1_000, 8_192] {
+            let mut bits: Vec<u64> = (0..domain.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            if !domain.is_multiple_of(64) {
+                *bits.last_mut().unwrap() &= (1u64 << (domain % 64)) - 1;
+            }
+            let report = OueReport::try_from_words(domain, bits).expect("report");
+            let mut body = Vec::new();
+            put_unary(&mut body, &report);
+            for offset in 0..8 {
+                let mut buf = vec![0xA5u8; offset];
+                buf.extend_from_slice(&body);
+                let mut r = Reader::new(&buf);
+                r.bytes(offset).expect("prefix");
+                let decoded = get_unary(&mut r, &mut words).expect("decode");
+                assert_eq!(
+                    decoded.words(),
+                    report.words(),
+                    "D={domain} offset={offset}"
+                );
+                assert_eq!(r.remaining(), 0, "D={domain} offset={offset}");
+                words = decoded.into_words();
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! This binary installs a counting global allocator: [`large_allocations`]
 //! runs a closure and counts the blocks of at least a given size that the
 //! calling thread allocated (or grew a block to) inside it. Other test
-//! threads in the binary are never counted, so any test here can use it.
-//! [`huge_allocations`] counts every thread's blocks instead — the
-//! caller's and the freeze helper's — from a size no other test here
-//! ever allocates.
+//! threads in the binary are never counted. [`huge_allocations`] counts
+//! every thread's blocks instead — the caller's and the freeze helper's —
+//! so every test here runs under one lock ([`serial`]): a test that
+//! builds a D = 2^16 service allocates blocks that size in its first
+//! freeze, and run beside the split test it would be counted against it.
 //!
 //! The tests build plain `HH_4`/OUE and HaarHRR services at D = 2^12, run
 //! two warm-up refreshes (the first allocates HaarHRR's kept pyramid and
@@ -29,6 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{HaarConfig, HaarHrrClient, HaarHrrServer, HhClient, HhConfig, HhServer};
@@ -117,6 +119,16 @@ fn huge_allocations(min_bytes: usize, f: impl FnOnce()) -> usize {
     HUGE_COUNT.load(Ordering::Relaxed)
 }
 
+/// Held by every test in this binary for its whole run, so no test's
+/// allocations land inside another's [`huge_allocations`].
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that failed while holding it does not fail
+/// the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 const D: usize = 1 << 12;
 const BATCH: usize = 200;
 
@@ -153,6 +165,7 @@ fn assert_warm_refreshes_allocate_no_o_d_block<S: SnapshotSource>(
 
 #[test]
 fn warm_hh4_oue_refresh_allocates_no_o_d_block() {
+    let _serial = serial();
     let config =
         HhConfig::with_oracle(D, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue).expect("config");
     let client = HhClient::new(config.clone()).expect("client");
@@ -166,6 +179,7 @@ fn warm_hh4_oue_refresh_allocates_no_o_d_block() {
 
 #[test]
 fn warm_haar_hrr_refresh_allocates_no_o_d_block() {
+    let _serial = serial();
     let config = HaarConfig::new(D, Epsilon::from_exp(3.0)).expect("config");
     let client = HaarHrrClient::new(config.clone()).expect("client");
     let mut rng = StdRng::seed_from_u64(4312);
@@ -178,6 +192,7 @@ fn warm_haar_hrr_refresh_allocates_no_o_d_block() {
 
 #[test]
 fn warm_windowed_haar_hrr_refresh_allocates_no_kilobyte_block() {
+    let _serial = serial();
     let config = HaarConfig::new(D, Epsilon::from_exp(3.0)).expect("config");
     let client = HaarHrrClient::new(config.clone()).expect("client");
     let mut rng = StdRng::seed_from_u64(4313);
@@ -211,6 +226,7 @@ fn warm_windowed_haar_hrr_refresh_allocates_no_kilobyte_block() {
 /// a warm refresh allocates no `O(D)` block on either thread.
 #[test]
 fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
+    let _serial = serial();
     const BIG: usize = 1 << 16;
     const { assert!(BIG >= ldp_service::SPLIT_FREEZE_MIN_DOMAIN) };
     let eps = Epsilon::from_exp(3.0);
@@ -260,6 +276,7 @@ fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
 /// batch is the same frames, so every level sees the same run lengths.
 #[test]
 fn warm_hh4_oue_ingest_allocates_no_16_kib_block() {
+    let _serial = serial();
     const BIG: usize = 1 << 16;
     const FRAMES: u64 = 256;
     let config = HhConfig::with_oracle(BIG, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue)
@@ -297,6 +314,7 @@ fn warm_hh4_oue_ingest_allocates_no_16_kib_block() {
 /// not disturb.
 #[test]
 fn warm_deferred_batch_and_split_drain_allocate_no_16_kib_block() {
+    let _serial = serial();
     const DOMAIN: usize = ldp_service::SPLIT_FREEZE_MIN_DOMAIN;
     const FRAMES: u64 = 256;
     let config = HhConfig::with_oracle(DOMAIN, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue)
@@ -333,6 +351,7 @@ fn warm_deferred_batch_and_split_drain_allocate_no_16_kib_block() {
 
 #[test]
 fn counter_sees_only_large_blocks_on_its_own_thread() {
+    let _serial = serial();
     let (count, largest) = large_allocations(D * 8, || {
         std::hint::black_box(vec![0u8; 16]);
         std::hint::black_box(vec![0.0f64; D]);
