@@ -41,9 +41,10 @@ pub trait RangeEstimate {
 /// prefix sums, §4.5).
 #[derive(Debug, Clone)]
 pub struct FrequencyEstimate {
-    /// The per-item estimates are `values[first..]`. The `HH_B` freeze
-    /// hands over its whole estimate tree, whose leaf level they are,
-    /// instead of copying that level out; everywhere else `first` is 0.
+    /// The per-item estimates are `values[first..]`. The `HH_B` float
+    /// freeze hands over its whole estimate tree, whose leaf level they
+    /// are, instead of copying that level out; everywhere else `first` is
+    /// 0.
     values: Vec<f64>,
     first: usize,
     /// `prefix[i]` = sum of the first `i` estimates; length `D + 1`.
@@ -64,7 +65,7 @@ impl FrequencyEstimate {
     /// The estimate whose per-item vector is `values[first..]`, its
     /// prefix sums written into `prefix`'s allocation
     /// ([`ldp_transforms::reuse_buffer`]; nothing it held is read).
-    fn over(values: Vec<f64>, first: usize, prefix: Vec<f64>) -> Self {
+    pub(crate) fn over(values: Vec<f64>, first: usize, prefix: Vec<f64>) -> Self {
         let freqs = &values[first..];
         assert!(!freqs.is_empty(), "estimate needs at least one item");
         let mut sums = PrefixSums::over(prefix, freqs.len());
@@ -183,14 +184,15 @@ impl<T> std::ops::DerefMut for LevelParts<T> {
     }
 }
 
-/// How a freeze runs its two halves. A large freeze splits its work —
-/// `HH_B`'s level estimates and consistency passes under each half of the
-/// root's children, HaarHRR's per-depth inversions and each half of its
-/// leaf expansion — into pairs of disjoint pieces and hands each pair to
-/// [`Join::join`]; the result is the same bits however the pieces run.
-/// [`SerialJoin`], what every allocating `frequency_estimate` passes,
-/// runs them one after the other on the calling thread; a service
-/// passes one that runs `theirs` on a second thread.
+/// How a freeze or a drain runs its two halves. HaarHRR's freeze splits
+/// its work — the per-depth inversions and each half of its leaf
+/// expansion — and a split drain its levels
+/// ([`crate::SubtractableServer::drain_with`]) into pairs of disjoint
+/// pieces, and hands each pair to [`Join::join`]; the result is the same
+/// bits however the pieces run. [`SerialJoin`], what every allocating
+/// `frequency_estimate` passes, runs them one after the other on the
+/// calling thread; a service passes one that runs `theirs` on a second
+/// thread.
 pub trait Join {
     /// Runs `mine` on the calling thread and `theirs` wherever this join
     /// puts it, and returns once both have returned. A panic in either
@@ -224,13 +226,13 @@ impl Join for ScopedJoin {
     }
 }
 
-/// The buffers a freeze writes into instead of allocating them: the
-/// storage and prefix sums of the estimate to be built, and HaarHRR's
-/// pyramid and second leaf-expansion buffer. Every server's
-/// `frequency_estimate_into` takes what it needs and hands the pyramid
-/// and second buffer back, so a caller that keeps one `EstimateBuffers`
-/// across freezes — and recycles each retired estimate into it —
-/// allocates nothing of size `O(D)` once warm.
+/// The buffers HaarHRR's float freeze writes into instead of allocating
+/// them: the storage and prefix sums of the estimate to be built, and
+/// the pyramid and second leaf-expansion buffer.
+/// [`crate::HaarHrrServer::frequency_estimate_into`] takes what it needs
+/// and hands the pyramid and second buffer back, so a caller that keeps
+/// one `EstimateBuffers` across freezes — and recycles each retired
+/// estimate into it — allocates nothing of size `O(D)` once warm.
 ///
 /// Any contents and any lengths are accepted: a buffer is reused when it
 /// is long enough and replaced by a fresh one otherwise
@@ -240,8 +242,7 @@ impl Join for ScopedJoin {
 /// `frequency_estimate` passes).
 #[derive(Debug, Default)]
 pub struct EstimateBuffers {
-    /// The next estimate's storage: its per-item vector, or for `HH_B`
-    /// the whole estimate tree, whose leaf level that vector is.
+    /// The next estimate's per-item vector.
     pub values: Vec<f64>,
     /// The next estimate's prefix sums.
     pub prefix: Vec<f64>,

@@ -14,7 +14,7 @@ use ldp_freq_oracle::{AnyOracle, AnyReport, PointOracle};
 
 use crate::config::FlatConfig;
 use crate::error::RangeError;
-use crate::estimate::{EstimateBuffers, FrequencyEstimate};
+use crate::estimate::FrequencyEstimate;
 
 /// Client side of the flat mechanism: stateless per-user encoding.
 #[derive(Debug, Clone)]
@@ -122,26 +122,18 @@ impl FlatServer {
         self.frequency_estimate()
     }
 
-    /// The per-item estimate a snapshot publishes: [`FlatServer::estimate`].
+    /// The per-item estimate with prefix sums: the serial float freeze.
+    /// A service publishes [`FlatServer::prefix_tables`] instead, which
+    /// answers the same up to rounding.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.frequency_estimate_into(&mut EstimateBuffers::default())
+        FrequencyEstimate::new(self.oracle.estimate())
     }
 
-    /// The flat freeze runs whole on the caller: no level is cut
+    /// The flat drain runs whole on the caller: no level is cut
     /// ([`crate::SubtractableServer::drain_with`]).
     pub(crate) fn cuts(&self) -> Option<fn(usize) -> usize> {
         None
-    }
-
-    /// [`FlatServer::frequency_estimate`] written into `buffers`: the
-    /// oracle estimates straight into the per-item vector.
-    #[must_use]
-    pub fn frequency_estimate_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
-        let spare = std::mem::take(&mut buffers.values);
-        let mut freqs = ldp_transforms::reuse_buffer(spare, self.oracle.domain());
-        self.oracle.estimate_into(&mut freqs);
-        buffers.finish(freqs, 0)
     }
 }
 

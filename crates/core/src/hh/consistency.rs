@@ -37,8 +37,8 @@ use crate::estimate::LevelParts;
 /// low for the aggregator". Both stages are local to the subtrees under
 /// the root's children except for one step, the root's own top-down
 /// step over level 1, so the work is three passes — bottom-up, the root
-/// step, top-down — and a split freeze runs the first and last on two
-/// halves of those subtrees at once; here they run over all of them.
+/// step, top-down. [`crate::PrefixTables`] evaluates the same map along
+/// one root-to-leaf path per answer instead.
 pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
     let fanout = tree.shape().fanout();
     let mut levels = tree.levels_mut();
@@ -48,7 +48,7 @@ pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
     let mut below: LevelParts<&mut [f64]> = levels.collect();
     bottom_up(&mut below, fanout);
     if let Some(level1) = below.first_mut() {
-        root_step(level1, &mut [], fanout);
+        root_step(level1, fanout);
     }
     top_down(&mut below, fanout);
 }
@@ -71,29 +71,26 @@ macro_rules! per_fanout {
     };
 }
 
-/// Stage 1, bottom-up weighted averaging, over a *forest*: `levels[i]`
-/// holds depth `i + 1` of some run of consecutive subtrees under the
-/// root's children (all of them, or one side of a split tree), so
-/// `levels.len()` is the tree height.
-pub(crate) fn bottom_up(levels: &mut [&mut [f64]], fanout: usize) {
+/// Stage 1, bottom-up weighted averaging, below the root: `levels[i]`
+/// holds depth `i + 1`, so `levels.len()` is the tree height.
+fn bottom_up(levels: &mut [&mut [f64]], fanout: usize) {
     per_fanout!(bottom_up_kernel(levels, fanout));
 }
 
-/// Stage 2, top-down mean consistency, below level 1 of a forest (see
+/// Stage 2, top-down mean consistency, below level 1 (see
 /// [`bottom_up`]). Runs after [`root_step`].
-pub(crate) fn top_down(levels: &mut [&mut [f64]], fanout: usize) {
+fn top_down(levels: &mut [&mut [f64]], fanout: usize) {
     per_fanout!(top_down_kernel(levels, fanout));
 }
 
-/// Stage 2's first step, the one that needs all of level 1: the root is
-/// the whole population, 1, and the residual between it and level 1's
-/// total — summed left to right over `left` then `right`, the two sides'
-/// parts of the level — is shared equally among the `fanout` nodes.
-pub(crate) fn root_step(left: &mut [f64], right: &mut [f64], fanout: usize) {
-    debug_assert_eq!(left.len() + right.len(), fanout);
-    let child_sum: f64 = left.iter().chain(right.iter()).sum();
+/// Stage 2's first step: the root is the whole population, 1, and the
+/// residual between it and level 1's total, summed left to right, is
+/// shared equally among the `fanout` nodes.
+fn root_step(level1: &mut [f64], fanout: usize) {
+    debug_assert_eq!(level1.len(), fanout);
+    let child_sum: f64 = level1.iter().sum();
     let adjust = (1.0 - child_sum) / fanout as f64;
-    for c in left.iter_mut().chain(right.iter_mut()) {
+    for c in level1 {
         *c += adjust;
     }
 }

@@ -25,9 +25,7 @@ use ldp_transforms::{decompose_range, CompleteTree, FlatTree};
 use crate::binomial_support::{scatter_item_over_levels, scatter_item_over_weighted_levels};
 use crate::config::HhConfig;
 use crate::error::RangeError;
-use crate::estimate::{
-    EstimateBuffers, FrequencyEstimate, Join, LevelParts, RangeEstimate, SerialJoin,
-};
+use crate::estimate::{FrequencyEstimate, RangeEstimate};
 
 /// Validates and normalizes per-level sampling weights (length `h`, all
 /// positive).
@@ -305,7 +303,7 @@ impl HhServer {
     /// fraction histograms, root pinned at 1.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        HhEstimate::from_levels(self.shape, &self.levels, Vec::new())
+        HhEstimate::from_levels(self.shape, &self.levels)
     }
 
     /// Reconstructs the estimate tree and applies constrained inference
@@ -315,31 +313,30 @@ impl HhServer {
         self.estimate().into_consistent()
     }
 
-    /// The per-item estimate a snapshot publishes: the leaves of the
-    /// constrained-inference tree, with prefix sums.
+    /// The per-item estimate of the constrained-inference tree, with
+    /// prefix sums: the serial float freeze, built and made consistent in
+    /// place, whose leaf level becomes the per-item vector with no copy.
+    /// A service publishes [`HhServer::prefix_tables`] instead, which
+    /// answers the same up to rounding.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.frequency_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)
+        let tree = self.estimate_consistent().tree.into_raw();
+        let leaves = self.shape.depth_offset(self.shape.height());
+        FrequencyEstimate::over(tree, leaves, Vec::new())
     }
 
-    /// Where a split freeze cuts the level oracle of depth `i + 1`:
-    /// nodes below the cut are the caller's side's, the rest the other
-    /// side's. When every level estimates per item
+    /// Where a split drain cuts the level oracle of depth `i + 1`
+    /// ([`crate::SubtractableServer::drain_with`]): nodes below the cut
+    /// are drained on the caller's side, the rest on the other side.
+    /// When every level estimates per item
     /// ([`PointOracle::estimates_per_item`]) each is cut between the
-    /// root's first `⌊B/2⌋` subtrees and the rest, the halves the
-    /// consistency passes split by; otherwise every level goes whole to
-    /// one side — the leaves, most of the tree, to the other side and
-    /// every shallower level to the caller's. A split drain cuts the same
-    /// way ([`crate::SubtractableServer::drain_with`]).
+    /// root's first `⌊B/2⌋` subtrees and the rest; otherwise every level
+    /// goes whole to one side — the leaves, most of the tree, to the
+    /// other side and every shallower level to the caller's.
     pub(crate) fn cuts(&self) -> Option<impl Fn(usize) -> usize + Copy> {
-        Some(self.level_cuts())
-    }
-
-    /// [`HhServer::cuts`], which always cut.
-    fn level_cuts(&self) -> impl Fn(usize) -> usize + Copy {
         let (shape, h) = (self.shape, self.levels.len());
         let per_item = self.levels.iter().all(PointOracle::estimates_per_item);
-        move |i: usize| {
+        Some(move |i: usize| {
             let depth = i as u32 + 1;
             if per_item {
                 shape.fanout() / 2 * shape.nodes_at_depth(depth - 1)
@@ -348,110 +345,7 @@ impl HhServer {
             } else {
                 shape.nodes_at_depth(depth)
             }
-        }
-    }
-
-    /// [`HhServer::frequency_estimate`] written into `buffers`: the
-    /// estimate tree is built and made consistent over `buffers.values`,
-    /// and becomes the estimate's storage, its leaf level the per-item
-    /// vector — no copy.
-    ///
-    /// The work runs as two halves through `join`, each side owning one
-    /// half of the root's children's subtrees — the first `⌊B/2⌋` on the
-    /// caller's side. When every level oracle estimates per item
-    /// ([`PointOracle::estimates_per_item`]), each side writes its
-    /// subtrees' part of every level estimate and runs the bottom-up
-    /// consistency pass over them, in one join. Otherwise every level
-    /// estimate goes whole to one side first — the leaves, most of the
-    /// tree, to the other side and every shallower level to the
-    /// caller's — and the bottom-up passes follow in a join of their
-    /// own. The root's top-down step runs alone, over all of level 1;
-    /// each side runs the top-down pass over its subtrees, and the
-    /// calling side sums the first half of the leaves into the prefix
-    /// while the other side finishes. A split drain cuts each level
-    /// where its estimate is cut
-    /// ([`crate::SubtractableServer::drain_with`]), so each side
-    /// estimates from counts it drained itself.
-    #[must_use]
-    pub fn frequency_estimate_into(
-        &self,
-        buffers: &mut EstimateBuffers,
-        join: &dyn Join,
-    ) -> FrequencyEstimate {
-        let shape = self.shape;
-        let (h, fanout) = (shape.height() as usize, shape.fanout());
-        let oracles = &self.levels[..];
-        let cut = self.level_cuts();
-        let half = |i: usize| fanout / 2 * shape.nodes_at_depth(i as u32);
-        // Per-item levels are cut at the halves, so their estimates ride
-        // in the bottom-up join.
-        let per_item = oracles.iter().all(PointOracle::estimates_per_item);
-        let mut prefix = buffers.prefix_sums(shape.domain());
-        let mut tree = FlatTree::over_buffer(shape, std::mem::take(&mut buffers.values));
-        let mut levels = tree.levels_mut();
-        if let Some(root) = levels.next() {
-            root[0] = 1.0;
-        }
-        // `below[i]` is depth i + 1.
-        let mut below: LevelParts<&mut [f64]> = levels.collect();
-        if !per_item {
-            let (mut mine, mut theirs) = split_levels(&mut below, cut);
-            join.join(
-                &mut || estimate_parts(oracles, &mut mine, |_| 0),
-                &mut || estimate_parts(oracles, &mut theirs, cut),
-            );
-        }
-        let (mut left, mut right) = split_levels(&mut below, half);
-        join.join(
-            &mut || {
-                if per_item {
-                    estimate_parts(oracles, &mut left, |_| 0);
-                }
-                consistency::bottom_up(&mut left, fanout);
-            },
-            &mut || {
-                if per_item {
-                    estimate_parts(oracles, &mut right, half);
-                }
-                consistency::bottom_up(&mut right, fanout);
-            },
-        );
-        consistency::root_step(left[0], right[0], fanout);
-        join.join(
-            &mut || {
-                consistency::top_down(&mut left, fanout);
-                prefix.extend(left[h - 1]);
-            },
-            &mut || consistency::top_down(&mut right, fanout),
-        );
-        prefix.extend(right[h - 1]);
-        FrequencyEstimate::from_parts(tree.into_raw(), shape.depth_offset(shape.height()), prefix)
-    }
-}
-
-/// Every level of `levels` (`levels[i]` is depth `i + 1`) cut at node
-/// `at(i)`: the parts below the cuts and the parts from them on.
-fn split_levels<'a>(
-    levels: &'a mut [&mut [f64]],
-    at: impl Fn(usize) -> usize,
-) -> (LevelParts<&'a mut [f64]>, LevelParts<&'a mut [f64]>) {
-    levels
-        .iter_mut()
-        .enumerate()
-        .map(|(i, level)| level.split_at_mut(at(i)))
-        .unzip()
-}
-
-/// Writes one side's part of every level estimate: `parts[i]`, the nodes
-/// of depth `i + 1` from `first(i)` on. An oracle that does not estimate
-/// per item only ever gets its whole level or nothing.
-fn estimate_parts(oracles: &[AnyOracle], parts: &mut [&mut [f64]], first: impl Fn(usize) -> usize) {
-    for (i, (part, oracle)) in parts.iter_mut().zip(oracles).enumerate() {
-        if part.len() == oracle.domain() {
-            oracle.estimate_into(part);
-        } else if !part.is_empty() {
-            oracle.estimate_part_into(first(i), part);
-        }
+        })
     }
 }
 
@@ -463,12 +357,11 @@ pub struct HhEstimate {
 }
 
 impl HhEstimate {
-    /// The raw tree of one oracle per depth `1..=h`, over `buf`'s
-    /// allocation: each level oracle writes its fraction histogram
-    /// straight into its level of the tree, and the root is pinned at 1,
-    /// so every slot is written.
-    fn from_levels(shape: CompleteTree, levels: &[AnyOracle], buf: Vec<f64>) -> Self {
-        let mut tree = FlatTree::over_buffer(shape, buf);
+    /// The raw tree of one oracle per depth `1..=h`: each level oracle
+    /// writes its fraction histogram straight into its level of the
+    /// tree, and the root is pinned at 1.
+    fn from_levels(shape: CompleteTree, levels: &[AnyOracle]) -> Self {
+        let mut tree = FlatTree::new(shape);
         *tree.get_mut(0, 0) = 1.0;
         for (depth, oracle) in (1..).zip(levels) {
             oracle.estimate_into(tree.level_mut(depth));
@@ -680,49 +573,6 @@ mod tests {
             "got {}",
             est.range(0, 127)
         );
-    }
-
-    /// Split across two threads, the freeze is the serial one in every
-    /// frequency and prefix bit, for fanouts that cut evenly and not,
-    /// over per-item oracles and over HRR, whose levels go whole to a
-    /// side.
-    #[test]
-    fn threaded_freeze_is_the_serial_freeze() {
-        use crate::estimate::ScopedJoin;
-        let bits = |e: &FrequencyEstimate| -> (Vec<u64>, Vec<u64>) {
-            (
-                e.frequencies().iter().map(|f| f.to_bits()).collect(),
-                (0..e.domain()).map(|b| e.prefix(b).to_bits()).collect(),
-            )
-        };
-        let mut rng = StdRng::seed_from_u64(79);
-        for (kind, fanout, domain) in [
-            (FrequencyOracle::Oue, 2, 2),
-            (FrequencyOracle::Oue, 2, 1024),
-            (FrequencyOracle::Oue, 3, 729),
-            (FrequencyOracle::Oue, 4, 4096),
-            (FrequencyOracle::Oue, 16, 4096),
-            (FrequencyOracle::Olh, 5, 125),
-            (FrequencyOracle::Hrr, 2, 2),
-            (FrequencyOracle::Hrr, 4, 1024),
-            (FrequencyOracle::Hrr, 8, 4096),
-        ] {
-            let config = HhConfig::with_oracle(domain, fanout, Epsilon::new(1.1), kind).unwrap();
-            let mut server = HhServer::new(config).unwrap();
-            let counts: Vec<u64> = (0..domain as u64).map(|z| z % 9).collect();
-            server.absorb_population(&counts, &mut rng).unwrap();
-            let serial = server.frequency_estimate();
-            let mut buffers = EstimateBuffers {
-                values: vec![f64::NAN; 2 * domain],
-                prefix: vec![f64::NAN; domain + 1],
-                ..EstimateBuffers::default()
-            };
-            let threaded = server.frequency_estimate_into(&mut buffers, &ScopedJoin);
-            assert!(
-                bits(&threaded) == bits(&serial),
-                "HH_{fanout} {kind} D={domain}"
-            );
-        }
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl HhSplitServer {
     /// Reconstructs the (inconsistent) estimate tree.
     #[must_use]
     pub fn estimate(&self) -> HhEstimate {
-        HhEstimate::from_levels(self.shape, &self.levels, Vec::new())
+        HhEstimate::from_levels(self.shape, &self.levels)
     }
 
     /// Reconstructs the estimate tree with constrained inference.

@@ -18,6 +18,10 @@
 //!   via Hadamard randomized response; variance `log2(D)²·VF/2` (Eq. 3)
 //!   with consistency by design.
 //!
+//! Flat and `HH_B` also answer straight from their integer statistics:
+//! [`tables`] keeps one integer prefix per level and evaluates each
+//! answer, constrained inference included, in `O(h²)` lookups.
+//!
 //! On top of any mechanism's [`RangeEstimate`]: prefix queries (§4.7),
 //! quantile search ([`quantile()`]), and the two-dimensional extension
 //! ([`multidim`], §6). The [`theory`] module carries the paper's
@@ -25,6 +29,8 @@
 //! `absorb_population` fast path — the statistically-equivalent simulation
 //! the paper itself uses to evaluate populations of `N = 2^26`.
 
+#[cfg(test)]
+mod answer_contract;
 pub mod binomial_support;
 pub mod config;
 pub mod error;
@@ -38,6 +44,7 @@ pub mod mergeable;
 pub mod multidim;
 pub mod persist;
 pub mod quantile;
+pub mod tables;
 pub mod theory;
 
 pub use config::{FlatConfig, HaarConfig, HhConfig, RangeMechanism};
@@ -52,6 +59,7 @@ pub use mergeable::{MergeableServer, SubtractableServer};
 pub use multidim::{Hh2dClient, Hh2dConfig, Hh2dEstimate, Hh2dReport, Hh2dServer};
 pub use persist::{PersistableServer, StateReader};
 pub use quantile::{deciles, quantile, true_quantile};
+pub use tables::PrefixTables;
 
 // Re-export the privacy parameter so downstream users need only this crate.
 pub use ldp_freq_oracle::{Epsilon, FrequencyOracle};

@@ -42,6 +42,11 @@ pub enum OracleError {
     /// statistic length, or counts no sequence of absorbed reports could
     /// have produced (a per-item count above the report total).
     InvalidState(&'static str),
+    /// The statistics are too large for exact 64-bit prefix tables: some
+    /// prefix of the per-item statistic could leave `i64`. Reachable only
+    /// from a restored state near the integer limits, never from ingest
+    /// at any realistic volume.
+    StatisticOverflow,
 }
 
 impl fmt::Display for OracleError {
@@ -70,6 +75,9 @@ impl fmt::Display for OracleError {
                 write!(f, "subtrahend state was never merged into this accumulator")
             }
             Self::InvalidState(what) => write!(f, "invalid persisted state: {what}"),
+            Self::StatisticOverflow => {
+                write!(f, "statistics too large for exact 64-bit prefix tables")
+            }
         }
     }
 }
@@ -110,5 +118,8 @@ mod tests {
         assert!(OracleError::InvalidState("count above report total")
             .to_string()
             .contains("persisted state"));
+        assert!(OracleError::StatisticOverflow
+            .to_string()
+            .contains("64-bit"));
     }
 }

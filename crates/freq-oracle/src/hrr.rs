@@ -16,11 +16,12 @@
 
 use rand::{Rng, RngCore};
 
-use ldp_transforms::{fwht, hadamard_entry};
+use ldp_transforms::{fwht, fwht_i64, hadamard_entry};
 
 use crate::binomial::{sample_binomial, sample_uniform_multinomial};
-use crate::oracle::{self, PointOracle};
+use crate::oracle::{self, EstimateMap, PointOracle};
 use crate::params::binary_rr_keep_prob;
+use crate::tally::fits_i64;
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
@@ -309,6 +310,44 @@ impl PointOracle for Hrr {
             *o = s as i64 as f64 * scale;
         }
         fwht(out);
+    }
+
+    /// `θ = scale·t` with `t` the transformed sums: the estimator above
+    /// with the transform moved onto the integers.
+    fn estimate_map(&self) -> EstimateMap {
+        if self.tally.reports == 0 {
+            return EstimateMap::default();
+        }
+        EstimateMap {
+            scale: 1.0 / (self.tally.reports as f64 * (2.0 * self.p - 1.0)),
+            offset: 0.0,
+        }
+    }
+
+    /// The signed sums through the exact integer transform
+    /// ([`fwht_i64`]), then summed in place. Every transformed entry, and
+    /// every intermediate of the butterflies, is a ±1 combination of the
+    /// sums, so its magnitude is at most their total magnitude `M`, and
+    /// every prefix at most `M·D`: `M` is summed as the sums load and the
+    /// bound checked before the transform.
+    fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
+        assert_eq!(out.len(), self.domain + 1, "prefix buffer != D + 1");
+        let (first, sums) = out.split_at_mut(1);
+        first[0] = 0;
+        let mut mass = 0u64;
+        for (slot, &s) in sums.iter_mut().zip(&self.tally.stats) {
+            let s = s as i64;
+            mass = mass.saturating_add(s.unsigned_abs());
+            *slot = s;
+        }
+        fits_i64(mass, self.domain)?;
+        fwht_i64(sums);
+        let mut acc = 0i64;
+        for slot in sums {
+            acc += *slot;
+            *slot = acc;
+        }
+        Ok(())
     }
 
     fn theoretical_variance(&self) -> f64 {

@@ -68,7 +68,7 @@ pub use grr::Grr;
 pub use hash::UniversalHash;
 pub use hrr::{Hrr, HrrReport};
 pub use olh::{Olh, OlhReport};
-pub use oracle::{FrequencyOracle, PointOracle};
+pub use oracle::{EstimateMap, FrequencyOracle, PointOracle};
 pub use oue::{Oue, OueReport};
 pub use params::{binary_rr_keep_prob, grr_keep_prob, olh_hash_range, oue_probs, Epsilon};
 pub use sue::{sue_probs, sue_variance, Sue};
@@ -337,12 +337,21 @@ impl PointOracle for AnyOracle {
         }
     }
 
-    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
+    fn estimate_map(&self) -> EstimateMap {
         match self {
-            Self::Oue(o) => o.estimate_part_into(first, out),
-            Self::Olh(o) => o.estimate_part_into(first, out),
-            Self::Hrr(o) => o.estimate_part_into(first, out),
-            Self::Sue(o) => o.estimate_part_into(first, out),
+            Self::Oue(o) => o.estimate_map(),
+            Self::Olh(o) => o.estimate_map(),
+            Self::Hrr(o) => o.estimate_map(),
+            Self::Sue(o) => o.estimate_map(),
+        }
+    }
+
+    fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
+        match self {
+            Self::Oue(o) => o.statistic_prefix_into(out),
+            Self::Olh(o) => o.statistic_prefix_into(out),
+            Self::Hrr(o) => o.statistic_prefix_into(out),
+            Self::Sue(o) => o.statistic_prefix_into(out),
         }
     }
 
@@ -425,11 +434,11 @@ mod tests {
         }
     }
 
-    /// Every part of the domain, written alone into a NaN buffer, holds
-    /// the bits of those slots of the whole estimate — before and after
-    /// reports, for every kind, the whole-domain default (HRR) included.
+    /// Each kind's integer statistic through its affine map is its
+    /// estimate, before and after reports, up to a few roundings of the
+    /// terms: the map and the prefix are what prefix tables answer from.
     #[test]
-    fn estimate_parts_are_the_whole_estimate_sliced() {
+    fn statistic_through_its_map_is_the_estimate() {
         let mut rng = StdRng::seed_from_u64(54);
         let eps = Epsilon::from_exp(3.0);
         for kind in [
@@ -445,17 +454,17 @@ mod tests {
                     let r = oracle.encode((v * v) % 64, &mut rng).unwrap();
                     oracle.absorb(&r).unwrap();
                 }
-                let whole = oracle.estimate();
-                for (first, len) in [(0, 64), (0, 1), (7, 20), (32, 32), (63, 1), (40, 0)] {
-                    let mut part = vec![f64::NAN; len];
-                    oracle.estimate_part_into(first, &mut part);
-                    let want = &whole[first..first + len];
+                let map = oracle.estimate_map();
+                let mut prefix = vec![i64::MIN; 65];
+                oracle.statistic_prefix_into(&mut prefix).unwrap();
+                assert_eq!(prefix[0], 0, "{kind}");
+                for (z, want) in oracle.estimate().into_iter().enumerate() {
+                    let t = (prefix[z + 1] - prefix[z]) as f64;
+                    let got = map.scale * t + map.offset;
+                    let scale = (map.scale * t).abs() + map.offset.abs() + 1.0;
                     assert!(
-                        part.iter()
-                            .zip(want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{kind}: items {first}..{} after {reports} reports",
-                        first + len
+                        (got - want).abs() <= 1e-13 * scale,
+                        "{kind}: item {z} after {reports} reports: {got} vs {want}"
                     );
                 }
             }

@@ -14,7 +14,7 @@ use rand::RngCore;
 
 use crate::grr::Grr;
 use crate::hash::{UniversalHash, MERSENNE_P};
-use crate::oracle::{self, PointOracle};
+use crate::oracle::{self, EstimateMap, PointOracle};
 use crate::params::olh_hash_range;
 use crate::variance::frequency_oracle_variance;
 use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
@@ -223,15 +223,6 @@ impl PointOracle for Olh {
 
     fn estimate_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.domain, "estimate buffer != domain");
-        self.estimate_part_into(0, out);
-    }
-
-    fn estimates_per_item(&self) -> bool {
-        true
-    }
-
-    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
-        let supports = &self.tally.stats[first..first + out.len()];
         if self.tally.reports == 0 {
             out.fill(0.0);
             return;
@@ -239,9 +230,28 @@ impl PointOracle for Olh {
         let n = self.tally.reports as f64;
         let inv_g = 1.0 / self.g as f64;
         let denom = self.grr.keep_prob() - inv_g;
-        for (o, &s) in out.iter_mut().zip(supports) {
+        for (o, &s) in out.iter_mut().zip(&self.tally.stats) {
             *o = (s as f64 / n - inv_g) / denom;
         }
+    }
+
+    fn estimates_per_item(&self) -> bool {
+        true
+    }
+
+    /// A report supports its own holder's item with the GRR keep
+    /// probability and any other item with probability `1/g`.
+    fn estimate_map(&self) -> EstimateMap {
+        EstimateMap::counts(
+            self.tally.reports,
+            self.grr.keep_prob(),
+            1.0 / self.g as f64,
+        )
+    }
+
+    /// The support counts as they are.
+    fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
+        self.tally.count_prefix_into(out)
     }
 
     fn theoretical_variance(&self) -> f64 {

@@ -194,27 +194,36 @@ pub trait PointOracle {
     fn estimate_into(&self, out: &mut [f64]);
 
     /// Whether this oracle estimates each item from that item's own
-    /// statistic alone, so [`PointOracle::estimate_part_into`] writes any
-    /// part of the domain without touching the rest: true for the unary
-    /// encodings and OLH, false (the default) for HRR, whose estimator
-    /// is one transform over the whole domain.
+    /// statistic alone: true for the unary encodings and OLH, false (the
+    /// default) for HRR, whose estimator is one transform over the whole
+    /// domain. A split drain cuts a per-item level anywhere and hands an
+    /// HRR level whole to one side.
     fn estimates_per_item(&self) -> bool {
         false
     }
 
-    /// The estimates of items `first..first + out.len()`, bit for bit
-    /// those slots of [`PointOracle::estimate_into`]. An oracle that
-    /// [estimates per item](PointOracle::estimates_per_item) writes only
-    /// that part, so two threads can each fill a disjoint part of one
-    /// level; the default estimates the whole domain into a fresh vector
-    /// and copies the part out.
+    /// The affine map from this oracle's per-item integer statistic `t`
+    /// ([`PointOracle::statistic_prefix_into`]) to its estimate:
+    /// `θ̂[z] = scale·t[z] + offset`, the estimator
+    /// [`PointOracle::estimate_into`] evaluates, up to rounding. Both are
+    /// zero with no reports, where that writes zeros.
+    fn estimate_map(&self) -> EstimateMap;
+
+    /// Writes the running prefix of the per-item integer statistic `t`:
+    /// `out[0] = 0` and `out[z + 1] = t[0] + … + t[z]`. For the count
+    /// oracles `t` is the tally as it is; for HRR it is the exact
+    /// Walsh–Hadamard transform of the signed sums. First checks, once,
+    /// that no entry can leave `i64`.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::StatisticOverflow`] when the bound fails, with `out`
+    /// unspecified.
     ///
     /// # Panics
     ///
-    /// Panics if the part runs past the domain.
-    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
-        out.copy_from_slice(&self.estimate()[first..first + out.len()]);
-    }
+    /// Panics unless `out.len() == D + 1`.
+    fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError>;
 
     /// [`PointOracle::estimate_into`] into a freshly allocated vector.
     fn estimate(&self) -> Vec<f64> {
@@ -227,6 +236,33 @@ pub trait PointOracle {
     /// number of absorbed reports (paper §3.2: `≈ 4e^ε / (N (e^ε − 1)^2)`
     /// for all three mechanisms).
     fn theoretical_variance(&self) -> f64;
+}
+
+/// An oracle's estimator as an affine map of its per-item integer
+/// statistic ([`PointOracle::estimate_map`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EstimateMap {
+    /// Multiplies the statistic.
+    pub scale: f64,
+    /// Added per item.
+    pub offset: f64,
+}
+
+impl EstimateMap {
+    /// The unbiasing map of a report total `reports` whose statistic is a
+    /// sum of Bernoulli indicators, one per report, with probability `p`
+    /// for an item's own holders and `q` for everyone else:
+    /// `(t/N − q)/(p − q)`. Zero with no reports.
+    #[must_use]
+    pub fn counts(reports: u64, p: f64, q: f64) -> Self {
+        if reports == 0 {
+            return Self::default();
+        }
+        Self {
+            scale: 1.0 / (reports as f64 * (p - q)),
+            offset: -q / (p - q),
+        }
+    }
 }
 
 /// Adds another shard's tally: the one body behind every oracle's

@@ -19,7 +19,7 @@
 
 use rand::RngCore;
 
-use crate::oracle::{self, PointOracle};
+use crate::oracle::{self, EstimateMap, PointOracle};
 use crate::oue::OueReport;
 use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::{DrainPart, Epsilon, FrequencyOracle, OracleError, Tally};
@@ -210,16 +210,20 @@ impl PointOracle for Sue {
     }
 
     fn estimate_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.domain(), "estimate buffer != domain");
-        self.estimate_part_into(0, out);
+        self.state.estimate_into((self.p, self.q), out);
     }
 
     fn estimates_per_item(&self) -> bool {
         true
     }
 
-    fn estimate_part_into(&self, first: usize, out: &mut [f64]) {
-        self.state.estimate_part_into((self.p, self.q), first, out);
+    fn estimate_map(&self) -> EstimateMap {
+        EstimateMap::counts(self.state.reports(), self.p, self.q)
+    }
+
+    /// The noisy 1-counts as they are.
+    fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
+        self.state.tally().count_prefix_into(out)
     }
 
     fn theoretical_variance(&self) -> f64 {

@@ -44,6 +44,18 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ 0u64.wrapping_sub(z & 1)
 }
 
+/// Checks that `bound · items`, a bound on the magnitude of every entry
+/// of a prefix over `items` statistics each at most `bound` in
+/// magnitude, fits `i64`.
+pub(crate) fn fits_i64(bound: u64, items: usize) -> Result<(), OracleError> {
+    let fits = u128::from(bound) * items as u128 <= i64::MAX as u128;
+    if fits {
+        Ok(())
+    } else {
+        Err(OracleError::StatisticOverflow)
+    }
+}
+
 /// One part of a drain ([`Tally::split_drain`], or an oracle's
 /// [`crate::PointOracle::split_drain`]): a run of one tally's statistics,
 /// the same run of the tally it drains — empty when that tally's
@@ -181,6 +193,30 @@ impl Tally {
     pub(crate) fn subtract(&mut self, other: &Self) -> Result<(), OracleError> {
         self.check_subtract(other)?;
         self.apply_subtract(other);
+        Ok(())
+    }
+
+    /// The running prefix of the counts, for
+    /// [`crate::PointOracle::statistic_prefix_into`]: `out[0] = 0` and
+    /// `out[z + 1]` the sum of the first `z + 1` counts. Every count is at
+    /// most the report total `N` (what every absorb keeps and every load
+    /// checks), so every prefix is at most `N·D`; that bound is checked
+    /// once, before the pass.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::StatisticOverflow`] when `N·D` exceeds `i64::MAX`.
+    pub(crate) fn count_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
+        debug_assert!(!self.signed, "signed sums have no count prefix");
+        assert_eq!(out.len(), self.stats.len() + 1, "prefix buffer != D + 1");
+        fits_i64(self.reports, self.stats.len())?;
+        let (first, rest) = out.split_at_mut(1);
+        first[0] = 0;
+        let mut acc = 0i64;
+        for (slot, &c) in rest.iter_mut().zip(&self.stats) {
+            acc += c as i64;
+            *slot = acc;
+        }
         Ok(())
     }
 

@@ -465,18 +465,16 @@ impl UnaryCounts {
     }
 
     /// Writes the unbiased frequency estimates `(c_j/N − q)/(p − q)` of
-    /// items `first..first + out.len()` into `out`; all-zero before any
-    /// report. The whole estimate is the part from item 0 over the whole
-    /// domain.
-    pub(crate) fn estimate_part_into(&self, (p, q): (f64, f64), first: usize, out: &mut [f64]) {
+    /// every item into `out`; all-zero before any report.
+    pub(crate) fn estimate_into(&self, (p, q): (f64, f64), out: &mut [f64]) {
         let tally = self.tally();
-        let counts = &tally.stats[first..first + out.len()];
+        assert_eq!(out.len(), tally.stats.len(), "estimate buffer != domain");
         if tally.reports == 0 {
             out.fill(0.0);
             return;
         }
         let n = tally.reports as f64;
-        for (o, &c) in out.iter_mut().zip(counts) {
+        for (o, &c) in out.iter_mut().zip(&tally.stats) {
             *o = (c as f64 / n - q) / (p - q);
         }
     }

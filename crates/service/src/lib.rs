@@ -161,7 +161,7 @@ pub use obs::{
 };
 pub use repl::{FollowerService, ReplFeed};
 pub use service::{LdpService, MAX_OLH_DOMAIN, SPLIT_FREEZE_MIN_DOMAIN};
-pub use snapshot::{RangeSnapshot, SnapshotSource};
+pub use snapshot::{Answers, RangeSnapshot, SnapshotBuffers, SnapshotSource};
 pub use storage::{
     DurableConfig, DurableService, DurableStatus, FsyncPolicy, RecoveryReport, TailStatus,
 };

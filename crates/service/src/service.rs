@@ -17,22 +17,23 @@
 //!   through it.
 //! * **Query serving** — readers never touch shard state. They clone an
 //!   `Arc` to the latest published [`RangeSnapshot`] and answer queries
-//!   lock-free against that immutable freeze.
+//!   lock-free against that immutable snapshot.
 //! * **Publication** — the service's state is one *accumulator*, and
 //!   each shard holds only its undrained delta: what it absorbed since it
 //!   was last drained. [`LdpService::refresh_snapshot`] drains every
 //!   shard that holds reports — under that shard's lock, one pass adds
 //!   each of the shard's statistics into the accumulator and zeroes it
 //!   in place ([`SubtractableServer::drain`]) —
-//!   then runs the expensive estimation *outside* any shard lock and
-//!   atomically swaps the published snapshot with a bumped version.
-//!   Over [`SPLIT_FREEZE_MIN_DOMAIN`] items, the drain and the freeze
+//!   then publishes *outside* any shard lock — flat and `HH_B` as
+//!   integer prefix tables, HaarHRR as its float freeze — and atomically
+//!   swaps the published snapshot with a bumped version. Over
+//!   [`SPLIT_FREEZE_MIN_DOMAIN`] items, the drain and HaarHRR's freeze
 //!   each run on two threads: the refresher and one helper thread the
 //!   service keeps parked between refreshes.
 //!   Integer sufficient statistics make the accumulator bit-identical to
 //!   one server absorbing every report. A refresh when nothing was
-//!   drained since the published freeze re-estimates nothing: it returns
-//!   the already-published `Arc` and the version stays put.
+//!   drained since the last publish builds nothing: it returns the
+//!   already-published `Arc` and the version stays put.
 //!
 //! Queries therefore keep answering — at a bounded staleness — while
 //! ingestion continues, which is the contract industry aggregation
@@ -44,15 +45,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use ldp_freq_oracle::FrequencyOracle;
-use ldp_ranges::{
-    EstimateBuffers, Join, MergeableServer, PersistableServer, SerialJoin, SubtractableServer,
-};
+use ldp_ranges::{Join, MergeableServer, PersistableServer, SerialJoin, SubtractableServer};
 
 use crate::error::ServiceError;
 use crate::helper::FreezeHelper;
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
 use crate::obs::MetricsRegistry;
-use crate::snapshot::{RangeSnapshot, SnapshotSource};
+use crate::snapshot::{RangeSnapshot, SnapshotBuffers, SnapshotSource};
 use crate::window::{EpochRing, WindowedSnapshot};
 use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
 
@@ -65,15 +64,16 @@ use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
 /// for an HRR report at 2^16. HRR serves the larger domains.
 pub const MAX_OLH_DOMAIN: usize = 1 << 10;
 
-/// The smallest domain whose dirty freeze runs as a fork-join over two
-/// threads: the refreshing thread and the service's freeze helper, one
-/// parked thread spawned at the first such freeze
-/// ([`ldp_ranges::Join`]). Smaller freezes run whole on the refreshing
-/// thread, and their service never spawns the helper. The handoffs cost
-/// a few microseconds, so the split pays from here up: on a 2-vCPU Intel
-/// Xeon VM (release build, e^ε = 3, medians of back-to-back freezes) an
-/// `HH_4`/OUE freeze takes ≈ 65 µs serially and ≈ 54 µs split at 2^14
-/// items, and ≈ 18 µs against ≈ 20 µs at 2^12; HaarHRR reads the same.
+/// The smallest domain whose dirty refresh drains — and, for HaarHRR,
+/// freezes — as a fork-join over two threads: the refreshing thread and
+/// the service's freeze helper, one parked thread spawned at the first
+/// such refresh ([`ldp_ranges::Join`]). Smaller refreshes run whole on
+/// the refreshing thread, and their service never spawns the helper. The
+/// handoffs cost a few microseconds, so the split pays from here up: on
+/// a 2-vCPU Intel Xeon VM (release build, e^ε = 3, medians of
+/// back-to-back freezes) a HaarHRR freeze, like the `HH_4`/OUE float
+/// freeze this cutoff was measured on, took ≈ 65 µs serially and
+/// ≈ 54 µs split at 2^14 items, and ≈ 18 µs against ≈ 20 µs at 2^12.
 /// Every output bit is the same either way.
 pub const SPLIT_FREEZE_MIN_DOMAIN: usize = 1 << 14;
 
@@ -117,35 +117,36 @@ struct Publication<S> {
     /// Seals so far: a window extracted under one value is cached only
     /// if no seal intervened before its freeze finished.
     seals: u64,
-    /// What the next freeze writes into: HaarHRR's pyramid and second
-    /// expansion buffer, kept from the last freeze, plus the retired
-    /// snapshot's storage and prefix sums once they are reclaimed.
-    buffers: EstimateBuffers,
-    /// The snapshot the last publish replaced. The next freeze reclaims
-    /// its vectors if no reader still holds it by then.
+    /// What the next publish builds into: the retired snapshot's tables,
+    /// or its estimate's storage and prefix sums, once reclaimed, plus
+    /// HaarHRR's pyramid and second expansion buffer, kept from the last
+    /// freeze.
+    buffers: SnapshotBuffers,
+    /// The snapshot the last publish replaced. The next publish reclaims
+    /// its buffers if no reader still holds it by then.
     retired: Option<Arc<RangeSnapshot>>,
-    /// The thread that runs half of every freeze over
-    /// [`SPLIT_FREEZE_MIN_DOMAIN`] items or more; spawned at the first
-    /// one, joined when the service drops.
+    /// The thread that runs half of every drain over
+    /// [`SPLIT_FREEZE_MIN_DOMAIN`] items or more, and half of HaarHRR's
+    /// freeze; spawned at the first one, joined when the service drops.
     helper: FreezeHelper,
 }
 
 impl<S: SnapshotSource> Publication<S> {
-    /// Freezes the accumulator into the kept buffers — `split` across
-    /// the helper, which may rest once it is done, or whole on this
-    /// thread. The retired snapshot is
-    /// recycled only when `Arc::try_unwrap` shows this is its last
-    /// holder; a snapshot a reader still holds is dropped here and never
-    /// written, and the freeze allocates its vectors afresh.
+    /// Publishes the accumulator into the kept buffers: prefix tables
+    /// for flat and `HH_B`, HaarHRR's freeze `split` across the helper,
+    /// which may rest once it is done, or whole on this thread. The
+    /// retired snapshot is recycled only when `Arc::try_unwrap` shows
+    /// this is its last holder; a snapshot a reader still holds is
+    /// dropped here and never written, and the publish allocates afresh.
     fn freeze(&mut self, split: bool, version: u64) -> Result<RangeSnapshot, ServiceError> {
         if let Some(retired) = self.retired.take().and_then(|s| Arc::try_unwrap(s).ok()) {
-            self.buffers.recycle(retired.into_estimate());
+            self.buffers.recycle(retired.into_answers());
         }
         let join: &dyn Join = if split { &self.helper } else { &SerialJoin };
-        let estimate = self.acc.publish_estimate_into(&mut self.buffers, join);
+        let answers = self.acc.publish_into(&mut self.buffers, join);
         self.helper.rest();
-        Ok(RangeSnapshot::from_estimate(
-            estimate?,
+        Ok(RangeSnapshot::from_answers(
+            answers?,
             self.acc.num_reports(),
             version,
         ))
@@ -321,8 +322,9 @@ impl<S: SnapshotSource> LdpService<S> {
     /// storage layer ([`crate::storage::DurableService`]) reopens a
     /// service after crash recovery. Because merging is exact, every
     /// merged view (snapshots, `num_reports`) is bit-identical to the
-    /// pre-crash one. The initial published snapshot (version 0) freezes
-    /// the recovered state, settled once first: a replay absorbs deferred.
+    /// pre-crash one. The initial published snapshot (version 0) is
+    /// published from the recovered state, settled once first: a replay
+    /// absorbs deferred.
     ///
     /// For windowed backends `empty` must be epoch-aligned with
     /// `recovered` (see [`EpochRing::aligned_empty`]), or draining a
@@ -330,7 +332,9 @@ impl<S: SnapshotSource> LdpService<S> {
     ///
     /// # Errors
     ///
-    /// As [`LdpService::new`].
+    /// As [`LdpService::new`], and a recovered state whose statistics
+    /// are too large for exact prefix tables, as
+    /// [`LdpService::refresh_snapshot`] refuses it.
     pub fn with_recovered(
         recovered: S,
         empty: &S,
@@ -342,10 +346,9 @@ impl<S: SnapshotSource> LdpService<S> {
         }
         let mut recovered = recovered;
         recovered.settle();
-        let estimate =
-            recovered.publish_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)?;
-        let initial = Arc::new(RangeSnapshot::from_estimate(
-            estimate,
+        let answers = recovered.publish_into(&mut SnapshotBuffers::default(), &SerialJoin)?;
+        let initial = Arc::new(RangeSnapshot::from_answers(
+            answers,
             recovered.num_reports(),
             0,
         ));
@@ -359,7 +362,7 @@ impl<S: SnapshotSource> LdpService<S> {
                 stale: false,
                 windows: BTreeMap::new(),
                 seals: 0,
-                buffers: EstimateBuffers::default(),
+                buffers: SnapshotBuffers::default(),
                 retired: None,
                 helper: FreezeHelper::default(),
             }),
@@ -533,20 +536,26 @@ impl<S: SnapshotSource> LdpService<S> {
     /// `delta_refresh` proptest pins this for the three served mechanisms
     /// against such a one-shard reference).
     ///
+    /// **Publish.** Flat and `HH_B` publish integer prefix tables, built
+    /// in one pass over the accumulator's statistics; HaarHRR publishes
+    /// its float freeze ([`crate::snapshot`]). The registry's
+    /// `service.freeze_ns` times that step, and `service.drain_ns` the
+    /// drain before it.
+    ///
     /// **Split.** Over [`SPLIT_FREEZE_MIN_DOMAIN`] items or more, the
-    /// drain and the freeze each run as a fork-join over this thread and
-    /// the service's freeze helper, one parked thread spawned at the
-    /// first such refresh and joined when the service drops
-    /// ([`ldp_ranges::Join`]). Each level is cut at the same node in the
-    /// drain and in the freeze, so each half of the accumulator is
+    /// drain and HaarHRR's freeze each run as a fork-join over this
+    /// thread and the service's freeze helper, one parked thread spawned
+    /// at the first such refresh and joined when the service drops
+    /// ([`ldp_ranges::Join`]). HaarHRR's levels are cut at the same node
+    /// in the drain and in the freeze, so each half of the accumulator is
     /// drained and then estimated by the same thread. Every published
-    /// bit is what the serial freeze publishes (`tests/split_freeze.rs`).
+    /// bit is what the serial publish gives (`tests/split_freeze.rs`).
     ///
     /// **Version contract.** The version increases iff the published
     /// content changed: a refresh publishes under the next version iff
-    /// anything was drained since the published freeze — by this
+    /// anything was drained since the last publish — by this
     /// refresh, by [`LdpService::merged_state`], or by a seal, which also
-    /// marks the snapshot stale. Otherwise the refresh estimates nothing,
+    /// marks the snapshot stale. Otherwise the refresh builds nothing,
     /// publishes nothing, and returns that same `Arc` (`Arc::ptr_eq` with
     /// the previous return), so a query that finds nothing new costs a
     /// few lock round trips. A rejected batch rolls back to a shard with
@@ -555,7 +564,10 @@ impl<S: SnapshotSource> LdpService<S> {
     /// # Errors
     ///
     /// Propagates merge failures (impossible for shards built by
-    /// [`LdpService::new`]).
+    /// [`LdpService::new`]), and refuses statistics too large for exact
+    /// prefix tables (a restored state near the integer limits) with
+    /// [`ldp_freq_oracle::OracleError::StatisticOverflow`] inside
+    /// [`ServiceError::Range`], publishing nothing.
     pub fn refresh_snapshot(&self) -> Result<Arc<RangeSnapshot>, ServiceError> {
         // Serialize the whole drain → estimate → publish sequence;
         // without this, a refresher that drained earlier (staler data)
@@ -601,7 +613,7 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// Drains every shard holding reports into the accumulator, `split`
-    /// across the freeze helper for a refresh whose freeze splits;
+    /// across the freeze helper for a refresh over a large domain;
     /// returns how many were drained. An empty shard costs one lock
     /// round trip.
     fn drain(&self, publication: &mut Publication<S>, split: bool) -> Result<usize, ServiceError> {
@@ -615,9 +627,10 @@ impl<S: SnapshotSource> LdpService<S> {
 
     /// Moves one locked shard into the accumulator, if it holds any
     /// reports: one add-and-zero pass ([`SubtractableServer::drain`]),
-    /// no copy — `split` across the freeze helper, woken first, so each
-    /// half of the accumulator is drained by the thread that will
-    /// estimate it ([`SubtractableServer::drain_with`]). Runs under the
+    /// no copy — `split` across the freeze helper, woken first
+    /// ([`SubtractableServer::drain_with`]), so for HaarHRR each half of
+    /// the accumulator is drained by the thread that will estimate it.
+    /// Runs under the
     /// shard's lock, so the accumulator total that
     /// [`LdpService::num_reports`] reads moves with the shard's reports.
     fn drain_shard(
@@ -840,7 +853,7 @@ where
             )
         };
         let frozen = WindowedSnapshot::from_parts(
-            Arc::new(RangeSnapshot::freeze(&server, last)),
+            Arc::new(RangeSnapshot::try_freeze(&server, last)?),
             first,
             last,
         );

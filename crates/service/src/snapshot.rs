@@ -1,106 +1,111 @@
-//! The snapshot query layer: frozen, immutable estimates served
-//! concurrently while ingestion continues.
+//! The snapshot query layer: immutable answers served concurrently
+//! while ingestion continues.
 //!
-//! Estimation (constrained inference, transform inversion, prefix-sum
-//! construction) is much more expensive than absorbing a report, and the
-//! raw shard accumulators mutate constantly. The service therefore
-//! separates the two: [`RangeSnapshot`] freezes a merged server's state
-//! into a fully materialized, query-optimized handle — per-item
-//! frequencies plus prefix sums — answering range, prefix, point and
-//! quantile queries in `O(1)`/`O(log D)` with no locks at all. Snapshots
-//! are cheap to share (`Arc`) and carry a monotonically increasing
-//! version plus the report count they reflect, so readers can reason
-//! about staleness.
+//! The raw shard accumulators mutate constantly, so the service
+//! separates answering from absorbing: [`RangeSnapshot`] holds what a
+//! merged server's state answers, built once per publish, and answers
+//! range, prefix, point and quantile queries with no locks at all.
+//! Snapshots are cheap to share (`Arc`) and carry a monotonically
+//! increasing version plus the report count they reflect, so readers can
+//! reason about staleness.
 //!
-//! A freeze writes each stage's output once, in place: every level oracle
-//! estimates straight into its level of the tree or pyramid
-//! (`PointOracle::estimate_into`), constrained inference runs a kernel
-//! instantiated for the tree's fanout, and the prefix sums fill a
-//! pre-sized buffer by index. `ldp_ranges`' freeze differential holds the
-//! result bit-identical to a reference that copies a fresh `Vec` per
-//! level, reads the fanout at run time and builds the prefix by `push`.
+//! **Two kinds of answers** ([`Answers`]). Flat and `HH_B` publish
+//! [`PrefixTables`]: one integer prefix table per level and that level's
+//! affine map, built in one pass over the integer statistics. A query
+//! walks one root-to-leaf path through them — `O(h²)` lookups, with
+//! constrained inference folded into fixed coefficients — so publishing
+//! computes no per-item float at all. HaarHRR publishes its float freeze:
+//! the per-depth HRR inversions, the pyramid collapse and the prefix
+//! sums, a [`FrequencyEstimate`] answering in `O(1)`. A large HaarHRR
+//! freeze splits in two ([`ldp_ranges::Join`]): [`RangeSnapshot::freeze`]
+//! runs both halves on the calling thread, and a service runs them on two
+//! threads from [`crate::SPLIT_FREEZE_MIN_DOMAIN`] items up, with the
+//! same bits. Tables answer what the serial float freeze of the same
+//! integers answers, within [`PrefixTables::freeze_tolerance`];
+//! [`RangeSnapshot::estimate`] still hands out a per-item vector, built
+//! on first call from the tables' point answers and never on the query
+//! path.
 //!
-//! A large freeze splits in two ([`ldp_ranges::Join`]): `HH_B`'s level
-//! estimates and consistency passes under each half of the root's
-//! children, HaarHRR's per-depth inversions and each half of its leaf
-//! expansion. [`RangeSnapshot::freeze`] runs both halves on the calling
-//! thread; a service runs them on two threads from
-//! [`crate::SPLIT_FREEZE_MIN_DOMAIN`] items up, with the same bits.
+//! **Recycling.** A service's publishes allocate nothing of size `O(D)`
+//! once warm. [`RangeSnapshot::freeze_into`] builds into a
+//! [`SnapshotBuffers`], and [`crate::LdpService`] keeps one under its
+//! refresh lock next to the accumulator: the snapshot the last publish
+//! replaced is recycled into it — its tables, or its estimate's storage
+//! and prefix sums — but only if `Arc::try_unwrap` shows the service is
+//! its last holder. A snapshot any reader still holds is never written:
+//! the service drops its reference and the publish allocates afresh, as
+//! [`RangeSnapshot::freeze`] always does. HaarHRR's pyramid and second
+//! leaf-expansion buffer are handed back by every freeze and reused by
+//! the next. No slot's old contents are ever read, so a recycled publish
+//! answers exactly as a fresh one (`tests/recycled_freeze.rs`), and
+//! `tests/refresh_alloc.rs` counts a warm refresh's large allocations.
 //!
-//! A service's freezes allocate nothing of size `O(D)` once warm.
-//! [`RangeSnapshot::freeze_into`] writes into an
-//! [`ldp_ranges::EstimateBuffers`], and [`crate::LdpService`] owns one,
-//! kept under its refresh lock next to the accumulator. Its *workspace*
-//! — HaarHRR's pyramid and second leaf-expansion buffer — is handed back
-//! by every freeze and reused by the next. Its *spare* — a snapshot's
-//! storage (the per-item vector, or for `HH_B` the whole estimate tree
-//! whose leaf level that vector is) and prefix sums — comes from the
-//! snapshot the last publish replaced: the service keeps that retired
-//! `Arc` and, at the next dirty refresh, recycles its buffers only if
-//! `Arc::try_unwrap` shows the service is its last holder. A snapshot
-//! any reader still holds is never written: the service drops its
-//! reference and the freeze allocates fresh buffers, as
-//! [`RangeSnapshot::freeze`] always does. A buffer's old contents are
-//! never read, so a recycled freeze is bit-identical to an allocating
-//! one (`tests/recycled_freeze.rs`), and `tests/refresh_alloc.rs` counts
-//! a warm refresh's large allocations — on the freeze helper too.
+//! **Overflow.** A table build checks once per level that no prefix can
+//! leave `i64` — reachable only from a restored state near the integer
+//! limits. When it cannot, a publish fails with a typed error
+//! ([`ldp_freq_oracle::OracleError::StatisticOverflow`] inside
+//! [`ServiceError::Range`]) and nothing wraps or panics.
+
+use std::sync::OnceLock;
 
 use crate::error::ServiceError;
-use ldp_freq_oracle::{FrequencyOracle, PointOracle};
+use ldp_freq_oracle::{FrequencyOracle, OracleError, PointOracle};
 use ldp_ranges::{
     quantile, EstimateBuffers, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, Join,
-    PersistableServer, RangeEstimate, SerialJoin, SubtractableServer,
+    PersistableServer, PrefixTables, RangeError, RangeEstimate, SerialJoin, SubtractableServer,
 };
 
-/// Servers whose merged state can be frozen into a 1-D frequency
-/// snapshot.
+/// Servers whose merged state can be published as a 1-D snapshot.
 ///
 /// Implementations pick their mechanism's best estimator (constrained
-/// inference for the hierarchical families, pyramid collapse for Haar),
-/// so a snapshot is exactly what the underlying mechanism would publish.
+/// inference for `HH_B`, pyramid collapse for Haar), so a snapshot is
+/// exactly what the underlying mechanism would publish.
 ///
 /// The supertrait is [`SubtractableServer`], not just mergeable: the
 /// service drains a shard into its accumulator in one add-and-zero pass
 /// ([`SubtractableServer::drain`], from
 /// [`crate::LdpService::refresh_snapshot`]), and rolls a rejected batch
-/// back by exact subtraction, so anything the service can freeze must
+/// back by exact subtraction, so anything the service can publish must
 /// also drain, clear and un-merge. It is
 /// [`PersistableServer`] too, because a durable service checkpoints it
 /// and a follower restores it. Every mechanism's integer sufficient
 /// statistics satisfy both for free.
 pub trait SnapshotSource: SubtractableServer + PersistableServer {
-    /// Materializes the per-item frequency estimate of the current state
-    /// in freshly allocated buffers, on the calling thread.
-    fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.frequency_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)
-    }
+    /// The serial float freeze of the current state: the per-item
+    /// estimate and its prefix sums, computed on the calling thread in
+    /// freshly allocated buffers.
+    fn frequency_estimate(&self) -> FrequencyEstimate;
 
-    /// [`SnapshotSource::frequency_estimate`] written into `buffers`,
-    /// bit-identical whatever they held (see [`EstimateBuffers`]), with
-    /// its two halves run through `join` — the same bits however `join`
-    /// runs them (see [`Join`]).
-    fn frequency_estimate_into(
-        &self,
-        buffers: &mut EstimateBuffers,
-        join: &dyn Join,
-    ) -> FrequencyEstimate;
-
-    /// The estimate [`crate::LdpService::refresh_snapshot`] publishes,
-    /// frozen from the accumulator the service holds mutably: by default
-    /// [`SnapshotSource::frequency_estimate_into`]. [`crate::EpochRing`]
-    /// sums its open epoch and its sealed ones into a scratch server it
-    /// keeps, instead of allocating one per refresh.
+    /// The answers a snapshot of the current state holds, built over
+    /// `buffers` ([`SnapshotBuffers`]): prefix tables for flat and
+    /// `HH_B`, HaarHRR's float freeze with its two halves run through
+    /// `join` — the same bits however `join` runs them.
     ///
     /// # Errors
     ///
-    /// A state that cannot be summed (impossible for a ring built from
-    /// one prototype).
-    fn publish_estimate_into(
-        &mut self,
-        buffers: &mut EstimateBuffers,
+    /// Statistics too large for exact prefix tables, or a state that
+    /// cannot be summed.
+    fn answers_into(
+        &self,
+        buffers: &mut SnapshotBuffers,
         join: &dyn Join,
-    ) -> Result<FrequencyEstimate, ServiceError> {
-        Ok(self.frequency_estimate_into(buffers, join))
+    ) -> Result<Answers, ServiceError>;
+
+    /// The answers [`crate::LdpService::refresh_snapshot`] publishes,
+    /// built from the accumulator the service holds mutably: by default
+    /// [`SnapshotSource::answers_into`]. [`crate::EpochRing`] sums its
+    /// open epoch and its sealed ones into a scratch server it keeps,
+    /// instead of allocating one per refresh.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotSource::answers_into`].
+    fn publish_into(
+        &mut self,
+        buffers: &mut SnapshotBuffers,
+        join: &dyn Join,
+    ) -> Result<Answers, ServiceError> {
+        self.answers_into(buffers, join)
     }
 
     /// The frequency oracle every level of this server releases reports
@@ -137,17 +142,25 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
     }
 }
 
-/// Each served mechanism publishes its server's `frequency_estimate_into`: the
-/// flat oracle's own estimate, the `HH_B` constrained-inference leaves, or
-/// the collapsed HaarHRR pyramid.
+/// A table build's refusal as a service error.
+fn tables(built: Result<PrefixTables, OracleError>) -> Result<Answers, ServiceError> {
+    built
+        .map(Answers::Tables)
+        .map_err(|e| ServiceError::Range(RangeError::Oracle(e)))
+}
+
 impl SnapshotSource for FlatServer {
-    /// The flat estimate is one oracle's and runs whole on the caller.
-    fn frequency_estimate_into(
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        FlatServer::frequency_estimate(self)
+    }
+
+    /// The flat oracle's one prefix table.
+    fn answers_into(
         &self,
-        buffers: &mut EstimateBuffers,
+        buffers: &mut SnapshotBuffers,
         _join: &dyn Join,
-    ) -> FrequencyEstimate {
-        FlatServer::frequency_estimate_into(self, buffers)
+    ) -> Result<Answers, ServiceError> {
+        tables(self.prefix_tables_into(std::mem::take(&mut buffers.tables)))
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -156,12 +169,18 @@ impl SnapshotSource for FlatServer {
 }
 
 impl SnapshotSource for HhServer {
-    fn frequency_estimate_into(
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        HhServer::frequency_estimate(self)
+    }
+
+    /// One prefix table per depth, answered through constrained
+    /// inference's coefficients.
+    fn answers_into(
         &self,
-        buffers: &mut EstimateBuffers,
-        join: &dyn Join,
-    ) -> FrequencyEstimate {
-        HhServer::frequency_estimate_into(self, buffers, join)
+        buffers: &mut SnapshotBuffers,
+        _join: &dyn Join,
+    ) -> Result<Answers, ServiceError> {
+        tables(self.prefix_tables_into(std::mem::take(&mut buffers.tables)))
     }
 
     /// Every depth uses the configured oracle; the leaves are the largest.
@@ -171,12 +190,19 @@ impl SnapshotSource for HhServer {
 }
 
 impl SnapshotSource for HaarHrrServer {
-    fn frequency_estimate_into(
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        HaarHrrServer::frequency_estimate(self)
+    }
+
+    /// The collapsed pyramid, frozen into `buffers.estimate`.
+    fn answers_into(
         &self,
-        buffers: &mut EstimateBuffers,
+        buffers: &mut SnapshotBuffers,
         join: &dyn Join,
-    ) -> FrequencyEstimate {
-        HaarHrrServer::frequency_estimate_into(self, buffers, join)
+    ) -> Result<Answers, ServiceError> {
+        Ok(Answers::Frozen(
+            self.frequency_estimate_into(&mut buffers.estimate, join),
+        ))
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -184,33 +210,105 @@ impl SnapshotSource for HaarHrrServer {
     }
 }
 
-/// An immutable, query-ready freeze of merged aggregator state.
+/// What a snapshot answers from.
+#[derive(Debug, Clone)]
+pub enum Answers {
+    /// Flat and `HH_B`: per-level integer prefix tables, answered in
+    /// `O(h²)` lookups.
+    Tables(PrefixTables),
+    /// HaarHRR: the float freeze, a per-item estimate with prefix sums.
+    Frozen(FrequencyEstimate),
+}
+
+impl Answers {
+    /// The answers as one range estimate.
+    fn estimate(&self) -> &dyn RangeEstimate {
+        match self {
+            Self::Tables(tables) => tables,
+            Self::Frozen(estimate) => estimate,
+        }
+    }
+}
+
+/// The buffers a publish builds into instead of allocating them: the
+/// tables of a retired snapshot, and HaarHRR's [`EstimateBuffers`].
+/// Any contents and any lengths are accepted, and no publish reads a
+/// slot it did not write, so what is built answers exactly as a publish
+/// into `SnapshotBuffers::default()` would.
+#[derive(Debug, Default)]
+pub struct SnapshotBuffers {
+    /// The next tables' storage.
+    pub tables: PrefixTables,
+    /// The next float freeze's storage and workspace.
+    pub estimate: EstimateBuffers,
+}
+
+impl SnapshotBuffers {
+    /// Takes a retired snapshot's answers for the next publish to
+    /// overwrite.
+    pub fn recycle(&mut self, retired: Answers) {
+        match retired {
+            Answers::Tables(tables) => self.tables = tables,
+            Answers::Frozen(estimate) => self.estimate.recycle(estimate),
+        }
+    }
+}
+
+/// An immutable, query-ready snapshot of merged aggregator state.
 #[derive(Debug, Clone)]
 pub struct RangeSnapshot {
-    estimate: FrequencyEstimate,
+    answers: Answers,
+    /// The per-item vector [`RangeSnapshot::estimate`] hands out for
+    /// tables, built on first call.
+    items: OnceLock<FrequencyEstimate>,
     num_reports: u64,
     version: u64,
 }
 
 impl RangeSnapshot {
-    /// Freezes a server's current state.
+    /// A snapshot of a server's current state, freshly allocated. A
+    /// state whose statistics are too large for exact prefix tables (see
+    /// [`RangeSnapshot::try_freeze`]) is answered from its float freeze
+    /// instead.
     #[must_use]
     pub fn freeze<S: SnapshotSource>(server: &S, version: u64) -> Self {
-        Self::freeze_into(server, version, &mut EstimateBuffers::default())
+        Self::try_freeze(server, version).unwrap_or_else(|_| {
+            Self::from_estimate(server.frequency_estimate(), server.num_reports(), version)
+        })
     }
 
-    /// [`RangeSnapshot::freeze`] written into `buffers`
-    /// ([`SnapshotSource::frequency_estimate_into`]): the same bits, and
-    /// no `O(D)` allocation once the buffers are warm.
-    #[must_use]
+    /// [`RangeSnapshot::freeze`], refusing a state whose statistics are
+    /// too large for exact prefix tables.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotSource::answers_into`].
+    pub fn try_freeze<S: SnapshotSource>(server: &S, version: u64) -> Result<Self, ServiceError> {
+        Self::freeze_into(server, version, &mut SnapshotBuffers::default())
+    }
+
+    /// [`RangeSnapshot::try_freeze`] built into `buffers`: the same
+    /// answers, and no `O(D)` allocation once the buffers are warm.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotSource::answers_into`].
     pub fn freeze_into<S: SnapshotSource>(
         server: &S,
         version: u64,
-        buffers: &mut EstimateBuffers,
-    ) -> Self {
+        buffers: &mut SnapshotBuffers,
+    ) -> Result<Self, ServiceError> {
+        let answers = server.answers_into(buffers, &SerialJoin)?;
+        Ok(Self::from_answers(answers, server.num_reports(), version))
+    }
+
+    /// Builds a snapshot directly from its answers.
+    #[must_use]
+    pub fn from_answers(answers: Answers, num_reports: u64, version: u64) -> Self {
         Self {
-            estimate: server.frequency_estimate_into(buffers, &SerialJoin),
-            num_reports: server.num_reports(),
+            answers,
+            items: OnceLock::new(),
+            num_reports,
             version,
         }
     }
@@ -218,17 +316,13 @@ impl RangeSnapshot {
     /// Builds a snapshot directly from a materialized estimate.
     #[must_use]
     pub fn from_estimate(estimate: FrequencyEstimate, num_reports: u64, version: u64) -> Self {
-        Self {
-            estimate,
-            num_reports,
-            version,
-        }
+        Self::from_answers(Answers::Frozen(estimate), num_reports, version)
     }
 
     /// Domain size `D`.
     #[must_use]
     pub fn domain(&self) -> usize {
-        self.estimate.domain()
+        self.answers.estimate().domain()
     }
 
     /// Reports reflected in this snapshot.
@@ -256,42 +350,56 @@ impl RangeSnapshot {
     /// Panics on invalid bounds.
     #[must_use]
     pub fn range(&self, a: usize, b: usize) -> f64 {
-        self.estimate.range(a, b)
+        self.answers.estimate().range(a, b)
     }
 
     /// Estimated prefix fraction `R[0, b]`.
     #[must_use]
     pub fn prefix(&self, b: usize) -> f64 {
-        self.estimate.prefix(b)
+        self.answers.estimate().prefix(b)
     }
 
     /// Estimated frequency of one item.
     #[must_use]
     pub fn point(&self, z: usize) -> f64 {
-        self.estimate.point(z)
+        self.answers.estimate().point(z)
     }
 
-    /// Estimated φ-quantile (binary search over the estimated CDF).
+    /// Estimated φ-quantile (binary search over the estimated CDF, §4.7).
     ///
     /// # Panics
     ///
     /// Panics unless `0 ≤ phi ≤ 1`.
     #[must_use]
     pub fn quantile(&self, phi: f64) -> usize {
-        quantile(&self.estimate, phi)
+        quantile(self.answers.estimate(), phi)
     }
 
-    /// The underlying frequency estimate.
+    /// What this snapshot answers from.
+    #[must_use]
+    pub fn answers(&self) -> &Answers {
+        &self.answers
+    }
+
+    /// The per-item frequency estimate. For tables it is built on first
+    /// call, `frequencies()[z]` being [`RangeSnapshot::point`]`(z)` to the
+    /// bit — `O(D·h²)` once, for comparisons and exports; queries never
+    /// build it.
     #[must_use]
     pub fn estimate(&self) -> &FrequencyEstimate {
-        &self.estimate
+        match &self.answers {
+            Answers::Frozen(estimate) => estimate,
+            Answers::Tables(tables) => self.items.get_or_init(|| {
+                FrequencyEstimate::new((0..tables.domain()).map(|z| tables.point(z)).collect())
+            }),
+        }
     }
 
-    /// Consumes the snapshot, returning its estimate — how a retired
-    /// snapshot's buffers go back into [`EstimateBuffers::recycle`].
+    /// Consumes the snapshot, returning its answers — how a retired
+    /// snapshot's buffers go back into [`SnapshotBuffers::recycle`].
     #[must_use]
-    pub fn into_estimate(self) -> FrequencyEstimate {
-        self.estimate
+    pub fn into_answers(self) -> Answers {
+        self.answers
     }
 }
 
@@ -317,11 +425,23 @@ mod tests {
         assert_eq!(snap.version(), 3);
         assert_eq!(snap.num_reports(), 2_000);
         assert_eq!(snap.domain(), 64);
+        // Bit for bit the evaluator on the same integers, and within the
+        // derived tolerance of the float freeze.
+        let tables = server.prefix_tables().unwrap();
         let direct = server.estimate_consistent().to_frequency_estimate();
+        let tol = tables.freeze_tolerance();
         for (a, b) in [(0, 63), (16, 47), (5, 5)] {
-            assert_eq!(snap.range(a, b).to_bits(), direct.range(a, b).to_bits());
+            assert_eq!(snap.range(a, b).to_bits(), tables.range(a, b).to_bits());
+            assert!((snap.range(a, b) - direct.range(a, b)).abs() <= tol);
         }
+        assert_eq!(snap.quantile(0.5), quantile(&tables, 0.5));
         assert_eq!(snap.quantile(0.5), quantile(&direct, 0.5));
         assert!((snap.prefix(63) - 1.0).abs() < 0.05);
+        for z in 0..64 {
+            assert_eq!(
+                snap.estimate().frequencies()[z].to_bits(),
+                snap.point(z).to_bits()
+            );
+        }
     }
 }

@@ -46,13 +46,13 @@ use std::time::Instant;
 
 use ldp_ranges::persist::put_varint;
 use ldp_ranges::{
-    EstimateBuffers, FrequencyEstimate, Join, MergeableServer, PersistableServer, RangeError,
-    SerialJoin, StateReader, SubtractableServer,
+    FrequencyEstimate, Join, MergeableServer, PersistableServer, RangeError, SerialJoin,
+    StateReader, SubtractableServer,
 };
 
 use crate::error::ServiceError;
 use crate::obs::instruments::WindowInstruments;
-use crate::snapshot::{RangeSnapshot, SnapshotSource};
+use crate::snapshot::{Answers, RangeSnapshot, SnapshotBuffers, SnapshotSource};
 
 /// One sealed epoch: its id and the accumulator of every report absorbed
 /// while it was open — `None` if it sealed empty, so an empty epoch (every
@@ -114,7 +114,7 @@ pub struct EpochRing<S: SubtractableServer> {
     obs: Option<Arc<WindowInstruments>>,
     /// The live window's sum — `running` plus `current` — as the last
     /// service refresh built it, kept so the next one overwrites it
-    /// instead of allocating ([`SnapshotSource::publish_estimate_into`]).
+    /// instead of allocating ([`SnapshotSource::publish_into`]).
     /// Scratch, not state: a clone starts without one, and persistence
     /// and alignment never look at it.
     live: Scratch<S>,
@@ -427,6 +427,17 @@ impl<S: SubtractableServer> EpochRing<S> {
         Ok(())
     }
 
+    /// The live window — the running merge plus the open epoch — summed
+    /// into a fresh server.
+    fn live_sum(&self) -> S {
+        let mut live = self.running.clone();
+        let summed = live.merge(&self.current);
+        // Never refused: both are built from the prototype. (A refused
+        // merge changes nothing.)
+        debug_assert!(summed.is_ok(), "ring epochs share one prototype");
+        live
+    }
+
     /// Freezes the trailing `epochs` sealed epochs into an immutable
     /// query handle; ingestion into the open epoch continues undisturbed.
     ///
@@ -442,7 +453,7 @@ impl<S: SubtractableServer> EpochRing<S> {
             .window_bounds(epochs)
             .ok_or(ServiceError::EmptyWindow)?;
         Ok(WindowedSnapshot::from_parts(
-            Arc::new(RangeSnapshot::freeze(&server, last)),
+            Arc::new(RangeSnapshot::try_freeze(&server, last)?),
             first,
             last,
         ))
@@ -616,37 +627,38 @@ impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
         MergeableServer::absorb_deferred(self, report).map_err(Into::into)
     }
 
-    /// The live windowed estimate: every retained sealed epoch plus the
+    /// The live window's float freeze: every retained sealed epoch plus
+    /// the open epoch, summed into a fresh server.
+    fn frequency_estimate(&self) -> FrequencyEstimate {
+        self.live_sum().frequency_estimate()
+    }
+
+    /// The live window's answers: every retained sealed epoch plus the
     /// open epoch, summed into a fresh server. This is what
     /// `LdpService::refresh_snapshot` publishes for a windowed service —
     /// the trailing-window view, not the all-time population — through
-    /// [`SnapshotSource::publish_estimate_into`], which sums into a kept
-    /// scratch instead.
-    fn frequency_estimate_into(
+    /// [`SnapshotSource::publish_into`], which sums into a kept scratch
+    /// instead.
+    fn answers_into(
         &self,
-        buffers: &mut EstimateBuffers,
+        buffers: &mut SnapshotBuffers,
         join: &dyn Join,
-    ) -> FrequencyEstimate {
-        let mut live = self.running.clone();
-        let summed = live.merge(&self.current);
-        // Never refused: both are built from the prototype. (A refused
-        // merge changes nothing.)
-        debug_assert!(summed.is_ok(), "ring epochs share one prototype");
-        live.frequency_estimate_into(buffers, join)
+    ) -> Result<Answers, ServiceError> {
+        self.live_sum().answers_into(buffers, join)
     }
 
-    /// The live windowed estimate, summed into the kept scratch in place:
+    /// The live window's answers, summed into the kept scratch in place:
     /// cleared, then the running merge and the open epoch merged in.
-    fn publish_estimate_into(
+    fn publish_into(
         &mut self,
-        buffers: &mut EstimateBuffers,
+        buffers: &mut SnapshotBuffers,
         join: &dyn Join,
-    ) -> Result<FrequencyEstimate, ServiceError> {
+    ) -> Result<Answers, ServiceError> {
         let live = self.live.0.get_or_insert_with(|| self.prototype.clone());
         live.clear();
         live.merge(&self.running)?;
         live.merge(&self.current)?;
-        Ok(live.frequency_estimate_into(buffers, join))
+        live.answers_into(buffers, join)
     }
 
     /// Every epoch is a clone of the prototype.
@@ -807,11 +819,19 @@ mod tests {
                 }
             }
             assert_eq!(snap.num_reports(), scratch.num_reports());
+            // Bit for bit the evaluator on the scratch server's integers,
+            // and within the derived tolerance of its float freeze.
+            let tables = scratch.prefix_tables().unwrap();
             let direct = scratch.estimate_consistent().to_frequency_estimate();
+            let tol = tables.freeze_tolerance();
             for z in 0..64 {
                 assert!(
-                    snap.point(z).to_bits() == direct.point(z).to_bits(),
+                    snap.point(z).to_bits() == tables.point(z).to_bits(),
                     "k={k}: leaf {z} differs after rotation"
+                );
+                assert!(
+                    (snap.point(z) - direct.point(z)).abs() <= tol,
+                    "k={k}: leaf {z} off the float freeze"
                 );
             }
         }

@@ -1,17 +1,19 @@
-//! Recycled buffers ≡ the allocating freeze, bit for bit.
+//! Recycled buffers ≡ the allocating publish, bit for bit.
 //!
-//! A service freezes each snapshot into buffers it keeps: HaarHRR's
-//! pyramid and second expansion buffer from the last freeze, and the
-//! storage and prefix sums of the snapshot it retired (for `HH_B` the
-//! storage is the whole estimate tree).
+//! A service publishes each snapshot into buffers it keeps: the prefix
+//! tables of the snapshot it retired (flat and `HH_B`), or for HaarHRR
+//! that snapshot's storage and prefix sums plus the pyramid and second
+//! expansion buffer from the last freeze.
 //! Two properties make that safe, and this suite holds both for the three
 //! served mechanisms (flat, `HH_4`, HaarHRR) over every served oracle
 //! (OUE and HRR at 2^12 items, OLH at its 2^10 cap):
 //!
-//! 1. **Contents never leak.** `RangeSnapshot::freeze_into` over buffers
-//!    that are NaN-poisoned, of the exact length or one longer or shorter,
-//!    gives the same bits — every frequency, every prefix sum — as
-//!    `RangeSnapshot::freeze`, which allocates fresh zeroed buffers.
+//! 1. **Contents never leak.** `RangeSnapshot::freeze_into` gives the
+//!    same bits — every frequency, every prefix — as
+//!    `RangeSnapshot::freeze`, which allocates afresh: over tables
+//!    recycled from the same state, from another state and from other
+//!    configurations, longer and shorter; and over HaarHRR buffers that
+//!    are NaN-poisoned, of the exact length or one longer or shorter.
 //! 2. **A shared snapshot is never written.** A caller that holds an old
 //!    `Arc<RangeSnapshot>` across dirty refreshes reads the same bits
 //!    from it afterwards, and every snapshot published meanwhile equals a
@@ -24,7 +26,7 @@ use ldp_ranges::{
     EstimateBuffers, FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer,
     HhClient, HhConfig, HhServer,
 };
-use ldp_service::{LdpService, RangeSnapshot, SnapshotSource};
+use ldp_service::{Answers, LdpService, RangeSnapshot, SnapshotBuffers, SnapshotSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -121,39 +123,80 @@ fn wrong_lengths(warm: [usize; 4], values_longer: bool) -> EstimateBuffers {
     }
 }
 
-/// Freezes `server` into warm poisoned buffers and into buffers of the
-/// wrong lengths, both ways, and holds each to the allocating freeze.
-fn check_recycled_freezes<S: SnapshotSource>(server: &S, what: &str) {
+/// Publishes `server` into `buffers` and holds it to the allocating
+/// publish.
+fn assert_recycled<S: SnapshotSource>(server: &S, buffers: &mut SnapshotBuffers, what: &str) {
     let fresh = RangeSnapshot::freeze(server, 7);
-    let d = fresh.domain();
+    let got = RangeSnapshot::freeze_into(server, 7, buffers).expect("publish");
+    assert_same(&got, &fresh, what);
+}
 
-    let mut buffers = EstimateBuffers::default();
-    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers);
-    assert_same(&warm, &fresh, &format!("{what}, empty buffers"));
+/// Publishes `server` into empty buffers, then into the warm buffers of
+/// its own last publish — an estimate's poisoned — then into each of
+/// `foreign`, and holds each to the allocating publish.
+fn check_recycled_freezes<S: SnapshotSource>(
+    server: &S,
+    foreign: Vec<SnapshotBuffers>,
+    what: &str,
+) {
+    let mut buffers = SnapshotBuffers::default();
+    assert_recycled(server, &mut buffers, &format!("{what}, empty buffers"));
 
-    // The steady state: last freeze's buffers at their exact lengths,
-    // every slot poisoned.
-    buffers.recycle(warm.into_estimate());
-    let lengths = [
-        buffers.values.len(),
-        buffers.prefix.len(),
-        buffers.pyramid.len(),
-        buffers.scratch.len(),
-    ];
-    assert!(
-        lengths[0] >= d && lengths[1] == d + 1,
-        "{what}: {lengths:?}"
+    // The steady state: last publish's buffers at their exact lengths.
+    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers).expect("publish");
+    buffers.recycle(warm.into_answers());
+    poison(&mut buffers.estimate);
+    assert_recycled(
+        server,
+        &mut buffers,
+        &format!("{what}, recycled own buffers"),
     );
-    poison(&mut buffers);
-    let again = RangeSnapshot::freeze_into(server, 7, &mut buffers);
-    assert_same(&again, &fresh, &format!("{what}, poisoned exact buffers"));
 
-    for values_longer in [true, false] {
-        let mut buffers = wrong_lengths(lengths, values_longer);
-        let got = RangeSnapshot::freeze_into(server, 7, &mut buffers);
-        let how = format!("values longer: {values_longer}");
-        assert_same(&got, &fresh, &format!("{what}, poisoned buffers, {how}"));
+    for (k, mut buffers) in foreign.into_iter().enumerate() {
+        assert_recycled(
+            server,
+            &mut buffers,
+            &format!("{what}, foreign buffers {k}"),
+        );
     }
+}
+
+/// Buffers holding the tables of each of `others`, for a table-publishing
+/// server to recycle.
+fn tables_of<S: SnapshotSource>(others: &[S]) -> Vec<SnapshotBuffers> {
+    others
+        .iter()
+        .map(|other| {
+            let mut buffers = SnapshotBuffers::default();
+            let answers = RangeSnapshot::freeze(other, 0).into_answers();
+            assert!(matches!(answers, Answers::Tables(_)));
+            buffers.recycle(answers);
+            buffers
+        })
+        .collect()
+}
+
+/// HaarHRR's warm buffers one slot off, both ways.
+fn haar_wrong_lengths(server: &HaarHrrServer) -> Vec<SnapshotBuffers> {
+    let mut buffers = SnapshotBuffers::default();
+    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers).expect("publish");
+    buffers.recycle(warm.into_answers());
+    let d = server.config().domain;
+    let e = &buffers.estimate;
+    let lengths = [
+        e.values.len(),
+        e.prefix.len(),
+        e.pyramid.len(),
+        e.scratch.len(),
+    ];
+    assert!(lengths[0] >= d && lengths[1] == d + 1, "{lengths:?}");
+    [true, false]
+        .into_iter()
+        .map(|values_longer| SnapshotBuffers {
+            estimate: wrong_lengths(lengths, values_longer),
+            ..SnapshotBuffers::default()
+        })
+        .collect()
 }
 
 /// A service over `prototype` fed `reports` in six chunks. Holds the
@@ -218,20 +261,50 @@ fn haar_hrr() -> (HaarHrrServer, Vec<ldp_ranges::HaarHrrReport>) {
 }
 
 /// The empty server (every level estimates from zero reports) and the
-/// server holding every report.
-fn check_both_states<S: SnapshotSource>(mut server: S, reports: &[S::Report], what: &str) {
-    check_recycled_freezes(&server, &format!("{what}, empty"));
+/// server holding every report, each recycling buffers from `foreign`
+/// and from the other state.
+fn check_both_states<S: SnapshotSource>(
+    mut server: S,
+    reports: &[S::Report],
+    foreign: impl Fn(&S) -> Vec<SnapshotBuffers>,
+    what: &str,
+) {
+    let empty = server.clone();
     for report in reports {
         server.absorb(report).expect("absorb");
     }
-    check_recycled_freezes(&server, what);
+    let mut buffers = foreign(&empty);
+    buffers.extend(foreign(&server));
+    check_recycled_freezes(&empty, buffers, &format!("{what}, empty"));
+    let mut buffers = foreign(&server);
+    buffers.extend(foreign(&empty));
+    check_recycled_freezes(&server, buffers, what);
+}
+
+/// Tables of a flat or `HH_4` server at a quarter and four times `d`
+/// items, with a few reports, and of `state` itself.
+fn other_tables<S: SnapshotSource>(
+    state: &S,
+    make: impl Fn(usize) -> (S, Vec<S::Report>),
+    d: usize,
+) -> Vec<SnapshotBuffers> {
+    let mut others = vec![state.clone()];
+    for other in [d / 4, d * 4] {
+        let (mut server, reports) = make(other);
+        for report in &reports[..40] {
+            server.absorb(report).expect("absorb");
+        }
+        others.push(server);
+    }
+    tables_of(&others)
 }
 
 #[test]
 fn flat_recycled_freeze_is_the_allocating_freeze() {
     for (oracle, d) in ORACLES {
         let (server, reports) = flat(oracle, d);
-        check_both_states(server, &reports, &format!("flat/{oracle:?}"));
+        let foreign = |state: &FlatServer| other_tables(state, |d| flat(oracle, d), d);
+        check_both_states(server, &reports, foreign, &format!("flat/{oracle:?}"));
     }
 }
 
@@ -239,14 +312,15 @@ fn flat_recycled_freeze_is_the_allocating_freeze() {
 fn hh4_recycled_freeze_is_the_allocating_freeze() {
     for (oracle, d) in ORACLES {
         let (server, reports) = hh4(oracle, d);
-        check_both_states(server, &reports, &format!("HH_4/{oracle:?}"));
+        let foreign = |state: &HhServer| other_tables(state, |d| hh4(oracle, d), d);
+        check_both_states(server, &reports, foreign, &format!("HH_4/{oracle:?}"));
     }
 }
 
 #[test]
 fn haar_hrr_recycled_freeze_is_the_allocating_freeze() {
     let (server, reports) = haar_hrr();
-    check_both_states(server, &reports, "HaarHRR");
+    check_both_states(server, &reports, haar_wrong_lengths, "HaarHRR");
 }
 
 #[test]

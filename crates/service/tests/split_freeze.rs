@@ -1,10 +1,11 @@
-//! The split freeze ≡ the serial freeze, bit for bit.
+//! The split drain and freeze ≡ the serial publish, bit for bit.
 //!
-//! From [`SPLIT_FREEZE_MIN_DOMAIN`] items up, a dirty refresh drains and
-//! freezes as a fork-join over the refreshing thread and the service's
-//! freeze helper. This suite holds what such a service publishes to
-//! `RangeSnapshot::freeze` of its merged state — the serial, allocating
-//! freeze — in every frequency bit and every prefix bit:
+//! From [`SPLIT_FREEZE_MIN_DOMAIN`] items up, a dirty refresh drains as a
+//! fork-join over the refreshing thread and the service's freeze helper,
+//! and HaarHRR freezes the same way (`HH_B` publishes prefix tables on
+//! the refreshing thread). This suite holds what such a service publishes
+//! to `RangeSnapshot::freeze` of its merged state — the serial,
+//! allocating publish — in every frequency bit and every prefix bit:
 //!
 //! * `HH_B` over OUE for B ∈ {2, 3, 4, 16}, `HH_B` over HRR for the
 //!   power-of-two B, whose levels go whole to one side, and HaarHRR;
@@ -13,9 +14,9 @@
 //!   just above it, and one far above it — up to 2^16 items, 2^17 for
 //!   HaarHRR.
 //!
-//! It also freezes each state into NaN-poisoned `EstimateBuffers` with a
-//! join that runs the other half on a scoped thread, so a split freeze
-//! that reads a slot it did not write fails here too.
+//! It also publishes each state into NaN-poisoned `EstimateBuffers` with
+//! a join that runs the other half on a scoped thread, so a split HaarHRR
+//! freeze that reads a slot it did not write fails here too.
 //!
 //! The batched rows feed `HH_4`/OUE wire batches, so the split drain
 //! spills reports still pending across batches, each half on its own
@@ -29,7 +30,8 @@ use ldp_ranges::{
 };
 use ldp_service::net::WIRE_V1;
 use ldp_service::{
-    EncodedStream, EpochRing, LdpService, RangeSnapshot, SnapshotSource, SPLIT_FREEZE_MIN_DOMAIN,
+    EncodedStream, EpochRing, LdpService, RangeSnapshot, SnapshotBuffers, SnapshotSource,
+    SPLIT_FREEZE_MIN_DOMAIN,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -73,18 +75,23 @@ fn assert_same(got: &RangeSnapshot, serial: &RangeSnapshot, what: &str) {
     assert!(bits(got) == bits(serial), "{what}: bits differ");
 }
 
-/// A freeze into NaN-poisoned buffers, split onto a scoped thread, held
-/// to the serial freeze.
+/// A publish into NaN-poisoned buffers, split onto a scoped thread, held
+/// to the serial publish.
 fn check_poisoned<S: SnapshotSource>(state: &S, serial: &RangeSnapshot, what: &str) {
     let d = serial.domain();
-    let mut buffers = EstimateBuffers {
-        values: vec![f64::NAN; 2 * d],
-        prefix: vec![f64::NAN; d + 1],
-        pyramid: vec![f64::NAN; d],
-        scratch: vec![f64::NAN; d],
+    let mut buffers = SnapshotBuffers {
+        estimate: EstimateBuffers {
+            values: vec![f64::NAN; 2 * d],
+            prefix: vec![f64::NAN; d + 1],
+            pyramid: vec![f64::NAN; d],
+            scratch: vec![f64::NAN; d],
+        },
+        ..SnapshotBuffers::default()
     };
-    let estimate = state.frequency_estimate_into(&mut buffers, &ScopedJoin);
-    let split = RangeSnapshot::from_estimate(estimate, state.num_reports(), serial.version());
+    let answers = state
+        .answers_into(&mut buffers, &ScopedJoin)
+        .expect("publish");
+    let split = RangeSnapshot::from_answers(answers, state.num_reports(), serial.version());
     assert_same(&split, serial, &format!("{what}, poisoned buffers"));
 }
 

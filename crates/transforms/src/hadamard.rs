@@ -229,6 +229,35 @@ pub fn fwht_scalar(data: &mut [f64]) {
     }
 }
 
+/// The transform over exact integers: [`fwht_scalar`]'s butterflies on
+/// `i64`, with no dispatch. Each output is a ±1 combination of the
+/// inputs, so the caller bounds their total magnitude to keep every
+/// intermediate in range (HRR's prefix tables check it first); an add
+/// that overflows anyway panics in a debug build.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+pub fn fwht_i64(data: &mut [i64]) {
+    let n = data.len();
+    assert!(
+        n.is_power_of_two(),
+        "FWHT requires a power-of-two length, got {n}"
+    );
+    let mut half = 1;
+    while half < n {
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let (x, y) = (*a, *b);
+                *a = x + y;
+                *b = x - y;
+            }
+        }
+        half *= 2;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +274,21 @@ mod tests {
         (0..n)
             .map(|i| (0..n).map(|j| f64::from(hadamard_entry(i, j)) * x[j]).sum())
             .collect()
+    }
+
+    #[test]
+    fn integer_transform_is_the_float_transform_on_integers() {
+        for n in [1usize, 2, 8, 64, 1024] {
+            let ints: Vec<i64> = (0..n as i64).map(|i| (i * 37 % 23) - 11).collect();
+            let mut exact = ints.clone();
+            fwht_i64(&mut exact);
+            let mut floats: Vec<f64> = ints.iter().map(|&i| i as f64).collect();
+            fwht_scalar(&mut floats);
+            assert!(
+                exact.iter().zip(&floats).all(|(&a, &b)| a as f64 == b),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod tree;
 
 pub use dyadic::{decompose_range, DyadicNode};
 pub use haar::{haar_forward, haar_forward_scalar, haar_inverse, haar_inverse_scalar, HaarPyramid};
-pub use hadamard::{fwht, fwht_scalar, hadamard_entry};
+pub use hadamard::{fwht, fwht_i64, fwht_scalar, hadamard_entry};
 pub use tree::{CompleteTree, FlatTree};
 
 /// Returns `log_b(n)` when `n` is an exact power of `b`, and `None`
