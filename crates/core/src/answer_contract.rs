@@ -1,26 +1,26 @@
 //! The answer contract: what [`PrefixTables`] answers from the integer
 //! statistics is what the serial float freeze of the same integers
 //! answers ([`FlatServer::frequency_estimate`],
-//! [`HhServer::frequency_estimate`]), up to rounding — and it is exactly
-//! unbiased.
+//! [`HhServer::frequency_estimate`], [`HaarHrrServer::frequency_estimate`]),
+//! up to rounding — and it is exactly unbiased.
 //!
 //! **Tolerance.** Every prefix, point and range answer agrees with the
 //! freeze within [`PrefixTables::freeze_tolerance`], whose doc derives
-//! it from the statistics: twice `γ_K(1 + 2h)X`, the standard forward
-//! error bound of a linear computation of at most `K` rounded steps over
-//! the raw estimates' terms, whose total magnitude is `X`. Nothing here
-//! is tuned to the data. A quantile is the same index on both sides,
-//! unless the two binary searches part at an index where the freeze's
-//! prefix lies within that tolerance of φ, where rounding may decide
-//! either way.
+//! it from the statistics: twice `γ_K(1 + 2h)X` for flat and `HH_B`,
+//! `12γ_K X` for `HaarHRR` — the standard forward error bound of a
+//! linear computation of at most `K` rounded steps over the raw
+//! estimates' terms, whose total magnitude is `X`. Nothing here is tuned
+//! to the data. A quantile is the same index on both sides, unless the
+//! two binary searches part at an index where the freeze's prefix lies
+//! within that tolerance of φ, where rounding may decide either way.
 //!
 //! **Scope.** Flat and `HH_B` for B ∈ {2, 3, 4, 16}, over OUE, OLH and
-//! HRR (HRR where every level is a power of two); every prefix and point
-//! up to 2^10 items and every range up to 2^7, sampled ones above them up
-//! to 2^16 (a tree's range is the difference of two prefixes);
-//! the empty state, a populated one, a level with no reports, and a
-//! window (three epochs merged, the oldest subtracted back out, as an
-//! epoch ring retires it).
+//! HRR (HRR where every level is a power of two), and `HaarHRR`; every
+//! prefix and point up to 2^10 items and every range up to 2^7, sampled
+//! ones above them up to 2^16 (2^17 for `HaarHRR`; a tree's or a
+//! pyramid's range is the difference of two prefixes); the empty state, a
+//! populated one, a level with no reports, and a window (three epochs
+//! merged, the oldest subtracted back out, as an epoch ring retires it).
 //!
 //! **Exact bias.** Loaded with its *expected* statistics for a chosen
 //! histogram — written as tally bodies and restored through
@@ -32,9 +32,10 @@ use ldp_transforms::fwht_i64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{FlatConfig, HhConfig};
+use crate::config::{FlatConfig, HaarConfig, HhConfig};
 use crate::estimate::{FrequencyEstimate, RangeEstimate};
 use crate::flat::FlatServer;
+use crate::haar::{coefficient_of, HaarHrrServer};
 use crate::hh::HhServer;
 use crate::mergeable::SubtractableServer;
 use crate::persist::{PersistableServer, StateReader};
@@ -241,6 +242,36 @@ fn check_flat(config: &FlatConfig, rng: &mut StdRng) {
     }
 }
 
+/// `HaarHRR` over `domain` items, in every state of [`states`].
+fn check_haar(domain: usize, rng: &mut StdRng) {
+    let populate = |server: &mut HaarHrrServer, seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed * 7919 + domain as u64);
+        let counts = cohort(domain, 8 * domain as u64 + seed);
+        server.absorb_population(&counts, &mut rng).unwrap();
+    };
+    let clear_level = |server: &mut HaarHrrServer| {
+        let levels = server.oracles_mut();
+        let mid = levels.len() / 2;
+        levels[mid].clear();
+    };
+    let empty = HaarHrrServer::new(HaarConfig::new(domain, eps()).unwrap()).unwrap();
+    for (state, server) in states(&empty, populate, clear_level) {
+        let what = format!("HaarHRR D={domain} {state}");
+        let tables = server.prefix_tables().unwrap();
+        assert_contract(&tables, &server.frequency_estimate(), rng, &what);
+    }
+}
+
+/// Every power of two up to 2^10, then 2^12, 2^14 and 2^17, each plain
+/// and windowed: every prefix and point up to 2^10, sampled above.
+#[test]
+fn haar_tables_answer_as_the_float_freeze_up_to_2_17() {
+    let mut rng = StdRng::seed_from_u64(5204);
+    for domain in (1..=10).chain([12, 14, 17]).map(|k| 1usize << k) {
+        check_haar(domain, &mut rng);
+    }
+}
+
 #[test]
 fn hh_tables_answer_as_the_float_freeze_up_to_2_10() {
     let mut rng = StdRng::seed_from_u64(5201);
@@ -322,8 +353,11 @@ fn histogram(domain: usize) -> Vec<u64> {
 /// - HRR (`hrr.rs`): a user samples index `j` of `n` uniformly and sends
 ///   `φ[v][j]` kept w.p. `p = e^ε/(1 + e^ε) = 3/4`, so
 ///   `E[s_j] = (2p − 1)/n · Σ_v m_v φ[v][j] = (φm)_j / (2n)`.
-fn expected_statistics(oracle: FrequencyOracle, m: &[u64], reports: u64) -> Vec<i64> {
-    let m: Vec<i64> = m.iter().map(|&c| c as i64).collect();
+///
+/// For `HaarHRR` `m_v` is signed: the users under node `v`'s left half
+/// minus those under its right half, each sending `±φ[v][j]`.
+fn expected_statistics(oracle: FrequencyOracle, m: &[i64], reports: u64) -> Vec<i64> {
+    let m = m.to_vec();
     let n = reports as i64;
     match oracle {
         FrequencyOracle::Hrr => {
@@ -351,6 +385,11 @@ fn expected_statistics(oracle: FrequencyOracle, m: &[u64], reports: u64) -> Vec<
 /// `persist.rs` restores.
 fn put_level(out: &mut Vec<u8>, oracle: FrequencyOracle, reports: u64, stats: &[i64]) {
     out.push(oracle.tag());
+    put_body(out, oracle, reports, stats);
+}
+
+/// One level's tally body, untagged as `HaarHRR` writes it.
+fn put_body(out: &mut Vec<u8>, oracle: FrequencyOracle, reports: u64, stats: &[i64]) {
     put_varint(out, reports);
     for &s in stats {
         let code = if oracle == FrequencyOracle::Hrr {
@@ -415,11 +454,12 @@ fn expected_statistics_answer_every_range_exactly() {
             let total: u64 = counts.iter().sum();
             let config = FlatConfig::with_oracle(domain, eps(), oracle).unwrap();
             let mut bytes = Vec::new();
+            let m: Vec<i64> = counts.iter().map(|&c| c as i64).collect();
             put_level(
                 &mut bytes,
                 oracle,
                 total,
-                &expected_statistics(oracle, &counts, total),
+                &expected_statistics(oracle, &m, total),
             );
             assert_unbiased(
                 FlatServer::new(&config).unwrap(),
@@ -440,11 +480,11 @@ fn expected_statistics_answer_every_range_exactly() {
                 let mut bytes = Vec::new();
                 for depth in 1..=shape.height() {
                     let scale = 1 + u64::from(depth % 3);
-                    let mut m = vec![0; shape.nodes_at_depth(depth)];
+                    let mut m = vec![0i64; shape.nodes_at_depth(depth)];
                     for (z, &c) in counts.iter().enumerate() {
-                        m[shape.ancestor_at_depth(z, depth)] += scale * c;
+                        m[shape.ancestor_at_depth(z, depth)] += (scale * c) as i64;
                     }
-                    let reports = m.iter().sum();
+                    let reports = m.iter().sum::<i64>() as u64;
                     let stats = expected_statistics(oracle, &m, reports);
                     put_level(&mut bytes, oracle, reports, &stats);
                 }
@@ -458,6 +498,42 @@ fn expected_statistics_answer_every_range_exactly() {
                 );
             }
         }
+    }
+}
+
+/// `HaarHRR` loaded with each depth's expected HRR statistics answers
+/// every range of the histogram exactly, through the Haar walk and
+/// through the float freeze, at 2^1–2^10 items. Each depth's cohort is
+/// the histogram scaled by 1, 2 or 3, so the depths' report totals and
+/// maps differ; node `v`'s signed count is its left half's users minus
+/// its right half's, a multiple of `2D`, so every expected sum is an
+/// integer.
+#[test]
+fn expected_haar_statistics_answer_every_range_exactly() {
+    for domain in (1..=10).map(|k| 1usize << k) {
+        let counts = histogram(domain);
+        let config = HaarConfig::new(domain, eps()).unwrap();
+        let height = config.height;
+        let mut bytes = Vec::new();
+        for depth in 0..height {
+            let scale = 1 + u64::from(depth % 3);
+            let mut m = vec![0i64; 1 << depth];
+            for (z, &c) in counts.iter().enumerate() {
+                let (node, sign) = coefficient_of(z, depth, height);
+                m[node] += i64::from(sign) * (scale * c) as i64;
+            }
+            let reports = scale * counts.iter().sum::<u64>();
+            let stats = expected_statistics(FrequencyOracle::Hrr, &m, reports);
+            put_body(&mut bytes, FrequencyOracle::Hrr, reports, &stats);
+        }
+        assert_unbiased(
+            HaarHrrServer::new(config).unwrap(),
+            &bytes,
+            &counts,
+            |s| s.prefix_tables().unwrap(),
+            HaarHrrServer::frequency_estimate,
+            &format!("HaarHRR D={domain}"),
+        );
     }
 }
 
@@ -499,4 +575,22 @@ fn overflowing_statistics_are_refused() {
         let tables = server.prefix_tables().unwrap();
         assert!(tables.prefix(domain - 1).is_finite(), "{oracle}");
     }
+    // One HRR sum at 2^55 and the rest zero: the bound from the largest
+    // magnitude (2^55·16·16 = 2^63) cannot admit it, the exact total
+    // (2^55·16 = 2^59) does, and the table matches the float freeze.
+    let config = FlatConfig::with_oracle(domain, eps(), FrequencyOracle::Hrr).unwrap();
+    let mut server = FlatServer::new(&config).unwrap();
+    let mut stats = vec![0; domain];
+    stats[3] = 1i64 << 55;
+    let mut bytes = Vec::new();
+    put_level(&mut bytes, FrequencyOracle::Hrr, 1 << 55, &stats);
+    server.restore_state(&mut StateReader::new(&bytes)).unwrap();
+    let tables = server.prefix_tables().unwrap();
+    let mut rng = StdRng::seed_from_u64(5205);
+    assert_contract(
+        &tables,
+        &server.frequency_estimate(),
+        &mut rng,
+        "one large HRR sum",
+    );
 }

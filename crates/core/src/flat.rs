@@ -129,12 +129,6 @@ impl FlatServer {
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
         FrequencyEstimate::new(self.oracle.estimate())
     }
-
-    /// The flat drain runs whole on the caller: no level is cut
-    /// ([`crate::SubtractableServer::drain_with`]).
-    pub(crate) fn cuts(&self) -> Option<fn(usize) -> usize> {
-        None
-    }
 }
 
 #[cfg(test)]

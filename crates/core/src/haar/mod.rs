@@ -28,9 +28,7 @@ use ldp_transforms::HaarPyramid;
 use crate::binomial_support::scatter_item_over_levels;
 use crate::config::HaarConfig;
 use crate::error::RangeError;
-use crate::estimate::{
-    EstimateBuffers, FrequencyEstimate, Join, LevelParts, RangeEstimate, SerialJoin,
-};
+use crate::estimate::{FrequencyEstimate, RangeEstimate};
 
 /// One user's `HaarHRR` report: the sampled detail level (as a node depth)
 /// and the HRR-perturbed coefficient.
@@ -210,87 +208,18 @@ impl HaarHrrServer {
     /// whose scaling coefficient is pinned to the exact total of 1.
     #[must_use]
     pub fn estimate(&self) -> HaarEstimate {
-        self.estimate_over(Vec::new())
-    }
-
-    /// [`HaarHrrServer::estimate`] over `buf`'s allocation: the level
-    /// oracles fill every depth, so every difference is written.
-    fn estimate_over(&self, buf: Vec<f64>) -> HaarEstimate {
-        let mut pyramid = HaarPyramid::over_buffer(self.config.height, 1.0, buf);
+        let mut pyramid = HaarPyramid::new(self.config.height, 1.0);
         for (depth, oracle) in (0..).zip(&self.levels) {
             oracle.estimate_into(pyramid.diffs_mut(depth));
         }
         HaarEstimate { pyramid }
     }
 
-    /// The per-item estimate a snapshot publishes: the collapsed pyramid,
-    /// with prefix sums.
+    /// The serial float freeze: the collapsed pyramid, with prefix sums.
+    /// A service publishes [`HaarHrrServer::prefix_tables`] instead.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        self.frequency_estimate_into(&mut EstimateBuffers::default(), &SerialJoin)
-    }
-
-    /// Where a split freeze cuts the level oracle of depth `i`: every
-    /// depth goes whole to one side — the deepest, half the pyramid, to
-    /// the other side and every shallower one to the caller's (cut at
-    /// its end). A split drain cuts the same way
-    /// ([`crate::SubtractableServer::drain_with`]).
-    pub(crate) fn cuts(&self) -> Option<impl Fn(usize) -> usize + Copy> {
-        let h = self.levels.len();
-        Some(move |i: usize| if i + 1 == h { 0 } else { 1 << i })
-    }
-
-    /// [`HaarHrrServer::frequency_estimate`] written into `buffers`: the
-    /// pyramid is built over `buffers.pyramid` and handed back there, and
-    /// collapses into `buffers.values` with `buffers.scratch` as the
-    /// expansion's second buffer.
-    ///
-    /// The work runs as two halves through `join`: first the per-depth
-    /// HRR inversions, the deepest depth on one side and every other
-    /// depth on the other; then, after the root's step, the leaf
-    /// expansion of each half of the tree, the calling side summing its
-    /// half into the prefix while the other side finishes.
-    #[must_use]
-    pub fn frequency_estimate_into(
-        &self,
-        buffers: &mut EstimateBuffers,
-        join: &dyn Join,
-    ) -> FrequencyEstimate {
-        let h = self.config.height;
-        let half = 1usize << (h - 1);
-        let oracles = &self.levels[..];
-        let mut pyramid = HaarPyramid::over_buffer(h, 1.0, std::mem::take(&mut buffers.pyramid));
-        let mut depths: LevelParts<&mut [f64]> = pyramid.depths_mut().collect();
-        let (upper, deepest) = depths.split_at_mut(h as usize - 1);
-        join.join(
-            &mut || {
-                for (diffs, oracle) in upper.iter_mut().zip(oracles) {
-                    oracle.estimate_into(diffs);
-                }
-            },
-            &mut || oracles[h as usize - 1].estimate_into(deepest[0]),
-        );
-
-        let mut values =
-            ldp_transforms::reuse_buffer(std::mem::take(&mut buffers.values), 2 * half);
-        let mut scratch =
-            ldp_transforms::reuse_buffer(std::mem::take(&mut buffers.scratch), 2 * half);
-        let mut prefix = buffers.prefix_sums(2 * half);
-        let (lo, hi) = pyramid.child_sums(0, 0, pyramid.total());
-        let (values_lo, values_hi) = values.split_at_mut(half);
-        let (scratch_lo, scratch_hi) = scratch.split_at_mut(half);
-        let pyramid_ref = &pyramid;
-        join.join(
-            &mut || {
-                pyramid_ref.expand_into(1, 0, lo, values_lo, scratch_lo);
-                prefix.extend(values_lo);
-            },
-            &mut || pyramid_ref.expand_into(1, 1, hi, values_hi, scratch_hi),
-        );
-        prefix.extend(values_hi);
-        buffers.pyramid = pyramid.into_buffer();
-        buffers.scratch = scratch;
-        FrequencyEstimate::from_parts(values, 0, prefix)
+        self.estimate().to_frequency_estimate()
     }
 }
 
@@ -319,17 +248,7 @@ impl HaarEstimate {
     /// vector (consistency by design, §4.6).
     #[must_use]
     pub fn to_frequency_estimate(&self) -> FrequencyEstimate {
-        self.collapse_into(&mut EstimateBuffers::default())
-    }
-
-    /// [`HaarEstimate::to_frequency_estimate`] written into `buffers`'
-    /// storage and prefix vectors, with `buffers.scratch` as the leaf
-    /// expansion's second buffer.
-    fn collapse_into(&self, buffers: &mut EstimateBuffers) -> FrequencyEstimate {
-        let freqs = self
-            .pyramid
-            .leaves_into(std::mem::take(&mut buffers.values), &mut buffers.scratch);
-        buffers.finish(freqs, 0)
+        FrequencyEstimate::new(self.pyramid.leaves())
     }
 }
 
@@ -423,36 +342,6 @@ mod tests {
                 (est.range(a, b) - flat.range(a, b)).abs() < 1e-9,
                 "range [{a},{b}]"
             );
-        }
-    }
-
-    /// Split across two threads, the freeze is the serial one in every
-    /// frequency and prefix bit.
-    #[test]
-    fn threaded_freeze_is_the_serial_freeze() {
-        use crate::estimate::ScopedJoin;
-        let bits = |e: &FrequencyEstimate| -> (Vec<u64>, Vec<u64>) {
-            (
-                e.frequencies().iter().map(|f| f.to_bits()).collect(),
-                (0..e.domain()).map(|b| e.prefix(b).to_bits()).collect(),
-            )
-        };
-        let mut rng = StdRng::seed_from_u64(96);
-        for height in [1u32, 2, 5, 12] {
-            let domain = 1usize << height;
-            let mut server =
-                HaarHrrServer::new(HaarConfig::new(domain, Epsilon::new(1.1)).unwrap()).unwrap();
-            let counts: Vec<u64> = (0..domain as u64).map(|z| z % 7).collect();
-            server.absorb_population(&counts, &mut rng).unwrap();
-            let serial = server.frequency_estimate();
-            let mut buffers = EstimateBuffers {
-                values: vec![f64::NAN; domain],
-                prefix: vec![f64::NAN; domain + 1],
-                pyramid: vec![f64::NAN; domain],
-                scratch: vec![f64::NAN; domain],
-            };
-            let threaded = server.frequency_estimate_into(&mut buffers, &ScopedJoin);
-            assert!(bits(&threaded) == bits(&serial), "D={domain}");
         }
     }
 

@@ -28,8 +28,6 @@
 
 use ldp_transforms::FlatTree;
 
-use crate::estimate::LevelParts;
-
 /// Applies the two-stage least-squares post-processing in place.
 ///
 /// Expects per-level fraction estimates (each level summing to ≈ 1). Runs
@@ -45,7 +43,7 @@ pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
     if let Some(root) = levels.next() {
         root[0] = 1.0;
     }
-    let mut below: LevelParts<&mut [f64]> = levels.collect();
+    let mut below: Vec<&mut [f64]> = levels.collect();
     bottom_up(&mut below, fanout);
     if let Some(level1) = below.first_mut() {
         root_step(level1, fanout);

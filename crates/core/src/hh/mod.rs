@@ -322,30 +322,7 @@ impl HhServer {
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
         let tree = self.estimate_consistent().tree.into_raw();
         let leaves = self.shape.depth_offset(self.shape.height());
-        FrequencyEstimate::over(tree, leaves, Vec::new())
-    }
-
-    /// Where a split drain cuts the level oracle of depth `i + 1`
-    /// ([`crate::SubtractableServer::drain_with`]): nodes below the cut
-    /// are drained on the caller's side, the rest on the other side.
-    /// When every level estimates per item
-    /// ([`PointOracle::estimates_per_item`]) each is cut between the
-    /// root's first `⌊B/2⌋` subtrees and the rest; otherwise every level
-    /// goes whole to one side — the leaves, most of the tree, to the
-    /// other side and every shallower level to the caller's.
-    pub(crate) fn cuts(&self) -> Option<impl Fn(usize) -> usize + Copy> {
-        let (shape, h) = (self.shape, self.levels.len());
-        let per_item = self.levels.iter().all(PointOracle::estimates_per_item);
-        Some(move |i: usize| {
-            let depth = i as u32 + 1;
-            if per_item {
-                shape.fanout() / 2 * shape.nodes_at_depth(depth - 1)
-            } else if i + 1 == h {
-                0
-            } else {
-                shape.nodes_at_depth(depth)
-            }
-        })
+        FrequencyEstimate::over(tree, leaves)
     }
 }
 

@@ -18,9 +18,12 @@
 //!   via Hadamard randomized response; variance `log2(D)²·VF/2` (Eq. 3)
 //!   with consistency by design.
 //!
-//! Flat and `HH_B` also answer straight from their integer statistics:
-//! [`tables`] keeps one integer prefix per level and evaluates each
-//! answer, constrained inference included, in `O(h²)` lookups.
+//! The three served mechanisms — flat, `HH_B` and `HaarHRR` — also answer
+//! straight from their integer statistics: [`tables`] keeps one integer
+//! prefix per level and evaluates each answer in one root-to-leaf walk,
+//! `O(h²)` lookups with constrained inference folded in for `HH_B`,
+//! `O(h)` for `HaarHRR`. Each server keeps one allocating float freeze
+//! (`frequency_estimate`), for `eval` and as the tables' test reference.
 //!
 //! On top of any mechanism's [`RangeEstimate`]: prefix queries (§4.7),
 //! quantile search ([`quantile()`]), and the two-dimensional extension
@@ -49,7 +52,7 @@ pub mod theory;
 
 pub use config::{FlatConfig, HaarConfig, HhConfig, RangeMechanism};
 pub use error::RangeError;
-pub use estimate::{EstimateBuffers, FrequencyEstimate, Join, RangeEstimate, SerialJoin};
+pub use estimate::{FrequencyEstimate, RangeEstimate};
 pub use flat::{FlatClient, FlatServer};
 pub use haar::calibration::{HaarOueClient, HaarOueReport, HaarOueServer};
 pub use haar::{HaarEstimate, HaarHrrClient, HaarHrrReport, HaarHrrServer};

@@ -30,14 +30,13 @@
 //! leaves the server as it was.
 
 use crate::error::RangeError;
-use crate::estimate::{Join, LevelParts};
 use crate::flat::FlatServer;
 use crate::haar::calibration::{HaarOueReport, HaarOueServer};
 use crate::haar::{HaarHrrReport, HaarHrrServer};
 use crate::hh::split::{HhSplitReport, HhSplitServer};
 use crate::hh::{HhReport, HhServer};
 use crate::multidim::{Hh2dReport, Hh2dServer};
-use ldp_freq_oracle::{AnyReport, DrainPart, PointOracle};
+use ldp_freq_oracle::{AnyReport, PointOracle};
 
 /// An aggregator whose state from disjoint user cohorts can be combined
 /// exactly.
@@ -149,7 +148,7 @@ pub trait SubtractableServer: MergeableServer {
     /// pass over each statistic. `other` need not be settled: a unary
     /// level's pending reports are spilled straight into this
     /// accumulator in the pass that moves its counts, and counts known to
-    /// be zero are not read ([`ldp_freq_oracle::PointOracle::split_drain`]).
+    /// be zero are not read ([`ldp_freq_oracle::PointOracle::drain`]).
     /// This is how a sharded service drains a shard into its accumulator:
     /// one pass, no copy, no settle.
     ///
@@ -157,21 +156,6 @@ pub trait SubtractableServer: MergeableServer {
     ///
     /// As [`MergeableServer::merge`], leaving both sides unchanged.
     fn drain(&mut self, other: &mut Self) -> Result<(), RangeError>;
-
-    /// [`SubtractableServer::drain`] run as two halves through `join`,
-    /// the same state however they run. `HH_B` and HaarHRR cut each
-    /// level's statistics where their split freeze cuts that level's
-    /// estimate, so each half of the accumulator is drained by the
-    /// thread that then estimates it, and stays in that core's cache
-    /// (see [`crate::Join`]). The default drains whole on the caller.
-    ///
-    /// # Errors
-    ///
-    /// As [`SubtractableServer::drain`].
-    fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
-        let _ = join;
-        self.drain(other)
-    }
 }
 
 /// Adds `theirs` into `mine` level by level — the one merge body of
@@ -195,32 +179,6 @@ fn drain_tallies<O: PointOracle>(mine: &mut [O], theirs: &mut [O]) -> Result<(),
     for (a, b) in mine.iter_mut().zip(theirs) {
         a.drain(b);
     }
-    Ok(())
-}
-
-/// [`drain_tallies`] as two halves through `join`: level `i` is cut at
-/// item `cut(i)` ([`PointOracle::split_drain`]; a unary level rounds the
-/// cut down to a whole word), the part below drained on the caller's
-/// side and the rest on the other, so each side also spills its own
-/// words of a unary level's pending reports. Once both sides are done,
-/// each level of `theirs` finishes its drain.
-fn drain_tallies_with<O: PointOracle>(
-    mine: &mut [O],
-    theirs: &mut [O],
-    cut: impl Fn(usize) -> usize,
-    join: &dyn Join,
-) -> Result<(), RangeError> {
-    ensure_same_levels(mine, theirs)?;
-    let (mut below, mut above): (LevelParts<DrainPart<'_>>, LevelParts<DrainPart<'_>>) = mine
-        .iter_mut()
-        .zip(&mut *theirs)
-        .enumerate()
-        .map(|(i, (a, b))| a.split_drain(b, cut(i)))
-        .unzip();
-    let run =
-        |parts: &mut [DrainPart<'_>]| parts.iter_mut().for_each(|part| std::mem::take(part).run());
-    join.join(&mut || run(&mut below), &mut || run(&mut above));
-    theirs.iter_mut().for_each(PointOracle::finish_drain);
     Ok(())
 }
 
@@ -319,8 +277,7 @@ impl MergeableServer for HaarHrrServer {
 }
 
 /// The served mechanisms subtract, clear and drain through the level
-/// helpers; each names where its split freeze cuts its levels
-/// (`cuts`), or that it does not split.
+/// helpers.
 macro_rules! subtractable_servers {
     ($($server:ty),+) => {$(
         impl SubtractableServer for $server {
@@ -335,15 +292,6 @@ macro_rules! subtractable_servers {
             fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
                 drain_tallies(self.oracles_mut(), other.oracles_mut())
             }
-
-            /// Each level cut where the split freeze cuts it; a server
-            /// whose freeze does not split drains whole.
-            fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
-                match self.cuts() {
-                    Some(cut) => drain_tallies_with(self.oracles_mut(), other.oracles_mut(), cut, join),
-                    None => self.drain(other),
-                }
-            }
         }
     )+};
 }
@@ -354,7 +302,7 @@ subtractable_servers!(FlatServer, HhServer, HaarHrrServer);
 mod tests {
     use super::*;
     use crate::config::{FlatConfig, HaarConfig, HhConfig};
-    use crate::estimate::{RangeEstimate, ScopedJoin};
+    use crate::estimate::RangeEstimate;
     use crate::flat::FlatClient;
     use crate::haar::calibration::HaarOueClient;
     use crate::haar::HaarHrrClient;
@@ -612,23 +560,24 @@ mod tests {
         assert_last_level_underflow_restores(&server, |s| bump_last(s.oracles_mut(), &mut rng));
     }
 
-    /// A split drain, its halves run in parallel, leaves both sides with
-    /// the bytes of the whole drain — every served mechanism, `HH_B` over
-    /// every fanout and level oracle — and refuses another shape
-    /// unchanged.
+    /// A drain leaves the accumulator with the bytes of a merge and the
+    /// drained side with those of a clear — every served mechanism,
+    /// `HH_B` over every fanout and level oracle — and refuses another
+    /// shape unchanged.
     #[test]
-    fn split_drain_is_the_drain() {
+    fn drain_is_merge_then_clear() {
         fn check<S: SubtractableServer + PersistableServer>(mut acc: S, mut shard: S, what: &str) {
             let bytes = |s: &S| {
                 let mut out = Vec::new();
                 s.persist_state(&mut out);
                 out
             };
-            let (mut whole, mut whole_shard) = (acc.clone(), shard.clone());
-            whole.drain(&mut whole_shard).unwrap();
-            acc.drain_with(&mut shard, &ScopedJoin).unwrap();
-            assert_eq!(bytes(&acc), bytes(&whole), "{what}: accumulator");
-            assert_eq!(bytes(&shard), bytes(&whole_shard), "{what}: drained shard");
+            let (mut merged, mut cleared) = (acc.clone(), shard.clone());
+            merged.merge(&cleared).unwrap();
+            cleared.clear();
+            acc.drain(&mut shard).unwrap();
+            assert_eq!(bytes(&acc), bytes(&merged), "{what}: accumulator");
+            assert_eq!(bytes(&shard), bytes(&cleared), "{what}: drained shard");
         }
         let eps = Epsilon::from_exp(3.0);
         let mut rng = StdRng::seed_from_u64(331);
@@ -664,7 +613,7 @@ mod tests {
         let mut b = HhServer::new(HhConfig::new(64, 4, eps).unwrap()).unwrap();
         b.absorb_population(&[1; 64], &mut rng).unwrap();
         let before = b.num_reports();
-        assert!(a.drain_with(&mut b, &ScopedJoin).is_err());
+        assert!(a.drain(&mut b).is_err());
         assert_eq!((a.num_reports(), b.num_reports()), (0, before));
     }
 

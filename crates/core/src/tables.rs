@@ -25,36 +25,46 @@
 //! lookups whatever `B` is, and no float freeze of the whole tree. The
 //! flat mechanism is one level with no inference.
 //!
+//! `HaarHRR` (§4.6) needs no inference: its depth-`d` level holds one
+//! HRR statistic per internal node, and node `n`'s coefficient — the
+//! estimated mass of its left half minus its right half — is
+//! `θ = α_d·(P_d[n + 1] − P_d[n])`. A prefix is one root-to-leaf walk:
+//! the subtree sum `S = 1` is pinned at the root, a node's halves hold
+//! `(S + θ)/2` and `(S − θ)/2`, and where the path goes right the left
+//! half is added to the prefix — `O(h)` lookups.
+//!
 //! The answers equal the serial float freeze ([`HhServer::frequency_estimate`],
-//! [`FlatServer::frequency_estimate`]) of the same integers up to
-//! rounding, within [`PrefixTables::freeze_tolerance`].
+//! [`FlatServer::frequency_estimate`], [`HaarHrrServer::frequency_estimate`])
+//! of the same integers up to rounding, within
+//! [`PrefixTables::freeze_tolerance`].
 
 use ldp_freq_oracle::{EstimateMap, OracleError, PointOracle};
 use ldp_transforms::CompleteTree;
 
 use crate::estimate::RangeEstimate;
 use crate::flat::FlatServer;
+use crate::haar::HaarHrrServer;
 use crate::hh::HhServer;
 
 #[cfg(doc)]
 use crate::estimate::FrequencyEstimate;
 
 /// One integer prefix table per level plus that level's affine map, and
-/// the tree shape: a flat or `HH_B` (with constrained inference) estimate
-/// that answers range, prefix, point and quantile queries in `O(h²)`
-/// lookups without materializing a per-item vector (see the
+/// the shape: a flat, `HH_B` (with constrained inference) or `HaarHRR`
+/// estimate that answers range, prefix, point and quantile queries in
+/// `O(h²)` lookups without materializing a per-item vector (see the
 /// [module docs](self)).
 ///
 /// A table is rebuilt in place over a retired one's buffers
-/// ([`FlatServer::prefix_tables_into`], [`HhServer::prefix_tables_into`]),
-/// so a warm rebuild allocates nothing. Every slot is rewritten, so a
-/// rebuilt table answers exactly as a freshly allocated one.
+/// ([`FlatServer::prefix_tables_into`], [`HhServer::prefix_tables_into`],
+/// [`HaarHrrServer::prefix_tables_into`]), so a warm rebuild allocates
+/// nothing. Every slot is rewritten, so a rebuilt table answers exactly
+/// as a freshly allocated one.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixTables {
-    /// The tree's shape; `None` for the flat mechanism's one level.
-    tree: Option<CompleteTree>,
+    shape: Shape,
     /// Level `ℓ`'s prefix `P_ℓ` is `prefix[starts[ℓ]..]`, one entry more
-    /// than the level has items. A tree's level `ℓ` is depth `ℓ + 1`.
+    /// than the level has items.
     starts: Vec<usize>,
     maps: Vec<EstimateMap>,
     prefix: Vec<i64>,
@@ -62,15 +72,25 @@ pub struct PrefixTables {
     coeffs: Vec<f64>,
 }
 
+/// How the levels of a [`PrefixTables`] make up the estimate.
+#[derive(Debug, Clone, Copy, Default)]
+enum Shape {
+    /// The flat mechanism's one level.
+    #[default]
+    Flat,
+    /// `HH_B`: level `ℓ` is depth `ℓ + 1` of the tree, answered through
+    /// constrained inference.
+    Tree(CompleteTree),
+    /// `HaarHRR` of this height: level `d` holds the coefficients of the
+    /// `2^d` internal nodes at depth `d`.
+    Haar(u32),
+}
+
 impl PrefixTables {
     /// Rebuilds over this table's buffers: each level's prefix and map
     /// from its oracle, and for a tree the inference coefficients.
-    fn fill<O: PointOracle>(
-        &mut self,
-        tree: Option<CompleteTree>,
-        levels: &[O],
-    ) -> Result<(), OracleError> {
-        self.tree = tree;
+    fn fill<O: PointOracle>(&mut self, shape: Shape, levels: &[O]) -> Result<(), OracleError> {
+        self.shape = shape;
         self.starts.clear();
         self.maps.clear();
         let total = levels.iter().map(|level| level.domain() + 1).sum();
@@ -84,8 +104,8 @@ impl PrefixTables {
             start = end;
         }
         self.coeffs.clear();
-        if let Some(shape) = tree {
-            push_coefficients(&mut self.coeffs, shape);
+        if let Shape::Tree(tree) = shape {
+            push_coefficients(&mut self.coeffs, tree);
         }
         Ok(())
     }
@@ -101,10 +121,20 @@ impl PrefixTables {
         run_sum(map, prefix[lo], prefix[hi], hi - lo)
     }
 
-    /// The root-to-leaf walk to `leaf`: the constrained-inference mass of
-    /// every node left of the path (all leaves before `leaf`) and the
-    /// leaf's own value.
-    fn walk(&self, shape: CompleteTree, leaf: usize) -> (f64, f64) {
+    /// The root-to-leaf walk to `leaf` of a tree or a Haar pyramid: the
+    /// mass of every leaf before `leaf`, and the leaf's own value. `None`
+    /// for the flat level, which has no path.
+    fn walk(&self, leaf: usize) -> Option<(f64, f64)> {
+        match self.shape {
+            Shape::Flat => None,
+            Shape::Tree(shape) => Some(self.tree_walk(shape, leaf)),
+            Shape::Haar(height) => Some(self.haar_walk(height, leaf)),
+        }
+    }
+
+    /// The tree walk: the constrained-inference mass of every node left
+    /// of the path and the leaf's own value.
+    fn tree_walk(&self, shape: CompleteTree, leaf: usize) -> (f64, f64) {
         let (b, h) = (shape.fanout(), shape.height() as usize);
         let mut parent = 1.0;
         let mut left_mass = 0.0;
@@ -130,9 +160,32 @@ impl PrefixTables {
         (left_mass, parent)
     }
 
+    /// The Haar walk: from `S = 1` at the root, each depth's path node
+    /// `n` splits `S` by its coefficient `θ` into halves `(S + θ)/2` and
+    /// `(S − θ)/2`; the left half is added to the mass where the path
+    /// goes right, and the path's half is carried down.
+    fn haar_walk(&self, height: u32, leaf: usize) -> (f64, f64) {
+        let mut sum = 1.0;
+        let mut left_mass = 0.0;
+        for depth in 0..height {
+            let n = leaf >> (height - depth);
+            let (prefix, map) = self.level(depth as usize);
+            let theta = run_sum(map, prefix[n], prefix[n + 1], 1);
+            let (left, right) = ((sum + theta) / 2.0, (sum - theta) / 2.0);
+            if (leaf >> (height - depth - 1)) & 1 == 1 {
+                left_mass += left;
+                sum = right;
+            } else {
+                sum = left;
+            }
+        }
+        (left_mass, sum)
+    }
+
     /// The absolute bound within which every answer — a prefix, range or
     /// point — agrees with the serial float freeze of the same integers
-    /// ([`FlatServer::frequency_estimate`], [`HhServer::frequency_estimate`]).
+    /// ([`FlatServer::frequency_estimate`], [`HhServer::frequency_estimate`],
+    /// [`HaarHrrServer::frequency_estimate`]).
     ///
     /// **Derivation.** Let `u = 2^−53` and `X = 1 + Σ_ℓ Σ_v (|α_ℓ t_v| +
     /// |β_ℓ|)`: the pinned root plus, for every node, the magnitudes of the
@@ -155,6 +208,25 @@ impl PrefixTables {
     /// tolerance is twice that. The flat mechanism has `h = 1` and no
     /// passes.
     ///
+    /// **`HaarHRR`.** `X` is the same sum; here every map has `β = 0` and
+    /// `t` is each depth's exact transform of its signed sums `s`, so
+    /// `s = φt/2^d` and a depth's `M_d = Σ|s|` is at most its
+    /// `T_d = Σ|t|`. The freeze rounds each coefficient before it expands
+    /// it: a sum's conversion and scaling, then `d` transform adds, leave
+    /// `θ` within `γ_{d+2}|α_d|M_d ≤ γ_{h+1}|α_d|T_d`. An exact prefix
+    /// or point weighs at most one coefficient per depth, the path's, by
+    /// at most 1 (a subtree wholly inside or outside a prefix cancels its
+    /// own coefficient), so that error reaches an answer as at most
+    /// `γ_{h+1}X`. The leaf expansion (one rounded add per depth) and the
+    /// prefix chain then run on absolute values at most
+    /// `1 + Σ_d Σ_n |θ̃| ≤ 2X` per prefix entry, through at most
+    /// `D + h + 2` rounded steps. The tables round each coefficient at
+    /// most three times and walk `h` depths at two rounded steps each,
+    /// absolute values at most `X` per walk. With `K = D + 2h + 8`, a
+    /// range (two prefixes and a subtraction) is within `6γ_K X` of exact
+    /// on the freeze side and `2γ_K X` on the tables side; the tolerance
+    /// is twice the larger, `12γ_K X`.
+    ///
     /// The bound is worst case: answers differ in their last few bits in
     /// practice.
     #[must_use]
@@ -169,13 +241,16 @@ impl PrefixTables {
                 .sum();
             x += map.scale.abs() * mass + map.offset.abs() * items as f64;
         }
-        let (b, h) = self
-            .tree
-            .map_or((0, 1), |shape| (shape.fanout(), shape.height() as usize));
-        let k = (self.domain() + 2 * (b + 4) * h + 8 * h * h + 16) as f64;
-        let u = f64::EPSILON / 2.0;
-        let gamma = k * u / (1.0 - k * u);
-        2.0 * gamma * (1 + 2 * h) as f64 * x
+        let (b, h) = match self.shape {
+            Shape::Flat => (0, 1),
+            Shape::Tree(shape) => (shape.fanout(), shape.height() as usize),
+            Shape::Haar(height) => {
+                let h = height as usize;
+                return 12.0 * gamma(self.domain() + 2 * h + 8) * x;
+            }
+        };
+        let k = self.domain() + 2 * (b + 4) * h + 8 * h * h + 16;
+        2.0 * gamma(k) * (1 + 2 * h) as f64 * x
     }
 
     /// Items of level `ℓ`.
@@ -187,6 +262,13 @@ impl PrefixTables {
             .unwrap_or(self.prefix.len());
         end - self.starts[level] - 1
     }
+}
+
+/// `γ_k = ku/(1 − ku)` for the unit roundoff `u = 2^−53`: the relative
+/// error bound of `k` rounded steps.
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * f64::EPSILON / 2.0;
+    ku / (1.0 - ku)
 }
 
 /// `α·(P[hi] − P[lo]) + β·count`: the raw-estimate sum over a run of
@@ -219,40 +301,34 @@ fn push_coefficients(coeffs: &mut Vec<f64>, shape: CompleteTree) {
 
 impl RangeEstimate for PrefixTables {
     fn domain(&self) -> usize {
-        match self.tree {
-            Some(shape) => shape.domain(),
-            None => self.prefix.len().saturating_sub(1),
+        match self.shape {
+            Shape::Flat => self.prefix.len().saturating_sub(1),
+            Shape::Tree(shape) => shape.domain(),
+            Shape::Haar(height) => 1 << height,
         }
     }
 
-    /// A flat range is one prefix difference; a tree's is the difference
-    /// of two walks.
+    /// A flat range is one prefix difference; any other is the
+    /// difference of two walks.
     fn range(&self, a: usize, b: usize) -> f64 {
         assert!(a <= b && b < self.domain(), "invalid range [{a}, {b}]");
-        match self.tree {
-            Some(_) if a == 0 => self.prefix(b),
-            Some(_) => self.prefix(b) - self.prefix(a - 1),
-            None => self.flat_sum(a, b + 1),
+        match self.shape {
+            Shape::Flat => self.flat_sum(a, b + 1),
+            _ if a == 0 => self.prefix(b),
+            _ => self.prefix(b) - self.prefix(a - 1),
         }
     }
 
     fn prefix(&self, b: usize) -> f64 {
         assert!(b < self.domain(), "invalid prefix [0, {b}]");
-        match self.tree {
-            Some(shape) => {
-                let (left, leaf) = self.walk(shape, b);
-                left + leaf
-            }
-            None => self.flat_sum(0, b + 1),
-        }
+        self.walk(b)
+            .map_or_else(|| self.flat_sum(0, b + 1), |(left, leaf)| left + leaf)
     }
 
     fn point(&self, z: usize) -> f64 {
         assert!(z < self.domain(), "invalid point {z}");
-        match self.tree {
-            Some(shape) => self.walk(shape, z).1,
-            None => self.flat_sum(z, z + 1),
-        }
+        self.walk(z)
+            .map_or_else(|| self.flat_sum(z, z + 1), |(_, leaf)| leaf)
     }
 }
 
@@ -273,7 +349,7 @@ impl FlatServer {
     ///
     /// As [`FlatServer::prefix_tables`].
     pub fn prefix_tables_into(&self, mut spare: PrefixTables) -> Result<PrefixTables, OracleError> {
-        spare.fill(None, std::slice::from_ref(self.oracle()))?;
+        spare.fill(Shape::Flat, std::slice::from_ref(self.oracle()))?;
         Ok(spare)
     }
 }
@@ -297,7 +373,30 @@ impl HhServer {
     ///
     /// As [`HhServer::prefix_tables`].
     pub fn prefix_tables_into(&self, mut spare: PrefixTables) -> Result<PrefixTables, OracleError> {
-        spare.fill(Some(self.config().shape()), self.oracles())?;
+        spare.fill(Shape::Tree(self.config().shape()), self.oracles())?;
+        Ok(spare)
+    }
+}
+
+impl HaarHrrServer {
+    /// The Haar estimate as prefix tables, freshly allocated: what
+    /// [`HaarHrrServer::frequency_estimate`] publishes, up to rounding.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::StatisticOverflow`] for statistics too large for
+    /// exact 64-bit prefixes (a restored state near the integer limits).
+    pub fn prefix_tables(&self) -> Result<PrefixTables, OracleError> {
+        self.prefix_tables_into(PrefixTables::default())
+    }
+
+    /// [`HaarHrrServer::prefix_tables`] rebuilt over `spare`'s buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`HaarHrrServer::prefix_tables`].
+    pub fn prefix_tables_into(&self, mut spare: PrefixTables) -> Result<PrefixTables, OracleError> {
+        spare.fill(Shape::Haar(self.config().height), self.oracles())?;
         Ok(spare)
     }
 }

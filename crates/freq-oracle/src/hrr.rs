@@ -328,19 +328,29 @@ impl PointOracle for Hrr {
     /// ([`fwht_i64`]), then summed in place. Every transformed entry, and
     /// every intermediate of the butterflies, is a ±1 combination of the
     /// sums, so its magnitude is at most their total magnitude `M`, and
-    /// every prefix at most `M·D`: `M` is summed as the sums load and the
-    /// bound checked before the transform.
+    /// every prefix at most `M·D`; the bound is checked before the
+    /// transform. `M` is at most `D` times the bitwise OR of the sums'
+    /// magnitudes, gathered as they load, which settles the check for any
+    /// state far from the limit; only otherwise is `M` summed exactly (a
+    /// saturating sum, one dependent add per item, is what a load pass
+    /// would cost without it).
     fn statistic_prefix_into(&self, out: &mut [i64]) -> Result<(), OracleError> {
         assert_eq!(out.len(), self.domain + 1, "prefix buffer != D + 1");
         let (first, sums) = out.split_at_mut(1);
         first[0] = 0;
-        let mut mass = 0u64;
+        let mut bits = 0u64;
         for (slot, &s) in sums.iter_mut().zip(&self.tally.stats) {
             let s = s as i64;
-            mass = mass.saturating_add(s.unsigned_abs());
+            bits |= s.unsigned_abs();
             *slot = s;
         }
-        fits_i64(mass, self.domain)?;
+        let n = self.domain;
+        if fits_i64(bits.saturating_mul(n as u64), n).is_err() {
+            let mass = sums
+                .iter()
+                .fold(0u64, |mass, s| mass.saturating_add(s.unsigned_abs()));
+            fits_i64(mass, n)?;
+        }
         fwht_i64(sums);
         let mut acc = 0i64;
         for slot in sums {

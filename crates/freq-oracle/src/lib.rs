@@ -23,7 +23,7 @@
 //! The aggregator stages reports ([`PointOracle::absorb_deferred`]) and
 //! folds them sixteen at a time into bit-sliced counters, which stay
 //! pending across batches until they are read: a drain
-//! ([`PointOracle::split_drain`]) spills them straight into the
+//! ([`PointOracle::drain`]) spills them straight into the
 //! accumulator, and [`PointOracle::settle`] into the oracle's own counts.
 //!
 //! Every oracle's aggregator state is one [`Tally`]: an integer statistic
@@ -72,7 +72,7 @@ pub use oracle::{EstimateMap, FrequencyOracle, PointOracle};
 pub use oue::{Oue, OueReport};
 pub use params::{binary_rr_keep_prob, grr_keep_prob, olh_hash_range, oue_probs, Epsilon};
 pub use sue::{sue_probs, sue_variance, Sue};
-pub use tally::{put_varint, DrainPart, Tally};
+pub use tally::{put_varint, Tally};
 pub use variance::{frequency_oracle_variance, hrr_exact_variance, psi};
 
 /// A frequency oracle of any of the three kinds, behind one concrete type.
@@ -238,23 +238,11 @@ impl PointOracle for AnyOracle {
     }
 
     /// The unary encodings' fused drain; OLH and HRR drain their tallies.
-    fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>) {
+    fn drain(&mut self, other: &mut Self) {
         match (self, other) {
-            (Self::Oue(a), Self::Oue(b)) => a.split_drain(b, at),
-            (Self::Sue(a), Self::Sue(b)) => a.split_drain(b, at),
-            (a, b) => a.tally_mut().split_drain(b.tally_mut(), at),
-        }
-    }
-
-    fn finish_drain(&mut self) {
-        match self {
-            Self::Oue(o) => o.finish_drain(),
-            Self::Sue(o) => o.finish_drain(),
-            Self::Olh(_) | Self::Hrr(_) => {}
+            (Self::Oue(a), Self::Oue(b)) => a.drain(b),
+            (Self::Sue(a), Self::Sue(b)) => a.drain(b),
+            (a, b) => a.tally_mut().drain(b.tally_mut()),
         }
     }
 
@@ -325,15 +313,6 @@ impl PointOracle for AnyOracle {
             Self::Olh(o) => o.estimate_into(out),
             Self::Hrr(o) => o.estimate_into(out),
             Self::Sue(o) => o.estimate_into(out),
-        }
-    }
-
-    fn estimates_per_item(&self) -> bool {
-        match self {
-            Self::Oue(o) => o.estimates_per_item(),
-            Self::Olh(o) => o.estimates_per_item(),
-            Self::Hrr(o) => o.estimates_per_item(),
-            Self::Sue(o) => o.estimates_per_item(),
         }
     }
 
@@ -448,7 +427,6 @@ mod tests {
             FrequencyOracle::Sue,
         ] {
             let mut oracle = AnyOracle::new(kind, 64, eps).unwrap();
-            assert_eq!(oracle.estimates_per_item(), kind != FrequencyOracle::Hrr);
             for reports in [0, 300] {
                 for v in 0..reports {
                     let r = oracle.encode((v * v) % 64, &mut rng).unwrap();

@@ -235,10 +235,6 @@ impl PointOracle for Olh {
         }
     }
 
-    fn estimates_per_item(&self) -> bool {
-        true
-    }
-
     /// A report supports its own holder's item with the GRR keep
     /// probability and any other item with probability `1/g`.
     fn estimate_map(&self) -> EstimateMap {

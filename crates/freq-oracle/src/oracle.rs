@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use crate::{DrainPart, Epsilon, OracleError, Tally};
+use crate::{Epsilon, OracleError, Tally};
 
 /// A locally differentially private frequency oracle over a finite domain
 /// `[D]` (paper §3.2).
@@ -51,7 +51,7 @@ pub trait PointOracle {
     /// its contribution may stay *pending* until it is read. A pending
     /// report already counts in [`PointOracle::num_reports`]. Statistics
     /// settle when read, not at the end of a batch: a drain
-    /// ([`PointOracle::split_drain`]) moves pending reports straight into
+    /// ([`PointOracle::drain`]) moves pending reports straight into
     /// the accumulator it drains into, and everything else that reads the
     /// accumulated statistics (estimates, merge, subtract, persisted
     /// state) requires settled state, so its caller runs
@@ -78,45 +78,20 @@ pub trait PointOracle {
     fn settle(&mut self) {}
 
     /// Moves `other`'s state into this oracle — exactly settling `other`,
-    /// adding its tally into this one's and clearing it — as two
-    /// [`DrainPart`]s cut near item `at`, which two threads can run at
-    /// once; any cut leaves the same state. The report total moves at
-    /// once, and `other` reads as empty. Once both parts have run,
-    /// [`PointOracle::finish_drain`] on `other` completes the drain. Check
+    /// adding its tally into this one's and clearing it — in one pass
+    /// that adds each statistic and zeroes it where it was read: how a
+    /// service moves one level of a shard into its accumulator. Check
     /// [`PointOracle::ensure_same`] first.
     ///
-    /// A drain reads `other` without settling it: a unary oracle cuts at a
-    /// whole 64-item word and spills `other`'s pending reports straight
-    /// into this one's counts, in the same pass that moves `other`'s
-    /// counts, which it skips when they are known to be zero. The default
-    /// is [`Tally::split_drain`].
-    fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>)
-    where
-        Self: Sized,
-    {
-        self.tally_mut().split_drain(other.tally_mut(), at)
-    }
-
-    /// Completes a drain out of this oracle once both parts of its
-    /// [`PointOracle::split_drain`] have run: a unary oracle empties the
-    /// staged rows and planes the parts read. The default does nothing.
-    fn finish_drain(&mut self) {}
-
-    /// [`PointOracle::split_drain`] run whole on this thread, then
-    /// [`PointOracle::finish_drain`]: how a service moves one level of a
-    /// shard into its accumulator.
+    /// A drain reads `other` without settling it: a unary oracle spills
+    /// `other`'s pending reports straight into this one's counts, in the
+    /// same pass that moves `other`'s counts, which it skips when they
+    /// are known to be zero. The default is [`Tally::drain`].
     fn drain(&mut self, other: &mut Self)
     where
         Self: Sized,
     {
-        let (below, above) = self.split_drain(other, 0);
-        below.run();
-        above.run();
-        other.finish_drain();
+        self.tally_mut().drain(other.tally_mut());
     }
 
     /// Absorbs an entire cohort at once: `true_counts[z]` users hold value
@@ -192,15 +167,6 @@ pub trait PointOracle {
     ///
     /// Panics unless `out.len() == D`.
     fn estimate_into(&self, out: &mut [f64]);
-
-    /// Whether this oracle estimates each item from that item's own
-    /// statistic alone: true for the unary encodings and OLH, false (the
-    /// default) for HRR, whose estimator is one transform over the whole
-    /// domain. A split drain cuts a per-item level anywhere and hands an
-    /// HRR level whole to one side.
-    fn estimates_per_item(&self) -> bool {
-        false
-    }
 
     /// The affine map from this oracle's per-item integer statistic `t`
     /// ([`PointOracle::statistic_prefix_into`]) to its estimate:

@@ -18,7 +18,7 @@ use crate::oracle::{self, EstimateMap, PointOracle};
 use crate::params::oue_probs;
 use crate::unary::{UnaryCounts, UnaryEncoder};
 use crate::variance::frequency_oracle_variance;
-use crate::{DrainPart, Epsilon, FrequencyOracle, OracleError, Tally};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// One user's OUE report: the perturbed bit vector, bit-packed. SUE
 /// reports share the type (the same wire format, different `(p, q)`).
@@ -217,7 +217,7 @@ impl PointOracle for Oue {
     /// rows into the pending bit planes with a carry-save adder tree
     /// (`crate::unary`): a report costs a row copy and a share of one
     /// word-wide fold, plus a share of one spill when the pending reports
-    /// are read — by a drain ([`PointOracle::split_drain`]) or
+    /// are read — by a drain ([`PointOracle::drain`]) or
     /// [`PointOracle::settle`] — instead of one scattered increment per
     /// set bit.
     fn absorb_deferred(&mut self, report: &OueReport) -> Result<(), OracleError> {
@@ -236,18 +236,9 @@ impl PointOracle for Oue {
     }
 
     /// Spills `other`'s pending reports and its counts, unless known to
-    /// be zero, straight into these counts (`crate::unary`), cut at a
-    /// whole word.
-    fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>) {
-        self.state.split_drain(&mut other.state, at)
-    }
-
-    fn finish_drain(&mut self) {
-        self.state.finish_drain();
+    /// be zero, straight into these counts (`crate::unary`).
+    fn drain(&mut self, other: &mut Self) {
+        self.state.drain(&mut other.state);
     }
 
     fn absorb_population(
@@ -281,10 +272,6 @@ impl PointOracle for Oue {
 
     fn estimate_into(&self, out: &mut [f64]) {
         self.state.estimate_into((self.p, self.q), out);
-    }
-
-    fn estimates_per_item(&self) -> bool {
-        true
     }
 
     fn estimate_map(&self) -> EstimateMap {

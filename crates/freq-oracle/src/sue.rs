@@ -22,7 +22,7 @@ use rand::RngCore;
 use crate::oracle::{self, EstimateMap, PointOracle};
 use crate::oue::OueReport;
 use crate::unary::{UnaryCounts, UnaryEncoder};
-use crate::{DrainPart, Epsilon, FrequencyOracle, OracleError, Tally};
+use crate::{Epsilon, FrequencyOracle, OracleError, Tally};
 
 /// SUE bit-retention probabilities `(p, q)` with `p + q = 1` and
 /// `p/q = e^{ε/2}`.
@@ -166,18 +166,9 @@ impl PointOracle for Sue {
     }
 
     /// Spills `other`'s pending reports and its counts, unless known to
-    /// be zero, straight into these counts (`crate::unary`), cut at a
-    /// whole word.
-    fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>) {
-        self.state.split_drain(&mut other.state, at)
-    }
-
-    fn finish_drain(&mut self) {
-        self.state.finish_drain();
+    /// be zero, straight into these counts (`crate::unary`).
+    fn drain(&mut self, other: &mut Self) {
+        self.state.drain(&mut other.state);
     }
 
     fn absorb_population(
@@ -211,10 +202,6 @@ impl PointOracle for Sue {
 
     fn estimate_into(&self, out: &mut [f64]) {
         self.state.estimate_into((self.p, self.q), out);
-    }
-
-    fn estimates_per_item(&self) -> bool {
-        true
     }
 
     fn estimate_map(&self) -> EstimateMap {

@@ -15,7 +15,6 @@
 //! takes it below zero; a sum's magnitude is at most the report total,
 //! and a sum witnesses nothing.
 
-use crate::unary::Pending;
 use crate::OracleError;
 
 /// Appends one LEB128 varint (at most 10 bytes): the one varint writer
@@ -56,31 +55,11 @@ pub(crate) fn fits_i64(bound: u64, items: usize) -> Result<(), OracleError> {
     }
 }
 
-/// One part of a drain ([`Tally::split_drain`], or an oracle's
-/// [`crate::PointOracle::split_drain`]): a run of one tally's statistics,
-/// the same run of the tally it drains — empty when that tally's
-/// statistics are known to be zero — and, for a unary oracle drained with
-/// reports pending, the bit planes of those reports over the run's words
-/// (empty by default).
-#[derive(Debug, Default)]
-pub struct DrainPart<'a> {
-    pub(crate) into: &'a mut [u64],
-    pub(crate) from: &'a mut [u64],
-    pub(crate) pending: Pending<'a>,
-}
-
-impl DrainPart<'_> {
-    /// Adds each statistic of the drained run into this one's and zeroes
-    /// it where it was read, plus each item's pending count when the
-    /// drained side has reports pending — one pass either way.
-    pub fn run(self) {
-        if self.pending.is_empty() {
-            for (a, b) in self.into.iter_mut().zip(self.from) {
-                *a = a.wrapping_add(std::mem::take(b));
-            }
-        } else {
-            crate::unary::spill(self.into, self.from, self.pending);
-        }
+/// Adds each statistic of `from` into `into` and zeroes it where it was
+/// read: the one pass of every drain with nothing pending.
+pub(crate) fn add_and_zero(into: &mut [u64], from: &mut [u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a = a.wrapping_add(std::mem::take(b));
     }
 }
 
@@ -131,33 +110,13 @@ impl Tally {
 
     /// Moves another cohort's tally into this one — [`Tally::merge`] then
     /// [`Tally::clear`] of `other`, in one pass that adds each statistic
-    /// and zeroes it where it was read — as two parts cut at item `at`,
-    /// which two threads can run at once; the report total moves here.
-    /// The drain is whole once both parts have run. What an oracle with
-    /// nothing pending does when a service drains a shard into its
-    /// accumulator ([`crate::PointOracle::split_drain`]).
-    #[must_use = "the statistics move only when both parts run"]
-    pub fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>) {
+    /// and zeroes it where it was read; the report total moves here. What
+    /// an oracle with nothing pending does when a service drains a shard
+    /// into its accumulator ([`crate::PointOracle::drain`]).
+    pub fn drain(&mut self, other: &mut Self) {
         debug_assert!(self.same_shape(other));
         self.reports += std::mem::take(&mut other.reports);
-        let (into_below, into_above) = self.stats.split_at_mut(at);
-        let (from_below, from_above) = other.stats.split_at_mut(at);
-        (
-            DrainPart {
-                into: into_below,
-                from: from_below,
-                pending: Pending::default(),
-            },
-            DrainPart {
-                into: into_above,
-                from: from_above,
-                pending: Pending::default(),
-            },
-        )
+        add_and_zero(&mut self.stats, &mut other.stats);
     }
 
     /// Checks, changing nothing, that `other` could have been merged in:
@@ -399,13 +358,6 @@ mod tests {
         tally(signed, &stats, reports)
     }
 
-    /// The whole drain: both parts of a split at item 0.
-    fn drain(mine: &mut Tally, theirs: &mut Tally) {
-        let (below, above) = mine.split_drain(theirs, 0);
-        below.run();
-        above.run();
-    }
-
     #[test]
     fn drain_is_merge_then_clear() {
         for signed in [false, true] {
@@ -419,7 +371,7 @@ mod tests {
                     expected.merge(&theirs);
                     let mut drained = mine;
                     let mut shard = theirs;
-                    drain(&mut drained, &mut shard);
+                    drained.drain(&mut shard);
                     let at = format!("signed={signed} len={len}");
                     assert_eq!(drained.stats(), expected.stats(), "{at}");
                     assert_eq!(drained.reports, expected.reports, "{at}");
@@ -437,43 +389,13 @@ mod tests {
         // Negative sums cross zero both ways and still add exactly.
         let mut acc = tally(true, &[-5, 3, 0, i64::MIN + 1], u64::MAX >> 1);
         let mut shard = tally(true, &[5, -4, -2, -1], 6);
-        drain(&mut acc, &mut shard);
+        acc.drain(&mut shard);
         assert_eq!(
             acc.stats(),
             [0, (-1i64) as u64, (-2i64) as u64, i64::MIN as u64]
         );
         assert_eq!(acc.reports, (u64::MAX >> 1) + 6);
         assert_eq!(shard, Tally::sums(4));
-    }
-
-    /// Cut anywhere, and its parts run in either order, a split drain
-    /// is the whole drain.
-    #[test]
-    fn split_drain_is_the_drain() {
-        for signed in [false, true] {
-            let (mine, theirs) = (filled(signed, 9, 3, 40), filled(signed, 9, 5, 25));
-            let mut whole = mine.clone();
-            let mut whole_shard = theirs.clone();
-            drain(&mut whole, &mut whole_shard);
-            for at in 0..=9 {
-                for above_first in [false, true] {
-                    let (mut split, mut shard) = (mine.clone(), theirs.clone());
-                    let (below, above) = split.split_drain(&mut shard, at);
-                    if above_first {
-                        above.run();
-                        below.run();
-                    } else {
-                        below.run();
-                        above.run();
-                    }
-                    assert_eq!(
-                        (&split, &shard),
-                        (&whole, &whole_shard),
-                        "signed={signed} at={at}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!
 //! Pending reports are spilled when they are read, not at the end of a
 //! batch, so they stay in the rows and planes across batches. A **drain**
-//! ([`UnaryCounts::split_drain`], how a service moves a shard into its
+//! ([`UnaryCounts::drain`], how a service moves a shard into its
 //! accumulator) spills them straight into the accumulator's counts, in
 //! the same pass that moves the shard's own counts — which it skips when
 //! they are known to be zero, as they are in a shard drained at every
@@ -82,7 +82,8 @@
 use rand::RngCore;
 
 use crate::binomial::sample_binomial;
-use crate::{DrainPart, OracleError, OueReport, Tally};
+use crate::tally::add_and_zero;
+use crate::{OracleError, OueReport, Tally};
 
 /// Pending reports at which the planes settle by themselves: 255 keeps a
 /// pending count in one byte (the spill's lane width) and in [`PLANES`]
@@ -348,7 +349,6 @@ impl UnaryCounts {
             planes: &planes[..depth * stride],
             rows: staged,
             stride,
-            first: 0,
         }
     }
 
@@ -366,22 +366,14 @@ impl UnaryCounts {
         self.zero = false;
     }
 
-    /// Moves `other` into these counts — its settled counts unless they
-    /// are known to be zero, and its pending reports, spilled straight in
-    /// without settling `other` first — as two [`DrainPart`]s cut at item
-    /// `at` rounded down to a whole word, so two threads can run them at
-    /// once and each reads whole plane words. Any cut leaves the same
-    /// state. The report total moves here at once, and `other` is left
-    /// empty with nothing pending; the parts still read its staged rows
-    /// and planes, so [`UnaryCounts::finish_drain`] empties those once
-    /// both parts have run.
-    pub(crate) fn split_drain<'a>(
-        &'a mut self,
-        other: &'a mut Self,
-        at: usize,
-    ) -> (DrainPart<'a>, DrainPart<'a>) {
+    /// Moves `other` into these counts in one pass — its settled counts
+    /// unless they are known to be zero, and its pending reports, spilled
+    /// straight in without settling `other` first. The report total moves
+    /// here, and `other` is left empty with nothing pending, its rows and
+    /// planes emptied with their capacity kept.
+    pub(crate) fn drain(&mut self, other: &mut Self) {
         debug_assert_eq!(self.tally.stats.len(), other.tally.stats.len());
-        let (first, stride) = (at / 64, other.stride());
+        let stride = other.stride();
         self.zero &= other.zero && other.pending == 0;
         self.tally.reports += std::mem::take(&mut other.tally.reports);
         let Self {
@@ -391,34 +383,19 @@ impl UnaryCounts {
             pending,
             zero,
         } = other;
-        let bits = Self::pending_bits(planes, staged, std::mem::take(pending), stride);
-        let (from_below, from_above) = if std::mem::replace(zero, true) {
-            (Default::default(), Default::default())
+        let from: &mut [u64] = if std::mem::replace(zero, true) {
+            &mut []
         } else {
-            tally.stats.split_at_mut(first * 64)
+            &mut tally.stats
         };
-        let (into_below, into_above) = self.tally.stats.split_at_mut(first * 64);
-        (
-            DrainPart {
-                into: into_below,
-                from: from_below,
-                pending: bits,
-            },
-            DrainPart {
-                into: into_above,
-                from: from_above,
-                pending: Pending { first, ..bits },
-            },
-        )
-    }
-
-    /// Ends a drain out of these counts once both parts of its
-    /// [`UnaryCounts::split_drain`] have run: empties the staged rows and
-    /// planes the parts read, keeping their capacity.
-    pub(crate) fn finish_drain(&mut self) {
-        debug_assert_eq!(self.pending, 0, "finish_drain without a drain");
-        self.staged.clear();
-        self.planes.clear();
+        let bits = Self::pending_bits(planes, staged, std::mem::take(pending), stride);
+        if bits.is_empty() {
+            add_and_zero(&mut self.tally.stats, from);
+        } else {
+            spill(&mut self.tally.stats, from, bits);
+        }
+        staged.clear();
+        planes.clear();
     }
 
     /// Resets to the empty accumulator in place: counts zeroed, nothing
@@ -505,19 +482,17 @@ fn fold_avx2(planes: &mut [u64], staged: &[u64], stride: usize) {
 
 /// Pending reports as a spill reads them: bit planes of the folded
 /// counts, plane-major, and the rows staged since the last fold, each
-/// `stride` words, whose word `first` holds the bits of the spilled run's
-/// first 64 items. Empty by default: nothing pending.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Pending<'a> {
+/// `stride` words.
+#[derive(Debug, Clone, Copy)]
+struct Pending<'a> {
     planes: &'a [u64],
     rows: &'a [u64],
     stride: usize,
-    first: usize,
 }
 
 impl Pending<'_> {
     /// Whether no report is pending.
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.planes.is_empty() && self.rows.is_empty()
     }
 }
@@ -532,7 +507,7 @@ impl Pending<'_> {
 /// ([`pending_counts_avx2`]), every other with a lookup table
 /// ([`pending_counts`]). Both return the same bytes, so both leave the
 /// same counts.
-pub(crate) fn spill(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
+fn spill(into: &mut [u64], from: &mut [u64], pending: Pending<'_>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `spill_avx2` needs only AVX2, which this CPU reports.
@@ -643,14 +618,13 @@ fn spill_body(
         planes,
         rows,
         stride,
-        first,
     } = pending;
     assert!(stride > 0 && planes.len() <= PLANES * stride && rows.len() < FOLD_ROWS * stride);
     assert!(planes.len().is_multiple_of(stride) && rows.len().is_multiple_of(stride));
-    assert!(first + into.len().div_ceil(64) <= stride);
+    assert!(into.len().div_ceil(64) <= stride);
     assert!(from.is_empty() || from.len() == into.len());
     for (wi, items) in into.chunks_mut(64).enumerate() {
-        let counts = counts_at(pending, first + wi);
+        let counts = counts_at(pending, wi);
         let counts = &counts.as_flattened()[..items.len()];
         if from.is_empty() {
             for (count, &c) in items.iter_mut().zip(counts) {
@@ -900,7 +874,6 @@ mod tests {
                     planes: &planes[..depth * stride],
                     rows: &[],
                     stride,
-                    first: 0,
                 };
                 spill_body(&mut counts, &mut [], pending, pending_counts);
                 assert_eq!(counts, oracle, "D={domain} depth={depth}");
@@ -908,10 +881,9 @@ mod tests {
         }
     }
 
-    /// The portable spill body as a drain part runs it: a run of items
-    /// starting at word `first` (0, 1 and the last word), into
-    /// accumulator counts, from folded counts in planes plus none, one or
-    /// fifteen staged rows, with the drained shard's counts for the run
+    /// The portable spill body as a drain runs it: every word of the
+    /// domain, into accumulator counts, from folded counts in planes plus
+    /// none, one or fifteen staged rows, with the drained shard's counts
     /// added and zeroed in the same pass, or absent.
     #[test]
     fn portable_spill_body_drains_a_run_of_words() {
@@ -935,34 +907,26 @@ mod tests {
                 for row in staged.chunks_exact(stride) {
                     absorb_scalar(&mut pending, &row[..words]);
                 }
-                for first in [0, 1, words - 1] {
-                    let run = first * 64..domain;
-                    let part = Pending {
-                        planes: &planes[..depth * stride],
-                        rows: &staged,
-                        stride,
-                        first,
+                let part = Pending {
+                    planes: &planes[..depth * stride],
+                    rows: &staged,
+                    stride,
+                };
+                for with_shard in [false, true] {
+                    let mut acc: Vec<u64> =
+                        (0..domain).map(|_| rng.random_range(0..1 << 40)).collect();
+                    let mut shard: Vec<u64> = if with_shard {
+                        (0..domain).map(|_| rng.random_range(0..1 << 40)).collect()
+                    } else {
+                        Vec::new()
                     };
-                    for with_shard in [false, true] {
-                        let mut acc: Vec<u64> =
-                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect();
-                        let mut shard: Vec<u64> = if with_shard {
-                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let oracle: Vec<u64> = run
-                            .clone()
-                            .enumerate()
-                            .map(|(i, j)| acc[i] + shard.get(i).copied().unwrap_or(0) + pending[j])
-                            .collect();
-                        spill_body(&mut acc, &mut shard, part, pending_counts);
-                        let at = format!(
-                            "D={domain} depth={depth} rows={rows} first={first} shard={with_shard}"
-                        );
-                        assert_eq!(acc, oracle, "{at}");
-                        assert!(shard.iter().all(|&c| c == 0), "{at}: shard not zeroed");
-                    }
+                    let oracle: Vec<u64> = (0..domain)
+                        .map(|j| acc[j] + shard.get(j).copied().unwrap_or(0) + pending[j])
+                        .collect();
+                    spill_body(&mut acc, &mut shard, part, pending_counts);
+                    let at = format!("D={domain} depth={depth} rows={rows} shard={with_shard}");
+                    assert_eq!(acc, oracle, "{at}");
+                    assert!(shard.iter().all(|&c| c == 0), "{at}: shard not zeroed");
                 }
             }
         }
@@ -970,8 +934,7 @@ mod tests {
 
     /// The AVX2 spill build (byte-shuffle counts) ≡ the portable body
     /// (table counts) ≡ the scalar oracle, bit for bit: plane depth 0–8,
-    /// 0–15 staged rows, a run from word 0, from word 1 (the word edge at
-    /// item 64) and from mid-domain, with drained shard counts or none,
+    /// 0–15 staged rows, with drained shard counts or none,
     /// over 64, 65, 513 and 2^16 items. At 2^16 a spread of depths and
     /// row counts stands in for the whole grid. A host without AVX2 holds
     /// only the portable body.
@@ -1016,47 +979,36 @@ mod tests {
                 for row in staged.chunks_exact(stride) {
                     absorb_scalar(&mut pending, &row[..words]);
                 }
-                let mut firsts = vec![0, 1.min(words - 1), words / 2];
-                firsts.dedup();
-                for first in firsts {
-                    let run = first * 64..domain;
-                    let part = Pending {
-                        planes: &planes[..depth * stride],
-                        rows: &staged,
-                        stride,
-                        first,
+                let part = Pending {
+                    planes: &planes[..depth * stride],
+                    rows: &staged,
+                    stride,
+                };
+                for with_shard in [false, true] {
+                    let at = format!("D={domain} depth={depth} rows={rows} shard={with_shard}");
+                    let acc: Vec<u64> = (0..domain).map(|_| rng.random_range(0..1 << 40)).collect();
+                    let shard: Vec<u64> = if with_shard {
+                        (0..domain).map(|_| rng.random_range(0..1 << 40)).collect()
+                    } else {
+                        Vec::new()
                     };
-                    for with_shard in [false, true] {
-                        let at = format!(
-                            "D={domain} depth={depth} rows={rows} first={first} shard={with_shard}"
-                        );
-                        let acc: Vec<u64> =
-                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect();
-                        let shard: Vec<u64> = if with_shard {
-                            run.clone().map(|_| rng.random_range(0..1 << 40)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let oracle: Vec<u64> = run
-                            .clone()
-                            .enumerate()
-                            .map(|(i, j)| acc[i] + shard.get(i).copied().unwrap_or(0) + pending[j])
-                            .collect();
-                        let (mut portable, mut portable_shard) = (acc.clone(), shard.clone());
-                        spill_body(&mut portable, &mut portable_shard, part, pending_counts);
-                        assert_eq!(portable, oracle, "{at}: portable");
-                        assert!(
-                            portable_shard.iter().all(|&c| c == 0),
-                            "{at}: portable shard"
-                        );
-                        #[cfg(target_arch = "x86_64")]
-                        if avx2 {
-                            let (mut shuffled, mut shuffled_shard) = (acc.clone(), shard.clone());
-                            // SAFETY: this CPU reports AVX2.
-                            unsafe { spill_avx2(&mut shuffled, &mut shuffled_shard, part) };
-                            assert_eq!(shuffled, portable, "{at}: AVX2 against portable");
-                            assert!(shuffled_shard.iter().all(|&c| c == 0), "{at}: AVX2 shard");
-                        }
+                    let oracle: Vec<u64> = (0..domain)
+                        .map(|j| acc[j] + shard.get(j).copied().unwrap_or(0) + pending[j])
+                        .collect();
+                    let (mut portable, mut portable_shard) = (acc.clone(), shard.clone());
+                    spill_body(&mut portable, &mut portable_shard, part, pending_counts);
+                    assert_eq!(portable, oracle, "{at}: portable");
+                    assert!(
+                        portable_shard.iter().all(|&c| c == 0),
+                        "{at}: portable shard"
+                    );
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 {
+                        let (mut shuffled, mut shuffled_shard) = (acc.clone(), shard.clone());
+                        // SAFETY: this CPU reports AVX2.
+                        unsafe { spill_avx2(&mut shuffled, &mut shuffled_shard, part) };
+                        assert_eq!(shuffled, portable, "{at}: AVX2 against portable");
+                        assert!(shuffled_shard.iter().all(|&c| c == 0), "{at}: AVX2 shard");
                     }
                 }
             }

@@ -9,10 +9,10 @@
 //! density from all-clear to all-set — with `settle`, `clone`, `merge`
 //! and `subtract` interleaved at arbitrary points, and hold the settled
 //! counts to a model that adds each report one bit at a time. A drain
-//! (`split_drain`) moves a shard's pending reports and counts into an
+//! (`drain`) moves a shard's pending reports and counts into an
 //! accumulator without settling the shard first; the drain rows hold it
 //! to the same model at every pending count around the fold groups and
-//! the auto-settle, for every shard state and cut.
+//! the auto-settle, for every shard state.
 
 use proptest::prelude::*;
 
@@ -301,10 +301,8 @@ fn shard<O: Unary>(
 }
 
 /// A shard drained into an accumulator that already holds counts — at
-/// every pending count of [`DRAIN_PENDING`], from every [`ShardState`],
-/// cut at item 0, at a word edge, off a word edge and at the end, its
-/// parts run in either order — leaves the accumulator holding both
-/// models' sum and the shard empty. The drained shard then absorbs a run
+/// every pending count of [`DRAIN_PENDING`], from every [`ShardState`] —
+/// leaves the accumulator holding both models' sum and the shard empty. The drained shard then absorbs a run
 /// that crosses a fold group, settles to exactly that run, and drains
 /// again.
 fn check_drains<O: Unary>() {
@@ -322,49 +320,39 @@ fn check_drains<O: Unary>() {
         ] {
             for pending in DRAIN_PENDING {
                 let template = shard::<O>(domain, state, pending, &mut rng);
-                for (cut, above_first) in [(0, false), (64, true), (97, false), (domain, true)] {
-                    let what = format!("D={domain} {state:?} pending={pending} cut={cut}");
-                    let mut into = acc.oracle.clone();
-                    let mut from = template.oracle.clone();
-                    let (below, above) = into.split_drain(&mut from, cut);
-                    if above_first {
-                        above.run();
-                        below.run();
-                    } else {
-                        below.run();
-                        above.run();
-                    }
-                    from.finish_drain();
-                    let sum: Vec<u64> = acc
-                        .model
-                        .iter()
-                        .zip(&template.model)
-                        .map(|(a, b)| a + b)
-                        .collect();
-                    assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
-                    assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
-                    assert_eq!(from.num_reports(), 0, "{what}: drained shard");
-                    assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
+                let what = format!("D={domain} {state:?} pending={pending}");
+                let mut into = acc.oracle.clone();
+                let mut from = template.oracle.clone();
+                PointOracle::drain(&mut into, &mut from);
+                let sum: Vec<u64> = acc
+                    .model
+                    .iter()
+                    .zip(&template.model)
+                    .map(|(a, b)| a + b)
+                    .collect();
+                assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
+                assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
+                assert_eq!(from.num_reports(), 0, "{what}: drained shard");
+                assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
 
-                    let mut again = Tracked {
-                        oracle: from,
-                        model: vec![0; domain],
-                        reports: 0,
-                    };
-                    for _ in 0..17 {
-                        again.absorb_deferred(&report(domain, Density::Q, &mut rng));
-                    }
-                    let mut twice = into.clone();
-                    PointOracle::drain(&mut twice, &mut again.oracle);
-                    let sum: Vec<u64> = sum.iter().zip(&again.model).map(|(a, b)| a + b).collect();
-                    assert_eq!(twice.counts(), &sum[..], "{what}: second drain");
-                    again.model.fill(0);
-                    again.reports = 0;
-                    for _ in 0..17 {
-                        again.absorb_deferred(&report(domain, Density::Ones, &mut rng));
-                    }
-                    again.settle_and_check(&format!("{what}: absorbed after the drains"));
+                let mut again = Tracked {
+                    oracle: from,
+                    model: vec![0; domain],
+                    reports: 0,
+                };
+                for _ in 0..17 {
+                    again.absorb_deferred(&report(domain, Density::Q, &mut rng));
                 }
+                let mut twice = into.clone();
+                PointOracle::drain(&mut twice, &mut again.oracle);
+                let sum: Vec<u64> = sum.iter().zip(&again.model).map(|(a, b)| a + b).collect();
+                assert_eq!(twice.counts(), &sum[..], "{what}: second drain");
+                again.model.fill(0);
+                again.reports = 0;
+                for _ in 0..17 {
+                    again.absorb_deferred(&report(domain, Density::Ones, &mut rng));
+                }
+                again.settle_and_check(&format!("{what}: absorbed after the drains"));
             }
         }
     }
@@ -388,8 +376,8 @@ const DRAIN_GROUPS: [usize; 5] = [0, 1, 2, 4, 14];
 /// The spill a drain runs (the AVX2 build on a CPU that reports AVX2, the
 /// portable one elsewhere) ≡ the per-bit model, over every number of
 /// staged rows 0–15 after each of [`DRAIN_GROUPS`], from a fresh shard
-/// (no drained counts) and from one holding merged counts, cut at item 0,
-/// at the word edge 64 and mid-domain, over 64, 65, 513 and 2^16 items.
+/// (no drained counts) and from one holding merged counts, over 64, 65,
+/// 513 and 2^16 items.
 #[test]
 fn oue_drain_spills_every_plane_depth_and_row_count_exactly() {
     let mut rng = StdRng::seed_from_u64(0x5B1D);
@@ -403,25 +391,19 @@ fn oue_drain_spills_every_plane_depth_and_row_count_exactly() {
             for groups in DRAIN_GROUPS {
                 let mut template = shard::<Oue>(domain, state, 16 * groups, &mut rng);
                 for rows in 0..16 {
-                    for cut in [0, 64, domain / 2] {
-                        let what =
-                            format!("D={domain} {state:?} groups={groups} rows={rows} cut={cut}");
-                        let mut into = acc.oracle.clone();
-                        let mut from = template.oracle.clone();
-                        let (below, above) = into.split_drain(&mut from, cut);
-                        below.run();
-                        above.run();
-                        from.finish_drain();
-                        let sum: Vec<u64> = acc
-                            .model
-                            .iter()
-                            .zip(&template.model)
-                            .map(|(a, b)| a + b)
-                            .collect();
-                        assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
-                        assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
-                        assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
-                    }
+                    let what = format!("D={domain} {state:?} groups={groups} rows={rows}");
+                    let mut into = acc.oracle.clone();
+                    let mut from = template.oracle.clone();
+                    PointOracle::drain(&mut into, &mut from);
+                    let sum: Vec<u64> = acc
+                        .model
+                        .iter()
+                        .zip(&template.model)
+                        .map(|(a, b)| a + b)
+                        .collect();
+                    assert_eq!(into.counts(), &sum[..], "{what}: accumulator");
+                    assert_eq!(into.num_reports(), acc.reports + template.reports, "{what}");
+                    assert_eq!(from.counts(), &vec![0; domain][..], "{what}: drained shard");
                     template.absorb_deferred(&report(domain, Density::Q, &mut rng));
                 }
             }

@@ -46,17 +46,17 @@
 //!   [`MAX_OLH_DOMAIN`] items.
 //!   Total decoding: malformed bytes produce [`error::WireError`], never
 //!   a panic or an unbounded allocation.
-//! * [`snapshot`] — [`RangeSnapshot`]: merged state frozen into an
-//!   immutable, prefix-summed estimate answering range/prefix/point/
-//!   quantile queries in `O(1)`/`O(log D)`, shared by `Arc`, versioned
-//!   for staleness reasoning.
+//! * [`snapshot`] — [`RangeSnapshot`]: merged state published as
+//!   immutable per-level integer prefix tables
+//!   ([`ldp_ranges::PrefixTables`]) for every served mechanism,
+//!   answering range/prefix/point/quantile queries by one root-to-leaf
+//!   walk each, shared by `Arc`, versioned for staleness reasoning.
 //! * [`service`] — [`LdpService`]: the live front combining round-robin
 //!   mutex-sharded ingestion with atomic snapshot publication, so queries
 //!   keep answering while reports stream in. Sharding is a pure
 //!   throughput change: shard-merge equals sequential absorption
-//!   *exactly* (bit-for-bit). From [`SPLIT_FREEZE_MIN_DOMAIN`] items up,
-//!   a refresh drains and freezes on two threads — the refresher and a
-//!   parked helper thread the service keeps — with the same bits.
+//!   *exactly* (bit-for-bit). A refresh runs on the calling thread:
+//!   drain, then table build.
 //! * [`window`] — [`EpochRing`]: time-windowed streaming aggregation.
 //!   Per-epoch accumulators in a ring, rotation that retires the oldest
 //!   epoch by *exact subtraction* ([`SubtractableServer`]) instead of a
@@ -140,7 +140,6 @@
 //! ```
 
 pub mod error;
-mod helper;
 pub mod loadgen;
 pub mod net;
 pub mod obs;
@@ -160,8 +159,8 @@ pub use obs::{
     HealthReport, HealthState, HealthThresholds, HistoSnapshot, MetricsRegistry, RegistrySnapshot,
 };
 pub use repl::{FollowerService, ReplFeed};
-pub use service::{LdpService, MAX_OLH_DOMAIN, SPLIT_FREEZE_MIN_DOMAIN};
-pub use snapshot::{Answers, RangeSnapshot, SnapshotBuffers, SnapshotSource};
+pub use service::{LdpService, MAX_OLH_DOMAIN};
+pub use snapshot::{RangeSnapshot, SnapshotSource};
 pub use storage::{
     DurableConfig, DurableService, DurableStatus, FsyncPolicy, RecoveryReport, TailStatus,
 };

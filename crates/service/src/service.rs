@@ -24,12 +24,10 @@
 //!   shard that holds reports — under that shard's lock, one pass adds
 //!   each of the shard's statistics into the accumulator and zeroes it
 //!   in place ([`SubtractableServer::drain`]) —
-//!   then publishes *outside* any shard lock — flat and `HH_B` as
-//!   integer prefix tables, HaarHRR as its float freeze — and atomically
-//!   swaps the published snapshot with a bumped version. Over
-//!   [`SPLIT_FREEZE_MIN_DOMAIN`] items, the drain and HaarHRR's freeze
-//!   each run on two threads: the refresher and one helper thread the
-//!   service keeps parked between refreshes.
+//!   then publishes *outside* any shard lock, as integer prefix tables
+//!   ([`crate::snapshot`]), and atomically swaps the published snapshot
+//!   with a bumped version. The whole refresh runs on the calling
+//!   thread: drain, then table build.
 //!   Integer sufficient statistics make the accumulator bit-identical to
 //!   one server absorbing every report. A refresh when nothing was
 //!   drained since the last publish builds nothing: it returns the
@@ -45,13 +43,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use ldp_freq_oracle::FrequencyOracle;
-use ldp_ranges::{Join, MergeableServer, PersistableServer, SerialJoin, SubtractableServer};
+use ldp_ranges::{MergeableServer, PersistableServer, PrefixTables, SubtractableServer};
 
 use crate::error::ServiceError;
-use crate::helper::FreezeHelper;
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
 use crate::obs::MetricsRegistry;
-use crate::snapshot::{RangeSnapshot, SnapshotBuffers, SnapshotSource};
+use crate::snapshot::{RangeSnapshot, SnapshotSource};
 use crate::window::{EpochRing, WindowedSnapshot};
 use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
 
@@ -63,19 +60,6 @@ use crate::wire::{decode_frame, WireReport, VERSION_EPOCH};
 /// `oracle_absorb_one_report`), and ≈ 283 µs at 2^16 — against ≈ 0.1 µs
 /// for an HRR report at 2^16. HRR serves the larger domains.
 pub const MAX_OLH_DOMAIN: usize = 1 << 10;
-
-/// The smallest domain whose dirty refresh drains — and, for HaarHRR,
-/// freezes — as a fork-join over two threads: the refreshing thread and
-/// the service's freeze helper, one parked thread spawned at the first
-/// such refresh ([`ldp_ranges::Join`]). Smaller refreshes run whole on
-/// the refreshing thread, and their service never spawns the helper. The
-/// handoffs cost a few microseconds, so the split pays from here up: on
-/// a 2-vCPU Intel Xeon VM (release build, e^ε = 3, medians of
-/// back-to-back freezes) a HaarHRR freeze, like the `HH_4`/OUE float
-/// freeze this cutoff was measured on, took ≈ 65 µs serially and
-/// ≈ 54 µs split at 2^14 items, and ≈ 18 µs against ≈ 20 µs at 2^12.
-/// Every output bit is the same either way.
-pub const SPLIT_FREEZE_MIN_DOMAIN: usize = 1 << 14;
 
 /// Refuses a prototype the service does not serve: one whose levels use
 /// SUE, or OLH over more than [`MAX_OLH_DOMAIN`] items. Every service
@@ -117,36 +101,26 @@ struct Publication<S> {
     /// Seals so far: a window extracted under one value is cached only
     /// if no seal intervened before its freeze finished.
     seals: u64,
-    /// What the next publish builds into: the retired snapshot's tables,
-    /// or its estimate's storage and prefix sums, once reclaimed, plus
-    /// HaarHRR's pyramid and second expansion buffer, kept from the last
-    /// freeze.
-    buffers: SnapshotBuffers,
-    /// The snapshot the last publish replaced. The next publish reclaims
-    /// its buffers if no reader still holds it by then.
+    /// The snapshot the last publish replaced. The next publish rebuilds
+    /// its tables in place if no reader still holds it by then.
     retired: Option<Arc<RangeSnapshot>>,
-    /// The thread that runs half of every drain over
-    /// [`SPLIT_FREEZE_MIN_DOMAIN`] items or more, and half of HaarHRR's
-    /// freeze; spawned at the first one, joined when the service drops.
-    helper: FreezeHelper,
 }
 
 impl<S: SnapshotSource> Publication<S> {
-    /// Publishes the accumulator into the kept buffers: prefix tables
-    /// for flat and `HH_B`, HaarHRR's freeze `split` across the helper,
-    /// which may rest once it is done, or whole on this thread. The
-    /// retired snapshot is recycled only when `Arc::try_unwrap` shows
-    /// this is its last holder; a snapshot a reader still holds is
-    /// dropped here and never written, and the publish allocates afresh.
-    fn freeze(&mut self, split: bool, version: u64) -> Result<RangeSnapshot, ServiceError> {
-        if let Some(retired) = self.retired.take().and_then(|s| Arc::try_unwrap(s).ok()) {
-            self.buffers.recycle(retired.into_answers());
-        }
-        let join: &dyn Join = if split { &self.helper } else { &SerialJoin };
-        let answers = self.acc.publish_into(&mut self.buffers, join);
-        self.helper.rest();
-        Ok(RangeSnapshot::from_answers(
-            answers?,
+    /// Publishes the accumulator as prefix tables, rebuilt over the
+    /// retired snapshot's tables only when `Arc::try_unwrap` shows this
+    /// is its last holder; a snapshot a reader still holds is dropped
+    /// here and never written, and the publish allocates afresh.
+    fn freeze(&mut self, version: u64) -> Result<RangeSnapshot, ServiceError> {
+        let spare = self
+            .retired
+            .take()
+            .and_then(|s| Arc::try_unwrap(s).ok())
+            .and_then(RangeSnapshot::into_tables)
+            .unwrap_or_default();
+        let tables = self.acc.publish_into(spare)?;
+        Ok(RangeSnapshot::from_tables(
+            tables,
             self.acc.num_reports(),
             version,
         ))
@@ -346,9 +320,9 @@ impl<S: SnapshotSource> LdpService<S> {
         }
         let mut recovered = recovered;
         recovered.settle();
-        let answers = recovered.publish_into(&mut SnapshotBuffers::default(), &SerialJoin)?;
-        let initial = Arc::new(RangeSnapshot::from_answers(
-            answers,
+        let tables = recovered.publish_into(PrefixTables::default())?;
+        let initial = Arc::new(RangeSnapshot::from_tables(
+            tables,
             recovered.num_reports(),
             0,
         ));
@@ -362,9 +336,7 @@ impl<S: SnapshotSource> LdpService<S> {
                 stale: false,
                 windows: BTreeMap::new(),
                 seals: 0,
-                buffers: SnapshotBuffers::default(),
                 retired: None,
-                helper: FreezeHelper::default(),
             }),
             obs: OnceLock::new(),
             window_obs: OnceLock::new(),
@@ -536,20 +508,11 @@ impl<S: SnapshotSource> LdpService<S> {
     /// `delta_refresh` proptest pins this for the three served mechanisms
     /// against such a one-shard reference).
     ///
-    /// **Publish.** Flat and `HH_B` publish integer prefix tables, built
-    /// in one pass over the accumulator's statistics; HaarHRR publishes
-    /// its float freeze ([`crate::snapshot`]). The registry's
-    /// `service.freeze_ns` times that step, and `service.drain_ns` the
-    /// drain before it.
-    ///
-    /// **Split.** Over [`SPLIT_FREEZE_MIN_DOMAIN`] items or more, the
-    /// drain and HaarHRR's freeze each run as a fork-join over this
-    /// thread and the service's freeze helper, one parked thread spawned
-    /// at the first such refresh and joined when the service drops
-    /// ([`ldp_ranges::Join`]). HaarHRR's levels are cut at the same node
-    /// in the drain and in the freeze, so each half of the accumulator is
-    /// drained and then estimated by the same thread. Every published
-    /// bit is what the serial publish gives (`tests/split_freeze.rs`).
+    /// **Publish.** Every served mechanism publishes integer prefix
+    /// tables, built in one pass over the accumulator's statistics
+    /// ([`crate::snapshot`]). The registry's `service.freeze_ns` times
+    /// that table build, and `service.drain_ns` the drain before it. Both
+    /// run on the calling thread; a refresh starts no thread.
     ///
     /// **Version contract.** The version increases iff the published
     /// content changed: a refresh publishes under the next version iff
@@ -575,8 +538,7 @@ impl<S: SnapshotSource> LdpService<S> {
         let mut guard = lock(&self.refresh, "refresh")?;
         let timer = self.obs.get().map(|obs| (obs, Instant::now()));
         let published = self.snapshot();
-        let split = published.domain() >= SPLIT_FREEZE_MIN_DOMAIN;
-        let drained = self.drain(&mut guard, split)?;
+        let drained = self.drain(&mut guard)?;
         let clean = !guard.stale;
         let snap = if clean {
             published
@@ -585,7 +547,7 @@ impl<S: SnapshotSource> LdpService<S> {
                 obs.service.drain_ns.record_elapsed(started);
                 (obs, Instant::now())
             });
-            let snap = Arc::new(guard.freeze(split, published.version() + 1)?);
+            let snap = Arc::new(guard.freeze(published.version() + 1)?);
             if let Some((obs, frozen)) = frozen {
                 obs.service.freeze_ns.record_elapsed(frozen);
             }
@@ -612,42 +574,31 @@ impl<S: SnapshotSource> LdpService<S> {
         Ok(snap)
     }
 
-    /// Drains every shard holding reports into the accumulator, `split`
-    /// across the freeze helper for a refresh over a large domain;
-    /// returns how many were drained. An empty shard costs one lock
-    /// round trip.
-    fn drain(&self, publication: &mut Publication<S>, split: bool) -> Result<usize, ServiceError> {
+    /// Drains every shard holding reports into the accumulator; returns
+    /// how many were drained. An empty shard costs one lock round trip.
+    fn drain(&self, publication: &mut Publication<S>) -> Result<usize, ServiceError> {
         let mut drained = 0;
         for shard in &self.shards {
             let mut shard = lock(shard, "shard")?;
-            drained += usize::from(self.drain_shard(publication, &mut shard, split)?);
+            drained += usize::from(self.drain_shard(publication, &mut shard)?);
         }
         Ok(drained)
     }
 
     /// Moves one locked shard into the accumulator, if it holds any
     /// reports: one add-and-zero pass ([`SubtractableServer::drain`]),
-    /// no copy — `split` across the freeze helper, woken first
-    /// ([`SubtractableServer::drain_with`]), so for HaarHRR each half of
-    /// the accumulator is drained by the thread that will estimate it.
-    /// Runs under the
-    /// shard's lock, so the accumulator total that
-    /// [`LdpService::num_reports`] reads moves with the shard's reports.
+    /// no copy. Runs under the shard's lock, so the accumulator total
+    /// that [`LdpService::num_reports`] reads moves with the shard's
+    /// reports.
     fn drain_shard(
         &self,
         publication: &mut Publication<S>,
         shard: &mut S,
-        split: bool,
     ) -> Result<bool, ServiceError> {
         if shard.num_reports() == 0 {
             return Ok(false);
         }
-        if split {
-            publication.helper.wake();
-            publication.acc.drain_with(shard, &publication.helper)?;
-        } else {
-            publication.acc.drain(shard)?;
-        }
+        publication.acc.drain(shard)?;
         publication.stale = true;
         self.acc_reports
             .store(publication.acc.num_reports(), Ordering::Relaxed);
@@ -674,7 +625,7 @@ impl<S: SnapshotSource> LdpService<S> {
     /// durable checkpoint serializes in place.
     fn with_merged<T>(&self, read: impl FnOnce(&S) -> T) -> Result<T, ServiceError> {
         let mut guard = lock(&self.refresh, "refresh")?;
-        self.drain(&mut guard, false)?;
+        self.drain(&mut guard)?;
         Ok(read(&guard.acc))
     }
 }
@@ -757,7 +708,7 @@ where
         guard.stale = true;
         for shard in &self.shards {
             let mut shard = lock(shard, "shard")?;
-            self.drain_shard(&mut guard, &mut *shard, false)?;
+            self.drain_shard(&mut guard, &mut *shard)?;
             let id = shard.seal_epoch()?;
             debug_assert_eq!(id, guard.acc.current_epoch(), "shards sealed out of step");
         }

@@ -9,57 +9,49 @@
 //! increasing version plus the report count they reflect, so readers can
 //! reason about staleness.
 //!
-//! **Two kinds of answers** ([`Answers`]). Flat and `HH_B` publish
-//! [`PrefixTables`]: one integer prefix table per level and that level's
-//! affine map, built in one pass over the integer statistics. A query
-//! walks one root-to-leaf path through them — `O(h²)` lookups, with
-//! constrained inference folded into fixed coefficients — so publishing
-//! computes no per-item float at all. HaarHRR publishes its float freeze:
-//! the per-depth HRR inversions, the pyramid collapse and the prefix
-//! sums, a [`FrequencyEstimate`] answering in `O(1)`. A large HaarHRR
-//! freeze splits in two ([`ldp_ranges::Join`]): [`RangeSnapshot::freeze`]
-//! runs both halves on the calling thread, and a service runs them on two
-//! threads from [`crate::SPLIT_FREEZE_MIN_DOMAIN`] items up, with the
-//! same bits. Tables answer what the serial float freeze of the same
-//! integers answers, within [`PrefixTables::freeze_tolerance`];
-//! [`RangeSnapshot::estimate`] still hands out a per-item vector, built
-//! on first call from the tables' point answers and never on the query
-//! path.
+//! **Answers from integer tables.** Every served mechanism — flat,
+//! `HH_B` and HaarHRR — publishes [`PrefixTables`]: one integer prefix
+//! table per level and that level's affine map, built in one pass over
+//! the integer statistics (HRR levels through an exact integer
+//! transform). A query walks one root-to-leaf path through them — `O(h²)`
+//! lookups for `HH_B`, with constrained inference folded into fixed
+//! coefficients, `O(h)` for HaarHRR — so publishing computes no per-item
+//! float at all. Tables answer what the serial float freeze of the same
+//! integers answers ([`SnapshotSource::frequency_estimate`]), within
+//! [`PrefixTables::freeze_tolerance`]; [`RangeSnapshot::estimate`] still
+//! hands out a per-item vector, built on first call from the tables'
+//! point answers and never on the query path.
 //!
 //! **Recycling.** A service's publishes allocate nothing of size `O(D)`
-//! once warm. [`RangeSnapshot::freeze_into`] builds into a
-//! [`SnapshotBuffers`], and [`crate::LdpService`] keeps one under its
-//! refresh lock next to the accumulator: the snapshot the last publish
-//! replaced is recycled into it — its tables, or its estimate's storage
-//! and prefix sums — but only if `Arc::try_unwrap` shows the service is
-//! its last holder. A snapshot any reader still holds is never written:
-//! the service drops its reference and the publish allocates afresh, as
-//! [`RangeSnapshot::freeze`] always does. HaarHRR's pyramid and second
-//! leaf-expansion buffer are handed back by every freeze and reused by
-//! the next. No slot's old contents are ever read, so a recycled publish
-//! answers exactly as a fresh one (`tests/recycled_freeze.rs`), and
-//! `tests/refresh_alloc.rs` counts a warm refresh's large allocations.
+//! once warm. [`RangeSnapshot::freeze_into`] rebuilds a spare
+//! [`PrefixTables`] in place, and [`crate::LdpService`] keeps one under
+//! its refresh lock next to the accumulator: the tables of the snapshot
+//! the last publish replaced, but only if `Arc::try_unwrap` shows the
+//! service is its last holder. A snapshot any reader still holds is
+//! never written: the service drops its reference and the publish
+//! allocates afresh, as [`RangeSnapshot::freeze`] always does. Every slot
+//! is rewritten, so a recycled publish answers exactly as a fresh one
+//! (`tests/recycled_freeze.rs`), and `tests/refresh_alloc.rs` counts a
+//! warm refresh's large allocations.
 //!
 //! **Overflow.** A table build checks once per level that no prefix can
 //! leave `i64` — reachable only from a restored state near the integer
 //! limits. When it cannot, a publish fails with a typed error
 //! ([`ldp_freq_oracle::OracleError::StatisticOverflow`] inside
-//! [`ServiceError::Range`]) and nothing wraps or panics.
+//! [`ServiceError::Range`]) and nothing wraps or panics;
+//! [`RangeSnapshot::freeze`], which cannot fail, answers such a state
+//! from its float freeze.
 
 use std::sync::OnceLock;
 
 use crate::error::ServiceError;
 use ldp_freq_oracle::{FrequencyOracle, OracleError, PointOracle};
 use ldp_ranges::{
-    quantile, EstimateBuffers, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, Join,
-    PersistableServer, PrefixTables, RangeError, RangeEstimate, SerialJoin, SubtractableServer,
+    quantile, FlatServer, FrequencyEstimate, HaarHrrServer, HhServer, PersistableServer,
+    PrefixTables, RangeError, RangeEstimate, SubtractableServer,
 };
 
 /// Servers whose merged state can be published as a 1-D snapshot.
-///
-/// Implementations pick their mechanism's best estimator (constrained
-/// inference for `HH_B`, pyramid collapse for Haar), so a snapshot is
-/// exactly what the underlying mechanism would publish.
 ///
 /// The supertrait is [`SubtractableServer`], not just mergeable: the
 /// service drains a shard into its accumulator in one add-and-zero pass
@@ -72,40 +64,30 @@ use ldp_ranges::{
 /// statistics satisfy both for free.
 pub trait SnapshotSource: SubtractableServer + PersistableServer {
     /// The serial float freeze of the current state: the per-item
-    /// estimate and its prefix sums, computed on the calling thread in
-    /// freshly allocated buffers.
+    /// estimate and its prefix sums, computed in freshly allocated
+    /// buffers — the reference the published tables are held to.
     fn frequency_estimate(&self) -> FrequencyEstimate;
 
-    /// The answers a snapshot of the current state holds, built over
-    /// `buffers` ([`SnapshotBuffers`]): prefix tables for flat and
-    /// `HH_B`, HaarHRR's float freeze with its two halves run through
-    /// `join` — the same bits however `join` runs them.
+    /// The prefix tables a snapshot of the current state answers from,
+    /// rebuilt over `spare`'s buffers.
     ///
     /// # Errors
     ///
     /// Statistics too large for exact prefix tables, or a state that
     /// cannot be summed.
-    fn answers_into(
-        &self,
-        buffers: &mut SnapshotBuffers,
-        join: &dyn Join,
-    ) -> Result<Answers, ServiceError>;
+    fn tables_into(&self, spare: PrefixTables) -> Result<PrefixTables, ServiceError>;
 
-    /// The answers [`crate::LdpService::refresh_snapshot`] publishes,
+    /// The tables [`crate::LdpService::refresh_snapshot`] publishes,
     /// built from the accumulator the service holds mutably: by default
-    /// [`SnapshotSource::answers_into`]. [`crate::EpochRing`] sums its
+    /// [`SnapshotSource::tables_into`]. [`crate::EpochRing`] sums its
     /// open epoch and its sealed ones into a scratch server it keeps,
     /// instead of allocating one per refresh.
     ///
     /// # Errors
     ///
-    /// As [`SnapshotSource::answers_into`].
-    fn publish_into(
-        &mut self,
-        buffers: &mut SnapshotBuffers,
-        join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
-        self.answers_into(buffers, join)
+    /// As [`SnapshotSource::tables_into`].
+    fn publish_into(&mut self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
+        self.tables_into(spare)
     }
 
     /// The frequency oracle every level of this server releases reports
@@ -143,10 +125,8 @@ pub trait SnapshotSource: SubtractableServer + PersistableServer {
 }
 
 /// A table build's refusal as a service error.
-fn tables(built: Result<PrefixTables, OracleError>) -> Result<Answers, ServiceError> {
-    built
-        .map(Answers::Tables)
-        .map_err(|e| ServiceError::Range(RangeError::Oracle(e)))
+fn tables(built: Result<PrefixTables, OracleError>) -> Result<PrefixTables, ServiceError> {
+    built.map_err(|e| ServiceError::Range(RangeError::Oracle(e)))
 }
 
 impl SnapshotSource for FlatServer {
@@ -155,12 +135,8 @@ impl SnapshotSource for FlatServer {
     }
 
     /// The flat oracle's one prefix table.
-    fn answers_into(
-        &self,
-        buffers: &mut SnapshotBuffers,
-        _join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
-        tables(self.prefix_tables_into(std::mem::take(&mut buffers.tables)))
+    fn tables_into(&self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
+        tables(self.prefix_tables_into(spare))
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -175,12 +151,8 @@ impl SnapshotSource for HhServer {
 
     /// One prefix table per depth, answered through constrained
     /// inference's coefficients.
-    fn answers_into(
-        &self,
-        buffers: &mut SnapshotBuffers,
-        _join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
-        tables(self.prefix_tables_into(std::mem::take(&mut buffers.tables)))
+    fn tables_into(&self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
+        tables(self.prefix_tables_into(spare))
     }
 
     /// Every depth uses the configured oracle; the leaves are the largest.
@@ -194,15 +166,10 @@ impl SnapshotSource for HaarHrrServer {
         HaarHrrServer::frequency_estimate(self)
     }
 
-    /// The collapsed pyramid, frozen into `buffers.estimate`.
-    fn answers_into(
-        &self,
-        buffers: &mut SnapshotBuffers,
-        join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
-        Ok(Answers::Frozen(
-            self.frequency_estimate_into(&mut buffers.estimate, join),
-        ))
+    /// One prefix table per depth of the pyramid, answered by the Haar
+    /// walk.
+    fn tables_into(&self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
+        tables(self.prefix_tables_into(spare))
     }
 
     fn level_oracle(&self) -> (FrequencyOracle, usize) {
@@ -210,13 +177,12 @@ impl SnapshotSource for HaarHrrServer {
     }
 }
 
-/// What a snapshot answers from.
+/// What a snapshot answers from: prefix tables, or — only for a state
+/// too large for them, frozen by [`RangeSnapshot::freeze`] — the float
+/// freeze.
 #[derive(Debug, Clone)]
-pub enum Answers {
-    /// Flat and `HH_B`: per-level integer prefix tables, answered in
-    /// `O(h²)` lookups.
+enum Answers {
     Tables(PrefixTables),
-    /// HaarHRR: the float freeze, a per-item estimate with prefix sums.
     Frozen(FrequencyEstimate),
 }
 
@@ -226,30 +192,6 @@ impl Answers {
         match self {
             Self::Tables(tables) => tables,
             Self::Frozen(estimate) => estimate,
-        }
-    }
-}
-
-/// The buffers a publish builds into instead of allocating them: the
-/// tables of a retired snapshot, and HaarHRR's [`EstimateBuffers`].
-/// Any contents and any lengths are accepted, and no publish reads a
-/// slot it did not write, so what is built answers exactly as a publish
-/// into `SnapshotBuffers::default()` would.
-#[derive(Debug, Default)]
-pub struct SnapshotBuffers {
-    /// The next tables' storage.
-    pub tables: PrefixTables,
-    /// The next float freeze's storage and workspace.
-    pub estimate: EstimateBuffers,
-}
-
-impl SnapshotBuffers {
-    /// Takes a retired snapshot's answers for the next publish to
-    /// overwrite.
-    pub fn recycle(&mut self, retired: Answers) {
-        match retired {
-            Answers::Tables(tables) => self.tables = tables,
-            Answers::Frozen(estimate) => self.estimate.recycle(estimate),
         }
     }
 }
@@ -272,8 +214,11 @@ impl RangeSnapshot {
     /// instead.
     #[must_use]
     pub fn freeze<S: SnapshotSource>(server: &S, version: u64) -> Self {
-        Self::try_freeze(server, version).unwrap_or_else(|_| {
-            Self::from_estimate(server.frequency_estimate(), server.num_reports(), version)
+        Self::try_freeze(server, version).unwrap_or_else(|_| Self {
+            answers: Answers::Frozen(server.frequency_estimate()),
+            items: OnceLock::new(),
+            num_reports: server.num_reports(),
+            version,
         })
     }
 
@@ -282,41 +227,35 @@ impl RangeSnapshot {
     ///
     /// # Errors
     ///
-    /// As [`SnapshotSource::answers_into`].
+    /// As [`SnapshotSource::tables_into`].
     pub fn try_freeze<S: SnapshotSource>(server: &S, version: u64) -> Result<Self, ServiceError> {
-        Self::freeze_into(server, version, &mut SnapshotBuffers::default())
+        Self::freeze_into(server, version, PrefixTables::default())
     }
 
-    /// [`RangeSnapshot::try_freeze`] built into `buffers`: the same
-    /// answers, and no `O(D)` allocation once the buffers are warm.
+    /// [`RangeSnapshot::try_freeze`] built over `spare`'s buffers: the
+    /// same answers, and no `O(D)` allocation once the buffers are warm.
     ///
     /// # Errors
     ///
-    /// As [`SnapshotSource::answers_into`].
+    /// As [`SnapshotSource::tables_into`].
     pub fn freeze_into<S: SnapshotSource>(
         server: &S,
         version: u64,
-        buffers: &mut SnapshotBuffers,
+        spare: PrefixTables,
     ) -> Result<Self, ServiceError> {
-        let answers = server.answers_into(buffers, &SerialJoin)?;
-        Ok(Self::from_answers(answers, server.num_reports(), version))
+        let tables = server.tables_into(spare)?;
+        Ok(Self::from_tables(tables, server.num_reports(), version))
     }
 
-    /// Builds a snapshot directly from its answers.
+    /// Builds a snapshot directly from its tables.
     #[must_use]
-    pub fn from_answers(answers: Answers, num_reports: u64, version: u64) -> Self {
+    pub fn from_tables(tables: PrefixTables, num_reports: u64, version: u64) -> Self {
         Self {
-            answers,
+            answers: Answers::Tables(tables),
             items: OnceLock::new(),
             num_reports,
             version,
         }
-    }
-
-    /// Builds a snapshot directly from a materialized estimate.
-    #[must_use]
-    pub fn from_estimate(estimate: FrequencyEstimate, num_reports: u64, version: u64) -> Self {
-        Self::from_answers(Answers::Frozen(estimate), num_reports, version)
     }
 
     /// Domain size `D`.
@@ -375,12 +314,6 @@ impl RangeSnapshot {
         quantile(self.answers.estimate(), phi)
     }
 
-    /// What this snapshot answers from.
-    #[must_use]
-    pub fn answers(&self) -> &Answers {
-        &self.answers
-    }
-
     /// The per-item frequency estimate. For tables it is built on first
     /// call, `frequencies()[z]` being [`RangeSnapshot::point`]`(z)` to the
     /// bit — `O(D·h²)` once, for comparisons and exports; queries never
@@ -395,11 +328,15 @@ impl RangeSnapshot {
         }
     }
 
-    /// Consumes the snapshot, returning its answers — how a retired
-    /// snapshot's buffers go back into [`SnapshotBuffers::recycle`].
+    /// Consumes the snapshot, returning its tables — how a retired
+    /// snapshot's buffers go back to a publish — or `None` for a float
+    /// freeze.
     #[must_use]
-    pub fn into_answers(self) -> Answers {
-        self.answers
+    pub fn into_tables(self) -> Option<PrefixTables> {
+        match self.answers {
+            Answers::Tables(tables) => Some(tables),
+            Answers::Frozen(_) => None,
+        }
     }
 }
 

@@ -46,13 +46,13 @@ use std::time::Instant;
 
 use ldp_ranges::persist::put_varint;
 use ldp_ranges::{
-    FrequencyEstimate, Join, MergeableServer, PersistableServer, RangeError, SerialJoin,
-    StateReader, SubtractableServer,
+    FrequencyEstimate, MergeableServer, PersistableServer, PrefixTables, RangeError, StateReader,
+    SubtractableServer,
 };
 
 use crate::error::ServiceError;
 use crate::obs::instruments::WindowInstruments;
-use crate::snapshot::{Answers, RangeSnapshot, SnapshotBuffers, SnapshotSource};
+use crate::snapshot::{RangeSnapshot, SnapshotSource};
 
 /// One sealed epoch: its id and the accumulator of every report absorbed
 /// while it was open — `None` if it sealed empty, so an empty epoch (every
@@ -529,15 +529,9 @@ impl<S: SubtractableServer> SubtractableServer for EpochRing<S> {
     /// [`MergeableServer::merge`] would, and `other` is then cleared to
     /// its layout. A misaligned ring is refused before either changes.
     fn drain(&mut self, other: &mut Self) -> Result<(), RangeError> {
-        self.drain_with(other, &SerialJoin)
-    }
-
-    /// [`SubtractableServer::drain`], the open epoch's pass split as the
-    /// epoch's own server splits it.
-    fn drain_with(&mut self, other: &mut Self, join: &dyn Join) -> Result<(), RangeError> {
         self.ensure_aligned(other)?;
         if other.current.num_reports() > 0 {
-            self.current.drain_with(&mut other.current, join)?;
+            self.current.drain(&mut other.current)?;
         }
         self.fold_aligned(other, S::merge)?;
         other.clear();
@@ -633,32 +627,24 @@ impl<S: SnapshotSource> SnapshotSource for EpochRing<S> {
         self.live_sum().frequency_estimate()
     }
 
-    /// The live window's answers: every retained sealed epoch plus the
+    /// The live window's tables: every retained sealed epoch plus the
     /// open epoch, summed into a fresh server. This is what
     /// `LdpService::refresh_snapshot` publishes for a windowed service —
     /// the trailing-window view, not the all-time population — through
     /// [`SnapshotSource::publish_into`], which sums into a kept scratch
     /// instead.
-    fn answers_into(
-        &self,
-        buffers: &mut SnapshotBuffers,
-        join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
-        self.live_sum().answers_into(buffers, join)
+    fn tables_into(&self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
+        self.live_sum().tables_into(spare)
     }
 
-    /// The live window's answers, summed into the kept scratch in place:
+    /// The live window's tables, summed into the kept scratch in place:
     /// cleared, then the running merge and the open epoch merged in.
-    fn publish_into(
-        &mut self,
-        buffers: &mut SnapshotBuffers,
-        join: &dyn Join,
-    ) -> Result<Answers, ServiceError> {
+    fn publish_into(&mut self, spare: PrefixTables) -> Result<PrefixTables, ServiceError> {
         let live = self.live.0.get_or_insert_with(|| self.prototype.clone());
         live.clear();
         live.merge(&self.running)?;
         live.merge(&self.current)?;
-        live.answers_into(buffers, join)
+        live.tables_into(spare)
     }
 
     /// Every epoch is a clone of the prototype.

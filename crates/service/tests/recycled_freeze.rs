@@ -1,19 +1,17 @@
-//! Recycled buffers ≡ the allocating publish, bit for bit.
+//! Recycled tables ≡ the allocating publish, bit for bit.
 //!
-//! A service publishes each snapshot into buffers it keeps: the prefix
-//! tables of the snapshot it retired (flat and `HH_B`), or for HaarHRR
-//! that snapshot's storage and prefix sums plus the pyramid and second
-//! expansion buffer from the last freeze.
-//! Two properties make that safe, and this suite holds both for the three
-//! served mechanisms (flat, `HH_4`, HaarHRR) over every served oracle
-//! (OUE and HRR at 2^12 items, OLH at its 2^10 cap):
+//! A service publishes each snapshot over the prefix tables of the
+//! snapshot it retired. Two properties make that safe, and this suite
+//! holds both for the three served mechanisms (flat, `HH_4`, HaarHRR)
+//! over every served oracle (OUE and HRR at 2^12 items, OLH at its 2^10
+//! cap):
 //!
 //! 1. **Contents never leak.** `RangeSnapshot::freeze_into` gives the
 //!    same bits — every frequency, every prefix — as
 //!    `RangeSnapshot::freeze`, which allocates afresh: over tables
-//!    recycled from the same state, from another state and from other
-//!    configurations, longer and shorter; and over HaarHRR buffers that
-//!    are NaN-poisoned, of the exact length or one longer or shorter.
+//!    recycled from the same state, from another state, from other
+//!    configurations, longer and shorter, and from another mechanism's
+//!    shape.
 //! 2. **A shared snapshot is never written.** A caller that holds an old
 //!    `Arc<RangeSnapshot>` across dirty refreshes reads the same bits
 //!    from it afterwards, and every snapshot published meanwhile equals a
@@ -23,10 +21,10 @@ use std::sync::Arc;
 
 use ldp_freq_oracle::{Epsilon, FrequencyOracle};
 use ldp_ranges::{
-    EstimateBuffers, FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer,
-    HhClient, HhConfig, HhServer,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrClient, HaarHrrServer, HhClient,
+    HhConfig, HhServer, PrefixTables,
 };
-use ldp_service::{Answers, LdpService, RangeSnapshot, SnapshotBuffers, SnapshotSource};
+use ldp_service::{LdpService, RangeSnapshot, SnapshotSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,113 +86,34 @@ fn assert_same(got: &RangeSnapshot, fresh: &RangeSnapshot, what: &str) {
     assert_eq!(got.quantile(0.5), fresh.quantile(0.5), "{what}: median");
 }
 
-fn poison(buffers: &mut EstimateBuffers) {
-    for buf in [
-        &mut buffers.values,
-        &mut buffers.prefix,
-        &mut buffers.pyramid,
-        &mut buffers.scratch,
-    ] {
-        buf.fill(f64::NAN);
-    }
-}
-
-/// NaN-poisoned buffers one slot off the warm lengths `warm` (values,
-/// prefix, pyramid, second buffer): with `values_longer` the storage
-/// and second buffer are one slot too long and the prefix and pyramid
-/// one too short, and the reverse otherwise.
-fn wrong_lengths(warm: [usize; 4], values_longer: bool) -> EstimateBuffers {
-    let off = |len: usize, longer: bool| {
-        vec![
-            f64::NAN;
-            if longer {
-                len + 1
-            } else {
-                len.saturating_sub(1)
-            }
-        ]
-    };
-    let [values, prefix, pyramid, scratch] = warm;
-    EstimateBuffers {
-        values: off(values, values_longer),
-        prefix: off(prefix, !values_longer),
-        pyramid: off(pyramid, !values_longer),
-        scratch: off(scratch, values_longer),
-    }
-}
-
-/// Publishes `server` into `buffers` and holds it to the allocating
+/// Publishes `server` over `spare` and holds it to the allocating
 /// publish.
-fn assert_recycled<S: SnapshotSource>(server: &S, buffers: &mut SnapshotBuffers, what: &str) {
+fn assert_recycled<S: SnapshotSource>(server: &S, spare: PrefixTables, what: &str) {
     let fresh = RangeSnapshot::freeze(server, 7);
-    let got = RangeSnapshot::freeze_into(server, 7, buffers).expect("publish");
+    let got = RangeSnapshot::freeze_into(server, 7, spare).expect("publish");
     assert_same(&got, &fresh, what);
 }
 
-/// Publishes `server` into empty buffers, then into the warm buffers of
-/// its own last publish — an estimate's poisoned — then into each of
-/// `foreign`, and holds each to the allocating publish.
-fn check_recycled_freezes<S: SnapshotSource>(
-    server: &S,
-    foreign: Vec<SnapshotBuffers>,
-    what: &str,
-) {
-    let mut buffers = SnapshotBuffers::default();
-    assert_recycled(server, &mut buffers, &format!("{what}, empty buffers"));
-
-    // The steady state: last publish's buffers at their exact lengths.
-    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers).expect("publish");
-    buffers.recycle(warm.into_answers());
-    poison(&mut buffers.estimate);
-    assert_recycled(
-        server,
-        &mut buffers,
-        &format!("{what}, recycled own buffers"),
-    );
-
-    for (k, mut buffers) in foreign.into_iter().enumerate() {
-        assert_recycled(
-            server,
-            &mut buffers,
-            &format!("{what}, foreign buffers {k}"),
-        );
+/// Publishes `server` over empty tables, then over the warm tables of
+/// its own last publish, then over each of `foreign`, and holds each to
+/// the allocating publish.
+fn check_recycled_freezes<S: SnapshotSource>(server: &S, foreign: Vec<PrefixTables>, what: &str) {
+    assert_recycled(server, PrefixTables::default(), &format!("{what}, empty"));
+    let warm = tables_of(std::slice::from_ref(server)).remove(0);
+    assert_recycled(server, warm, &format!("{what}, recycled own tables"));
+    for (k, spare) in foreign.into_iter().enumerate() {
+        assert_recycled(server, spare, &format!("{what}, foreign tables {k}"));
     }
 }
 
-/// Buffers holding the tables of each of `others`, for a table-publishing
-/// server to recycle.
-fn tables_of<S: SnapshotSource>(others: &[S]) -> Vec<SnapshotBuffers> {
+/// The published tables of each of `others`.
+fn tables_of<S: SnapshotSource>(others: &[S]) -> Vec<PrefixTables> {
     others
         .iter()
         .map(|other| {
-            let mut buffers = SnapshotBuffers::default();
-            let answers = RangeSnapshot::freeze(other, 0).into_answers();
-            assert!(matches!(answers, Answers::Tables(_)));
-            buffers.recycle(answers);
-            buffers
-        })
-        .collect()
-}
-
-/// HaarHRR's warm buffers one slot off, both ways.
-fn haar_wrong_lengths(server: &HaarHrrServer) -> Vec<SnapshotBuffers> {
-    let mut buffers = SnapshotBuffers::default();
-    let warm = RangeSnapshot::freeze_into(server, 7, &mut buffers).expect("publish");
-    buffers.recycle(warm.into_answers());
-    let d = server.config().domain;
-    let e = &buffers.estimate;
-    let lengths = [
-        e.values.len(),
-        e.prefix.len(),
-        e.pyramid.len(),
-        e.scratch.len(),
-    ];
-    assert!(lengths[0] >= d && lengths[1] == d + 1, "{lengths:?}");
-    [true, false]
-        .into_iter()
-        .map(|values_longer| SnapshotBuffers {
-            estimate: wrong_lengths(lengths, values_longer),
-            ..SnapshotBuffers::default()
+            RangeSnapshot::freeze(other, 0)
+                .into_tables()
+                .expect("a served state publishes tables")
         })
         .collect()
 }
@@ -250,23 +169,23 @@ fn hh4(oracle: FrequencyOracle, d: usize) -> (HhServer, Vec<ldp_ranges::HhReport
     (HhServer::new(config).expect("server"), reports)
 }
 
-fn haar_hrr() -> (HaarHrrServer, Vec<ldp_ranges::HaarHrrReport>) {
-    let config = HaarConfig::new(D, eps()).expect("config");
+fn haar_hrr(d: usize) -> (HaarHrrServer, Vec<ldp_ranges::HaarHrrReport>) {
+    let config = HaarConfig::new(d, eps()).expect("config");
     let client = HaarHrrClient::new(config.clone()).expect("client");
     let mut rng = StdRng::seed_from_u64(4303);
     let reports = (0..REPORTS)
-        .map(|i| client.report(value(i, D), &mut rng).expect("report"))
+        .map(|i| client.report(value(i, d), &mut rng).expect("report"))
         .collect();
     (HaarHrrServer::new(config).expect("server"), reports)
 }
 
 /// The empty server (every level estimates from zero reports) and the
-/// server holding every report, each recycling buffers from `foreign`
+/// server holding every report, each recycling tables from `foreign`
 /// and from the other state.
 fn check_both_states<S: SnapshotSource>(
     mut server: S,
     reports: &[S::Report],
-    foreign: impl Fn(&S) -> Vec<SnapshotBuffers>,
+    foreign: impl Fn(&S) -> Vec<PrefixTables>,
     what: &str,
 ) {
     let empty = server.clone();
@@ -281,13 +200,13 @@ fn check_both_states<S: SnapshotSource>(
     check_recycled_freezes(&server, buffers, what);
 }
 
-/// Tables of a flat or `HH_4` server at a quarter and four times `d`
+/// Tables of a server like `state` at a quarter and four times `d`
 /// items, with a few reports, and of `state` itself.
 fn other_tables<S: SnapshotSource>(
     state: &S,
     make: impl Fn(usize) -> (S, Vec<S::Report>),
     d: usize,
-) -> Vec<SnapshotBuffers> {
+) -> Vec<PrefixTables> {
     let mut others = vec![state.clone()];
     for other in [d / 4, d * 4] {
         let (mut server, reports) = make(other);
@@ -317,10 +236,17 @@ fn hh4_recycled_freeze_is_the_allocating_freeze() {
     }
 }
 
+/// HaarHRR over its own tables at D/4, D and 4D, and over an `HH_4`
+/// server's tables: the pyramid's shape replaces the tree's.
 #[test]
 fn haar_hrr_recycled_freeze_is_the_allocating_freeze() {
-    let (server, reports) = haar_hrr();
-    check_both_states(server, &reports, haar_wrong_lengths, "HaarHRR");
+    let (server, reports) = haar_hrr(D);
+    let foreign = |state: &HaarHrrServer| {
+        let mut tables = other_tables(state, haar_hrr, D);
+        tables.extend(tables_of(&[hh4(FrequencyOracle::Oue, D).0]));
+        tables
+    };
+    check_both_states(server, &reports, foreign, "HaarHRR");
 }
 
 #[test]
@@ -331,6 +257,6 @@ fn held_snapshot_keeps_its_bits_across_recycling_refreshes() {
         let (server, reports) = hh4(oracle, d);
         check_held_snapshot(&server, &reports, &format!("HH_4/{oracle:?}"));
     }
-    let (server, reports) = haar_hrr();
+    let (server, reports) = haar_hrr(D);
     check_held_snapshot(&server, &reports, "HaarHRR");
 }

@@ -4,28 +4,25 @@
 //! runs a closure and counts the blocks of at least a given size that the
 //! calling thread allocated (or grew a block to) inside it. Other test
 //! threads in the binary are never counted. [`huge_allocations`] counts
-//! every thread's blocks instead — the caller's and the freeze helper's —
-//! so every test here runs under one lock ([`serial`]): a test that
-//! builds a D = 2^16 service allocates blocks that size in its first
-//! freeze, and run beside the split test it would be counted against it.
+//! every thread's blocks instead, so every test here runs under one lock
+//! ([`serial`]): a test that builds a D = 2^16 service allocates blocks
+//! that size in its first publish, and run beside another test it would
+//! be counted against it.
 //!
 //! The tests build plain `HH_4`/OUE and HaarHRR services at D = 2^12, run
-//! two warm-up refreshes (the first allocates HaarHRR's kept pyramid and
-//! second buffer, the second reclaims the retired initial snapshot), then
-//! require
-//! each later dirty `refresh_snapshot` — drain, freeze, publish — to
-//! allocate no block of `D · 8` bytes or more: every estimate tree,
-//! pyramid, leaf expansion, per-item vector and prefix buffer it writes
-//! must be one the service already owns. A windowed HaarHRR service must
-//! allocate no block of 1 KB or more: the window's live sum goes into a
-//! server the ring keeps. At D = 2^16, where the drain and the freeze
-//! split across the helper thread, neither thread may allocate a block
-//! of `D · 8` bytes, and the caller none of 1 KB.
+//! two warm-up refreshes (the second reclaims the retired initial
+//! snapshot's tables), then require each later dirty `refresh_snapshot`
+//! — drain, table build, publish — to allocate no block of `D · 8` bytes
+//! or more: every prefix table it writes must be one the service already
+//! owns. A windowed HaarHRR service must allocate no block of 1 KB or
+//! more: the window's live sum goes into a server the ring keeps. At
+//! D = 2^16 no thread may allocate a block of `D · 8` bytes during a warm
+//! refresh, and the caller none of 1 KB.
 //!
 //! Ingest is held to the same rule: a warm `submit_wire_batch` of 256
 //! `HH_4`/OUE frames at D = 2^16 allocates no block of 16 KiB or more,
-//! nor does such a batch followed by the split refresh whose drain
-//! spills its still-pending reports.
+//! nor does such a batch followed by the refresh whose drain spills its
+//! still-pending reports.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -222,13 +219,13 @@ fn warm_windowed_haar_hrr_refresh_allocates_no_kilobyte_block() {
     }
 }
 
-/// At D = 2^16 the freeze and the drain split across the helper thread;
-/// a warm refresh allocates no `O(D)` block on either thread.
+/// At D = 2^16, the served domain of `HH_4`/OUE and HaarHRR, a warm
+/// refresh allocates no `O(D)` block on any thread, and none of 1 KB on
+/// the caller.
 #[test]
-fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
+fn warm_d64k_refreshes_allocate_no_o_d_block_on_any_thread() {
     let _serial = serial();
     const BIG: usize = 1 << 16;
-    const { assert!(BIG >= ldp_service::SPLIT_FREEZE_MIN_DOMAIN) };
     let eps = Epsilon::from_exp(3.0);
     let mut rng = StdRng::seed_from_u64(4314);
     let hh = HhConfig::with_oracle(BIG, 4, eps, FrequencyOracle::Oue).expect("config");
@@ -258,12 +255,12 @@ fn warm_split_refreshes_allocate_no_o_d_block_on_either_thread() {
         if round >= 2 {
             assert_eq!(
                 huge, 0,
-                "warm split refresh {round} allocated {huge} O(D) block(s)"
+                "warm refresh {round} allocated {huge} O(D) block(s)"
             );
             assert_eq!(
                 on_caller, 0,
-                "warm split refresh {round} allocated {on_caller} block(s) of ≥ 1 KB on the \
-                 caller (largest {largest})"
+                "warm refresh {round} allocated {on_caller} block(s) of ≥ 1 KB on the caller \
+                 (largest {largest})"
             );
         }
     }
@@ -304,18 +301,15 @@ fn warm_hh4_oue_ingest_allocates_no_16_kib_block() {
     );
 }
 
-/// A warm deferred batch of `HH_4`/OUE frames at the split cutoff, then
-/// a split refresh whose fused drain spills the batch's pending reports
-/// straight into the accumulator, each half on its own thread: the caller
-/// allocates no block of 16 KiB or more. Two warm-up rounds put a batch
-/// on each of the two shards. At this domain no block reaches the `D · 8`
-/// bytes of `warm_split_refreshes_allocate_no_o_d_block_on_either_thread`
-/// at 2^16, whose count of every thread's blocks a concurrent test must
-/// not disturb.
+/// A warm deferred batch of `HH_4`/OUE frames at D = 2^16, then a
+/// refresh whose fused drain spills the batch's pending reports straight
+/// into the accumulator before the tables are rebuilt: no block of
+/// 16 KiB or more. Two warm-up rounds put a batch on each of the two
+/// shards.
 #[test]
-fn warm_deferred_batch_and_split_drain_allocate_no_16_kib_block() {
+fn warm_deferred_batch_and_drain_allocate_no_16_kib_block() {
     let _serial = serial();
-    const DOMAIN: usize = ldp_service::SPLIT_FREEZE_MIN_DOMAIN;
+    const DOMAIN: usize = 1 << 16;
     const FRAMES: u64 = 256;
     let config = HhConfig::with_oracle(DOMAIN, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue)
         .expect("config");
@@ -342,8 +336,8 @@ fn warm_deferred_batch_and_split_drain_allocate_no_16_kib_block() {
         if round >= 2 {
             assert_eq!(
                 count, 0,
-                "round {round}: a warm batch and split drain allocated {count} block(s) of \
-                 ≥ 16 KiB on the caller (largest {largest})"
+                "round {round}: a warm batch and drain allocated {count} block(s) of ≥ 16 KiB \
+                 (largest {largest})"
             );
         }
     }

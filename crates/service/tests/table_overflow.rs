@@ -8,7 +8,8 @@
 //! here is written as the bytes `persist_state` would write and loaded
 //! with `PersistableServer::restore_state`:
 //!
-//! * past the bound, building a service over it fails with
+//! * past the bound — an `HH_4` level over OUE or HRR, or a HaarHRR
+//!   depth — building a service over it fails with
 //!   `StatisticOverflow` inside `ServiceError::Range`, and so does
 //!   `RangeSnapshot::try_freeze` (`RangeSnapshot::freeze` answers from
 //!   the float freeze instead);
@@ -20,12 +21,13 @@ use std::sync::Arc;
 
 use ldp_freq_oracle::{put_varint, Epsilon, FrequencyOracle, OracleError};
 use ldp_ranges::{
-    FlatClient, FlatConfig, FlatServer, HhConfig, HhServer, PersistableServer, RangeError,
-    RangeEstimate, StateReader,
+    FlatClient, FlatConfig, FlatServer, HaarConfig, HaarHrrServer, HhConfig, HhServer,
+    PersistableServer, RangeError, RangeEstimate, StateReader,
 };
 use ldp_service::net::{ErrorCode, Hello, NetConfig};
 use ldp_service::{
     EncodedStream, LdpClient, LdpServer, LdpService, NetError, RangeSnapshot, ServiceError,
+    SnapshotSource,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,6 +39,11 @@ fn eps() -> Epsilon {
 /// One level's tally body behind its kind's tag, every statistic `stat`.
 fn put_level(out: &mut Vec<u8>, oracle: FrequencyOracle, items: usize, reports: u64, stat: i64) {
     out.push(oracle.tag());
+    put_body(out, oracle, items, reports, stat);
+}
+
+/// One level's tally body, untagged as HaarHRR writes it.
+fn put_body(out: &mut Vec<u8>, oracle: FrequencyOracle, items: usize, reports: u64, stat: i64) {
     put_varint(out, reports);
     let code = match oracle {
         FrequencyOracle::Hrr => ((stat << 1) ^ (stat >> 63)) as u64,
@@ -82,24 +89,49 @@ fn overflowing_hh(oracle: FrequencyOracle) -> (HhServer, Vec<u8>) {
     (empty, bytes)
 }
 
+/// A HaarHRR state over 64 items whose deepest depth (32 nodes) is past
+/// the bound: `Σ|s|·32 = 32·2^53·32 = 2^63`; the shallower depths are
+/// empty.
+fn overflowing_haar() -> (HaarHrrServer, Vec<u8>) {
+    let empty = HaarHrrServer::new(HaarConfig::new(64, eps()).unwrap()).unwrap();
+    let mut bytes = Vec::new();
+    for depth in 0..5 {
+        put_body(&mut bytes, FrequencyOracle::Hrr, 1 << depth, 0, 0);
+    }
+    put_body(&mut bytes, FrequencyOracle::Hrr, 32, 1 << 53, 1 << 53);
+    (empty, bytes)
+}
+
+/// The service over the restored state and `try_freeze` are refused
+/// typed; `freeze` answers from the float freeze.
+fn assert_refused<S: SnapshotSource>(empty: &S, bytes: &[u8], what: &str) {
+    let state = restored(empty, bytes);
+    assert!(
+        is_overflow(LdpService::with_recovered(state.clone(), empty, 2)),
+        "{what}: service"
+    );
+    assert!(
+        is_overflow(RangeSnapshot::try_freeze(&state, 0)),
+        "{what}: try_freeze"
+    );
+    let fallback = RangeSnapshot::freeze(&state, 0);
+    assert!(fallback.prefix(63).is_finite(), "{what}: float freeze");
+    let float = state.frequency_estimate();
+    assert_eq!(
+        fallback.prefix(40).to_bits(),
+        float.prefix(40).to_bits(),
+        "{what}"
+    );
+}
+
 #[test]
 fn a_service_over_an_overflowing_checkpoint_is_refused_typed() {
     for oracle in [FrequencyOracle::Oue, FrequencyOracle::Hrr] {
         let (empty, bytes) = overflowing_hh(oracle);
-        let state = restored(&empty, &bytes);
-        assert!(
-            is_overflow(LdpService::with_recovered(state.clone(), &empty, 2)),
-            "{oracle}: service"
-        );
-        assert!(
-            is_overflow(RangeSnapshot::try_freeze(&state, 0)),
-            "{oracle}: try_freeze"
-        );
-        let fallback = RangeSnapshot::freeze(&state, 0);
-        assert!(fallback.prefix(63).is_finite(), "{oracle}: float freeze");
-        let float = state.frequency_estimate();
-        assert_eq!(fallback.prefix(40).to_bits(), float.prefix(40).to_bits());
+        assert_refused(&empty, &bytes, &format!("HH_4/{oracle}"));
     }
+    let (empty, bytes) = overflowing_haar();
+    assert_refused(&empty, &bytes, "HaarHRR");
 }
 
 #[test]

@@ -10,6 +10,8 @@
 //! caller where needed. The unnormalized matrix satisfies `φ·φ = D·I`, so
 //! the inverse transform is [`fwht`] followed by division by `D`.
 
+use std::ops::{Add, Sub};
+
 /// Single entry of the unnormalized Hadamard matrix: `(−1)^{popcount(i & j)}`.
 ///
 /// This is the value a user with input `i` computes for a sampled column
@@ -32,10 +34,19 @@ pub fn hadamard_entry(i: usize, j: usize) -> i8 {
 }
 
 /// Butterfly passes with spans under this many lanes run entirely inside
-/// one resident chunk before the array is traversed again — 2048 `f64`s =
-/// 16 KiB, well inside a 32–48 KiB L1d, so the `log₂ 2048 = 11` cheapest
-/// passes cost one pass over memory instead of eleven.
+/// one resident chunk before the array is traversed again — 2048 eight-byte
+/// lanes = 16 KiB, well inside a 32–48 KiB L1d, so the `log₂ 2048 = 11`
+/// cheapest passes cost one pass over memory instead of eleven.
 const FWHT_BLOCK: usize = 2048;
+
+/// What the blocked body transforms: `f64` for [`fwht`], `i64` for the
+/// exact integer transform [`fwht_i64`]. A butterfly needs only an add
+/// and a subtract.
+trait Lane: Copy + Add<Output = Self> + Sub<Output = Self> {}
+
+impl Lane for f64 {}
+
+impl Lane for i64 {}
 
 /// In-place fast Walsh–Hadamard transform of a length-`2^k` slice.
 ///
@@ -84,6 +95,26 @@ const FWHT_BLOCK: usize = 2048;
 /// Panics if the length is not a power of two (the transform is undefined
 /// otherwise).
 pub fn fwht(data: &mut [f64]) {
+    transform(data);
+}
+
+/// The transform over exact integers: [`fwht`]'s blocked body and AVX2
+/// dispatch on `i64` lanes, the same butterflies as the textbook loop.
+/// Each output is a ±1 combination of the inputs, so the caller bounds
+/// their total magnitude to keep every intermediate in range (HRR's
+/// prefix tables check it first); an add that overflows anyway panics in
+/// a debug build.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+pub fn fwht_i64(data: &mut [i64]) {
+    transform(data);
+}
+
+/// Checks the length, then runs the AVX2 build of the blocked body on a
+/// CPU that reports AVX2 and the portable build everywhere else.
+fn transform<T: Lane>(data: &mut [T]) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
@@ -98,19 +129,20 @@ pub fn fwht(data: &mut [f64]) {
     fwht_blocked(data);
 }
 
-/// The blocked body compiled for AVX2; [`fwht`] calls it only on a CPU
-/// that reports AVX2.
+/// The blocked body compiled for AVX2; [`transform`] calls it only on a
+/// CPU that reports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fwht_avx2(data: &mut [f64]) {
+fn fwht_avx2<T: Lane>(data: &mut [T]) {
     fwht_blocked(data);
 }
 
 /// The blocked transform of a power-of-two slice — the portable body.
-/// It and its helpers are `#[inline(always)]`, so [`fwht`] and
-/// `fwht_avx2` each get their own copy, compiled at their own width.
+/// It and its helpers are `#[inline(always)]`, so [`transform`] and
+/// `fwht_avx2` each get their own copy per lane type, compiled at their
+/// own width.
 #[inline(always)]
-fn fwht_blocked(data: &mut [f64]) {
+fn fwht_blocked<T: Lane>(data: &mut [T]) {
     if data.len() <= FWHT_BLOCK {
         fwht_block(data);
         return;
@@ -128,7 +160,7 @@ fn fwht_blocked(data: &mut [f64]) {
 /// All butterfly passes of one cache-resident block (`len ≤` `FWHT_BLOCK`,
 /// a power of two): the radix-8 base case, then radix-4 passes.
 #[inline(always)]
-fn fwht_block(data: &mut [f64]) {
+fn fwht_block<T: Lane>(data: &mut [T]) {
     if data.len() < 8 {
         passes_from(data, 1);
         return;
@@ -155,7 +187,7 @@ fn fwht_block(data: &mut [f64]) {
 /// The passes `half, 2·half, …, len/2` over the whole slice: radix-4
 /// pairs, then one radix-2 pass if the count is odd.
 #[inline(always)]
-fn passes_from(data: &mut [f64], mut half: usize) {
+fn passes_from<T: Lane>(data: &mut [T], mut half: usize) {
     let n = data.len();
     while half * 4 <= n {
         radix4_pass(data, half);
@@ -170,7 +202,7 @@ fn passes_from(data: &mut [f64], mut half: usize) {
 /// block, butterflies `(Q0, Q1)`, `(Q2, Q3)` at span `h`, then `(Q0, Q2)`,
 /// `(Q1, Q3)` at span `2h` on those results.
 #[inline(always)]
-fn radix4_pass(data: &mut [f64], h: usize) {
+fn radix4_pass<T: Lane>(data: &mut [T], h: usize) {
     for block in data.chunks_exact_mut(4 * h) {
         let (q01, q23) = block.split_at_mut(2 * h);
         let (q0, q1) = q01.split_at_mut(h);
@@ -190,7 +222,7 @@ fn radix4_pass(data: &mut [f64], h: usize) {
 /// One `half`-span pass: each `2·half`-lane block split into two
 /// contiguous halves, which the compiler vectorizes.
 #[inline(always)]
-fn radix2_pass(data: &mut [f64], half: usize) {
+fn radix2_pass<T: Lane>(data: &mut [T], half: usize) {
     for block in data.chunks_exact_mut(2 * half) {
         let (lo, hi) = block.split_at_mut(half);
         for (l, h) in lo.iter_mut().zip(hi) {
@@ -226,35 +258,6 @@ pub fn fwht_scalar(data: &mut [f64]) {
             }
         }
         half = step;
-    }
-}
-
-/// The transform over exact integers: [`fwht_scalar`]'s butterflies on
-/// `i64`, with no dispatch. Each output is a ±1 combination of the
-/// inputs, so the caller bounds their total magnitude to keep every
-/// intermediate in range (HRR's prefix tables check it first); an add
-/// that overflows anyway panics in a debug build.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn fwht_i64(data: &mut [i64]) {
-    let n = data.len();
-    assert!(
-        n.is_power_of_two(),
-        "FWHT requires a power-of-two length, got {n}"
-    );
-    let mut half = 1;
-    while half < n {
-        for block in data.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            for (a, b) in lo.iter_mut().zip(hi) {
-                let (x, y) = (*a, *b);
-                *a = x + y;
-                *b = x - y;
-            }
-        }
-        half *= 2;
     }
 }
 
@@ -398,6 +401,54 @@ mod tests {
                 fwht_scalar(&mut slow);
                 let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&fast), bits(&slow), "n = {n}");
+            }
+        }
+    }
+
+    /// The portable body on `i64` lanes, called directly, equals the
+    /// textbook butterflies computed in `i128` — exactly, so no lane
+    /// wrapped — at every power of two to 2^16, over random sums and over
+    /// sums whose total magnitude is the largest HRR's prefix tables admit
+    /// (`Σ|s|·D ≤ i64::MAX`). `tests/differential.rs` covers the
+    /// dispatched [`fwht_i64`].
+    #[test]
+    fn portable_integer_body_is_the_textbook_transform() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xFA57_0008);
+        for n in (0..=16).map(|k| 1usize << k) {
+            let bound = i64::MAX / n as i64;
+            let at_bound: Vec<i64> = (0..n)
+                .map(|i| {
+                    let share = bound / n as i64 + i64::from(i == 0) * (bound % n as i64);
+                    if rng.random::<bool>() {
+                        -share
+                    } else {
+                        share
+                    }
+                })
+                .collect();
+            let random: Vec<i64> = (0..n)
+                .map(|_| rng.random_range(0..2000u64) as i64 - 1000)
+                .collect();
+            for x in [at_bound, random] {
+                let mut want: Vec<i128> = x.iter().map(|&v| i128::from(v)).collect();
+                let mut half = 1;
+                while half < n {
+                    for block in want.chunks_exact_mut(2 * half) {
+                        let (lo, hi) = block.split_at_mut(half);
+                        for (a, b) in lo.iter_mut().zip(hi) {
+                            (*a, *b) = (*a + *b, *a - *b);
+                        }
+                    }
+                    half *= 2;
+                }
+                let mut got = x;
+                fwht_blocked(&mut got);
+                assert!(
+                    got.iter().zip(&want).all(|(&g, &w)| i128::from(g) == w),
+                    "n = {n}"
+                );
             }
         }
     }

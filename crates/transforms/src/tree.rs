@@ -216,8 +216,7 @@ impl<T> FlatTree<T> {
     }
 
     /// Every depth `0..=h` as its own mutable slice, root first: disjoint
-    /// borrows, so the parts of one tree can be handed to different
-    /// threads (a split freeze gives each side a part of every level).
+    /// borrows, so a pass can hold every level at once.
     pub fn levels_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
         let shape = self.shape;
         let mut rest = self.data.as_mut_slice();

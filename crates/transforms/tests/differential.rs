@@ -13,8 +13,8 @@
 //! `to_bits()`, with no tolerance anywhere.
 
 use ldp_transforms::{
-    fwht, fwht_scalar, haar_forward, haar_forward_scalar, haar_inverse, haar_inverse_scalar,
-    HaarPyramid,
+    fwht, fwht_i64, fwht_scalar, haar_forward, haar_forward_scalar, haar_inverse,
+    haar_inverse_scalar, HaarPyramid,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,6 +109,61 @@ fn fwht_adversarial_values_still_bit_identical() {
         fwht(&mut fast);
         fwht_scalar(&mut slow);
         assert_bits_eq(&fast, &slow, "fwht specials", n);
+    }
+}
+
+/// The textbook integer butterflies, in `i128` so that no intermediate
+/// can wrap: the oracle the dispatched [`fwht_i64`] must equal exactly.
+fn fwht_i128_textbook(data: &mut [i128]) {
+    let mut half = 1;
+    while half < data.len() {
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                (*a, *b) = (*a + *b, *a - *b);
+            }
+        }
+        half *= 2;
+    }
+}
+
+/// The integer transform — the AVX2 build on a host that reports AVX2,
+/// the portable one elsewhere — equals the textbook integer butterflies
+/// exactly at every power of two from 1 to 2^16: over small random sums,
+/// over sums of one sign whose total magnitude is the largest HRR's
+/// prefix tables admit (`Σ|s|·D ≤ i64::MAX`, where the first output is
+/// that total), and over mixed signs at the same bound.
+#[test]
+fn fwht_i64_is_the_textbook_integer_transform() {
+    let mut rng = StdRng::seed_from_u64(0xFA57_0009);
+    for n in (0..=16).map(|k| 1usize << k) {
+        let bound = i64::MAX / n as i64;
+        let share = |i: usize| bound / n as i64 + i64::from(i == 0) * (bound % n as i64);
+        let inputs: [Vec<i64>; 4] = [
+            (0..n)
+                .map(|_| rng.random_range(0..1u64 << 21) as i64 - (1 << 20))
+                .collect(),
+            (0..n).map(share).collect(),
+            (0..n).map(|i| -share(i)).collect(),
+            (0..n)
+                .map(|i| {
+                    if rng.random::<bool>() {
+                        share(i)
+                    } else {
+                        -share(i)
+                    }
+                })
+                .collect(),
+        ];
+        for (k, x) in inputs.into_iter().enumerate() {
+            let mut want: Vec<i128> = x.iter().map(|&v| i128::from(v)).collect();
+            fwht_i128_textbook(&mut want);
+            let mut got = x;
+            fwht_i64(&mut got);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(i128::from(g), w, "input {k}, n={n}, index {i}");
+            }
+        }
     }
 }
 
