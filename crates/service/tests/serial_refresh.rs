@@ -2,10 +2,9 @@
 //! absorbing every report would.
 //!
 //! A dirty refresh drains each shard into the accumulator, then builds
-//! the snapshot's prefix tables, both on the caller. This binary holds
-//! one test, so no other test thread comes or goes while it counts the
-//! process's threads (`/proc/self/task`): no refresh, drain or seal may
-//! start one. The rows are the served domain at its largest:
+//! the snapshot's prefix tables, both on the caller
+//! (`tests/refresh_threads.rs` checks that none of this starts a
+//! thread). The rows are the served domain at its largest:
 //!
 //! * `HH_4`/OUE at 2^16, fed wire batches, so each drain meets reports
 //!   still pending across batches — plain, and windowed with a seal
@@ -31,13 +30,6 @@ const D: usize = 1 << 16;
 const FRAMES: usize = 40;
 const BATCHES: usize = 3;
 const ROUNDS: usize = 3;
-
-/// How many threads this process has, one per `/proc/self/task` entry.
-fn threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("/proc/self/task")
-        .count()
-}
 
 /// A value skewed toward the low quarter of the domain.
 fn value(i: usize) -> usize {
@@ -83,14 +75,9 @@ fn assert_same(got: &RangeSnapshot, want: &RangeSnapshot, what: &str) {
 /// Feeds a plain and a windowed service over `prototype` [`ROUNDS`]
 /// rounds of [`BATCHES`] wire batches, refreshing both after each round
 /// and then sending one more batch before the windowed service seals.
-/// Every snapshot is held to the one-server reference, and the thread
-/// count to `base` after every refresh and seal.
-fn check<S>(
-    prototype: &S,
-    mut report: impl FnMut(usize, &mut dyn RngCore) -> S::Report,
-    base: usize,
-    what: &str,
-) where
+/// Every snapshot is held to the one-server reference.
+fn check<S>(prototype: &S, mut report: impl FnMut(usize, &mut dyn RngCore) -> S::Report, what: &str)
+where
     S: SnapshotSource,
     S::Report: WireReport,
 {
@@ -122,7 +109,6 @@ fn check<S>(
         let what = format!("{what}, round {round}");
         send(BATCHES, &mut reference, &mut ring);
         let snap = plain.refresh_snapshot().expect("refresh");
-        assert_eq!(threads(), base, "{what}: a plain refresh started a thread");
         assert_same(
             &snap,
             &RangeSnapshot::freeze(&reference, snap.version()),
@@ -136,11 +122,6 @@ fn check<S>(
         );
 
         let snap = windowed.refresh_snapshot().expect("refresh");
-        assert_eq!(
-            threads(),
-            base,
-            "{what}: a windowed refresh started a thread"
-        );
         assert_same(
             &snap,
             &RangeSnapshot::freeze(&ring, snap.version()),
@@ -158,7 +139,6 @@ fn check<S>(
             windowed.seal_epoch().expect("seal"),
             ring.seal_epoch().expect("ring seal")
         );
-        assert_eq!(threads(), base, "{what}: a seal started a thread");
     }
     let snap = windowed.refresh_snapshot().expect("refresh");
     assert_same(
@@ -169,25 +149,24 @@ fn check<S>(
 }
 
 #[test]
-fn serial_refreshes_publish_the_one_server_reference_and_start_no_thread() {
-    let base = threads();
-    let eps = Epsilon::from_exp(3.0);
-
-    let config = HhConfig::with_oracle(D, 4, eps, FrequencyOracle::Oue).expect("config");
+fn hh_oue_batched_serial_drain_is_the_one_server_reference() {
+    let config =
+        HhConfig::with_oracle(D, 4, Epsilon::from_exp(3.0), FrequencyOracle::Oue).expect("config");
     let client = HhClient::new(config.clone()).expect("client");
     check(
         &HhServer::new(config).expect("server"),
         |i, rng| client.report(value(i), rng).expect("report"),
-        base,
         "HH_4/OUE",
     );
+}
 
-    let config = HaarConfig::new(D, eps).expect("config");
+#[test]
+fn haar_hrr_serial_refresh_is_the_one_server_reference() {
+    let config = HaarConfig::new(D, Epsilon::from_exp(3.0)).expect("config");
     let client = HaarHrrClient::new(config.clone()).expect("client");
     check(
         &HaarHrrServer::new(config).expect("server"),
         |i, rng| client.report(value(i), rng).expect("report"),
-        base,
         "HaarHRR",
     );
 }
