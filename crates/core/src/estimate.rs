@@ -41,12 +41,7 @@ pub trait RangeEstimate {
 /// prefix sums, §4.5).
 #[derive(Debug, Clone)]
 pub struct FrequencyEstimate {
-    /// The per-item estimates are `values[first..]`. The `HH_B` float
-    /// freeze hands over its whole estimate tree, whose leaf level they
-    /// are, instead of copying that level out; everywhere else `first` is
-    /// 0.
-    values: Vec<f64>,
-    first: usize,
+    freqs: Vec<f64>,
     /// `prefix[i]` = sum of the first `i` estimates; length `D + 1`.
     prefix: Vec<f64>,
 }
@@ -59,32 +54,21 @@ impl FrequencyEstimate {
     /// Panics on an empty vector.
     #[must_use]
     pub fn new(freqs: Vec<f64>) -> Self {
-        Self::over(freqs, 0)
-    }
-
-    /// The estimate whose per-item vector is `values[first..]`, with its
-    /// prefix sums.
-    pub(crate) fn over(values: Vec<f64>, first: usize) -> Self {
-        let freqs = &values[first..];
         assert!(!freqs.is_empty(), "estimate needs at least one item");
         let mut prefix = Vec::with_capacity(freqs.len() + 1);
         prefix.push(0.0);
         let mut acc = 0.0;
-        for &f in freqs {
+        for &f in &freqs {
             acc += f;
             prefix.push(acc);
         }
-        Self {
-            values,
-            first,
-            prefix,
-        }
+        Self { freqs, prefix }
     }
 
     /// The per-item estimates.
     #[must_use]
     pub fn frequencies(&self) -> &[f64] {
-        &self.values[self.first..]
+        &self.freqs
     }
 }
 

@@ -6,8 +6,8 @@
 //! oracle's `estimate()` vector copied into a fresh tree (or pyramid
 //! levels, or grid list), constrained inference with the fanout read at
 //! run time, Haar leaves expanded node by node, and the prefix built by
-//! `push`. The fast path writes each stage once, in place, with the
-//! consistency kernel instantiated per fanout; nothing may move a bit.
+//! `push`. The served float freeze writes each level estimate once, in
+//! place, into its tree or pyramid; nothing may move a bit.
 
 use ldp_freq_oracle::{AnyOracle, Epsilon, FrequencyOracle, PointOracle};
 use ldp_transforms::{decompose_range, CompleteTree, FlatTree};

@@ -51,65 +51,14 @@ pub fn enforce_consistency(tree: &mut FlatTree<f64>) {
     top_down(&mut below, fanout);
 }
 
-/// Runs `$kernel` instantiated for `$fanout`: the fanouts the
-/// mechanisms use (2, 4, 8, 16) each have their own instantiation, where
-/// the sibling group is a compile-time length; any other fanout runs the
-/// same body with the group length read at run time (`B = 0`). The
-/// additions stay in the same left-to-right order, so every
-/// instantiation gives the same bits.
-macro_rules! per_fanout {
-    ($kernel:ident($levels:expr, $fanout:expr)) => {
-        match $fanout {
-            2 => $kernel::<2>($levels, 2),
-            4 => $kernel::<4>($levels, 4),
-            8 => $kernel::<8>($levels, 8),
-            16 => $kernel::<16>($levels, 16),
-            fanout => $kernel::<0>($levels, fanout),
-        }
-    };
-}
+// Both stages walk one depth and the depth below it as two slices,
+// children grouped per parent by `chunks_exact(fanout)`. Each child sum
+// adds left to right, so results are bit-identical to per-node
+// `(depth, index)` addressing — the differential test below pins that.
 
 /// Stage 1, bottom-up weighted averaging, below the root: `levels[i]`
 /// holds depth `i + 1`, so `levels.len()` is the tree height.
 fn bottom_up(levels: &mut [&mut [f64]], fanout: usize) {
-    per_fanout!(bottom_up_kernel(levels, fanout));
-}
-
-/// Stage 2, top-down mean consistency, below level 1 (see
-/// [`bottom_up`]). Runs after [`root_step`].
-fn top_down(levels: &mut [&mut [f64]], fanout: usize) {
-    per_fanout!(top_down_kernel(levels, fanout));
-}
-
-/// Stage 2's first step: the root is the whole population, 1, and the
-/// residual between it and level 1's total, summed left to right, is
-/// shared equally among the `fanout` nodes.
-fn root_step(level1: &mut [f64], fanout: usize) {
-    debug_assert_eq!(level1.len(), fanout);
-    let child_sum: f64 = level1.iter().sum();
-    let adjust = (1.0 - child_sum) / fanout as f64;
-    for c in level1 {
-        *c += adjust;
-    }
-}
-
-/// The group length: the compile-time `B`, or the run-time fanout.
-fn group<const B: usize>(fanout: usize) -> usize {
-    debug_assert!(B == 0 || B == fanout);
-    if B == 0 {
-        fanout
-    } else {
-        B
-    }
-}
-
-// Both kernels walk one depth and the depth below it as two slices,
-// children grouped per parent by `chunks_exact(B)`. Each child sum adds
-// left to right, so results are bit-identical to per-node
-// `(depth, index)` addressing — the differential test below pins that.
-
-fn bottom_up_kernel<const B: usize>(levels: &mut [&mut [f64]], fanout: usize) {
-    let fanout = group::<B>(fanout);
     let b = fanout as f64;
     let h = levels.len();
     // Internal, non-root nodes: depths h − 1 down to 1.
@@ -128,8 +77,21 @@ fn bottom_up_kernel<const B: usize>(levels: &mut [&mut [f64]], fanout: usize) {
     }
 }
 
-fn top_down_kernel<const B: usize>(levels: &mut [&mut [f64]], fanout: usize) {
-    let fanout = group::<B>(fanout);
+/// Stage 2's first step: the root is the whole population, 1, and the
+/// residual between it and level 1's total, summed left to right, is
+/// shared equally among the `fanout` nodes.
+fn root_step(level1: &mut [f64], fanout: usize) {
+    debug_assert_eq!(level1.len(), fanout);
+    let child_sum: f64 = level1.iter().sum();
+    let adjust = (1.0 - child_sum) / fanout as f64;
+    for c in level1 {
+        *c += adjust;
+    }
+}
+
+/// Stage 2, top-down mean consistency, below level 1 (see
+/// [`bottom_up`]). Runs after [`root_step`].
+fn top_down(levels: &mut [&mut [f64]], fanout: usize) {
     let b = fanout as f64;
     for d in 1..levels.len() {
         let (upper, lower) = levels.split_at_mut(d);

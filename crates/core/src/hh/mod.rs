@@ -314,15 +314,12 @@ impl HhServer {
     }
 
     /// The per-item estimate of the constrained-inference tree, with
-    /// prefix sums: the serial float freeze, built and made consistent in
-    /// place, whose leaf level becomes the per-item vector with no copy.
+    /// prefix sums: the serial float freeze, its leaf level copied out.
     /// A service publishes [`HhServer::prefix_tables`] instead, which
     /// answers the same up to rounding.
     #[must_use]
     pub fn frequency_estimate(&self) -> FrequencyEstimate {
-        let tree = self.estimate_consistent().tree.into_raw();
-        let leaves = self.shape.depth_offset(self.shape.height());
-        FrequencyEstimate::over(tree, leaves)
+        self.estimate_consistent().to_frequency_estimate()
     }
 }
 

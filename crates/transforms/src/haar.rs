@@ -31,57 +31,14 @@ pub fn haar_forward(x: &[f64]) -> Vec<f64> {
         "Haar transform requires a power-of-two length, got {n}"
     );
     let mut out = vec![0.0; n];
-    // Ping-pong between two buffers so every pass reads one buffer and
-    // writes disjoint slices of the other: no in-place aliasing, so the
-    // pairwise loop compiles to straight-line vector code. Each level
-    // computes the identical `l ± r` the in-place scalar pass computes,
-    // so the coefficients are bit-identical to [`haar_forward_scalar`].
-    let mut cur = x.to_vec();
-    let mut next = vec![0.0; n / 2];
-    let mut width = n; // number of block sums currently held in `cur`
+    let mut sums = x.to_vec();
+    let mut width = n; // number of block sums currently held in `sums`
     let mut block = 1usize; // current block size
     while width > 1 {
         let half = width / 2;
         let scale = 1.0 / ((2 * block) as f64).sqrt();
         // Parent nodes at this pass sit at depth log2(half); their
         // coefficient slots are [half, width).
-        let (diffs, _) = out[half..].split_at_mut(half);
-        for ((pair, sum), diff) in cur[..width]
-            .chunks_exact(2)
-            .zip(next[..half].iter_mut())
-            .zip(diffs.iter_mut())
-        {
-            let (l, r) = (pair[0], pair[1]);
-            *diff = (l - r) * scale;
-            *sum = l + r;
-        }
-        std::mem::swap(&mut cur, &mut next);
-        width = half;
-        block *= 2;
-    }
-    out[0] = cur[0] / (n as f64).sqrt();
-    out
-}
-
-/// The in-place reference implementation of [`haar_forward`] — the oracle
-/// the buffered version is differential-tested against (bit-identical).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn haar_forward_scalar(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    assert!(
-        n.is_power_of_two(),
-        "Haar transform requires a power-of-two length, got {n}"
-    );
-    let mut out = vec![0.0; n];
-    let mut sums = x.to_vec();
-    let mut width = n;
-    let mut block = 1usize;
-    while width > 1 {
-        let half = width / 2;
-        let scale = 1.0 / ((2 * block) as f64).sqrt();
         for t in 0..half {
             let l = sums[2 * t];
             let r = sums[2 * t + 1];
@@ -106,50 +63,11 @@ pub fn haar_inverse(c: &[f64]) -> Vec<f64> {
         n.is_power_of_two(),
         "Haar transform requires a power-of-two length, got {n}"
     );
-    // Rebuild block sums top-down, starting from the grand total. As in
-    // [`haar_forward`], ping-pong buffers replace the in-place backward
-    // walk: each pass reads `cur` and writes pairs of `next`, computing
-    // the identical `(s ± d)/2` expansions — bit-identical to
-    // [`haar_inverse_scalar`].
-    let mut cur = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    cur[0] = c[0] * (n as f64).sqrt();
-    let mut width = 1usize; // number of valid block sums
-    let mut block = n; // their block size
-    while width < n {
-        let scale = (block as f64).sqrt();
-        for ((pair, &s), &coeff) in next[..2 * width]
-            .chunks_exact_mut(2)
-            .zip(cur[..width].iter())
-            .zip(c[width..2 * width].iter())
-        {
-            let d = coeff * scale;
-            pair[0] = (s + d) / 2.0;
-            pair[1] = (s - d) / 2.0;
-        }
-        std::mem::swap(&mut cur, &mut next);
-        width *= 2;
-        block /= 2;
-    }
-    cur
-}
-
-/// The in-place reference implementation of [`haar_inverse`] — the oracle
-/// the buffered version is differential-tested against (bit-identical).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn haar_inverse_scalar(c: &[f64]) -> Vec<f64> {
-    let n = c.len();
-    assert!(
-        n.is_power_of_two(),
-        "Haar transform requires a power-of-two length, got {n}"
-    );
+    // Rebuild block sums top-down, starting from the grand total.
     let mut sums = vec![0.0; n];
     sums[0] = c[0] * (n as f64).sqrt();
-    let mut width = 1usize;
-    let mut block = n;
+    let mut width = 1usize; // number of valid block sums
+    let mut block = n; // their block size
     while width < n {
         let scale = (block as f64).sqrt();
         // Expand in place from the back so we do not clobber unread sums.
@@ -186,25 +104,11 @@ impl HaarPyramid {
     /// A pyramid of height `h` with the given total and every difference
     /// zero, ready to be filled depth by depth.
     pub fn new(height: u32, total: f64) -> Self {
-        Self::over_buffer(height, total, Vec::new())
-    }
-
-    /// A pyramid of height `h` with the given total over `buf`'s
-    /// allocation ([`crate::reuse_buffer`]): its differences hold whatever
-    /// the buffer held, so the caller fills every depth through
-    /// [`HaarPyramid::diffs_mut`] before reading. [`HaarPyramid::into_buffer`]
-    /// gives the buffer back.
-    pub fn over_buffer(height: u32, total: f64, buf: Vec<f64>) -> Self {
         Self {
             height,
             total,
-            diffs: crate::reuse_buffer(buf, (1usize << height) - 1),
+            diffs: vec![0.0; (1usize << height) - 1],
         }
-    }
-
-    /// Consumes the pyramid, returning the buffer of its differences.
-    pub fn into_buffer(self) -> Vec<f64> {
-        self.diffs
     }
 
     /// Builds the exact pyramid of a length-`2^h` leaf vector in `O(D)`.
@@ -213,43 +117,6 @@ impl HaarPyramid {
     ///
     /// Panics if the length is not a power of two.
     pub fn from_leaves(x: &[f64]) -> Self {
-        let n = x.len();
-        assert!(
-            n.is_power_of_two(),
-            "HaarPyramid requires a power-of-two length, got {n}"
-        );
-        let mut pyramid = Self::new(n.trailing_zeros(), 0.0);
-        // Ping-pong buffers (see [`haar_forward`]): each level reads
-        // disjoint pairs and writes straight-line sum/diff streams, which
-        // vectorizes; the arithmetic per node is unchanged, so the
-        // pyramid is bit-identical to [`HaarPyramid::from_leaves_scalar`].
-        let mut cur = x.to_vec();
-        let mut next = vec![0.0; n / 2];
-        for d in (0..pyramid.height).rev() {
-            let width = 1usize << d;
-            for ((pair, sum), diff) in cur[..2 * width]
-                .chunks_exact(2)
-                .zip(next[..width].iter_mut())
-                .zip(pyramid.diffs_mut(d).iter_mut())
-            {
-                let (l, r) = (pair[0], pair[1]);
-                *diff = l - r;
-                *sum = l + r;
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        pyramid.total = cur[0];
-        pyramid
-    }
-
-    /// The in-place reference implementation of
-    /// [`HaarPyramid::from_leaves`] — the oracle the buffered version is
-    /// differential-tested against (bit-identical).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two.
-    pub fn from_leaves_scalar(x: &[f64]) -> Self {
         let n = x.len();
         assert!(
             n.is_power_of_two(),
@@ -303,17 +170,6 @@ impl HaarPyramid {
     pub fn diffs_mut(&mut self, depth: u32) -> &mut [f64] {
         let width = 1usize << depth;
         &mut self.diffs[width - 1..2 * width - 1]
-    }
-
-    /// Every depth's differences as its own mutable slice, root first:
-    /// disjoint borrows, so different threads can fill different depths.
-    pub fn depths_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        let mut rest = self.diffs.as_mut_slice();
-        (0..self.height).map(move |depth| {
-            let (diffs, deeper) = std::mem::take(&mut rest).split_at_mut(1usize << depth);
-            rest = deeper;
-            diffs
-        })
     }
 
     /// Domain size `D = 2^h`.
@@ -372,87 +228,12 @@ impl HaarPyramid {
 
     /// Reconstructs every leaf in `O(D)`.
     pub fn leaves(&self) -> Vec<f64> {
-        self.leaves_into(Vec::new(), &mut Vec::new())
-    }
-
-    /// [`HaarPyramid::leaves`] written into `out`'s allocation, with
-    /// `scratch` as the expansion's second buffer; both are sized by
-    /// [`crate::reuse_buffer`], and nothing either held is read.
-    pub fn leaves_into(&self, out: Vec<f64>, scratch: &mut Vec<f64>) -> Vec<f64> {
-        let n = self.len();
-        let mut out = crate::reuse_buffer(out, n);
-        *scratch = crate::reuse_buffer(std::mem::take(scratch), n);
-        self.expand_into(0, 0, self.total, &mut out, scratch);
-        out
-    }
-
-    /// The two halves' sums of the node at `depth`, index `t`, whose
-    /// subtree sums to `sum`: `((s + d)/2, (s − d)/2)`, the one step
-    /// every expansion repeats.
-    #[inline]
-    pub fn child_sums(&self, depth: u32, t: usize, sum: f64) -> (f64, f64) {
-        let d_u = self.diff(depth, t);
-        ((sum + d_u) / 2.0, (sum - d_u) / 2.0)
-    }
-
-    /// The leaves under the node at `depth`, index `t`, whose subtree
-    /// sums to `sum`, written into `out` (`D / 2^depth` slots) with
-    /// `scratch` (as long) as the second buffer; nothing either held is
-    /// read. The whole expansion is the root's, so two subtrees expanded
-    /// apart — on two threads — give the bits of one
-    /// [`HaarPyramid::leaves`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both buffers hold exactly the subtree's leaves.
-    pub fn expand_into(
-        &self,
-        depth: u32,
-        t: usize,
-        sum: f64,
-        out: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let passes = self.height - depth;
-        assert!(
-            out.len() == 1 << passes && scratch.len() == out.len(),
-            "expansion buffers must hold the subtree's leaves"
-        );
-        // Ping-pong expansion (see [`haar_inverse`]); bit-identical to
-        // [`HaarPyramid::leaves_scalar`]. Each pass writes the other
-        // buffer, so the first one read is chosen by the parity of the
-        // pass count for the last pass to write `out`.
-        let (mut cur, mut next) = if passes.is_multiple_of(2) {
-            (out, scratch)
-        } else {
-            (scratch, out)
-        };
-        cur[0] = sum;
-        let mut width = 1usize;
-        for d in depth..self.height {
-            let diffs = &self.diffs(d)[t * width..(t + 1) * width];
-            for ((pair, &s), &d_u) in next[..2 * width]
-                .chunks_exact_mut(2)
-                .zip(cur[..width].iter())
-                .zip(diffs)
-            {
-                pair[0] = (s + d_u) / 2.0;
-                pair[1] = (s - d_u) / 2.0;
-            }
-            std::mem::swap(&mut cur, &mut next);
-            width *= 2;
-        }
-    }
-
-    /// The in-place reference implementation of [`HaarPyramid::leaves`] —
-    /// the oracle the buffered version is differential-tested against
-    /// (bit-identical).
-    pub fn leaves_scalar(&self) -> Vec<f64> {
         let n = self.len();
         let mut sums = vec![0.0; n];
         sums[0] = self.total;
         let mut width = 1usize;
         for d in 0..self.height {
+            // Expand in place from the back so we do not clobber unread sums.
             for t in (0..width).rev() {
                 let s = sums[t];
                 let d_u = self.diff(d, t);
@@ -607,56 +388,6 @@ mod tests {
                 .collect(),
         );
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn leaves_into_poisoned_buffers_of_any_length_is_leaves() {
-        for height in 0..6u32 {
-            let x: Vec<f64> = (0..1usize << height).map(|i| (i as f64).cbrt()).collect();
-            let p = HaarPyramid::from_leaves(&x);
-            let fresh = p.leaves();
-            let n = p.len();
-            for (out_len, scratch_len) in [(n, n), (n + 1, n - 1), (n - 1, n + 3)] {
-                let mut scratch = vec![f64::NAN; scratch_len];
-                let got = p.leaves_into(vec![f64::NAN; out_len], &mut scratch);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&fresh), "h={height}");
-                assert_eq!(scratch.len(), n);
-            }
-            let mut rebuilt = HaarPyramid::over_buffer(height, p.total(), vec![f64::NAN; n]);
-            for d in 0..height {
-                rebuilt.diffs_mut(d).copy_from_slice(p.diffs(d));
-            }
-            assert_eq!(rebuilt, p);
-            assert_eq!(rebuilt.into_buffer().len(), n - 1);
-        }
-    }
-
-    /// The two root halves expanded apart, and every depth filled through
-    /// its own `depths_mut` slice, give the bits of one whole expansion.
-    #[test]
-    fn halves_expanded_apart_are_the_leaves() {
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for height in 1..8u32 {
-            let x: Vec<f64> = (0..1usize << height)
-                .map(|i| (i as f64 + 0.3).ln())
-                .collect();
-            let p = HaarPyramid::from_leaves(&x);
-            let n = p.len();
-            let mut filled = HaarPyramid::new(height, p.total());
-            for (d, diffs) in (0..).zip(filled.depths_mut()) {
-                diffs.copy_from_slice(p.diffs(d));
-            }
-            assert_eq!(filled, p);
-            let (lo, hi) = p.child_sums(0, 0, p.total());
-            let mut out = vec![f64::NAN; n];
-            let mut scratch = vec![f64::NAN; n];
-            let (out_lo, out_hi) = out.split_at_mut(n / 2);
-            let (scratch_lo, scratch_hi) = scratch.split_at_mut(n / 2);
-            p.expand_into(1, 1, hi, out_hi, scratch_hi);
-            p.expand_into(1, 0, lo, out_lo, scratch_lo);
-            assert_eq!(bits(&out), bits(&p.leaves_scalar()), "h={height}");
-        }
     }
 
     #[test]

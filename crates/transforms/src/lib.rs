@@ -22,7 +22,7 @@ pub mod hadamard;
 pub mod tree;
 
 pub use dyadic::{decompose_range, DyadicNode};
-pub use haar::{haar_forward, haar_forward_scalar, haar_inverse, haar_inverse_scalar, HaarPyramid};
+pub use haar::{haar_forward, haar_inverse, HaarPyramid};
 pub use hadamard::{fwht, fwht_i64, fwht_scalar, hadamard_entry};
 pub use tree::{CompleteTree, FlatTree};
 
@@ -47,19 +47,6 @@ pub fn exact_log(n: usize, b: usize) -> Option<u32> {
         log += 1;
     }
     (cur == n).then_some(log)
-}
-
-/// `buf` as exactly `len` slots for a caller that overwrites every one
-/// before reading any: a buffer at least that long is truncated and keeps
-/// its allocation and its stale contents; a shorter one is replaced by a
-/// fresh zeroed buffer, exactly what an allocating caller builds. A
-/// freeze that hands back last time's buffers allocates nothing.
-pub fn reuse_buffer<T: Clone + Default>(mut buf: Vec<T>, len: usize) -> Vec<T> {
-    if buf.len() < len {
-        return vec![T::default(); len];
-    }
-    buf.truncate(len);
-    buf
 }
 
 /// Integer power `b^e` with overflow checking.
@@ -90,16 +77,6 @@ mod tests {
         assert_eq!(exact_log(3, 2), None);
         assert_eq!(exact_log(100, 3), None);
         assert_eq!(exact_log(10, 1), None);
-    }
-
-    #[test]
-    fn reuse_buffer_keeps_a_long_enough_allocation() {
-        let long = vec![f64::NAN; 9];
-        let ptr = long.as_ptr();
-        let reused = reuse_buffer(long, 4);
-        assert_eq!((reused.len(), reused.as_ptr()), (4, ptr));
-        assert_eq!(reuse_buffer(vec![f64::NAN; 3], 4), vec![0.0; 4]);
-        assert_eq!(reuse_buffer(Vec::<f64>::new(), 2), vec![0.0; 2]);
     }
 
     #[test]

@@ -140,16 +140,9 @@ pub struct FlatTree<T> {
 impl<T: Clone + Default> FlatTree<T> {
     /// Allocates a tree filled with `T::default()`.
     pub fn new(shape: CompleteTree) -> Self {
-        Self::over_buffer(shape, Vec::new())
-    }
-
-    /// A tree over `buf`'s allocation ([`crate::reuse_buffer`]): its slots
-    /// hold whatever the buffer held, so the caller writes every slot
-    /// before reading one. [`FlatTree::into_raw`] gives the buffer back.
-    pub fn over_buffer(shape: CompleteTree, buf: Vec<T>) -> Self {
         Self {
             shape,
-            data: crate::reuse_buffer(buf, shape.total_nodes()),
+            data: vec![T::default(); shape.total_nodes()],
         }
     }
 }
@@ -232,11 +225,6 @@ impl<T> FlatTree<T> {
     #[inline]
     pub fn leaves(&self) -> &[T] {
         self.level(self.shape.height)
-    }
-
-    /// Consumes the tree, returning the breadth-first backing storage.
-    pub fn into_raw(self) -> Vec<T> {
-        self.data
     }
 }
 
@@ -329,7 +317,6 @@ mod tests {
         *tree.get_mut(2, 3) = 9;
         assert_eq!(tree.level(1), &[2, 3]);
         assert_eq!(tree.leaves(), &[0, 0, 0, 9]);
-        assert_eq!(tree.into_raw(), vec![1, 2, 3, 0, 0, 0, 9]);
     }
 
     #[test]
@@ -389,19 +376,6 @@ mod tests {
             }
             assert_eq!(tree.levels_mut().count(), shape.height() as usize + 1);
         }
-    }
-
-    #[test]
-    fn over_buffer_reuses_and_gives_back_the_allocation() {
-        let shape = CompleteTree::new(2, 4);
-        let buf = vec![7u32; 10];
-        let ptr = buf.as_ptr();
-        let tree = FlatTree::over_buffer(shape, buf);
-        assert_eq!(tree.level(2).len(), 4);
-        let raw = tree.into_raw();
-        assert_eq!((raw.len(), raw.as_ptr()), (shape.total_nodes(), ptr));
-        let fresh = FlatTree::over_buffer(shape, vec![7u32; 3]);
-        assert_eq!(fresh, FlatTree::new(shape));
     }
 
     #[test]

@@ -1,21 +1,18 @@
-//! Differential suite: the blocked/vectorized transforms against their
-//! retained scalar oracles, **bit for bit**.
+//! Differential suite: the blocked/vectorized FWHT against its retained
+//! scalar oracle, **bit for bit**, and the Haar transforms and pyramid
+//! against their defining identities at every size.
 //!
 //! The optimized FWHT runs every pass with a span under 2048 lanes inside
 //! one resident 2048-lane chunk (a radix-8 base case, then radix-4
 //! passes) and the longer passes in radix-4 pairs with a trailing radix-2
-//! pass, and the Haar passes run through ping-pong buffers. Every
-//! butterfly still combines exactly the same two operands in the same
-//! order — each `(i, i + half)` pair is disjoint from every other pair of
-//! its pass, and a fused pass reads exactly what the pass before it wrote
-//! — so the computation DAG is unchanged and IEEE-754 determinism makes
-//! the outputs identical, not merely close. These tests therefore compare
-//! `to_bits()`, with no tolerance anywhere.
+//! pass. Every butterfly still combines exactly the same two operands in
+//! the same order — each `(i, i + half)` pair is disjoint from every
+//! other pair of its pass, and a fused pass reads exactly what the pass
+//! before it wrote — so the computation DAG is unchanged and IEEE-754
+//! determinism makes the outputs identical, not merely close. The FWHT
+//! oracle rows therefore compare `to_bits()`, with no tolerance.
 
-use ldp_transforms::{
-    fwht, fwht_i64, fwht_scalar, haar_forward, haar_forward_scalar, haar_inverse,
-    haar_inverse_scalar, HaarPyramid,
-};
+use ldp_transforms::{fwht, fwht_i64, fwht_scalar, haar_forward, haar_inverse, HaarPyramid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -167,36 +164,10 @@ fn fwht_i64_is_the_textbook_integer_transform() {
     }
 }
 
-#[test]
-fn haar_forward_bit_identical_to_scalar_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xFA57_0004);
-    for n in sizes() {
-        for _ in 0..4 {
-            let x = random_vec(&mut rng, n);
-            assert_bits_eq(
-                &haar_forward(&x),
-                &haar_forward_scalar(&x),
-                "haar_forward",
-                n,
-            );
-        }
-    }
-}
-
-#[test]
-fn haar_inverse_bit_identical_to_scalar_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xFA57_0005);
-    for n in sizes() {
-        let c = random_vec(&mut rng, n);
-        assert_bits_eq(
-            &haar_inverse(&c),
-            &haar_inverse_scalar(&c),
-            "haar_inverse",
-            n,
-        );
-    }
-}
-
+/// At every size up to 2^17: the orthonormal transform inverts, and the
+/// sum/difference pyramid of a vector gives back its leaves and answers
+/// every sampled range (and the whole domain and both end points) as
+/// the prefix sums of the vector do.
 #[test]
 fn haar_roundtrip_through_buffered_paths() {
     let mut rng = StdRng::seed_from_u64(0xFA57_0006);
@@ -206,40 +177,30 @@ fn haar_roundtrip_through_buffered_paths() {
         for (a, b) in x.iter().zip(y.iter()) {
             assert!((a - b).abs() < 1e-9, "haar roundtrip at n={n}");
         }
-    }
-}
-
-#[test]
-fn pyramid_from_leaves_bit_identical_to_scalar_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xFA57_0007);
-    for n in sizes() {
-        let x = random_vec(&mut rng, n);
-        let fast = HaarPyramid::from_leaves(&x);
-        let slow = HaarPyramid::from_leaves_scalar(&x);
-        assert_eq!(
-            fast.total().to_bits(),
-            slow.total().to_bits(),
-            "pyramid total at n={n}"
-        );
-        assert_eq!(fast.height(), slow.height());
-        for d in 0..fast.height() {
-            for t in 0..1usize << d {
-                assert_eq!(
-                    fast.diff(d, t).to_bits(),
-                    slow.diff(d, t).to_bits(),
-                    "pyramid diff ({d},{t}) at n={n}"
-                );
-            }
+        let pyramid = HaarPyramid::from_leaves(&x);
+        for (i, (a, b)) in x.iter().zip(pyramid.leaves().iter()).enumerate() {
+            assert!((a - b).abs() < 1e-9, "pyramid leaf {i} at n={n}");
         }
-    }
-}
-
-#[test]
-fn pyramid_leaves_bit_identical_to_scalar_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xFA57_0008);
-    for n in sizes() {
-        let x = random_vec(&mut rng, n);
-        let p = HaarPyramid::from_leaves(&x);
-        assert_bits_eq(&p.leaves(), &p.leaves_scalar(), "pyramid leaves", n);
+        let prefix: Vec<f64> = std::iter::once(0.0)
+            .chain(x.iter().scan(0.0, |acc, &v| {
+                *acc += v;
+                Some(*acc)
+            }))
+            .collect();
+        let sampled = (0..64).map(|_| {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            (a.min(b), a.max(b))
+        });
+        for (a, b) in [(0, n - 1), (0, 0), (n - 1, n - 1)]
+            .into_iter()
+            .chain(sampled)
+        {
+            let want = prefix[b + 1] - prefix[a];
+            let got = pyramid.range_sum(a, b);
+            assert!(
+                (got - want).abs() < 1e-9,
+                "pyramid range [{a}, {b}] at n={n}: {got} vs {want}"
+            );
+        }
     }
 }
